@@ -162,11 +162,11 @@ type compiler struct {
 	flopsPerPoint float64
 	writePriv     legion.Privilege
 	kprog         *kernelProg
-	// rowPlan is the strided lowering of the innermost leaf variable (nil
-	// when no leaf loops exist or its reconstruction is not affine); kpool
-	// recycles per-worker kernel scratch across every task of the plan.
-	rowPlan *schedule.RowPlan
-	kpool   *sync.Pool
+	// leafIDs and leafExt are the leaf loops' evaluator ids and extents
+	// (outermost first); kpool recycles per-worker kernel scratch across
+	// every task of the plan.
+	leafIDs, leafExt []int
+	kpool            *sync.Pool
 
 	// distOnly marks tensors whose anchor cut fixes only the distributed
 	// variables: their requirement rects are identical across the launches
@@ -447,13 +447,17 @@ func (c *compiler) buildPlan(splitDepth int) {
 
 	if !c.in.TreeKernel {
 		c.kprog = compileKernelProg(stmt, c.ev, c.writePriv == legion.ReduceSum)
-		if len(c.leaf) > 0 {
-			c.rowPlan = c.kprog.vp.CompileRow(c.ev.VarID(c.leaf[len(c.leaf)-1]))
+		c.leafIDs = make([]int, len(c.leaf))
+		c.leafExt = make([]int, len(c.leaf))
+		for i, name := range c.leaf {
+			c.leafIDs[i] = c.ev.VarID(name)
+			c.leafExt[i] = c.extents[name]
 		}
+		c.kprog.planBlock(c.leafIDs, c.leafExt)
 		nv, nOrig := c.ev.NumVars(), len(c.ev.OrigIDs())
-		nOps, nAcc, nLeaf := len(c.kprog.ops), len(c.kprog.accesses), len(c.leaf)
+		nOps, nAcc, nLeaf, rowLen := len(c.kprog.ops), len(c.kprog.accesses), len(c.leaf), c.kprog.rowLen
 		c.kpool = &sync.Pool{New: func() any {
-			return newKernelScratch(nv, nOrig, nOps, nAcc, nLeaf)
+			return newKernelScratch(nv, nOrig, nOps, nAcc, nLeaf, rowLen)
 		}}
 	}
 }

@@ -10,32 +10,48 @@ import (
 )
 
 // kernelScratch is the per-worker scratch of one compiled-kernel task
-// invocation: value buffers, registers, bound access surfaces, and the row
-// offset/stride tables. Instances are pooled on the plan (compiler.kpool),
-// so batch and wire serving reuse a handful of scratches across every task
-// of every execution instead of churning the garbage collector with five
-// allocations per task. A scratch is owned by exactly one task invocation
-// at a time; the pool makes tasks of a shared cached plan safe to run
-// concurrently (each worker gets its own).
+// invocation: value buffers, registers, row temporaries and bound access
+// surfaces. Instances are pooled on the plan (compiler.kpool), so batch and
+// wire serving reuse a handful of scratches across every task of every
+// execution instead of churning the garbage collector with five allocations
+// per task. A scratch is owned by exactly one task invocation at a time; the
+// pool makes tasks of a shared cached plan safe to run concurrently (each
+// worker gets its own).
+//
+// Everything a task writes while it runs lives in two slabs the scratch
+// owns, each padded by a cache line at both ends: two workers' scratches
+// never share a line, whatever the allocator placed next to them. (The
+// per-point walk writes regs, idx and vals for every element; when one P
+// allocated two scratches back to back, those writes used to ping-pong a
+// shared line between the workers.)
 type kernelScratch struct {
-	vals       []int
-	origVals   []int
-	idx        []int
-	regs       []float64
-	loads      []boundAccess
-	loadOff    []int
-	loadStride []int
+	vals     []int
+	origVals []int
+	idx      []int
+	regs     []float64
+	rows     []float64 // row temporaries of the row program: rowLen per op
+	rowLen   int
+	vecs     []rowVec
+	loads    []boundAccess
+	store    boundAccess
+	low      blockLowering
 }
 
-func newKernelScratch(nv, nOrig, nOps, nAcc, nLeaf int) *kernelScratch {
+// cacheLineWords is one cache line in 8-byte words.
+const cacheLineWords = 8
+
+func newKernelScratch(nv, nOrig, nOps, nAcc, nLeaf, rowLen int) *kernelScratch {
+	ints := make([]int, nv+nOrig+nLeaf+2*cacheLineWords)[cacheLineWords:]
+	floats := make([]float64, nOps+nOps*rowLen+2*cacheLineWords)[cacheLineWords:]
 	return &kernelScratch{
-		vals:       make([]int, nv),
-		origVals:   make([]int, nOrig),
-		idx:        make([]int, nLeaf),
-		regs:       make([]float64, nOps),
-		loads:      make([]boundAccess, nAcc),
-		loadOff:    make([]int, nAcc),
-		loadStride: make([]int, nAcc),
+		vals:     ints[:nv:nv],
+		origVals: ints[nv : nv+nOrig : nv+nOrig],
+		idx:      ints[nv+nOrig : nv+nOrig+nLeaf : nv+nOrig+nLeaf],
+		regs:     floats[:nOps:nOps],
+		rows:     floats[nOps : nOps+nOps*rowLen : nOps+nOps*rowLen],
+		rowLen:   rowLen,
+		vecs:     make([]rowVec, nOps),
+		loads:    make([]boundAccess, nAcc),
 	}
 }
 
@@ -45,6 +61,11 @@ func (ks *kernelScratch) release(pool *sync.Pool) {
 	for i := range ks.loads {
 		ks.loads[i] = boundAccess{}
 	}
+	for i := range ks.vecs {
+		ks.vecs[i] = rowVec{}
+	}
+	ks.store = boundAccess{}
+	ks.low = blockLowering{}
 	pool.Put(ks)
 }
 
@@ -54,14 +75,16 @@ func (ks *kernelScratch) release(pool *sync.Pool) {
 // blocks), and combines into the LHS through the task's write requirement.
 //
 // The default body executes the plan's compiled kernelProg (kernelprog.go)
-// with raw storage surfaces resolved once per task. When the plan's row plan
-// exists — every original variable's reconstruction is affine in the
-// innermost leaf variable (see schedule.ValueProgram.CompileRow) — the body
-// is strided: the odometer and ValueProgram run once per row, every access
-// offset advances by a constant element stride, and the inner loop is pure
-// float traffic (a fused multiply-accumulate for the one-multiply reduce
-// shape). Ragged boundary rows fall back to the per-point walk, so results
-// are bit-identical to the tree-walking fallback (Input.TreeKernel), which
+// with raw storage surfaces resolved once per task. When the plan's block
+// plan exists — every original variable's reconstruction is affine in the
+// innermost leaf variables (see schedule.ValueProgram.CompileBlock) — the
+// body is blocked: the odometer and ValueProgram run once per 2-D block of
+// the two innermost leaf loops, every access offset advances by a constant
+// element stride per unit of either, and the block's in-space prefix box
+// runs as pure float traffic (blockkernel.go). A block whose ragged tail is
+// not a box, a leaf whose innermost reconstruction is not affine, and a
+// leaf with no loops all take the per-point walk, so results are
+// bit-identical to the tree-walking fallback (Input.TreeKernel), which
 // remains the reference the compiled program is asserted against. Scratch
 // is pooled per worker (kernelScratch), so a task allocates nothing.
 func (c *compiler) realKernel(seq map[string]int) func(ctx *legion.Ctx) {
@@ -71,7 +94,6 @@ func (c *compiler) realKernel(seq map[string]int) func(ctx *legion.Ctx) {
 	kp := c.kprog
 	ev := c.ev
 	pool := c.kpool
-	rp := c.rowPlan
 
 	type binding struct{ id, val int }
 	var seqBind []binding
@@ -79,31 +101,42 @@ func (c *compiler) realKernel(seq map[string]int) func(ctx *legion.Ctx) {
 		seqBind = append(seqBind, binding{ev.VarID(v), seq[v]})
 	}
 	distIDs := c.distIDs
-	leafIDs := make([]int, len(c.leaf))
-	leafExt := make([]int, len(c.leaf))
-	for i, name := range c.leaf {
-		leafIDs[i] = ev.VarID(name)
-		leafExt[i] = c.extents[name]
+	leafIDs, leafExt := c.leafIDs, c.leafExt
+	// The odometer walks the leaf variables outside the block; the block's
+	// own variables stay bound to 0, its origin, except while a block is
+	// walked per point. A height-1 block has no outer variable (uID < 0) and
+	// a plan without a block plan has neither: its "block" is one point.
+	nOuter := len(leafIDs) - kp.blockVars
+	uID, vID, uExt, vExt := -1, -1, 1, 1
+	if kp.blockVars >= 1 {
+		vID, vExt = leafIDs[len(leafIDs)-1], leafExt[len(leafIDs)-1]
 	}
-	var steps []int
-	if rp != nil {
-		steps = rp.Steps()
+	if kp.blockVars == 2 {
+		uID, uExt = leafIDs[nOuter], leafExt[nOuter]
 	}
 
 	return func(ctx *legion.Ctx) {
 		ks := pool.Get().(*kernelScratch)
 		defer ks.release(pool)
-		vals, origVals, regs, loads := ks.vals, ks.origVals, ks.regs, ks.loads
+		vals, origVals, regs, loads, store := ks.vals, ks.origVals, ks.regs, ks.loads, &ks.store
 		for i, id := range distIDs {
 			vals[id] = ctx.Point[i]
 		}
 		for _, b := range seqBind {
 			vals[b.id] = b.val
 		}
+		// Every in-space point touches every access, so a task missing a
+		// requirement (its rect was empty) has no in-space point at all.
+		if !ctx.Holds(kp.store.tensor) {
+			return
+		}
 		for i := range kp.accesses {
+			if !ctx.Holds(kp.accesses[i].tensor) {
+				return
+			}
 			loads[i] = kp.accesses[i].bindRead(ctx)
 		}
-		store := kp.store.bindWrite(ctx)
+		*store = kp.store.bindWrite(ctx)
 
 		for _, ext := range leafExt {
 			if ext <= 0 {
@@ -113,83 +146,50 @@ func (c *compiler) realKernel(seq map[string]int) func(ctx *legion.Ctx) {
 		for _, id := range leafIDs {
 			vals[id] = 0
 		}
-
-		if rp != nil && len(leafIDs) > 0 {
-			// Strided rows: the outer odometer walks every assignment of the
-			// non-innermost leaf variables; each row costs one RowRun pass
-			// plus base-offset computation, then a tight strided loop.
-			inner := len(leafIDs) - 1
-			innerID := leafIDs[inner]
-			innerExt := leafExt[inner]
-			// Element strides per unit of the innermost variable: canonical
-			// read surfaces are fixed per execution, the store's depends on
-			// the task's accumulator, so both resolve here, once per task.
-			for i := range loads {
-				s := 0
-				for d, pos := range kp.accesses[i].pos {
-					s += steps[pos] * loads[i].stride[d]
-				}
-				ks.loadStride[i] = s
-			}
-			sstride := 0
-			for d, pos := range kp.store.pos {
-				sstride += steps[pos] * store.stride[d]
-			}
-			idx := ks.idx[:inner]
-			for i := range idx {
-				idx[i] = 0
-			}
-			for {
-				vals[innerID] = 0
-				n := kp.vp.RowRun(rp, vals, origVals)
-				if n > innerExt {
-					n = innerExt
-				}
-				if n > 0 {
-					for i := range loads {
-						ks.loadOff[i] = loads[i].offset(origVals)
-					}
-					kp.runRow(loads, ks.loadOff, ks.loadStride, store.data, store.offset(origVals), sstride, regs, n)
-				}
-				// Ragged boundary rows: finish per-point so any point the
-				// prefix bound excluded is re-judged by the reference walk —
-				// the strided path can under-run a row but never diverge.
-				for x := n; x < innerExt; x++ {
-					vals[innerID] = x
-					if kp.vp.Run(vals, origVals) {
-						kp.run(loads, &store, regs, origVals)
-					}
-				}
-				d := inner - 1
-				for d >= 0 {
-					idx[d]++
-					if idx[d] < leafExt[d] {
-						vals[leafIDs[d]] = idx[d]
-						break
-					}
-					idx[d] = 0
-					vals[leafIDs[d]] = 0
-					d--
-				}
-				if d < 0 {
-					return
-				}
-			}
+		if kp.bp != nil {
+			ks.low = kp.bindBlock(loads, store)
 		}
-
-		// Per-point odometer over the leaf variables (innermost last,
-		// matching the tree kernel's row-major walk): the fallback when no
-		// leaf loops exist or the innermost reconstruction is not affine
-		// (e.g. a rotation of the innermost variable).
-		idx := ks.idx[:len(leafIDs)]
+		idx := ks.idx[:nOuter]
 		for i := range idx {
 			idx[i] = 0
 		}
 		for {
-			if kp.vp.Run(vals, origVals) {
-				kp.run(loads, &store, regs, origVals)
+			nu, nv, ok := 0, 0, false
+			if kp.bp != nil {
+				nu, nv, ok = kp.vp.BlockRun(kp.bp, vals, origVals)
 			}
-			d := len(idx) - 1
+			switch {
+			case !ok:
+				// No block plan, or a ragged tail that is not a box: judge
+				// and run each point on its own, in loop order (innermost
+				// last, matching the tree kernel's row-major walk).
+				for u := 0; u < uExt; u++ {
+					if uID >= 0 {
+						vals[uID] = u
+					}
+					for v := 0; v < vExt; v++ {
+						if vID >= 0 {
+							vals[vID] = v
+						}
+						if kp.vp.Run(vals, origVals) {
+							kp.run(loads, store, regs, origVals)
+						}
+					}
+				}
+				if uID >= 0 {
+					vals[uID] = 0
+				}
+				if vID >= 0 {
+					vals[vID] = 0
+				}
+			case nu > 0 && nv > 0:
+				for i := range loads {
+					loads[i].off = loads[i].offset(origVals)
+				}
+				store.off = store.offset(origVals)
+				kp.runBlock(ks, loads, store, nu, nv)
+			}
+			d := nOuter - 1
 			for d >= 0 {
 				idx[d]++
 				if idx[d] < leafExt[d] {

@@ -15,7 +15,9 @@ import (
 // tasks then execute every in-bounds point of their iteration space with no
 // interface dispatch, no map lookups, and no per-point allocation:
 //
-//   - index reconstruction is a schedule.ValueProgram (integer ops only);
+//   - index reconstruction is a schedule.ValueProgram (integer ops only),
+//     run once per 2-D block of the two innermost leaf loops when their
+//     reconstruction is affine (schedule.BlockPlan), once per point otherwise;
 //   - every tensor access is an offset computation against the raw storage
 //     surface of the task's region requirement (Ctx.ReadSurface /
 //     Ctx.WriteSurface), resolved once per task;
@@ -62,13 +64,27 @@ type kernelProg struct {
 	store    accessPlan
 	accesses []accessPlan // kLoad targets, RHS postorder
 	reduces  bool
-	// fma marks the one-multiply reduce shape (store += load*load): the
-	// strided row loop lowers it to a fused multiply-accumulate with no
-	// register traffic. Detected once at lowering; the FMA loop performs
-	// the same floating-point operations in the same order as the generic
+	// chain is the number of loads (2 or 3) when the program is a pure
+	// left-associated product of loads — load, load, mul[, load, mul] — and
+	// 0 otherwise. The block lowerings key on it: a reducing two-load chain
+	// is the one-multiply shape the register-tiled micro-kernel runs, and
+	// chains of either length fuse into one multiply-accumulate loop per row.
+	// Detected once at lowering; the fused loops perform the same
+	// floating-point operations in the same per-cell order as the generic
 	// register walk, so results stay bit-identical.
-	fma bool
-	vp  *schedule.ValueProgram
+	chain int
+	vp    *schedule.ValueProgram
+
+	// Block plan over the innermost leaf variables (planBlock): nil when no
+	// leaf loops exist or no innermost reconstruction is affine. blockVars
+	// is how many leaf variables a block spans (2, or 1 for a height-1 block
+	// of rows); rowInv marks, per op, a value that does not change along the
+	// block's inner variable — the row program computes it once per row as a
+	// scalar; rowLen is the inner variable's loop extent (row temporaries).
+	bp        *schedule.BlockPlan
+	blockVars int
+	rowInv    []bool
+	rowLen    int
 }
 
 // compileKernelProg lowers stmt's RHS against the plan's evaluator.
@@ -105,20 +121,83 @@ func compileKernelProg(stmt *ir.Assignment, ev *schedule.Evaluator, reduces bool
 		return int32(len(kp.ops) - 1)
 	}
 	kp.out = lower(stmt.RHS)
-	kp.fma = kp.reduces && len(kp.ops) == 3 &&
-		kp.ops[0].kind == kLoad && kp.ops[1].kind == kLoad &&
-		kp.ops[2].kind == kMul && kp.ops[2].a == 0 && kp.ops[2].b == 1 &&
-		kp.out == 2
+	kp.chain = productChain(kp.ops)
 	return kp
+}
+
+// productChain recognises load, load, mul(0,1)[, load, mul(2,3)]: the
+// postorder of B*C and (B*C)*D. Chain load j is accesses[j].
+func productChain(ops []kOp) int {
+	if len(ops) != 3 && len(ops) != 5 {
+		return 0
+	}
+	for i := range ops {
+		op := &ops[i]
+		switch {
+		case i < 2 || i == 3:
+			if op.kind != kLoad {
+				return 0
+			}
+		case op.kind != kMul || int(op.a) != i-2 || int(op.b) != i-1:
+			return 0
+		}
+	}
+	return (len(ops) + 1) / 2
+}
+
+// planBlock compiles the block plan over the innermost leaf variables: the
+// two innermost when both reconstruct affinely, else the innermost alone (a
+// height-1 block: the outer one then walks with the task's odometer), else
+// none — the kernel keeps the per-point walk. leafIDs and leafExt are the
+// leaf loops' variable ids and extents, outermost first.
+func (kp *kernelProg) planBlock(leafIDs, leafExt []int) {
+	n := len(leafIDs)
+	if n == 0 {
+		return
+	}
+	if n >= 2 {
+		kp.bp, kp.blockVars = kp.vp.CompileBlock(leafIDs[n-2], leafIDs[n-1], leafExt[n-2], leafExt[n-1]), 2
+	}
+	if kp.bp == nil {
+		kp.bp, kp.blockVars = kp.vp.CompileBlock(-1, leafIDs[n-1], 1, leafExt[n-1]), 1
+	}
+	if kp.bp == nil {
+		kp.blockVars = 0
+		return
+	}
+	kp.rowLen = max(leafExt[n-1], 0)
+	inner := kp.bp.InnerSteps()
+	kp.rowInv = make([]bool, len(kp.ops))
+	for i := range kp.ops {
+		switch op := &kp.ops[i]; op.kind {
+		case kLoad:
+			kp.rowInv[i] = true
+			for _, pos := range kp.accesses[op.acc].pos {
+				if inner[pos] != 0 {
+					kp.rowInv[i] = false
+				}
+			}
+		case kLit:
+			kp.rowInv[i] = true
+		default:
+			kp.rowInv[i] = kp.rowInv[op.a] && kp.rowInv[op.b]
+		}
+	}
 }
 
 // boundAccess is an accessPlan resolved against one task's raw storage: the
 // element for the current point lives at data[base+sum(origVals[pos[d]]*stride[d])].
+// Under a block plan su and sv are the element strides per unit of the
+// block's outer and inner variable (fixed per task) and off is the element
+// offset of the current block's origin: block point (u,v) lives at
+// data[off+u*su+v*sv].
 type boundAccess struct {
 	data   []float64
 	stride []int
 	pos    []int32
 	base   int
+
+	off, su, sv int
 }
 
 // bindRead resolves a read access against the task's requirement surface.
@@ -163,63 +242,5 @@ func (kp *kernelProg) run(loads []boundAccess, store *boundAccess, regs []float6
 		store.data[store.offset(origVals)] += v
 	} else {
 		store.data[store.offset(origVals)] = v
-	}
-}
-
-// runRow executes the program for n consecutive in-space points of one row:
-// every load's element offset starts at offs[i] and advances by strides[i]
-// per point, the store offset starts at soff and advances by sstride. The
-// odometer and ValueProgram ran once (at the row origin); this loop is pure
-// float traffic over raw storage. Operation order per point matches run
-// exactly, so strided rows are bit-identical to the per-point walk.
-func (kp *kernelProg) runRow(loads []boundAccess, offs, strides []int, sdata []float64, soff, sstride int, regs []float64, n int) {
-	if kp.fma {
-		a, b := loads[0].data, loads[1].data
-		ia, ib := offs[0], offs[1]
-		sa, sb := strides[0], strides[1]
-		if sstride == 0 {
-			// The common einsum shape (e.g. matmul with the reduction loop
-			// innermost): the store cell is row-invariant, so the partial sum
-			// lives in a register for the whole row.
-			acc := sdata[soff]
-			for x := 0; x < n; x++ {
-				acc += a[ia] * b[ib]
-				ia += sa
-				ib += sb
-			}
-			sdata[soff] = acc
-			return
-		}
-		for x := 0; x < n; x++ {
-			sdata[soff] += a[ia] * b[ib]
-			ia += sa
-			ib += sb
-			soff += sstride
-		}
-		return
-	}
-	for x := 0; x < n; x++ {
-		for i := range kp.ops {
-			op := &kp.ops[i]
-			switch op.kind {
-			case kLoad:
-				regs[i] = loads[op.acc].data[offs[op.acc]]
-			case kLit:
-				regs[i] = op.lit
-			case kAdd:
-				regs[i] = regs[op.a] + regs[op.b]
-			case kMul:
-				regs[i] = regs[op.a] * regs[op.b]
-			}
-		}
-		if kp.reduces {
-			sdata[soff] += regs[kp.out]
-		} else {
-			sdata[soff] = regs[kp.out]
-		}
-		for i := range offs {
-			offs[i] += strides[i]
-		}
-		soff += sstride
 	}
 }

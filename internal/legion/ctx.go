@@ -115,6 +115,18 @@ func (c *Ctx) ReadLocalAt(name string, p ...int) float64 {
 	return b.data.At(local(p, a.rect)...)
 }
 
+// Holds reports whether the task holds a requirement, read or write, on the
+// named region. A requirement whose rect is empty is never bound: the task
+// has no in-space point that touches the region, so a kernel that resolves
+// its surfaces up front checks here before it binds them.
+func (c *Ctx) Holds(name string) bool {
+	if _, ok := c.reads[name]; ok {
+		return true
+	}
+	_, ok := c.writes[name]
+	return ok
+}
+
 // ReadSurface exposes the raw storage of the named read requirement: the
 // canonical backing slice and its row-major strides, addressed in global
 // coordinates (offset = dot(p, strides)). Compiled kernel programs use it to

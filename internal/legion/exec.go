@@ -526,7 +526,7 @@ func (e *executor) runRealTasks(l *Launch) error {
 				e.accFirst[k] = int32(i)
 				if a.inPlace {
 					for _, p := range inPlace {
-						if p.slot == c.slot && p.acc.region == a.region && !p.acc.rect.Intersect(a.rect).Empty() {
+						if p.slot == c.slot && p.acc.region == a.region && p.acc.rect.Overlaps(a.rect) {
 							union(int32(i), p.task)
 						}
 					}
@@ -862,15 +862,7 @@ func (e *executor) flushAccumulators() {
 				continue
 			}
 			for b := range a.bufs {
-				buf := &a.bufs[b]
-				a.rect.Points(func(p []int) {
-					v := buf.data.At(local(p, a.rect)...)
-					if a.combine == ReduceSum {
-						buf.canon.Add(v, p...)
-					} else {
-						buf.canon.Set(v, p...)
-					}
-				})
+				a.bufs[b].canon.FoldRect(a.bufs[b].data, a.rect, a.combine == ReduceSum)
 			}
 		}
 	}

@@ -10,7 +10,9 @@ import "fmt"
 // interval computation over every variable. Real-mode leaf kernels run one
 // ValueProgram pass per leaf point — this is the hottest loop of validated
 // execution, so the program touches only the variables the statement's
-// original indices actually derive from and performs no allocation.
+// original indices actually derive from and performs no allocation. Where
+// the two innermost leaf loops reconstruct affinely, kernels run one pass
+// per 2-D block instead (BlockPlan).
 
 type valKind uint8
 
@@ -88,86 +90,110 @@ func (vp *ValueProgram) Run(vals []int, origVals []int) bool {
 	return true
 }
 
-// RowPlan describes how a ValueProgram behaves along one "row": every
-// loop-order variable held fixed except one (the row variable, typically a
-// kernel's innermost leaf loop), which steps through consecutive integers.
-// A plan exists only when every original variable's reconstruction is affine
-// in the row variable — reached only through divide/split reconstructions
-// (value = outer*block + inner, a constant step per unit of the row
-// variable) and through rotations/fusions that do not depend on it at all.
-// Then each original value advances by a constant per-row step, and the
-// in-space points of a row form a prefix: every divide/split check value is
-// non-decreasing in the row variable, so once one ragged-tail check fails it
-// fails for the rest of the row. Strided kernel loops lean on exactly these
-// two facts (see RowRun).
-type RowPlan struct {
-	rowVar  int32
-	steps   []int   // per original variable: d(value)/d(rowVar)
-	opSteps []int32 // per vp.ops entry: d(op value)/d(rowVar)
+// BlockPlan describes how a ValueProgram behaves over one 2-D "block": every
+// loop-order variable held fixed except two (the block's outer and inner
+// variables, typically a kernel's two innermost leaf loops), which step
+// through consecutive integers from 0. A row — one varying variable — is the
+// height-1 block (no outer variable). A plan exists only when every original
+// variable's reconstruction is affine in both block variables — reached only
+// through divide/split reconstructions (value = outer*block + inner, a
+// constant non-negative step per unit of a block variable) and through
+// rotations/fusions that depend on neither. Then each original value
+// advances by a constant step per unit of either variable, and the in-space
+// points of a block form a prefix box: every divide/split check value is
+// non-decreasing in both variables, so a check that depends on one of them
+// bounds that variable alone. Blocked kernel loops lean on exactly these two
+// facts (see BlockRun).
+type BlockPlan struct {
+	outerExt, innerExt int
+	outerSteps         []int      // per original variable: d(value)/d(outer)
+	innerSteps         []int      // per original variable: d(value)/d(inner)
+	opSteps            [][2]int32 // per vp.ops entry: d(op value)/d(outer, inner)
 }
 
-// Steps returns, per original statement variable (stmt.Vars() order), how
-// much its reconstructed value advances when the row variable advances by
-// one. The returned slice must not be modified.
-func (rp *RowPlan) Steps() []int { return rp.steps }
+// OuterSteps and InnerSteps return, per original statement variable
+// (stmt.Vars() order), how much its reconstructed value advances when the
+// block's outer or inner variable advances by one. The returned slices must
+// not be modified.
+func (bp *BlockPlan) OuterSteps() []int { return bp.outerSteps }
+func (bp *BlockPlan) InnerSteps() []int { return bp.innerSteps }
 
-// CompileRow analyzes the program's dependence on one loop-order variable
-// and returns a RowPlan, or nil when some reconstruction is not affine in it
-// (the variable feeds a rotation's modulus or a fusion's div/mod — callers
-// fall back to per-point evaluation). rowVar must be a loop-order variable
-// id (never the target of an op).
-func (vp *ValueProgram) CompileRow(rowVar int) *RowPlan {
-	rp := &RowPlan{
-		rowVar:  int32(rowVar),
-		steps:   make([]int, len(vp.orig)),
-		opSteps: make([]int32, len(vp.ops)),
+// CompileBlock analyzes the program's dependence on two loop-order variables
+// with the given loop extents and returns a BlockPlan, or nil when some
+// reconstruction is not affine in one of them (the variable feeds a
+// rotation's modulus or a fusion's div/mod — callers fall back to per-point
+// evaluation). outer and inner must be loop-order variable ids (never the
+// target of an op); outer < 0 compiles the height-1 block over inner alone
+// (outerExt is then taken as 1).
+func (vp *ValueProgram) CompileBlock(outer, inner, outerExt, innerExt int) *BlockPlan {
+	if outer < 0 {
+		outerExt = 1
 	}
-	step := make([]int32, vp.nv)
-	step[rowVar] = 1
+	bp := &BlockPlan{
+		outerExt:   outerExt,
+		innerExt:   innerExt,
+		outerSteps: make([]int, len(vp.orig)),
+		innerSteps: make([]int, len(vp.orig)),
+		opSteps:    make([][2]int32, len(vp.ops)),
+	}
+	step := make([][2]int32, vp.nv)
+	if outer >= 0 {
+		step[outer][0] = 1
+	}
+	step[inner][1] = 1
+	var zero [2]int32
 	for i := range vp.ops {
 		op := &vp.ops[i]
 		switch op.kind {
 		case valDivSplit:
-			s := step[op.a]*op.p + step[op.b]
-			rp.opSteps[i] = s
+			a, b := step[op.a], step[op.b]
+			s := [2]int32{a[0]*op.p + b[0], a[1]*op.p + b[1]}
+			bp.opSteps[i] = s
 			step[op.id] = s
 		case valRotate:
-			if step[op.a] != 0 {
-				return nil // wraps mod extent: not affine in the row variable
+			if step[op.a] != zero {
+				return nil // wraps mod extent: not affine in a block variable
 			}
 			for _, o := range op.offsets {
-				if step[o] != 0 {
+				if step[o] != zero {
 					return nil
 				}
 			}
 		case valFuseOuter, valFuseInner:
-			if step[op.a] != 0 {
-				return nil // integer div/mod: not affine in the row variable
+			if step[op.a] != zero {
+				return nil // integer div/mod: not affine in a block variable
 			}
 		case valZero:
 			// Constant.
 		}
 	}
 	for i, id := range vp.orig {
-		rp.steps[i] = int(step[id])
+		bp.outerSteps[i] = int(step[id][0])
+		bp.innerSteps[i] = int(step[id][1])
 	}
-	return rp
+	return bp
 }
 
-// RowRun evaluates the program at a row's origin (the caller binds the row
-// variable to 0 in vals, all other loop-order variables to their values) and
-// returns how many consecutive points of the row, starting at the origin,
-// lie inside the iteration space. origVals receives the original variables'
-// values at the origin; along the row, original variable i advances by
-// rp.Steps()[i] per point. A return of 0 means the whole row is outside
-// (the caller skips it). RowRun performs no allocation.
+// BlockRun evaluates the program at a block's origin (the caller binds both
+// block variables to 0 in vals, all other loop-order variables to their
+// values) and returns the prefix box [0,nu) x [0,nv) of the block that lies
+// inside the iteration space, clamped to the plan's loop extents. origVals
+// receives the original variables' values at the origin; inside the box,
+// original variable i advances by OuterSteps()[i] and InnerSteps()[i] per
+// unit of the outer and inner variable. An empty box (nu or nv zero) means
+// the whole block is outside. BlockRun performs no allocation.
 //
-// The count is exact, not conservative: the only way a full assignment can
-// leave the iteration space is a divide/split ragged-tail check, each check
-// value is affine with non-negative step in the row variable (rp exists only
-// then), so the in-space points are precisely the prefix RowRun reports.
-func (vp *ValueProgram) RowRun(rp *RowPlan, vals []int, origVals []int) int {
-	limit := int(^uint(0) >> 1) // MaxInt: rows are clamped by the caller's loop extent
+// With ok the box is exact, not conservative: the only way a full assignment
+// can leave the iteration space is a divide/split ragged-tail check, each
+// check value is affine with non-negative steps in the block variables (bp
+// exists only then), a check that fails at the origin fails everywhere, and
+// a check that depends on one block variable cuts a prefix of that variable
+// alone. A check that depends on both (the block variables are the outer
+// and inner halves of one divide) describes a box only when it cannot fail
+// anywhere in the block; when it can, BlockRun reports !ok and the caller
+// judges the block per point.
+func (vp *ValueProgram) BlockRun(bp *BlockPlan, vals []int, origVals []int) (nu, nv int, ok bool) {
+	nu, nv = bp.outerExt, bp.innerExt
 	for i := range vp.ops {
 		op := &vp.ops[i]
 		switch op.kind {
@@ -175,12 +201,18 @@ func (vp *ValueProgram) RowRun(rp *RowPlan, vals []int, origVals []int) int {
 			v := vals[op.a]*int(op.p) + vals[op.b]
 			ext := int(op.ext)
 			if v >= ext {
-				return 0
+				return 0, 0, true
 			}
-			if s := int(rp.opSteps[i]); s > 0 {
-				if n := (ext - v + s - 1) / s; n < limit {
-					limit = n
+			su, sv := int(bp.opSteps[i][0]), int(bp.opSteps[i][1])
+			switch {
+			case su > 0 && sv > 0:
+				if v+su*(bp.outerExt-1)+sv*(bp.innerExt-1) >= ext {
+					return 0, 0, false
 				}
+			case su > 0:
+				nu = min(nu, (ext-v+su-1)/su)
+			case sv > 0:
+				nv = min(nv, (ext-v+sv-1)/sv)
 			}
 			vals[op.id] = v
 		case valRotate:
@@ -200,7 +232,7 @@ func (vp *ValueProgram) RowRun(rp *RowPlan, vals []int, origVals []int) int {
 	for i, id := range vp.orig {
 		origVals[i] = vals[id]
 	}
-	return limit
+	return nu, nv, true
 }
 
 // CompileValues lowers the evaluator to the value domain. The resulting

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"distal"
 	"distal/internal/tensor"
@@ -34,9 +35,19 @@ type traceExport struct {
 
 func fetchTraceExport(t *testing.T, baseURL, id string) traceExport {
 	t.Helper()
-	resp, err := http.Get(baseURL + "/v1/trace/" + id)
-	if err != nil {
-		t.Fatal(err)
+	// The server publishes a request's trace when its handler returns, which
+	// can be after the client has decoded the last response frame: give the
+	// ring a moment before calling a 404 a failure.
+	var resp *http.Response
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+		var err error
+		if resp, err = http.Get(baseURL + "/v1/trace/" + id); err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusNotFound || time.Now().After(deadline) {
+			break
+		}
+		resp.Body.Close()
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {

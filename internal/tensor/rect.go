@@ -108,9 +108,18 @@ func (r Rect) Intersect(other Rect) Rect {
 	return out
 }
 
-// Overlaps reports whether the two rects share at least one point.
+// Overlaps reports whether the two rects (of equal rank) share at least one
+// point: !r.Intersect(other).Empty(), without building the intersection.
 func (r Rect) Overlaps(other Rect) bool {
-	return !r.Intersect(other).Empty()
+	if r.Rank() != other.Rank() {
+		panic(fmt.Sprintf("tensor: overlap rank mismatch: %d vs %d", r.Rank(), other.Rank()))
+	}
+	for d := range r.Lo {
+		if min(r.Hi[d], other.Hi[d]) <= max(r.Lo[d], other.Lo[d]) {
+			return false
+		}
+	}
+	return len(r.Lo) > 0
 }
 
 // Equal reports whether the two rects describe the same point set.

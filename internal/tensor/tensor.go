@@ -173,6 +173,48 @@ func (t *Dense) CopyRect(src *Dense, r Rect) {
 	})
 }
 
+// FoldRect combines src — a tensor holding exactly the contents of rect r,
+// addressed from r's origin (shape = r's extents) — into the coordinates of r
+// in t: added when add is set, stored otherwise. Elements combine in r's
+// row-major order, a row of the innermost dimension at a time, so the result
+// is what Add or Set per point of r.Points would produce.
+func (t *Dense) FoldRect(src *Dense, r Rect, add bool) {
+	rank := r.Rank()
+	ok := rank == len(t.shape) && rank == len(src.shape)
+	for d := 0; ok && d < rank; d++ {
+		ok = r.Lo[d] >= 0 && r.Hi[d] <= t.shape[d] && src.shape[d] == r.Extent(d)
+	}
+	if !ok {
+		panic(fmt.Sprintf("tensor %s: cannot fold %s from shape %v into shape %v", t.name, r, src.shape, t.shape))
+	}
+	if r.Empty() {
+		return
+	}
+	last := rank - 1
+	n := r.Extent(last)
+	p := append([]int(nil), r.Lo...)
+	for so := 0; so < len(src.data); so += n {
+		do := 0
+		for d, x := range p {
+			do += x * t.strides[d]
+		}
+		dst, row := t.data[do:do+n], src.data[so:so+n]
+		if add {
+			for i, v := range row {
+				dst[i] += v
+			}
+		} else {
+			copy(dst, row)
+		}
+		for d := last - 1; d >= 0; d-- {
+			if p[d]++; p[d] < r.Hi[d] {
+				break
+			}
+			p[d] = r.Lo[d]
+		}
+	}
+}
+
 // MaxAbsDiff returns the maximum absolute element-wise difference between two
 // tensors of identical shape.
 func (t *Dense) MaxAbsDiff(other *Dense) float64 {

@@ -280,3 +280,69 @@ func TestSum(t *testing.T) {
 		t.Fatalf("Sum = %v, want 6", a.Sum())
 	}
 }
+
+func TestRectOverlapsMatchesIntersect(t *testing.T) {
+	// Property: Overlaps is !Intersect(...).Empty() for every pair, empty
+	// and inverted rects included, and it allocates nothing.
+	f := func(alo, ahi, blo, bhi [3]int8) bool {
+		mk := func(lo, hi [3]int8) Rect {
+			return NewRect([]int{int(lo[0]), int(lo[1]), int(lo[2])}, []int{int(hi[0]), int(hi[1]), int(hi[2])})
+		}
+		a, b := mk(alo, ahi), mk(blo, bhi)
+		return a.Overlaps(b) == !a.Intersect(b).Empty() && b.Overlaps(a) == a.Overlaps(b)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Fatal(err)
+	}
+	if (Rect{}).Overlaps(Rect{}) {
+		t.Fatal("rank-0 rects are empty and must not overlap")
+	}
+	a := NewRect([]int{0, 0}, []int{4, 4})
+	b := NewRect([]int{2, 3}, []int{6, 8})
+	if n := testing.AllocsPerRun(100, func() { a.Overlaps(b) }); n != 0 {
+		t.Fatalf("Overlaps allocates %v times per call", n)
+	}
+}
+
+func TestFoldRect(t *testing.T) {
+	// FoldRect must equal Add/Set per point of the rect, for any rank.
+	for _, c := range []struct {
+		shape  []int
+		lo, hi []int
+	}{
+		{[]int{7}, []int{2}, []int{6}},
+		{[]int{5, 6}, []int{1, 2}, []int{4, 6}},
+		{[]int{4, 5, 6}, []int{1, 0, 3}, []int{3, 5, 5}},
+		{[]int{4, 5}, []int{2, 2}, []int{2, 4}}, // empty
+	} {
+		r := NewRect(c.lo, c.hi)
+		ext := make([]int, r.Rank())
+		for d := range ext {
+			ext[d] = r.Extent(d)
+		}
+		src := New("S", ext...)
+		src.FillRandom(3)
+		for _, add := range []bool{true, false} {
+			got, want := New("T", c.shape...), New("T", c.shape...)
+			got.FillRandom(4)
+			want.FillRandom(4)
+			got.FoldRect(src, r, add)
+			r.Points(func(p []int) {
+				q := make([]int, len(p))
+				for d := range p {
+					q[d] = p[d] - r.Lo[d]
+				}
+				if add {
+					want.Add(src.At(q...), p...)
+				} else {
+					want.Set(src.At(q...), p...)
+				}
+			})
+			for i := range want.Data() {
+				if got.Data()[i] != want.Data()[i] {
+					t.Fatalf("shape %v rect %v add=%v: element %d = %v, want %v", c.shape, r, add, i, got.Data()[i], want.Data()[i])
+				}
+			}
+		}
+	}
+}
