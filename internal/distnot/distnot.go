@@ -202,27 +202,38 @@ func (s *Statement) machineDimOf(d int) int {
 // implements the composition F∘P of §3.2 for the Blocked partitioning
 // function, restricted to rect-describable pieces.
 func (s *Statement) RectFor(shape []int, grid machine.Grid, proc []int) (tensor.Rect, bool) {
+	r := tensor.FullRect(shape)
+	if !s.narrow(r, grid, proc) {
+		return tensor.Rect{}, false
+	}
+	return r, true
+}
+
+// narrow restricts r in place to the block that processor proc of grid
+// holds of it: a partitioned dimension d keeps block proc[j] of r's extent
+// along d, translated by r.Lo[d]. It reports false, with r partly narrowed,
+// when proc lies off a Fixed face.
+func (s *Statement) narrow(r tensor.Rect, grid machine.Grid, proc []int) bool {
 	if s.Func != Blocked {
 		panic("distnot: RectFor supports only the Blocked partitioning function; use OwnedCoords for Cyclic")
 	}
-	if len(shape) != len(s.TensorDims) || len(proc) != len(s.MachineDims) {
-		panic(fmt.Sprintf("distnot: RectFor rank mismatch: shape %v, proc %v vs statement %s", shape, proc, s))
+	if len(r.Lo) != len(s.TensorDims) || len(proc) != len(s.MachineDims) {
+		panic(fmt.Sprintf("distnot: RectFor rank mismatch: tensor rank %d, proc rank %d vs statement %s", len(r.Lo), len(proc), s))
 	}
 	for j, n := range s.MachineDims {
 		if n.Kind == Fixed && proc[j] != n.Index {
-			return tensor.Rect{}, false
+			return false
 		}
 	}
-	r := tensor.FullRect(shape)
-	for d := range shape {
+	for d := range r.Lo {
 		j := s.machineDimOf(d)
 		if j < 0 {
 			continue
 		}
-		lo, hi := tensor.BlockRange(shape[d], grid.Dims[j], proc[j])
-		r.Lo[d], r.Hi[d] = lo, hi
+		lo, hi := tensor.BlockRange(r.Hi[d]-r.Lo[d], grid.Dims[j], proc[j])
+		r.Lo[d], r.Hi[d] = r.Lo[d]+lo, r.Lo[d]+hi
 	}
-	return r, true
+	return true
 }
 
 // OwnersOf returns the coordinates of every processor whose piece contains

@@ -72,34 +72,31 @@ func (p *Placement) Validate(tensorRank int, m *machine.Machine) error {
 // coordinates) and whether the leaf holds a piece. When the placement has
 // fewer levels than the machine, deeper levels replicate the piece.
 func (p *Placement) RectFor(shape []int, m *machine.Machine, leaf []int) (tensor.Rect, bool) {
-	levels := m.Levels()
 	rect := tensor.FullRect(shape)
-	off := 0
-	for li, lvl := range levels {
-		g := lvl.Grid
-		sub := leaf[off : off+g.Rank()]
-		off += g.Rank()
-		if li >= len(p.Levels) {
-			continue // replicated below the last specified level
-		}
-		s := p.Levels[li]
-		// The level's statement partitions the *current piece*: apply it to
-		// the piece's shape, then translate by the piece's origin.
-		pieceShape := make([]int, rect.Rank())
-		for d := range pieceShape {
-			pieceShape[d] = rect.Extent(d)
-		}
-		sr, ok := s.RectFor(pieceShape, g, sub)
-		if !ok {
-			return tensor.Rect{}, false
-		}
-		for d := range sr.Lo {
-			sr.Lo[d] += rect.Lo[d]
-			sr.Hi[d] += rect.Lo[d]
-		}
-		rect = sr
+	if !p.RectInto(rect, shape, m, leaf) {
+		return tensor.Rect{}, false
 	}
 	return rect, true
+}
+
+// RectInto is RectFor writing into dst, whose Lo and Hi must have the
+// tensor's rank, instead of allocating the result. It walks the machine
+// levels outermost first and narrows dst in place: each level's statement
+// partitions the piece the previous levels left. On false dst holds no
+// meaningful rect.
+func (p *Placement) RectInto(dst tensor.Rect, shape []int, m *machine.Machine, leaf []int) bool {
+	for d, n := range shape {
+		dst.Lo[d], dst.Hi[d] = 0, n
+	}
+	off := 0
+	for li, lvl := 0, m; lvl != nil && li < len(p.Levels); li, lvl = li+1, lvl.Child {
+		g := lvl.Grid
+		if !p.Levels[li].narrow(dst, g, leaf[off:off+g.Rank()]) {
+			return false
+		}
+		off += g.Rank()
+	}
+	return true // levels below the last specified one replicate the piece
 }
 
 // String renders the placement with "; " between levels.

@@ -98,33 +98,73 @@ func (r *Result) GFlopsPerSec() float64 {
 type instance struct {
 	leaf       int
 	rect       tensor.Rect
-	key        tensor.RectKey
-	seq        int64 // installation order (transients; candidate tie-breaking)
+	group      *transGroup // a transient's group (nil for owners)
+	seq        int64       // installation order (transients; candidate tie-breaking)
 	validAt    float64
 	persistent bool
-	live       bool
 	bytes      int64
+	prev, next *instance // a transient's neighbours in its group
 }
 
-// transGroup is the set of live transient instances sharing one rect.
-// Grouping makes ensureLocal's candidate search consider distinct rects
-// rather than every instance; installation order is restored from
+// transGroup is the set of live transient instances sharing one rect, a
+// list in installation order linked through the instances. Grouping makes
+// ensureLocal's candidate search consider distinct rects rather than every
+// instance; installation order across groups is restored from
 // instance.seq. A group lives exactly as long as it has instances: it is
 // indexed by rect key (exact-match candidates) and by volume bucket
 // (strict-containment candidates), and idx is its position in the bucket
-// for O(1) removal.
+// for O(1) removal. An emptied group goes back to the executor's slab.
 type transGroup struct {
-	rect  tensor.Rect
-	vol   int64
-	idx   int
-	insts []*instance
+	key         tensor.RectKey
+	rect        tensor.Rect
+	vol         int64
+	idx         int
+	first, last *instance
+}
+
+func (g *transGroup) push(inst *instance) {
+	inst.prev, inst.next = g.last, nil
+	if g.last == nil {
+		g.first = inst
+	} else {
+		g.last.next = inst
+	}
+	g.last = inst
+}
+
+func (g *transGroup) remove(inst *instance) {
+	if inst.prev == nil {
+		g.first = inst.next
+	} else {
+		inst.prev.next = inst.next
+	}
+	if inst.next == nil {
+		g.last = inst.prev
+	} else {
+		inst.next.prev = inst.prev
+	}
+}
+
+// appendTo appends the group's instances to dst in installation order.
+func (g *transGroup) appendTo(dst []*instance) []*instance {
+	for x := g.first; x != nil; x = x.next {
+		dst = append(dst, x)
+	}
+	return dst
 }
 
 type regState struct {
-	region     *Region
-	persistent []*instance         // one per owning leaf
-	perLeaf    map[int][]*instance // all live instances by leaf
-	transFIFO  map[int][]*instance // per-leaf eviction order
+	region *Region
+	// persistent holds the owner instances, one per owning leaf in leaf
+	// (placement) order; owners indexes their rects.
+	persistent []instance
+	owners     ownerIndex
+	// perLeaf[leaf] is every live instance on the leaf, its owner first;
+	// transFIFO[leaf] is the leaf's transients in eviction order. Both are
+	// carved from one per-region slab with fixed capacities of
+	// TransientWindow+1 and TransientWindow.
+	perLeaf   [][]*instance
+	transFIFO [][]*instance
 
 	// dirty marks that some launch wrote the region since its transients
 	// were last valid: when a later stage adopts the region (RunStages),
@@ -140,65 +180,11 @@ type regState struct {
 	// contain a requirement rect (equal-volume containment implies
 	// equality), and in tiled workloads every transient shares the
 	// requirement's volume, so the strict scan is empty. volumes lists the
-	// occupied bucket volumes ascending.
+	// occupied bucket volumes ascending; an emptied bucket keeps its
+	// storage in the map.
 	transByKey map[tensor.RectKey]*transGroup
 	volBuckets map[int64][]*transGroup
 	volumes    []int64
-
-	// cover indexes the persistent instances by requirement rect: the
-	// (immutable) candidate list of owners fully containing that rect.
-	// Filled lazily, it turns ensureLocal's per-requirement O(instances)
-	// scan into one map lookup — requirement rects repeat across points and
-	// launches.
-	cover map[tensor.RectKey][]*instance
-
-	// pieces indexes the persistent instances by requirement rect the other
-	// way around: the owners *overlapping* the rect, with the overlap and
-	// its payload precomputed. Piecewise gathers and accumulator flushes
-	// walk only the owners that matter instead of intersecting the rect
-	// with every owner of the region.
-	pieces map[tensor.RectKey][]ownerPiece
-}
-
-// ownerPiece is one persistent owner's overlap with a requirement rect.
-type ownerPiece struct {
-	inst  *instance
-	piece tensor.Rect
-	bytes int64
-}
-
-// coverFor returns the persistent instances whose rect contains the given
-// requirement rect, in placement order.
-func (rs *regState) coverFor(key tensor.RectKey, rect tensor.Rect) []*instance {
-	if c, ok := rs.cover[key]; ok {
-		return c
-	}
-	var c []*instance
-	for _, inst := range rs.persistent {
-		if inst.rect.ContainsRect(rect) {
-			c = append(c, inst)
-		}
-	}
-	rs.cover[key] = c
-	return c
-}
-
-// piecesFor returns the persistent owners overlapping the given requirement
-// rect together with their (non-empty) overlaps, in placement order.
-func (rs *regState) piecesFor(key tensor.RectKey, rect tensor.Rect) []ownerPiece {
-	if p, ok := rs.pieces[key]; ok {
-		return p
-	}
-	var p []ownerPiece
-	for _, inst := range rs.persistent {
-		piece := inst.rect.Intersect(rect)
-		if piece.Empty() {
-			continue
-		}
-		p = append(p, ownerPiece{inst: inst, piece: piece, bytes: rs.region.Bytes(piece)})
-	}
-	rs.pieces[key] = p
-	return p
 }
 
 type accKey struct {
@@ -236,6 +222,19 @@ type executor struct {
 	instSeq  int64       // next transient installation sequence number
 	steps    int         // points since the last cancellation checkpoint
 
+	// Transient instances, their groups and accumulators come from slabs,
+	// in chunks sized from the launch in progress: points × read
+	// requirements bounds the transients it installs, points × write
+	// requirements the accumulators it opens.
+	insts     slab[instance]
+	groups    slab[transGroup]
+	accSlab   slab[accumulator]
+	instChunk int
+	accChunk  int
+	coord     []int // leaf-coordinate scratch
+	rectBuf   []int // owner-rect scratch
+	pointBuf  []int // launch-point scratch (simulated launches)
+
 	// Real-mode task batch: runLaunch defers kernel invocations here and
 	// runRealTasks drains them over the worker pool at the launch's end.
 	// Everything below is per-launch scratch reused across launches.
@@ -253,8 +252,9 @@ type executor struct {
 	// not start before its task in launch s-TransientWindow completed
 	// (prefetch depth matches the instance window, as Legion's deferred
 	// execution is bounded by mapper-allocated staging buffers).
-	endHist    [][]float64 // ring of per-leaf task end times, one per recent launch
+	endHist    [][]float64 // per-leaf task end times, one per recent launch, oldest first
 	launchEnds []float64   // per-leaf task end times of the launch in progress
+	spareEnds  []float64   // the last launch dropped from endHist, reused by the next
 }
 
 // Run executes the program under the given options.
@@ -296,8 +296,8 @@ func (e *executor) runLaunch(l *Launch) error {
 	}
 	n := l.Domain.Size()
 	rank := l.Domain.Rank()
-	// The simulation path allocates nothing per point: one point buffer per
-	// launch, a reused write-target buffer, and no Ctx. Real-mode tasks get
+	// The simulation path allocates nothing per point: a reused point
+	// buffer, a reused write-target buffer, and no Ctx. Real-mode tasks get
 	// stable Point slices carved from a per-launch slab (Ctx retains them
 	// until the batch runs) and recycled Ctx maps.
 	deferKernels := e.opt.Real && l.Kernel.Run != nil
@@ -311,7 +311,10 @@ func (e *executor) runLaunch(l *Launch) error {
 		}
 		clear(e.readSet)
 	} else {
-		point = make([]int, rank)
+		if cap(e.pointBuf) < rank {
+			e.pointBuf = make([]int, rank)
+		}
+		point = e.pointBuf[:rank]
 	}
 	for i := 0; i < n; i++ {
 		if e.steps++; e.steps >= cancelCheckEvery {
@@ -329,6 +332,15 @@ func (e *executor) runLaunch(l *Launch) error {
 			return fmt.Errorf("legion: launch %s maps point %v to leaf %d outside the machine", l.Name, point, leaf)
 		}
 		reqs := l.Reqs(point)
+		if i == 0 {
+			reads := 0
+			for _, q := range reqs {
+				if q.Priv == ReadOnly {
+					reads++
+				}
+			}
+			e.instChunk, e.accChunk = n*reads, n*(len(reqs)-reads)
+		}
 		issueAt := 0.0
 		if e.opt.Synchronous {
 			issueAt = e.s.ProcFree(leaf)
@@ -350,7 +362,8 @@ func (e *executor) runLaunch(l *Launch) error {
 			}
 		}
 		taskAccs := e.taskAccs[:0]
-		for _, q := range reqs {
+		for qi := range reqs {
+			q := &reqs[qi]
 			if q.Rect.Empty() {
 				continue
 			}
@@ -607,7 +620,7 @@ func (e *executor) runRealTasks(l *Launch) error {
 
 // ensureLocal makes the data of requirement q available in leaf's memory and
 // returns the time at which it is valid there.
-func (e *executor) ensureLocal(l *Launch, point []int, q Req, leaf int, issueAt float64) (float64, error) {
+func (e *executor) ensureLocal(l *Launch, point []int, q *Req, leaf int, issueAt float64) (float64, error) {
 	rs := e.reg[q.Region]
 	// Fast path: an instance on this leaf already covers the rect. The
 	// per-leaf population is small (the persistent owner plus at most
@@ -615,27 +628,27 @@ func (e *executor) ensureLocal(l *Launch, point []int, q Req, leaf int, issueAt 
 	// the expensive part was always the cross-leaf candidate search below.
 	qk := q.rectKey()
 	for _, inst := range rs.perLeaf[leaf] {
-		if inst.live && inst.rect.ContainsRect(q.Rect) {
+		if inst.rect.ContainsRect(q.Rect) {
 			return maxf(inst.validAt, issueAt), nil
 		}
 	}
 	// Gather candidate source instances that fully contain the rect:
-	// persistent owners via the rect index, then live transients — the
+	// persistent owners via the owner index, then live transients — the
 	// exact-rect group by key, plus groups from strictly-larger volume
 	// buckets (the only ones that can strictly contain the rect; none in
 	// pure tilings). Candidates re-sort into installation order, so the
 	// source selection is identical to an exhaustive ordered scan.
-	candidates := append(e.candBuf[:0], rs.coverFor(qk, q.Rect)...)
+	candidates := rs.coverFor(e.candBuf[:0], q.Rect)
 	if !e.opt.OwnerOnly {
 		base := len(candidates)
 		if g := rs.transByKey[qk]; g != nil {
-			candidates = append(candidates, g.insts...)
+			candidates = g.appendTo(candidates)
 		}
 		qvol := int64(q.Rect.Volume())
 		for i := len(rs.volumes) - 1; i >= 0 && rs.volumes[i] > qvol; i-- {
 			for _, g := range rs.volBuckets[rs.volumes[i]] {
 				if g.rect.ContainsRect(q.Rect) {
-					candidates = append(candidates, g.insts...)
+					candidates = g.appendTo(candidates)
 				}
 			}
 		}
@@ -686,19 +699,19 @@ func (e *executor) ensureLocal(l *Launch, point []int, q Req, leaf int, issueAt 
 	}
 	start := maxf(issueAt, best.validAt)
 	end := e.s.Copy(best.leaf, leaf, bytes, start, e.gpuMem, replicas)
-	e.record(l, point, q, best.leaf, leaf, start, end)
-	e.installTransient(rs, leaf, q.Rect, q.rectKey(), end, bytes)
+	e.record(l, point, q.Region, q.Rect, best.leaf, leaf, start, end)
+	e.installTransient(rs, leaf, q.Rect, qk, end, bytes)
 	return end, nil
 }
 
 // gather copies the pieces of q.Rect held by persistent owners and installs
-// a combined transient instance. The owner-piece index bounds the walk to
-// the owners actually overlapping the rect.
-func (e *executor) gather(l *Launch, point []int, q Req, leaf int, issueAt float64, bytes int64) (float64, error) {
+// a combined transient instance. The owner index bounds the walk to the
+// owners actually overlapping the rect.
+func (e *executor) gather(l *Launch, point []int, q *Req, leaf int, issueAt float64, bytes int64) (float64, error) {
 	rs := e.reg[q.Region]
 	covered := int64(0)
 	latest := issueAt
-	for _, op := range rs.piecesFor(q.rectKey(), q.Rect) {
+	for _, op := range rs.piecesFor(q.Rect) {
 		covered += op.bytes
 		if op.inst.leaf == leaf {
 			latest = maxf(latest, op.inst.validAt)
@@ -706,7 +719,7 @@ func (e *executor) gather(l *Launch, point []int, q Req, leaf int, issueAt float
 		}
 		start := maxf(issueAt, op.inst.validAt)
 		end := e.s.Copy(op.inst.leaf, leaf, op.bytes, start, e.gpuMem, 1)
-		e.record(l, point, Req{Region: q.Region, Rect: op.piece, Priv: q.Priv}, op.inst.leaf, leaf, start, end)
+		e.record(l, point, q.Region, op.piece, op.inst.leaf, leaf, start, end)
 		latest = maxf(latest, end)
 	}
 	if covered < bytes {
@@ -717,42 +730,58 @@ func (e *executor) gather(l *Launch, point []int, q Req, leaf int, issueAt float
 	return latest, nil
 }
 
+// installTransient installs a transient instance of rect on leaf, charging
+// its memory, and evicts the leaf's oldest transient of the region once the
+// window is full. The new instance is charged before the evicted one is
+// freed, so the memory high-water mark counts both.
 func (e *executor) installTransient(rs *regState, leaf int, rect tensor.Rect, key tensor.RectKey, validAt float64, bytes int64) {
-	inst := &instance{
-		leaf: leaf, rect: rect, key: key, seq: e.instSeq,
-		validAt: validAt, live: true, bytes: bytes,
-	}
-	e.instSeq++
-	rs.perLeaf[leaf] = append(rs.perLeaf[leaf], inst)
-	g := rs.transByKey[inst.key]
+	g := rs.transByKey[key]
 	if g == nil {
-		g = &transGroup{rect: rect, vol: int64(rect.Volume())}
-		rs.transByKey[inst.key] = g
+		g = e.groups.get(e.instChunk)
+		*g = transGroup{key: key, rect: rect, vol: int64(rect.Volume())}
+		rs.transByKey[key] = g
 		rs.addToBucket(g)
 	}
-	g.insts = append(g.insts, inst)
-	rs.transFIFO[leaf] = append(rs.transFIFO[leaf], inst)
+	inst := e.insts.get(e.instChunk)
+	*inst = instance{
+		leaf: leaf, rect: rect, group: g, seq: e.instSeq,
+		validAt: validAt, bytes: bytes,
+	}
+	e.instSeq++
+	g.push(inst)
 	e.s.Alloc(leaf, bytes)
-	for len(rs.transFIFO[leaf]) > e.opt.TransientWindow {
-		old := rs.transFIFO[leaf][0]
-		rs.transFIFO[leaf] = rs.transFIFO[leaf][1:]
-		old.live = false
+	fifo := rs.transFIFO[leaf]
+	if len(fifo) == e.opt.TransientWindow {
+		old := fifo[0]
+		fifo = fifo[:copy(fifo, fifo[1:])]
 		e.s.Free(leaf, old.bytes)
 		rs.perLeaf[leaf] = removeInst(rs.perLeaf[leaf], old)
-		og := rs.transByKey[old.key]
-		og.insts = removeInst(og.insts, old)
-		if len(og.insts) == 0 {
-			delete(rs.transByKey, old.key)
-			rs.dropFromBucket(og)
-		}
+		e.evict(rs, old)
 	}
+	rs.transFIFO[leaf] = append(fifo, inst)
+	rs.perLeaf[leaf] = append(rs.perLeaf[leaf], inst)
+}
+
+// evict retires a transient that has left its leaf's lists: it leaves its
+// group (recycling the group once empty) and returns to the slab.
+func (e *executor) evict(rs *regState, inst *instance) {
+	g := inst.group
+	g.remove(inst)
+	if g.first == nil {
+		delete(rs.transByKey, g.key)
+		rs.dropFromBucket(g)
+		*g = transGroup{}
+		e.groups.put(g)
+	}
+	*inst = instance{}
+	e.insts.put(inst)
 }
 
 // addToBucket registers a new group in its volume bucket, opening the
 // bucket (and recording its volume in the sorted volume list) if needed.
 func (rs *regState) addToBucket(g *transGroup) {
 	b := rs.volBuckets[g.vol]
-	if b == nil {
+	if len(b) == 0 {
 		i := sort.Search(len(rs.volumes), func(i int) bool { return rs.volumes[i] >= g.vol })
 		rs.volumes = append(rs.volumes, 0)
 		copy(rs.volumes[i+1:], rs.volumes[i:])
@@ -772,13 +801,11 @@ func (rs *regState) dropFromBucket(g *transGroup) {
 	b[g.idx].idx = g.idx
 	b[last] = nil
 	b = b[:last]
+	rs.volBuckets[g.vol] = b
 	if len(b) == 0 {
-		delete(rs.volBuckets, g.vol)
 		i := sort.Search(len(rs.volumes), func(i int) bool { return rs.volumes[i] >= g.vol })
 		rs.volumes = append(rs.volumes[:i], rs.volumes[i+1:]...)
-		return
 	}
-	rs.volBuckets[g.vol] = b
 }
 
 func removeInst(s []*instance, x *instance) []*instance {
@@ -792,18 +819,21 @@ func removeInst(s []*instance, x *instance) []*instance {
 
 // writeTarget returns the accumulator for a write requirement, preferring
 // in-place updates when the computing leaf owns the written rect.
-func (e *executor) writeTarget(q Req, leaf int) *accumulator {
+func (e *executor) writeTarget(q *Req, leaf int) *accumulator {
 	rk := q.rectKey()
 	key := accKey{region: q.Region, leaf: leaf, rect: rk}
 	if a, ok := e.accs[key]; ok {
 		return a
 	}
-	inPlace := false
-	rect, ok := q.Region.OwnerRect(e.prog.Machine, e.lg.Delinearize(leaf))
-	if ok && rect.ContainsRect(q.Rect) {
-		inPlace = true
+	e.lg.DelinearizeInto(leaf, e.coord)
+	rank := len(q.Region.Shape)
+	if cap(e.rectBuf) < 2*rank {
+		e.rectBuf = make([]int, 2*rank)
 	}
-	a := &accumulator{
+	owned := tensor.Rect{Lo: e.rectBuf[:rank], Hi: e.rectBuf[rank : 2*rank]}
+	inPlace := q.Region.ownerRectInto(owned, e.prog.Machine, e.coord) && owned.ContainsRect(q.Rect)
+	a := e.accSlab.get(e.accChunk)
+	*a = accumulator{
 		region:  q.Region,
 		rect:    q.Rect,
 		key:     rk,
@@ -897,7 +927,7 @@ func (e *executor) flushAccumulators() {
 					src, dst := accs[i], accs[i-half]
 					ready := maxf(src.lastUse, dst.lastUse)
 					end := e.s.Copy(src.leaf, dst.leaf, bytes, ready, e.gpuMem, replicas)
-					e.record(nil, nil, Req{Region: region, Rect: rect, Priv: ReduceSum}, src.leaf, dst.leaf, ready, end)
+					e.record(nil, nil, region, rect, src.leaf, dst.leaf, ready, end)
 					// The destination folds the contribution in.
 					dst.lastUse = e.s.Compute(dst.leaf, float64(rect.Volume()), float64(bytes), end)
 				}
@@ -906,11 +936,11 @@ func (e *executor) flushAccumulators() {
 		}
 		// Copy (or piece-wise scatter) the surviving accumulators to the
 		// owner instances. All accumulators of the group share one rect, so
-		// the owner overlaps are resolved once through the owner-piece
-		// index rather than intersecting every accumulator with every
-		// owner of the region.
+		// the owner overlaps are resolved once through the owner index
+		// rather than intersecting every accumulator with every owner of
+		// the region.
 		rs := e.reg[region]
-		pieces := rs.piecesFor(k.rect, rect)
+		pieces := rs.piecesFor(rect)
 		for _, a := range accs {
 			for _, op := range pieces {
 				if op.inst.leaf == a.leaf {
@@ -918,7 +948,7 @@ func (e *executor) flushAccumulators() {
 					continue
 				}
 				end := e.s.Copy(a.leaf, op.inst.leaf, op.bytes, a.lastUse, e.gpuMem, replicas)
-				e.record(nil, nil, Req{Region: region, Rect: op.piece, Priv: a.combine}, a.leaf, op.inst.leaf, a.lastUse, end)
+				e.record(nil, nil, region, op.piece, a.leaf, op.inst.leaf, a.lastUse, end)
 				op.inst.validAt = maxf(op.inst.validAt, end)
 			}
 		}
@@ -939,10 +969,12 @@ func (e *executor) flushAccumulators() {
 		e.s.Free(a.leaf, a.region.Bytes(a.rect))
 	}
 	e.accSeq = nil
-	e.accs = map[accKey]*accumulator{}
+	clear(e.accs)
 }
 
-func (e *executor) record(l *Launch, point []int, q Req, src, dst int, start, end float64) {
+// record appends a copy to the trace (Trace mode). The rect is copied: owner
+// pieces are scratch that the next piecesFor overwrites.
+func (e *executor) record(l *Launch, point []int, region *Region, rect tensor.Rect, src, dst int, start, end float64) {
 	if !e.opt.Trace {
 		return
 	}
@@ -953,8 +985,8 @@ func (e *executor) record(l *Launch, point []int, q Req, src, dst int, start, en
 	e.trace = append(e.trace, CopyRecord{
 		Launch: name,
 		Point:  append([]int(nil), point...),
-		Region: q.Region.Name,
-		Rect:   q.Rect,
+		Region: region.Name,
+		Rect:   tensor.NewRect(rect.Lo, rect.Hi),
 		Src:    src,
 		Dst:    dst,
 		Start:  start,

@@ -343,6 +343,13 @@ func TestRealRequiresBoundData(t *testing.T) {
 	}
 }
 
+func TestNegativeTransientWindow(t *testing.T) {
+	prog, _, _, _ := vectorAddProgram(8, 2)
+	if _, err := Run(prog, Options{Params: testParams(), TransientWindow: -1}); err == nil {
+		t.Fatal("expected an error for a negative transient window")
+	}
+}
+
 func TestGFlopsPerSec(t *testing.T) {
 	r := &Result{Time: 2, Flops: 4e9}
 	if r.GFlopsPerSec() != 2 {

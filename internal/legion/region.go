@@ -14,23 +14,32 @@
 //     graph is walked and every copy and task is priced by internal/sim.
 //     Used to reproduce the paper's large-scale experiments.
 //
-// The executor keeps three per-region instance indexes so that source
-// selection and reduction flushes scan candidates rather than the whole
-// instance population, all keyed by the (comparable) tensor.RectKey of a
-// requirement rect:
+// The executor keeps per-region instance indexes so that source selection
+// and reduction flushes scan candidates rather than the whole instance
+// population:
 //
-//   - regState.cover: the persistent owners fully containing a rect — the
-//     candidate sources of whole-rect copies (filled lazily; owner
-//     placement is immutable for the run, so entries never invalidate);
-//   - regState.pieces: the owners overlapping a rect, with the overlap and
-//     its payload precomputed — drives piecewise gathers and the
-//     accumulator flush scatter;
+//   - regState.owners: a point-location index over the persistent owners,
+//     built once when the region is placed (owner placement is immutable
+//     for the run). Each dimension is cut at the owners' distinct bounds,
+//     and each cell of the resulting grid lists its covering owners in
+//     placement order. coverFor (the owners containing a rect: the
+//     candidate sources of whole-rect copies) looks in the one cell holding
+//     the rect's Lo corner; piecesFor (the owners overlapping a rect, with
+//     the overlaps: piecewise gathers and the accumulator flush scatter)
+//     visits the cells the rect overlaps;
 //   - transByKey/volBuckets: live transient instances grouped by rect,
-//     keyed exactly (transByKey, the one-lookup equal-rect candidates) and
-//     by rect volume (volBuckets — only strictly larger volumes can
-//     strictly contain a requirement rect), with installation order
-//     recoverable from per-instance sequence numbers so candidate ordering
-//     matches an exhaustive ordered scan.
+//     keyed exactly by tensor.RectKey (transByKey, the one-lookup
+//     equal-rect candidates) and by rect volume (volBuckets — only strictly
+//     larger volumes can strictly contain a requirement rect), with
+//     installation order recoverable from per-instance sequence numbers so
+//     candidate ordering matches an exhaustive ordered scan.
+//
+// The simulated walk allocates per run, per region and per slab chunk, not
+// per point or copy. Owners are one slab per region. The per-leaf instance
+// lists and eviction FIFOs are leaf-indexed slices of fixed capacity carved
+// from one per-region slab. Transient instances, their groups and
+// accumulators come from slabs chunked by the launch's size, and evicted
+// instances and emptied groups are recycled.
 //
 // Copy source selection prices candidates per cost class (see
 // sim.CopyClassCost): the cost model runs once per intra-/inter-node class
@@ -145,13 +154,25 @@ func (q Req) String() string {
 // OwnerRect returns the sub-rectangle of the region owned by the given leaf
 // processor under the region's placement, and whether the leaf owns one.
 func (r *Region) OwnerRect(m *machine.Machine, leaf []int) (tensor.Rect, bool) {
+	rect := tensor.FullRect(r.Shape)
+	if !r.ownerRectInto(rect, m, leaf) {
+		return tensor.Rect{}, false
+	}
+	return rect, true
+}
+
+// ownerRectInto is OwnerRect writing into dst, whose Lo and Hi have the
+// region's rank.
+func (r *Region) ownerRectInto(dst tensor.Rect, m *machine.Machine, leaf []int) bool {
 	if r.Placement == nil {
 		for _, x := range leaf {
 			if x != 0 {
-				return tensor.Rect{}, false
+				return false
 			}
 		}
-		return tensor.FullRect(r.Shape), true
+		clear(dst.Lo)
+		copy(dst.Hi, r.Shape)
+		return true
 	}
-	return r.Placement.RectFor(r.Shape, m, leaf)
+	return r.Placement.RectInto(dst, r.Shape, m, leaf)
 }

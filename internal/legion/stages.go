@@ -66,6 +66,9 @@ func RunStages(ctx context.Context, stages []Stage, opt Options) (*Result, error
 	if opt.TransientWindow == 0 {
 		opt.TransientWindow = 2
 	}
+	if opt.TransientWindow < 0 {
+		return nil, fmt.Errorf("legion: negative TransientWindow %d", opt.TransientWindow)
+	}
 	first := stages[0].Prog
 	for i := range stages {
 		if stages[i].Prog == nil {
@@ -85,6 +88,7 @@ func RunStages(ctx context.Context, stages []Stage, opt Options) (*Result, error
 		reg:    map[*Region]*regState{},
 		accs:   map[accKey]*accumulator{},
 	}
+	e.coord = make([]int, e.lg.Rank())
 	e.workers = opt.RealWorkers
 	if e.workers <= 0 {
 		e.workers = min(runtime.GOMAXPROCS(0), 16)
@@ -127,7 +131,11 @@ func RunStages(ctx context.Context, stages []Stage, opt Options) (*Result, error
 				ssp.End()
 				return nil, err
 			}
-			ends := make([]float64, e.lg.Size())
+			ends := e.spareEnds
+			if ends == nil {
+				ends = make([]float64, e.lg.Size())
+			}
+			e.spareEnds = nil
 			if n := len(e.endHist); n > 0 {
 				copy(ends, e.endHist[n-1]) // leaves without a task keep their last end
 			}
@@ -144,7 +152,8 @@ func RunStages(ctx context.Context, stages []Stage, opt Options) (*Result, error
 			}
 			e.endHist = append(e.endHist, ends)
 			if len(e.endHist) > opt.TransientWindow {
-				e.endHist = e.endHist[1:]
+				e.spareEnds = e.endHist[0]
+				e.endHist = e.endHist[:copy(e.endHist, e.endHist[1:])]
 			}
 			if opt.Synchronous {
 				e.s.Barrier()
@@ -258,28 +267,45 @@ func (e *executor) placeRegion(r *Region) error {
 			e.data[b][r] = d
 		}
 	}
+	// Owner rects are narrowed in place in one backing slab: a leaf that
+	// owns nothing leaves its slot to the next leaf.
+	n, rank := e.lg.Size(), len(r.Shape)
+	bounds := make([]int, 2*rank*n)
+	ownerRect := func(i int) tensor.Rect {
+		k := 2 * rank * i
+		return tensor.Rect{Lo: bounds[k : k+rank : k+rank], Hi: bounds[k+rank : k+2*rank : k+2*rank]}
+	}
+	leaves := make([]int, 0, n)
+	for leaf := 0; leaf < n; leaf++ {
+		e.lg.DelinearizeInto(leaf, e.coord)
+		rect := ownerRect(len(leaves))
+		if r.ownerRectInto(rect, e.prog.Machine, e.coord) && !rect.Empty() {
+			leaves = append(leaves, leaf)
+		}
+	}
+	w := e.opt.TransientWindow
+	lists := make([]*instance, n*(2*w+1))
 	rs := &regState{
 		region:     r,
-		perLeaf:    map[int][]*instance{},
-		transFIFO:  map[int][]*instance{},
+		persistent: make([]instance, len(leaves)),
+		perLeaf:    make([][]*instance, n),
+		transFIFO:  make([][]*instance, n),
 		transByKey: map[tensor.RectKey]*transGroup{},
 		volBuckets: map[int64][]*transGroup{},
-		cover:      map[tensor.RectKey][]*instance{},
-		pieces:     map[tensor.RectKey][]ownerPiece{},
 	}
-	n := e.lg.Size()
-	coord := make([]int, e.lg.Rank())
-	for leaf := 0; leaf < n; leaf++ {
-		e.lg.DelinearizeInto(leaf, coord)
-		rect, ok := r.OwnerRect(e.prog.Machine, coord)
-		if !ok || rect.Empty() {
-			continue
-		}
-		inst := &instance{leaf: leaf, rect: rect, persistent: true, live: true, bytes: r.Bytes(rect)}
-		rs.persistent = append(rs.persistent, inst)
+	for leaf := range n {
+		k := leaf * (2*w + 1)
+		rs.perLeaf[leaf] = lists[k : k : k+w+1]
+		rs.transFIFO[leaf] = lists[k+w+1 : k+w+1 : k+2*w+1]
+	}
+	for i, leaf := range leaves {
+		inst := &rs.persistent[i]
+		*inst = instance{leaf: leaf, rect: ownerRect(i), persistent: true}
+		inst.bytes = r.Bytes(inst.rect)
 		rs.perLeaf[leaf] = append(rs.perLeaf[leaf], inst)
 		e.s.Alloc(leaf, inst.bytes)
 	}
+	rs.owners = newOwnerIndex(rs.persistent, rank)
 	e.reg[r] = rs
 	return nil
 }
@@ -287,15 +313,12 @@ func (e *executor) placeRegion(r *Region) error {
 // dropTransients frees every live transient instance of a region and resets
 // its transient indexes; the persistent owners are untouched.
 func (e *executor) dropTransients(rs *regState) {
-	for leaf, insts := range rs.transFIFO {
-		for _, inst := range insts {
-			inst.live = false
+	for leaf, fifo := range rs.transFIFO {
+		for _, inst := range fifo {
 			e.s.Free(leaf, inst.bytes)
 			rs.perLeaf[leaf] = removeInst(rs.perLeaf[leaf], inst)
+			e.evict(rs, inst)
 		}
+		rs.transFIFO[leaf] = fifo[:0]
 	}
-	rs.transFIFO = map[int][]*instance{}
-	rs.transByKey = map[tensor.RectKey]*transGroup{}
-	rs.volBuckets = map[int64][]*transGroup{}
-	rs.volumes = nil
 }

@@ -211,7 +211,21 @@ func (m *Machine) LeafProc() ProcKind {
 // with equal NodeOf share a node and communicate over intra-node links.
 func (m *Machine) NodeOf(leaf []int) int {
 	if m.ProcsPerNode > 0 {
-		return m.LeafGrid().Linearize(leaf) / m.ProcsPerNode
+		// Row-major over the concatenated level grids is row-major within
+		// each level, nested outermost first.
+		idx, off := 0, 0
+		for lvl := m; lvl != nil; lvl = lvl.Child {
+			g := lvl.Grid
+			if off+g.Rank() > len(leaf) {
+				panic(fmt.Sprintf("machine: leaf coordinate %v shorter than leaf grid of %v", leaf, m))
+			}
+			idx = idx*g.Size() + g.Linearize(leaf[off:off+g.Rank()])
+			off += g.Rank()
+		}
+		if off != len(leaf) {
+			panic(fmt.Sprintf("machine: leaf coordinate %v longer than leaf grid of %v", leaf, m))
+		}
+		return idx / m.ProcsPerNode
 	}
 	outer := m.Grid
 	if len(leaf) < outer.Rank() {

@@ -107,6 +107,23 @@ func TestNodeOf(t *testing.T) {
 	}
 }
 
+// TestNodeOfProcsPerNode: with ProcsPerNode set, a leaf's node is its flat
+// leaf-grid index divided by the node size, computed without allocating.
+func TestNodeOfProcsPerNode(t *testing.T) {
+	gpus := New(NewGrid(3), GPUFBMem, GPU)
+	m := New(NewGrid(2, 5), SysMem, CPU).WithChild(gpus).WithProcsPerNode(4)
+	lg := m.LeafGrid()
+	for l := 0; l < lg.Size(); l++ {
+		if got := m.NodeOf(lg.Delinearize(l)); got != l/4 {
+			t.Fatalf("NodeOf(leaf %d) = %d, want %d", l, got, l/4)
+		}
+	}
+	leaf := []int{1, 3, 2}
+	if n := testing.AllocsPerRun(100, func() { m.NodeOf(leaf) }); n != 0 {
+		t.Fatalf("NodeOf allocates %v times, want 0", n)
+	}
+}
+
 func TestMachineString(t *testing.T) {
 	gpus := New(NewGrid(4), GPUFBMem, GPU)
 	m := New(NewGrid(2, 2), SysMem, CPU).WithChild(gpus)

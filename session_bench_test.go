@@ -1,9 +1,6 @@
 package distal
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 // planCacheRequest is the GEMM workload the plan-cache benchmark measures:
 // owner-computes over a 4x4 grid with broadcast-replicated inputs and a
@@ -56,50 +53,30 @@ func BenchmarkPlanCache(b *testing.B) {
 	})
 }
 
-// TestPlanCacheSpeedup asserts the headline property: a cache-hit Execute
-// is at least 10x faster than a cold compile+execute of the same workload.
-// Both sides take the fastest of several individually timed runs, so a
-// noisy-neighbor stall on a shared CI runner cannot skew the ratio.
+// TestPlanCacheSpeedup asserts the property behind the cache's speedup, by
+// counts rather than by wall clock: after one cold Execute compiles the
+// plan, warm Executes of the same request never run the compiler again —
+// each one is exactly one cache hit. BenchmarkPlanCache measures what that
+// saves in time.
 func TestPlanCacheSpeedup(t *testing.T) {
-	if raceEnabled {
-		t.Skip("timing assertion is meaningless under the race detector")
-	}
 	req := planCacheRequest()
-	cold := time.Duration(1<<62 - 1)
-	for i := 0; i < 3; i++ {
-		sess := NewSession(planCacheMachine())
-		start := time.Now()
-		if _, err := sess.Execute(req); err != nil {
-			t.Fatal(err)
-		}
-		if d := time.Since(start); d < cold {
-			cold = d
-		}
-	}
 	sess := NewSession(planCacheMachine())
 	if _, err := sess.Execute(req); err != nil {
 		t.Fatal(err)
 	}
-	warm := time.Duration(1<<62 - 1)
-	for i := 0; i < 20; i++ {
-		start := time.Now()
+	cold := sess.CacheStats()
+	if cold.Misses != 1 {
+		t.Fatalf("cold Execute: %+v, want exactly 1 miss", cold)
+	}
+	const warmRuns = 20
+	for i := 0; i < warmRuns; i++ {
 		if _, err := sess.Execute(req); err != nil {
 			t.Fatal(err)
 		}
-		if d := time.Since(start); d < warm {
-			warm = d
-		}
 	}
-	ratio := float64(cold) / float64(warm)
-	t.Logf("cold=%v warm=%v ratio=%.1fx", cold, warm, ratio)
-	// The bound was 10x when compilation did its bounds analysis through
-	// string-keyed maps, then 3x after the compiled evaluator and parallel
-	// launch materialization. Direct slab materialization with interned
-	// rect signatures cut cold compiles a further ~2.8x (measured ratio now
-	// 3.0-3.8x on a 1-core Xeon), so 2x is the margin that still pins the
-	// property that a cache hit skips a compile worth of work without
-	// flaking as the compiler keeps getting faster.
-	if ratio < 2 {
-		t.Fatalf("cache-hit Execute only %.1fx faster than cold (%v vs %v), want >= 2x", ratio, warm, cold)
+	warm := sess.CacheStats()
+	if warm.Misses != 1 || warm.Hits-cold.Hits != warmRuns {
+		t.Fatalf("after %d warm Executes: %+v (cold %+v), want misses 1 and hits +%d",
+			warmRuns, warm, cold, warmRuns)
 	}
 }
