@@ -1,6 +1,7 @@
 package distal
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -8,16 +9,18 @@ import (
 	"distal/internal/tensor"
 )
 
-func autoRun(t *testing.T, comp *Computation) *Result {
+// autoRun auto-schedules comp, compiles it, and runs it on the tensors.
+func autoRun(t *testing.T, comp *Computation, tensors ...*Tensor) *Result {
 	t.Helper()
 	if err := comp.AutoSchedule(); err != nil {
 		t.Fatal(err)
 	}
-	prog, err := comp.Compile()
+	ctx := context.Background()
+	plan, err := comp.Compile(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := prog.Run(LassenCPU())
+	res, err := plan.Bind(tensors...).Run(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,8 +34,8 @@ func TestAutoScheduleGEMMCorrect(t *testing.T) {
 	A := NewTensor("A", f, n, n).Zero()
 	B := NewTensor("B", f, n, n).FillRandom(1)
 	C := NewTensor("C", f, n, n).FillRandom(2)
-	comp := MustDefine("A(i,j) = B(i,k) * C(k,j)", m, A, B, C)
-	autoRun(t, comp)
+	comp := NewSession(m).MustDefine("A(i,j) = B(i,k) * C(k,j)", A, B, C)
+	autoRun(t, comp, A, B, C)
 	want, err := ir.Evaluate(comp.Stmt, map[string]*tensor.Dense{"B": B.Data, "C": C.Data})
 	if err != nil {
 		t.Fatal(err)
@@ -47,8 +50,8 @@ func TestAutoScheduleAlignedTTVIsCommFree(t *testing.T) {
 	A := NewTensor("A", Tiled(2), 8, 8).Zero()
 	B := NewTensor("B", MustFormat("xyz->xy"), 8, 8, 4).FillRandom(1)
 	c := NewTensor("c", MustFormat("x->**"), 4).FillRandom(2)
-	comp := MustDefine("A(i,j) = B(i,j,k) * c(k)", m, A, B, c)
-	res := autoRun(t, comp)
+	comp := NewSession(m).MustDefine("A(i,j) = B(i,j,k) * c(k)", A, B, c)
+	res := autoRun(t, comp, A, B, c)
 	if res.Copies != 0 {
 		t.Fatalf("aligned TTV should be communication-free, got %d copies", res.Copies)
 	}
@@ -66,7 +69,7 @@ func TestAutoScheduleRejectsLowRankOutput(t *testing.T) {
 	a := NewTensor("a", MustFormat("x->00"), 1).Zero()
 	B := NewTensor("B", MustFormat("xyz->xy"), 4, 4, 4).FillRandom(1)
 	C := NewTensor("C", MustFormat("xyz->xy"), 4, 4, 4).FillRandom(2)
-	comp := MustDefine("a = B(i,j,k) * C(i,j,k)", m, a, B, C)
+	comp := NewSession(m).MustDefine("a = B(i,j,k) * C(i,j,k)", a, B, C)
 	if err := comp.AutoSchedule(); err == nil {
 		t.Fatal("scalar output on a 2-D machine should be rejected")
 	}
@@ -82,7 +85,7 @@ func TestAutoScheduleGridWiderThanOutput(t *testing.T) {
 	B := NewTensor("B", f, 8, 8)
 	C := NewTensor("C", f, 8, 8)
 	// Output has two index variables (i, j), machine has three grid dims.
-	comp := MustDefine("A(i,j) = B(i,k) * C(k,j)", m, A, B, C)
+	comp := NewSession(m).MustDefine("A(i,j) = B(i,k) * C(k,j)", A, B, C)
 	err := comp.AutoSchedule()
 	if err == nil {
 		t.Fatal("3-D grid with a 2-var output should be rejected")
@@ -106,8 +109,8 @@ func TestAutoScheduleHierarchicalGrid(t *testing.T) {
 	f := MustFormat("xyz->xy")
 	A := NewTensor("A", f, 8, 8, 8).Zero()
 	B := NewTensor("B", f, 8, 8, 8).FillRandom(1)
-	comp := MustDefine("A(i,j,k) = B(i,j,k)", m, A, B)
-	res := autoRun(t, comp)
+	comp := NewSession(m).MustDefine("A(i,j,k) = B(i,j,k)", A, B)
+	res := autoRun(t, comp, A, B)
 	if res.Copies != 0 {
 		t.Fatalf("aligned element-wise copy should be communication-free, got %d copies", res.Copies)
 	}

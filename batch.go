@@ -146,7 +146,7 @@ func (bb *BatchBinding) Run(ctx context.Context, opts ...ExecOption) ([]*Result,
 	if err := ctx.Err(); err != nil {
 		return nil, wrapErr(KindCanceled, "run-batch", err)
 	}
-	mods := append([]ExecOption{WithReal(), legion.WithBatch(bb.insts)}, opts...)
+	mods := append([]ExecOption{legion.WithReal(), legion.WithBatch(bb.insts)}, opts...)
 	res, err := legion.RunContext(ctx, bb.plan.data.prog, legion.NewOptions(bb.plan.execParams(), mods...))
 	if err != nil {
 		return nil, wrapErr(KindExec, "run-batch", err)

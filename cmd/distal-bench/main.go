@@ -15,16 +15,13 @@
 //	                                # verify the winner matches or beats
 //	                                # AutoSchedule (see -tune-budget)
 //	distal-bench -nodes 256         # maximum node count (power of two)
-//	distal-bench -json out.json     # also write the metrics as JSON
 package main
 
 import (
-	"encoding/json"
+	"context"
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 	"time"
 
 	"distal"
@@ -36,11 +33,6 @@ func main() {
 	nodes := flag.Int("nodes", 256, "maximum node count (power of two)")
 	tuneBudget := flag.Int("tune-budget", 48, "candidate budget per workload for -exp tune")
 	tuneSeed := flag.Int64("tune-seed", 0, "sampling seed for -exp tune")
-	jsonPath := flag.String("json", "", "write the metrics experiment (GFLOP/s, makespan, copies, bytes) and hot-path timings to this file as JSON")
-	diffPath := flag.String("diff", "", "compare the metrics sweep against this baseline JSON (e.g. BENCH_PR2.json) and exit non-zero on regression")
-	tol := flag.Float64("tol", 0.20, "regression tolerance for -diff on simulated makespans, as a fraction (0.20 = 20%)")
-	wallTol := flag.Float64("walltol", 1.0, "regression tolerance for -diff on total compile/simulate wall time; generous by default because baselines may be recorded on different hardware")
-	improve := flag.String("improve", "", "with -diff: comma-separated name:factor hot-path improvement requirements (e.g. cold-execute-real:0.8 demands the row beat the baseline by 20%); a<b:factor compares two rows of the current run instead (batch-run-8<seq-run-8:0.9 demands the batched walk beat eight sequential runs by 10%); runs the hot-path suite and fails unless every requirement holds")
 	flag.Parse()
 
 	fail := func(err error) {
@@ -49,118 +41,16 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	if (*jsonPath != "" || *diffPath != "") && *exp == "all" {
-		// -json/-diff runs default to the metrics sweep only; the full
-		// figure regeneration is not needed to record or gate a trajectory
-		// point.
-		*exp = "metrics"
-	}
-	if *exp == "tune" {
+	switch *exp {
+	case "tune":
 		fail(tuneExamples(*tuneBudget, *tuneSeed))
-		return
-	}
-	if *exp != "metrics" {
-		fail(run(*exp, *nodes))
-	}
-	// The metrics sweep is shared: computed once whether it is printed
-	// (-exp metrics), written (-json), diffed (-diff), or all three.
-	if *exp == "metrics" || *jsonPath != "" || *diffPath != "" {
-		required, err := parseImprove(*improve)
-		fail(err)
+	case "metrics":
 		rows, err := experiments.Metrics(*nodes)
 		fail(err)
-		if *exp == "metrics" {
-			fmt.Println(experiments.RenderMetrics(rows))
-		}
-		// The hot-path suite is measured once whether it is being recorded
-		// (-json) or gated (-improve).
-		var hot []experiments.HotpathRow
-		if *jsonPath != "" || len(required) > 0 {
-			hot, err = experiments.Hotpath(3)
-			fail(err)
-		}
-		if *jsonPath != "" {
-			fail(writeJSON(*jsonPath, *nodes, rows, hot))
-		}
-		if *diffPath != "" {
-			fail(diffAgainst(*diffPath, *nodes, rows, hot, required, *tol, *wallTol))
-		}
+		fmt.Println(experiments.RenderMetrics(rows))
+	default:
+		fail(run(*exp, *nodes))
 	}
-}
-
-// parseImprove parses the -improve flag: comma-separated name:factor pairs.
-func parseImprove(s string) (map[string]float64, error) {
-	if s == "" {
-		return nil, nil
-	}
-	required := map[string]float64{}
-	for _, part := range strings.Split(s, ",") {
-		name, factorText, ok := strings.Cut(strings.TrimSpace(part), ":")
-		if !ok || name == "" {
-			return nil, fmt.Errorf("bad -improve entry %q: want name:factor", part)
-		}
-		factor, err := strconv.ParseFloat(factorText, 64)
-		if err != nil || factor <= 0 {
-			return nil, fmt.Errorf("bad -improve factor in %q: want a positive number", part)
-		}
-		required[name] = factor
-	}
-	return required, nil
-}
-
-// benchReport is the schema of -json output: one file per benchmark run,
-// appended to the repo's BENCH_*.json trajectory by CI or by hand. Hotpath
-// rows record host-side compile/kernel timings (absent in trajectory points
-// recorded before they existed).
-type benchReport struct {
-	Schema  string                   `json:"schema"`
-	Nodes   int                      `json:"nodes"`
-	Rows    []experiments.MetricRow  `json:"rows"`
-	Hotpath []experiments.HotpathRow `json:"hotpath,omitempty"`
-}
-
-func writeJSON(path string, nodes int, rows []experiments.MetricRow, hot []experiments.HotpathRow) error {
-	data, err := json.MarshalIndent(benchReport{Schema: "distal-bench/v1", Nodes: nodes, Rows: rows, Hotpath: hot}, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// diffAgainst compares the fresh metrics rows with a recorded baseline and
-// fails on regression: per-row simulated makespan beyond tol (these are
-// deterministic) and total compile/simulate wall time beyond wallTol. When
-// improvement requirements are given (-improve), the baseline's hot-path
-// rows must additionally be beaten by the required factors. The baseline
-// must have been recorded at the same -nodes count — rows match by
-// (experiment, config), so comparing different weak-scaled problem sizes
-// would produce spurious regressions or silent green passes.
-func diffAgainst(path string, nodes int, rows []experiments.MetricRow, hot []experiments.HotpathRow, required map[string]float64, tol, wallTol float64) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var baseline benchReport
-	if err := json.Unmarshal(data, &baseline); err != nil {
-		return fmt.Errorf("parsing baseline %s: %w", path, err)
-	}
-	if baseline.Nodes != nodes {
-		return fmt.Errorf("baseline %s was recorded at -nodes %d, this run uses -nodes %d: re-record the baseline or match the node count", path, baseline.Nodes, nodes)
-	}
-	regressions := experiments.DiffMetrics(baseline.Rows, rows, tol, wallTol)
-	regressions = append(regressions, experiments.DiffHotpath(baseline.Hotpath, hot, required)...)
-	if len(regressions) == 0 {
-		fmt.Printf("bench diff vs %s: ok (%d rows within %.0f%%", path, len(rows), tol*100)
-		if len(required) > 0 {
-			fmt.Printf(", %d hot-path improvement requirement(s) met", len(required))
-		}
-		fmt.Println(")")
-		return nil
-	}
-	for _, r := range regressions {
-		fmt.Fprintln(os.Stderr, "REGRESSION:", r)
-	}
-	return fmt.Errorf("%d regression(s) vs %s", len(regressions), path)
 }
 
 func run(exp string, nodes int) error {
@@ -226,8 +116,8 @@ func tuneExamples(budget int, seed int64) error {
 }
 
 // planCache measures what the session's plan cache buys a serving workload:
-// the same GEMM request executed with a cold cache (compile every time)
-// against a warm one (compile once, execute many).
+// the same GEMM request compiled and simulated with a cold cache (compile
+// every time) against a warm one (compile once, simulate many).
 func planCache() error {
 	const n, g = 1024, 4
 	req := distal.Request{
@@ -241,24 +131,32 @@ func planCache() error {
 			"communicate(ko,B,C)",
 	}
 	machine := func() *distal.Machine { return distal.NewMachine(distal.CPU, g, g) }
+	ctx := context.Background()
+	execute := func(sess *distal.Session) error {
+		plan, err := sess.Compile(ctx, req)
+		if err != nil {
+			return err
+		}
+		_, err = plan.Simulate(ctx)
+		return err
+	}
 
 	const reps = 20
 	start := time.Now()
 	for i := 0; i < reps; i++ {
-		sess := distal.NewSession(machine())
-		if _, err := sess.Execute(req); err != nil {
+		if err := execute(distal.NewSession(machine())); err != nil {
 			return err
 		}
 	}
 	cold := time.Since(start) / reps
 
 	sess := distal.NewSession(machine())
-	if _, err := sess.Execute(req); err != nil {
+	if err := execute(sess); err != nil {
 		return err
 	}
 	start = time.Now()
 	for i := 0; i < reps; i++ {
-		if _, err := sess.Execute(req); err != nil {
+		if err := execute(sess); err != nil {
 			return err
 		}
 	}
@@ -291,11 +189,4 @@ func showFig(f *experiments.Figure, err error) error {
 	}
 	fmt.Println(experiments.Render(f))
 	return nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -31,7 +31,6 @@ import (
 	"distal/internal/core"
 	"distal/internal/ir"
 	"distal/internal/legion"
-	"distal/internal/sim"
 )
 
 func main() {
@@ -144,11 +143,11 @@ func runExpr(expr, schedText string, n, procs int, gpu, simulate, trace bool, ma
 	fmt.Println("=== concrete index notation ===")
 	fmt.Println(comp.Notation())
 	fmt.Println()
-	prog, err := comp.Compile()
+	plan, err := comp.Compile(context.Background())
 	if err != nil {
 		return err
 	}
-	return show(prog.P, gpu, simulate, trace, maxPoints)
+	return show(plan.Listing(maxPoints), simulate, trace, plan.Simulate)
 }
 
 // runChain compiles a semicolon-separated statement list into a plan DAG:
@@ -223,19 +222,7 @@ func runChain(src string, n, procs int, gpu, simulate, trace bool) error {
 	fmt.Printf("inputs        %s\n", strings.Join(pp.Inputs(), ", "))
 	fmt.Printf("output        %s %v\n", pp.Output(), pp.Shape(pp.Output()))
 	fmt.Printf("plan          %s cached=%t\n", pp.Key(), pp.Stats().Cached)
-	if !simulate && !trace {
-		return nil
-	}
-	var mods []distal.ExecOption
-	if trace {
-		mods = append(mods, distal.WithTrace())
-	}
-	res, err := pp.Simulate(context.Background(), mods...)
-	if err != nil {
-		return err
-	}
-	printResult(res, trace)
-	return nil
+	return execute(simulate, trace, pp.Simulate)
 }
 
 // runAlg compiles one of the named matmul algorithms from the library.
@@ -258,28 +245,32 @@ func runAlg(alg string, n, procs int, gpu, simulate, trace bool, maxPoints int) 
 	if err != nil {
 		return err
 	}
-	return show(prog, gpu, simulate, trace, maxPoints)
+	return show(codegen.Program(prog, maxPoints), simulate, trace,
+		func(ctx context.Context, mods ...distal.ExecOption) (*distal.Result, error) {
+			return legion.RunContext(ctx, prog, legion.NewOptions(params(gpu), mods...))
+		})
 }
 
-func show(prog *legion.Program, gpu, simulate, trace bool, maxPoints int) error {
+// simulator runs a compiled program or plan DAG without data.
+type simulator func(context.Context, ...distal.ExecOption) (*distal.Result, error)
+
+func show(listing string, simulate, trace bool, run simulator) error {
 	fmt.Println("=== generated program ===")
-	fmt.Print(codegen.Program(prog, maxPoints))
-	return execute(prog, gpu, simulate, trace)
+	fmt.Print(listing)
+	return execute(simulate, trace, run)
 }
 
-func execute(prog *legion.Program, gpu, simulate, trace bool) error {
+// execute simulates (when -sim or -trace asks for it) and prints the
+// statistics and, with -trace, the copy trace.
+func execute(simulate, trace bool, run simulator) error {
 	if !simulate && !trace {
 		return nil
 	}
-	p := sim.LassenCPU()
-	if gpu {
-		p = sim.LassenGPU()
-	}
-	var mods []legion.Option
+	var mods []distal.ExecOption
 	if trace {
-		mods = append(mods, legion.WithTrace())
+		mods = append(mods, distal.WithTrace())
 	}
-	res, err := legion.Run(prog, legion.NewOptions(p, mods...))
+	res, err := run(context.Background(), mods...)
 	if err != nil {
 		return err
 	}
@@ -287,7 +278,7 @@ func execute(prog *legion.Program, gpu, simulate, trace bool) error {
 	return nil
 }
 
-func printResult(res *legion.Result, trace bool) {
+func printResult(res *distal.Result, trace bool) {
 	fmt.Println()
 	fmt.Println("=== simulated execution ===")
 	fmt.Printf("time          %.6f s\n", res.Time)
@@ -302,7 +293,7 @@ func printResult(res *legion.Result, trace bool) {
 	if trace {
 		fmt.Println()
 		fmt.Println("=== copy trace ===")
-		legion.SortTrace(res.Trace)
+		distal.SortTrace(res.Trace)
 		limit := len(res.Trace)
 		if limit > 40 {
 			limit = 40

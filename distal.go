@@ -32,12 +32,11 @@
 // (singleflight); a cached Plan is safe for concurrent Simulate and
 // Bind.Run. Contexts cancel compilation and execution promptly, and
 // failures at the API boundary are *Error values classified by stage
-// (KindParse, KindSchedule, KindCompile, KindExec, KindCanceled). The
-// one-call Session.Execute shim remains for CLIs, and cmd/distal-serve
-// exposes all of this over HTTP/JSON (see internal/serve).
+// (KindParse, KindSchedule, KindCompile, KindExec, KindCanceled).
+// cmd/distal-serve exposes all of this over HTTP/JSON (see internal/serve).
 //
-// For programmatic construction (and for Real-mode execution on bound
-// data), the fluent layer mirrors Figure 2 of the paper:
+// For programmatic construction, the fluent layer mirrors Figure 2 of the
+// paper and compiles to the same cached Plan:
 //
 //	f := distal.Tiled(2)                              // rank-2 tiling, xy -> xy
 //	A := distal.NewTensor("A", f, n, n).Zero()
@@ -50,8 +49,8 @@
 //	    Reorder("ko", "ii", "ji", "ki").
 //	    Communicate("jo", "A").
 //	    Communicate("ko", "B", "C")
-//	prog, _ := comp.Compile()                         // plan-cached via sess
-//	res, _ := prog.Run(distal.LassenCPU())            // or prog.Simulate(params)
+//	plan, _ := comp.Compile(ctx)                      // plan-cached via sess
+//	res, _ := plan.Bind(A, B, C).Run(ctx)             // or plan.Simulate(ctx)
 //
 // Fluent schedules serialize to command text with Computation.ScheduleText
 // and parse back with Computation.ApplySchedule, so the two styles
@@ -59,9 +58,8 @@
 package distal
 
 import (
-	"fmt"
+	"context"
 
-	"distal/internal/core"
 	"distal/internal/distnot"
 	"distal/internal/ir"
 	"distal/internal/legion"
@@ -184,70 +182,20 @@ func (t *Tensor) Zero() *Tensor {
 	return t
 }
 
-// Computation is a tensor index notation statement bound to concrete
-// tensors and a machine.
+// Computation is a tensor index notation statement over declared tensors
+// on a session's machine. Only the tensors' shapes and formats enter
+// compilation; data attached to them is bound per execution through
+// Plan.Bind.
 type Computation struct {
 	Stmt    *ir.Assignment
 	Machine *Machine
 	tensors map[string]*Tensor
 	sched   *schedule.Schedule
-	sess    *Session // non-nil when created through a Session (plan caching)
-}
-
-// Define parses the statement and binds the named tensors, validating
-// shapes. Every tensor named in the expression must be provided.
-//
-// Deprecated: prefer Session.Define, which compiles through the session's
-// plan cache. Define remains for one-shot use.
-func Define(expr string, m *Machine, tensors ...*Tensor) (*Computation, error) {
-	stmt, err := ir.Parse(expr)
-	if err != nil {
-		return nil, err
-	}
-	byName := map[string]*Tensor{}
-	for _, t := range tensors {
-		byName[t.Name] = t
-	}
-	shapes := map[string][]int{}
-	for _, name := range stmt.TensorNames() {
-		t, ok := byName[name]
-		if !ok {
-			return nil, fmt.Errorf("distal: expression references tensor %s, which was not provided", name)
-		}
-		shapes[name] = t.Shape
-	}
-	if err := stmt.Validate(shapes); err != nil {
-		return nil, err
-	}
-	return &Computation{
-		Stmt:    stmt,
-		Machine: m,
-		tensors: byName,
-		sched:   schedule.New(stmt),
-	}, nil
-}
-
-// MustDefine is Define but panics on error.
-//
-// Deprecated: prefer Session.MustDefine.
-func MustDefine(expr string, m *Machine, tensors ...*Tensor) *Computation {
-	c, err := Define(expr, m, tensors...)
-	if err != nil {
-		panic(err)
-	}
-	return c
+	sess    *Session
 }
 
 // Schedule returns the computation's schedule for fluent transformation.
 func (c *Computation) Schedule() *Sched { return &Sched{c: c} }
-
-// TensorData returns the bound data of the named tensor, or nil.
-func (c *Computation) TensorData(name string) *tensor.Dense {
-	if t, ok := c.tensors[name]; ok {
-		return t.Data
-	}
-	return nil
-}
 
 // Sched is the fluent scheduling interface (§3.3). All commands delegate to
 // the underlying scheduling language; errors are sticky and surface at
@@ -322,46 +270,15 @@ func (s *Sched) Substitute(vars []string, kernel string) *Sched {
 // Err returns the first scheduling error, if any.
 func (s *Sched) Err() error { return s.c.sched.Err() }
 
-// Program is a compiled computation ready to execute.
-type Program struct {
-	P *legion.Program
-	c *Computation
-}
-
-// Compile lowers the computation to a Legion program. When the computation
-// was created through a Session and no tensor has data bound, the session's
-// plan cache is consulted first: a hit returns the previously compiled plan
-// without re-running the compiler, and concurrent identical compiles —
-// fluent computations included — collapse into one through the session's
-// singleflight table (keyed by plan key).
-func (c *Computation) Compile() (*Program, error) {
-	prog, _, err := c.compile()
-	return prog, err
-}
-
-// compile is Compile plus the plan key under which the program is cached
-// ("" when the computation does not participate in caching).
-func (c *Computation) compile() (*Program, string, error) {
-	in := c.compileInput()
-	if c.sess == nil || !c.cacheable() {
-		p, err := core.Compile(in)
-		if err != nil {
-			return nil, "", err
-		}
-		return &Program{P: p, c: c}, "", nil
-	}
-	key := core.PlanKey(in)
-	pd, err := c.sess.flightCompile(key, func() (*planData, error) {
-		p, err := core.Compile(in)
-		if err != nil {
-			return nil, err
-		}
-		return c.newPlanData(p), nil
-	})
-	if err != nil {
-		return nil, "", err
-	}
-	return &Program{P: pd.prog, c: c}, key, nil
+// Compile lowers the computation to a Plan through the session's plan
+// cache and singleflight table, exactly as Session.Compile does for a
+// Request: a computation whose statement, tensor shapes and formats,
+// schedule, and machine match an earlier compile — fluent or Request —
+// shares its plan without re-running the compiler. Run the plan on the
+// computation's tensors with Bind(...).Run. A sticky scheduling error
+// surfaces here as KindSchedule; cancellation of ctx as KindCanceled.
+func (c *Computation) Compile(ctx context.Context) (*Plan, error) {
+	return c.sess.compile(ctx, Request{}, c)
 }
 
 // Result re-exports the runtime's execution summary.
@@ -394,10 +311,6 @@ func WithOwnerOnly() ExecOption { return legion.WithOwnerOnly() }
 // stay live for reuse.
 func WithTransientWindow(n int) ExecOption { return legion.WithTransientWindow(n) }
 
-// WithReal executes leaf kernels on actual data; every tensor must have
-// data bound.
-func WithReal() ExecOption { return legion.WithReal() }
-
 // WithRealWorkers bounds the worker pool executing Real-mode leaf kernels
 // (independent tasks of a launch run concurrently). Zero, the default, uses
 // min(GOMAXPROCS, 16); 1 runs kernels serially. Results and simulated
@@ -411,39 +324,3 @@ func LassenCPU() Params { return sim.LassenCPU() }
 
 // LassenGPU returns the per-GPU cost model of the paper's testbed.
 func LassenGPU() Params { return sim.LassenGPU() }
-
-// Execute runs the program under params with the given execution
-// modifiers. It is the consolidated execution entry point: Run and Simulate
-// are thin wrappers.
-func (p *Program) Execute(params Params, opts ...ExecOption) (*Result, error) {
-	return legion.Run(p.P, legion.NewOptions(params, opts...))
-}
-
-// Run executes the program on real data (every tensor must have Data bound)
-// and also returns the simulated timing under params.
-func (p *Program) Run(params Params, opts ...ExecOption) (*Result, error) {
-	return p.Execute(params, append([]ExecOption{WithReal()}, opts...)...)
-}
-
-// Simulate executes the program's task graph without data, returning
-// simulated time, communication, and memory statistics.
-func (p *Program) Simulate(params Params, opts ...ExecOption) (*Result, error) {
-	return p.Execute(params, opts...)
-}
-
-// SimulateOpts executes with a fully assembled options struct.
-//
-// Deprecated: use Execute with ExecOption modifiers.
-func (p *Program) SimulateOpts(opt legion.Options) (*Result, error) {
-	return legion.Run(p.P, opt)
-}
-
-// Output returns the output tensor (after Run, it holds the result), or
-// nil for a program resolved purely from the plan cache (Request
-// executions never bind data).
-func (p *Program) Output() *Tensor {
-	if p.c == nil {
-		return nil
-	}
-	return p.c.tensors[p.c.Stmt.LHS.Tensor]
-}

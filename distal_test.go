@@ -1,6 +1,7 @@
 package distal
 
 import (
+	"context"
 	"testing"
 
 	"distal/internal/ir"
@@ -16,7 +17,7 @@ func TestFigure2Quickstart(t *testing.T) {
 	A := NewTensor("A", f, n, n).Zero()
 	B := NewTensor("B", f, n, n).FillRandom(1)
 	C := NewTensor("C", f, n, n).FillRandom(2)
-	comp := MustDefine("A(i,j) = B(i,k) * C(k,j)", m, A, B, C)
+	comp := NewSession(m).MustDefine("A(i,j) = B(i,k) * C(k,j)", A, B, C)
 	comp.Schedule().
 		Divide("i", "io", "ii", gx).Divide("j", "jo", "ji", gy).
 		Reorder("io", "jo", "ii", "ji").
@@ -26,11 +27,12 @@ func TestFigure2Quickstart(t *testing.T) {
 		Communicate("jo", "A").
 		Communicate("ko", "B", "C").
 		Substitute([]string{"ii", "ji", "ki"}, "BLAS.GEMM")
-	prog, err := comp.Compile()
+	ctx := context.Background()
+	plan, err := comp.Compile(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := prog.Run(LassenCPU())
+	res, err := plan.Bind(A, B, C).Run(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +40,7 @@ func TestFigure2Quickstart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !prog.Output().Data.EqualWithin(want, 1e-9) {
+	if !A.Data.EqualWithin(want, 1e-9) {
 		t.Fatal("Figure 2 program produced a wrong product")
 	}
 	if res.Flops != 2*n*n*n {
@@ -47,48 +49,47 @@ func TestFigure2Quickstart(t *testing.T) {
 }
 
 func TestDefineErrors(t *testing.T) {
-	m := NewMachine(CPU, 2)
-	if _, err := Define("A(i) = B(i", m); err == nil {
+	sess := NewSession(NewMachine(CPU, 2))
+	if _, err := sess.Define("A(i) = B(i"); err == nil {
 		t.Fatal("parse error should surface")
 	}
 	A := NewTensor("A", MustFormat("x->x"), 4)
-	if _, err := Define("A(i) = B(i)", m, A); err == nil {
+	if _, err := sess.Define("A(i) = B(i)", A); err == nil {
 		t.Fatal("missing tensor should surface")
 	}
 	B := NewTensor("B", MustFormat("x->x"), 5)
-	if _, err := Define("A(i) = B(i)", m, A, B); err == nil {
+	if _, err := sess.Define("A(i) = B(i)", A, B); err == nil {
 		t.Fatal("shape mismatch should surface")
 	}
 }
 
 func TestScheduleErrorSurfacesAtCompile(t *testing.T) {
-	m := NewMachine(CPU, 2)
 	f := MustFormat("x->x")
 	A := NewTensor("A", f, 4).Zero()
 	B := NewTensor("B", f, 4).FillRandom(1)
-	comp := MustDefine("A(i) = B(i)", m, A, B)
+	comp := NewSession(NewMachine(CPU, 2)).MustDefine("A(i) = B(i)", A, B)
 	comp.Schedule().Divide("nope", "a", "b", 2)
-	if _, err := comp.Compile(); err == nil {
-		t.Fatal("schedule error should surface at Compile")
+	if _, err := comp.Compile(context.Background()); KindOf(err) != KindSchedule {
+		t.Fatalf("schedule error should surface at Compile as KindSchedule, got %v", err)
 	}
 }
 
 func TestSimulateWithoutData(t *testing.T) {
-	m := NewMachine(CPU, 4)
 	f := MustFormat("xy->x")
 	A := NewTensor("A", f, 1024, 1024)
 	B := NewTensor("B", f, 1024, 1024)
-	comp := MustDefine("A(i,j) = B(i,j)", m, A, B)
+	comp := NewSession(NewMachine(CPU, 4)).MustDefine("A(i,j) = B(i,j)", A, B)
 	comp.Schedule().
 		Divide("i", "io", "ii", 4).
 		Reorder("io", "ii", "j").
 		Distribute("io").
 		Communicate("io", "A", "B")
-	prog, err := comp.Compile()
+	ctx := context.Background()
+	plan, err := comp.Compile(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := prog.Simulate(LassenCPU())
+	res, err := plan.Simulate(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,8 +59,8 @@ func (k ErrKind) String() string {
 }
 
 // Error is the structured failure type of the public API: every error
-// returned by Session.Compile, Plan.Simulate, Binding.Run, and the shims
-// over them is (or wraps) an *Error. It is errors.Is/As-compatible:
+// returned by Session.Compile, Computation.Compile, Plan.Simulate, and
+// Binding.Run is (or wraps) an *Error. It is errors.Is/As-compatible:
 //
 //	var de *distal.Error
 //	if errors.As(err, &de) && de.Kind == distal.KindSchedule { ... }

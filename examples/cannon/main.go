@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -35,11 +36,12 @@ func main() {
 		Communicate("jo", "A").
 		Communicate("kos", "B", "C")
 
-	prog, err := comp.Compile()
+	ctx := context.Background()
+	plan, err := comp.Compile(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := prog.Execute(distal.LassenCPU(), distal.WithTrace())
+	res, err := plan.Bind(A, B, C).Run(ctx, distal.WithTrace())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -42,11 +43,12 @@ func main() {
 		Communicate("jo", "A").
 		Communicate("ko", "B", "C")
 
-	prog, err := comp.Compile()
+	ctx := context.Background()
+	plan, err := comp.Compile(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := prog.Run(distal.LassenGPU())
+	res, err := plan.Bind(A, B, C).Run(ctx) // under the session's LassenGPU model
 	if err != nil {
 		log.Fatal(err)
 	}

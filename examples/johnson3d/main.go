@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -28,11 +29,12 @@ func run2D(n int) (*distal.Result, error) {
 		Split("k", "ko", "ki", n/4).
 		Reorder("io", "jo", "ko", "ii", "ji", "ki").
 		Communicate("jo", "A").Communicate("ko", "B", "C")
-	prog, err := comp.Compile()
+	ctx := context.Background()
+	plan, err := comp.Compile(ctx)
 	if err != nil {
 		return nil, err
 	}
-	return prog.Simulate(distal.LassenCPU())
+	return plan.Simulate(ctx)
 }
 
 func main() {
@@ -50,11 +52,12 @@ func main() {
 		Distribute("io", "jo", "ko").
 		Communicate("ko", "A", "B", "C")
 
-	prog, err := comp.Compile()
+	ctx := context.Background()
+	plan, err := comp.Compile(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := prog.Run(distal.LassenCPU())
+	res, err := plan.Bind(A, B, C).Run(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -16,7 +17,7 @@ import (
 	"distal/internal/tensor"
 )
 
-func build(i, j, k, l, g int, seed bool) (*distal.Computation, *distal.Tensor) {
+func build(i, j, k, l, g int, seed bool) (*distal.Computation, []*distal.Tensor) {
 	sess := distal.NewSession(distal.NewMachine(distal.CPU, g, g, g))
 	A := distal.NewTensor("A", distal.MustFormat("ab->a00"), i, l)
 	B := distal.NewTensor("B", distal.MustFormat("abc->abc"), i, j, k)
@@ -34,28 +35,30 @@ func build(i, j, k, l, g int, seed bool) (*distal.Computation, *distal.Tensor) {
 		Reorder("io", "jo", "ko", "ii", "ji", "ki", "l").
 		Distribute("io", "jo", "ko").
 		Communicate("ko", "A", "B", "C", "D")
-	return comp, A
+	return comp, []*distal.Tensor{A, B, C, D}
 }
 
 func main() {
+	ctx := context.Background()
+
 	// Small validated run.
-	comp, A := build(8, 8, 8, 4, 2, true)
-	prog, err := comp.Compile()
+	comp, tensors := build(8, 8, 8, 4, 2, true)
+	plan, err := comp.Compile(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if _, err := prog.Run(distal.LassenCPU()); err != nil {
+	if _, err := plan.Bind(tensors...).Run(ctx); err != nil {
 		log.Fatal(err)
 	}
 	inputs := map[string]*tensor.Dense{}
-	for _, name := range []string{"B", "C", "D"} {
-		inputs[name] = compTensor(comp, name)
+	for _, t := range tensors[1:] {
+		inputs[t.Name] = t.Data
 	}
 	want, err := ir.Evaluate(comp.Stmt, inputs)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("distributed MTTKRP matches reference: %v\n", A.Data.EqualWithin(want, 1e-9))
+	fmt.Printf("distributed MTTKRP matches reference: %v\n", tensors[0].Data.EqualWithin(want, 1e-9))
 
 	// Simulated weak scaling (per-processor work constant).
 	fmt.Println("\nweak scaling on the simulated Lassen CPU machine:")
@@ -63,26 +66,15 @@ func main() {
 	for _, g := range []int{1, 2, 4} {
 		dim := 256 * g
 		c, _ := build(dim, dim, dim, 32, g, false)
-		p, err := c.Compile()
+		p, err := c.Compile(ctx)
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := p.Simulate(distal.LassenCPU())
+		res, err := p.Simulate(ctx)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("%-8d %-12d %-14.1f %-12.3f\n",
 			g*g*g, dim, res.GFlopsPerSec(), float64(res.InterBytes)/1e9)
 	}
-}
-
-func compTensor(c *distal.Computation, name string) *tensor.Dense {
-	for _, n := range c.Stmt.TensorNames() {
-		if n == name {
-			// Tensors were registered at Define time; reach them through
-			// the computation's accessor.
-			return c.TensorData(name)
-		}
-	}
-	return nil
 }

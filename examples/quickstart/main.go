@@ -50,11 +50,14 @@ func main() {
 		Communicate("ko", "B", "C").
 		Substitute([]string{"ii", "ji", "ki"}, "BLAS.GEMM")
 
-	prog, err := comp.Compile()
+	// Compile yields an immutable, data-free Plan (cached in the session);
+	// Bind attaches this run's tensors.
+	ctx := context.Background()
+	plan, err := comp.Compile(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := prog.Run(distal.LassenCPU())
+	res, err := plan.Bind(A, B, C).Run(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -76,17 +79,17 @@ func main() {
 	fmt.Printf("\nschedule text:\n  %s\n", schedText)
 
 	// ... so the whole workload travels as a Request — statement, shapes,
-	// formats, and schedule, all text. Compiling it yields an immutable
-	// Plan: compile once, execute many times. The second Compile resolves
-	// from the plan cache without re-parsing anything.
-	ctx := context.Background()
+	// formats, and schedule, all text. It names the same program as the
+	// fluent computation, so compiling it resolves to the plan compiled
+	// above; compiling it again resolves through the request memo without
+	// re-parsing anything.
 	req := distal.Request{
 		Stmt:     "A(i,j) = B(i,k) * C(k,j)",
 		Shapes:   map[string][]int{"A": {n, n}, "B": {n, n}, "C": {n, n}},
 		Formats:  map[string]string{"A": "xy->xy", "B": "xy->xy", "C": "xy->xy"},
 		Schedule: schedText,
 	}
-	plan, err := sess.Compile(ctx, req)
+	plan, err = sess.Compile(ctx, req)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -347,7 +347,7 @@ func (c *compiler) posOf(name string) int {
 // communicate-anchor cut so each distinct cut is evaluated once per point.
 func (c *compiler) buildPlan(splitDepth int) {
 	stmt := c.in.Stmt
-	c.ev = c.sched.EvaluatorFor(c.extents)
+	c.ev = c.sched.CompileEvaluator(c.extents)
 	nd := len(c.dist)
 	c.distIDs = make([]int, nd)
 	for i, v := range c.dist {

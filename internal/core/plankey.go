@@ -14,7 +14,9 @@ import (
 // node grouping), every tensor's name, shape, and placement, and the
 // schedule's serialized command form. Bound data is deliberately excluded —
 // a plan describes the task graph, not the values flowing through it — so
-// plan caches keyed by PlanKey must not serve Real-mode executions.
+// a plan cache keyed by PlanKey must hold data-free programs (compiled
+// without TensorDecl.Data) and bind data per execution with
+// legion.WithData.
 func PlanKey(in Input) string {
 	var b strings.Builder
 	b.WriteString("stmt:")

@@ -128,10 +128,11 @@ func tuneCases() []tuneCase {
 // the AutoSchedule baseline (the baseline is always a candidate); Verify
 // turns a violation into an error.
 func TuneExamples(budget int, seed int64) ([]TuneRow, error) {
+	ctx := context.Background()
 	var rows []TuneRow
 	for _, c := range tuneCases() {
 		sess := distal.NewSession(c.machine(), distal.WithParams(c.params))
-		res, err := sess.Tune(context.Background(), c.req, distal.TuneOptions{Budget: budget, Seed: seed})
+		res, err := sess.Tune(ctx, c.req, distal.TuneOptions{Budget: budget, Seed: seed})
 		if err != nil {
 			return nil, fmt.Errorf("tune %s: %w", c.name, err)
 		}
@@ -148,7 +149,11 @@ func TuneExamples(budget int, seed int64) ([]TuneRow, error) {
 			row.Speedup = res.Speedup()
 		}
 		if c.req.Schedule != "" {
-			hand, err := sess.Execute(c.req)
+			plan, err := sess.Compile(ctx, c.req)
+			if err != nil {
+				return nil, fmt.Errorf("tune %s: hand schedule: %w", c.name, err)
+			}
+			hand, err := plan.Simulate(ctx)
 			if err != nil {
 				return nil, fmt.Errorf("tune %s: hand schedule: %w", c.name, err)
 			}

@@ -7,8 +7,9 @@ import (
 
 // This file compiles a schedule's bounds analysis into an Evaluator: a
 // topologically-ordered slice program over integer variable ids. The
-// recursive, map-keyed interval derivation of Intervals is resolved once per
-// (schedule, extents); evaluating a point is then a single linear pass that
+// derived-variable DAG is resolved once per (schedule, extents) — the
+// bounds analysis used to derive region requirement rectangles (§6.2);
+// evaluating a point is then a single linear pass that
 // fills a caller-owned []Interval scratch buffer with no allocation. This is
 // the hot path of compilation — it runs once per tensor per domain point —
 // and of Real-mode leaf kernels.

@@ -6,6 +6,58 @@ import (
 	"distal/internal/ir"
 )
 
+// byName is the tests' name-keyed view of a compiled Evaluator:
+// environments and results are maps keyed by variable name, the way
+// bounds-analysis examples read. Each call allocates fresh scratch.
+type byName struct{ ev *Evaluator }
+
+func evalByName(s *Schedule, ext map[string]int) byName {
+	return byName{ev: s.CompileEvaluator(ext)}
+}
+
+// env fixes the named variables; names the evaluator does not know are
+// ignored.
+func (b byName) env(env map[string]int) (fixed []bool, vals []int) {
+	n := b.ev.NumVars()
+	fixed, vals = make([]bool, n), make([]int, n)
+	for name, x := range env {
+		if id := b.ev.VarID(name); id >= 0 {
+			fixed[id], vals[id] = true, x
+		}
+	}
+	return fixed, vals
+}
+
+// intervals is Eval: the value interval of every original statement
+// variable with env fixed and every other loop variable spanning its
+// extent.
+func (b byName) intervals(env map[string]int) map[string]Interval {
+	fixed, vals := b.env(env)
+	out := make([]Interval, b.ev.NumVars())
+	b.ev.Eval(fixed, vals, out)
+	ivs := map[string]Interval{}
+	for _, id := range b.ev.OrigIDs() {
+		ivs[b.ev.VarName(int(id))] = out[id]
+	}
+	return ivs
+}
+
+// value is ValueInto: the value of every original statement variable under
+// a full assignment env of the loop-order variables, false when one falls
+// outside its extent.
+func (b byName) value(env map[string]int) (map[string]int, bool) {
+	fixed, vals := b.env(env)
+	orig := make([]int, len(b.ev.OrigIDs()))
+	if !b.ev.ValueInto(fixed, vals, make([]Interval, b.ev.NumVars()), orig) {
+		return nil, false
+	}
+	out := map[string]int{}
+	for i, id := range b.ev.OrigIDs() {
+		out[b.ev.VarName(int(id))] = orig[i]
+	}
+	return out, true
+}
+
 func chainSchedule(t *testing.T) (*Schedule, map[string]int) {
 	t.Helper()
 	stmt := ir.MustParse("A(i,j) = B(i,k) * C(k,j)")
@@ -33,12 +85,13 @@ func TestEvaluatorChainReconstruction(t *testing.T) {
 	s, ext := chainSchedule(t)
 	// io=1 fixes i's block [8,16); iio=3, iii free (extent 2) fixes
 	// ii in [6,8), so i = 8*1 + [6,8) = [14,16).
-	ivs := s.Intervals(map[string]int{"io": 1, "iio": 3}, ext)
+	ev := evalByName(s, ext)
+	ivs := ev.intervals(map[string]int{"io": 1, "iio": 3})
 	if got := ivs["i"]; got != (Interval{Lo: 14, Hi: 16}) {
 		t.Fatalf("i interval = %+v, want [14,16)", got)
 	}
 	// Rotation with fixed offsets is exact: k block is (kos+io+jo) mod 4.
-	ivs = s.Intervals(map[string]int{"kos": 1, "io": 2, "jo": 3}, ext)
+	ivs = ev.intervals(map[string]int{"kos": 1, "io": 2, "jo": 3})
 	want := Interval{Lo: ((1 + 2 + 3) % 4) * 16, Hi: ((1+2+3)%4)*16 + 16}
 	if got := ivs["k"]; got != want {
 		t.Fatalf("k interval = %+v, want %+v", got, want)
@@ -67,12 +120,13 @@ func TestEvaluatorAllocationFree(t *testing.T) {
 	}
 }
 
-// TestEvaluatorMatchesShim: the map-API shim and a direct evaluation must
-// agree for every original variable.
+// TestEvaluatorMatchesShim: the tests' name-keyed view (byName) and a
+// direct slice evaluation must agree for every original variable — the
+// other tests assert through that view.
 func TestEvaluatorMatchesShim(t *testing.T) {
 	s, ext := chainSchedule(t)
 	env := map[string]int{"io": 2, "jo": 1, "kos": 3, "iio": 0}
-	ivs := s.Intervals(env, ext)
+	ivs := evalByName(s, ext).intervals(env)
 
 	ev := s.CompileEvaluator(ext)
 	n := ev.NumVars()
@@ -89,31 +143,6 @@ func TestEvaluatorMatchesShim(t *testing.T) {
 		if out[id] != ivs[name] {
 			t.Fatalf("%s: direct %+v vs shim %+v", name, out[id], ivs[name])
 		}
-	}
-}
-
-// TestEvaluatorCache: EvaluatorFor caches per (schedule, extents) and
-// invalidates when the schedule changes.
-func TestEvaluatorCache(t *testing.T) {
-	s, ext := chainSchedule(t)
-	ev1 := s.EvaluatorFor(ext)
-	if ev2 := s.EvaluatorFor(ext); ev2 != ev1 {
-		t.Fatal("same extents should return the cached evaluator")
-	}
-	other := map[string]int{}
-	for k, v := range ext {
-		other[k] = v
-	}
-	other["j"] = 32
-	if ev3 := s.EvaluatorFor(other); ev3 == ev1 {
-		t.Fatal("different extents must recompile")
-	}
-	s.Parallelize("ki")
-	if err := s.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if ev4 := s.EvaluatorFor(ext); ev4 == ev1 {
-		t.Fatal("applying a command must invalidate the cached evaluator")
 	}
 }
 

@@ -89,90 +89,6 @@ type Interval struct {
 // Fixed reports whether the interval contains exactly one value.
 func (iv Interval) Fixed() bool { return iv.Hi == iv.Lo+1 }
 
-// Intervals computes the value interval of every *original* statement
-// variable given fixed assignments env for some schedule variables; every
-// schedule variable not in env ranges over its full extent. Extents must
-// come from Extents. This is the bounds analysis used to derive region
-// requirement rectangles (§6.2).
-//
-// Intervals is a compatibility shim over the compiled Evaluator; hot loops
-// should hold an Evaluator and call Eval with reused scratch buffers.
-func (s *Schedule) Intervals(env map[string]int, extents map[string]int) map[string]Interval {
-	ev := s.EvaluatorFor(extents)
-	n := ev.NumVars()
-	fixed := make([]bool, n)
-	vals := make([]int, n)
-	for name, x := range env {
-		if id := ev.VarID(name); id >= 0 {
-			fixed[id] = true
-			vals[id] = x
-		}
-	}
-	scratch := make([]Interval, n)
-	ev.Eval(fixed, vals, scratch)
-	out := make(map[string]Interval, len(ev.OrigIDs()))
-	for _, id := range ev.OrigIDs() {
-		out[ev.VarName(int(id))] = scratch[id]
-	}
-	return out
-}
-
-// Value computes the concrete value of every original statement variable
-// from a full assignment env of the loop-order variables. It returns false
-// if any original variable falls outside its extent (boundary clamping of
-// non-divisible blocks).
-func (s *Schedule) Value(env map[string]int, extents map[string]int) (map[string]int, bool) {
-	ev := s.EvaluatorFor(extents)
-	n := ev.NumVars()
-	fixed := make([]bool, n)
-	vals := make([]int, n)
-	for name, x := range env {
-		if id := ev.VarID(name); id >= 0 {
-			fixed[id] = true
-			vals[id] = x
-		}
-	}
-	scratch := make([]Interval, n)
-	orig := make([]int, len(ev.OrigIDs()))
-	if !ev.ValueInto(fixed, vals, scratch, orig) {
-		return nil, false
-	}
-	out := make(map[string]int, len(orig))
-	for i, id := range ev.OrigIDs() {
-		out[ev.VarName(int(id))] = orig[i]
-	}
-	return out, true
-}
-
-// EvaluatorFor returns the schedule's compiled evaluator for the given
-// extents, compiling and caching it on first use. The cache is invalidated
-// when further commands are applied and when called with different extents.
-func (s *Schedule) EvaluatorFor(extents map[string]int) *Evaluator {
-	s.evalMu.Lock()
-	defer s.evalMu.Unlock()
-	if s.evalCache != nil && equalIntMaps(s.evalExtents, extents) {
-		return s.evalCache
-	}
-	s.evalCache = s.CompileEvaluator(extents)
-	s.evalExtents = make(map[string]int, len(extents))
-	for k, v := range extents {
-		s.evalExtents[k] = v
-	}
-	return s.evalCache
-}
-
-func equalIntMaps(a, b map[string]int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if w, ok := b[k]; !ok || w != v {
-			return false
-		}
-	}
-	return true
-}
-
 type divInfo struct {
 	outer, inner string
 	isDivide     bool

@@ -42,13 +42,14 @@ func TestValueRoundTripProperty(t *testing.T) {
 			return false
 		}
 		// Enumerate the transformed loop nest.
+		ev := evalByName(s, ext)
 		order := s.Order()
 		counts := map[[3]int]int{}
 		env := map[string]int{}
 		var walk func(d int)
 		walk = func(d int) {
 			if d == len(order) {
-				vals, ok := s.Value(env, ext)
+				vals, ok := ev.value(env)
 				if !ok {
 					return
 				}
@@ -101,7 +102,8 @@ func TestIntervalSoundnessProperty(t *testing.T) {
 				env[v] = rng.Intn(ext[v])
 			}
 		}
-		ivs := s.Intervals(env, ext)
+		ev := evalByName(s, ext)
+		ivs := ev.intervals(env)
 		// Complete the environment in all ways; every reached value must be
 		// inside the interval.
 		free := []string{}
@@ -117,7 +119,7 @@ func TestIntervalSoundnessProperty(t *testing.T) {
 				return
 			}
 			if d == len(free) {
-				vals, in := s.Value(env, ext)
+				vals, in := ev.value(env)
 				if !in {
 					return
 				}

@@ -25,7 +25,6 @@ package schedule
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"distal/internal/ir"
 )
@@ -84,12 +83,6 @@ type Schedule struct {
 	log Commands // every successful command, in application order
 
 	err error // first error; sticky, checked by Err/Finish
-
-	// Compiled-evaluator cache for the map-API shims (Intervals/Value);
-	// invalidated whenever a command changes the schedule.
-	evalMu      sync.Mutex
-	evalCache   *Evaluator
-	evalExtents map[string]int
 }
 
 // New starts an empty schedule over stmt: the loop order is the statement's
@@ -137,9 +130,6 @@ func (s *Schedule) record(op string, args ...string) {
 		}
 	}
 	s.log = append(s.log, Command{Op: op, Args: args})
-	s.evalMu.Lock()
-	s.evalCache, s.evalExtents = nil, nil
-	s.evalMu.Unlock()
 }
 
 // Commands returns the log of successfully applied commands: the schedule's

@@ -253,13 +253,14 @@ func TestExtentsRotatedAndFused(t *testing.T) {
 func TestIntervalsDivide(t *testing.T) {
 	s := New(gemm()).Divide("i", "io", "ii", 4)
 	ext, _ := s.Extents(map[string]int{"i": 100, "j": 8, "k": 50})
+	ev := evalByName(s, ext)
 	// io fixed to 2, ii free: i in [50, 75).
-	ivs := s.Intervals(map[string]int{"io": 2}, ext)
+	ivs := ev.intervals(map[string]int{"io": 2})
 	if ivs["i"] != (Interval{50, 75}) {
 		t.Fatalf("i interval = %v", ivs["i"])
 	}
 	// Nothing fixed: full ranges.
-	ivs = s.Intervals(map[string]int{}, ext)
+	ivs = ev.intervals(map[string]int{})
 	if ivs["i"] != (Interval{0, 100}) || ivs["k"] != (Interval{0, 50}) {
 		t.Fatalf("ivs = %v", ivs)
 	}
@@ -269,7 +270,7 @@ func TestIntervalsClampLastBlock(t *testing.T) {
 	s := New(gemm()).Divide("i", "io", "ii", 3)
 	ext, _ := s.Extents(map[string]int{"i": 10, "j": 2, "k": 2})
 	// Block size ceil(10/3)=4; io=2 covers [8,12) clamped to [8,10).
-	ivs := s.Intervals(map[string]int{"io": 2}, ext)
+	ivs := evalByName(s, ext).intervals(map[string]int{"io": 2})
 	if ivs["i"] != (Interval{8, 10}) {
 		t.Fatalf("i interval = %v", ivs["i"])
 	}
@@ -278,7 +279,7 @@ func TestIntervalsClampLastBlock(t *testing.T) {
 func TestIntervalsSplitFixedBoth(t *testing.T) {
 	s := New(gemm()).Split("k", "ko", "ki", 16)
 	ext, _ := s.Extents(map[string]int{"i": 2, "j": 2, "k": 50})
-	ivs := s.Intervals(map[string]int{"ko": 1, "ki": 3}, ext)
+	ivs := evalByName(s, ext).intervals(map[string]int{"ko": 1, "ki": 3})
 	if ivs["k"] != (Interval{19, 20}) {
 		t.Fatalf("k interval = %v", ivs["k"])
 	}
@@ -292,23 +293,24 @@ func TestIntervalsRotation(t *testing.T) {
 		Reorder("ko", "ii", "ji", "ki").
 		Rotate("ko", []string{"io", "jo"}, "kos")
 	ext, _ := s.Extents(map[string]int{"i": 9, "j": 9, "k": 9})
+	ev := evalByName(s, ext)
 	// kos=0, io=1, jo=2: ko = (0+1+2) mod 3 = 0; k in [0,3).
-	ivs := s.Intervals(map[string]int{"kos": 0, "io": 1, "jo": 2}, ext)
+	ivs := ev.intervals(map[string]int{"kos": 0, "io": 1, "jo": 2})
 	if ivs["k"] != (Interval{0, 3}) {
 		t.Fatalf("k interval = %v", ivs["k"])
 	}
 	// kos=2, io=2, jo=2: ko = 6 mod 3 = 0 -> k in [0,3).
-	ivs = s.Intervals(map[string]int{"kos": 2, "io": 2, "jo": 2}, ext)
+	ivs = ev.intervals(map[string]int{"kos": 2, "io": 2, "jo": 2})
 	if ivs["k"] != (Interval{0, 3}) {
 		t.Fatalf("k interval = %v", ivs["k"])
 	}
 	// kos=1, io=0, jo=0: ko = 1 -> k in [3,6).
-	ivs = s.Intervals(map[string]int{"kos": 1, "io": 0, "jo": 0}, ext)
+	ivs = ev.intervals(map[string]int{"kos": 1, "io": 0, "jo": 0})
 	if ivs["k"] != (Interval{3, 6}) {
 		t.Fatalf("k interval = %v", ivs["k"])
 	}
 	// Rotation with unfixed offsets: full range.
-	ivs = s.Intervals(map[string]int{"kos": 1}, ext)
+	ivs = ev.intervals(map[string]int{"kos": 1})
 	if ivs["k"] != (Interval{0, 9}) {
 		t.Fatalf("k interval = %v", ivs["k"])
 	}
@@ -320,7 +322,8 @@ func TestValueReconstruction(t *testing.T) {
 		Split("k", "ko", "ki", 4)
 	ext, _ := s.Extents(map[string]int{"i": 10, "j": 5, "k": 10})
 	env := map[string]int{"io": 1, "ii": 2, "j": 3, "ko": 2, "ki": 1}
-	vals, ok := s.Value(env, ext)
+	ev := evalByName(s, ext)
+	vals, ok := ev.value(env)
 	if !ok {
 		t.Fatal("value should be in bounds")
 	}
@@ -328,7 +331,7 @@ func TestValueReconstruction(t *testing.T) {
 		t.Fatalf("vals = %v", vals)
 	}
 	// Out of bounds: io=2, ii=3 -> i = 11 >= 10.
-	if _, ok := s.Value(map[string]int{"io": 2, "ii": 3, "j": 0, "ko": 0, "ki": 0}, ext); ok {
+	if _, ok := ev.value(map[string]int{"io": 2, "ii": 3, "j": 0, "ko": 0, "ki": 0}); ok {
 		t.Fatal("out-of-extent value should report false")
 	}
 }
@@ -336,7 +339,7 @@ func TestValueReconstruction(t *testing.T) {
 func TestValueFused(t *testing.T) {
 	s := New(gemm()).Collapse("i", "j", "f")
 	ext, _ := s.Extents(map[string]int{"i": 3, "j": 4, "k": 2})
-	vals, ok := s.Value(map[string]int{"f": 7, "k": 1}, ext)
+	vals, ok := evalByName(s, ext).value(map[string]int{"f": 7, "k": 1})
 	if !ok || vals["i"] != 1 || vals["j"] != 3 {
 		t.Fatalf("vals = %v ok=%v", vals, ok)
 	}

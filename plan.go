@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"distal/internal/codegen"
 	"distal/internal/legion"
 	"distal/internal/tensor"
 )
@@ -63,9 +64,10 @@ type CompileStats struct {
 // tensors per execution — so one Plan is safe for concurrent use from any
 // number of goroutines.
 //
-// The lifecycle is Compile → (Simulate | Bind.Run)*:
+// The lifecycle is Compile → (Simulate | Bind.Run)*, whether the plan comes
+// from a Request or a fluent Computation:
 //
-//	plan, err := sess.Compile(ctx, req)
+//	plan, err := sess.Compile(ctx, req)             // or comp.Compile(ctx)
 //	res, err := plan.Simulate(ctx)                  // analysis, no data
 //	res, err := plan.Bind(a, b, c).Run(ctx)        // real execution
 type Plan struct {
@@ -111,9 +113,11 @@ func (p *Plan) Shape(name string) []int {
 	return nil
 }
 
-// Program exposes the plan's compiled program through the legacy Program
-// handle, for callers still on the pre-Plan execution surface.
-func (p *Plan) Program() *Program { return &Program{P: p.data.prog} }
+// Listing renders the plan's generated program — region declarations with
+// their placements, then every index launch with its per-point region
+// requirements — listing at most maxPoints task points per launch (0 means
+// all).
+func (p *Plan) Listing(maxPoints int) string { return codegen.Program(p.data.prog, maxPoints) }
 
 func (p *Plan) execParams() Params {
 	if p.sess != nil {
@@ -213,7 +217,7 @@ func (b *Binding) Run(ctx context.Context, opts ...ExecOption) (*Result, error) 
 	if err := ctx.Err(); err != nil {
 		return nil, wrapErr(KindCanceled, "run", err)
 	}
-	mods := append([]ExecOption{WithReal(), legion.WithData(b.data)}, opts...)
+	mods := append([]ExecOption{legion.WithReal(), legion.WithData(b.data)}, opts...)
 	res, err := legion.RunContext(ctx, b.plan.data.prog, legion.NewOptions(b.plan.execParams(), mods...))
 	if err != nil {
 		return nil, wrapErr(KindExec, "run", err)

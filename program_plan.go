@@ -230,13 +230,7 @@ func (s *Session) repartitionStage(ctx context.Context, name string, shape []int
 		rname = fmt.Sprintf("%s__r%d", name, i)
 	}
 	taken[rname] = true
-	vars := []string{"i", "j", "k", "l", "u", "v"}[:len(shape)]
-	idx := strings.Join(vars, ",")
-	stmt := fmt.Sprintf("%s(%s) = %s(%s)", rname, idx, name, idx)
-	sched := fmt.Sprintf("divide(%s,d0,d0i,%d) reorder(%s) distribute(d0) communicate(d0,%s,%s)",
-		vars[0], s.machine.Processors(),
-		strings.Join(append([]string{"d0", "d0i"}, vars[1:]...), ","),
-		rname, name)
+	stmt, sched := redistributeText(rname, name, len(shape), s.machine.Processors())
 	ctx, rsp := obs.Start(ctx, "compile-repartition")
 	rsp.SetAttr("tensor", name)
 	defer rsp.End()
@@ -455,7 +449,7 @@ func (b *ProgramBinding) Run(ctx context.Context, opts ...ExecOption) (*Result, 
 	if err := ctx.Err(); err != nil {
 		return nil, wrapErr(KindCanceled, "run", err)
 	}
-	mods := append([]ExecOption{WithReal(), legion.WithData(b.data)}, opts...)
+	mods := append([]ExecOption{legion.WithReal(), legion.WithData(b.data)}, opts...)
 	res, err := legion.RunStages(ctx, b.plan.ls, legion.NewOptions(b.plan.execParams(), mods...))
 	if err != nil {
 		return nil, wrapErr(KindExec, "run", err)
@@ -518,7 +512,7 @@ func (bb *ProgramBatchBinding) Run(ctx context.Context, opts ...ExecOption) ([]*
 	if err := ctx.Err(); err != nil {
 		return nil, wrapErr(KindCanceled, "run-batch", err)
 	}
-	mods := append([]ExecOption{WithReal(), legion.WithBatch(bb.insts)}, opts...)
+	mods := append([]ExecOption{legion.WithReal(), legion.WithBatch(bb.insts)}, opts...)
 	res, err := legion.RunStages(ctx, bb.plan.ls, legion.NewOptions(bb.plan.execParams(), mods...))
 	if err != nil {
 		return nil, wrapErr(KindExec, "run-batch", err)

@@ -1,16 +1,19 @@
 package distal
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 func TestRedistributeRowsToTiles(t *testing.T) {
 	const n = 16
-	m := NewMachine(CPU, 2, 2)
+	sess := NewSession(NewMachine(CPU, 2, 2))
 	src := NewTensor("T", MustFormat("xy->x*"), n, n).FillRandom(9)
-	prog, dst, err := Redistribute(src, Tiled(2), m)
+	plan, dst, err := sess.Redistribute(src, Tiled(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := prog.Run(LassenCPU())
+	res, err := plan.Bind(dst, src).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,14 +29,14 @@ func TestRedistributeIdentityLayoutIsCheap(t *testing.T) {
 	// Moving between identical layouts should move (almost) nothing
 	// compared to a genuine layout change.
 	const n = 512
-	m := NewMachine(CPU, 4)
+	sess := NewSession(NewMachine(CPU, 4))
 	rows := MustFormat("xy->x")
 	src := NewTensor("T", rows, n, n)
-	same, _, err := RedistributeCost(src, rows, m, LassenCPU())
+	same, _, err := sess.RedistributeCost(src, rows)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cols, _, err := RedistributeCost(src, MustFormat("xy->y"), m, LassenCPU())
+	cols, _, err := sess.RedistributeCost(src, MustFormat("xy->y"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,13 +50,13 @@ func TestRedistributeIdentityLayoutIsCheap(t *testing.T) {
 
 func TestRedistributeToReplicated(t *testing.T) {
 	const n = 8
-	m := NewMachine(CPU, 2, 2)
+	sess := NewSession(NewMachine(CPU, 2, 2))
 	src := NewTensor("T", MustFormat("xy->xy"), n, n).FillRandom(4)
-	prog, dst, err := Redistribute(src, MustFormat("xy->x*"), m)
+	plan, dst, err := sess.Redistribute(src, MustFormat("xy->x*"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := prog.Run(LassenCPU()); err != nil {
+	if _, err := plan.Bind(dst, src).Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if !dst.Data.EqualWithin(src.Data, 0) {
@@ -62,13 +65,13 @@ func TestRedistributeToReplicated(t *testing.T) {
 }
 
 func TestRedistribute3Tensor(t *testing.T) {
-	m := NewMachine(CPU, 4)
+	sess := NewSession(NewMachine(CPU, 4))
 	src := NewTensor("T", MustFormat("xyz->x"), 8, 6, 4).FillRandom(3)
-	prog, dst, err := Redistribute(src, MustFormat("xyz->y"), m)
+	plan, dst, err := sess.Redistribute(src, MustFormat("xyz->y"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := prog.Run(LassenCPU()); err != nil {
+	if _, err := plan.Bind(dst, src).Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if !dst.Data.EqualWithin(src.Data, 0) {
@@ -77,18 +80,18 @@ func TestRedistribute3Tensor(t *testing.T) {
 }
 
 func TestRedistributeErrors(t *testing.T) {
-	m := NewMachine(CPU, 2)
+	sess := NewSession(NewMachine(CPU, 2))
 
 	t.Run("rank 0", func(t *testing.T) {
 		bad := NewTensor("T", MustFormat("x->x"))
-		if _, _, err := Redistribute(bad, MustFormat("x->x"), m); err == nil {
+		if _, _, err := sess.Redistribute(bad, MustFormat("x->x")); err == nil {
 			t.Fatal("rank-0 tensor should be rejected")
 		}
 	})
 
 	t.Run("rank above 6", func(t *testing.T) {
 		bad := NewTensor("T", MustFormat("x->x"), 2, 2, 2, 2, 2, 2, 2)
-		if _, _, err := Redistribute(bad, MustFormat("x->x"), m); err == nil {
+		if _, _, err := sess.Redistribute(bad, MustFormat("x->x")); err == nil {
 			t.Fatal("rank-7 tensor should be rejected")
 		}
 	})
@@ -104,7 +107,7 @@ func TestRedistributeErrors(t *testing.T) {
 		// The zero Format a failed parse leaves behind must be rejected by
 		// Redistribute rather than compiled as an implicit layout.
 		src := NewTensor("T", MustFormat("xy->x"), 8, 8)
-		if _, _, err := Redistribute(src, dst, m); err == nil {
+		if _, _, err := sess.Redistribute(src, dst); err == nil {
 			t.Fatal("empty destination format should be rejected")
 		}
 	})
@@ -112,7 +115,7 @@ func TestRedistributeErrors(t *testing.T) {
 	t.Run("destination format wrong rank for machine", func(t *testing.T) {
 		// A 2-level placement on a flat 1-D machine fails compilation.
 		src := NewTensor("T", MustFormat("xy->x"), 8, 8)
-		if _, _, err := Redistribute(src, MustFormat("xy->xy"), m); err == nil {
+		if _, _, err := sess.Redistribute(src, MustFormat("xy->xy")); err == nil {
 			t.Fatal("placement rank exceeding the machine rank should be rejected")
 		}
 	})

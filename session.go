@@ -48,9 +48,10 @@ type Session struct {
 	memo         map[string]*list.Element
 	byPlan       map[string][]string // plan key -> canonical requests memoized to it
 
-	// flights collapses concurrent identical compiles: the first caller of
-	// a canonical request compiles, later callers arriving before it
-	// finishes wait and share the result (exactly one cache miss).
+	// flights collapses concurrent identical compiles, Request and fluent
+	// alike (see compileFlight for the key spaces): the first caller
+	// compiles, later callers arriving before it finishes wait and share
+	// the result (exactly one cache miss).
 	flights map[string]*flight
 }
 
@@ -77,9 +78,9 @@ const DefaultPlanCacheSize = 128
 // SessionOption configures a Session at construction.
 type SessionOption func(*Session)
 
-// WithParams sets the session's default cost model (used by Execute and as
-// the default for Plan.Simulate through this session). The zero default is
-// LassenCPU.
+// WithParams sets the session's default cost model: the one every plan
+// compiled through this session simulates and runs under unless an
+// execution overrides it with WithCostModel. The default is LassenCPU.
 func WithParams(p Params) SessionOption {
 	return func(s *Session) { s.params = p }
 }
@@ -184,9 +185,13 @@ func (s *Session) store(key string, data *planData) {
 	}
 }
 
-// memoize records ck -> planKey under the memo's own LRU bound. Caller must
-// not hold s.mu.
+// memoize records ck -> planKey under the memo's own LRU bound; an empty ck
+// (a fluent compile, which has no request rendering) records nothing.
+// Caller must not hold s.mu.
 func (s *Session) memoize(ck, planKey string) {
+	if ck == "" {
+		return
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.capacity <= 0 || s.memoCapacity <= 0 {
@@ -218,14 +223,24 @@ func (s *Session) memoize(ck, planKey string) {
 	}
 }
 
-// memoLookup resolves a canonical request through the memo and the plan
-// cache in one critical section; it returns the plan data and key on a hit
-// (counting a hit) and nil on any miss (counting nothing — the compile path
-// counts the miss exactly once).
-func (s *Session) memoLookup(ck string) (*planData, string) {
+// resolve is the compile fast path: it resolves a flight key to a cached
+// plan in one critical section — a fluent key straight through the plan
+// cache, a canonical request through the memo and then the plan cache. It
+// returns the plan data and key on a hit (counting a hit) and nil on any
+// miss (counting nothing — the leader counts the miss exactly once).
+func (s *Session) resolve(fk string) (*planData, string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	el, ok := s.memo[ck]
+	if key, ok := strings.CutPrefix(fk, fluentFlight); ok {
+		el, ok := s.plans[key]
+		if !ok {
+			return nil, ""
+		}
+		s.hits++
+		s.lru.MoveToFront(el)
+		return el.Value.(*planEntry).data, key
+	}
+	el, ok := s.memo[fk]
 	if !ok {
 		return nil, ""
 	}
@@ -235,7 +250,7 @@ func (s *Session) memoLookup(ck string) (*planData, string) {
 		// The plan was evicted out from under the memo entry (possible only
 		// via a concurrent eviction racing this lookup): drop the entry.
 		s.memoLRU.Remove(el)
-		delete(s.memo, ck)
+		delete(s.memo, fk)
 		return nil, ""
 	}
 	s.hits++
@@ -244,16 +259,37 @@ func (s *Session) memoLookup(ck string) (*planData, string) {
 	return pe.Value.(*planEntry).data, me.planKey
 }
 
-// Define parses the statement and binds the named tensors against the
-// session's machine; the resulting computation compiles through the
-// session's plan cache.
+// Define parses the statement and declares the named tensors against the
+// session's machine, validating shapes: every tensor named in the
+// expression must be provided. The resulting computation compiles through
+// the session's plan cache.
 func (s *Session) Define(expr string, tensors ...*Tensor) (*Computation, error) {
-	c, err := Define(expr, s.machine, tensors...)
+	stmt, err := ir.Parse(expr)
 	if err != nil {
 		return nil, err
 	}
-	c.sess = s
-	return c, nil
+	byName := map[string]*Tensor{}
+	for _, t := range tensors {
+		byName[t.Name] = t
+	}
+	shapes := map[string][]int{}
+	for _, name := range stmt.TensorNames() {
+		t, ok := byName[name]
+		if !ok {
+			return nil, fmt.Errorf("distal: expression references tensor %s, which was not provided", name)
+		}
+		shapes[name] = t.Shape
+	}
+	if err := stmt.Validate(shapes); err != nil {
+		return nil, err
+	}
+	return &Computation{
+		Stmt:    stmt,
+		Machine: s.machine,
+		tensors: byName,
+		sched:   schedule.New(stmt),
+		sess:    s,
+	}, nil
 }
 
 // MustDefine is Define but panics on error.
@@ -423,9 +459,15 @@ func canonicalRequest(req Request) string {
 // the compiling leader is canceled retry instead of inheriting the
 // leader's cancellation.
 func (s *Session) Compile(ctx context.Context, req Request) (*Plan, error) {
+	return s.compile(ctx, req, nil)
+}
+
+// compile is the one compile entry point behind Session.Compile (c == nil)
+// and Computation.Compile (req unused), recorded as a "compile" span.
+func (s *Session) compile(ctx context.Context, req Request, c *Computation) (*Plan, error) {
 	ctx, sp := obs.Start(ctx, "compile")
 	defer sp.End()
-	plan, err := s.compileFlight(ctx, sp, req)
+	plan, err := s.compileFlight(ctx, sp, req, c)
 	if plan != nil {
 		sp.SetAttr("plan_key", plan.key)
 		if plan.stats.Cached {
@@ -437,24 +479,44 @@ func (s *Session) Compile(ctx context.Context, req Request) (*Plan, error) {
 	return plan, err
 }
 
-// compileFlight is Compile's body: memo lookup, then the singleflight table,
-// then leading a compile of our own.
-func (s *Session) compileFlight(ctx context.Context, sp *obs.Span, req Request) (*Plan, error) {
+// fluentFlight prefixes the flight key of a fluent compile: the plan key
+// itself, since a fluent computation has no request rendering. Canonical
+// requests are length-framed and so start with a decimal digit; the two
+// key spaces cannot collide.
+const fluentFlight = "plan\x00"
+
+// compileFlight is compile's body: the cache fast path, then the
+// singleflight table, then leading a compile of our own. A request flies
+// under its canonical rendering; a fluent computation under fluentFlight
+// plus its plan key.
+func (s *Session) compileFlight(ctx context.Context, sp *obs.Span, req Request, c *Computation) (*Plan, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, wrapErr(KindCanceled, "compile", err)
 	}
-	if len(req.Stmts) > 0 {
-		return nil, wrapErr(KindParse, "compile",
-			fmt.Errorf("request carries %d statements; multi-statement programs compile through Session.CompileProgram", len(req.Stmts)))
+	var fk string
+	if c == nil {
+		if len(req.Stmts) > 0 {
+			return nil, wrapErr(KindParse, "compile",
+				fmt.Errorf("request carries %d statements; multi-statement programs compile through Session.CompileProgram", len(req.Stmts)))
+		}
+		fk = canonicalRequest(req)
+	} else {
+		if err := c.sched.Err(); err != nil {
+			return nil, wrapErr(KindSchedule, "compile", err)
+		}
+		fk = fluentFlight + core.PlanKey(c.compileInput())
 	}
-	ck := canonicalRequest(req)
 	for {
-		if pd, key := s.memoLookup(ck); pd != nil {
-			sp.SetAttr("source", "memo")
+		if pd, key := s.resolve(fk); pd != nil {
+			if c == nil {
+				sp.SetAttr("source", "memo")
+			} else {
+				sp.SetAttr("source", "cache")
+			}
 			return &Plan{sess: s, key: key, data: pd, stats: cachedStats(pd, false)}, nil
 		}
 		s.mu.Lock()
-		if fl, ok := s.flights[ck]; ok {
+		if fl, ok := s.flights[fk]; ok {
 			s.mu.Unlock()
 			wait := sp.StartChild("singleflight-wait")
 			select {
@@ -477,29 +539,29 @@ func (s *Session) compileFlight(ctx context.Context, sp *obs.Span, req Request) 
 			return &Plan{sess: s, key: fl.key, data: fl.data, stats: cachedStats(fl.data, true)}, nil
 		}
 		fl := &flight{done: make(chan struct{})}
-		s.flights[ck] = fl
+		s.flights[fk] = fl
 		s.mu.Unlock()
 
 		sp.SetAttr("flight", "lead")
-		return s.lead(ctx, ck, req, fl)
+		return s.lead(ctx, fk, req, c, fl)
 	}
 }
 
 // lead runs the compile as a flight's leader, guaranteeing — even on a
 // compiler panic — that the flight is removed and its done channel closed,
 // so waiters can never block on a dead flight.
-func (s *Session) lead(ctx context.Context, ck string, req Request, fl *flight) (plan *Plan, err error) {
+func (s *Session) lead(ctx context.Context, fk string, req Request, c *Computation, fl *flight) (plan *Plan, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			fl.err = fmt.Errorf("distal: compile panicked: %v", r)
 			plan, err = nil, fl.err
 		}
 		s.mu.Lock()
-		delete(s.flights, ck)
+		delete(s.flights, fk)
 		s.mu.Unlock()
 		close(fl.done)
 	}()
-	plan, err = s.compileRequest(ctx, ck, req)
+	plan, err = s.compileSlow(ctx, fk, req, c)
 	if plan != nil {
 		fl.key, fl.data = plan.key, plan.data
 	}
@@ -511,18 +573,25 @@ func cachedStats(pd *planData, shared bool) CompileStats {
 	return CompileStats{Cached: true, Shared: shared, Launches: pd.launches, Points: pd.points}
 }
 
-// compileRequest is the slow path of Compile: build the computation, check
-// the plan cache under the content key, and run the compiler on a miss.
-func (s *Session) compileRequest(ctx context.Context, ck string, req Request) (*Plan, error) {
-	c, err := s.buildComputation(req)
-	if err != nil {
-		return nil, err
+// compileSlow is the leader's body, shared by both compile paths: build the
+// computation (requests only), check the plan cache under the content key,
+// and run the compiler on a miss. A request's rendering is memoized to the
+// key either way; a fluent compile has none to record.
+func (s *Session) compileSlow(ctx context.Context, fk string, req Request, c *Computation) (*Plan, error) {
+	ck := ""
+	if c == nil {
+		var err error
+		if c, err = s.buildComputation(req); err != nil {
+			return nil, err
+		}
+		ck = fk
 	}
 	in := c.compileInput()
 	key := core.PlanKey(in)
 	if pd := s.lookup(key); pd != nil {
-		// Same program under a different request rendering (e.g. explicit
-		// vs. defaulted formats): memoize this rendering too.
+		// Same program already compiled under a different request rendering
+		// (e.g. explicit vs. defaulted formats) or fluently: memoize this
+		// rendering too.
 		s.memoize(ck, key)
 		return &Plan{sess: s, key: key, data: pd, stats: cachedStats(pd, false)}, nil
 	}
@@ -540,127 +609,6 @@ func (s *Session) compileRequest(ctx context.Context, ck string, req Request) (*
 	return &Plan{sess: s, key: key, data: pd, stats: stats}, nil
 }
 
-// flightCompile resolves a plan key through the plan cache and the
-// session's singleflight table: concurrent identical compiles run compileFn
-// once and share the result. It is the fluent counterpart of Compile's
-// flight handling — fluent computations have no canonical request text, so
-// their flights key on the plan key in a namespace of its own ("plan\x00"
-// prefix; canonical requests are length-framed and never start with that
-// byte sequence's shape, so the two key spaces cannot collide).
-func (s *Session) flightCompile(key string, compileFn func() (*planData, error)) (*planData, error) {
-	fk := "plan\x00" + key
-	s.mu.Lock()
-	if s.capacity > 0 {
-		if el, ok := s.plans[key]; ok {
-			s.hits++
-			s.lru.MoveToFront(el)
-			pd := el.Value.(*planEntry).data
-			s.mu.Unlock()
-			return pd, nil
-		}
-	}
-	if fl, ok := s.flights[fk]; ok {
-		s.mu.Unlock()
-		<-fl.done
-		// Unlike Compile's waiters, there is no retry here: fluent compiles
-		// carry no context, so a leader's failure is a plain compile error
-		// every waiter shares.
-		if fl.err != nil {
-			return nil, fl.err
-		}
-		s.mu.Lock()
-		s.hits++ // served by the shared flight: no compile ran for us
-		s.mu.Unlock()
-		return fl.data, nil
-	}
-	fl := &flight{done: make(chan struct{})}
-	s.flights[fk] = fl
-	s.mu.Unlock()
-	return s.leadFlight(key, fk, fl, compileFn)
-}
-
-// leadFlight runs compileFn as a flight's leader with the same panic-safety
-// guarantee as lead: the flight is always removed and its done channel
-// closed, so waiters can never block on a dead flight.
-func (s *Session) leadFlight(key, fk string, fl *flight, compileFn func() (*planData, error)) (pd *planData, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			fl.err = fmt.Errorf("distal: compile panicked: %v", r)
-			pd, err = nil, fl.err
-		}
-		s.mu.Lock()
-		delete(s.flights, fk)
-		s.mu.Unlock()
-		close(fl.done)
-	}()
-	if pd := s.lookup(key); pd != nil { // counts this caller's hit or miss
-		fl.key, fl.data = key, pd
-		return pd, nil
-	}
-	pd, err = compileFn()
-	if err != nil {
-		fl.err = err
-		return nil, err
-	}
-	s.store(key, pd)
-	fl.key, fl.data = key, pd
-	return pd, nil
-}
-
-// Execute is the one-call convenience a CLI needs: Compile followed by
-// Simulate under a background context. Services should prefer Compile and
-// Plan.Simulate with a real context.
-func (s *Session) Execute(req Request, opts ...ExecOption) (*Result, error) {
-	return s.ExecuteContext(context.Background(), req, opts...)
-}
-
-// ExecuteContext compiles the request (hitting the plan cache when the same
-// workload was compiled before) and simulates it under the session's cost
-// model, honoring ctx through both phases. Execution modifiers (tracing,
-// synchronous mode, ...) apply to this call only.
-func (s *Session) ExecuteContext(ctx context.Context, req Request, opts ...ExecOption) (*Result, error) {
-	plan, err := s.Compile(ctx, req)
-	if err != nil {
-		return nil, err
-	}
-	return plan.Simulate(ctx, opts...)
-}
-
-// Redistribute builds (through the plan cache) a program that moves tensor
-// t into the dst format on the session's machine. See the package-level
-// Redistribute for semantics.
-func (s *Session) Redistribute(t *Tensor, dst Format) (*Program, *Tensor, error) {
-	return redistribute(s, t, dst, s.machine)
-}
-
-// RedistributeCost simulates the layout change under the session's cost
-// model and returns moved bytes and simulated seconds.
-func (s *Session) RedistributeCost(t *Tensor, dst Format) (bytes int64, seconds float64, err error) {
-	prog, _, err := s.Redistribute(t, dst)
-	if err != nil {
-		return 0, 0, err
-	}
-	res, err := prog.Simulate(s.params)
-	if err != nil {
-		return 0, 0, err
-	}
-	return res.IntraBytes + res.InterBytes, res.Time, nil
-}
-
-// cacheable reports whether the computation's plan may be cached.
-// Computations with data bound at Define time are not: their regions
-// capture the data reference at compile, so a shared plan would alias it.
-// (Request-compiled plans are always data-free; they run on real data via
-// Plan.Bind, which binds per execution instead.)
-func (c *Computation) cacheable() bool {
-	for _, name := range c.Stmt.TensorNames() {
-		if c.tensors[name].Data != nil {
-			return false
-		}
-	}
-	return true
-}
-
 // compileInput assembles the compiler input for this computation.
 func (c *Computation) compileInput() core.Input {
 	decls := map[string]*core.TensorDecl{}
@@ -670,7 +618,6 @@ func (c *Computation) compileInput() core.Input {
 			Name:      name,
 			Shape:     t.Shape,
 			Placement: t.Format.Placement,
-			Data:      t.Data,
 		}
 	}
 	return core.Input{

@@ -5,9 +5,9 @@ import "testing"
 // planCacheRequest is the GEMM workload the plan-cache benchmark measures:
 // owner-computes over a 4x4 grid with broadcast-replicated inputs and a
 // sequential k chunking, so the plan has many launch points to analyze. A
-// cold Execute pays the full per-point bounds analysis during compilation;
-// a cache-hit Execute reuses the materialized plan and only walks the task
-// graph.
+// cold compile-and-simulate pays the full per-point bounds analysis during
+// compilation; a cache hit reuses the materialized plan and only walks the
+// task graph.
 func planCacheRequest() Request {
 	const n = 1024
 	return Request{
@@ -22,26 +22,26 @@ func planCacheRequest() Request {
 
 func planCacheMachine() *Machine { return NewMachine(CPU, 4, 4) }
 
-// BenchmarkPlanCache compares Session.Execute with a cold plan cache (every
-// iteration compiles) against a warm one (every iteration hits).
+// BenchmarkPlanCache compares compile-and-simulate with a cold plan cache
+// (every iteration compiles) against a warm one (every iteration hits).
 func BenchmarkPlanCache(b *testing.B) {
 	req := planCacheRequest()
 	b.Run("cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			sess := NewSession(planCacheMachine())
-			if _, err := sess.Execute(req); err != nil {
+			if _, err := execute(sess, req); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("warm", func(b *testing.B) {
 		sess := NewSession(planCacheMachine())
-		if _, err := sess.Execute(req); err != nil {
+		if _, err := execute(sess, req); err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := sess.Execute(req); err != nil {
+			if _, err := execute(sess, req); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -54,29 +54,29 @@ func BenchmarkPlanCache(b *testing.B) {
 }
 
 // TestPlanCacheSpeedup asserts the property behind the cache's speedup, by
-// counts rather than by wall clock: after one cold Execute compiles the
-// plan, warm Executes of the same request never run the compiler again —
-// each one is exactly one cache hit. BenchmarkPlanCache measures what that
+// counts rather than by wall clock: after one cold compile-and-simulate,
+// warm ones of the same request never run the compiler again — each one is
+// exactly one cache hit. BenchmarkPlanCache measures what that
 // saves in time.
 func TestPlanCacheSpeedup(t *testing.T) {
 	req := planCacheRequest()
 	sess := NewSession(planCacheMachine())
-	if _, err := sess.Execute(req); err != nil {
+	if _, err := execute(sess, req); err != nil {
 		t.Fatal(err)
 	}
 	cold := sess.CacheStats()
 	if cold.Misses != 1 {
-		t.Fatalf("cold Execute: %+v, want exactly 1 miss", cold)
+		t.Fatalf("cold execute: %+v, want exactly 1 miss", cold)
 	}
 	const warmRuns = 20
 	for i := 0; i < warmRuns; i++ {
-		if _, err := sess.Execute(req); err != nil {
+		if _, err := execute(sess, req); err != nil {
 			t.Fatal(err)
 		}
 	}
 	warm := sess.CacheStats()
 	if warm.Misses != 1 || warm.Hits-cold.Hits != warmRuns {
-		t.Fatalf("after %d warm Executes: %+v (cold %+v), want misses 1 and hits +%d",
+		t.Fatalf("after %d warm executes: %+v (cold %+v), want misses 1 and hits +%d",
 			warmRuns, warm, cold, warmRuns)
 	}
 }

@@ -2,9 +2,14 @@ package distal
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
+
+	"distal/internal/ir"
+	"distal/internal/tensor"
 )
 
 const gemmStmt = "A(i,j) = B(i,k) * C(k,j)"
@@ -24,9 +29,20 @@ func gemmRequest(n int) Request {
 	}
 }
 
+// execute compiles req through sess and simulates the plan under the
+// session's cost model: the round trip most session tests assert on.
+func execute(sess *Session, req Request) (*Result, error) {
+	ctx := context.Background()
+	plan, err := sess.Compile(ctx, req)
+	if err != nil {
+		return nil, err
+	}
+	return plan.Simulate(ctx)
+}
+
 func TestSessionExecute(t *testing.T) {
 	sess := NewSession(NewMachine(CPU, 2, 2))
-	res, err := sess.Execute(gemmRequest(64))
+	res, err := execute(sess, gemmRequest(64))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +50,7 @@ func TestSessionExecute(t *testing.T) {
 		t.Fatalf("implausible result: %+v", res)
 	}
 	// Same request again: the plan must come from the cache.
-	if _, err := sess.Execute(gemmRequest(64)); err != nil {
+	if _, err := execute(sess, gemmRequest(64)); err != nil {
 		t.Fatal(err)
 	}
 	st := sess.CacheStats()
@@ -47,7 +63,7 @@ func TestSessionExecuteAutoSchedule(t *testing.T) {
 	sess := NewSession(NewMachine(CPU, 2, 2))
 	req := gemmRequest(64)
 	req.Schedule = "" // AutoSchedule
-	res, err := sess.Execute(req)
+	res, err := execute(sess, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +76,7 @@ func TestSessionExecuteDefaultFormats(t *testing.T) {
 	sess := NewSession(NewMachine(CPU, 2, 2))
 	req := gemmRequest(64)
 	req.Formats = nil // every tensor defaults to its rank's canonical tiling
-	if _, err := sess.Execute(req); err != nil {
+	if _, err := execute(sess, req); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -83,8 +99,8 @@ func TestSessionExecuteErrors(t *testing.T) {
 				"B": {2, 2, 2, 2, 2, 2, 2},
 			}},
 	} {
-		if _, err := sess.Execute(req); err == nil {
-			t.Errorf("%s: Execute succeeded, want error", name)
+		if _, err := execute(sess, req); err == nil {
+			t.Errorf("%s: execute succeeded, want error", name)
 		}
 	}
 }
@@ -95,7 +111,7 @@ func TestSessionExecuteErrors(t *testing.T) {
 func TestSessionRequestMemo(t *testing.T) {
 	sess := NewSession(NewMachine(CPU, 2, 2))
 	req := gemmRequest(64)
-	first, err := sess.Execute(req)
+	first, err := execute(sess, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +138,7 @@ func TestSessionRequestMemo(t *testing.T) {
 	// A request differing only in schedule text must not alias the memo.
 	other := gemmRequest(64)
 	other.Schedule = "divide(i,io,ii,4) reorder(io,ii,j,k) distribute(io) communicate(io,A,B,C)"
-	if _, err := sess.Execute(other); err != nil {
+	if _, err := execute(sess, other); err != nil {
 		t.Fatal(err)
 	}
 	if st := sess.CacheStats(); st.Misses != 2 {
@@ -139,12 +155,12 @@ func TestSessionMemoDoesNotBypassValidation(t *testing.T) {
 		Stmt:   gemmStmt,
 		Shapes: map[string][]int{"A": {64, 64}, "B": {64, 64}, "C": {64, 64}},
 	}
-	if _, err := sess.Execute(good); err != nil {
+	if _, err := execute(sess, good); err != nil {
 		t.Fatal(err)
 	}
 	bad := good
 	bad.Formats = map[string]string{"b": "xy->x"} // typo'd key, otherwise identical
-	if _, err := sess.Execute(bad); err == nil {
+	if _, err := execute(sess, bad); err == nil {
 		t.Fatal("typo'd Formats key served from the request memo instead of failing validation")
 	}
 }
@@ -160,7 +176,7 @@ func TestSessionMemoCanonicalInjective(t *testing.T) {
 		Formats:  map[string]string{"B": "xy->xy"},
 		Schedule: gemmRequest(64).Schedule,
 	}
-	if _, err := sess.Execute(valid); err != nil {
+	if _, err := execute(sess, valid); err != nil {
 		t.Fatal(err)
 	}
 	// Fold the format entry's old textual rendering into the schedule of a
@@ -174,20 +190,20 @@ func TestSessionMemoCanonicalInjective(t *testing.T) {
 	if canonicalRequest(forged) == canonicalRequest(valid) {
 		t.Fatal("distinct requests canonicalize identically")
 	}
-	if _, err := sess.Execute(forged); err == nil {
+	if _, err := execute(sess, forged); err == nil {
 		t.Fatal("forged request executed instead of failing schedule parse")
 	}
 }
 
 func TestSessionCacheDiscriminates(t *testing.T) {
 	sess := NewSession(NewMachine(CPU, 2, 2))
-	if _, err := sess.Execute(gemmRequest(64)); err != nil {
+	if _, err := execute(sess, gemmRequest(64)); err != nil {
 		t.Fatal(err)
 	}
 	other := gemmRequest(64)
 	other.Shapes["B"] = []int{64, 128}
 	other.Shapes["C"] = []int{128, 64}
-	if _, err := sess.Execute(other); err != nil {
+	if _, err := execute(sess, other); err != nil {
 		t.Fatal(err)
 	}
 	st := sess.CacheStats()
@@ -199,7 +215,7 @@ func TestSessionCacheDiscriminates(t *testing.T) {
 func TestSessionCacheEviction(t *testing.T) {
 	sess := NewSession(NewMachine(CPU, 2, 2), WithPlanCacheSize(2))
 	for _, n := range []int{16, 32, 48} {
-		if _, err := sess.Execute(gemmRequest(n)); err != nil {
+		if _, err := execute(sess, gemmRequest(n)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -207,14 +223,14 @@ func TestSessionCacheEviction(t *testing.T) {
 		t.Fatalf("entries = %d, want 2 after eviction", st.Entries)
 	}
 	// n=16 was evicted (least recent): recompiling misses.
-	if _, err := sess.Execute(gemmRequest(16)); err != nil {
+	if _, err := execute(sess, gemmRequest(16)); err != nil {
 		t.Fatal(err)
 	}
 	if st := sess.CacheStats(); st.Hits != 0 || st.Misses != 4 {
 		t.Fatalf("stats = %+v, want 0 hits / 4 misses", st)
 	}
 	// n=48 is still resident.
-	if _, err := sess.Execute(gemmRequest(48)); err != nil {
+	if _, err := execute(sess, gemmRequest(48)); err != nil {
 		t.Fatal(err)
 	}
 	if st := sess.CacheStats(); st.Hits != 1 {
@@ -225,7 +241,7 @@ func TestSessionCacheEviction(t *testing.T) {
 func TestSessionCacheDisabled(t *testing.T) {
 	sess := NewSession(NewMachine(CPU, 2, 2), WithPlanCacheSize(0))
 	for i := 0; i < 2; i++ {
-		if _, err := sess.Execute(gemmRequest(64)); err != nil {
+		if _, err := execute(sess, gemmRequest(64)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -234,32 +250,61 @@ func TestSessionCacheDisabled(t *testing.T) {
 	}
 }
 
-// TestSessionBoundDataNotCached: computations with real data bound must not
-// share plans through the cache (Real execution mutates bound regions).
-func TestSessionBoundDataNotCached(t *testing.T) {
+// TestSessionBoundDataCached: data bound to a computation's tensors does
+// not enter compilation, so two data-bound computations of one workload
+// share one cached plan — and concurrent real runs of it on different data
+// each compute their own result (run with -race).
+func TestSessionBoundDataCached(t *testing.T) {
+	ctx := context.Background()
 	sess := NewSession(NewMachine(CPU, 2, 2))
 	f := MustFormat("xy->xy")
-	build := func() *Computation {
-		A := NewTensor("A", f, 16, 16).Zero()
-		B := NewTensor("B", f, 16, 16).FillRandom(1)
-		C := NewTensor("C", f, 16, 16).FillRandom(2)
-		return sess.MustDefine(gemmStmt, A, B, C)
+	type run struct {
+		comp    *Computation
+		tensors []*Tensor
+		plan    *Plan
 	}
-	for i := 0; i < 2; i++ {
-		c := build()
+	runs := make([]run, 2)
+	for i := range runs {
+		A := NewTensor("A", f, 16, 16).Zero()
+		B := NewTensor("B", f, 16, 16).FillRandom(int64(2*i + 1))
+		C := NewTensor("C", f, 16, 16).FillRandom(int64(2*i + 2))
+		c := sess.MustDefine(gemmStmt, A, B, C)
 		if err := c.AutoSchedule(); err != nil {
 			t.Fatal(err)
 		}
-		prog, err := c.Compile()
+		plan, err := c.Compile(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := prog.Run(LassenCPU()); err != nil {
-			t.Fatal(err)
-		}
+		runs[i] = run{comp: c, tensors: []*Tensor{A, B, C}, plan: plan}
 	}
-	if st := sess.CacheStats(); st.Entries != 0 {
-		t.Fatalf("bound-data plans were cached: %+v", st)
+	if st := sess.CacheStats(); st.Misses != 1 || st.Hits != 1 || st.Entries != 1 {
+		t.Fatalf("stats = %+v, want 1 miss / 1 hit / 1 entry", st)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, len(runs))
+	for _, r := range runs {
+		wg.Add(1)
+		go func(r run) {
+			defer wg.Done()
+			if _, err := r.plan.Bind(r.tensors...).Run(ctx); err != nil {
+				errs <- err
+				return
+			}
+			want, err := ir.Evaluate(r.comp.Stmt, map[string]*tensor.Dense{"B": r.tensors[1].Data, "C": r.tensors[2].Data})
+			if err != nil {
+				errs <- err
+				return
+			}
+			if !r.tensors[0].Data.EqualWithin(want, 1e-9) {
+				errs <- fmt.Errorf("a run on the shared plan produced a wrong product")
+			}
+		}(r)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }
 
@@ -267,7 +312,7 @@ func TestSessionBoundDataNotCached(t *testing.T) {
 // goroutines must produce identical deterministic results (run with -race).
 func TestSessionConcurrentSimulate(t *testing.T) {
 	sess := NewSession(NewMachine(CPU, 2, 2))
-	want, err := sess.Execute(gemmRequest(64))
+	want, err := execute(sess, gemmRequest(64))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +322,7 @@ func TestSessionConcurrentSimulate(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := sess.Execute(gemmRequest(64))
+			res, err := execute(sess, gemmRequest(64))
 			if err != nil {
 				errs <- err
 				return
@@ -372,10 +417,10 @@ func TestScheduleTextRoundTripThroughComputation(t *testing.T) {
 		t.Fatalf("round trip changed schedule:\n  %q\n  %q", text, c2.ScheduleText())
 	}
 	// Both compile to the same cached plan.
-	if _, err := c1.Compile(); err != nil {
+	if _, err := c1.Compile(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c2.Compile(); err != nil {
+	if _, err := c2.Compile(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if st := sess.CacheStats(); st.Hits != 1 || st.Misses != 1 {
@@ -386,7 +431,8 @@ func TestScheduleTextRoundTripThroughComputation(t *testing.T) {
 // TestFluentCompileSingleflight: concurrent identical fluent compiles
 // (Computation.Compile, not the Request path) collapse through the same
 // flight table as Session.Compile — exactly one compiler run, everyone else
-// waits and shares.
+// waits and shares; a waiter outlives its leader's cancellation, and a
+// sticky schedule error is classified like the Request path's.
 func TestFluentCompileSingleflight(t *testing.T) {
 	sess := NewSession(NewMachine(CPU, 2, 2))
 	build := func() *Computation {
@@ -411,14 +457,14 @@ func TestFluentCompileSingleflight(t *testing.T) {
 	}
 	start := make(chan struct{})
 	var wg sync.WaitGroup
-	progs := make([]*Program, n)
+	plans := make([]*Plan, n)
 	errs := make([]error, n)
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			<-start
-			progs[i], errs[i] = comps[i].Compile()
+			plans[i], errs[i] = comps[i].Compile(context.Background())
 		}(i)
 	}
 	close(start)
@@ -436,7 +482,7 @@ func TestFluentCompileSingleflight(t *testing.T) {
 		t.Fatalf("hits = %d, want %d (everyone else shares)", st.Hits, n-1)
 	}
 	for i := 1; i < n; i++ {
-		if progs[i].P != progs[0].P {
+		if plans[i].data != plans[0].data {
 			t.Fatalf("compile %d returned a different program object", i)
 		}
 	}
@@ -455,6 +501,107 @@ func TestFluentCompileSingleflight(t *testing.T) {
 	if !plan.Stats().Cached {
 		t.Fatal("request compile of the fluently compiled program missed the cache")
 	}
+
+	t.Run("canceled leader", func(t *testing.T) {
+		sess := NewSession(NewMachine(CPU, 4, 4))
+		big := func() *Computation {
+			f := Tiled(2)
+			c := sess.MustDefine(gemmStmt,
+				NewTensor("A", f, 2048, 2048), NewTensor("B", f, 2048, 2048), NewTensor("C", f, 2048, 2048))
+			if err := c.ApplySchedule(bigRequest().Schedule); err != nil {
+				t.Fatal(err)
+			}
+			return c
+		}
+		// The leader is held inside its flight (at the compiler's entry
+		// check) until the waiter is parked on that flight; then the
+		// leader's context reports cancellation.
+		leader, waiter := big(), big()
+		leaderCtx := newGateCtx()
+		waiterCtx := &doneSignalCtx{Context: context.Background(), waiting: make(chan struct{})}
+		leaderOut := make(chan error, 1)
+		go func() {
+			_, err := leader.Compile(leaderCtx)
+			leaderOut <- err
+		}()
+		<-leaderCtx.entered
+		waiterOut := make(chan *Plan, 1)
+		go func() {
+			plan, err := waiter.Compile(waiterCtx)
+			if err != nil {
+				t.Errorf("waiter inherited the leader's cancellation: %v", err)
+			}
+			waiterOut <- plan
+		}()
+		<-waiterCtx.waiting
+		close(leaderCtx.release)
+		if err := <-leaderOut; KindOf(err) != KindCanceled {
+			t.Fatalf("leader: kind = %v (err %v), want KindCanceled", KindOf(err), err)
+		}
+		plan := <-waiterOut
+		if plan == nil {
+			t.FailNow()
+		}
+		if plan.Stats().Shared || plan.Stats().Cached {
+			t.Fatalf("waiter stats = %+v, want a compile of its own after the retry", plan.Stats())
+		}
+		if st := sess.CacheStats(); st.Misses != 2 || st.Entries != 1 {
+			t.Fatalf("stats = %+v, want 2 misses (canceled leader, retrying waiter) and 1 entry", st)
+		}
+	})
+
+	t.Run("schedule error kind", func(t *testing.T) {
+		comp := build()
+		comp.Schedule().Divide("nope", "a", "b", 2)
+		_, err := comp.Compile(context.Background())
+		if KindOf(err) != KindSchedule {
+			t.Fatalf("kind = %v (err %v), want KindSchedule", KindOf(err), err)
+		}
+		var de *Error
+		if !errors.As(err, &de) {
+			t.Fatalf("error %v is not a *distal.Error", err)
+		}
+	})
+}
+
+// gateCtx holds a compile inside its flight: its first Err poll (the entry
+// check) passes, the next signals entered and blocks until release is
+// closed, and from then on every poll reports cancellation.
+type gateCtx struct {
+	context.Context
+	polls   atomic.Int64
+	entered chan struct{}
+	release chan struct{}
+}
+
+func newGateCtx() *gateCtx {
+	return &gateCtx{Context: context.Background(), entered: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (c *gateCtx) Err() error {
+	switch c.polls.Add(1) {
+	case 1:
+		return nil
+	case 2:
+		close(c.entered)
+	}
+	<-c.release
+	return context.Canceled
+}
+
+func (c *gateCtx) Done() <-chan struct{} { return c.release }
+
+// doneSignalCtx closes waiting on its first Done call: a compile calls Done
+// first when it parks on another caller's flight.
+type doneSignalCtx struct {
+	context.Context
+	once    sync.Once
+	waiting chan struct{}
+}
+
+func (c *doneSignalCtx) Done() <-chan struct{} {
+	c.once.Do(func() { close(c.waiting) })
+	return nil
 }
 
 // TestFluentCompileErrorPropagates: a failing fluent compile surfaces its
@@ -469,11 +616,11 @@ func TestFluentCompileErrorPropagates(t *testing.T) {
 	}
 	// A sticky schedule error (divide by zero pieces) surfaces at Compile.
 	comp.Schedule().Divide("i", "io", "ii", 0)
-	if _, err := comp.Compile(); err == nil {
+	if _, err := comp.Compile(context.Background()); err == nil {
 		t.Fatal("expected a compile error")
 	}
 	// The session must remain usable afterwards.
-	if _, err := sess.Execute(gemmRequest(64)); err != nil {
+	if _, err := execute(sess, gemmRequest(64)); err != nil {
 		t.Fatalf("session unusable after failed fluent compile: %v", err)
 	}
 }

@@ -76,7 +76,7 @@ func TestTuneJohnsonBeatsHandSchedule(t *testing.T) {
 		Schedule: hand,
 	}
 	sess := NewSession(NewMachine(CPU, 2, 2, 2))
-	handRes, err := sess.Execute(req)
+	handRes, err := execute(sess, req)
 	if err != nil {
 		t.Fatal(err)
 	}
