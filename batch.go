@@ -4,15 +4,15 @@ import (
 	"context"
 	"fmt"
 
-	"distal/internal/legion"
 	"distal/internal/tensor"
 )
 
 // BatchBinding is a Plan bound to N independent problem instances: the
-// executable form of a batched Real-mode workload. One execution walks the
-// plan's launch structure once — amortizing requirement lookup, accounting,
-// and dispatch across the batch — while leaf kernels run per instance over
-// the worker pool. Instances never serialize against each other, and every
+// executable form of a batched Real-mode workload. One execution replays the
+// plan's one analysis — requirement lookup, accounting and task grouping are
+// shared by the whole batch and by every later run — while leaf kernels run
+// per instance over the worker pool. Instances never serialize against each
+// other, and every
 // instance's output is bit-identical to a single-instance Bind(...).Run on
 // the same data.
 //
@@ -131,11 +131,11 @@ func (bb *BatchBinding) Output(i int) *Tensor {
 	return bb.outs[i]
 }
 
-// Run executes the plan on every bound instance in one launch walk and
-// returns one Result per instance. The simulated-time accounting runs
-// exactly once — batching never perturbs the cost model — so the Results
-// share identical metrics, each equal to a single-instance run's. Real leaf
-// kernels fan out per (instance × task) over the worker pool (bound by
+// Run executes the plan on every bound instance and returns one Result per
+// instance. The simulated-time accounting is the plan's one analysis —
+// batching never perturbs the cost model — so the Results share identical
+// metrics, each equal to a single-instance run's. Real leaf kernels fan out
+// per (instance × task group) over the worker pool (bound by
 // WithRealWorkers). It aborts with KindCanceled at the runtime's next
 // checkpoint once ctx is done (every instance's output is then in an
 // unspecified partial state).
@@ -146,8 +146,8 @@ func (bb *BatchBinding) Run(ctx context.Context, opts ...ExecOption) ([]*Result,
 	if err := ctx.Err(); err != nil {
 		return nil, wrapErr(KindCanceled, "run-batch", err)
 	}
-	mods := append([]ExecOption{legion.WithReal(), legion.WithBatch(bb.insts)}, opts...)
-	res, err := legion.RunContext(ctx, bb.plan.data.prog, legion.NewOptions(bb.plan.execParams(), mods...))
+	pd := bb.plan.data
+	res, err := pd.tape.execute(ctx, pd.stages, bb.plan.execParams(), bb.insts, opts)
 	if err != nil {
 		return nil, wrapErr(KindExec, "run-batch", err)
 	}

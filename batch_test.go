@@ -15,6 +15,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -414,17 +415,42 @@ func TestBatchSharedPlanConcurrent(t *testing.T) {
 	}
 }
 
+// pollCanceledCtx is a context that reports cancellation starting at its
+// n-th Err() poll: a deterministic way to land a cancellation between the
+// entry check and completion, exercising the periodic checkpoints without
+// racing a timer against the work.
+type pollCanceledCtx struct {
+	context.Context
+	polls     atomic.Int64
+	threshold int64
+	once      sync.Once
+	done      chan struct{}
+}
+
+func cancelAfterPolls(n int64) *pollCanceledCtx {
+	return &pollCanceledCtx{Context: context.Background(), threshold: n, done: make(chan struct{})}
+}
+
+func (c *pollCanceledCtx) Err() error {
+	if c.polls.Add(1) > c.threshold {
+		c.once.Do(func() { close(c.done) })
+		return context.Canceled
+	}
+	return nil
+}
+
+func (c *pollCanceledCtx) Done() <-chan struct{} { return c.done }
+
 // TestBatchRunCancellation cancels a batched execution mid-run: the error
 // must classify KindCanceled (so services map it to a timeout status, not a
 // 500), and the worker pool must wind down without leaking goroutines.
 func TestBatchRunCancellation(t *testing.T) {
-	// A workload big enough that cancellation always lands mid-execution:
-	// 512^3 madds per instance across 8 instances.
+	// 8 instances of a 4-launch SUMMA: 512 tasks, each polling the context.
 	req := distal.Request{
 		Stmt:   "A(i,j) = B(i,k) * C(k,j)",
-		Shapes: map[string][]int{"A": {512, 512}, "B": {512, 512}, "C": {512, 512}},
+		Shapes: map[string][]int{"A": {64, 64}, "B": {64, 64}, "C": {64, 64}},
 		Schedule: "divide(i,io,ii,4) divide(j,jo,ji,4) reorder(io,jo,ii,ji) distribute(io,jo) " +
-			"split(k,ko,ki,64) reorder(io,jo,ko,ii,ji,ki) communicate(jo,A) communicate(ko,B,C)",
+			"split(k,ko,ki,16) reorder(io,jo,ko,ii,ji,ki) communicate(jo,A) communicate(ko,B,C)",
 	}
 	sess := distal.NewSession(distal.NewMachine(distal.CPU, 4, 4))
 	plan, err := sess.Compile(context.Background(), req)
@@ -435,18 +461,26 @@ func TestBatchRunCancellation(t *testing.T) {
 	for i := range instances {
 		instances[i] = instanceTensors(plan, req, int64(1000*i+7))
 	}
+	// A first run builds the plan's tape, so the canceled run below goes
+	// straight to Execute: past the entry check, its polls are the
+	// per-launch and per-task checkpoints.
+	if _, err := plan.BindBatch(instances[0]).Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	before := runtime.NumGoroutine()
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(2 * time.Millisecond)
-		cancel()
-	}()
+	const threshold = 12
+	ctx := cancelAfterPolls(threshold)
 	_, err = plan.BindBatch(instances...).Run(ctx)
 	if err == nil {
 		t.Fatal("Run succeeded despite cancellation")
 	}
 	if kind := distal.KindOf(err); kind != distal.KindCanceled {
 		t.Fatalf("error kind %v, want KindCanceled (%v)", kind, err)
+	}
+	// Every worker stops at its next checkpoint: far fewer polls than the
+	// 512 tasks a finished run would make.
+	if polls := ctx.polls.Load(); polls <= threshold || polls > threshold+16 {
+		t.Fatalf("%d context polls, want a few past the threshold of %d", polls, threshold)
 	}
 	// The worker pool joins before Run returns; give the runtime a moment to
 	// retire exiting goroutines, then require the count back at baseline.

@@ -15,8 +15,7 @@ import (
 // schedule's serialized command form. Bound data is deliberately excluded —
 // a plan describes the task graph, not the values flowing through it — so
 // a plan cache keyed by PlanKey must hold data-free programs (compiled
-// without TensorDecl.Data) and bind data per execution with
-// legion.WithData.
+// without TensorDecl.Data) and bind data per execution (legion.Tape.Execute).
 func PlanKey(in Input) string {
 	var b strings.Builder
 	b.WriteString("stmt:")

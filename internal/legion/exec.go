@@ -4,11 +4,8 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"distal/internal/machine"
-	"distal/internal/obs"
 	"distal/internal/sim"
 	"distal/internal/tensor"
 )
@@ -17,7 +14,9 @@ import (
 type Options struct {
 	// Params is the simulated machine's cost model.
 	Params sim.Params
-	// Real executes leaf kernels on actual data (for correctness checks).
+	// Real executes leaf kernels on actual data (for correctness checks):
+	// the run is Analyse, which records the tasks on a Tape, then
+	// Tape.Execute on the bound data.
 	Real bool
 	// Data binds per-execution canonical data by region name, overriding
 	// Region.Data. A cached (immutable, data-free) program can thereby run
@@ -25,13 +24,12 @@ type Options struct {
 	// lives in the execution, not in the shared plan.
 	Data map[string]*tensor.Dense
 	// Batch binds N independent problem instances, one data map per
-	// instance, and runs them all in a single launch walk: simulated-time
+	// instance, and runs them all on one analysis: simulated-time
 	// accounting runs exactly once (metrics are identical to a
-	// single-instance run), while Real-mode leaf tasks are captured per
-	// (instance × task) and drained over the worker pool, with accumulator
-	// grouping scoped per instance so instances never serialize against
-	// each other. Requires Real; when set, Data is ignored. Instances must
-	// not share output tensors with each other (inputs may be shared).
+	// single-instance run), while every (instance × task group) drains over
+	// the worker pool, so instances never serialize against each other.
+	// Requires Real; when set, Data is ignored. Instances must not share
+	// output tensors with each other (inputs may be shared).
 	Batch []map[string]*tensor.Dense
 	// Synchronous disables communication/computation overlap: copies cannot
 	// start before the destination processor is idle, and a global barrier
@@ -46,13 +44,40 @@ type Options struct {
 	// RealWorkers bounds the worker pool that executes Real-mode leaf
 	// kernels. Kernel invocations for independent tasks of one launch —
 	// tasks writing through distinct, non-overlapping accumulators — fan out
-	// over the pool; simulated-time accounting stays serial regardless, so
+	// over the pool; simulated-time accounting happens in the analysis, so
 	// metrics are identical at any worker count, and tasks sharing an
 	// accumulator run in point order, so Real results are bit-identical to
 	// serial execution. Zero means min(GOMAXPROCS, 16); 1 disables the pool.
+	// It does not affect the analysis.
 	RealWorkers int
 	// Trace records every copy for inspection.
 	Trace bool
+}
+
+// defaultTransientWindow is the transient window a zero
+// Options.TransientWindow means.
+const defaultTransientWindow = 2
+
+// Accounting is the part of Options an analysis depends on: two option sets
+// with equal Accounting walk identically, so a tape analysed under one
+// serves the other. Real, Data, Batch and RealWorkers only matter to
+// Execute.
+type Accounting struct {
+	Params          sim.Params
+	Synchronous     bool
+	OwnerOnly       bool
+	TransientWindow int
+	Trace           bool
+}
+
+// Accounting returns the options' analysis-shaping fields, with the
+// transient window defaulted.
+func (o Options) Accounting() Accounting {
+	w := o.TransientWindow
+	if w == 0 {
+		w = defaultTransientWindow
+	}
+	return Accounting{Params: o.Params, Synchronous: o.Synchronous, OwnerOnly: o.OwnerOnly, TransientWindow: w, Trace: o.Trace}
 }
 
 // CopyRecord describes one scheduled copy (Trace mode).
@@ -193,13 +218,19 @@ type accKey struct {
 	rect   tensor.RectKey
 }
 
-// accSlot scopes an accumulator to one batch instance: tasks of different
-// instances writing through the same (shared, accounting-level) accumulator
-// touch disjoint per-instance buffers, so write-safety grouping keys on the
-// pair, never serializing one instance against another.
-type accSlot struct {
-	acc  *accumulator
-	slot int
+// accumulator is a task-local output buffer covering a rect of a region, as
+// the accounting sees it: opened by the first task writing the rect on a
+// leaf, charged while live, and flushed into the region's owners at the
+// stage's end. Its Real side is the tape's tapeAcc with the same id.
+type accumulator struct {
+	region  *Region
+	rect    tensor.Rect
+	key     tensor.RectKey
+	combine Privilege // ReduceSum accumulates; others overwrite
+	inPlace bool      // writes go directly to the owner instance
+	leaf    int
+	lastUse float64
+	id      int32 // index into the tape's accumulators (Real analyses)
 }
 
 type executor struct {
@@ -210,17 +241,18 @@ type executor struct {
 	lg       machine.Grid
 	gpuMem   bool
 	reg      map[*Region]*regState
-	data     []map[*Region]*tensor.Dense // Real mode: resolved canonical data, one map per batch instance
-	binds    []map[string]*tensor.Dense  // Real mode: the caller's name-keyed bindings (Batch, or Data as one instance)
-	stageReg []map[string]*Region        // per completed stage: region name -> region, for handoff resolution
-	batch    int                         // number of problem instances (1 unless Options.Batch)
+	stageReg []map[string]*Region // per completed stage: region name -> region, for handoff resolution
 	accs     map[accKey]*accumulator
 	accSeq   []*accumulator
-	sp       *obs.Span // the in-progress launch's span (nil outside a traced launch)
 	trace    []CopyRecord
 	candBuf  []*instance // scratch for ensureLocal's candidate collection
 	instSeq  int64       // next transient installation sequence number
 	steps    int         // points since the last cancellation checkpoint
+
+	// A Real analysis records its tasks on tape (nil when simulating), and
+	// slotOf maps every placed or adopted region to its data slot.
+	tape   *Tape
+	slotOf map[*Region]int32
 
 	// Transient instances, their groups and accumulators come from slabs,
 	// in chunks sized from the launch in progress: points × read
@@ -231,22 +263,10 @@ type executor struct {
 	accSlab   slab[accumulator]
 	instChunk int
 	accChunk  int
-	coord     []int // leaf-coordinate scratch
-	rectBuf   []int // owner-rect scratch
-	pointBuf  []int // launch-point scratch (simulated launches)
-
-	// Real-mode task batch: runLaunch defers kernel invocations here and
-	// runRealTasks drains them over the worker pool at the launch's end.
-	// Everything below is per-launch scratch reused across launches.
-	workers   int               // resolved Options.RealWorkers
-	realTasks []*Ctx            // deferred tasks, point-major then instance order
-	ctxFree   []*Ctx            // Ctx free list (map storage reuse)
-	ctxBatch  []*Ctx            // per-point scratch: one deferred Ctx per instance
-	pointSlab []int             // per-launch backing for deferred tasks' Points
-	ufParent  []int32           // union-find scratch for task grouping
-	taskAccs  []*accumulator    // per-point write-target buffer
-	accFirst  map[accSlot]int32 // (accumulator, instance) -> first task using it
-	readSet   map[*Region]bool  // regions read by the current launch
+	coord     []int          // leaf-coordinate scratch
+	rectBuf   []int          // owner-rect scratch
+	pointBuf  []int          // launch-point scratch
+	taskAccs  []*accumulator // per-point write-target buffer
 
 	// Double-buffering throttle: copies for a leaf's task in launch s may
 	// not start before its task in launch s-TransientWindow completed
@@ -282,13 +302,12 @@ func RunContext(ctx context.Context, p *Program, opt Options) (*Result, error) {
 
 // runLaunch walks the launch domain once, serially, doing all simulated-time
 // accounting (copy pricing, compute charging, accumulator lifetimes) exactly
-// as the point order dictates — the cost model never sees the worker pool,
-// so simulated metrics are identical at any worker count. In Real mode the
-// kernel invocations are not interleaved with the accounting: each task's
-// bindings are captured in a pooled Ctx and deferred, and the batch drains
-// over the worker pool at the launch's end (runRealTasks). The launch
-// boundary is a barrier for real work, so cross-launch data dependences and
-// the accumulator flush order are untouched.
+// as the point order dictates. A Real analysis also records each task on the
+// tape — its point, read regions and write accumulators — and the launch's
+// write-safety groups at its end; no kernel runs here, so the cost model
+// never sees the worker pool and simulated metrics are identical at any
+// worker count. The walk allocates nothing per point: a reused point buffer
+// and a reused write-target buffer.
 func (e *executor) runLaunch(l *Launch) error {
 	mapPoint := l.MapPoint
 	if mapPoint == nil {
@@ -296,35 +315,17 @@ func (e *executor) runLaunch(l *Launch) error {
 	}
 	n := l.Domain.Size()
 	rank := l.Domain.Rank()
-	// The simulation path allocates nothing per point: a reused point
-	// buffer, a reused write-target buffer, and no Ctx. Real-mode tasks get
-	// stable Point slices carved from a per-launch slab (Ctx retains them
-	// until the batch runs) and recycled Ctx maps.
-	deferKernels := e.opt.Real && l.Kernel.Run != nil
-	var point []int
-	if deferKernels {
-		if cap(e.pointSlab) < n*rank {
-			e.pointSlab = make([]int, n*rank)
-		}
-		if e.readSet == nil {
-			e.readSet = map[*Region]bool{}
-		}
-		clear(e.readSet)
-	} else {
-		if cap(e.pointBuf) < rank {
-			e.pointBuf = make([]int, rank)
-		}
-		point = e.pointBuf[:rank]
+	if cap(e.pointBuf) < rank {
+		e.pointBuf = make([]int, rank)
 	}
+	point := e.pointBuf[:rank]
+	rec := e.tape.launch(l, n, rank)
 	for i := 0; i < n; i++ {
 		if e.steps++; e.steps >= cancelCheckEvery {
 			e.steps = 0
 			if err := e.ctx.Err(); err != nil {
 				return err
 			}
-		}
-		if deferKernels {
-			point = e.pointSlab[i*rank : (i+1)*rank]
 		}
 		l.Domain.DelinearizeInto(i, point)
 		leaf := mapPoint(point)
@@ -350,16 +351,8 @@ func (e *executor) runLaunch(l *Launch) error {
 			issueAt = e.endHist[0][leaf]
 		}
 		taskReady := issueAt
-		// One deferred Ctx per batch instance: the accounting below runs
-		// once for the point, while the real work fans out per instance.
-		ctxs := e.ctxBatch[:0]
-		if deferKernels {
-			for b := 0; b < e.batch; b++ {
-				c := e.getCtx()
-				c.Point = point
-				c.slot = b
-				ctxs = append(ctxs, c)
-			}
+		if rec != nil {
+			rec.addTask(point)
 		}
 		taskAccs := e.taskAccs[:0]
 		for qi := range reqs {
@@ -376,24 +369,17 @@ func (e *executor) runLaunch(l *Launch) error {
 				if at > taskReady {
 					taskReady = at
 				}
-				if len(ctxs) > 0 {
-					for _, c := range ctxs {
-						c.reads[q.Region.Name] = e.data[c.slot][q.Region]
-					}
-					e.readSet[q.Region] = true
+				if rec != nil {
+					rec.addRead(q.Region.Name, e.slotOf[q.Region])
 				}
 			default:
 				acc := e.writeTarget(q, leaf)
 				taskAccs = append(taskAccs, acc)
-				for _, c := range ctxs {
-					c.writes[q.Region.Name] = acc
+				if rec != nil {
+					rec.addWrite(acc.id, e.tape.accs)
 				}
 			}
 		}
-		if len(ctxs) > 0 {
-			e.realTasks = append(e.realTasks, ctxs...)
-		}
-		e.ctxBatch = ctxs[:0]
 		flops, bytes := 0.0, 0.0
 		if l.Kernel.Flops != nil {
 			flops = l.Kernel.Flops(point)
@@ -412,210 +398,10 @@ func (e *executor) runLaunch(l *Launch) error {
 		}
 		e.taskAccs = taskAccs[:0]
 	}
-	if deferKernels {
-		return e.runRealTasks(l)
+	if rec != nil {
+		rec.group(e.tape.accs)
 	}
 	return nil
-}
-
-// getCtx pops a recycled Ctx (or makes one) for a deferred Real-mode task.
-func (e *executor) getCtx() *Ctx {
-	if n := len(e.ctxFree); n > 0 {
-		c := e.ctxFree[n-1]
-		e.ctxFree = e.ctxFree[:n-1]
-		return c
-	}
-	return newCtx()
-}
-
-// runRealTasks executes the launch's deferred kernel invocations. Tasks are
-// grouped by write-safety — two tasks share a group when they write through
-// the same accumulator for the same batch instance, or through in-place
-// accumulators of one region whose rects overlap (possible under replicated
-// placements), again within one instance — via union-find. Groups touch
-// pairwise-disjoint memory, so they fan out over the worker pool; tasks
-// within a group run in their original point order on one worker, so
-// floating-point accumulation order, and hence every result bit, matches
-// serial (and single-instance) execution. If the launch reads a region some
-// task writes in place, cross-task order is observable through reads, so
-// each instance's tasks serialize wholesale — but only against each other:
-// distinct instances touch disjoint tensors and still run in parallel.
-func (e *executor) runRealTasks(l *Launch) error {
-	tasks := e.realTasks
-	if len(tasks) == 0 {
-		return nil
-	}
-	if dsp := e.sp.StartChild("real-drain"); dsp != nil {
-		dsp.SetAttr("tasks", fmt.Sprint(len(tasks)))
-		defer dsp.End()
-	}
-	defer func() {
-		for _, c := range tasks {
-			c.reset()
-			e.ctxFree = append(e.ctxFree, c)
-		}
-		e.realTasks = tasks[:0]
-	}()
-
-	serial := e.workers <= 1 || len(tasks) == 1
-	readAliased := false
-	if !serial {
-		for _, c := range tasks {
-			for _, a := range c.writes {
-				if a.inPlace && e.readSet[a.region] {
-					readAliased = true
-				}
-			}
-		}
-	}
-	if serial || (readAliased && e.batch == 1) {
-		for _, c := range tasks {
-			if err := e.ctx.Err(); err != nil {
-				return err
-			}
-			l.Kernel.Run(c)
-		}
-		return nil
-	}
-
-	// Union-find over task indices; path-halving find, min-root union keeps
-	// grouping deterministic.
-	parent := e.ufParent[:0]
-	for i := range tasks {
-		parent = append(parent, int32(i))
-	}
-	e.ufParent = parent[:0]
-	find := func(x int32) int32 {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	union := func(a, b int32) {
-		ra, rb := find(a), find(b)
-		if ra == rb {
-			return
-		}
-		if ra < rb {
-			parent[rb] = ra
-		} else {
-			parent[ra] = rb
-		}
-	}
-	if readAliased {
-		// Each instance serializes wholesale (reads may observe in-place
-		// writes), but instances never serialize against each other: union
-		// every task with the first task of its slot.
-		firstOfSlot := make([]int32, e.batch)
-		for i := range firstOfSlot {
-			firstOfSlot[i] = -1
-		}
-		for i, c := range tasks {
-			if firstOfSlot[c.slot] < 0 {
-				firstOfSlot[c.slot] = int32(i)
-				continue
-			}
-			union(int32(i), firstOfSlot[c.slot])
-		}
-	} else {
-		if e.accFirst == nil {
-			e.accFirst = map[accSlot]int32{}
-		}
-		clear(e.accFirst)
-		type ipAcc struct {
-			task int32
-			acc  *accumulator
-			slot int
-		}
-		var inPlace []ipAcc
-		for i, c := range tasks {
-			for _, a := range c.writes {
-				k := accSlot{acc: a, slot: c.slot}
-				if first, ok := e.accFirst[k]; ok {
-					union(int32(i), first)
-					continue
-				}
-				e.accFirst[k] = int32(i)
-				if a.inPlace {
-					for _, p := range inPlace {
-						if p.slot == c.slot && p.acc.region == a.region && p.acc.rect.Overlaps(a.rect) {
-							union(int32(i), p.task)
-						}
-					}
-					inPlace = append(inPlace, ipAcc{task: int32(i), acc: a, slot: c.slot})
-				}
-			}
-		}
-	}
-
-	// Bucket tasks by component, buckets ordered by first member, members in
-	// point order.
-	bucketOf := map[int32]int{}
-	var buckets [][]*Ctx
-	for i := range tasks {
-		r := find(int32(i))
-		b, ok := bucketOf[r]
-		if !ok {
-			b = len(buckets)
-			bucketOf[r] = b
-			buckets = append(buckets, nil)
-		}
-		buckets[b] = append(buckets[b], tasks[i])
-	}
-
-	w := min(e.workers, len(buckets))
-	if w <= 1 {
-		for _, c := range tasks {
-			if err := e.ctx.Err(); err != nil {
-				return err
-			}
-			l.Kernel.Run(c)
-		}
-		return nil
-	}
-	var next atomic.Int32
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var panicked any
-	var runErr error
-	for k := 0; k < w; k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					mu.Lock()
-					if panicked == nil {
-						panicked = r
-					}
-					mu.Unlock()
-				}
-			}()
-			for {
-				bi := int(next.Add(1) - 1)
-				if bi >= len(buckets) {
-					return
-				}
-				for _, c := range buckets[bi] {
-					if err := e.ctx.Err(); err != nil {
-						mu.Lock()
-						if runErr == nil {
-							runErr = err
-						}
-						mu.Unlock()
-						return
-					}
-					l.Kernel.Run(c)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if panicked != nil {
-		panic(panicked)
-	}
-	return runErr
 }
 
 // ensureLocal makes the data of requirement q available in leaf's memory and
@@ -841,26 +627,22 @@ func (e *executor) writeTarget(q *Req, leaf int) *accumulator {
 		inPlace: inPlace,
 		leaf:    leaf,
 	}
-	if e.opt.Real {
-		a.bufs = make([]accBuf, e.batch)
-		for b := range a.bufs {
-			a.bufs[b].canon = e.data[b][q.Region]
-		}
-	}
 	if !inPlace {
 		// Simulated memory is charged once regardless of batch size: the
 		// accounting walk models one instance, and batching must not perturb
 		// its metrics.
 		e.s.Alloc(leaf, q.Region.Bytes(q.Rect))
-		if e.opt.Real {
-			shape := make([]int, q.Rect.Rank())
-			for d := range shape {
-				shape[d] = q.Rect.Extent(d)
-			}
-			for b := range a.bufs {
-				a.bufs[b].data = tensor.New(q.Region.Name+"_acc", shape...)
+	}
+	if e.tape != nil {
+		a.id = int32(len(e.tape.accs))
+		ta := tapeAcc{name: q.Region.Name, slot: e.slotOf[q.Region], rect: q.Rect, inPlace: inPlace, reduce: q.Priv == ReduceSum}
+		if !inPlace {
+			ta.shape = make([]int, q.Rect.Rank())
+			for d := range ta.shape {
+				ta.shape[d] = q.Rect.Extent(d)
 			}
 		}
+		e.tape.accs = append(e.tape.accs, ta)
 	}
 	e.accs[key] = a
 	e.accSeq = append(e.accSeq, a)
@@ -871,8 +653,9 @@ func (e *executor) writeTarget(q *Req, leaf int) *accumulator {
 // owner instances of its region. Groups of ReduceSum accumulators covering
 // the same rect are merged by a binary combining tree (as Legion's reduction
 // trees do) before the final copy to the owner; other privileges copy
-// directly. Copy and combine costs are charged; in Real mode each
-// accumulator's data is combined into the canonical tensor.
+// directly. Copy and combine costs are charged. The data side of the flush —
+// folding task-local buffers into the region's data in accSeq order — is
+// Execute's, in the order the tape records.
 //
 // For multi-stage runs the flush also publishes the written state to later
 // stages: every written region is marked dirty (stale transients are dropped
@@ -885,16 +668,6 @@ func (e *executor) writeTarget(q *Req, leaf int) *accumulator {
 func (e *executor) flushAccumulators() {
 	for _, a := range e.accSeq {
 		e.reg[a.region].dirty = true
-	}
-	if e.opt.Real {
-		for _, a := range e.accSeq {
-			if a.inPlace {
-				continue
-			}
-			for b := range a.bufs {
-				a.bufs[b].canon.FoldRect(a.bufs[b].data, a.rect, a.combine == ReduceSum)
-			}
-		}
 	}
 	// Group same-rect ReduceSum accumulators per region for tree merging.
 	type groupKey struct {

@@ -2,7 +2,6 @@ package legion
 
 import (
 	"distal/internal/sim"
-	"distal/internal/tensor"
 )
 
 // Option is a functional modifier of Options. The Run/Simulate/SimulateOpts
@@ -18,25 +17,6 @@ func NewOptions(params sim.Params, mods ...Option) Options {
 		m(&o)
 	}
 	return o
-}
-
-// WithReal executes leaf kernels on actual data (correctness mode).
-func WithReal() Option { return func(o *Options) { o.Real = true } }
-
-// WithData binds per-execution canonical data by region name (implies
-// nothing about Real; combine with WithReal). The binding overrides
-// Region.Data, letting a shared cached program run on caller-owned tensors.
-func WithData(data map[string]*tensor.Dense) Option {
-	return func(o *Options) { o.Data = data }
-}
-
-// WithBatch binds N independent problem instances (one data map each) to a
-// single execution: the launch walk and all simulated-time accounting run
-// once, while real leaf tasks fan out per (instance × task) over the worker
-// pool. Implies nothing about Real; combine with WithReal. Instances must
-// not share output tensors.
-func WithBatch(batch []map[string]*tensor.Dense) Option {
-	return func(o *Options) { o.Batch = batch }
 }
 
 // WithParams replaces the cost model NewOptions was seeded with.

@@ -6,13 +6,15 @@
 // places tasks on processors, and implicit communication realized by copies
 // from the nearest valid instance.
 //
-// Programs execute in two modes sharing one code path:
+// Programs execute in two modes sharing one analysis (Analyse):
 //
-//   - Real: leaf kernels compute on actual float64 data, and the result can
-//     be compared against the reference evaluator. Used for correctness.
-//   - Simulated (the default): data is never materialized; the same task
-//     graph is walked and every copy and task is priced by internal/sim.
-//     Used to reproduce the paper's large-scale experiments.
+//   - Simulated (the default): data is never materialized; the task graph
+//     is walked and every copy and task is priced by internal/sim. Used to
+//     reproduce the paper's large-scale experiments.
+//   - Real: the same walk also records a data-free Tape of the tasks, and
+//     Tape.Execute runs their leaf kernels on actual float64 data, so the
+//     result can be compared against the reference evaluator. A tape is
+//     immutable: a cached plan analyses once and executes many times.
 //
 // The executor keeps per-region instance indexes so that source selection
 // and reduction flushes scan candidates rather than the whole instance

@@ -3,7 +3,7 @@ package legion
 import (
 	"context"
 	"fmt"
-	"runtime"
+	"strconv"
 
 	"distal/internal/machine"
 	"distal/internal/obs"
@@ -58,13 +58,43 @@ type Stage struct {
 // A single-stage call is exactly RunContext: the per-stage sequence
 // (place, launches, flush) reduces to the single-program event loop, so
 // simulated metrics of one-stage runs are bit-identical to the
-// single-program path by construction.
+// single-program path by construction. A Real run is Analyse, then Execute
+// on Options.Batch (or Options.Data as one instance).
 func RunStages(ctx context.Context, stages []Stage, opt Options) (*Result, error) {
+	if len(opt.Batch) > 0 && !opt.Real {
+		return nil, fmt.Errorf("legion: Options.Batch requires Real mode")
+	}
+	t, err := Analyse(ctx, stages, opt)
+	if err != nil {
+		return nil, err
+	}
+	if !opt.Real {
+		return &t.res, nil
+	}
+	instances := opt.Batch
+	if len(instances) == 0 {
+		instances = []map[string]*tensor.Dense{opt.Data}
+	}
+	if err := t.Execute(ctx, instances, opt.RealWorkers); err != nil {
+		return nil, err
+	}
+	return t.Result(), nil
+}
+
+// Analyse walks the stages once, serially, and returns what the walk
+// learned: the simulated Result and, when opt.Real, the tape of tasks a
+// Real execution replays (see Tape). Everything it does is independent of
+// the data, so a tape analysed once serves any number of executions under
+// options with equal Accounting. A simulation records no tasks. Analyse
+// checks ctx between launches and every cancelCheckEvery points, and opens
+// an "analyse" span; a simulation's walk also opens the "run-stage" and
+// "launch" spans a Real execution leaves to Execute.
+func Analyse(ctx context.Context, stages []Stage, opt Options) (*Tape, error) {
 	if len(stages) == 0 {
 		return nil, fmt.Errorf("legion: no stages to run")
 	}
 	if opt.TransientWindow == 0 {
-		opt.TransientWindow = 2
+		opt.TransientWindow = defaultTransientWindow
 	}
 	if opt.TransientWindow < 0 {
 		return nil, fmt.Errorf("legion: negative TransientWindow %d", opt.TransientWindow)
@@ -78,6 +108,9 @@ func RunStages(ctx context.Context, stages []Stage, opt Options) (*Result, error
 			return nil, fmt.Errorf("legion: stage %d targets a different machine than stage 0", i)
 		}
 	}
+	actx, asp := obs.Start(ctx, "analyse")
+	defer asp.End()
+	asp.SetAttr("cached", "false")
 	e := &executor{
 		prog:   first,
 		opt:    opt,
@@ -89,39 +122,30 @@ func RunStages(ctx context.Context, stages []Stage, opt Options) (*Result, error
 		accs:   map[accKey]*accumulator{},
 	}
 	e.coord = make([]int, e.lg.Rank())
-	e.workers = opt.RealWorkers
-	if e.workers <= 0 {
-		e.workers = min(runtime.GOMAXPROCS(0), 16)
-	}
-	e.batch = 1
-	if n := len(opt.Batch); n > 0 {
-		if !opt.Real {
-			return nil, fmt.Errorf("legion: Options.Batch requires Real mode")
-		}
-		e.batch = n
-	}
+	t := &Tape{real: opt.Real}
 	if opt.Real {
-		e.binds = opt.Batch
-		if len(e.binds) == 0 {
-			e.binds = []map[string]*tensor.Dense{opt.Data}
-		}
-		e.data = make([]map[*Region]*tensor.Dense, len(e.binds))
-		for b := range e.data {
-			e.data[b] = map[*Region]*tensor.Dense{}
-		}
+		e.tape = t
+		e.slotOf = map[*Region]int32{}
 	}
 	for si := range stages {
 		st := &stages[si]
 		e.prog = st.Prog
-		_, ssp := obs.Start(ctx, "run-stage")
-		ssp.SetAttr("stage", fmt.Sprint(si))
-		if st.Label != "" {
-			ssp.SetAttr("output", st.Label)
+		var ssp *obs.Span
+		if opt.Real {
+			t.stages = append(t.stages, tapeStage{label: st.Label, repart: st.Repart, acc0: len(t.accs)})
+		} else {
+			_, ssp = obs.Start(actx, "run-stage")
 		}
-		if st.Repart {
-			ssp.SetAttr("repart", "true")
+		if ssp != nil {
+			ssp.SetAttr("stage", strconv.Itoa(si))
+			if st.Label != "" {
+				ssp.SetAttr("output", st.Label)
+			}
+			if st.Repart {
+				ssp.SetAttr("repart", "true")
+			}
+			ssp.SetAttr("launches", strconv.Itoa(len(st.Prog.Launches)))
 		}
-		ssp.SetAttr("launches", fmt.Sprint(len(st.Prog.Launches)))
 		if err := e.placeStage(si, st); err != nil {
 			ssp.End()
 			return nil, err
@@ -142,9 +166,7 @@ func RunStages(ctx context.Context, stages []Stage, opt Options) (*Result, error
 			e.launchEnds = ends
 			lsp := ssp.StartChild("launch")
 			lsp.SetAttr("name", l.Name)
-			e.sp = lsp
 			err := e.runLaunch(l)
-			e.sp = nil
 			lsp.End()
 			if err != nil {
 				ssp.End()
@@ -160,9 +182,12 @@ func RunStages(ctx context.Context, stages []Stage, opt Options) (*Result, error
 			}
 		}
 		e.flushAccumulators()
+		if opt.Real {
+			t.stages[si].acc1 = len(t.accs)
+		}
 		ssp.End()
 	}
-	res := &Result{
+	t.res = Result{
 		Time:         e.s.Makespan(),
 		Flops:        e.s.FlopsTotal,
 		IntraBytes:   e.s.IntraBytes,
@@ -171,14 +196,13 @@ func RunStages(ctx context.Context, stages []Stage, opt Options) (*Result, error
 		PeakMemBytes: e.s.PeakMem(),
 		Trace:        e.trace,
 	}
-	res.OOM, res.OOMLeaf, _ = e.s.OOM()
-	return res, nil
+	t.res.OOM, t.res.OOMLeaf, _ = e.s.OOM()
+	return t, nil
 }
 
 // placeStage resolves stage si's regions: regions named by a Handoff adopt
-// the producing stage's instance state (and, in Real mode, its canonical
-// data) in place, the rest are validated and placed exactly as an initial
-// placement.
+// the producing stage's instance state (and, in a Real analysis, its data
+// slot) in place, the rest are placed exactly as an initial placement.
 func (e *executor) placeStage(si int, st *Stage) error {
 	inherit := map[string]Handoff{}
 	for _, h := range st.Inherit {
@@ -202,9 +226,7 @@ func (e *executor) placeStage(si int, st *Stage) error {
 		named[r.Name] = r
 		h, adopted := inherit[r.Name]
 		if !adopted {
-			if err := e.placeRegion(r); err != nil {
-				return err
-			}
+			e.placeRegion(r)
 			continue
 		}
 		delete(inherit, r.Name)
@@ -227,10 +249,8 @@ func (e *executor) placeStage(si int, st *Stage) error {
 			rs.dirty = false
 		}
 		e.reg[r] = rs
-		for b := range e.data {
-			if d := e.data[b][src]; d != nil {
-				e.data[b][r] = d
-			}
+		if e.slotOf != nil {
+			e.slotOf[r] = e.slotOf[src]
 		}
 	}
 	for to := range inherit {
@@ -240,32 +260,13 @@ func (e *executor) placeStage(si int, st *Stage) error {
 	return nil
 }
 
-// placeRegion validates a fresh region's data binding and creates the
-// persistent owner instances its placement dictates, charging their memory.
-func (e *executor) placeRegion(r *Region) error {
-	if e.opt.Real {
-		for b, bind := range e.binds {
-			inst := ""
-			if e.batch > 1 {
-				inst = fmt.Sprintf(" (instance %d)", b)
-			}
-			d := bind[r.Name]
-			if d == nil {
-				d = r.Data
-			}
-			if d == nil {
-				return fmt.Errorf("legion: Real execution requires data bound to region %s%s", r.Name, inst)
-			}
-			if len(d.Shape()) != len(r.Shape) {
-				return fmt.Errorf("legion: data bound to region %s%s has rank %d, want %d", r.Name, inst, len(d.Shape()), len(r.Shape))
-			}
-			for dim := range r.Shape {
-				if d.Shape()[dim] != r.Shape[dim] {
-					return fmt.Errorf("legion: data bound to region %s%s has shape %v, want %v", r.Name, inst, d.Shape(), r.Shape)
-				}
-			}
-			e.data[b][r] = d
-		}
+// placeRegion creates the persistent owner instances a fresh region's
+// placement dictates, charging their memory; a Real analysis gives the
+// region a data slot of its own, bound per execution.
+func (e *executor) placeRegion(r *Region) {
+	if e.tape != nil {
+		e.slotOf[r] = int32(len(e.tape.slots))
+		e.tape.slots = append(e.tape.slots, r)
 	}
 	// Owner rects are narrowed in place in one backing slab: a leaf that
 	// owns nothing leaves its slot to the next leaf.
@@ -307,7 +308,6 @@ func (e *executor) placeRegion(r *Region) error {
 	}
 	rs.owners = newOwnerIndex(rs.persistent, rank)
 	e.reg[r] = rs
-	return nil
 }
 
 // dropTransients frees every live transient instance of a region and resets

@@ -99,11 +99,17 @@ func (s *Span) StartChild(name string) *Span {
 
 // SetAttr annotates the span; no-op on nil.
 func (s *Span) SetAttr(key, val string) {
+	s.SetAttrs(Attr{Key: key, Val: val})
+}
+
+// SetAttrs annotates the span with several attributes under one lock; no-op
+// on nil.
+func (s *Span) SetAttrs(attrs ...Attr) {
 	if s == nil {
 		return
 	}
 	s.trace.mu.Lock()
-	s.attrs = append(s.attrs, Attr{Key: key, Val: val})
+	s.attrs = append(s.attrs, attrs...)
 	s.trace.mu.Unlock()
 }
 

@@ -42,7 +42,7 @@ type Trace struct {
 // span; id becomes the trace's key in a Ring. The caller must Finish the
 // trace before exporting or publishing it.
 func NewTrace(ctx context.Context, id, rootName string) (*Trace, context.Context) {
-	t := &Trace{id: id, begin: time.Now()}
+	t := &Trace{id: id, begin: time.Now(), spans: make([]*Span, 0, spanChunk)}
 	root := t.newSpan(rootName, -1)
 	return t, WithSpan(ctx, root)
 }

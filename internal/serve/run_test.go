@@ -6,10 +6,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"distal"
@@ -519,5 +521,46 @@ func TestRunStreamsChunked(t *testing.T) {
 	}
 	if got, want := out.Shape()[0], 64; got != want {
 		t.Fatalf("output dim = %d, want %d", got, want)
+	}
+}
+
+// TestClientReusesConnection: wire.Client reads every response to its end,
+// so sequential runs, single and batched, share one keep-alive connection.
+func TestClientReusesConnection(t *testing.T) {
+	c := runCases()[0]
+	ts := httptest.NewServer(New(distal.NewSession(c.machine()), Config{}))
+	defer ts.Close()
+	var (
+		dials  atomic.Int64
+		dialer net.Dialer
+	)
+	transport := &http.Transport{DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+		dials.Add(1)
+		return dialer.DialContext(ctx, network, addr)
+	}}
+	defer transport.CloseIdleConnections()
+	client := &wire.Client{BaseURL: ts.URL, HTTP: &http.Client{Transport: transport}}
+
+	ctx := context.Background()
+	req, data := inputsFor(t, c, 1)
+	batched := req
+	two := 2
+	batched.Batch = &two
+	for i := 0; i < 10; i++ {
+		if _, _, err := client.Run(ctx, req, data); err != nil {
+			t.Fatal(err)
+		}
+		outcome, err := client.RunBatch(ctx, batched, []map[string]*tensor.Dense{data, data})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range outcome.Errs {
+			if e != nil {
+				t.Fatal(e)
+			}
+		}
+	}
+	if n := dials.Load(); n != 1 {
+		t.Fatalf("20 sequential runs dialed %d connections, want 1", n)
 	}
 }

@@ -112,6 +112,9 @@ func (c *Client) Run(ctx context.Context, req RunRequest, data map[string]*tenso
 	if err != nil {
 		return nil, nil, fmt.Errorf("wire: decoding response: %w", err)
 	}
+	if err := expectEOF(resp.Body); err != nil {
+		return nil, nil, err
+	}
 	return out.Rename(stats.Output), &stats, nil
 }
 
@@ -266,7 +269,27 @@ func (c *Client) RunBatch(ctx context.Context, req RunRequest, batch []map[strin
 		}
 		out.Outputs[i] = t.Rename(out.Stats.Output)
 	}
+	if err := expectEOF(resp.Body); err != nil {
+		return nil, err
+	}
 	return out, nil
+}
+
+// expectEOF reads the response body to its end after the last frame: a
+// body read to EOF lets net/http keep the connection for the next request,
+// where an unread one closes it. The read is one byte: anything there is a
+// trailing byte the protocol does not allow.
+func expectEOF(body io.Reader) error {
+	var probe [1]byte
+	n, err := io.ReadFull(body, probe[:])
+	switch {
+	case n > 0:
+		return fmt.Errorf("wire: trailing bytes after the last response frame")
+	case err == io.EOF:
+		return nil
+	default:
+		return fmt.Errorf("wire: reading the end of the response: %w", err)
+	}
 }
 
 // wireOrder returns the names of req's wire-marked inputs in frame order —

@@ -3,6 +3,7 @@ package distal
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"distal/internal/codegen"
@@ -14,30 +15,94 @@ import (
 // the compiled runtime program plus the descriptive metadata a service wants
 // to report (schedule text, concrete index notation, program size). One
 // planData is shared by every Plan handle resolved from the cache; nothing
-// in it is mutated after compilation.
+// in it is mutated after compilation except the tape cache, which fills
+// once.
 type planData struct {
 	prog         *legion.Program
+	stages       []legion.Stage // prog as the one stage it runs as
 	scheduleText string
 	notation     string
 	output       string   // LHS tensor/region name
 	tensorNames  []string // statement order: LHS first, then RHS left to right
 	launches     int
 	points       int // total index-launch domain points
+	tape         tapeCache
 }
 
 func newPlanData(prog *legion.Program, scheduleText, notation, output string, tensorNames []string) *planData {
 	pd := &planData{
 		prog:         prog,
+		stages:       []legion.Stage{{Prog: prog}},
 		scheduleText: scheduleText,
 		notation:     notation,
 		output:       output,
 		tensorNames:  tensorNames,
 		launches:     len(prog.Launches),
+		tape:         newTapeCache(),
 	}
 	for _, l := range prog.Launches {
 		pd.points += l.Domain.Size()
 	}
 	return pd
+}
+
+// tapeCache holds a plan's Real analysis under its default options: built by
+// the first Real run, under that run's context, and replayed by every later
+// one. Concurrent first runs wait for one build instead of each walking; a
+// build that fails or is canceled is not kept, so the next run builds
+// afresh.
+type tapeCache struct {
+	build chan struct{} // one slot, held while a build runs
+	tape  atomic.Pointer[legion.Tape]
+}
+
+func newTapeCache() tapeCache { return tapeCache{build: make(chan struct{}, 1)} }
+
+// execute runs stages on instances under params plus opts: Execute on the
+// cached tape when opts leave the accounting at its defaults, on a fresh
+// analysis when they change it (a cost model, tracing, synchronous or
+// owner-only copies, a transient window). It returns the analysis' metrics.
+func (c *tapeCache) execute(ctx context.Context, stages []legion.Stage, params Params, instances []map[string]*tensor.Dense, opts []ExecOption) (*Result, error) {
+	opt := legion.NewOptions(params, opts...)
+	opt.Real = true
+	var (
+		t   *legion.Tape
+		err error
+	)
+	if opt.Accounting() == legion.NewOptions(params).Accounting() {
+		t, err = c.get(ctx, stages, opt)
+	} else {
+		t, err = legion.Analyse(ctx, stages, opt)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if err := t.Execute(ctx, instances, opt.RealWorkers); err != nil {
+		return nil, err
+	}
+	return t.Result(), nil
+}
+
+// get returns the cached tape, building it under opt if there is none.
+func (c *tapeCache) get(ctx context.Context, stages []legion.Stage, opt legion.Options) (*legion.Tape, error) {
+	if t := c.tape.Load(); t != nil {
+		return t, nil
+	}
+	select {
+	case c.build <- struct{}{}:
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+	defer func() { <-c.build }()
+	if t := c.tape.Load(); t != nil {
+		return t, nil // another run built it while this one waited
+	}
+	t, err := legion.Analyse(ctx, stages, opt)
+	if err != nil {
+		return nil, err
+	}
+	c.tape.Store(t)
+	return t, nil
 }
 
 // CompileStats describes how one Compile call was satisfied.
@@ -62,7 +127,8 @@ type CompileStats struct {
 // caches, and executes many times. A Plan never holds data — Simulate walks
 // the task graph under the cost model, and Bind attaches caller-owned
 // tensors per execution — so one Plan is safe for concurrent use from any
-// number of goroutines.
+// number of goroutines. The first Real run analyses the task graph once for
+// every later run of the plan, from any handle the cache hands out.
 //
 // The lifecycle is Compile → (Simulate | Bind.Run)*, whether the plan comes
 // from a Request or a fluent Computation:
@@ -148,14 +214,11 @@ func (p *Plan) Simulate(ctx context.Context, opts ...ExecOption) (*Result, error
 // touched, so concurrent executions on different data do not interfere.
 // Binding errors surface at Run.
 func (p *Plan) Bind(tensors ...*Tensor) *Binding {
-	b := &Binding{plan: p, data: map[string]*tensor.Dense{}}
-	regions := map[string][]int{}
-	for _, r := range p.data.prog.Regions {
-		regions[r.Name] = r.Shape
-	}
+	regions := p.data.prog.Regions
+	b := &Binding{plan: p, data: make(map[string]*tensor.Dense, len(regions))}
 	for _, t := range tensors {
-		shape, ok := regions[t.Name]
-		if !ok {
+		shape := p.Shape(t.Name)
+		if shape == nil {
 			b.err = wrapErr(KindExec, "bind", fmt.Errorf("plan has no tensor %s", t.Name))
 			return b
 		}
@@ -178,9 +241,9 @@ func (p *Plan) Bind(tensors ...*Tensor) *Binding {
 			b.out = t
 		}
 	}
-	for name := range regions {
-		if _, ok := b.data[name]; !ok {
-			b.err = wrapErr(KindExec, "bind", fmt.Errorf("no data bound for tensor %s", name))
+	for _, r := range regions {
+		if _, ok := b.data[r.Name]; !ok {
+			b.err = wrapErr(KindExec, "bind", fmt.Errorf("no data bound for tensor %s", r.Name))
 			return b
 		}
 	}
@@ -217,8 +280,8 @@ func (b *Binding) Run(ctx context.Context, opts ...ExecOption) (*Result, error) 
 	if err := ctx.Err(); err != nil {
 		return nil, wrapErr(KindCanceled, "run", err)
 	}
-	mods := append([]ExecOption{legion.WithReal(), legion.WithData(b.data)}, opts...)
-	res, err := legion.RunContext(ctx, b.plan.data.prog, legion.NewOptions(b.plan.execParams(), mods...))
+	pd := b.plan.data
+	res, err := pd.tape.execute(ctx, pd.stages, b.plan.execParams(), []map[string]*tensor.Dense{b.data}, opts)
 	if err != nil {
 		return nil, wrapErr(KindExec, "run", err)
 	}

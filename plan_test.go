@@ -342,30 +342,40 @@ func TestCompileSingleflight(t *testing.T) {
 // inherit the leader's cancellation — they retry and compile successfully.
 func TestSingleflightCanceledLeader(t *testing.T) {
 	sess := NewSession(NewMachine(CPU, 4, 4))
-	leaderCtx, cancelLeader := context.WithCancel(context.Background())
-
-	leaderIn := make(chan struct{})
+	// The leader is held inside its flight (at the compiler's entry check)
+	// until the follower is parked on that flight; then the leader's
+	// context reports cancellation.
+	leaderCtx := newGateCtx()
+	followerCtx := &doneSignalCtx{Context: context.Background(), waiting: make(chan struct{})}
 	leaderOut := make(chan error, 1)
 	go func() {
-		close(leaderIn)
 		_, err := sess.Compile(leaderCtx, bigRequest())
 		leaderOut <- err
 	}()
-	<-leaderIn
-	time.Sleep(time.Millisecond) // let the leader enter the flight
-	cancelLeader()
+	<-leaderCtx.entered
+	type outcome struct {
+		plan *Plan
+		err  error
+	}
+	followerOut := make(chan outcome, 1)
+	go func() {
+		plan, err := sess.Compile(followerCtx, bigRequest())
+		followerOut <- outcome{plan, err}
+	}()
+	<-followerCtx.waiting
+	close(leaderCtx.release)
+	if err := <-leaderOut; KindOf(err) != KindCanceled {
+		t.Fatalf("leader: kind = %v (err %v), want KindCanceled", KindOf(err), err)
+	}
 
-	// A follower with a live context must end up with a valid plan even if
-	// it briefly joined the canceled leader's flight.
-	plan, err := sess.Compile(context.Background(), bigRequest())
-	if err != nil {
-		t.Fatalf("follower inherited the leader's fate: %v", err)
+	// The follower, whose context is alive, must end up with a valid plan
+	// although it joined the canceled leader's flight.
+	got := <-followerOut
+	if got.err != nil {
+		t.Fatalf("follower inherited the leader's fate: %v", got.err)
 	}
-	if plan.Key() == "" {
+	if got.plan.Key() == "" {
 		t.Fatal("follower got an empty plan")
-	}
-	if err := <-leaderOut; err != nil && KindOf(err) != KindCanceled {
-		t.Fatalf("leader failed with kind %v, want KindCanceled or success", KindOf(err))
 	}
 }
 

@@ -25,7 +25,8 @@ import (
 //
 // Like Plan, a ProgramPlan is data-free and safe for concurrent use: bind
 // leaf-input data per execution with Bind or BindBatch; intermediates and
-// outputs are allocated privately per binding.
+// outputs are allocated privately per binding. Its first Real run analyses
+// the DAG once for every later run of this ProgramPlan.
 type ProgramPlan struct {
 	sess   *Session
 	prog   *program.Program
@@ -33,6 +34,7 @@ type ProgramPlan struct {
 	ls     []legion.Stage
 	key    string
 	stats  CompileStats
+	tape   tapeCache
 }
 
 // programStage is one stage of the compiled DAG: a source statement's plan
@@ -172,7 +174,7 @@ func (s *Session) CompileProgram(ctx context.Context, req Request) (*ProgramPlan
 		placedAt[layoutKey(lhs, canon[lhs])] = placed{idx: idx, region: lhs}
 	}
 
-	pp := &ProgramPlan{sess: s, prog: prog, stages: built, stats: CompileStats{Cached: true}}
+	pp := &ProgramPlan{sess: s, prog: prog, stages: built, stats: CompileStats{Cached: true}, tape: newTapeCache()}
 	h := sha256.New()
 	for _, st := range built {
 		pp.ls = append(pp.ls, legion.Stage{Prog: st.plan.data.prog, Inherit: st.inherit, Label: st.output, Repart: st.repart})
@@ -449,8 +451,7 @@ func (b *ProgramBinding) Run(ctx context.Context, opts ...ExecOption) (*Result, 
 	if err := ctx.Err(); err != nil {
 		return nil, wrapErr(KindCanceled, "run", err)
 	}
-	mods := append([]ExecOption{legion.WithReal(), legion.WithData(b.data)}, opts...)
-	res, err := legion.RunStages(ctx, b.plan.ls, legion.NewOptions(b.plan.execParams(), mods...))
+	res, err := b.plan.tape.execute(ctx, b.plan.ls, b.plan.execParams(), []map[string]*tensor.Dense{b.data}, opts)
 	if err != nil {
 		return nil, wrapErr(KindExec, "run", err)
 	}
@@ -458,7 +459,7 @@ func (b *ProgramBinding) Run(ctx context.Context, opts ...ExecOption) (*Result, 
 }
 
 // ProgramBatchBinding is a ProgramPlan bound to N independent problem
-// instances: one launch walk per stage covers the whole batch, with each
+// instances: the plan's one analysis covers the whole batch, with each
 // instance's intermediates and outputs private to it.
 type ProgramBatchBinding struct {
 	plan  *ProgramPlan
@@ -502,9 +503,9 @@ func (bb *ProgramBatchBinding) Output(i int) *Tensor {
 	return bb.outs[i]
 }
 
-// Run executes the plan DAG on every bound instance in one walk per stage
-// and returns one Result per instance (identical metrics: the accounting
-// runs once, as with Plan batching).
+// Run executes the plan DAG on every bound instance and returns one Result
+// per instance (identical metrics: the accounting runs once, as with Plan
+// batching).
 func (bb *ProgramBatchBinding) Run(ctx context.Context, opts ...ExecOption) ([]*Result, error) {
 	if bb.err != nil {
 		return nil, bb.err
@@ -512,8 +513,7 @@ func (bb *ProgramBatchBinding) Run(ctx context.Context, opts ...ExecOption) ([]*
 	if err := ctx.Err(); err != nil {
 		return nil, wrapErr(KindCanceled, "run-batch", err)
 	}
-	mods := append([]ExecOption{legion.WithReal(), legion.WithBatch(bb.insts)}, opts...)
-	res, err := legion.RunStages(ctx, bb.plan.ls, legion.NewOptions(bb.plan.execParams(), mods...))
+	res, err := bb.plan.tape.execute(ctx, bb.plan.ls, bb.plan.execParams(), bb.insts, opts)
 	if err != nil {
 		return nil, wrapErr(KindExec, "run-batch", err)
 	}
