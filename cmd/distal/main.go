@@ -247,7 +247,7 @@ func runAlg(alg string, n, procs int, gpu, simulate, trace bool, maxPoints int) 
 	}
 	return show(codegen.Program(prog, maxPoints), simulate, trace,
 		func(ctx context.Context, mods ...distal.ExecOption) (*distal.Result, error) {
-			return legion.RunContext(ctx, prog, legion.NewOptions(params(gpu), mods...))
+			return legion.RunStages(ctx, []legion.Stage{{Prog: prog}}, legion.NewOptions(params(gpu), mods...))
 		})
 }
 

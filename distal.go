@@ -35,6 +35,12 @@
 // (KindParse, KindSchedule, KindCompile, KindExec, KindCanceled).
 // cmd/distal-serve exposes all of this over HTTP/JSON (see internal/serve).
 //
+// Session.CompileProgram compiles a multi-statement Request into a
+// ProgramPlan whose intermediates stay distributed between stages. It
+// simulates and binds exactly as a Plan does, because a Plan runs as a
+// one-stage program: Bind returns a Binding, BindBatch and BindStacked a
+// BatchBinding, and a Binding is a BatchBinding of one instance.
+//
 // For programmatic construction, the fluent layer mirrors Figure 2 of the
 // paper and compiles to the same cached Plan:
 //

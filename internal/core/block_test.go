@@ -180,7 +180,7 @@ func TestBlockKernelMatchesTree(t *testing.T) {
 					want := make([]*tensor.Dense, instances)
 					for b := range want {
 						bind := cloneData(data[b])
-						if _, err := legion.Run(treeProg, legion.Options{Params: sim.LassenCPU(), Real: true, RealWorkers: 1, Data: bind}); err != nil {
+						if _, err := legion.Run(treeProg, legion.Options{Params: sim.LassenCPU(), Real: true, RealWorkers: 1, Batch: []map[string]*tensor.Dense{bind}}); err != nil {
 							t.Fatal(err)
 						}
 						want[b] = bind[lhs]

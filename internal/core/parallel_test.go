@@ -64,7 +64,7 @@ func TestParallelLeafTasksMatchSerial(t *testing.T) {
 			execute := func(workers int) (*tensor.Dense, error) {
 				data := matmulData(n)
 				_, err := legion.Run(prog, legion.Options{
-					Params: sim.LassenCPU(), Real: true, RealWorkers: workers, Data: data,
+					Params: sim.LassenCPU(), Real: true, RealWorkers: workers, Batch: []map[string]*tensor.Dense{data},
 				})
 				return data["A"], err
 			}
@@ -112,7 +112,7 @@ func TestParallelSharedPlanConcurrentRuns(t *testing.T) {
 	execute := func(workers int) (*tensor.Dense, error) {
 		data := matmulData(50)
 		_, err := legion.Run(prog, legion.Options{
-			Params: sim.LassenCPU(), Real: true, RealWorkers: workers, Data: data,
+			Params: sim.LassenCPU(), Real: true, RealWorkers: workers, Batch: []map[string]*tensor.Dense{data},
 		})
 		return data["A"], err
 	}

@@ -18,18 +18,17 @@ type Options struct {
 	// the run is Analyse, which records the tasks on a Tape, then
 	// Tape.Execute on the bound data.
 	Real bool
-	// Data binds per-execution canonical data by region name, overriding
-	// Region.Data. A cached (immutable, data-free) program can thereby run
-	// Real-mode executions on different tensors concurrently: the binding
-	// lives in the execution, not in the shared plan.
-	Data map[string]*tensor.Dense
-	// Batch binds N independent problem instances, one data map per
-	// instance, and runs them all on one analysis: simulated-time
-	// accounting runs exactly once (metrics are identical to a
-	// single-instance run), while every (instance × task group) drains over
-	// the worker pool, so instances never serialize against each other.
-	// Requires Real; when set, Data is ignored. Instances must not share
-	// output tensors with each other (inputs may be shared).
+	// Batch binds per-execution canonical data by region name, overriding
+	// Region.Data, for N independent problem instances; a single run is a
+	// batch of one, and an empty Batch runs one instance on Region.Data. A
+	// cached (immutable, data-free) program can thereby run Real-mode
+	// executions on different tensors concurrently: the binding lives in the
+	// execution, not in the shared plan. The instances share one analysis —
+	// simulated-time accounting runs exactly once, so metrics are identical
+	// to a single-instance run — while every (instance × task group) drains
+	// over the worker pool, so instances never serialize against each other.
+	// Requires Real. Instances must not share output tensors with each other
+	// (inputs may be shared).
 	Batch []map[string]*tensor.Dense
 	// Synchronous disables communication/computation overlap: copies cannot
 	// start before the destination processor is idle, and a global barrier
@@ -60,8 +59,7 @@ const defaultTransientWindow = 2
 
 // Accounting is the part of Options an analysis depends on: two option sets
 // with equal Accounting walk identically, so a tape analysed under one
-// serves the other. Real, Data, Batch and RealWorkers only matter to
-// Execute.
+// serves the other. Real, Batch and RealWorkers only matter to Execute.
 type Accounting struct {
 	Params          sim.Params
 	Synchronous     bool
@@ -277,9 +275,10 @@ type executor struct {
 	spareEnds  []float64   // the last launch dropped from endHist, reused by the next
 }
 
-// Run executes the program under the given options.
+// Run executes the program under the given options: RunStages of the
+// program as its one stage, without cancellation.
 func Run(p *Program, opt Options) (*Result, error) {
-	return RunContext(context.Background(), p, opt)
+	return RunStages(context.Background(), []Stage{{Prog: p}}, opt)
 }
 
 // cancelCheckEvery is how many domain points the executor processes between
@@ -287,18 +286,6 @@ func Run(p *Program, opt Options) (*Result, error) {
 // (points cost microseconds in simulation), rare enough that the atomic
 // context poll stays off the per-point profile.
 const cancelCheckEvery = 256
-
-// RunContext executes the program under the given options, aborting with
-// ctx's error at the next checkpoint once ctx is done. The event loop
-// checks between launches and every cancelCheckEvery points within one, so
-// even single-launch programs over large domains cancel promptly.
-//
-// It is the single-stage form of RunStages: multi-statement plan DAGs run
-// their stages through the same event loop with intermediates handed off
-// between stages in place.
-func RunContext(ctx context.Context, p *Program, opt Options) (*Result, error) {
-	return RunStages(ctx, []Stage{{Prog: p}}, opt)
-}
 
 // runLaunch walks the launch domain once, serially, doing all simulated-time
 // accounting (copy pricing, compute charging, accumulator lifetimes) exactly

@@ -3,6 +3,7 @@ package legion
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strconv"
 
 	"distal/internal/machine"
@@ -55,11 +56,10 @@ type Stage struct {
 // accumulators flush before the next stage places, so a consumer's copies
 // price against the time the producer's owners actually became valid.
 //
-// A single-stage call is exactly RunContext: the per-stage sequence
-// (place, launches, flush) reduces to the single-program event loop, so
-// simulated metrics of one-stage runs are bit-identical to the
-// single-program path by construction. A Real run is Analyse, then Execute
-// on Options.Batch (or Options.Data as one instance).
+// A single program runs as a one-stage call: the per-stage sequence (place,
+// launches, flush) is the whole event loop. It aborts with ctx's error at
+// the next checkpoint once ctx is done. A Real run is Analyse, then Execute
+// on Options.Batch.
 func RunStages(ctx context.Context, stages []Stage, opt Options) (*Result, error) {
 	if len(opt.Batch) > 0 && !opt.Real {
 		return nil, fmt.Errorf("legion: Options.Batch requires Real mode")
@@ -73,7 +73,7 @@ func RunStages(ctx context.Context, stages []Stage, opt Options) (*Result, error
 	}
 	instances := opt.Batch
 	if len(instances) == 0 {
-		instances = []map[string]*tensor.Dense{opt.Data}
+		instances = []map[string]*tensor.Dense{nil} // one instance on Region.Data
 	}
 	if err := t.Execute(ctx, instances, opt.RealWorkers); err != nil {
 		return nil, err
@@ -231,13 +231,8 @@ func (e *executor) placeStage(si int, st *Stage) error {
 		}
 		delete(inherit, r.Name)
 		src := e.stageReg[h.From][h.Region]
-		if len(src.Shape) != len(r.Shape) {
-			return fmt.Errorf("legion: stage %d region %s has rank %d, inherited %s has %d", si, r.Name, len(r.Shape), h.Region, len(src.Shape))
-		}
-		for d := range r.Shape {
-			if src.Shape[d] != r.Shape[d] {
-				return fmt.Errorf("legion: stage %d region %s has shape %v, inherited %s has %v", si, r.Name, r.Shape, h.Region, src.Shape)
-			}
+		if !slices.Equal(src.Shape, r.Shape) {
+			return fmt.Errorf("legion: stage %d region %s has shape %v, inherited %s has %v", si, r.Name, r.Shape, h.Region, src.Shape)
 		}
 		rs := e.reg[src]
 		if rs.dirty {

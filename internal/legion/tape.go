@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -308,13 +309,8 @@ func (x *execution) bind(instances []map[string]*tensor.Dense) error {
 			if d == nil {
 				return fmt.Errorf("legion: Real execution requires data bound to region %s%s", r.Name, inst())
 			}
-			if len(d.Shape()) != len(r.Shape) {
-				return fmt.Errorf("legion: data bound to region %s%s has rank %d, want %d", r.Name, inst(), len(d.Shape()), len(r.Shape))
-			}
-			for dim := range r.Shape {
-				if d.Shape()[dim] != r.Shape[dim] {
-					return fmt.Errorf("legion: data bound to region %s%s has shape %v, want %v", r.Name, inst(), d.Shape(), r.Shape)
-				}
+			if !slices.Equal(d.Shape(), r.Shape) {
+				return fmt.Errorf("legion: data bound to region %s%s has shape %v, want %v", r.Name, inst(), d.Shape(), r.Shape)
 			}
 			x.data[b*len(slots)+s] = d
 		}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -20,7 +21,7 @@ import (
 // handleRun is real execution over the wire: a data-free distal.Request
 // rides in the body's JSON section, input tensors follow as wire frames in
 // statement order (or are filled server-side), the plan resolves through
-// the session cache, Plan.Bind(...).Run executes on a worker slot under the
+// the session cache, BindBatch(...).Run executes on a worker slot under the
 // request deadline, and the computed output tensor streams back as one
 // frame with the run's metrics in Distal-* headers.
 //
@@ -40,9 +41,10 @@ import (
 //
 // Failure mapping: malformed wire bytes and bad directives are KindParse
 // (400); well-formed frames whose shape or rank disagrees with the declared
-// request, missing frames, trailing garbage, and non-positive or
-// over-the-cap batch counts are KindInput (422); nothing client-caused
-// ever maps to 500.
+// request, missing frames, trailing garbage, non-positive or over-the-cap
+// batch counts, and shapes whose tensors (bound, intermediate and output,
+// times the batch) would not fit the run body limit are KindInput (422);
+// nothing client-caused ever maps to 500.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
@@ -115,18 +117,18 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	defer s.release()
 
 	// Compile: the single-statement path resolves one plan, the
-	// multi-statement path a plan DAG. Both yield the same execution
-	// surface — the names to materialize per instance (frame order) and a
-	// batch runner — so the frame decode and response streaming below are
-	// shared.
+	// multi-statement path a plan DAG. Both run through the same binding, so
+	// only the names to materialize per instance (frame order), the tensors
+	// the binding allocates, and the reporting differ.
 	var (
-		names    []string
-		planKey  string
-		cached   bool
-		output   string
-		compile  time.Duration
-		stages   []wire.StageInfo
-		runBatch func(surviving [][]*distal.Tensor) ([]*tensor.Dense, *distal.Result, error)
+		names   []string
+		staged  []*distal.Plan // a program's stages: the binding allocates their outputs
+		planKey string
+		cached  bool
+		output  string
+		compile time.Duration
+		stages  []wire.StageInfo
+		bind    func(...[]*distal.Tensor) *distal.BatchBinding
 	)
 	if len(q.Stmts) > 0 {
 		stmts := make([]distal.Statement, len(q.Stmts))
@@ -142,46 +144,11 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		}
 		// Only leaf inputs may carry directives: intermediates and the
 		// output are allocated server-side by the program binding.
-		names = pp.Inputs()
-		leaf := map[string]bool{}
-		for _, name := range names {
-			leaf[name] = true
-		}
-		for name := range q.Inputs {
-			if !leaf[name] {
-				s.writeError(w, &distal.Error{Kind: distal.KindParse, Op: "run",
-					Err: fmt.Errorf("inputs names %s, which is not a leaf input of the program (computed tensors are server-allocated)", name)})
-				return
-			}
-		}
+		names, staged = pp.Inputs(), pp.StagePlans()
 		st := pp.Stats()
-		planKey, cached, output, compile = pp.Key(), st.Cached, pp.Output(), st.CompileTime
+		planKey, cached, output, compile, bind = pp.Key(), st.Cached, pp.Output(), st.CompileTime, pp.BindBatch
 		for _, sm := range pp.StageMetas() {
-			stages = append(stages, wire.StageInfo{
-				Output:   sm.Output,
-				PlanKey:  sm.PlanKey,
-				Cached:   sm.Cached,
-				Repart:   sm.Repart,
-				Launches: sm.Launches,
-				Points:   sm.Points,
-			})
-		}
-		runBatch = func(surviving [][]*distal.Tensor) ([]*tensor.Dense, *distal.Result, error) {
-			bb := pp.BindBatch(surviving...)
-			results, err := bb.Run(ctx)
-			if err != nil {
-				return nil, nil, err
-			}
-			outs := make([]*tensor.Dense, bb.Len())
-			for i := range outs {
-				out := bb.Output(i)
-				if out == nil {
-					return nil, nil, &distal.Error{Kind: distal.KindExec, Op: "run",
-						Err: fmt.Errorf("program lost its output tensor %s", pp.Output())}
-				}
-				outs[i] = out.Data
-			}
-			return outs, results[0], nil
+			stages = append(stages, wire.StageInfo(sm))
 		}
 	} else {
 		plan, err := s.sess.Compile(ctx, distal.Request{
@@ -192,36 +159,44 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		names = plan.Tensors()
-		known := map[string]bool{}
-		for _, name := range names {
-			known[name] = true
-		}
-		for name := range q.Inputs {
-			if !known[name] {
-				s.writeError(w, &distal.Error{Kind: distal.KindParse, Op: "run",
-					Err: fmt.Errorf("inputs names %s, which is not a tensor of %q", name, q.Stmt)})
-				return
-			}
-		}
 		st := plan.Stats()
-		planKey, cached, output, compile = plan.Key(), st.Cached, plan.Output(), st.CompileTime
-		runBatch = func(surviving [][]*distal.Tensor) ([]*tensor.Dense, *distal.Result, error) {
-			bb := plan.BindBatch(surviving...)
-			results, err := bb.Run(ctx)
-			if err != nil {
-				return nil, nil, err
+		planKey, cached, output, compile, bind = plan.Key(), st.Cached, plan.Output(), st.CompileTime, plan.BindBatch
+	}
+	for name := range q.Inputs {
+		if !slices.Contains(names, name) {
+			what := fmt.Sprintf("a tensor of %q", q.Stmt)
+			if staged != nil {
+				what = "a leaf input of the program (computed tensors are server-allocated)"
 			}
-			outs := make([]*tensor.Dense, bb.Len())
-			for i := range outs {
-				out := bb.Output(i)
-				if out == nil {
-					return nil, nil, &distal.Error{Kind: distal.KindExec, Op: "run",
-						Err: fmt.Errorf("plan lost its output tensor %s", plan.Output())}
-				}
-				outs[i] = out.Data
-			}
-			return outs, results[0], nil
+			s.writeError(w, &distal.Error{Kind: distal.KindParse, Op: "run",
+				Err: fmt.Errorf("inputs names %s, which is not %s", name, what)})
+			return
 		}
+	}
+	// Admit the run by the memory it materializes before allocating any of
+	// it: every bound and allocated tensor of every instance, in bytes, must
+	// fit the run body limit. A shape whose element count overflows is
+	// refused here too, so no client shape ever reaches an allocation.
+	budget, admitErr := s.cfg.MaxRunBody/8/int64(batch), error(nil)
+	admit := func(shape []int) {
+		n, err := tensor.Elems(shape)
+		if err == nil && int64(n) > budget {
+			err = fmt.Errorf("materializing %d instance(s) of the run needs more than the %d-byte limit", batch, s.cfg.MaxRunBody)
+		}
+		budget -= int64(n)
+		if admitErr == nil {
+			admitErr = err
+		}
+	}
+	for _, name := range names {
+		admit(q.Shapes[name])
+	}
+	for _, sp := range staged {
+		admit(sp.Shape(sp.Output()))
+	}
+	if admitErr != nil {
+		s.writeError(w, &distal.Error{Kind: distal.KindInput, Op: "run", Err: admitErr})
+		return
 	}
 
 	// Materialize every tensor of every instance, decoding wire frames in
@@ -241,10 +216,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 			shape := q.Shapes[name]
 			var data *tensor.Dense
 			if q.Inputs[name] == wire.FillWire {
-				elems := 1
-				for _, s := range shape {
-					elems *= s
-				}
+				elems, _ := tensor.Elems(shape) // admitted above
 				var err error
 				data, err = wire.DecodeLimit(body, elems)
 				if err != nil {
@@ -257,7 +229,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 						Err: fmt.Errorf("%s: %w", at, err)})
 					return
 				}
-				if !shapesEqual(data.Shape(), shape) {
+				if !slices.Equal(data.Shape(), shape) {
 					if instErrs[i] == nil {
 						instErrs[i] = &distal.Error{Kind: distal.KindInput, Op: "run",
 							Err: fmt.Errorf("frame for %s has shape %v, the request declares %v", name, data.Shape(), shape)}
@@ -309,12 +281,14 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	ctx = ectx
 	esp.SetAttr("instances", strconv.Itoa(len(surviving)))
 	t0 := time.Now()
-	outs, res, err := runBatch(surviving)
+	bb := bind(surviving...)
+	results, err := bb.Run(ctx)
 	esp.End()
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
+	res := results[0]
 	s.phaseCompile.Observe(compile.Seconds())
 	s.phaseExecute.Observe(time.Since(t0).Seconds())
 	s.batchSize.Observe(float64(len(surviving)))
@@ -367,8 +341,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	_, rsp := obs.Start(ctx, "stream-response")
 	defer rsp.End()
 	fw := &flushWriter{w: w}
-	for _, out := range outs {
-		if err := wire.Encode(fw, out); err != nil {
+	for i := range bb.Len() {
+		if err := wire.Encode(fw, bb.Output(i).Data); err != nil {
 			// The status line is gone; all we can do is drop the connection
 			// so the client sees a truncated frame instead of a silent short
 			// read.
@@ -386,18 +360,6 @@ func unmarshalStrict(data []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	return dec.Decode(v)
-}
-
-func shapesEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // flushWriter flushes after every write so the encoder's chunks leave the

@@ -15,18 +15,38 @@ type Dense struct {
 	data    []float64
 }
 
+// Elems returns the element count of a row-major tensor of the given shape:
+// the product of its dimensions, 1 for a scalar. It fails on a negative
+// dimension and on a product that overflows int, so a caller sizing memory
+// from untrusted shapes can never see a count that wrapped.
+func Elems(shape []int) (int, error) {
+	n := 1
+	for _, s := range shape {
+		if s < 0 {
+			return 0, fmt.Errorf("tensor: negative dimension in shape %v", shape)
+		}
+		if s != 0 && n > math.MaxInt/s {
+			return 0, fmt.Errorf("tensor: shape %v has more than %d elements", shape, math.MaxInt)
+		}
+		n *= s
+	}
+	return n, nil
+}
+
+// mustElems is Elems for shapes the caller has already validated: a bad
+// shape here is a broken invariant.
+func mustElems(shape []int) int {
+	n, err := Elems(shape)
+	if err != nil {
+		panic(err.Error())
+	}
+	return n
+}
+
 // New returns a zero-filled dense tensor with the given name and shape.
 // A rank-0 tensor (empty shape) is a scalar holding one value.
 func New(name string, shape ...int) *Dense {
-	for _, s := range shape {
-		if s < 0 {
-			panic(fmt.Sprintf("tensor: negative dimension in shape %v", shape))
-		}
-	}
-	n := 1
-	for _, s := range shape {
-		n *= s
-	}
+	n := mustElems(shape)
 	return &Dense{
 		name:    name,
 		shape:   append([]int(nil), shape...),
@@ -41,14 +61,7 @@ func New(name string, shape ...int) *Dense {
 // fill the slice incrementally and hand it over once complete. The caller
 // must not use data through any other reference afterwards.
 func FromData(name string, data []float64, shape ...int) *Dense {
-	n := 1
-	for _, s := range shape {
-		if s < 0 {
-			panic(fmt.Sprintf("tensor: negative dimension in shape %v", shape))
-		}
-		n *= s
-	}
-	if len(data) != n {
+	if n := mustElems(shape); len(data) != n {
 		panic(fmt.Sprintf("tensor %s: %d values for shape %v (want %d)", name, len(data), shape, n))
 	}
 	return &Dense{

@@ -346,3 +346,27 @@ func TestFoldRect(t *testing.T) {
 		}
 	}
 }
+
+// TestElems: the element count is exact where it fits an int and an error
+// where the shape is negative or its product would wrap.
+func TestElems(t *testing.T) {
+	cases := []struct {
+		shape []int
+		want  int
+		ok    bool
+	}{
+		{nil, 1, true},
+		{[]int{3, 4}, 12, true},
+		{[]int{1 << 40, 0}, 0, true},
+		{[]int{1 << 31, 1 << 31}, 1 << 62, true},
+		{[]int{1 << 33, 1 << 33}, 0, false}, // 2^66 would wrap to 0
+		{[]int{math.MaxInt, 2}, 0, false},
+		{[]int{2, -1}, 0, false},
+	}
+	for _, c := range cases {
+		got, err := Elems(c.shape)
+		if (err == nil) != c.ok || got != c.want {
+			t.Errorf("Elems(%v) = %d, %v; want %d, ok=%v", c.shape, got, err, c.want, c.ok)
+		}
+	}
+}

@@ -10,7 +10,6 @@ import (
 	"distal/internal/legion"
 	"distal/internal/obs"
 	"distal/internal/program"
-	"distal/internal/tensor"
 )
 
 // ProgramPlan is a compiled multi-statement program: one immutable plan per
@@ -23,18 +22,17 @@ import (
 // schedule, itself a cached plan) moves the data owner-to-owner — an
 // intermediate never gathers to a single leaf between stages.
 //
-// Like Plan, a ProgramPlan is data-free and safe for concurrent use: bind
-// leaf-input data per execution with Bind or BindBatch; intermediates and
-// outputs are allocated privately per binding. Its first Real run analyses
-// the DAG once for every later run of this ProgramPlan.
+// Like Plan, a ProgramPlan is data-free and safe for concurrent use, and it
+// runs through the same Simulate, Bind, BindBatch and BindStacked: bind
+// leaf-input data per execution; intermediates and outputs are allocated
+// privately per binding. Its first Real run analyses the DAG once for every
+// later run of this ProgramPlan.
 type ProgramPlan struct {
-	sess   *Session
+	runner
 	prog   *program.Program
 	stages []*programStage
-	ls     []legion.Stage
 	key    string
 	stats  CompileStats
-	tape   tapeCache
 }
 
 // programStage is one stage of the compiled DAG: a source statement's plan
@@ -174,10 +172,19 @@ func (s *Session) CompileProgram(ctx context.Context, req Request) (*ProgramPlan
 		placedAt[layoutKey(lhs, canon[lhs])] = placed{idx: idx, region: lhs}
 	}
 
-	pp := &ProgramPlan{sess: s, prog: prog, stages: built, stats: CompileStats{Cached: true}, tape: newTapeCache()}
+	var (
+		ls     []legion.Stage
+		inputs []slot
+		owned  []slot
+	)
+	for _, name := range prog.Inputs() {
+		inputs = append(inputs, slot{name: name, shape: prog.Shapes[name]})
+	}
+	pp := &ProgramPlan{prog: prog, stages: built, stats: CompileStats{Cached: true}}
 	h := sha256.New()
 	for _, st := range built {
-		pp.ls = append(pp.ls, legion.Stage{Prog: st.plan.data.prog, Inherit: st.inherit, Label: st.output, Repart: st.repart})
+		ls = append(ls, legion.Stage{Prog: st.plan.prog, Inherit: st.inherit, Label: st.output, Repart: st.repart})
+		owned = append(owned, slot{name: st.output, shape: st.shape})
 		h.Write([]byte(st.plan.key))
 		h.Write([]byte{0})
 		sst := st.plan.stats
@@ -192,6 +199,7 @@ func (s *Session) CompileProgram(ctx context.Context, req Request) (*ProgramPlan
 		pp.stats.Points += sst.Points
 	}
 	pp.key = hex.EncodeToString(h.Sum(nil))
+	pp.runner = newRunner(s.params, ls, inputs, owned, prog.Output())
 	return pp, nil
 }
 
@@ -326,201 +334,6 @@ func (p *ProgramPlan) StagePlans() []*Plan {
 // must not mutate the returned slice.
 func (p *ProgramPlan) Inputs() []string { return p.prog.Inputs() }
 
-// Output returns the last statement's LHS: the tensor a run answers with.
-func (p *ProgramPlan) Output() string { return p.prog.Output() }
-
 // Shape returns the shape of the named tensor (leaf inputs as declared,
 // assigned tensors as inferred), or nil for unknown names.
 func (p *ProgramPlan) Shape(name string) []int { return p.prog.Shapes[name] }
-
-func (p *ProgramPlan) execParams() Params {
-	if p.sess != nil {
-		return p.sess.params
-	}
-	return LassenCPU()
-}
-
-// Simulate executes the plan DAG without data under the session's cost
-// model: stages run in order on one simulated clock, intermediates hand off
-// in place, and the combined metrics (makespan, communication, peak memory)
-// cover the whole program.
-func (p *ProgramPlan) Simulate(ctx context.Context, opts ...ExecOption) (*Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, wrapErr(KindCanceled, "simulate", err)
-	}
-	res, err := legion.RunStages(ctx, p.ls, legion.NewOptions(p.execParams(), opts...))
-	if err != nil {
-		return nil, wrapErr(KindExec, "simulate", err)
-	}
-	return res, nil
-}
-
-// Bind attaches real data for one execution. Exactly the leaf inputs are
-// bound — every intermediate and output is allocated privately by the
-// binding, so concurrent executions never share state; read the result from
-// Output (or any intermediate from Tensor) after Run. Binding errors
-// surface at Run.
-func (p *ProgramPlan) Bind(tensors ...*Tensor) *ProgramBinding {
-	b := &ProgramBinding{plan: p, data: map[string]*tensor.Dense{}}
-	leaf := map[string]bool{}
-	for _, name := range p.prog.Inputs() {
-		leaf[name] = true
-	}
-	for _, t := range tensors {
-		if !leaf[t.Name] {
-			if p.prog.Shapes[t.Name] != nil {
-				b.err = wrapErr(KindExec, "bind", fmt.Errorf("tensor %s is computed by the program; bind leaf inputs only", t.Name))
-			} else {
-				b.err = wrapErr(KindExec, "bind", fmt.Errorf("program has no tensor %s", t.Name))
-			}
-			return b
-		}
-		if t.Data == nil {
-			b.err = wrapErr(KindExec, "bind", fmt.Errorf("tensor %s has no data (use Zero, FillRandom, or Bind)", t.Name))
-			return b
-		}
-		want := p.prog.Shapes[t.Name]
-		got := t.Data.Shape()
-		if len(got) != len(want) {
-			b.err = wrapErr(KindExec, "bind", fmt.Errorf("tensor %s has rank %d, program wants %d", t.Name, len(got), len(want)))
-			return b
-		}
-		for d := range want {
-			if got[d] != want[d] {
-				b.err = wrapErr(KindExec, "bind", fmt.Errorf("tensor %s has shape %v, program wants %v", t.Name, got, want))
-				return b
-			}
-		}
-		b.data[t.Name] = t.Data
-	}
-	for _, name := range p.prog.Inputs() {
-		if _, ok := b.data[name]; !ok {
-			b.err = wrapErr(KindExec, "bind", fmt.Errorf("no data bound for leaf input %s", name))
-			return b
-		}
-	}
-	for _, st := range p.stages {
-		d := tensor.New(st.output, st.shape...)
-		b.data[st.output] = d
-		if st.output == p.prog.Output() {
-			b.out = &Tensor{Name: st.output, Shape: append([]int(nil), st.shape...), Data: d}
-		}
-	}
-	return b
-}
-
-// ProgramBinding is a ProgramPlan with real data attached: leaf inputs from
-// the caller, intermediates and outputs owned by the binding.
-type ProgramBinding struct {
-	plan *ProgramPlan
-	data map[string]*tensor.Dense
-	out  *Tensor
-	err  error
-}
-
-// Output returns the output tensor (after Run it holds the result), or nil
-// when the binding failed.
-func (b *ProgramBinding) Output() *Tensor {
-	if b.err != nil {
-		return nil
-	}
-	return b.out
-}
-
-// Tensor returns the bound or allocated data of any tensor of the program —
-// leaf inputs, intermediates, and outputs alike — or nil for unknown names
-// or failed bindings. After Run, an intermediate's tensor holds the value
-// its producing stage computed.
-func (b *ProgramBinding) Tensor(name string) *tensor.Dense {
-	if b.err != nil {
-		return nil
-	}
-	return b.data[name]
-}
-
-// Run executes the plan DAG on the bound data: stages run in order,
-// consumers read the producers' distributed results in place (through the
-// repartition stages where layouts disagreed), and the returned Result
-// carries the combined simulated metrics. It aborts with KindCanceled at
-// the runtime's next checkpoint once ctx is done (intermediates and the
-// output are then in an unspecified partial state).
-func (b *ProgramBinding) Run(ctx context.Context, opts ...ExecOption) (*Result, error) {
-	if b.err != nil {
-		return nil, b.err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, wrapErr(KindCanceled, "run", err)
-	}
-	res, err := b.plan.tape.execute(ctx, b.plan.ls, b.plan.execParams(), []map[string]*tensor.Dense{b.data}, opts)
-	if err != nil {
-		return nil, wrapErr(KindExec, "run", err)
-	}
-	return res, nil
-}
-
-// ProgramBatchBinding is a ProgramPlan bound to N independent problem
-// instances: the plan's one analysis covers the whole batch, with each
-// instance's intermediates and outputs private to it.
-type ProgramBatchBinding struct {
-	plan  *ProgramPlan
-	insts []map[string]*tensor.Dense
-	outs  []*Tensor
-	err   error
-}
-
-// BindBatch attaches leaf-input data for N problem instances, one tensor
-// set per instance, validated exactly as Bind validates a single set.
-// Instances may share input tensors; intermediates and outputs are
-// allocated per instance, so they can never race. Binding errors surface at
-// Run.
-func (p *ProgramPlan) BindBatch(instances ...[]*Tensor) *ProgramBatchBinding {
-	bb := &ProgramBatchBinding{plan: p}
-	if len(instances) == 0 {
-		bb.err = wrapErr(KindExec, "bind-batch", fmt.Errorf("empty batch: bind at least one instance"))
-		return bb
-	}
-	for i, ts := range instances {
-		b := p.Bind(ts...)
-		if b.err != nil {
-			bb.err = &Error{Kind: KindOf(b.err), Op: "bind-batch", Err: fmt.Errorf("instance %d: %w", i, b.err)}
-			return bb
-		}
-		bb.insts = append(bb.insts, b.data)
-		bb.outs = append(bb.outs, b.out)
-	}
-	return bb
-}
-
-// Len returns the number of bound instances (0 when the binding failed).
-func (bb *ProgramBatchBinding) Len() int { return len(bb.insts) }
-
-// Output returns instance i's output tensor (after Run it holds that
-// instance's result), or nil when the binding failed or i is out of range.
-func (bb *ProgramBatchBinding) Output(i int) *Tensor {
-	if bb.err != nil || i < 0 || i >= len(bb.outs) {
-		return nil
-	}
-	return bb.outs[i]
-}
-
-// Run executes the plan DAG on every bound instance and returns one Result
-// per instance (identical metrics: the accounting runs once, as with Plan
-// batching).
-func (bb *ProgramBatchBinding) Run(ctx context.Context, opts ...ExecOption) ([]*Result, error) {
-	if bb.err != nil {
-		return nil, bb.err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, wrapErr(KindCanceled, "run-batch", err)
-	}
-	res, err := bb.plan.tape.execute(ctx, bb.plan.ls, bb.plan.execParams(), bb.insts, opts)
-	if err != nil {
-		return nil, wrapErr(KindExec, "run-batch", err)
-	}
-	out := make([]*Result, len(bb.insts))
-	for i := range out {
-		r := *res
-		out[i] = &r
-	}
-	return out, nil
-}

@@ -2,6 +2,8 @@ package distal
 
 import (
 	"context"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -119,7 +121,8 @@ func TestCompileRejectsStmts(t *testing.T) {
 // sequential single-statement plans with an explicit gather/re-upload of the
 // intermediate in between, across a worker-count matrix. Stage results must
 // be bit-identical: the DAG's consumer reads the same canonical intermediate
-// a standalone run would bind.
+// a standalone run would bind. It then pins the identity the bindings rest
+// on: a one-statement program runs exactly as its plan.
 func TestProgramDifferential(t *testing.T) {
 	const n = 32
 	sess := NewSession(NewMachine(CPU, 2, 2))
@@ -206,6 +209,65 @@ func TestProgramDifferential(t *testing.T) {
 		if !pb.Output().Data.EqualWithin(ref["E"], 1e-9) {
 			t.Fatalf("workers=%d: DAG output diverges from reference: max abs diff %g",
 				workers, pb.Output().Data.MaxAbsDiff(ref["E"]))
+		}
+	}
+
+	// A one-statement program is the plan its statement compiles to: the
+	// same outputs bit for bit and the same Results, simulated and real, at
+	// every worker count and batch size.
+	formats := map[string]string{"A": "xy->xy", "B": "xy->xy", "D": "xy->xy"}
+	p, err := sess.Compile(ctx, Request{
+		Stmt:     "D(i,j) = A(i,k) * B(k,j)",
+		Shapes:   map[string][]int{"A": {n, n}, "B": {n, n}, "D": {n, n}},
+		Formats:  formats,
+		Schedule: chainSchedule("D", "A", "B"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, err := sess.CompileProgram(ctx, Request{
+		Shapes: map[string][]int{"A": {n, n}, "B": {n, n}},
+		Stmts:  []Statement{{Stmt: "D(i,j) = A(i,k) * B(k,j)", Formats: formats, Schedule: chainSchedule("D", "A", "B")}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := p.Simulate(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := one.Simulate(ctx); err != nil || !reflect.DeepEqual(got, sim) {
+		t.Fatalf("one-statement program Simulate = %+v (err %v), plan Simulate %+v", got, err, sim)
+	}
+	for _, workers := range []int{1, 4} {
+		for _, batch := range []int{1, 3} {
+			var planInsts, progInsts [][]*Tensor
+			for i := range batch {
+				planInsts = append(planInsts, []*Tensor{mk("A", int64(10+i)), mk("B", int64(20+i)), NewTensor("D", tiled, n, n).Zero()})
+				progInsts = append(progInsts, []*Tensor{mk("A", int64(10+i)), mk("B", int64(20+i))})
+			}
+			pbb, qbb := p.BindBatch(planInsts...), one.BindBatch(progInsts...)
+			want, err := pbb.Run(ctx, WithRealWorkers(workers))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := qbb.Run(ctx, WithRealWorkers(workers))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range batch {
+				if !reflect.DeepEqual(got[i], want[i]) || !reflect.DeepEqual(got[i], sim) {
+					t.Fatalf("workers=%d batch=%d instance %d: program Result %+v, plan Result %+v, Simulate %+v",
+						workers, batch, i, got[i], want[i], sim)
+				}
+				g, w := qbb.Output(i).Data.Data(), pbb.Output(i).Data.Data()
+				for v := range w {
+					if math.Float64bits(g[v]) != math.Float64bits(w[v]) {
+						t.Fatalf("workers=%d batch=%d instance %d value %d: program %v, plan %v (bit-identical required)",
+							workers, batch, i, v, g[v], w[v])
+					}
+				}
+			}
 		}
 	}
 }
@@ -363,7 +425,7 @@ func TestProgramBindErrors(t *testing.T) {
 	}{
 		{"computed tensor", []*Tensor{a, b, c, NewTensor("D", tiled, n, n).Zero()}, "computed by the program"},
 		{"unknown tensor", []*Tensor{a, b, c, NewTensor("X", tiled, n, n).Zero()}, "no tensor X"},
-		{"missing leaf", []*Tensor{a, b}, "no data bound for leaf input C"},
+		{"missing leaf", []*Tensor{a, b}, "no data bound for tensor C"},
 		{"wrong shape", []*Tensor{a, b, NewTensor("C", tiled, n, 2*n).Zero()}, "shape"},
 	}
 	for _, tc := range cases {
@@ -381,7 +443,7 @@ func TestProgramBindErrors(t *testing.T) {
 }
 
 // TestProgramBatch: a batched chain produces per-instance results equal to
-// per-instance single runs.
+// per-instance single runs, and so does the same batch bound stacked.
 func TestProgramBatch(t *testing.T) {
 	const n, k = 24, 3
 	sess := NewSession(NewMachine(CPU, 2, 2))
@@ -407,6 +469,20 @@ func TestProgramBatch(t *testing.T) {
 	if len(results) != k {
 		t.Fatalf("got %d results, want %d", len(results), k)
 	}
+	// The leaf inputs stacked along a leading batch dimension; the program
+	// allocates each instance's output itself.
+	var stacked []*Tensor
+	for j, name := range []string{"A", "B", "C"} {
+		st := &Tensor{Name: name, Data: tensor.New(name, k, n, n)}
+		for i := range k {
+			copy(st.Data.Data()[i*n*n:(i+1)*n*n], insts[i][j].Data.Data())
+		}
+		stacked = append(stacked, st)
+	}
+	sb := pp.BindStacked(k, stacked...)
+	if _, err := sb.Run(ctx); err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < k; i++ {
 		single := pp.Bind(insts[i]...)
 		if _, err := single.Run(ctx); err != nil {
@@ -414,6 +490,9 @@ func TestProgramBatch(t *testing.T) {
 		}
 		if diff := bb.Output(i).Data.MaxAbsDiff(single.Output().Data); diff != 0 {
 			t.Fatalf("instance %d differs from single run: max abs diff %g", i, diff)
+		}
+		if diff := sb.Output(i).Data.MaxAbsDiff(single.Output().Data); diff != 0 {
+			t.Fatalf("stacked instance %d differs from single run: max abs diff %g", i, diff)
 		}
 	}
 }

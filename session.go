@@ -12,7 +12,6 @@ import (
 	"distal/internal/cin"
 	"distal/internal/core"
 	"distal/internal/ir"
-	"distal/internal/legion"
 	"distal/internal/obs"
 	"distal/internal/schedule"
 )
@@ -513,7 +512,7 @@ func (s *Session) compileFlight(ctx context.Context, sp *obs.Span, req Request, 
 			} else {
 				sp.SetAttr("source", "cache")
 			}
-			return &Plan{sess: s, key: key, data: pd, stats: cachedStats(pd, false)}, nil
+			return &Plan{planData: pd, key: key, stats: cachedStats(pd, false)}, nil
 		}
 		s.mu.Lock()
 		if fl, ok := s.flights[fk]; ok {
@@ -536,7 +535,7 @@ func (s *Session) compileFlight(ctx context.Context, sp *obs.Span, req Request, 
 			s.hits++ // served by the shared flight: no compile ran for us
 			s.mu.Unlock()
 			sp.SetAttr("source", "flight")
-			return &Plan{sess: s, key: fl.key, data: fl.data, stats: cachedStats(fl.data, true)}, nil
+			return &Plan{planData: fl.data, key: fl.key, stats: cachedStats(fl.data, true)}, nil
 		}
 		fl := &flight{done: make(chan struct{})}
 		s.flights[fk] = fl
@@ -563,7 +562,7 @@ func (s *Session) lead(ctx context.Context, fk string, req Request, c *Computati
 	}()
 	plan, err = s.compileSlow(ctx, fk, req, c)
 	if plan != nil {
-		fl.key, fl.data = plan.key, plan.data
+		fl.key, fl.data = plan.key, plan.planData
 	}
 	fl.err = err
 	return plan, err
@@ -593,7 +592,7 @@ func (s *Session) compileSlow(ctx context.Context, fk string, req Request, c *Co
 		// (e.g. explicit vs. defaulted formats) or fluently: memoize this
 		// rendering too.
 		s.memoize(ck, key)
-		return &Plan{sess: s, key: key, data: pd, stats: cachedStats(pd, false)}, nil
+		return &Plan{planData: pd, key: key, stats: cachedStats(pd, false)}, nil
 	}
 	start := time.Now()
 	_, run := obs.Start(ctx, "compiler-run")
@@ -606,7 +605,7 @@ func (s *Session) compileSlow(ctx context.Context, fk string, req Request, c *Co
 	s.store(key, pd)
 	s.memoize(ck, key)
 	stats := CompileStats{CompileTime: time.Since(start), Launches: pd.launches, Points: pd.points}
-	return &Plan{sess: s, key: key, data: pd, stats: stats}, nil
+	return &Plan{planData: pd, key: key, stats: stats}, nil
 }
 
 // compileInput assembles the compiler input for this computation.
@@ -626,12 +625,6 @@ func (c *Computation) compileInput() core.Input {
 		Tensors:  decls,
 		Schedule: c.sched,
 	}
-}
-
-// newPlanData wraps a freshly compiled program with this computation's
-// descriptive metadata for caching.
-func (c *Computation) newPlanData(prog *legion.Program) *planData {
-	return newPlanData(prog, c.sched.String(), cin.Build(c.sched).String(), c.Stmt.LHS.Tensor, c.Stmt.TensorNames())
 }
 
 // Notation returns the concrete index notation of the scheduled statement

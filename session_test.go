@@ -482,7 +482,7 @@ func TestFluentCompileSingleflight(t *testing.T) {
 		t.Fatalf("hits = %d, want %d (everyone else shares)", st.Hits, n-1)
 	}
 	for i := 1; i < n; i++ {
-		if plans[i].data != plans[0].data {
+		if plans[i].planData != plans[0].planData {
 			t.Fatalf("compile %d returned a different program object", i)
 		}
 	}

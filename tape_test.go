@@ -74,9 +74,9 @@ func attr(sp *obs.Span, key string) string {
 
 // warmRunAllocBudget caps the allocations of a warm single-instance
 // BindBatch run of serve-small's plan (one worker: AllocsPerRun runs at
-// GOMAXPROCS 1). Binding, execution and the result copies take 15 objects;
+// GOMAXPROCS 1). Binding, execution and the result take 13 objects;
 // a run that walked the accounting again took 249. The budget is about 1.5×
-// the count, and counts repeat exactly.
+// an earlier count of 15, and counts repeat exactly.
 const warmRunAllocBudget = 23
 
 func TestWarmRunAllocBudget(t *testing.T) {
