@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"sync"
 	"sync/atomic"
 
 	"distal/internal/legion"
@@ -23,6 +24,10 @@ type runner struct {
 	output string                      // the tensor a run answers with
 	build  chan struct{}               // one slot, held while a tape build runs
 	tape   atomic.Pointer[legion.Tape] // the Real analysis under the default options
+	// scratch pools the intermediates BatchBinding runs borrow: each item is
+	// one instance's set, a *[]*tensor.Dense with a tensor per owned slot
+	// other than the output.
+	scratch sync.Pool
 }
 
 // slot is one tensor of a binding with its compiled shape.
@@ -119,8 +124,10 @@ func (r *runner) inputShape(name string) []int {
 
 // bindInstance validates one instance's tensors against what actually runs
 // — every input bound, each with data of the compiled shape — and allocates
-// the tensors the binding owns. It returns the instance's data and output.
-func (r *runner) bindInstance(tensors []*Tensor) (map[string]*tensor.Dense, *Tensor, error) {
+// the tensors the binding owns: the output always, the intermediates only
+// when withInter is set (a batch borrows them per run instead). It returns
+// the instance's data and output.
+func (r *runner) bindInstance(tensors []*Tensor, withInter bool) (map[string]*tensor.Dense, *Tensor, error) {
 	data := make(map[string]*tensor.Dense, len(r.inputs)+len(r.owned))
 	var out *Tensor
 	for _, t := range tensors {
@@ -146,6 +153,9 @@ func (r *runner) bindInstance(tensors []*Tensor) (map[string]*tensor.Dense, *Ten
 		}
 	}
 	for _, s := range r.owned {
+		if s.name != r.output && !withInter {
+			continue
+		}
 		d := tensor.New(s.name, s.shape...)
 		data[s.name] = d
 		if s.name == r.output {
@@ -153,6 +163,50 @@ func (r *runner) bindInstance(tensors []*Tensor) (map[string]*tensor.Dense, *Ten
 		}
 	}
 	return data, out, nil
+}
+
+// borrow lends every instance a set of intermediates from the scratch pool,
+// cleared (a stage may accumulate into its output), or a fresh zeroed set
+// when the pool has none. The caller returns them with giveBack once the run
+// is over. A plan owns nothing and a one-stage program only its output, so
+// neither lends anything.
+func (r *runner) borrow(insts []map[string]*tensor.Dense) []*[]*tensor.Dense {
+	if len(r.owned) <= 1 {
+		return nil
+	}
+	sets := make([]*[]*tensor.Dense, len(insts))
+	for i, inst := range insts {
+		set, _ := r.scratch.Get().(*[]*tensor.Dense)
+		if set == nil {
+			ts := make([]*tensor.Dense, 0, len(r.owned)-1)
+			for _, s := range r.owned {
+				if s.name != r.output {
+					ts = append(ts, tensor.New(s.name, s.shape...))
+				}
+			}
+			set = &ts
+		} else {
+			for _, d := range *set {
+				clear(d.Data())
+			}
+		}
+		for _, d := range *set {
+			inst[d.Name()] = d
+		}
+		sets[i] = set
+	}
+	return sets
+}
+
+// giveBack unbinds the intermediates borrow lent and returns them to the
+// pool, so the binding holds no pooled memory between runs.
+func (r *runner) giveBack(insts []map[string]*tensor.Dense, sets []*[]*tensor.Dense) {
+	for i, set := range sets {
+		for _, d := range *set {
+			delete(insts[i], d.Name())
+		}
+		r.scratch.Put(set)
+	}
 }
 
 // bind fills bb from one tensor set per instance into insts and outs, which
@@ -165,7 +219,7 @@ func (bb *BatchBinding) bind(r *runner, batch bool, insts []map[string]*tensor.D
 		op = "bind-batch"
 	}
 	for i, ts := range instances {
-		data, out, err := r.bindInstance(ts)
+		data, out, err := r.bindInstance(ts, !batch)
 		if err != nil {
 			if batch {
 				err = fmt.Errorf("instance %d: %w", i, err)
@@ -191,7 +245,7 @@ func (bb *BatchBinding) bind(r *runner, batch bool, insts []map[string]*tensor.D
 			}
 		}
 	}
-	bb.insts, bb.outs = insts, outs
+	bb.insts, bb.outs, bb.borrows = insts, outs, batch
 }
 
 // Bind attaches real data for one execution. The caller binds every tensor
@@ -265,12 +319,15 @@ func (r *runner) BindStacked(batch int, stacked ...*Tensor) *BatchBinding {
 // bit-identical to a single-instance Bind(...).Run on the same data.
 //
 // Build one with BindBatch (per-instance tensor sets) or BindStacked (one
-// contiguous leading-batch-dim tensor per input).
+// contiguous leading-batch-dim tensor per input). A program's intermediates
+// are borrowed from the handle for the length of each Run, so a binding kept
+// between runs holds only its outputs; run it from one goroutine at a time.
 type BatchBinding struct {
-	r     *runner
-	insts []map[string]*tensor.Dense
-	outs  []*Tensor
-	err   error
+	r       *runner
+	insts   []map[string]*tensor.Dense
+	outs    []*Tensor
+	borrows bool // intermediates come from the runner's pool per run
+	err     error
 }
 
 // Len returns the number of bound instances (0 when the binding failed).
@@ -314,6 +371,10 @@ func (bb *BatchBinding) run(ctx context.Context, op string, opts []ExecOption) (
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, wrapErr(KindCanceled, op, err)
+	}
+	if bb.borrows {
+		sets := bb.r.borrow(bb.insts)
+		defer bb.r.giveBack(bb.insts, sets)
 	}
 	res, err := bb.r.execute(ctx, bb.insts, opts)
 	if err != nil {

@@ -53,12 +53,21 @@ var blockCases = []blockCase{
 // blockExtents are the extent regimes, by variable. Divisible extents make
 // every block a full box (and rows of at least one 4-wide tile); prime and
 // ragged ones leave ragged tails on ii (i over two processors) and on ki (k
-// in chunks of four); unit extents collapse loops to a single iteration.
+// in chunks of four); unit extents collapse loops to a single iteration. The
+// width regimes set the micro-kernel's tile variable (j, and l where j is
+// reduced) to each width that leaves a remainder past the 4-wide tiles — 1
+// and 2 and 3 cells alone, or after one whole tile.
 var blockExtents = map[string]map[byte]int{
 	"divisible": {'i': 8, 'j': 8, 'k': 8, 'l': 8, 'm': 4},
 	"prime":     {'i': 7, 'j': 5, 'k': 11, 'l': 7, 'm': 3},
 	"ragged":    {'i': 9, 'j': 6, 'k': 10, 'l': 9, 'm': 5},
 	"unit":      {'i': 2, 'j': 1, 'k': 5, 'l': 1, 'm': 6},
+	"width1":    {'i': 4, 'j': 1, 'k': 6, 'l': 1, 'm': 2},
+	"width2":    {'i': 4, 'j': 2, 'k': 6, 'l': 2, 'm': 2},
+	"width3":    {'i': 4, 'j': 3, 'k': 6, 'l': 3, 'm': 2},
+	"width5":    {'i': 4, 'j': 5, 'k': 6, 'l': 5, 'm': 2},
+	"width6":    {'i': 4, 'j': 6, 'k': 6, 'l': 6, 'm': 2},
+	"width7":    {'i': 4, 'j': 7, 'k': 6, 'l': 7, 'm': 2},
 }
 
 // leafOrders name how the leaf loops are arranged. Each returns the schedule

@@ -152,7 +152,8 @@ func (kp *kernelProg) runBlock(ks *kernelScratch, loads []boundAccess, store *bo
 // still adds its nr terms in increasing r — the order of the leaf loop nest
 // whichever of the two block variables r is — and the four independent
 // chains hide the add latency a single running sum would serialise on. Cells
-// past the last whole tile run the same recurrence one at a time.
+// past the last whole tile run the same recurrence two at a time, then one:
+// narrow outputs (two cells per task is common) keep two chains in flight.
 func tileBlock(s []float64, so int, x []float64, xo, xr int, y []float64, yo, yr int, nt, nr int) {
 	t := 0
 	for ; t+4 <= nt; t += 4 {
@@ -170,6 +171,21 @@ func tileBlock(s []float64, so int, x []float64, xo, xr int, y []float64, yo, yr
 			iy += yr
 		}
 		st[0], st[1], st[2], st[3] = s0, s1, s2, s3
+	}
+	if t+2 <= nt {
+		st := s[so+t : so+t+2 : so+t+2]
+		s0, s1 := st[0], st[1]
+		ix, iy := xo, yo+t
+		for r := 0; r < nr; r++ {
+			xv := x[ix]
+			yt := y[iy : iy+2 : iy+2]
+			s0 += float64(xv * yt[0])
+			s1 += float64(xv * yt[1])
+			ix += xr
+			iy += yr
+		}
+		st[0], st[1] = s0, s1
+		t += 2
 	}
 	for ; t < nt; t++ {
 		s[so+t] = dot(s[so+t], x, xo, xr, y, yo+t, yr, nr)

@@ -65,9 +65,12 @@ func fetchTraceExport(t *testing.T, baseURL, id string) traceExport {
 }
 
 // TestTraceExportChain: a multi-statement /v1/run leaves a complete span
-// tree in the trace ring — queue wait, frame decode, per-stage compiles
-// (with cache provenance), per-stage execution, and response streaming —
-// exported as Chrome trace_event JSON keyed by the response's request id.
+// tree in the trace ring — queue wait, frame decode, the program compile
+// (with cache provenance and the program's plan key), per-stage execution,
+// and response streaming — exported as Chrome trace_event JSON keyed by the
+// response's request id. The cold run compiles every stage; the warm run
+// resolves the whole program from the request memo in one span, still
+// counting a plan-cache hit per stage.
 func TestTraceExportChain(t *testing.T) {
 	const n = 32
 	sess := distal.NewSession(distal.NewMachine(distal.CPU, 2, 2))
@@ -79,7 +82,7 @@ func TestTraceExportChain(t *testing.T) {
 	a.FillRandom(20)
 	client := &wire.Client{BaseURL: ts.URL}
 
-	run := func(wantCache string) traceExport {
+	run := func(wantCache string, stageCompiles int) traceExport {
 		t.Helper()
 		_, stats, err := client.Run(context.Background(), req, map[string]*tensor.Dense{"A": a})
 		if err != nil {
@@ -93,6 +96,11 @@ func TestTraceExportChain(t *testing.T) {
 		}
 		if stats.Stages[0].Output != "D" || stats.Stages[1].Output != "E" {
 			t.Fatalf("stage outputs = %s, %s, want D, E", stats.Stages[0].Output, stats.Stages[1].Output)
+		}
+		for _, st := range stats.Stages {
+			if st.Cached != (wantCache == "hit") {
+				t.Fatalf("stage %s cached=%v on a %s run", st.Output, st.Cached, wantCache)
+			}
 		}
 		tr := fetchTraceExport(t, ts.URL, stats.RequestID)
 		if tr.DisplayTimeUnit != "ms" {
@@ -108,14 +116,18 @@ func TestTraceExportChain(t *testing.T) {
 				t.Fatalf("event %q: ph=%q cat=%q, want complete distal events", e.Name, e.Ph, e.Cat)
 			}
 			count[e.Name]++
-			if e.Name == "compile" {
+			switch e.Name {
+			case "compile", "compile-program":
 				cacheAttrs = append(cacheAttrs, e.Args["cache"])
+			}
+			if e.Name == "compile-program" && e.Args["plan_key"] != stats.PlanKey {
+				t.Fatalf("compile-program plan_key = %q, want the program key %q", e.Args["plan_key"], stats.PlanKey)
 			}
 		}
 		for name, want := range map[string]int{
 			"/v1/run": 1, "queue-wait": 1, "decode-frames": 1, "execute": 1,
 			"stream-response": 1, "compile-program": 1,
-			"compile-stage": 2, "compile": 2, "run-stage": 2,
+			"compile-stage": stageCompiles, "compile": stageCompiles, "run-stage": 2,
 		} {
 			if count[name] != want {
 				t.Fatalf("trace has %d %q spans, want %d (counts: %v)", count[name], name, want, count)
@@ -132,8 +144,14 @@ func TestTraceExportChain(t *testing.T) {
 		return tr
 	}
 
-	run("miss")
-	run("hit") // the repeat resolves every stage from the plan cache
+	run("miss", 2)
+	if st := fetchStats(t, ts.URL); st.Cache.Hits != 0 || st.Cache.Misses != 2 {
+		t.Fatalf("after the cold run: cache %+v, want 0 hits / 2 misses", st.Cache)
+	}
+	run("hit", 0) // the repeat resolves the whole program from the request memo
+	if st := fetchStats(t, ts.URL); st.Cache.Hits != 2 || st.Cache.Misses != 2 {
+		t.Fatalf("after the warm run: cache %+v, want a hit per stage (2) and still 2 misses", st.Cache)
+	}
 
 	// An unknown id is a JSON 404, not an empty 200.
 	resp, err := http.Get(ts.URL + "/v1/trace/no-such-id")
@@ -331,6 +349,47 @@ func TestAccessLog(t *testing.T) {
 	}
 	if _, ok := entry["plan_key"]; !ok {
 		t.Fatalf("access-log entry carries no plan_key: %v", entry)
+	}
+}
+
+// TestAccessLogProgramKey: a multi-statement /v1/run logs the program's key
+// — the one Distal-Plan-Key carries, not a stage's — with its cache
+// provenance, both on the cold run, which compiles every stage, and on the
+// warm one, which resolves the program from the request memo and compiles
+// no stage at all.
+func TestAccessLogProgramKey(t *testing.T) {
+	const n = 16
+	var (
+		buf bytes.Buffer
+		mu  sync.Mutex
+	)
+	sess := distal.NewSession(distal.NewMachine(distal.CPU, 2, 2))
+	ts := httptest.NewServer(New(sess, Config{LogJSON: true, LogWriter: syncWriter{&mu, &buf}}))
+	defer ts.Close()
+	a := tensor.New("A", n, n)
+	a.FillRandom(1)
+	client := &wire.Client{BaseURL: ts.URL}
+	for i, want := range []string{"miss", "hit"} {
+		// Client.Run reads the body to EOF, which the server sends only after
+		// its handler, access log included, has returned.
+		_, stats, err := client.Run(context.Background(), chainRunRequest(n), map[string]*tensor.Dense{"A": a})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mu.Lock()
+		lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+		mu.Unlock()
+		if len(lines) != i+1 {
+			t.Fatalf("run %d: %d access-log lines, want %d", i, len(lines), i+1)
+		}
+		var entry map[string]any
+		if err := json.Unmarshal([]byte(lines[i]), &entry); err != nil {
+			t.Fatalf("access-log line is not JSON: %v (%s)", err, lines[i])
+		}
+		if entry["request_id"] != stats.RequestID || entry["plan_key"] != stats.PlanKey || entry["cache"] != want {
+			t.Fatalf("%s run logged request_id=%v plan_key=%v cache=%v, want %s, the program key %s and %s",
+				want, entry["request_id"], entry["plan_key"], entry["cache"], stats.RequestID, stats.PlanKey, want)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 )
 
 // Dense is a dense, row-major tensor of float64 values. It is the single
@@ -18,15 +19,17 @@ type Dense struct {
 // Elems returns the element count of a row-major tensor of the given shape:
 // the product of its dimensions, 1 for a scalar. It fails on a negative
 // dimension and on a product that overflows int, so a caller sizing memory
-// from untrusted shapes can never see a count that wrapped.
+// from untrusted shapes can never see a count that wrapped. Messages format
+// a copy of shape, so shape itself never escapes and a caller may pass a
+// stack array (the wire decoder does).
 func Elems(shape []int) (int, error) {
 	n := 1
 	for _, s := range shape {
 		if s < 0 {
-			return 0, fmt.Errorf("tensor: negative dimension in shape %v", shape)
+			return 0, fmt.Errorf("tensor: negative dimension in shape %v", slices.Clone(shape))
 		}
 		if s != 0 && n > math.MaxInt/s {
-			return 0, fmt.Errorf("tensor: shape %v has more than %d elements", shape, math.MaxInt)
+			return 0, fmt.Errorf("tensor: shape %v has more than %d elements", slices.Clone(shape), math.MaxInt)
 		}
 		n *= s
 	}
@@ -62,7 +65,7 @@ func New(name string, shape ...int) *Dense {
 // must not use data through any other reference afterwards.
 func FromData(name string, data []float64, shape ...int) *Dense {
 	if n := mustElems(shape); len(data) != n {
-		panic(fmt.Sprintf("tensor %s: %d values for shape %v (want %d)", name, len(data), shape, n))
+		panic(fmt.Sprintf("tensor %s: %d values for shape %v (want %d)", name, len(data), slices.Clone(shape), n))
 	}
 	return &Dense{
 		name:    name,

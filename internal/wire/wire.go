@@ -20,12 +20,12 @@
 // Multi-tensor request and response bodies are plain frame sequences whose
 // names and order travel in the JSON envelope (see protocol.go).
 //
-// Encode and Decode stream through a fixed-size scratch buffer: the payload
-// is converted to and from little-endian in chunks, so the only full-size
-// allocation is the decoded tensor's own backing slice — and that single
-// allocation happens only after the header has been validated against the
-// decoder's element limit, so a hostile header cannot make the decoder
-// allocate ahead of what the caller declared acceptable.
+// Encode and Decode stream through a fixed-size scratch buffer taken from a
+// package-level pool: the header and the payload are converted to and from
+// little-endian in chunks, so a frame allocates nothing but the decoded
+// tensor — and that allocation happens only after the header has been
+// validated against the decoder's element limit, so a hostile header cannot
+// make the decoder allocate ahead of what the caller declared acceptable.
 package wire
 
 import (
@@ -34,6 +34,8 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
+	"sync"
 
 	"distal/internal/tensor"
 )
@@ -60,6 +62,11 @@ const (
 
 var magic = [4]byte{'D', 'T', 'W', 'F'}
 
+// chunks holds the codec's scratch buffers. Returning one after a frame is
+// safe: an io.Writer must not retain the slice it is given, and Decode copies
+// every value out of the buffer before it returns.
+var chunks = sync.Pool{New: func() any { return new([chunkBytes]byte) }}
+
 // FormatError reports a malformed or out-of-policy frame: bad magic, an
 // unsupported version or dtype, an oversized rank or payload, or a truncated
 // body. Servers map it to a client-error status; it never indicates a fault
@@ -79,39 +86,49 @@ func EncodedSize(t *tensor.Dense) int64 {
 	return int64(headerSize) + int64(t.Rank())*8 + t.Bytes()
 }
 
-// Encode writes t as one frame. The payload streams through a fixed scratch
-// buffer (64 KiB), so encoding never holds a second copy of the tensor; a
-// caller streaming an HTTP response can wrap w in a flushing writer to get
-// chunked transfer with bounded latency.
+// Encode writes t as one frame. Header and payload stream through a pooled
+// scratch buffer (64 KiB), so encoding never holds a second copy of the
+// tensor and allocates nothing; a caller streaming an HTTP response can wrap
+// w in a flushing writer to get chunked transfer with bounded latency.
 func Encode(w io.Writer, t *tensor.Dense) error {
+	buf := chunks.Get().(*[chunkBytes]byte)
+	defer chunks.Put(buf)
 	shape := t.Shape()
-	hdr := make([]byte, headerSize+len(shape)*8)
-	copy(hdr, magic[:])
-	hdr[4] = Version
-	hdr[5] = DTypeFloat64
-	binary.LittleEndian.PutUint16(hdr[6:8], uint16(len(shape)))
-	for d, s := range shape {
-		binary.LittleEndian.PutUint64(hdr[headerSize+8*d:], uint64(s))
-	}
-	if _, err := w.Write(hdr); err != nil {
-		return err
+	copy(buf[:], magic[:])
+	buf[4] = Version
+	buf[5] = DTypeFloat64
+	binary.LittleEndian.PutUint16(buf[6:8], uint16(len(shape)))
+	// n is the filled prefix of buf; every field is 8 bytes wide past the
+	// fixed header, so a full buffer is exactly n == chunkBytes.
+	n := headerSize
+	for _, s := range shape {
+		if n == chunkBytes {
+			if _, err := w.Write(buf[:]); err != nil {
+				return err
+			}
+			n = 0
+		}
+		binary.LittleEndian.PutUint64(buf[n:], uint64(s))
+		n += 8
 	}
 	data := t.Data()
-	buf := make([]byte, chunkBytes)
 	for len(data) > 0 {
-		n := len(buf) / 8
-		if n > len(data) {
-			n = len(data)
+		if n == chunkBytes {
+			if _, err := w.Write(buf[:]); err != nil {
+				return err
+			}
+			n = 0
 		}
-		for i, v := range data[:n] {
-			binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(v))
+		k := min((chunkBytes-n)/8, len(data))
+		out := buf[n : n+8*k]
+		for i, v := range data[:k] {
+			binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(v))
 		}
-		if _, err := w.Write(buf[:8*n]); err != nil {
-			return err
-		}
-		data = data[n:]
+		n += 8 * k
+		data = data[k:]
 	}
-	return nil
+	_, err := w.Write(buf[:n])
+	return err
 }
 
 // Decode reads one frame under the default element limit. The decoded
@@ -127,8 +144,10 @@ func Decode(r io.Reader) (*tensor.Dense, error) {
 // input fails with io.ErrUnexpectedEOF wrapped in a FormatError; Decode
 // never panics on arbitrary input.
 func DecodeLimit(r io.Reader, maxElems int) (*tensor.Dense, error) {
-	var hdr [headerSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	buf := chunks.Get().(*[chunkBytes]byte)
+	defer chunks.Put(buf)
+	hdr := buf[:headerSize]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		if err == io.EOF {
 			return nil, formatErrf("missing frame header: %v", err)
 		}
@@ -147,14 +166,15 @@ func DecodeLimit(r io.Reader, maxElems int) (*tensor.Dense, error) {
 	if rank > MaxRank {
 		return nil, formatErrf("rank %d exceeds the limit of %d", rank, MaxRank)
 	}
-	dims := make([]byte, rank*8)
+	dims := buf[:rank*8] // MaxRank*8 bytes fit the scratch
 	if _, err := io.ReadFull(r, dims); err != nil {
 		return nil, formatErrf("truncated dims: %v", err)
 	}
 	if maxElems < 0 || maxElems > DefaultMaxElements {
 		maxElems = DefaultMaxElements
 	}
-	shape := make([]int, rank)
+	var shapeArr [MaxRank]int
+	shape := shapeArr[:rank]
 	count := int64(1)
 	for d := range shape {
 		v := binary.LittleEndian.Uint64(dims[8*d:])
@@ -166,22 +186,20 @@ func DecodeLimit(r io.Reader, maxElems int) (*tensor.Dense, error) {
 		// Each factor is already <= maxElems <= 1<<27, so the running
 		// product stays far below int64 overflow between checks.
 		if count > int64(maxElems) {
-			return nil, formatErrf("payload of %v elements exceeds the limit of %d", shape, maxElems)
+			return nil, formatErrf("payload of %v elements exceeds the limit of %d", slices.Clone(shape), maxElems)
 		}
 	}
 	total := int(count)
 	data := make([]float64, total)
-	buf := make([]byte, chunkBytes)
 	for off := 0; off < total; {
-		n := len(buf) / 8
-		if n > total-off {
-			n = total - off
-		}
-		if _, err := io.ReadFull(r, buf[:8*n]); err != nil {
+		n := min(chunkBytes/8, total-off)
+		in := buf[:8*n]
+		if _, err := io.ReadFull(r, in); err != nil {
 			return nil, formatErrf("truncated payload at element %d of %d: %v", off, total, err)
 		}
-		for i := 0; i < n; i++ {
-			data[off+i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
+		out := data[off : off+n]
+		for i := range out {
+			out[i] = math.Float64frombits(binary.LittleEndian.Uint64(in[8*i:]))
 		}
 		off += n
 	}

@@ -260,6 +260,38 @@ func TestEncodeStreams(t *testing.T) {
 	}
 }
 
+// TestCodecAllocations pins what a frame costs the heap: Encode nothing (its
+// scratch is pooled, its header built in the scratch), DecodeLimit only the
+// decoded tensor — its struct, shape, strides and payload.
+func TestCodecAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race: sync.Pool drops scratch at random")
+	}
+	tt := tensor.New("t", 300, 70) // 168 KB: the payload spans three chunks
+	tt.FillRandom(1)
+	var buf bytes.Buffer
+	if err := Encode(&buf, tt); err != nil {
+		t.Fatal(err)
+	}
+	frame := buf.Bytes()
+	if n := testing.AllocsPerRun(20, func() {
+		if err := Encode(io.Discard, tt); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("Encode allocates %v objects per frame, want 0", n)
+	}
+	r := bytes.NewReader(frame)
+	if n := testing.AllocsPerRun(20, func() {
+		r.Reset(frame)
+		if _, err := DecodeLimit(r, tt.Size()); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 4 {
+		t.Fatalf("DecodeLimit allocates %v objects per frame, want at most the decoded tensor's 4", n)
+	}
+}
+
 type maxWriteRecorder struct{ max int }
 
 func (w *maxWriteRecorder) Write(p []byte) (int, error) {

@@ -24,15 +24,27 @@ import (
 //
 // Like Plan, a ProgramPlan is data-free and safe for concurrent use, and it
 // runs through the same Simulate, Bind, BindBatch and BindStacked: bind
-// leaf-input data per execution; intermediates and outputs are allocated
-// privately per binding. Its first Real run analyses the DAG once for every
-// later run of this ProgramPlan.
+// leaf-input data per execution; outputs are allocated privately per
+// binding, intermediates per Binding or, for a BatchBinding, borrowed from
+// the compiled program for the length of each run. The session memoizes the
+// compiled DAG under its request, so every handle a repeated request
+// resolves to shares one analysis: the first Real run of any of them
+// analyses the DAG for every later run.
 type ProgramPlan struct {
+	*programData
+	stats CompileStats
+}
+
+// programData is the immutable compiled DAG a ProgramPlan wraps and the
+// request memo stores; as with planData, only the runner's tape and
+// intermediate pool change after compilation.
+type programData struct {
 	runner
-	prog   *program.Program
-	stages []*programStage
-	key    string
-	stats  CompileStats
+	prog     *program.Program
+	stages   []*programStage
+	key      string
+	launches int
+	points   int
 }
 
 // programStage is one stage of the compiled DAG: a source statement's plan
@@ -53,10 +65,27 @@ type programStage struct {
 // input's) is rejected as KindParse. Each stage compiles through the
 // session's plan cache, so re-compiling a program whose statements were
 // seen before costs no compiler run at all, and two programs sharing a
-// statement share its plan.
+// statement share its plan. A request seen before resolves through the
+// request memo to the DAG it compiled to, without parsing anything; the
+// entry lives while every stage plan stays cached.
 func (s *Session) CompileProgram(ctx context.Context, req Request) (*ProgramPlan, error) {
 	ctx, sp := obs.Start(ctx, "compile-program")
 	defer sp.End()
+	pp, err := s.compileProgram(ctx, sp, req)
+	if pp != nil {
+		sp.SetAttr("plan_key", pp.key)
+		if pp.stats.Cached {
+			sp.SetAttr("cache", "hit")
+		} else {
+			sp.SetAttr("cache", "miss")
+		}
+	}
+	return pp, err
+}
+
+// compileProgram is CompileProgram's body: the memo fast path, then a
+// compile of every stage through the plan cache.
+func (s *Session) compileProgram(ctx context.Context, sp *obs.Span, req Request) (*ProgramPlan, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, wrapErr(KindCanceled, "compile-program", err)
 	}
@@ -66,6 +95,11 @@ func (s *Session) CompileProgram(ctx context.Context, req Request) (*ProgramPlan
 	if req.Stmt != "" || req.Schedule != "" || len(req.Formats) > 0 {
 		return nil, wrapErr(KindParse, "compile-program",
 			fmt.Errorf("multi-statement requests put statements, formats, and schedules inside Stmts; the top-level Stmt/Formats/Schedule must be empty"))
+	}
+	ck := canonicalRequest(req)
+	if pd := s.resolveProgram(ck); pd != nil {
+		sp.SetAttr("source", "memo")
+		return &ProgramPlan{programData: pd, stats: CompileStats{Cached: true, Launches: pd.launches, Points: pd.points}}, nil
 	}
 	specs := make([]program.Statement, len(req.Stmts))
 	for i, st := range req.Stmts {
@@ -176,31 +210,40 @@ func (s *Session) CompileProgram(ctx context.Context, req Request) (*ProgramPlan
 		ls     []legion.Stage
 		inputs []slot
 		owned  []slot
+		keys   []string
 	)
 	for _, name := range prog.Inputs() {
 		inputs = append(inputs, slot{name: name, shape: prog.Shapes[name]})
 	}
-	pp := &ProgramPlan{prog: prog, stages: built, stats: CompileStats{Cached: true}}
+	stats := CompileStats{Cached: true}
 	h := sha256.New()
 	for _, st := range built {
 		ls = append(ls, legion.Stage{Prog: st.plan.prog, Inherit: st.inherit, Label: st.output, Repart: st.repart})
 		owned = append(owned, slot{name: st.output, shape: st.shape})
+		keys = append(keys, st.plan.key)
 		h.Write([]byte(st.plan.key))
 		h.Write([]byte{0})
 		sst := st.plan.stats
 		if !sst.Cached {
-			pp.stats.Cached = false
+			stats.Cached = false
 		}
 		if sst.Shared {
-			pp.stats.Shared = true
+			stats.Shared = true
 		}
-		pp.stats.CompileTime += sst.CompileTime
-		pp.stats.Launches += sst.Launches
-		pp.stats.Points += sst.Points
+		stats.CompileTime += sst.CompileTime
+		stats.Launches += sst.Launches
+		stats.Points += sst.Points
 	}
-	pp.key = hex.EncodeToString(h.Sum(nil))
-	pp.runner = newRunner(s.params, ls, inputs, owned, prog.Output())
-	return pp, nil
+	pd := &programData{
+		runner:   newRunner(s.params, ls, inputs, owned, prog.Output()),
+		prog:     prog,
+		stages:   built,
+		key:      hex.EncodeToString(h.Sum(nil)),
+		launches: stats.Launches,
+		points:   stats.Points,
+	}
+	s.memoize(&memoEntry{ck: ck, keys: keys, prog: pd})
+	return &ProgramPlan{programData: pd, stats: stats}, nil
 }
 
 // effectiveFormat resolves the format a stage places tensor name under: the
@@ -269,8 +312,8 @@ func (s *Session) repartitionStage(ctx context.Context, name string, shape []int
 func (p *ProgramPlan) Key() string { return p.key }
 
 // Stats aggregates the per-stage compile stats: Cached only when every
-// stage was served without a compiler run, CompileTime/Launches/Points
-// summed across stages.
+// stage was served without a compiler run (always for a memo-resolved
+// program), CompileTime/Launches/Points summed across stages.
 func (p *ProgramPlan) Stats() CompileStats { return p.stats }
 
 // Stages returns the number of execution stages, inserted repartitions
@@ -302,7 +345,8 @@ type StageMeta struct {
 }
 
 // StageMetas returns one StageMeta per execution stage, repartitions
-// included, in execution order.
+// included, in execution order. A stage is Cached when this handle's compile
+// ran no compiler for it: every stage of a memo-resolved program.
 func (p *ProgramPlan) StageMetas() []StageMeta {
 	out := make([]StageMeta, len(p.stages))
 	for i, st := range p.stages {
@@ -310,7 +354,7 @@ func (p *ProgramPlan) StageMetas() []StageMeta {
 		out[i] = StageMeta{
 			Output:   st.output,
 			PlanKey:  st.plan.Key(),
-			Cached:   sst.Cached,
+			Cached:   p.stats.Cached || sst.Cached,
 			Repart:   st.repart,
 			Launches: sst.Launches,
 			Points:   sst.Points,

@@ -2,9 +2,11 @@ package distal
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"distal/internal/program"
@@ -494,5 +496,207 @@ func TestProgramBatch(t *testing.T) {
 		if diff := sb.Output(i).Data.MaxAbsDiff(single.Output().Data); diff != 0 {
 			t.Fatalf("stacked instance %d differs from single run: max abs diff %g", i, diff)
 		}
+	}
+}
+
+// chainInputs is one instance's leaf inputs of chainRequest(n), keyed by seed.
+func chainInputs(n int, seed int64) []*Tensor {
+	tiled := MustFormat("xy->xy")
+	return []*Tensor{
+		NewTensor("A", tiled, n, n).FillRandom(seed),
+		NewTensor("B", tiled, n, n).FillRandom(seed + 1),
+		NewTensor("C", tiled, n, n).FillRandom(seed + 2),
+	}
+}
+
+// bitsEqual fails the test unless got and want hold the same bits.
+func bitsEqual(t *testing.T, what string, got, want *tensor.Dense) {
+	t.Helper()
+	g, w := got.Data(), want.Data()
+	if len(g) != len(w) {
+		t.Fatalf("%s: %d values, want %d", what, len(g), len(w))
+	}
+	for i := range w {
+		if math.Float64bits(g[i]) != math.Float64bits(w[i]) {
+			t.Fatalf("%s value %d: %v, want %v (bit-identical required)", what, i, g[i], w[i])
+		}
+	}
+}
+
+// TestProgramPoolConcurrent runs one ProgramPlan from 8 goroutines, each a
+// few batched runs on its own data, so pooled intermediates move between
+// runs and goroutines: every output must equal its sequential Binding run
+// bit for bit (run with -race).
+func TestProgramPoolConcurrent(t *testing.T) {
+	const n, goroutines, runs, batch = 16, 8, 3, 2
+	ctx := context.Background()
+	sess := NewSession(NewMachine(CPU, 2, 2))
+	pp, err := sess.CompileProgram(ctx, chainRequest(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed := func(g, r, i int) int64 { return int64(1000*g + 100*r + 10*i) }
+	want := map[int64]*tensor.Dense{}
+	for g := range goroutines {
+		for r := range runs {
+			for i := range batch {
+				pb := pp.Bind(chainInputs(n, seed(g, r, i))...)
+				if _, err := pb.Run(ctx); err != nil {
+					t.Fatal(err)
+				}
+				want[seed(g, r, i)] = pb.Output().Data
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, goroutines)
+	got := make([]map[int64]*tensor.Dense, goroutines)
+	for g := range goroutines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g] = map[int64]*tensor.Dense{}
+			for r := range runs {
+				insts := make([][]*Tensor, batch)
+				for i := range insts {
+					insts[i] = chainInputs(n, seed(g, r, i))
+				}
+				bb := pp.BindBatch(insts...)
+				if _, err := bb.Run(ctx, WithRealWorkers(2)); err != nil {
+					errs[g] = err
+					return
+				}
+				for i := range insts {
+					got[g][seed(g, r, i)] = bb.Output(i).Data
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for g := range goroutines {
+		if errs[g] != nil {
+			t.Fatalf("goroutine %d: %v", g, errs[g])
+		}
+		for s, out := range got[g] {
+			bitsEqual(t, fmt.Sprintf("goroutine %d seed %d", g, s), out, want[s])
+		}
+	}
+}
+
+// TestCanceledBatchRunReturnsIntermediates: a batched run canceled after its
+// first stage has filled the pooled intermediates gives them back dirty; the
+// next run borrows them and must clear them first, so its output is
+// bit-identical to a Binding's, which allocates its own (and keeps them for
+// Binding.Tensor, which TestProgramDifferential reads). Between runs neither
+// batch binding holds an intermediate.
+func TestCanceledBatchRunReturnsIntermediates(t *testing.T) {
+	const n = 32
+	ctx := context.Background()
+	sess := NewSession(NewMachine(CPU, 2, 2))
+	pp, err := sess.CompileProgram(ctx, chainRequest(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Count a whole serial run's context polls (the first run also builds
+	// the tape), then cancel three quarters in: inside the second stage,
+	// after the first has computed D.
+	counted := cancelAfterPolls(math.MaxInt64)
+	if _, err := pp.BindBatch(chainInputs(n, 1)).Run(counted, WithRealWorkers(1)); err != nil {
+		t.Fatal(err)
+	}
+	polls := counted.polls.Load()
+	canceled := pp.BindBatch(chainInputs(n, 1))
+	if _, err := canceled.Run(cancelAfterPolls(3*polls/4), WithRealWorkers(1)); KindOf(err) != KindCanceled {
+		t.Fatalf("canceled run: kind %v (err %v), want KindCanceled", KindOf(err), err)
+	}
+	in := chainInputs(n, 7)
+	bb := pp.BindBatch(in)
+	if _, err := bb.Run(ctx, WithRealWorkers(1)); err != nil {
+		t.Fatal(err)
+	}
+	pb := pp.Bind(chainInputs(n, 7)...)
+	if _, err := pb.Run(ctx, WithRealWorkers(1)); err != nil {
+		t.Fatal(err)
+	}
+	bitsEqual(t, "run after a canceled run", bb.Output(0).Data, pb.Output().Data)
+	for _, b := range []*BatchBinding{canceled, bb} {
+		if _, held := b.insts[0]["D"]; held {
+			t.Fatal("a BatchBinding holds its pooled intermediate D between runs")
+		}
+	}
+}
+
+// TestProgramMemo: a repeated program request resolves through the request
+// memo to the DAG it compiled to — one handle's analysis serves the next —
+// counting a plan-cache hit per stage; the entry dies when a stage plan
+// leaves the plan cache, and a session without a cache memoizes nothing.
+func TestProgramMemo(t *testing.T) {
+	ctx := context.Background()
+	sess := NewSession(NewMachine(CPU, 2, 2), WithPlanCacheSize(2))
+	req := chainRequest(16)
+	first, err := sess.CompileProgram(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := sess.CompileProgram(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.programData != first.programData || !again.Stats().Cached || again.Stats().CompileTime != 0 {
+		t.Fatalf("repeat compile: shared=%v stats=%+v, want the memoized DAG, cached", again.programData == first.programData, again.Stats())
+	}
+	if first.Stats().Cached {
+		t.Fatal("a handle's stats changed when another handle shared its DAG")
+	}
+	if st := sess.CacheStats(); st.Hits != 2 || st.Misses != 2 {
+		t.Fatalf("stats = %+v, want 2 misses (the cold stages) and a hit per stage on the repeat", st)
+	}
+	for _, sm := range again.StageMetas() {
+		if !sm.Cached {
+			t.Fatalf("memo-resolved stage %s reports cached=false", sm.Output)
+		}
+	}
+
+	// A third plan evicts stage 0's, the least recently used.
+	if _, err := sess.Compile(ctx, gemmRequest(16)); err != nil {
+		t.Fatal(err)
+	}
+	ck := canonicalRequest(req)
+	sess.mu.Lock()
+	_, resident := sess.memo[ck]
+	for k, cks := range sess.byPlan {
+		for _, c := range cks {
+			if _, ok := sess.memo[c]; !ok {
+				t.Errorf("byPlan[%s] names a request the memo no longer holds", k)
+			}
+		}
+	}
+	sess.mu.Unlock()
+	if resident {
+		t.Fatal("the program's memo entry outlived its evicted stage plan")
+	}
+	third, err := sess.CompileProgram(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if third.programData == first.programData || third.Stats().Cached {
+		t.Fatalf("after eviction: shared=%v cached=%v, want a fresh compile of the evicted stage",
+			third.programData == first.programData, third.Stats().Cached)
+	}
+	if third.Key() != first.Key() {
+		t.Fatalf("recompiled program key %s, want %s", third.Key(), first.Key())
+	}
+
+	off := NewSession(NewMachine(CPU, 2, 2), WithPlanCacheSize(0))
+	p1, err := off.CompileProgram(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p2, err := off.CompileProgram(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p1.programData == p2.programData || off.CacheStats().MemoEntries != 0 {
+		t.Fatal("a session without a plan cache memoized a program")
 	}
 }

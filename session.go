@@ -4,7 +4,9 @@ import (
 	"container/list"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -38,14 +40,15 @@ type Session struct {
 	hits     int64
 	misses   int64
 
-	// Request memo: canonical request rendering -> plan key, an LRU bounded
-	// at memoCapacity whose entries also die with the plan they point at
+	// Request memo: canonical request rendering -> plan key, or for a
+	// multi-statement request its compiled DAG. An LRU bounded at
+	// memoCapacity whose entries also die with any plan they resolve through
 	// (plan-cache eviction removes them via byPlan). A memo hit skips
 	// statement parsing, tensor construction, and schedule replay entirely.
 	memoCapacity int
 	memoLRU      *list.List // of *memoEntry, front = most recent
 	memo         map[string]*list.Element
-	byPlan       map[string][]string // plan key -> canonical requests memoized to it
+	byPlan       map[string][]string // plan key -> canonical requests resolving through it
 
 	// flights collapses concurrent identical compiles, Request and fluent
 	// alike (see compileFlight for the key spaces): the first caller
@@ -60,8 +63,9 @@ type planEntry struct {
 }
 
 type memoEntry struct {
-	ck      string
-	planKey string
+	ck   string
+	keys []string     // the plans it resolves through: a statement's one, a program's stages
+	prog *programData // a program's compiled DAG; nil for a statement
 }
 
 type flight struct {
@@ -119,13 +123,16 @@ func (s *Session) Params() Params { return s.params }
 // CacheStats summarizes plan-cache effectiveness.
 type CacheStats struct {
 	// Hits counts Compile calls served without running the compiler (plan
-	// cache, request memo, or a shared in-flight compile).
+	// cache, request memo, or a shared in-flight compile); a program
+	// resolved from the request memo counts one per stage, as compiling
+	// each stage would.
 	Hits int64
 	// Misses counts Compile calls that ran the compiler.
 	Misses int64
 	// Entries is the number of cached plans.
 	Entries int
-	// MemoEntries is the number of canonical requests memoized to plan keys.
+	// MemoEntries is the number of canonical requests memoized to plan keys
+	// or, for multi-statement requests, to compiled programs.
 	MemoEntries int
 }
 
@@ -174,21 +181,22 @@ func (s *Session) store(key string, data *planData) {
 		s.lru.Remove(last)
 		evicted := last.Value.(*planEntry).key
 		delete(s.plans, evicted)
-		for _, ck := range s.byPlan[evicted] {
+		for _, ck := range slices.Clone(s.byPlan[evicted]) {
 			if mel, ok := s.memo[ck]; ok {
-				s.memoLRU.Remove(mel)
-				delete(s.memo, ck)
+				s.dropMemo(mel)
 			}
 		}
 		delete(s.byPlan, evicted)
 	}
 }
 
-// memoize records ck -> planKey under the memo's own LRU bound; an empty ck
-// (a fluent compile, which has no request rendering) records nothing.
-// Caller must not hold s.mu.
-func (s *Session) memoize(ck, planKey string) {
-	if ck == "" {
+// memoize records a canonical request's entry under the memo's own LRU
+// bound, unless a plan it resolves through has already left the plan cache
+// (an entry exists only while all of them are cached). An empty ck (a fluent
+// compile, which has no request rendering) records nothing, and a request
+// memoized already keeps its entry. Caller must not hold s.mu.
+func (s *Session) memoize(me *memoEntry) {
+	if me.ck == "" {
 		return
 	}
 	s.mu.Lock()
@@ -196,30 +204,62 @@ func (s *Session) memoize(ck, planKey string) {
 	if s.capacity <= 0 || s.memoCapacity <= 0 {
 		return
 	}
-	if el, ok := s.memo[ck]; ok {
-		el.Value.(*memoEntry).planKey = planKey
+	if el, ok := s.memo[me.ck]; ok {
 		s.memoLRU.MoveToFront(el)
 		return
 	}
-	s.memo[ck] = s.memoLRU.PushFront(&memoEntry{ck: ck, planKey: planKey})
-	s.byPlan[planKey] = append(s.byPlan[planKey], ck)
-	for s.memoLRU.Len() > s.memoCapacity {
-		last := s.memoLRU.Back()
-		s.memoLRU.Remove(last)
-		me := last.Value.(*memoEntry)
-		delete(s.memo, me.ck)
-		if cks := s.byPlan[me.planKey]; len(cks) > 0 {
-			for i, ck2 := range cks {
-				if ck2 == me.ck {
-					s.byPlan[me.planKey] = append(cks[:i], cks[i+1:]...)
-					break
-				}
-			}
-			if len(s.byPlan[me.planKey]) == 0 {
-				delete(s.byPlan, me.planKey)
-			}
+	for _, k := range me.keys {
+		if _, ok := s.plans[k]; !ok {
+			return
 		}
 	}
+	s.memo[me.ck] = s.memoLRU.PushFront(me)
+	for _, k := range me.keys {
+		s.byPlan[k] = append(s.byPlan[k], me.ck)
+	}
+	for s.memoLRU.Len() > s.memoCapacity {
+		s.dropMemo(s.memoLRU.Back())
+	}
+}
+
+// dropMemo removes a memo entry and its byPlan back-references. Caller
+// holds s.mu.
+func (s *Session) dropMemo(el *list.Element) {
+	me := s.memoLRU.Remove(el).(*memoEntry)
+	delete(s.memo, me.ck)
+	for _, k := range me.keys {
+		cks := slices.DeleteFunc(s.byPlan[k], func(ck string) bool { return ck == me.ck })
+		if len(cks) == 0 {
+			delete(s.byPlan, k)
+		} else {
+			s.byPlan[k] = cks
+		}
+	}
+}
+
+// hitMemo resolves a canonical request through the memo: on a hit it counts
+// one plan-cache hit per plan the entry resolves through (a program's stages,
+// as compiling each would) and promotes the entry and those plans. Caller
+// holds s.mu.
+func (s *Session) hitMemo(ck string) *memoEntry {
+	el, ok := s.memo[ck]
+	if !ok {
+		return nil
+	}
+	me := el.Value.(*memoEntry)
+	for _, k := range me.keys {
+		pe, ok := s.plans[k]
+		if !ok {
+			// Unreachable while eviction drops entries through byPlan; an
+			// entry that outlived a plan must not serve it.
+			s.dropMemo(el)
+			return nil
+		}
+		s.lru.MoveToFront(pe)
+	}
+	s.hits += int64(len(me.keys))
+	s.memoLRU.MoveToFront(el)
+	return me
 }
 
 // resolve is the compile fast path: it resolves a flight key to a cached
@@ -239,23 +279,22 @@ func (s *Session) resolve(fk string) (*planData, string) {
 		s.lru.MoveToFront(el)
 		return el.Value.(*planEntry).data, key
 	}
-	el, ok := s.memo[fk]
-	if !ok {
+	me := s.hitMemo(fk)
+	if me == nil {
 		return nil, ""
 	}
-	me := el.Value.(*memoEntry)
-	pe, ok := s.plans[me.planKey]
-	if !ok {
-		// The plan was evicted out from under the memo entry (possible only
-		// via a concurrent eviction racing this lookup): drop the entry.
-		s.memoLRU.Remove(el)
-		delete(s.memo, fk)
-		return nil, ""
+	return s.plans[me.keys[0]].Value.(*planEntry).data, me.keys[0]
+}
+
+// resolveProgram is CompileProgram's fast path: the compiled DAG a canonical
+// multi-statement request is memoized to, or nil (counting nothing).
+func (s *Session) resolveProgram(ck string) *programData {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if me := s.hitMemo(ck); me != nil {
+		return me.prog
 	}
-	s.hits++
-	s.lru.MoveToFront(pe)
-	s.memoLRU.MoveToFront(el)
-	return pe.Value.(*planEntry).data, me.planKey
+	return nil
 }
 
 // Define parses the statement and declares the named tensors against the
@@ -414,17 +453,31 @@ func (s *Session) buildUnscheduled(req Request) (*Computation, error) {
 }
 
 // canonicalRequest renders a request deterministically and injectively:
-// every field is length-framed, so no request can embed another's frame
-// boundaries inside a field value and collide (maps are rendered sorted and
-// in full — an entry buildComputation would reject must not canonicalize to
-// the same string as a request without it). Given a fixed session machine
-// the rendering fully determines the compile input, so it keys both the
-// request memo and the singleflight table.
+// every field is length-framed and every list and map is preceded by its
+// entry count, so no request can embed another's frame boundaries inside a
+// field value and collide (maps are rendered sorted and in full — an entry
+// buildComputation would reject must not canonicalize to the same string as
+// a request without it). Statements render last, each with its own formats
+// and schedule, so a program never collides with a single statement nor
+// with its statements split, merged, or annotated differently. Given a fixed
+// session machine the rendering fully determines the compile input, so it
+// keys both the request memo and the singleflight table.
 func canonicalRequest(req Request) string {
 	var b strings.Builder
 	frame := func(fields ...string) {
 		for _, f := range fields {
 			fmt.Fprintf(&b, "%d\x00%s", len(f), f)
+		}
+	}
+	formats := func(m map[string]string) {
+		names := make([]string, 0, len(m))
+		for k := range m {
+			names = append(names, k)
+		}
+		sort.Strings(names)
+		frame(strconv.Itoa(len(names)))
+		for _, name := range names {
+			frame(name, m[name])
 		}
 	}
 	frame(req.Stmt)
@@ -433,18 +486,18 @@ func canonicalRequest(req Request) string {
 		shapeNames = append(shapeNames, k)
 	}
 	sort.Strings(shapeNames)
+	frame(strconv.Itoa(len(shapeNames)))
 	for _, name := range shapeNames {
-		frame("s", name, fmt.Sprint(req.Shapes[name]))
+		frame(name, fmt.Sprint(req.Shapes[name]))
 	}
-	formatNames := make([]string, 0, len(req.Formats))
-	for k := range req.Formats {
-		formatNames = append(formatNames, k)
-	}
-	sort.Strings(formatNames)
-	for _, name := range formatNames {
-		frame("f", name, req.Formats[name])
-	}
+	formats(req.Formats)
 	frame(req.Schedule)
+	frame(strconv.Itoa(len(req.Stmts)))
+	for _, st := range req.Stmts {
+		frame(st.Stmt)
+		formats(st.Formats)
+		frame(st.Schedule)
+	}
 	return b.String()
 }
 
@@ -591,7 +644,7 @@ func (s *Session) compileSlow(ctx context.Context, fk string, req Request, c *Co
 		// Same program already compiled under a different request rendering
 		// (e.g. explicit vs. defaulted formats) or fluently: memoize this
 		// rendering too.
-		s.memoize(ck, key)
+		s.memoize(&memoEntry{ck: ck, keys: []string{key}})
 		return &Plan{planData: pd, key: key, stats: cachedStats(pd, false)}, nil
 	}
 	start := time.Now()
@@ -603,7 +656,7 @@ func (s *Session) compileSlow(ctx context.Context, fk string, req Request, c *Co
 	}
 	pd := c.newPlanData(prog)
 	s.store(key, pd)
-	s.memoize(ck, key)
+	s.memoize(&memoEntry{ck: ck, keys: []string{key}})
 	stats := CompileStats{CompileTime: time.Since(start), Launches: pd.launches, Points: pd.points}
 	return &Plan{planData: pd, key: key, stats: stats}, nil
 }

@@ -193,6 +193,61 @@ func TestSessionMemoCanonicalInjective(t *testing.T) {
 	if _, err := execute(sess, forged); err == nil {
 		t.Fatal("forged request executed instead of failing schedule parse")
 	}
+
+	// Programs: statements merged or split, formats moved between
+	// statements, and a one-statement program against its statement alone
+	// must all render apart — and no variant may be served the chain's DAG.
+	ctx := context.Background()
+	chain := chainRequest(16)
+	s0, s1 := chain.Stmts[0], chain.Stmts[1]
+	union := map[string]string{}
+	for _, st := range chain.Stmts {
+		for k, v := range st.Formats {
+			union[k] = v
+		}
+	}
+	without := func(m map[string]string, drop string) map[string]string {
+		out := map[string]string{}
+		for k, v := range m {
+			if k != drop {
+				out[k] = v
+			}
+		}
+		return out
+	}
+	programs := map[string]Request{
+		"merged": {Shapes: chain.Shapes, Stmts: []Statement{
+			{Stmt: s0.Stmt + "\n" + s1.Stmt, Formats: union, Schedule: s0.Schedule + " " + s1.Schedule}}},
+		"split": {Shapes: chain.Shapes, Stmts: []Statement{
+			{Stmt: s0.Stmt, Formats: s0.Formats}, {Schedule: s0.Schedule}, s1}},
+		"format moved to the producer": {Shapes: chain.Shapes, Stmts: []Statement{
+			s0, {Stmt: s1.Stmt, Formats: without(s1.Formats, "D"), Schedule: s1.Schedule}}},
+		"format moved to the consumer": {Shapes: chain.Shapes, Stmts: []Statement{
+			{Stmt: s0.Stmt, Formats: without(s0.Formats, "D"), Schedule: s0.Schedule}, s1}},
+		"schedules swapped": {Shapes: chain.Shapes, Stmts: []Statement{
+			{Stmt: s0.Stmt, Formats: s0.Formats, Schedule: s1.Schedule},
+			{Stmt: s1.Stmt, Formats: s1.Formats, Schedule: s0.Schedule}}},
+		"first statement only": {Shapes: map[string][]int{"A": {16, 16}, "B": {16, 16}}, Stmts: []Statement{s0}},
+	}
+	single := Request{Stmt: s0.Stmt, Shapes: map[string][]int{"A": {16, 16}, "B": {16, 16}, "D": {16, 16}},
+		Formats: s0.Formats, Schedule: s0.Schedule}
+	seen := map[string]string{canonicalRequest(chain): "chain", canonicalRequest(single): "single statement"}
+	for name, req := range programs {
+		ck := canonicalRequest(req)
+		if other, dup := seen[ck]; dup {
+			t.Fatalf("programs %q and %q canonicalize identically", name, other)
+		}
+		seen[ck] = name
+	}
+	pp, err := sess.CompileProgram(ctx, chain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, req := range programs {
+		if got, err := sess.CompileProgram(ctx, req); err == nil && got.programData == pp.programData {
+			t.Fatalf("program %q was served the chain's memoized DAG", name)
+		}
+	}
 }
 
 func TestSessionCacheDiscriminates(t *testing.T) {

@@ -9,6 +9,7 @@ package distal_test
 import (
 	"context"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -97,6 +98,67 @@ func TestWarmRunAllocBudget(t *testing.T) {
 	t.Logf("%v allocations per warm run", allocs)
 	if allocs > warmRunAllocBudget {
 		t.Fatalf("a warm run allocates %v objects, budget %d", allocs, warmRunAllocBudget)
+	}
+}
+
+// chainBatch is the benchmark's chain-batch program at n = 64: a low-rank
+// chain E = (A·B)·C whose 64×64 intermediate D (32 KiB) dwarfs its 64×8
+// output.
+func chainBatch() distal.Request {
+	const n, k = 64, 8
+	return distal.Request{
+		Shapes: map[string][]int{"A": {n, k}, "B": {k, n}, "C": {n, k}},
+		Stmts: []distal.Statement{
+			{Stmt: "D(i,j) = A(i,k) * B(k,j)", Schedule: "divide(i,io,ii,4) divide(j,jo,ji,4) reorder(io,jo,ii,ji) distribute(io,jo) " +
+				"split(k,ko,ki,8) reorder(io,jo,ko,ii,ji,ki) communicate(jo,D) communicate(ko,A,B)"},
+			{Stmt: "E(i,l) = D(i,j) * C(j,l)", Schedule: "divide(i,io,ii,4) divide(l,lo,li,4) reorder(io,lo,ii,li) distribute(io,lo) " +
+				"split(j,jo,ji,16) reorder(io,lo,jo,ii,li,ji) communicate(lo,E) communicate(jo,D,C)"},
+		},
+	}
+}
+
+// TestWarmProgramBatchAllocBytes: a warm batched run of a program borrows
+// its intermediates from the compiled program instead of allocating them,
+// and replays the program's one analysis, so its bytes per run stay below
+// the size of one intermediate.
+func TestWarmProgramBatchAllocBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race: sync.Pool drops intermediates at random")
+	}
+	ctx := context.Background()
+	req := chainBatch()
+	sess := distal.NewSession(distal.NewMachine(distal.CPU, 4, 4))
+	pp, err := sess.CompileProgram(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	insts := make([][]*distal.Tensor, 2)
+	for i := range insts {
+		for k, name := range pp.Inputs() {
+			d := tensor.New(name, req.Shapes[name]...)
+			d.FillRandom(int64(10*i + k))
+			insts[i] = append(insts[i], &distal.Tensor{Name: name, Shape: req.Shapes[name], Data: d})
+		}
+	}
+	run := func() {
+		if _, err := pp.BindBatch(insts...).Run(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // analyse once and fill the pool
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	perRun := (after.TotalAlloc - before.TotalAlloc) / runs
+	d := pp.Shape("D")
+	intermediate := uint64(8 * d[0] * d[1])
+	t.Logf("%d bytes per warm run of a batch of %d; one intermediate is %d bytes", perRun, len(insts), intermediate)
+	if perRun >= intermediate {
+		t.Fatalf("a warm batched program run allocates %d bytes, want below one intermediate's %d", perRun, intermediate)
 	}
 }
 
