@@ -10,6 +10,7 @@ package core_test
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -75,41 +76,54 @@ var blockExtents = map[string]map[byte]int{
 var leafOrders = map[string]func(c blockCase, tensors []string) string{
 	// ki innermost: the block's row is a reduction.
 	"reduction-innermost": func(c blockCase, tensors []string) string {
-		return blockSchedule(tensors, "ko", append(split(c.other), "ki"), "")
+		return blockSchedule(tensors, "ko", slices.Concat(ii, split(c.other), []string{"ki"}), "")
 	},
 	// The last output variable innermost, ki just outside it.
 	"output-innermost": func(c blockCase, tensors []string) string {
 		o := split(c.other)
-		leaf := append(append([]string{}, o[:len(o)-1]...), "ki", o[len(o)-1])
-		return blockSchedule(tensors, "ko", leaf, "")
+		return blockSchedule(tensors, "ko", slices.Concat(ii, o[:len(o)-1], []string{"ki"}, o[len(o)-1:]), "")
 	},
 	// ki rotated by io: the innermost reconstruction wraps, no block plan.
 	"rotated-innermost": func(c blockCase, tensors []string) string {
-		return blockSchedule(tensors, "ko", append(split(c.other), "kis"), "rotate(ki,io,kis)")
+		return blockSchedule(tensors, "ko", slices.Concat(ii, split(c.other), []string{"kis"}), "rotate(ki,io,kis)")
 	},
 	// Inputs communicated at the second-innermost loop: one leaf variable.
 	"single-leaf-variable": func(c blockCase, tensors []string) string {
 		o := split(c.other)
-		return blockSchedule(tensors, o[len(o)-1], append(o, "ki"), "")
+		return blockSchedule(tensors, o[len(o)-1], slices.Concat(ii, o, []string{"ki"}), "")
 	},
 	// ko stays in the leaf next to ki: a ragged k tail couples the block's
-	// two variables and the block is judged per point.
+	// outer and inner variable and the block is judged per point.
 	"coupled-innermost": func(c blockCase, tensors []string) string {
-		return blockSchedule(tensors, "io", append(split(c.other), "ko", "ki"), "")
+		return blockSchedule(tensors, "io", slices.Concat(ii, split(c.other), []string{"ko", "ki"}), "")
+	},
+	// ko, ki, then the last output variable: a ragged k tail couples the
+	// block's plane and outer variable, so the block is judged per plane.
+	"coupled-plane": func(c blockCase, tensors []string) string {
+		o := split(c.other)
+		return blockSchedule(tensors, "io", slices.Concat(ii, o[:len(o)-1], []string{"ko", "ki"}, o[len(o)-1:]), "")
+	},
+	// ki rotated by io as the third-innermost leaf variable: the block
+	// falls back to the two innermost.
+	"rotated-plane": func(c blockCase, tensors []string) string {
+		l := slices.Concat(ii, split(c.other))
+		n := len(l) - 2
+		return blockSchedule(tensors, "ko", slices.Concat(l[:n], []string{"kis"}, l[n:]), "rotate(ki,io,kis)")
 	},
 }
+
+var ii = []string{"ii"}
 
 func split(vars string) []string { return strings.Split(vars, "") }
 
 // blockSchedule renders the schedule: anchor is the loop the inputs are
 // communicated at (everything below it is the leaf), leaf lists the loops
-// below ii in order, extra is appended before the reorder.
+// below it in order, extra is appended before the reorder.
 func blockSchedule(tensors []string, anchor string, leaf []string, extra string) string {
 	order := []string{"io"}
 	if anchor == "ko" {
 		order = append(order, "ko")
 	}
-	order = append(order, "ii")
 	order = append(order, leaf...)
 	return fmt.Sprintf("divide(i,io,ii,2) split(k,ko,ki,4) %s reorder(%s) distribute(io) communicate(io,%s) communicate(%s,%s)",
 		extra, strings.Join(order, ","), tensors[0], anchor, strings.Join(tensors[1:], ","))
@@ -238,6 +252,53 @@ func TestBlockKernelMatchesTree(t *testing.T) {
 	}
 }
 
+// TestWorkloadLeavesBlockThreeVariables guards the benchmark's kernel-bound
+// workloads against a silent return to per-row block analysis: the leaf of
+// serve-small and run-gemm (SUMMA on a 4x4 grid) and of both chain-batch
+// stages, with the schedules of benchmark/http.go, blocks its three
+// innermost variables.
+func TestWorkloadLeavesBlockThreeVariables(t *testing.T) {
+	summa := func(chunk int) string {
+		return fmt.Sprintf("divide(i,io,ii,4) divide(j,jo,ji,4) reorder(io,jo,ii,ji) distribute(io,jo) "+
+			"split(k,ko,ki,%d) reorder(io,jo,ko,ii,ji,ki) communicate(jo,A) communicate(ko,B,C)", chunk)
+	}
+	const n, k = 256, 8
+	for _, w := range []struct {
+		name, stmt, sched string
+		shapes            map[string][]int
+	}{
+		{"serve-small", "A(i,j) = B(i,k) * C(k,j)", summa(8),
+			map[string][]int{"A": {64, 64}, "B": {64, 64}, "C": {64, 64}}},
+		{"run-gemm", "A(i,j) = B(i,k) * C(k,j)", summa(64),
+			map[string][]int{"A": {256, 256}, "B": {256, 256}, "C": {256, 256}}},
+		{"chain-batch/D", "D(i,j) = A(i,k) * B(k,j)",
+			"divide(i,io,ii,4) divide(j,jo,ji,4) reorder(io,jo,ii,ji) distribute(io,jo) " +
+				"split(k,ko,ki,8) reorder(io,jo,ko,ii,ji,ki) communicate(jo,D) communicate(ko,A,B)",
+			map[string][]int{"D": {n, n}, "A": {n, k}, "B": {k, n}}},
+		{"chain-batch/E", "E(i,l) = D(i,j) * C(j,l)",
+			"divide(i,io,ii,4) divide(l,lo,li,4) reorder(io,lo,ii,li) distribute(io,lo) " +
+				"split(j,jo,ji,64) reorder(io,lo,jo,ii,li,ji) communicate(lo,E) communicate(jo,D,C)",
+			map[string][]int{"E": {n, k}, "D": {n, n}, "C": {n, k}}},
+	} {
+		stmt := ir.MustParse(w.stmt)
+		s, err := schedule.FromText(stmt, w.sched)
+		if err != nil {
+			t.Fatalf("%s: %v", w.name, err)
+		}
+		in := core.Input{Stmt: stmt, Machine: algorithms.MatmulConfig{}.MachineFor(4, 4), Tensors: map[string]*core.TensorDecl{}, Schedule: s}
+		for name, shape := range w.shapes {
+			in.Tensors[name] = &core.TensorDecl{Name: name, Shape: shape, Placement: distnot.MustParsePlacement("xy->xy")}
+		}
+		got, err := core.LeafBlockVars(in)
+		if err != nil {
+			t.Fatalf("%s: %v", w.name, err)
+		}
+		if got != 3 {
+			t.Errorf("%s: the leaf blocks %d variables, want 3", w.name, got)
+		}
+	}
+}
+
 func cloneData(data map[string]*tensor.Dense) map[string]*tensor.Dense {
 	out := map[string]*tensor.Dense{}
 	for name, d := range data {
@@ -316,6 +377,34 @@ func BenchmarkLeafKernel(b *testing.B) {
 			}
 		}
 		report(b, 2*n*n*n)
+	})
+
+	// chain-batch's two stages, one task's tile each: D = A*B with the thin
+	// k = 8 reduction innermost (64 x 64 x 8), and E = D*C with a two-column
+	// output, the 2-cell tile (64 x 2 x 64).
+	stage := func(b *testing.B, stmt, sched string, shapes map[string][]int) core.Input {
+		st := ir.MustParse(stmt)
+		s, err := schedule.FromText(st, sched)
+		if err != nil {
+			b.Fatal(err)
+		}
+		in := core.Input{Stmt: st, Machine: algorithms.MatmulConfig{}.MachineFor(1), Tensors: map[string]*core.TensorDecl{}, Schedule: s}
+		for k, name := range st.TensorNames() {
+			d := tensor.New(name, shapes[name]...)
+			d.FillRandom(int64(5 + k))
+			in.Tensors[name] = &core.TensorDecl{Name: name, Shape: shapes[name], Placement: distnot.MustParsePlacement("xy->*"), Data: d}
+		}
+		return in
+	}
+	b.Run("chain-thin-k/kernel", func(b *testing.B) {
+		in := stage(b, "D(i,j) = A(i,k) * B(k,j)", "reorder(i,j,k)",
+			map[string][]int{"D": {64, 64}, "A": {64, 8}, "B": {8, 64}})
+		kernel(b, in, 2*64*64*8)
+	})
+	b.Run("chain-two-column/kernel", func(b *testing.B) {
+		in := stage(b, "E(i,l) = D(i,j) * C(j,l)", "reorder(i,l,j)",
+			map[string][]int{"E": {64, 2}, "D": {64, 64}, "C": {64, 2}})
+		kernel(b, in, 2*64*2*64)
 	})
 
 	const m = 32 // MTTKRP: A(i,l) += B(i,j,k)*C(j,l)*D(k,l), 32^3 x 32, l innermost

@@ -1,10 +1,11 @@
 package core
 
-// This file executes a kernelProg over one 2-D block of the two innermost
-// leaf loops (schedule.BlockPlan): the ValueProgram, the ragged limits and
-// every access's origin offset were computed once for the block, and every
-// access advances by a constant element stride per unit of either block
-// variable, so everything here is float traffic over raw storage.
+// This file executes a kernelProg over one block of up to three innermost
+// leaf loops (schedule.BlockPlan), a plane of the two innermost at a time:
+// the ValueProgram, the ragged limits and every access's origin offset were
+// computed once for the block, and every access advances by a constant
+// element stride per unit of any block variable, so everything here is float
+// traffic over raw storage.
 //
 // A block runs through one of two lowerings, chosen per task from the op
 // program's shape (kernelProg.chain) and the bound strides:
@@ -23,9 +24,10 @@ package core
 // evaluated once, as the same operation on the same operands, and
 // multiplication operands are only ever swapped (IEEE multiplication is
 // commutative). And every output cell receives its terms in the order the
-// leaf loop nest visits them: a block holds all of a cell's terms for one
-// assignment of the outer loops, a tile or row loop walks the block's
-// reduction variable(s) in increasing order, and cells are independent.
+// leaf loop nest visits them: a plane holds all of a cell's terms for one
+// assignment of the loops outside it, a block's planes run in increasing
+// order, a tile or row loop walks the plane's reduction variable(s) in
+// increasing order, and cells are independent.
 //
 // Products that feed an addition are written s += float64(a*b): the explicit
 // conversion rounds the product, so compilers that fuse multiply-add (arm64,
@@ -67,10 +69,11 @@ type blockLowering struct {
 // lowering. Read surfaces are fixed per execution and the store's depends on
 // the task's accumulator, so both resolve here, once per task.
 func (kp *kernelProg) bindBlock(loads []boundAccess, store *boundAccess) blockLowering {
-	su, sv := kp.bp.OuterSteps(), kp.bp.InnerSteps()
+	sw, su, sv := kp.bp.Steps(0), kp.bp.Steps(1), kp.bp.Steps(2)
 	bind := func(b *boundAccess) {
-		b.su, b.sv = 0, 0
+		b.sw, b.su, b.sv = 0, 0, 0
 		for d, pos := range b.pos {
+			b.sw += sw[pos] * b.stride[d]
 			b.su += su[pos] * b.stride[d]
 			b.sv += sv[pos] * b.stride[d]
 		}
@@ -128,20 +131,50 @@ func (kp *kernelProg) bindBlock(loads []boundAccess, store *boundAccess) blockLo
 	return low
 }
 
-// runBlock executes the nu x nv prefix box of the current block (every
-// access's off is set to the block origin).
-func (kp *kernelProg) runBlock(ks *kernelScratch, loads []boundAccess, store *boundAccess, nu, nv int) {
-	switch low := &ks.low; low.kind {
-	case lowerTileOuter:
-		tileBlock(store.data, store.off, low.x.data, low.x.off, low.x.sv, low.y.data, low.y.off, low.y.sv, nu, nv)
-	case lowerTileInner:
-		tileBlock(store.data, store.off, low.x.data, low.x.off, low.x.su, low.y.data, low.y.off, low.y.su, nv, nu)
-	case lowerDot:
-		dotBlock(store, low.x, low.y, nu, nv)
-	case lowerAxpy:
-		axpyBlock(store, low.p1, low.p2, low.b, low.c, nu, nv)
-	default:
-		kp.runRows(ks, loads, store, nu, nv)
+// runBlock executes the in-space prefix box BlockRun returned, ks.origVals
+// holding the original variables at its origin: one origin-offset
+// computation per access, then the box's planes in increasing order, each
+// plane's box[1] x box[2] prefix through the task's lowering, every access
+// stepping by its plane stride sw from one plane's origin to the next.
+func (kp *kernelProg) runBlock(ks *kernelScratch, box [3]int) {
+	if box[0] == 0 {
+		return // the whole block is outside; otherwise no dimension is 0
+	}
+	loads, store := ks.loads, &ks.store
+	for i := range loads {
+		loads[i].off = loads[i].offset(ks.origVals)
+	}
+	store.off = store.offset(ks.origVals)
+	nu, nv, low := box[1], box[2], &ks.low
+	if low.kind == lowerTileOuter || low.kind == lowerTileInner {
+		x, y := low.x, low.y
+		xr, yr, nt, nr := x.sv, y.sv, nu, nv
+		if low.kind == lowerTileInner {
+			xr, yr, nt, nr = x.su, y.su, nv, nu
+		}
+		so, xo, yo := store.off, x.off, y.off
+		for range box[0] {
+			tileBlock(store.data, so, x.data, xo, xr, y.data, yo, yr, nt, nr)
+			so, xo, yo = so+store.sw, xo+x.sw, yo+y.sw
+		}
+		return
+	}
+	for w := 0; ; {
+		switch low.kind {
+		case lowerDot:
+			dotBlock(store, low.x, low.y, nu, nv)
+		case lowerAxpy:
+			axpyBlock(store, low.p1, low.p2, low.b, low.c, nu, nv)
+		default:
+			kp.runRows(ks, loads, store, nu, nv)
+		}
+		if w++; w == box[0] {
+			return
+		}
+		for i := range loads {
+			loads[i].off += loads[i].sw
+		}
+		store.off += store.sw
 	}
 }
 

@@ -38,6 +38,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -46,6 +47,7 @@ import (
 	"distal/internal/ir"
 	"distal/internal/legion"
 	"distal/internal/machine"
+	"distal/internal/obs"
 	"distal/internal/schedule"
 	"distal/internal/tensor"
 )
@@ -84,8 +86,19 @@ const cancelCheckPoints = 1024
 // CompileContext is Compile under a context: the launch-materialization
 // workers poll ctx every cancelCheckPoints domain points and the whole
 // compile aborts with ctx's error, so a canceled request stops burning the
-// pool promptly even mid-launch.
+// pool promptly even mid-launch. The context's current span (the caller's
+// compile span) gains a block_vars attribute: how many leaf variables the
+// compiled kernel's block plan spans, 0 to 3 (absent under TreeKernel).
 func CompileContext(ctx context.Context, in Input) (*legion.Program, error) {
+	c, err := newCompiler(ctx, in)
+	if err != nil {
+		return nil, err
+	}
+	return c.lower()
+}
+
+// newCompiler validates the input and resolves its extents.
+func newCompiler(ctx context.Context, in Input) (*compiler, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -127,15 +140,14 @@ func CompileContext(ctx context.Context, in Input) (*legion.Program, error) {
 		}
 	}
 
-	c := &compiler{
+	return &compiler{
 		in:      in,
 		ctx:     ctx,
 		sched:   sched,
 		extents: extents,
 		order:   sched.Order(),
 		dist:    sched.Distributed(),
-	}
-	return c.lower()
+	}, nil
 }
 
 type compiler struct {
@@ -454,6 +466,7 @@ func (c *compiler) buildPlan(splitDepth int) {
 			c.leafExt[i] = c.extents[name]
 		}
 		c.kprog.planBlock(c.leafIDs, c.leafExt)
+		obs.FromContext(c.ctx).SetAttr("block_vars", strconv.Itoa(c.kprog.blockVars))
 		nv, nOrig := c.ev.NumVars(), len(c.ev.OrigIDs())
 		nOps, nAcc, nLeaf, rowLen := len(c.kprog.ops), len(c.kprog.accesses), len(c.leaf), c.kprog.rowLen
 		c.kpool = &sync.Pool{New: func() any {

@@ -76,17 +76,18 @@ func (ks *kernelScratch) release(pool *sync.Pool) {
 //
 // The default body executes the plan's compiled kernelProg (kernelprog.go)
 // with raw storage surfaces resolved once per task. When the plan's block
-// plan exists — every original variable's reconstruction is affine in the
-// innermost leaf variables (see schedule.ValueProgram.CompileBlock) — the
-// body is blocked: the odometer and ValueProgram run once per 2-D block of
-// the two innermost leaf loops, every access offset advances by a constant
-// element stride per unit of either, and the block's in-space prefix box
-// runs as pure float traffic (blockkernel.go). A block whose ragged tail is
-// not a box, a leaf whose innermost reconstruction is not affine, and a
-// leaf with no loops all take the per-point walk, so results are
-// bit-identical to the tree-walking fallback (Input.TreeKernel), which
-// remains the reference the compiled program is asserted against. Scratch
-// is pooled per worker (kernelScratch), so a task allocates nothing.
+// plan exists — every original variable's reconstruction is affine in up to
+// three innermost leaf variables (see schedule.ValueProgram.CompileBlock) —
+// the body is blocked: the odometer walks the leaf variables outside the
+// block, the ValueProgram and every access offset run once per block, and
+// the block's in-space prefix box runs as pure float traffic a plane at a
+// time (blockkernel.go). A block whose ragged tail is not a box is judged
+// plane by plane, then per point (walkBlock); a leaf whose innermost
+// reconstruction is not affine, and a leaf with no loops, take the per-point
+// walk, so results are bit-identical to the tree-walking fallback
+// (Input.TreeKernel), which remains the reference the compiled program is
+// asserted against. Scratch is pooled per worker (kernelScratch), so a task
+// allocates nothing.
 func (c *compiler) realKernel(seq map[string]int) func(ctx *legion.Ctx) {
 	if c.in.TreeKernel {
 		return c.treeKernel(seq)
@@ -103,22 +104,15 @@ func (c *compiler) realKernel(seq map[string]int) func(ctx *legion.Ctx) {
 	distIDs := c.distIDs
 	leafIDs, leafExt := c.leafIDs, c.leafExt
 	// The odometer walks the leaf variables outside the block; the block's
-	// own variables stay bound to 0, its origin, except while a block is
-	// walked per point. A height-1 block has no outer variable (uID < 0) and
-	// a plan without a block plan has neither: its "block" is one point.
+	// own variables stay bound to 0, its origin, except while walkBlock
+	// steps through them. A plan without a block plan has none: its "block"
+	// is one point.
 	nOuter := len(leafIDs) - kp.blockVars
-	uID, vID, uExt, vExt := -1, -1, 1, 1
-	if kp.blockVars >= 1 {
-		vID, vExt = leafIDs[len(leafIDs)-1], leafExt[len(leafIDs)-1]
-	}
-	if kp.blockVars == 2 {
-		uID, uExt = leafIDs[nOuter], leafExt[nOuter]
-	}
 
 	return func(ctx *legion.Ctx) {
 		ks := pool.Get().(*kernelScratch)
 		defer ks.release(pool)
-		vals, origVals, regs, loads, store := ks.vals, ks.origVals, ks.regs, ks.loads, &ks.store
+		vals, loads, store := ks.vals, ks.loads, &ks.store
 		for i, id := range distIDs {
 			vals[id] = ctx.Point[i]
 		}
@@ -150,45 +144,9 @@ func (c *compiler) realKernel(seq map[string]int) func(ctx *legion.Ctx) {
 			ks.low = kp.bindBlock(loads, store)
 		}
 		idx := ks.idx[:nOuter]
-		for i := range idx {
-			idx[i] = 0
-		}
+		clear(idx)
 		for {
-			nu, nv, ok := 0, 0, false
-			if kp.bp != nil {
-				nu, nv, ok = kp.vp.BlockRun(kp.bp, vals, origVals)
-			}
-			switch {
-			case !ok:
-				// No block plan, or a ragged tail that is not a box: judge
-				// and run each point on its own, in loop order (innermost
-				// last, matching the tree kernel's row-major walk).
-				for u := 0; u < uExt; u++ {
-					if uID >= 0 {
-						vals[uID] = u
-					}
-					for v := 0; v < vExt; v++ {
-						if vID >= 0 {
-							vals[vID] = v
-						}
-						if kp.vp.Run(vals, origVals) {
-							kp.run(loads, store, regs, origVals)
-						}
-					}
-				}
-				if uID >= 0 {
-					vals[uID] = 0
-				}
-				if vID >= 0 {
-					vals[vID] = 0
-				}
-			case nu > 0 && nv > 0:
-				for i := range loads {
-					loads[i].off = loads[i].offset(origVals)
-				}
-				store.off = store.offset(origVals)
-				kp.runBlock(ks, loads, store, nu, nv)
-			}
+			kp.walkBlock(ks)
 			d := nOuter - 1
 			for d >= 0 {
 				idx[d]++
@@ -203,6 +161,62 @@ func (c *compiler) realKernel(seq map[string]int) func(ctx *legion.Ctx) {
 			if d < 0 {
 				return
 			}
+		}
+	}
+}
+
+// walkBlock runs the block at the current odometer step (every block
+// variable 0 in ks.vals). A block BlockRun accepts runs as its prefix box.
+// One it rejects — a ragged check coupling two block variables — is judged
+// again plane by plane through the plan's plane view, and a plane that view
+// rejects too, like any rejected block of a two-variable plan, is walked per
+// point; so is every "block" (one point) of a plan without a block plan.
+func (kp *kernelProg) walkBlock(ks *kernelScratch) {
+	vals, origVals := ks.vals, ks.origVals
+	if kp.bp != nil {
+		if box, ok := kp.vp.BlockRun(kp.bp, vals, origVals); ok {
+			kp.runBlock(ks, box)
+			return
+		}
+	}
+	wID := kp.blockIDs[0]
+	if wID < 0 {
+		kp.walkPoints(ks)
+		return
+	}
+	for w := 0; w < kp.blockExt[0]; w++ {
+		vals[wID] = w
+		if box, ok := kp.vp.BlockRun(&kp.plane, vals, origVals); ok {
+			kp.runBlock(ks, box)
+		} else {
+			kp.walkPoints(ks)
+		}
+	}
+	vals[wID] = 0
+}
+
+// walkPoints judges and runs each point of the current plane on its own, in
+// loop order (innermost last, matching the tree kernel's row-major walk), and
+// rebinds the plane's variables to 0.
+func (kp *kernelProg) walkPoints(ks *kernelScratch) {
+	vals, origVals := ks.vals, ks.origVals
+	uID, vID := kp.blockIDs[1], kp.blockIDs[2]
+	for u := 0; u < kp.blockExt[1]; u++ {
+		if uID >= 0 {
+			vals[uID] = u
+		}
+		for v := 0; v < kp.blockExt[2]; v++ {
+			if vID >= 0 {
+				vals[vID] = v
+			}
+			if kp.vp.Run(vals, origVals) {
+				kp.run(ks.loads, &ks.store, ks.regs, origVals)
+			}
+		}
+	}
+	for _, id := range kp.blockIDs[1:] {
+		if id >= 0 {
+			vals[id] = 0
 		}
 	}
 }

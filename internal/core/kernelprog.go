@@ -16,7 +16,7 @@ import (
 // interface dispatch, no map lookups, and no per-point allocation:
 //
 //   - index reconstruction is a schedule.ValueProgram (integer ops only),
-//     run once per 2-D block of the two innermost leaf loops when their
+//     run once per block of up to three innermost leaf loops when their
 //     reconstruction is affine (schedule.BlockPlan), once per point otherwise;
 //   - every tensor access is an offset computation against the raw storage
 //     surface of the task's region requirement (Ctx.ReadSurface /
@@ -77,14 +77,19 @@ type kernelProg struct {
 
 	// Block plan over the innermost leaf variables (planBlock): nil when no
 	// leaf loops exist or no innermost reconstruction is affine. blockVars
-	// is how many leaf variables a block spans (2, or 1 for a height-1 block
-	// of rows); rowInv marks, per op, a value that does not change along the
+	// is how many leaf variables a block spans (3, 2 or 1); blockIDs and
+	// blockExt are their variable ids and loop extents by block dimension
+	// (plane, outer, inner), -1 and 1 where the block has fewer. plane is
+	// bp's one-plane view, which judges a block BlockRun rejects plane by
+	// plane. rowInv marks, per op, a value that does not change along the
 	// block's inner variable — the row program computes it once per row as a
 	// scalar; rowLen is the inner variable's loop extent (row temporaries).
-	bp        *schedule.BlockPlan
-	blockVars int
-	rowInv    []bool
-	rowLen    int
+	bp                 *schedule.BlockPlan
+	plane              schedule.BlockPlan
+	blockVars          int
+	blockIDs, blockExt [3]int
+	rowInv             []bool
+	rowLen             int
 }
 
 // compileKernelProg lowers stmt's RHS against the plan's evaluator.
@@ -146,27 +151,25 @@ func productChain(ops []kOp) int {
 }
 
 // planBlock compiles the block plan over the innermost leaf variables: the
-// two innermost when both reconstruct affinely, else the innermost alone (a
-// height-1 block: the outer one then walks with the task's odometer), else
-// none — the kernel keeps the per-point walk. leafIDs and leafExt are the
-// leaf loops' variable ids and extents, outermost first.
+// three innermost when all reconstruct affinely, else the two innermost, else
+// the innermost alone (the others walk with the task's odometer), else none —
+// the kernel keeps the per-point walk. leafIDs and leafExt are the leaf
+// loops' variable ids and extents, outermost first.
 func (kp *kernelProg) planBlock(leafIDs, leafExt []int) {
+	kp.blockIDs, kp.blockExt = [3]int{-1, -1, -1}, [3]int{1, 1, 1}
 	n := len(leafIDs)
-	if n == 0 {
-		return
-	}
-	if n >= 2 {
-		kp.bp, kp.blockVars = kp.vp.CompileBlock(leafIDs[n-2], leafIDs[n-1], leafExt[n-2], leafExt[n-1]), 2
-	}
-	if kp.bp == nil {
-		kp.bp, kp.blockVars = kp.vp.CompileBlock(-1, leafIDs[n-1], 1, leafExt[n-1]), 1
+	for k := min(n, 3); k >= 1 && kp.bp == nil; k-- {
+		kp.bp, kp.blockVars = kp.vp.CompileBlock(leafIDs[n-k:], leafExt[n-k:]), k
 	}
 	if kp.bp == nil {
 		kp.blockVars = 0
 		return
 	}
+	copy(kp.blockIDs[3-kp.blockVars:], leafIDs[n-kp.blockVars:])
+	copy(kp.blockExt[3-kp.blockVars:], leafExt[n-kp.blockVars:])
+	kp.plane = kp.bp.Plane()
 	kp.rowLen = max(leafExt[n-1], 0)
-	inner := kp.bp.InnerSteps()
+	inner := kp.bp.Steps(2)
 	kp.rowInv = make([]bool, len(kp.ops))
 	for i := range kp.ops {
 		switch op := &kp.ops[i]; op.kind {
@@ -187,17 +190,17 @@ func (kp *kernelProg) planBlock(leafIDs, leafExt []int) {
 
 // boundAccess is an accessPlan resolved against one task's raw storage: the
 // element for the current point lives at data[base+sum(origVals[pos[d]]*stride[d])].
-// Under a block plan su and sv are the element strides per unit of the
-// block's outer and inner variable (fixed per task) and off is the element
-// offset of the current block's origin: block point (u,v) lives at
-// data[off+u*su+v*sv].
+// Under a block plan sw, su and sv are the element strides per unit of the
+// block's plane, outer and inner variable (fixed per task) and off is the
+// element offset of the current plane's origin: plane point (u,v) lives at
+// data[off+u*su+v*sv], and the next plane's origin at off+sw.
 type boundAccess struct {
 	data   []float64
 	stride []int
 	pos    []int32
 	base   int
 
-	off, su, sv int
+	off, sw, su, sv int
 }
 
 // bindRead resolves a read access against the task's requirement surface.

@@ -11,8 +11,8 @@ import "fmt"
 // ValueProgram pass per leaf point — this is the hottest loop of validated
 // execution, so the program touches only the variables the statement's
 // original indices actually derive from and performs no allocation. Where
-// the two innermost leaf loops reconstruct affinely, kernels run one pass
-// per 2-D block instead (BlockPlan).
+// the innermost leaf loops — up to three of them — reconstruct affinely,
+// kernels run one pass per block of them instead (BlockPlan).
 
 type valKind uint8
 
@@ -90,66 +90,67 @@ func (vp *ValueProgram) Run(vals []int, origVals []int) bool {
 	return true
 }
 
-// BlockPlan describes how a ValueProgram behaves over one 2-D "block": every
-// loop-order variable held fixed except two (the block's outer and inner
-// variables, typically a kernel's two innermost leaf loops), which step
-// through consecutive integers from 0. A row — one varying variable — is the
-// height-1 block (no outer variable). A plan exists only when every original
-// variable's reconstruction is affine in both block variables — reached only
-// through divide/split reconstructions (value = outer*block + inner, a
-// constant non-negative step per unit of a block variable) and through
-// rotations/fusions that depend on neither. Then each original value
-// advances by a constant step per unit of either variable, and the in-space
-// points of a block form a prefix box: every divide/split check value is
-// non-decreasing in both variables, so a check that depends on one of them
-// bounds that variable alone. Blocked kernel loops lean on exactly these two
-// facts (see BlockRun).
+// BlockPlan describes how a ValueProgram behaves over one block: every
+// loop-order variable held fixed except one, two or three (the block
+// variables, typically a kernel's innermost leaf loops), which step through
+// consecutive integers from 0. Block dimensions are right-aligned: the
+// innermost block variable is always dimension 2 (the row), the next one out
+// dimension 1 and a third one dimension 0 (the plane); a plan over fewer
+// variables has extent 1 and zero steps in its leading dimensions, so a row
+// is the 1x1xn block. A plan exists only when every original variable's
+// reconstruction is affine in every block variable — reached only through
+// divide/split reconstructions (value = outer*block + inner, a constant
+// non-negative step per unit of a block variable) and through
+// rotations/fusions that depend on none. Then each original value advances by
+// a constant step per unit of any block variable, and the in-space points of
+// a block form a prefix box: every divide/split check value is
+// non-decreasing in every block variable, so a check that moves with one of
+// them bounds that variable alone. Blocked kernel loops lean on exactly these
+// two facts (see BlockRun).
 type BlockPlan struct {
-	outerExt, innerExt int
-	outerSteps         []int      // per original variable: d(value)/d(outer)
-	innerSteps         []int      // per original variable: d(value)/d(inner)
-	opSteps            [][2]int32 // per vp.ops entry: d(op value)/d(outer, inner)
+	ext   [3]int     // loop extent per dimension (1 for an absent one)
+	steps [3][]int   // per dimension, per original variable: d(value)/d(variable)
+	ops   [][3]int32 // per vp.ops entry: d(op value)/d(variable), per dimension
 }
 
-// OuterSteps and InnerSteps return, per original statement variable
-// (stmt.Vars() order), how much its reconstructed value advances when the
-// block's outer or inner variable advances by one. The returned slices must
-// not be modified.
-func (bp *BlockPlan) OuterSteps() []int { return bp.outerSteps }
-func (bp *BlockPlan) InnerSteps() []int { return bp.innerSteps }
+// Steps returns, per original statement variable (stmt.Vars() order), how
+// much its reconstructed value advances when the block variable of dimension
+// d (0 plane, 1 outer, 2 inner) advances by one. The returned slice must not
+// be modified.
+func (bp *BlockPlan) Steps(d int) []int { return bp.steps[d] }
 
-// CompileBlock analyzes the program's dependence on two loop-order variables
-// with the given loop extents and returns a BlockPlan, or nil when some
-// reconstruction is not affine in one of them (the variable feeds a
-// rotation's modulus or a fusion's div/mod — callers fall back to per-point
-// evaluation). outer and inner must be loop-order variable ids (never the
-// target of an op); outer < 0 compiles the height-1 block over inner alone
-// (outerExt is then taken as 1).
-func (vp *ValueProgram) CompileBlock(outer, inner, outerExt, innerExt int) *BlockPlan {
-	if outer < 0 {
-		outerExt = 1
+// Plane returns the plan of one plane of bp's block: the same steps with the
+// plane variable held at the caller's value in vals (dimension 0 of extent
+// 1). It shares bp's tables and allocates nothing.
+func (bp *BlockPlan) Plane() BlockPlan {
+	p := *bp
+	p.ext[0] = 1
+	return p
+}
+
+// CompileBlock analyzes the program's dependence on one, two or three
+// loop-order variables (vars, outermost first, with loop extents exts) and
+// returns a BlockPlan, or nil when some reconstruction is not affine in one of
+// them (the variable feeds a rotation's modulus or a fusion's div/mod —
+// callers try fewer block variables or fall back to per-point evaluation).
+// vars must be loop-order variable ids (never the target of an op).
+func (vp *ValueProgram) CompileBlock(vars, exts []int) *BlockPlan {
+	lead := 3 - len(vars)
+	step := make([][3]int32, vp.nv)
+	for i, id := range vars {
+		step[id][lead+i] = 1
 	}
-	bp := &BlockPlan{
-		outerExt:   outerExt,
-		innerExt:   innerExt,
-		outerSteps: make([]int, len(vp.orig)),
-		innerSteps: make([]int, len(vp.orig)),
-		opSteps:    make([][2]int32, len(vp.ops)),
-	}
-	step := make([][2]int32, vp.nv)
-	if outer >= 0 {
-		step[outer][0] = 1
-	}
-	step[inner][1] = 1
-	var zero [2]int32
+	ops := make([][3]int32, len(vp.ops))
+	var zero [3]int32
 	for i := range vp.ops {
 		op := &vp.ops[i]
 		switch op.kind {
 		case valDivSplit:
 			a, b := step[op.a], step[op.b]
-			s := [2]int32{a[0]*op.p + b[0], a[1]*op.p + b[1]}
-			bp.opSteps[i] = s
-			step[op.id] = s
+			for d := range ops[i] {
+				ops[i][d] = a[d]*op.p + b[d]
+			}
+			step[op.id] = ops[i]
 		case valRotate:
 			if step[op.a] != zero {
 				return nil // wraps mod extent: not affine in a block variable
@@ -167,33 +168,39 @@ func (vp *ValueProgram) CompileBlock(outer, inner, outerExt, innerExt int) *Bloc
 			// Constant.
 		}
 	}
-	for i, id := range vp.orig {
-		bp.outerSteps[i] = int(step[id][0])
-		bp.innerSteps[i] = int(step[id][1])
+	n := len(vp.orig)
+	steps := make([]int, 3*n)
+	bp := &BlockPlan{ext: [3]int{1, 1, 1}, ops: ops}
+	copy(bp.ext[lead:], exts)
+	for d := range bp.steps {
+		bp.steps[d] = steps[d*n : (d+1)*n : (d+1)*n]
+		for i, id := range vp.orig {
+			bp.steps[d][i] = int(step[id][d])
+		}
 	}
 	return bp
 }
 
-// BlockRun evaluates the program at a block's origin (the caller binds both
-// block variables to 0 in vals, all other loop-order variables to their
-// values) and returns the prefix box [0,nu) x [0,nv) of the block that lies
-// inside the iteration space, clamped to the plan's loop extents. origVals
-// receives the original variables' values at the origin; inside the box,
-// original variable i advances by OuterSteps()[i] and InnerSteps()[i] per
-// unit of the outer and inner variable. An empty box (nu or nv zero) means
-// the whole block is outside. BlockRun performs no allocation.
+// BlockRun evaluates the program at a block's origin (the caller binds every
+// block variable to 0 in vals, all other loop-order variables to their
+// values) and returns the prefix box [0,box[0]) x [0,box[1]) x [0,box[2]) of
+// the block that lies inside the iteration space, clamped to the plan's loop
+// extents. origVals receives the original variables' values at the origin;
+// inside the box, original variable i advances by Steps(d)[i] per unit of
+// dimension d. An empty box (all zero) means the whole block is outside.
+// BlockRun performs no allocation.
 //
 // With ok the box is exact, not conservative: the only way a full assignment
 // can leave the iteration space is a divide/split ragged-tail check, each
 // check value is affine with non-negative steps in the block variables (bp
 // exists only then), a check that fails at the origin fails everywhere, and
-// a check that depends on one block variable cuts a prefix of that variable
-// alone. A check that depends on both (the block variables are the outer
-// and inner halves of one divide) describes a box only when it cannot fail
-// anywhere in the block; when it can, BlockRun reports !ok and the caller
-// judges the block per point.
-func (vp *ValueProgram) BlockRun(bp *BlockPlan, vals []int, origVals []int) (nu, nv int, ok bool) {
-	nu, nv = bp.outerExt, bp.innerExt
+// a check that moves with one block variable (of extent above 1) cuts a
+// prefix of that variable alone. A check that moves with two or more (block
+// variables that are halves of one divide) describes a box only when it
+// cannot fail anywhere in the block; when it can, BlockRun reports !ok and
+// the caller judges the block per plane (Plane) or per point.
+func (vp *ValueProgram) BlockRun(bp *BlockPlan, vals []int, origVals []int) (box [3]int, ok bool) {
+	box = bp.ext
 	for i := range vp.ops {
 		op := &vp.ops[i]
 		switch op.kind {
@@ -201,18 +208,25 @@ func (vp *ValueProgram) BlockRun(bp *BlockPlan, vals []int, origVals []int) (nu,
 			v := vals[op.a]*int(op.p) + vals[op.b]
 			ext := int(op.ext)
 			if v >= ext {
-				return 0, 0, true
+				return [3]int{}, true
 			}
-			su, sv := int(bp.opSteps[i][0]), int(bp.opSteps[i][1])
-			switch {
-			case su > 0 && sv > 0:
-				if v+su*(bp.outerExt-1)+sv*(bp.innerExt-1) >= ext {
-					return 0, 0, false
+			// moved counts the block variables the check moves with; reach
+			// is its growth from the origin to the block's far corner.
+			s := &bp.ops[i]
+			moved, reach, dim := 0, 0, 0
+			for d := range s {
+				if s[d] > 0 && bp.ext[d] > 1 {
+					moved++
+					reach += int(s[d]) * (bp.ext[d] - 1)
+					dim = d
 				}
-			case su > 0:
-				nu = min(nu, (ext-v+su-1)/su)
-			case sv > 0:
-				nv = min(nv, (ext-v+sv-1)/sv)
+			}
+			if v+reach >= ext {
+				if moved > 1 {
+					return [3]int{}, false
+				}
+				sd := int(s[dim])
+				box[dim] = min(box[dim], (ext-v+sd-1)/sd)
 			}
 			vals[op.id] = v
 		case valRotate:
@@ -232,7 +246,7 @@ func (vp *ValueProgram) BlockRun(bp *BlockPlan, vals []int, origVals []int) (nu,
 	for i, id := range vp.orig {
 		origVals[i] = vals[id]
 	}
-	return nu, nv, true
+	return box, true
 }
 
 // CompileValues lowers the evaluator to the value domain. The resulting

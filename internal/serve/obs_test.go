@@ -123,11 +123,15 @@ func TestTraceExportChain(t *testing.T) {
 			if e.Name == "compile-program" && e.Args["plan_key"] != stats.PlanKey {
 				t.Fatalf("compile-program plan_key = %q, want the program key %q", e.Args["plan_key"], stats.PlanKey)
 			}
+			// Both stages' leaves (ii, ji, ki) block all three variables.
+			if e.Name == "compiler-run" && e.Args["block_vars"] != "3" {
+				t.Fatalf("compiler-run block_vars = %q, want 3", e.Args["block_vars"])
+			}
 		}
 		for name, want := range map[string]int{
 			"/v1/run": 1, "queue-wait": 1, "decode-frames": 1, "execute": 1,
 			"stream-response": 1, "compile-program": 1,
-			"compile-stage": stageCompiles, "compile": stageCompiles, "run-stage": 2,
+			"compile-stage": stageCompiles, "compile": stageCompiles, "compiler-run": stageCompiles, "run-stage": 2,
 		} {
 			if count[name] != want {
 				t.Fatalf("trace has %d %q spans, want %d (counts: %v)", count[name], name, want, count)

@@ -648,8 +648,8 @@ func (s *Session) compileSlow(ctx context.Context, fk string, req Request, c *Co
 		return &Plan{planData: pd, key: key, stats: cachedStats(pd, false)}, nil
 	}
 	start := time.Now()
-	_, run := obs.Start(ctx, "compiler-run")
-	prog, err := core.CompileContext(ctx, in)
+	rctx, run := obs.Start(ctx, "compiler-run")
+	prog, err := core.CompileContext(rctx, in)
 	run.End()
 	if err != nil {
 		return nil, wrapErr(KindCompile, "compile", err)
