@@ -13,8 +13,9 @@
 //	    -sched "divide(i,io,ii,4) reorder(io,ii,j,k) distribute(io) communicate(io,A,B,C)" \
 //	    -sim                                     # explicit schedule text
 //
-// The -expr path goes through the session API: statement, formats, and
-// schedule are all text, the same data a distal.Request carries.
+// Both paths go through the session API. An -alg algorithm is the paper's
+// request text (internal/algorithms) compiled on the algorithm's machine;
+// -expr declares the statement's tensors and applies the schedule text.
 package main
 
 import (
@@ -26,11 +27,7 @@ import (
 
 	"distal"
 	"distal/internal/algorithms"
-	"distal/internal/cin"
-	"distal/internal/codegen"
-	"distal/internal/core"
 	"distal/internal/ir"
-	"distal/internal/legion"
 )
 
 func main() {
@@ -137,17 +134,11 @@ func runExpr(expr, schedText string, n, procs int, gpu, simulate, trace bool, ma
 	if err != nil {
 		return err
 	}
-	fmt.Println("=== schedule ===")
-	fmt.Println(comp.ScheduleText())
-	fmt.Println()
-	fmt.Println("=== concrete index notation ===")
-	fmt.Println(comp.Notation())
-	fmt.Println()
 	plan, err := comp.Compile(context.Background())
 	if err != nil {
 		return err
 	}
-	return show(plan.Listing(maxPoints), simulate, trace, plan.Simulate)
+	return show(plan, maxPoints, simulate, trace)
 }
 
 // runChain compiles a semicolon-separated statement list into a plan DAG:
@@ -225,39 +216,41 @@ func runChain(src string, n, procs int, gpu, simulate, trace bool) error {
 	return execute(simulate, trace, pp.Simulate)
 }
 
-// runAlg compiles one of the named matmul algorithms from the library.
+// runAlg compiles one of the paper's matmul algorithms, written as a
+// request, through a session on the algorithm's machine.
 func runAlg(alg string, n, procs int, gpu, simulate, trace bool, maxPoints int) error {
 	cfg := algorithms.MatmulConfig{N: n, Procs: procs, GPU: gpu}
 	if gpu {
 		cfg.ProcsPerNode = 4
 	}
-	in, err := algorithms.Matmul(algorithms.Alg(alg), cfg)
+	m, req, err := algorithms.MatmulRequest(algorithms.Alg(alg), cfg)
 	if err != nil {
 		return err
 	}
-	fmt.Println("=== schedule ===")
-	fmt.Println(in.Schedule)
-	fmt.Println()
-	fmt.Println("=== concrete index notation ===")
-	fmt.Println(cin.Build(in.Schedule))
-	fmt.Println()
-	prog, err := core.Compile(in)
+	sess := distal.NewSession(&distal.Machine{M: m}, distal.WithParams(params(gpu)))
+	plan, err := sess.Compile(context.Background(), req)
 	if err != nil {
 		return err
 	}
-	return show(codegen.Program(prog, maxPoints), simulate, trace,
-		func(ctx context.Context, mods ...distal.ExecOption) (*distal.Result, error) {
-			return legion.RunStages(ctx, []legion.Stage{{Prog: prog}}, legion.NewOptions(params(gpu), mods...))
-		})
+	return show(plan, maxPoints, simulate, trace)
 }
 
-// simulator runs a compiled program or plan DAG without data.
+// simulator runs a compiled plan or plan DAG without data.
 type simulator func(context.Context, ...distal.ExecOption) (*distal.Result, error)
 
-func show(listing string, simulate, trace bool, run simulator) error {
+// show prints what the compiler produced for a plan — its schedule, the
+// concrete index notation of the scheduled statement, and the generated
+// program — then simulates it when -sim or -trace asks.
+func show(plan *distal.Plan, maxPoints int, simulate, trace bool) error {
+	fmt.Println("=== schedule ===")
+	fmt.Println(plan.ScheduleText())
+	fmt.Println()
+	fmt.Println("=== concrete index notation ===")
+	fmt.Println(plan.Notation())
+	fmt.Println()
 	fmt.Println("=== generated program ===")
-	fmt.Print(listing)
-	return execute(simulate, trace, run)
+	fmt.Print(plan.Listing(maxPoints))
+	return execute(simulate, trace, plan.Simulate)
 }
 
 // execute simulates (when -sim or -trace asks for it) and prints the

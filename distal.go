@@ -70,6 +70,7 @@ import (
 	"distal/internal/ir"
 	"distal/internal/legion"
 	"distal/internal/machine"
+	"distal/internal/request"
 	"distal/internal/schedule"
 	"distal/internal/sim"
 	"distal/internal/tensor"
@@ -142,18 +143,7 @@ func MustFormat(src string) Format {
 
 // Tiled returns the canonical blocked tiling of a rank-r tensor over a
 // rank-r machine (T x1..xr -> x1..xr M).
-func Tiled(rank int) Format {
-	names := []string{"x", "y", "z", "w", "u", "v"}
-	if rank > len(names) {
-		panic("distal: Tiled supports tensors up to rank 6")
-	}
-	s := &distnot.Statement{}
-	for d := 0; d < rank; d++ {
-		s.TensorDims = append(s.TensorDims, names[d])
-		s.MachineDims = append(s.MachineDims, distnot.MachineName{Kind: distnot.Dim, Var: names[d]})
-	}
-	return Format{Placement: distnot.NewPlacement(s)}
-}
+func Tiled(rank int) Format { return Format{Placement: request.Tiled(rank)} }
 
 // Tensor declares a dense tensor with a format. Data is allocated lazily by
 // Bind or Fill*.

@@ -14,6 +14,7 @@ import (
 	"distal/internal/core"
 	"distal/internal/legion"
 	"distal/internal/sim"
+	"distal/internal/tensor"
 )
 
 // johnson8 is an 8x8x8 Johnson 3D matmul: 512 launch points, replicated
@@ -65,14 +66,13 @@ func BenchmarkCompile(b *testing.B) {
 	}
 }
 
-// realSumma is a validated-execution workload: chunked SUMMA on a 4x4 grid
-// with real data bound, small enough that the leaf kernels (not the
-// simulator) dominate. The tree variant runs the fallback tree-walking
+// realSumma is a validated-execution workload: chunked SUMMA on a 4x4 grid,
+// small enough that the leaf kernels (not the simulator) dominate. The tree variant runs the fallback tree-walking
 // kernel instead of the compiled kernel program.
 func realSumma(b *testing.B, tree bool) core.Input {
 	b.Helper()
 	in, err := algorithms.Matmul(algorithms.SUMMA, algorithms.MatmulConfig{
-		N: 128, Procs: 16, ChunkSize: 32, Seed: 5,
+		N: 128, Procs: 16, ChunkSize: 32,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -87,14 +87,18 @@ func realSumma(b *testing.B, tree bool) core.Input {
 // "real" through the compiled kernel program, "realTree" through the
 // tree-walking fallback it replaced.
 func BenchmarkColdExecute(b *testing.B) {
+	compiled, tree := realSumma(b, false), realSumma(b, true)
+	bind := func(in core.Input) []map[string]*tensor.Dense {
+		return []map[string]*tensor.Dense{algorithms.RandomData(in)}
+	}
 	cases := []struct {
 		name string
 		in   core.Input
 		opt  legion.Options
 	}{
 		{"sim", johnson8(b), legion.Options{Params: sim.LassenGPU()}},
-		{"real", realSumma(b, false), legion.Options{Params: sim.LassenCPU(), Real: true}},
-		{"realTree", realSumma(b, true), legion.Options{Params: sim.LassenCPU(), Real: true}},
+		{"real", compiled, legion.Options{Params: sim.LassenCPU(), Real: true, Batch: bind(compiled)}},
+		{"realTree", tree, legion.Options{Params: sim.LassenCPU(), Real: true, Batch: bind(tree)}},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {

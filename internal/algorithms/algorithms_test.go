@@ -1,6 +1,7 @@
 package algorithms
 
 import (
+	"maps"
 	"testing"
 
 	"distal/internal/core"
@@ -22,16 +23,14 @@ func testParams() sim.Params {
 	}
 }
 
-// validate compiles and executes with real data, comparing against the
-// reference evaluator.
+// validate compiles and executes on fresh data bound to the execution,
+// comparing against the reference evaluator.
 func validate(t *testing.T, in core.Input) *legion.Result {
 	t.Helper()
-	inputs := map[string]*tensor.Dense{}
-	for name, d := range in.Tensors {
-		if name != in.Stmt.LHS.Tensor {
-			inputs[name] = d.Data
-		}
-	}
+	data := RandomData(in)
+	lhs := in.Stmt.LHS.Tensor
+	inputs := maps.Clone(data)
+	delete(inputs, lhs)
 	want, err := ir.Evaluate(in.Stmt, inputs)
 	if err != nil {
 		t.Fatal(err)
@@ -40,11 +39,11 @@ func validate(t *testing.T, in core.Input) *legion.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := legion.Run(prog, legion.Options{Params: testParams(), Real: true})
+	res, err := legion.Run(prog, legion.Options{Params: testParams(), Real: true, Batch: []map[string]*tensor.Dense{data}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := in.Tensors[in.Stmt.LHS.Tensor].Data
+	got := data[lhs]
 	if want.Rank() == 0 {
 		if d := want.At() - got.At(0); d > 1e-9 || d < -1e-9 {
 			t.Fatalf("scalar = %v, want %v", got.At(0), want.At())
@@ -62,7 +61,7 @@ func validate(t *testing.T, in core.Input) *legion.Result {
 func TestFig9AllMatmulsCorrect(t *testing.T) {
 	for _, alg := range MatmulAlgs {
 		for _, procs := range []int{4, 8} {
-			cfg := MatmulConfig{N: 12, Procs: procs, Seed: 42}
+			cfg := MatmulConfig{N: 12, Procs: procs}
 			in, err := Matmul(alg, cfg)
 			if err != nil {
 				t.Fatalf("%s/p=%d: %v", alg, procs, err)
@@ -73,7 +72,7 @@ func TestFig9AllMatmulsCorrect(t *testing.T) {
 }
 
 func TestFig9PerfectCubeJohnson(t *testing.T) {
-	in, err := Matmul(Johnson, MatmulConfig{N: 12, Procs: 8, Seed: 3})
+	in, err := Matmul(Johnson, MatmulConfig{N: 12, Procs: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +152,7 @@ func TestJohnsonMemoryVsSUMMA(t *testing.T) {
 }
 
 func TestHigherOrderKernelsCorrect(t *testing.T) {
-	cfg := HigherConfig{I: 8, J: 6, K: 4, L: 3, Procs: 4, Seed: 11}
+	cfg := HigherConfig{I: 8, J: 6, K: 4, L: 3, Procs: 4}
 	builders := map[string]func(HigherConfig) (core.Input, error){
 		"TTV":       TTV,
 		"Innerprod": Innerprod,

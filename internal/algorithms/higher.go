@@ -5,10 +5,8 @@ import (
 
 	"distal/internal/core"
 	"distal/internal/cosma"
-	"distal/internal/distnot"
-	"distal/internal/ir"
-	"distal/internal/schedule"
-	"distal/internal/tensor"
+	"distal/internal/machine"
+	"distal/internal/request"
 )
 
 // HigherConfig describes one higher-order tensor kernel instance (§7.2).
@@ -16,148 +14,92 @@ type HigherConfig struct {
 	// I, J, K, L are the index extents used by the kernel (L is ignored by
 	// TTV and Innerprod).
 	I, J, K, L int
-	// Procs, ProcsPerNode, GPU, Seed as in MatmulConfig.
+	// Procs, ProcsPerNode, GPU as in MatmulConfig.
 	Procs        int
 	ProcsPerNode int
 	GPU          bool
-	Seed         int64
 }
 
-func (c *HigherConfig) asMatmul() MatmulConfig {
-	return MatmulConfig{Procs: c.Procs, ProcsPerNode: c.ProcsPerNode, GPU: c.GPU, Seed: c.Seed}
+func (c *HigherConfig) machineFor(dims ...int) *machine.Machine {
+	return MatmulConfig{ProcsPerNode: c.ProcsPerNode, GPU: c.GPU}.MachineFor(dims...)
 }
 
-func (c *HigherConfig) decl(name string, shape []int, place string, seed int64) *core.TensorDecl {
-	d := &core.TensorDecl{
-		Name:      name,
-		Shape:     append([]int(nil), shape...),
-		Placement: distnot.MustParsePlacement(place),
-	}
-	if c.Seed != 0 {
-		d.Data = tensor.New(name, shape...)
-		if seed != 0 {
-			d.Data.FillRandom(seed)
-		}
-	}
-	return d
-}
+// TTV builds A(i,j) = B(i,j,k) * c(k); see TTVRequest.
+func TTV(cfg HigherConfig) (core.Input, error) { return build(TTVRequest(cfg)) }
 
-// TTV builds A(i,j) = B(i,j,k) * c(k): the 3-tensor is tiled over a 2D grid
-// along i and j, the vector is replicated, and the computation is fully
-// element-wise with no communication (the schedule the paper uses instead
-// of CTF's cast-to-matmul strategy).
-func TTV(cfg HigherConfig) (core.Input, error) {
+// TTVRequest writes TTV: the 3-tensor is tiled over a 2D grid along i and
+// j, the vector is replicated, and the computation is fully element-wise
+// with no communication (the schedule the paper uses instead of CTF's
+// cast-to-matmul strategy).
+func TTVRequest(cfg HigherConfig) (*machine.Machine, request.Request, error) {
 	if err := cfg.check(3); err != nil {
-		return core.Input{}, err
+		return nil, request.Request{}, err
 	}
-	stmt := ir.MustParse("A(i,j) = B(i,j,k) * c(k)")
 	gx, gy := cosma.Factor2(cfg.Procs)
-	m := cfg.asMatmul().MachineFor(gx, gy)
-	s := schedule.New(stmt).
-		DistributeOnto([]string{"i", "j"}, []string{"io", "jo"}, []string{"ii", "ji"}, []int{gx, gy}).
-		Communicate("jo", "A", "B", "c")
-	if err := s.Err(); err != nil {
-		return core.Input{}, err
-	}
-	return core.Input{
-		Stmt:    stmt,
-		Machine: m,
-		Tensors: map[string]*core.TensorDecl{
-			"A": cfg.decl("A", []int{cfg.I, cfg.J}, "xy->xy", 0),
-			"B": cfg.decl("B", []int{cfg.I, cfg.J, cfg.K}, "xyz->xy", 7),
-			"c": cfg.decl("c", []int{cfg.K}, "x->**", 8),
-		},
-		Schedule: s,
+	return cfg.machineFor(gx, gy), request.Request{
+		Stmt:     "A(i,j) = B(i,j,k) * c(k)",
+		Shapes:   map[string][]int{"A": {cfg.I, cfg.J}, "B": {cfg.I, cfg.J, cfg.K}, "c": {cfg.K}},
+		Formats:  map[string]string{"A": "xy->xy", "B": "xyz->xy", "c": "x->**"},
+		Schedule: distributeOnto("ij", gx, gy) + " communicate(jo,A,B,c)",
 	}, nil
 }
 
-// Innerprod builds a = B(i,j,k) * C(i,j,k): node-local reductions followed
+// Innerprod builds a = B(i,j,k) * C(i,j,k); see InnerprodRequest.
+func Innerprod(cfg HigherConfig) (core.Input, error) { return build(InnerprodRequest(cfg)) }
+
+// InnerprodRequest writes the inner product: node-local reductions followed
 // by a global reduction tree into the scalar's owner.
-func Innerprod(cfg HigherConfig) (core.Input, error) {
+func InnerprodRequest(cfg HigherConfig) (*machine.Machine, request.Request, error) {
 	if err := cfg.check(3); err != nil {
-		return core.Input{}, err
+		return nil, request.Request{}, err
 	}
-	stmt := ir.MustParse("a = B(i,j,k) * C(i,j,k)")
 	gx, gy := cosma.Factor2(cfg.Procs)
-	m := cfg.asMatmul().MachineFor(gx, gy)
-	s := schedule.New(stmt).
-		DistributeOnto([]string{"i", "j"}, []string{"io", "jo"}, []string{"ii", "ji"}, []int{gx, gy}).
-		Communicate("jo", "B", "C")
-	if err := s.Err(); err != nil {
-		return core.Input{}, err
-	}
-	return core.Input{
-		Stmt:    stmt,
-		Machine: m,
-		Tensors: map[string]*core.TensorDecl{
-			"a": cfg.decl("a", []int{1}, "x->00", 0),
-			"B": cfg.decl("B", []int{cfg.I, cfg.J, cfg.K}, "xyz->xy", 7),
-			"C": cfg.decl("C", []int{cfg.I, cfg.J, cfg.K}, "xyz->xy", 8),
-		},
-		Schedule: s,
+	return cfg.machineFor(gx, gy), request.Request{
+		Stmt:     "a = B(i,j,k) * C(i,j,k)",
+		Shapes:   map[string][]int{"a": {1}, "B": {cfg.I, cfg.J, cfg.K}, "C": {cfg.I, cfg.J, cfg.K}},
+		Formats:  map[string]string{"a": "x->00", "B": "xyz->xy", "C": "xyz->xy"},
+		Schedule: distributeOnto("ij", gx, gy) + " communicate(jo,B,C)",
 	}, nil
 }
 
-// TTM builds A(i,j,l) = B(i,j,k) * C(k,l): the i loop is distributed so the
-// kernel becomes independent local matrix multiplications with the small
-// factor matrix replicated — no inter-node communication (§7.2.2).
-func TTM(cfg HigherConfig) (core.Input, error) {
+// TTM builds A(i,j,l) = B(i,j,k) * C(k,l); see TTMRequest.
+func TTM(cfg HigherConfig) (core.Input, error) { return build(TTMRequest(cfg)) }
+
+// TTMRequest writes TTM: the i loop is distributed so the kernel becomes
+// independent local matrix multiplications with the small factor matrix
+// replicated — no inter-node communication (§7.2.2).
+func TTMRequest(cfg HigherConfig) (*machine.Machine, request.Request, error) {
 	if err := cfg.check(4); err != nil {
-		return core.Input{}, err
+		return nil, request.Request{}, err
 	}
-	stmt := ir.MustParse("A(i,j,l) = B(i,j,k) * C(k,l)")
-	m := cfg.asMatmul().MachineFor(cfg.Procs)
-	s := schedule.New(stmt).
-		DistributeOnto([]string{"i"}, []string{"io"}, []string{"ii"}, []int{cfg.Procs}).
-		Communicate("io", "A", "B", "C")
-	if err := s.Err(); err != nil {
-		return core.Input{}, err
-	}
-	return core.Input{
-		Stmt:    stmt,
-		Machine: m,
-		Tensors: map[string]*core.TensorDecl{
-			"A": cfg.decl("A", []int{cfg.I, cfg.J, cfg.L}, "xyz->x", 0),
-			"B": cfg.decl("B", []int{cfg.I, cfg.J, cfg.K}, "xyz->x", 7),
-			"C": cfg.decl("C", []int{cfg.K, cfg.L}, "xy->*", 8),
-		},
-		Schedule: s,
+	return cfg.machineFor(cfg.Procs), request.Request{
+		Stmt:     "A(i,j,l) = B(i,j,k) * C(k,l)",
+		Shapes:   map[string][]int{"A": {cfg.I, cfg.J, cfg.L}, "B": {cfg.I, cfg.J, cfg.K}, "C": {cfg.K, cfg.L}},
+		Formats:  map[string]string{"A": "xyz->x", "B": "xyz->x", "C": "xy->*"},
+		Schedule: distributeOnto("i", cfg.Procs) + " communicate(io,A,B,C)",
 	}, nil
 }
 
-// MTTKRP builds A(i,l) = B(i,j,k) * C(j,l) * D(k,l) following Ballard et
-// al.: the 3-tensor stays in place on a 3D grid, the factor matrices are
-// partitioned along their contracted mode and replicated along the other
-// grid dimensions, and partial results reduce into the output's owners.
-func MTTKRP(cfg HigherConfig) (core.Input, error) {
+// MTTKRP builds A(i,l) = B(i,j,k) * C(j,l) * D(k,l); see MTTKRPRequest.
+func MTTKRP(cfg HigherConfig) (core.Input, error) { return build(MTTKRPRequest(cfg)) }
+
+// MTTKRPRequest writes MTTKRP following Ballard et al.: the 3-tensor stays
+// in place on a 3D grid, the factor matrices are partitioned along their
+// contracted mode and replicated along the other grid dimensions, and
+// partial results reduce into the output's owners. The free output mode l
+// is not distributed but sits below the distributed prefix.
+func MTTKRPRequest(cfg HigherConfig) (*machine.Machine, request.Request, error) {
 	if err := cfg.check(4); err != nil {
-		return core.Input{}, err
+		return nil, request.Request{}, err
 	}
-	stmt := ir.MustParse("A(i,l) = B(i,j,k) * C(j,l) * D(k,l)")
 	g1, g2, g3 := cosma.Factor3(cfg.Procs)
-	m := cfg.asMatmul().MachineFor(g1, g2, g3)
-	// The free output mode l is not distributed; it must sit below the
-	// distributed prefix, so the compound DistributeOnto cannot be used.
-	s := schedule.New(stmt).
-		Divide("i", "io", "ii", g1).
-		Divide("j", "jo", "ji", g2).
-		Divide("k", "ko", "ki", g3).
-		Reorder("io", "jo", "ko", "ii", "ji", "ki", "l").
-		Distribute("io", "jo", "ko").
-		Communicate("ko", "A", "B", "C", "D")
-	if err := s.Err(); err != nil {
-		return core.Input{}, err
-	}
-	return core.Input{
-		Stmt:    stmt,
-		Machine: m,
-		Tensors: map[string]*core.TensorDecl{
-			"A": cfg.decl("A", []int{cfg.I, cfg.L}, "ab->a00", 0),
-			"B": cfg.decl("B", []int{cfg.I, cfg.J, cfg.K}, "abc->abc", 7),
-			"C": cfg.decl("C", []int{cfg.J, cfg.L}, "ab->*a*", 8),
-			"D": cfg.decl("D", []int{cfg.K, cfg.L}, "ab->**a", 9),
-		},
-		Schedule: s,
+	return cfg.machineFor(g1, g2, g3), request.Request{
+		Stmt: "A(i,l) = B(i,j,k) * C(j,l) * D(k,l)",
+		Shapes: map[string][]int{"A": {cfg.I, cfg.L}, "B": {cfg.I, cfg.J, cfg.K},
+			"C": {cfg.J, cfg.L}, "D": {cfg.K, cfg.L}},
+		Formats: map[string]string{"A": "ab->a00", "B": "abc->abc", "C": "ab->*a*", "D": "ab->**a"},
+		Schedule: fmt.Sprintf("divide(i,io,ii,%d) divide(j,jo,ji,%d) divide(k,ko,ki,%d) "+
+			"reorder(io,jo,ko,ii,ji,ki,l) distribute(io,jo,ko) communicate(ko,A,B,C,D)", g1, g2, g3),
 	}, nil
 }
 

@@ -1,19 +1,22 @@
-// Package algorithms instantiates the distributed algorithms of the DISTAL
-// paper as (data distribution, schedule) pairs over the compiler in
-// internal/core: the six matrix-multiplication algorithms of Figure 9
-// (Cannon, PUMMA, SUMMA, Johnson, Solomonik's 2.5D, and COSMA) and the four
-// higher-order tensor kernels of §7.2 (TTV, Innerprod, TTM, MTTKRP).
+// Package algorithms writes the distributed algorithms of the DISTAL paper
+// as requests: one statement, the data distribution of every tensor in
+// tensor distribution notation, and a schedule in scheduling-command text,
+// on the processor grid the algorithm asks for. It covers the six
+// matrix-multiplication algorithms of Figure 9 (Cannon, PUMMA, SUMMA,
+// Johnson, Solomonik's 2.5D, and COSMA) and the four higher-order tensor
+// kernels of §7.2 (TTV, Innerprod, TTM, MTTKRP). Matmul, TTV, Innerprod, TTM
+// and MTTKRP build a request into the compiler's input through
+// internal/request, the same builder the distal session uses.
 package algorithms
 
 import (
 	"fmt"
+	"strings"
 
 	"distal/internal/core"
 	"distal/internal/cosma"
-	"distal/internal/distnot"
-	"distal/internal/ir"
 	"distal/internal/machine"
-	"distal/internal/schedule"
+	"distal/internal/request"
 	"distal/internal/tensor"
 )
 
@@ -50,9 +53,6 @@ type MatmulConfig struct {
 	// MemWords is the per-processor memory available to the COSMA scheduler
 	// (0: unbounded).
 	MemWords float64
-	// Seed, when non-zero, binds deterministic random data for validated
-	// execution (small sizes only).
-	Seed int64
 }
 
 // MachineFor builds the machine for the given grid under this config.
@@ -68,177 +68,125 @@ func (c MatmulConfig) MachineFor(dims ...int) *machine.Machine {
 	return m
 }
 
-func (c MatmulConfig) decl(name, place string, seed int64) *core.TensorDecl {
-	d := &core.TensorDecl{
-		Name:      name,
-		Shape:     []int{c.N, c.N},
-		Placement: distnot.MustParsePlacement(place),
-	}
-	if c.Seed != 0 {
-		d.Data = tensor.New(name, c.N, c.N)
-		if seed != 0 {
-			d.Data.FillRandom(seed)
-		}
-	}
-	return d
-}
+// MatmulStmt is the statement every Figure 9 algorithm schedules.
+const MatmulStmt = "A(i,j) = B(i,k) * C(k,j)"
 
 // Matmul builds the compilation input for A(i,j) = B(i,k) * C(k,j) under
 // the named algorithm.
-func Matmul(alg Alg, cfg MatmulConfig) (core.Input, error) {
+func Matmul(alg Alg, cfg MatmulConfig) (core.Input, error) { return build(MatmulRequest(alg, cfg)) }
+
+// MatmulRequest writes the named algorithm as a request on its machine
+// (Fig. 9). The 2D algorithms share grid and data distribution and differ
+// only in schedule. The 3D ones distribute k too: Johnson fixes the inputs
+// to faces of the processor cube and reduces A; 2.5D runs a Cannon-style
+// rotation over a fraction of k in each of c slices; COSMA takes its grid
+// and step count from the COSMA scheduler.
+func MatmulRequest(alg Alg, cfg MatmulConfig) (*machine.Machine, request.Request, error) {
 	if cfg.N <= 0 || cfg.Procs <= 0 {
-		return core.Input{}, fmt.Errorf("algorithms: bad config %+v", cfg)
+		return nil, request.Request{}, fmt.Errorf("algorithms: bad config %+v", cfg)
 	}
-	stmt := ir.MustParse("A(i,j) = B(i,k) * C(k,j)")
+	var grid []int
+	formats := [3]string{"xy->xy0", "xz->x0z", "zy->0yz"} // A, B, C on faces of the cube
+	var sched string
 	switch alg {
 	case Cannon, PUMMA, SUMMA:
-		return matmul2D(alg, stmt, cfg)
-	case Johnson:
-		return matmulJohnson(stmt, cfg)
-	case Solomonik:
-		return matmulSolomonik(stmt, cfg)
-	case COSMA:
-		return matmulCOSMA(stmt, cfg)
-	default:
-		return core.Input{}, fmt.Errorf("algorithms: unknown algorithm %q", alg)
-	}
-}
-
-// matmul2D builds the three 2D algorithms; they share machine and data
-// distribution and differ only in schedule (Fig. 9).
-func matmul2D(alg Alg, stmt *ir.Assignment, cfg MatmulConfig) (core.Input, error) {
-	gx, gy := cosma.Factor2(cfg.Procs)
-	m := cfg.MachineFor(gx, gy)
-	s := schedule.New(stmt).
-		DistributeOnto([]string{"i", "j"}, []string{"io", "jo"}, []string{"ii", "ji"}, []int{gx, gy})
-	switch alg {
-	case SUMMA:
-		chunk := cfg.ChunkSize
-		if chunk == 0 {
-			chunk = ceilDiv(cfg.N, gx)
+		gx, gy := cosma.Factor2(cfg.Procs)
+		grid, formats = []int{gx, gy}, [3]string{"xy->xy", "xy->xy", "xy->xy"}
+		switch alg {
+		case SUMMA:
+			chunk := cfg.ChunkSize
+			if chunk == 0 {
+				chunk = ceilDiv(cfg.N, gx)
+			}
+			sched = SummaSchedule(gx, gy, chunk)
+		case Cannon:
+			sched = distributeOnto("ij", gx, gy) + fmt.Sprintf(
+				" divide(k,ko,ki,%d) reorder(ko,ii,ji,ki) rotate(ko,io,jo,kos) communicate(jo,A) communicate(kos,B,C)", gx)
+		case PUMMA:
+			sched = distributeOnto("ij", gx, gy) + fmt.Sprintf(
+				" divide(k,ko,ki,%d) reorder(ko,ii,ji,ki) rotate(ko,io,kos) communicate(jo,A) communicate(kos,B,C)", gx)
 		}
-		s.Split("k", "ko", "ki", chunk).
-			Reorder("ko", "ii", "ji", "ki").
-			Communicate("jo", "A").
-			Communicate("ko", "B", "C")
-	case Cannon:
-		s.Divide("k", "ko", "ki", gx).
-			Reorder("ko", "ii", "ji", "ki").
-			Rotate("ko", []string{"io", "jo"}, "kos").
-			Communicate("jo", "A").
-			Communicate("kos", "B", "C")
-	case PUMMA:
-		s.Divide("k", "ko", "ki", gx).
-			Reorder("ko", "ii", "ji", "ki").
-			Rotate("ko", []string{"io"}, "kos").
-			Communicate("jo", "A").
-			Communicate("kos", "B", "C")
+	case Johnson:
+		g1, g2, g3 := cosma.Factor3(cfg.Procs)
+		grid = []int{g1, g2, g3}
+		sched = distributeOnto("ijk", grid...) + " communicate(ko,A,B,C)"
+	case Solomonik:
+		c := cfg.ReplicationC
+		if c == 0 {
+			c = pickReplication(cfg.Procs)
+		}
+		if cfg.Procs%c != 0 || !IsSquare(cfg.Procs/c) {
+			return nil, request.Request{}, fmt.Errorf("algorithms: 2.5D needs p/c to be a perfect square (p=%d c=%d)", cfg.Procs, c)
+		}
+		g := isqrt(cfg.Procs / c)
+		grid, formats = []int{g, g, c}, [3]string{"xy->xy0", "xy->xy0", "xy->xy0"}
+		sched = distributeOnto("ijk", grid...) + fmt.Sprintf(
+			" divide(ki,kio,kii,%d) reorder(kio,ii,ji,kii) rotate(kio,io,jo,kios) communicate(jo,A) communicate(kios,B,C)", max(g/c, 1))
+	case COSMA:
+		mem := cfg.MemWords
+		if mem == 0 {
+			mem = 1e18
+		}
+		d := cosma.Choose(cfg.N, cfg.N, cfg.N, cfg.Procs, mem)
+		grid = []int{d.Gx, d.Gy, d.Gz}
+		sched = distributeOnto("ijk", grid...) + fmt.Sprintf(
+			" divide(ki,kio,kii,%d) reorder(kio,ii,ji,kii) communicate(ko,A) communicate(kio,B,C)", d.Steps)
+	default:
+		return nil, request.Request{}, fmt.Errorf("algorithms: unknown algorithm %q", alg)
 	}
-	if err := s.Err(); err != nil {
-		return core.Input{}, err
-	}
-	return core.Input{
-		Stmt:    stmt,
-		Machine: m,
-		Tensors: map[string]*core.TensorDecl{
-			"A": cfg.decl("A", "xy->xy", 0),
-			"B": cfg.decl("B", "xy->xy", 7),
-			"C": cfg.decl("C", "xy->xy", 8),
-		},
-		Schedule: s,
+	square := []int{cfg.N, cfg.N}
+	return cfg.MachineFor(grid...), request.Request{
+		Stmt:     MatmulStmt,
+		Shapes:   map[string][]int{"A": square, "B": square, "C": square},
+		Formats:  map[string]string{"A": formats[0], "B": formats[1], "C": formats[2]},
+		Schedule: sched,
 	}, nil
 }
 
-// matmulJohnson builds the 3D algorithm: inputs fixed to faces of the
-// processor cube, fully distributed i,j,k, and a distributed reduction of A.
-func matmulJohnson(stmt *ir.Assignment, cfg MatmulConfig) (core.Input, error) {
-	g1, g2, g3 := cosma.Factor3(cfg.Procs)
-	m := cfg.MachineFor(g1, g2, g3)
-	s := schedule.New(stmt).
-		DistributeOnto([]string{"i", "j", "k"}, []string{"io", "jo", "ko"}, []string{"ii", "ji", "ki"}, []int{g1, g2, g3}).
-		Communicate("ko", "A", "B", "C")
-	if err := s.Err(); err != nil {
-		return core.Input{}, err
-	}
-	return core.Input{
-		Stmt:    stmt,
-		Machine: m,
-		Tensors: map[string]*core.TensorDecl{
-			"A": cfg.decl("A", "xy->xy0", 0),
-			"B": cfg.decl("B", "xz->x0z", 7),
-			"C": cfg.decl("C", "zy->0yz", 8),
-		},
-		Schedule: s,
-	}, nil
+// SummaSchedule writes SUMMA on a gx x gy grid: A's tiles stay in place
+// while k streams in chunks of the given size, each chunk's panels of B and
+// C broadcast to the tiles that need them.
+func SummaSchedule(gx, gy, chunk int) string {
+	return distributeOnto("ij", gx, gy) + fmt.Sprintf(
+		" split(k,ko,ki,%d) reorder(ko,ii,ji,ki) communicate(jo,A) communicate(ko,B,C)", chunk)
 }
 
-// matmulSolomonik builds the 2.5D algorithm: a (g, g, c) grid where each of
-// the c slices runs a Cannon-style rotation over a fraction of k and the
-// slices reduce into the face holding A.
-func matmulSolomonik(stmt *ir.Assignment, cfg MatmulConfig) (core.Input, error) {
-	c := cfg.ReplicationC
-	if c == 0 {
-		c = pickReplication(cfg.Procs)
+// distributeOnto writes the compound tile-and-distribute command of §3.3:
+// each variable v of vars divides into vo, one piece per grid dimension,
+// and vi; the outer loops move outermost and are distributed.
+func distributeOnto(vars string, grid ...int) string {
+	var b strings.Builder
+	var outer, inner []string
+	for d, v := range vars {
+		fmt.Fprintf(&b, "divide(%c,%co,%ci,%d) ", v, v, v, grid[d])
+		outer, inner = append(outer, string(v)+"o"), append(inner, string(v)+"i")
 	}
-	if cfg.Procs%c != 0 || !isSquare(cfg.Procs/c) {
-		return core.Input{}, fmt.Errorf("algorithms: 2.5D needs p/c to be a perfect square (p=%d c=%d)", cfg.Procs, c)
-	}
-	g := isqrt(cfg.Procs / c)
-	m := cfg.MachineFor(g, g, c)
-	steps := g / c
-	if steps < 1 {
-		steps = 1
-	}
-	s := schedule.New(stmt).
-		DistributeOnto([]string{"i", "j", "k"}, []string{"io", "jo", "ko"}, []string{"ii", "ji", "ki"}, []int{g, g, c}).
-		Divide("ki", "kio", "kii", steps).
-		Reorder("kio", "ii", "ji", "kii").
-		Rotate("kio", []string{"io", "jo"}, "kios").
-		Communicate("jo", "A").
-		Communicate("kios", "B", "C")
-	if err := s.Err(); err != nil {
-		return core.Input{}, err
-	}
-	return core.Input{
-		Stmt:    stmt,
-		Machine: m,
-		Tensors: map[string]*core.TensorDecl{
-			"A": cfg.decl("A", "xy->xy0", 0),
-			"B": cfg.decl("B", "xy->xy0", 7),
-			"C": cfg.decl("C", "xy->xy0", 8),
-		},
-		Schedule: s,
-	}, nil
+	fmt.Fprintf(&b, "reorder(%s,%s) distribute(%s)", strings.Join(outer, ","), strings.Join(inner, ","), strings.Join(outer, ","))
+	return b.String()
 }
 
-// matmulCOSMA asks the COSMA scheduler for the optimal grid and step count,
-// then generates the distribution layer of COSMA from them.
-func matmulCOSMA(stmt *ir.Assignment, cfg MatmulConfig) (core.Input, error) {
-	mem := cfg.MemWords
-	if mem == 0 {
-		mem = 1e18
-	}
-	d := cosma.Choose(cfg.N, cfg.N, cfg.N, cfg.Procs, mem)
-	m := cfg.MachineFor(d.Gx, d.Gy, d.Gz)
-	s := schedule.New(stmt).
-		DistributeOnto([]string{"i", "j", "k"}, []string{"io", "jo", "ko"}, []string{"ii", "ji", "ki"}, []int{d.Gx, d.Gy, d.Gz}).
-		Divide("ki", "kio", "kii", d.Steps).
-		Reorder("kio", "ii", "ji", "kii").
-		Communicate("ko", "A").
-		Communicate("kio", "B", "C")
-	if err := s.Err(); err != nil {
+// build turns an algorithm's request into the compiler's input on its
+// machine.
+func build(m *machine.Machine, req request.Request, err error) (core.Input, error) {
+	if err != nil {
 		return core.Input{}, err
 	}
-	return core.Input{
-		Stmt:    stmt,
-		Machine: m,
-		Tensors: map[string]*core.TensorDecl{
-			"A": cfg.decl("A", "xy->xy0", 0),
-			"B": cfg.decl("B", "xz->x0z", 7),
-			"C": cfg.decl("C", "zy->0yz", 8),
-		},
-		Schedule: s,
-	}, nil
+	return request.Build(req, m)
+}
+
+// RandomData returns fresh data for in's tensors, for a real run to bind
+// per execution: a zero output, and each input filled deterministically
+// from its own seed (6 plus its position in statement order).
+func RandomData(in core.Input) map[string]*tensor.Dense {
+	data := map[string]*tensor.Dense{}
+	for i, name := range in.Stmt.TensorNames() {
+		d := tensor.New(name, in.Tensors[name].Shape...)
+		if i > 0 {
+			d.FillRandom(int64(6 + i))
+		}
+		data[name] = d
+	}
+	return data
 }
 
 // pickReplication chooses the largest c <= p^(1/3) with p/c a perfect
@@ -247,7 +195,7 @@ func matmulCOSMA(stmt *ir.Assignment, cfg MatmulConfig) (core.Input, error) {
 func pickReplication(p int) int {
 	best := 0
 	for c := 1; c*c*c <= p; c++ {
-		if p%c == 0 && isSquare(p/c) {
+		if p%c == 0 && IsSquare(p/c) {
 			best = c
 		}
 	}
@@ -255,14 +203,15 @@ func pickReplication(p int) int {
 		return best
 	}
 	for c := 1; c <= p; c++ {
-		if p%c == 0 && isSquare(p/c) {
+		if p%c == 0 && IsSquare(p/c) {
 			return c
 		}
 	}
 	return 1
 }
 
-func isSquare(n int) bool {
+// IsSquare reports whether n is a perfect square.
+func IsSquare(n int) bool {
 	r := isqrt(n)
 	return r*r == n
 }

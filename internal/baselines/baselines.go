@@ -15,8 +15,9 @@
 //     throughput but avoiding both the framebuffer DMA penalty and
 //     framebuffer capacity limits).
 //
-// Every baseline returns a Spec: a compiled program plus the execution
-// options and cost-model transforms that express the system's mechanisms.
+// Every baseline returns a Spec: the system's computation written as a
+// DISTAL request on its machine, plus the execution options and cost-model
+// transforms that express the system's mechanisms.
 package baselines
 
 import (
@@ -25,6 +26,8 @@ import (
 	"distal/internal/algorithms"
 	"distal/internal/core"
 	"distal/internal/legion"
+	"distal/internal/machine"
+	"distal/internal/request"
 	"distal/internal/sim"
 )
 
@@ -33,8 +36,9 @@ const RanksPerNode = 4
 
 // Spec is a runnable baseline configuration.
 type Spec struct {
-	Name string
-	In   core.Input
+	Name    string
+	Machine *machine.Machine
+	Request request.Request
 	// Sync disables communication/computation overlap.
 	Sync bool
 	// OwnerOnly disables nearest-valid-copy sourcing (MPI-style fixed
@@ -56,7 +60,11 @@ func (s *Spec) Execute(base sim.Params) (*legion.Result, error) {
 	if s.Params != nil {
 		params = s.Params(base)
 	}
-	prog, err := core.Compile(s.In)
+	in, err := request.Build(s.Request, s.Machine)
+	if err != nil {
+		return nil, fmt.Errorf("baselines: %s: %w", s.Name, err)
+	}
+	prog, err := core.Compile(in)
 	if err != nil {
 		return nil, fmt.Errorf("baselines: %s: %w", s.Name, err)
 	}
@@ -73,10 +81,19 @@ func (s *Spec) Execute(base sim.Params) (*legion.Result, error) {
 	return res, nil
 }
 
+// mpiSpec is a baseline under the MPI rank decomposition ScaLAPACK and CTF
+// share: synchronous broadcasts, owner-only copy sources, and the per-rank
+// cost model.
+func mpiSpec(name string, m *machine.Machine, req request.Request) *Spec {
+	p := sim.LassenCPURanks(RanksPerNode)
+	return &Spec{Name: name, Machine: m, Request: req, Sync: true, OwnerOnly: true,
+		Params: func(sim.Params) sim.Params { return p }}
+}
+
 // ScaLAPACKMatmul models pdgemm on the given number of nodes: SUMMA over a
 // rank-per-core-group grid with synchronous broadcasts.
 func ScaLAPACKMatmul(n, nodes int) (*Spec, error) {
-	in, err := algorithms.Matmul(algorithms.SUMMA, algorithms.MatmulConfig{
+	m, req, err := algorithms.MatmulRequest(algorithms.SUMMA, algorithms.MatmulConfig{
 		N:            n,
 		Procs:        nodes * RanksPerNode,
 		ProcsPerNode: RanksPerNode,
@@ -84,20 +101,14 @@ func ScaLAPACKMatmul(n, nodes int) (*Spec, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Spec{
-		Name:      "ScaLAPACK",
-		In:        in,
-		Sync:      true,
-		OwnerOnly: true,
-		Params:    func(sim.Params) sim.Params { return sim.LassenCPURanks(RanksPerNode) },
-	}, nil
+	return mpiSpec("ScaLAPACK", m, req), nil
 }
 
 // CTFMatmul models CTF's 2.5D matrix multiplication under the same rank
 // decomposition.
 func CTFMatmul(n, nodes int) (*Spec, error) {
 	procs := nodes * RanksPerNode
-	in, err := algorithms.Matmul(algorithms.Solomonik, algorithms.MatmulConfig{
+	m, req, err := algorithms.MatmulRequest(algorithms.Solomonik, algorithms.MatmulConfig{
 		N:            n,
 		Procs:        procs,
 		ProcsPerNode: RanksPerNode,
@@ -106,13 +117,7 @@ func CTFMatmul(n, nodes int) (*Spec, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Spec{
-		Name:      "CTF",
-		In:        in,
-		Sync:      true,
-		OwnerOnly: true,
-		Params:    func(sim.Params) sim.Params { return sim.LassenCPURanks(RanksPerNode) },
-	}, nil
+	return mpiSpec("CTF", m, req), nil
 }
 
 // feasibleReplication picks a c with p/c a perfect square, preferring c > 1
@@ -120,7 +125,7 @@ func CTFMatmul(n, nodes int) (*Spec, error) {
 func feasibleReplication(p int) int {
 	best := 0
 	for c := 1; c*c*c <= p*8; c++ {
-		if p%c == 0 && isSquare(p/c) {
+		if p%c == 0 && algorithms.IsSquare(p/c) {
 			best = c
 		}
 	}
@@ -128,15 +133,6 @@ func feasibleReplication(p int) int {
 		best = 1
 	}
 	return best
-}
-
-func isSquare(n int) bool {
-	for r := 0; r*r <= n; r++ {
-		if r*r == n {
-			return true
-		}
-	}
-	return false
 }
 
 // COSMAMatmul models the reference COSMA implementation. restricted limits
@@ -170,7 +166,7 @@ func COSMAMatmul(n, nodes int, restricted, gpu bool) (*Spec, error) {
 		cfg.MemWords = 128 * sim.GiB / 8
 		params = func(p sim.Params) sim.Params { return sim.LassenCPUFullCores() }
 	}
-	in, err := algorithms.Matmul(algorithms.COSMA, cfg)
+	m, req, err := algorithms.MatmulRequest(algorithms.COSMA, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -178,5 +174,5 @@ func COSMAMatmul(n, nodes int, restricted, gpu bool) (*Spec, error) {
 	if restricted {
 		name = "COSMA (Restricted CPUs)"
 	}
-	return &Spec{Name: name, In: in, Params: params}, nil
+	return &Spec{Name: name, Machine: m, Request: req, Params: params}, nil
 }

@@ -135,7 +135,7 @@ func TestCTFHigherOrderBuildersRun(t *testing.T) {
 func TestFeasibleReplication(t *testing.T) {
 	for _, p := range []int{4, 16, 64, 8, 32, 128} {
 		c := feasibleReplication(p)
-		if p%c != 0 || !isSquare(p/c) {
+		if p%c != 0 || !algorithms.IsSquare(p/c) {
 			t.Fatalf("feasibleReplication(%d) = %d invalid", p, c)
 		}
 	}

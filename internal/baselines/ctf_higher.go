@@ -2,49 +2,29 @@ package baselines
 
 import (
 	"distal/internal/algorithms"
-	"distal/internal/core"
 	"distal/internal/cosma"
-	"distal/internal/distnot"
-	"distal/internal/ir"
-	"distal/internal/schedule"
+	"distal/internal/request"
 	"distal/internal/sim"
 )
 
 // CTF casts every higher-order tensor contraction into distributed matrix
 // multiplications by reshaping and redistributing the tensors (§8, [34]).
-// The constructors below build the equivalent rectangular matmul under
+// The constructors below write the equivalent rectangular matmul under
 // CTF's rank decomposition and charge the redistribution passes explicitly.
 
-// summaRect builds a rectangular SUMMA A[mI,mJ] = B[mI,mK] * C[mK,mJ] on a
-// rank grid shaped to minimize the per-rank panel traffic
-// (mI*mK/gx + mK*mJ/gy), the decomposition choice CTF's optimizer makes for
-// skewed matrices.
-func summaRect(mI, mK, mJ, procs, ppn int) (core.Input, error) {
+// summaRect is CTF running a rectangular SUMMA
+// A[mI,mJ] = B[mI,mK] * C[mK,mJ] on a rank grid shaped to minimize the
+// per-rank panel traffic (mI*mK/gx + mK*mJ/gy), the decomposition choice
+// CTF's optimizer makes for skewed matrices.
+func summaRect(mI, mK, mJ, procs int) *Spec {
 	gx, gy := rectGrid(mI, mK, mJ, procs)
-	stmt := ir.MustParse("A(i,j) = B(i,k) * C(k,j)")
-	cfg := algorithms.MatmulConfig{ProcsPerNode: ppn}
-	m := cfg.MachineFor(gx, gy)
-	chunk := (mK + gx - 1) / gx
-	s := schedule.New(stmt).
-		DistributeOnto([]string{"i", "j"}, []string{"io", "jo"}, []string{"ii", "ji"}, []int{gx, gy}).
-		Split("k", "ko", "ki", chunk).
-		Reorder("ko", "ii", "ji", "ki").
-		Communicate("jo", "A").
-		Communicate("ko", "B", "C")
-	if err := s.Err(); err != nil {
-		return core.Input{}, err
-	}
-	tiled := distnot.MustParsePlacement("xy->xy")
-	return core.Input{
-		Stmt:    stmt,
-		Machine: m,
-		Tensors: map[string]*core.TensorDecl{
-			"A": {Name: "A", Shape: []int{mI, mJ}, Placement: tiled},
-			"B": {Name: "B", Shape: []int{mI, mK}, Placement: tiled},
-			"C": {Name: "C", Shape: []int{mK, mJ}, Placement: tiled},
-		},
-		Schedule: s,
-	}, nil
+	m := algorithms.MatmulConfig{ProcsPerNode: RanksPerNode}.MachineFor(gx, gy)
+	return mpiSpec("CTF", m, request.Request{
+		Stmt:     algorithms.MatmulStmt,
+		Shapes:   map[string][]int{"A": {mI, mJ}, "B": {mI, mK}, "C": {mK, mJ}},
+		Formats:  map[string]string{"A": "xy->xy", "B": "xy->xy", "C": "xy->xy"},
+		Schedule: algorithms.SummaSchedule(gx, gy, (mK+gx-1)/gx),
+	})
 }
 
 // rectGrid picks the divisor pair gx*gy = procs minimizing the SUMMA panel
@@ -90,22 +70,12 @@ func reshapeSeconds(totalBytes int64, nodes int, p sim.Params) float64 {
 // layout. The mostly-empty rank grid along the unit output dimension is
 // what makes CTF's TTV collapse beyond one node (§7.2.2).
 func CTFTTV(cfg algorithms.HigherConfig, nodes int) (*Spec, error) {
-	procs := nodes * RanksPerNode
-	in, err := summaRect(cfg.I*cfg.J, cfg.K, 1, procs, RanksPerNode)
-	if err != nil {
-		return nil, err
-	}
+	s := summaRect(cfg.I*cfg.J, cfg.K, 1, nodes*RanksPerNode)
 	p := sim.LassenCPURanks(RanksPerNode)
 	bBytes := int64(cfg.I) * int64(cfg.J) * int64(cfg.K) * 8
-	return &Spec{
-		Name:            "CTF",
-		In:              in,
-		Sync:            true,
-		OwnerOnly:       true,
-		Params:          func(sim.Params) sim.Params { return p },
-		ExtraSeconds:    redistSeconds(bBytes, nodes, p) + reshapeSeconds(bBytes, nodes, p),
-		ExtraInterBytes: redistBytes(bBytes, nodes),
-	}, nil
+	s.ExtraSeconds = redistSeconds(bBytes, nodes, p) + reshapeSeconds(bBytes, nodes, p)
+	s.ExtraInterBytes = redistBytes(bBytes, nodes)
+	return s, nil
 }
 
 // CTFInnerprod: CTF implements inner products as flat reductions (it weak
@@ -114,41 +84,24 @@ func CTFTTV(cfg algorithms.HigherConfig, nodes int) (*Spec, error) {
 func CTFInnerprod(cfg algorithms.HigherConfig, nodes int) (*Spec, error) {
 	cfg.Procs = nodes * RanksPerNode
 	cfg.ProcsPerNode = RanksPerNode
-	in, err := algorithms.Innerprod(cfg)
+	m, req, err := algorithms.InnerprodRequest(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &Spec{
-		Name:      "CTF",
-		In:        in,
-		Sync:      true,
-		OwnerOnly: true,
-		Params:    func(sim.Params) sim.Params { return sim.LassenCPURanks(RanksPerNode) },
-	}, nil
+	return mpiSpec("CTF", m, req), nil
 }
 
 // CTFTTM casts A(i,j,l) = B(i,j,k)*C(k,l) to A[IJ,L] = B[IJ,K] * C[K,L],
 // redistributing B in and A out of the matrix layout.
 func CTFTTM(cfg algorithms.HigherConfig, nodes int) (*Spec, error) {
-	procs := nodes * RanksPerNode
-	in, err := summaRect(cfg.I*cfg.J, cfg.K, cfg.L, procs, RanksPerNode)
-	if err != nil {
-		return nil, err
-	}
+	s := summaRect(cfg.I*cfg.J, cfg.K, cfg.L, nodes*RanksPerNode)
 	p := sim.LassenCPURanks(RanksPerNode)
 	bBytes := int64(cfg.I) * int64(cfg.J) * int64(cfg.K) * 8
 	aBytes := int64(cfg.I) * int64(cfg.J) * int64(cfg.L) * 8
-	extra := redistSeconds(bBytes, nodes, p) + redistSeconds(aBytes, nodes, p) +
+	s.ExtraSeconds = redistSeconds(bBytes, nodes, p) + redistSeconds(aBytes, nodes, p) +
 		reshapeSeconds(bBytes+aBytes, nodes, p)
-	return &Spec{
-		Name:            "CTF",
-		In:              in,
-		Sync:            true,
-		OwnerOnly:       true,
-		Params:          func(sim.Params) sim.Params { return p },
-		ExtraSeconds:    extra,
-		ExtraInterBytes: redistBytes(bBytes, nodes) + redistBytes(aBytes, nodes),
-	}, nil
+	s.ExtraInterBytes = redistBytes(bBytes, nodes) + redistBytes(aBytes, nodes)
+	return s, nil
 }
 
 // CTFMTTKRP models CTF's MTTKRP: the contraction is cast to local matrix
@@ -159,24 +112,17 @@ func CTFTTM(cfg algorithms.HigherConfig, nodes int) (*Spec, error) {
 func CTFMTTKRP(cfg algorithms.HigherConfig, nodes int) (*Spec, error) {
 	cfg.Procs = nodes * RanksPerNode
 	cfg.ProcsPerNode = RanksPerNode
-	in, err := algorithms.MTTKRP(cfg)
+	m, req, err := algorithms.MTTKRPRequest(cfg)
 	if err != nil {
 		return nil, err
 	}
-	p := sim.LassenCPURanks(RanksPerNode)
+	s := mpiSpec("CTF", m, req)
 	bBytes := int64(cfg.I) * int64(cfg.J) * int64(cfg.K) * 8
 	// The cast-to-matmul pipeline touches the 3-tensor three extra times:
 	// forming local Khatri-Rao blocks, the intermediate product, and the
 	// element-wise reduction into the output.
-	extra := 3 * reshapeSeconds(bBytes, nodes, p)
-	return &Spec{
-		Name:         "CTF",
-		In:           in,
-		Sync:         true,
-		OwnerOnly:    true,
-		Params:       func(sim.Params) sim.Params { return p },
-		ExtraSeconds: extra,
-	}, nil
+	s.ExtraSeconds = 3 * reshapeSeconds(bBytes, nodes, sim.LassenCPURanks(RanksPerNode))
+	return s, nil
 }
 
 func redistBytes(total int64, nodes int) int64 {

@@ -333,7 +333,8 @@ func BenchmarkLeafKernel(b *testing.B) {
 			}
 			b.StopTimer()
 		}
-		if _, err := legion.Run(prog, legion.Options{Params: sim.LassenCPU(), Real: true}); err != nil {
+		opt := legion.Options{Params: sim.LassenCPU(), Real: true, Batch: []map[string]*tensor.Dense{algorithms.RandomData(in)}}
+		if _, err := legion.Run(prog, opt); err != nil {
 			b.Fatal(err)
 		}
 		report(b, flops)
@@ -341,7 +342,7 @@ func BenchmarkLeafKernel(b *testing.B) {
 
 	const n = 64 // GEMM: A(i,j) += B(i,k)*C(k,j), 64 x 64 x 64, k innermost
 	b.Run("gemm/kernel", func(b *testing.B) {
-		in, err := algorithms.Matmul(algorithms.SUMMA, algorithms.MatmulConfig{N: n, Procs: 1, ChunkSize: n, Seed: 5})
+		in, err := algorithms.Matmul(algorithms.SUMMA, algorithms.MatmulConfig{N: n, Procs: 1, ChunkSize: n})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -389,10 +390,8 @@ func BenchmarkLeafKernel(b *testing.B) {
 			b.Fatal(err)
 		}
 		in := core.Input{Stmt: st, Machine: algorithms.MatmulConfig{}.MachineFor(1), Tensors: map[string]*core.TensorDecl{}, Schedule: s}
-		for k, name := range st.TensorNames() {
-			d := tensor.New(name, shapes[name]...)
-			d.FillRandom(int64(5 + k))
-			in.Tensors[name] = &core.TensorDecl{Name: name, Shape: shapes[name], Placement: distnot.MustParsePlacement("xy->*"), Data: d}
+		for _, name := range st.TensorNames() {
+			in.Tensors[name] = &core.TensorDecl{Name: name, Shape: shapes[name], Placement: distnot.MustParsePlacement("xy->*")}
 		}
 		return in
 	}
@@ -409,7 +408,7 @@ func BenchmarkLeafKernel(b *testing.B) {
 
 	const m = 32 // MTTKRP: A(i,l) += B(i,j,k)*C(j,l)*D(k,l), 32^3 x 32, l innermost
 	b.Run("mttkrp/kernel", func(b *testing.B) {
-		in, err := algorithms.MTTKRP(algorithms.HigherConfig{I: m, J: m, K: m, L: m, Procs: 1, Seed: 5})
+		in, err := algorithms.MTTKRP(algorithms.HigherConfig{I: m, J: m, K: m, L: m, Procs: 1})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -57,8 +57,6 @@ type TensorDecl struct {
 	Name      string
 	Shape     []int
 	Placement *distnot.Placement
-	// Data optionally binds real contents for validated execution.
-	Data *tensor.Dense
 }
 
 // Input is everything the compiler needs.
@@ -280,9 +278,6 @@ func (c *compiler) lower() (*legion.Program, error) {
 	for _, name := range c.in.Stmt.TensorNames() {
 		t := c.in.Tensors[name]
 		r := legion.NewRegion(name, t.Shape, t.Placement)
-		if t.Data != nil {
-			r.Bind(t.Data)
-		}
 		c.regions[name] = r
 		prog.Regions = append(prog.Regions, r)
 	}

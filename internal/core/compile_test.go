@@ -24,19 +24,24 @@ func testParams() sim.Params {
 	}
 }
 
-// runAndCheck compiles, executes with real data, and compares against the
-// reference evaluator. It returns the execution result for extra checks.
-func runAndCheck(t *testing.T, in Input) *legion.Result {
+// runAndCheck compiles, executes on real data bound to the execution, and
+// compares against the reference evaluator. Every tensor gets fresh data,
+// filled from its seed in seeds (zero when it has none). It returns the
+// execution result for extra checks.
+func runAndCheck(t *testing.T, in Input, seeds map[string]int64) *legion.Result {
 	t.Helper()
+	lhs := in.Stmt.LHS.Tensor
+	data := map[string]*tensor.Dense{}
 	inputs := map[string]*tensor.Dense{}
 	for name, d := range in.Tensors {
-		if d.Data == nil {
-			t.Fatalf("tensor %s has no data", name)
+		data[name] = tensor.New(name, d.Shape...)
+		if seed := seeds[name]; seed != 0 {
+			data[name].FillRandom(seed)
 		}
-		if name != in.Stmt.LHS.Tensor {
-			inputs[name] = d.Data
+		if name != lhs {
+			inputs[name] = data[name]
 		} else if in.Stmt.Increment {
-			inputs[name] = d.Data.Clone("")
+			inputs[name] = data[name].Clone("")
 		}
 	}
 	want, err := ir.Evaluate(in.Stmt, inputs)
@@ -47,11 +52,11 @@ func runAndCheck(t *testing.T, in Input) *legion.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := legion.Run(prog, legion.Options{Params: testParams(), Real: true})
+	res, err := legion.Run(prog, legion.Options{Params: testParams(), Real: true, Batch: []map[string]*tensor.Dense{data}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := in.Tensors[in.Stmt.LHS.Tensor].Data
+	got := data[lhs]
 	// The reference may be rank-0 for scalar outputs while the distributed
 	// pipeline uses rank-1 unit tensors.
 	if want.Rank() == 0 && got.Rank() == 1 {
@@ -66,17 +71,16 @@ func runAndCheck(t *testing.T, in Input) *legion.Result {
 	return res
 }
 
+// gemmSeeds fills gemmInput's inputs.
+var gemmSeeds = map[string]int64{"B": 7, "C": 8}
+
 func gemmInput(t *testing.T, n, gx, gy int, build func(*schedule.Schedule) *schedule.Schedule) Input {
 	t.Helper()
 	stmt := ir.MustParse("A(i,j) = B(i,k) * C(k,j)")
 	m := machine.New(machine.NewGrid(gx, gy), machine.SysMem, machine.CPU)
 	tiled := distnot.NewPlacement(distnot.MustParse("xy->xy"))
-	mk := func(name string, seed int64) *TensorDecl {
-		d := tensor.New(name, n, n)
-		if seed > 0 {
-			d.FillRandom(seed)
-		}
-		return &TensorDecl{Name: name, Shape: []int{n, n}, Placement: tiled, Data: d}
+	mk := func(name string) *TensorDecl {
+		return &TensorDecl{Name: name, Shape: []int{n, n}, Placement: tiled}
 	}
 	s := schedule.New(stmt)
 	if build != nil {
@@ -89,7 +93,7 @@ func gemmInput(t *testing.T, n, gx, gy int, build func(*schedule.Schedule) *sche
 		Stmt:    stmt,
 		Machine: m,
 		Tensors: map[string]*TensorDecl{
-			"A": mk("A", 0), "B": mk("B", 7), "C": mk("C", 8),
+			"A": mk("A"), "B": mk("B"), "C": mk("C"),
 		},
 		Schedule: s,
 	}
@@ -97,7 +101,7 @@ func gemmInput(t *testing.T, n, gx, gy int, build func(*schedule.Schedule) *sche
 
 func TestCompileUnscheduledSingleTask(t *testing.T) {
 	in := gemmInput(t, 6, 1, 1, nil)
-	res := runAndCheck(t, in)
+	res := runAndCheck(t, in, gemmSeeds)
 	if res.Copies != 0 {
 		t.Fatalf("single-proc run should not copy, got %d", res.Copies)
 	}
@@ -127,7 +131,7 @@ func TestCompileSUMMA(t *testing.T) {
 	if prog.Launches[0].Domain.Size() != 4 {
 		t.Fatalf("domain size = %d, want 4", prog.Launches[0].Domain.Size())
 	}
-	res := runAndCheck(t, in)
+	res := runAndCheck(t, in, gemmSeeds)
 	// Each proc owns its A tile (no comm) and fetches remote chunks of B and
 	// C: per step, 2 procs per row need a remote B chunk and 2 per column a
 	// remote C chunk.
@@ -149,7 +153,7 @@ func TestCompileCannonRotation(t *testing.T) {
 			Communicate("jo", "A").
 			Communicate("kos", "B", "C")
 	})
-	runAndCheck(t, in)
+	runAndCheck(t, in, gemmSeeds)
 }
 
 func TestCompileJohnson(t *testing.T) {
@@ -157,16 +161,8 @@ func TestCompileJohnson(t *testing.T) {
 	stmt := ir.MustParse("A(i,j) = B(i,k) * C(k,j)")
 	m := machine.New(machine.NewGrid(2, 2, 2), machine.SysMem, machine.CPU)
 	n := 8
-	mk := func(name, place string, seed int64) *TensorDecl {
-		d := tensor.New(name, n, n)
-		if seed > 0 {
-			d.FillRandom(seed)
-		}
-		return &TensorDecl{
-			Name: name, Shape: []int{n, n},
-			Placement: distnot.NewPlacement(distnot.MustParse(place)),
-			Data:      d,
-		}
+	mk := func(name, place string) *TensorDecl {
+		return &TensorDecl{Name: name, Shape: []int{n, n}, Placement: distnot.NewPlacement(distnot.MustParse(place))}
 	}
 	s := schedule.New(stmt).
 		DistributeOnto([]string{"i", "j", "k"}, []string{"io", "jo", "ko"}, []string{"ii", "ji", "ki"}, []int{2, 2, 2}).
@@ -178,13 +174,13 @@ func TestCompileJohnson(t *testing.T) {
 		Stmt:    stmt,
 		Machine: m,
 		Tensors: map[string]*TensorDecl{
-			"A": mk("A", "xy->xy0", 0),
-			"B": mk("B", "xz->x0z", 3),
-			"C": mk("C", "zy->0yz", 4),
+			"A": mk("A", "xy->xy0"),
+			"B": mk("B", "xz->x0z"),
+			"C": mk("C", "zy->0yz"),
 		},
 		Schedule: s,
 	}
-	res := runAndCheck(t, in)
+	res := runAndCheck(t, in, map[string]int64{"B": 3, "C": 4})
 	if res.Copies == 0 {
 		t.Fatal("Johnson's algorithm must broadcast and reduce")
 	}
@@ -193,11 +189,6 @@ func TestCompileJohnson(t *testing.T) {
 func TestCompileTTV(t *testing.T) {
 	stmt := ir.MustParse("A(i,j) = B(i,j,k) * c(k)")
 	m := machine.New(machine.NewGrid(2, 2), machine.SysMem, machine.CPU)
-	b := tensor.New("B", 4, 4, 5)
-	b.FillRandom(5)
-	cv := tensor.New("c", 5)
-	cv.FillRandom(6)
-	a := tensor.New("A", 4, 4)
 	s := schedule.New(stmt).
 		DistributeOnto([]string{"i", "j"}, []string{"io", "jo"}, []string{"ii", "ji"}, []int{2, 2}).
 		Communicate("jo", "A", "B", "c")
@@ -208,13 +199,13 @@ func TestCompileTTV(t *testing.T) {
 		Stmt:    stmt,
 		Machine: m,
 		Tensors: map[string]*TensorDecl{
-			"A": {Name: "A", Shape: []int{4, 4}, Placement: distnot.NewPlacement(distnot.MustParse("xy->xy")), Data: a},
-			"B": {Name: "B", Shape: []int{4, 4, 5}, Placement: distnot.NewPlacement(distnot.MustParse("xyz->xy")), Data: b},
-			"c": {Name: "c", Shape: []int{5}, Placement: distnot.NewPlacement(distnot.MustParse("x->**")), Data: cv},
+			"A": {Name: "A", Shape: []int{4, 4}, Placement: distnot.NewPlacement(distnot.MustParse("xy->xy"))},
+			"B": {Name: "B", Shape: []int{4, 4, 5}, Placement: distnot.NewPlacement(distnot.MustParse("xyz->xy"))},
+			"c": {Name: "c", Shape: []int{5}, Placement: distnot.NewPlacement(distnot.MustParse("x->**"))},
 		},
 		Schedule: s,
 	}
-	res := runAndCheck(t, in)
+	res := runAndCheck(t, in, map[string]int64{"B": 5, "c": 6})
 	// B and A are aligned and c is replicated: a pure element-wise
 	// distribution with no communication (§7.2.2 TTV).
 	if res.Copies != 0 {
@@ -225,11 +216,6 @@ func TestCompileTTV(t *testing.T) {
 func TestCompileInnerProductScalar(t *testing.T) {
 	stmt := ir.MustParse("a = B(i,j,k) * C(i,j,k)")
 	m := machine.New(machine.NewGrid(4), machine.SysMem, machine.CPU)
-	b := tensor.New("B", 4, 3, 3)
-	b.FillRandom(9)
-	c := tensor.New("C", 4, 3, 3)
-	c.FillRandom(10)
-	av := tensor.New("a", 1)
 	cube := distnot.NewPlacement(distnot.MustParse("xyz->x"))
 	s := schedule.New(stmt).
 		Divide("i", "io", "ii", 4).
@@ -243,26 +229,19 @@ func TestCompileInnerProductScalar(t *testing.T) {
 		Stmt:    stmt,
 		Machine: m,
 		Tensors: map[string]*TensorDecl{
-			"a": {Name: "a", Shape: []int{1}, Placement: distnot.NewPlacement(distnot.MustParse("x->0")), Data: av},
-			"B": {Name: "B", Shape: []int{4, 3, 3}, Placement: cube, Data: b},
-			"C": {Name: "C", Shape: []int{4, 3, 3}, Placement: cube, Data: c},
+			"a": {Name: "a", Shape: []int{1}, Placement: distnot.NewPlacement(distnot.MustParse("x->0"))},
+			"B": {Name: "B", Shape: []int{4, 3, 3}, Placement: cube},
+			"C": {Name: "C", Shape: []int{4, 3, 3}, Placement: cube},
 		},
 		Schedule: s,
 	}
-	runAndCheck(t, in)
+	runAndCheck(t, in, map[string]int64{"B": 9, "C": 10})
 }
 
 func TestCompileMTTKRP(t *testing.T) {
 	stmt := ir.MustParse("A(i,l) = B(i,j,k) * C(j,l) * D(k,l)")
 	m := machine.New(machine.NewGrid(2, 2), machine.SysMem, machine.CPU)
 	nI, nJ, nK, nL := 4, 4, 4, 3
-	b := tensor.New("B", nI, nJ, nK)
-	b.FillRandom(11)
-	c := tensor.New("C", nJ, nL)
-	c.FillRandom(12)
-	d := tensor.New("D", nK, nL)
-	d.FillRandom(13)
-	a := tensor.New("A", nI, nL)
 	s := schedule.New(stmt).
 		DistributeOnto([]string{"i", "j"}, []string{"io", "jo"}, []string{"ii", "ji"}, []int{2, 2}).
 		Communicate("jo", "A", "B", "C", "D")
@@ -273,14 +252,14 @@ func TestCompileMTTKRP(t *testing.T) {
 		Stmt:    stmt,
 		Machine: m,
 		Tensors: map[string]*TensorDecl{
-			"A": {Name: "A", Shape: []int{nI, nL}, Placement: distnot.NewPlacement(distnot.MustParse("xy->x*")), Data: a},
-			"B": {Name: "B", Shape: []int{nI, nJ, nK}, Placement: distnot.NewPlacement(distnot.MustParse("xyz->xy")), Data: b},
-			"C": {Name: "C", Shape: []int{nJ, nL}, Placement: distnot.NewPlacement(distnot.MustParse("xy->y*")), Data: c},
-			"D": {Name: "D", Shape: []int{nK, nL}, Placement: distnot.NewPlacement(distnot.MustParse("xy->0*")), Data: d},
+			"A": {Name: "A", Shape: []int{nI, nL}, Placement: distnot.NewPlacement(distnot.MustParse("xy->x*"))},
+			"B": {Name: "B", Shape: []int{nI, nJ, nK}, Placement: distnot.NewPlacement(distnot.MustParse("xyz->xy"))},
+			"C": {Name: "C", Shape: []int{nJ, nL}, Placement: distnot.NewPlacement(distnot.MustParse("xy->y*"))},
+			"D": {Name: "D", Shape: []int{nK, nL}, Placement: distnot.NewPlacement(distnot.MustParse("xy->0*"))},
 		},
 		Schedule: s,
 	}
-	runAndCheck(t, in)
+	runAndCheck(t, in, map[string]int64{"B": 11, "C": 12, "D": 13})
 }
 
 func TestCompileNonDivisibleSizes(t *testing.T) {
@@ -293,7 +272,7 @@ func TestCompileNonDivisibleSizes(t *testing.T) {
 			Communicate("jo", "A").
 			Communicate("ko", "B", "C")
 	})
-	res := runAndCheck(t, in)
+	res := runAndCheck(t, in, gemmSeeds)
 	// Exactly 7*7*7 iteration points despite ragged 4-blocks.
 	if res.Flops != 2*7*7*7 {
 		t.Fatalf("flops = %v, want %v", res.Flops, 2*7*7*7)
@@ -309,8 +288,7 @@ func TestCompileIncrement(t *testing.T) {
 	in.Schedule = schedule.New(in.Stmt).
 		DistributeOnto([]string{"i", "j"}, []string{"io", "jo"}, []string{"ii", "ji"}, []int{2, 2}).
 		Communicate("jo", "A", "B", "C")
-	in.Tensors["A"].Data.FillRandom(20)
-	runAndCheck(t, in)
+	runAndCheck(t, in, map[string]int64{"A": 20, "B": 7, "C": 8})
 }
 
 func TestCompileErrors(t *testing.T) {
@@ -350,7 +328,7 @@ func TestSimulatedExecutionMatchesStructure(t *testing.T) {
 		})
 	}
 	realIn := mkIn()
-	realRes := runAndCheck(t, realIn)
+	realRes := runAndCheck(t, realIn, gemmSeeds)
 	simIn := mkIn()
 	prog, err := Compile(simIn)
 	if err != nil {

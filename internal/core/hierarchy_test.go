@@ -8,7 +8,6 @@ import (
 	"distal/internal/legion"
 	"distal/internal/machine"
 	"distal/internal/schedule"
-	"distal/internal/tensor"
 )
 
 // TestHierarchicalMachineEndToEnd exercises the full §3 hierarchy story: a
@@ -22,12 +21,8 @@ func TestHierarchicalMachineEndToEnd(t *testing.T) {
 	m := machine.New(machine.NewGrid(2, 2), machine.SysMem, machine.CPU).WithChild(gpus)
 
 	place := distnot.MustParsePlacement("xy->xy; zw->z")
-	mk := func(name string, seed int64) *TensorDecl {
-		d := tensor.New(name, n, n)
-		if seed > 0 {
-			d.FillRandom(seed)
-		}
-		return &TensorDecl{Name: name, Shape: []int{n, n}, Placement: place, Data: d}
+	mk := func(name string) *TensorDecl {
+		return &TensorDecl{Name: name, Shape: []int{n, n}, Placement: place}
 	}
 	stmt := ir.MustParse("A(i,j) = B(i,k) * C(k,j)")
 	// Node-level tiles (io, jo), then the i tile split again across the
@@ -47,7 +42,7 @@ func TestHierarchicalMachineEndToEnd(t *testing.T) {
 		Stmt:    stmt,
 		Machine: m,
 		Tensors: map[string]*TensorDecl{
-			"A": mk("A", 0), "B": mk("B", 21), "C": mk("C", 22),
+			"A": mk("A"), "B": mk("B"), "C": mk("C"),
 		},
 		Schedule: s,
 	}
@@ -58,19 +53,7 @@ func TestHierarchicalMachineEndToEnd(t *testing.T) {
 	if got := prog.Launches[0].Domain.Size(); got != 8 {
 		t.Fatalf("task domain = %d points, want 8", got)
 	}
-	res, err := legion.Run(prog, legion.Options{Params: testParams(), Real: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := ir.Evaluate(stmt, map[string]*tensor.Dense{
-		"B": in.Tensors["B"].Data, "C": in.Tensors["C"].Data,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !in.Tensors["A"].Data.EqualWithin(want, 1e-9) {
-		t.Fatal("hierarchical execution produced a wrong product")
-	}
+	res := runAndCheck(t, in, map[string]int64{"B": 21, "C": 22})
 	if res.Flops != 2*n*n*n {
 		t.Fatalf("flops = %v, want %v", res.Flops, 2*n*n*n)
 	}

@@ -20,9 +20,8 @@ import (
 
 // exampleInputs builds the five example workloads (examples/quickstart,
 // examples/cannon, examples/hierarchical, examples/johnson3d,
-// examples/mttkrp) at validation sizes with deterministic data bound.
-// Builders are re-invoked per call, so each call returns fresh, identical
-// tensors.
+// examples/mttkrp) at validation sizes. Builders are re-invoked per call,
+// so each call returns a fresh, identical input.
 func exampleInputs(t *testing.T) map[string]func() core.Input {
 	t.Helper()
 	mm := func(alg algorithms.Alg, cfg algorithms.MatmulConfig) func() core.Input {
@@ -36,16 +35,16 @@ func exampleInputs(t *testing.T) map[string]func() core.Input {
 	}
 	return map[string]func() core.Input{
 		// quickstart: SUMMA on a 2x2 grid with a chunked k loop.
-		"quickstart": mm(algorithms.SUMMA, algorithms.MatmulConfig{N: 64, Procs: 4, ChunkSize: 16, Seed: 5}),
+		"quickstart": mm(algorithms.SUMMA, algorithms.MatmulConfig{N: 64, Procs: 4, ChunkSize: 16}),
 		// cannon: systolic rotation on a 3x3 grid.
-		"cannon": mm(algorithms.Cannon, algorithms.MatmulConfig{N: 24, Procs: 9, Seed: 5}),
+		"cannon": mm(algorithms.Cannon, algorithms.MatmulConfig{N: 24, Procs: 9}),
 		// hierarchical: SUMMA over nodes of grouped processors.
-		"hierarchical": mm(algorithms.SUMMA, algorithms.MatmulConfig{N: 32, Procs: 16, ProcsPerNode: 4, ChunkSize: 8, Seed: 5}),
+		"hierarchical": mm(algorithms.SUMMA, algorithms.MatmulConfig{N: 32, Procs: 16, ProcsPerNode: 4, ChunkSize: 8}),
 		// johnson3d: replicated faces and a distributed reduction.
-		"johnson3d": mm(algorithms.Johnson, algorithms.MatmulConfig{N: 24, Procs: 8, Seed: 5}),
+		"johnson3d": mm(algorithms.Johnson, algorithms.MatmulConfig{N: 24, Procs: 8}),
 		// mttkrp: the 4-tensor kernel with partial-result reduction.
 		"mttkrp": func() core.Input {
-			in, err := algorithms.MTTKRP(algorithms.HigherConfig{I: 12, J: 6, K: 8, L: 5, Procs: 8, Seed: 5})
+			in, err := algorithms.MTTKRP(algorithms.HigherConfig{I: 12, J: 6, K: 8, L: 5, Procs: 8})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -54,17 +53,19 @@ func exampleInputs(t *testing.T) map[string]func() core.Input {
 	}
 }
 
-// runReal compiles in and executes it on real data, returning the LHS data.
-func runReal(t *testing.T, in core.Input) *tensor.Dense {
+// runReal compiles in and executes it on data bound to the execution,
+// returning the LHS data.
+func runReal(t *testing.T, in core.Input, data map[string]*tensor.Dense) *tensor.Dense {
 	t.Helper()
 	prog, err := core.Compile(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := legion.Run(prog, legion.Options{Params: sim.LassenCPU(), Real: true}); err != nil {
+	opt := legion.Options{Params: sim.LassenCPU(), Real: true, Batch: []map[string]*tensor.Dense{data}}
+	if _, err := legion.Run(prog, opt); err != nil {
 		t.Fatal(err)
 	}
-	return prog.RegionByName(in.Stmt.LHS.Tensor).Data
+	return data[in.Stmt.LHS.Tensor]
 }
 
 // TestKernelProgGolden asserts the compiled kernel program and the
@@ -72,41 +73,7 @@ func runReal(t *testing.T, in core.Input) *tensor.Dense {
 // workload, and that both match the sequential reference evaluator.
 func TestKernelProgGolden(t *testing.T) {
 	for name, build := range exampleInputs(t) {
-		t.Run(name, func(t *testing.T) {
-			compiledIn := build()
-			got := runReal(t, compiledIn)
-
-			treeIn := build()
-			treeIn.TreeKernel = true
-			want := runReal(t, treeIn)
-
-			gd, wd := got.Data(), want.Data()
-			if len(gd) != len(wd) {
-				t.Fatalf("output sizes differ: %d vs %d", len(gd), len(wd))
-			}
-			for i := range gd {
-				if gd[i] != wd[i] {
-					t.Fatalf("output[%d]: compiled kernel %v != tree kernel %v (bit-identical required)", i, gd[i], wd[i])
-				}
-			}
-
-			// Both must also equal the reference evaluator (within float
-			// tolerance: the distributed loop nest sums in schedule order).
-			refIn := build()
-			data := map[string]*tensor.Dense{}
-			for tn, d := range refIn.Tensors {
-				if tn != refIn.Stmt.LHS.Tensor {
-					data[tn] = d.Data
-				}
-			}
-			ref, err := ir.Evaluate(refIn.Stmt, data)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !got.EqualWithin(ref, 1e-9) {
-				t.Fatalf("compiled kernel diverges from reference: max diff %v", got.MaxAbsDiff(ref))
-			}
-		})
+		t.Run(name, func(t *testing.T) { assertBitIdentical(t, build) })
 	}
 }
 
@@ -114,7 +81,7 @@ func TestKernelProgGolden(t *testing.T) {
 // accumulate on top of existing LHS contents exactly as the tree walk does.
 func TestKernelProgIncrement(t *testing.T) {
 	build := func(tree bool) core.Input {
-		in, err := algorithms.Matmul(algorithms.SUMMA, algorithms.MatmulConfig{N: 16, Procs: 4, Seed: 5})
+		in, err := algorithms.Matmul(algorithms.SUMMA, algorithms.MatmulConfig{N: 16, Procs: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,12 +92,16 @@ func TestKernelProgIncrement(t *testing.T) {
 			t.Fatal(err)
 		}
 		in.Schedule = sched
-		in.Tensors["A"].Data.Fill(1)
 		in.TreeKernel = tree
 		return in
 	}
-	got := runReal(t, build(false))
-	want := runReal(t, build(true))
+	run := func(in core.Input) *tensor.Dense {
+		data := algorithms.RandomData(in)
+		data["A"].Fill(1)
+		return runReal(t, in, data)
+	}
+	got := run(build(false))
+	want := run(build(true))
 	for i := range got.Data() {
 		if got.Data()[i] != want.Data()[i] {
 			t.Fatalf("increment output[%d]: %v != %v", i, got.Data()[i], want.Data()[i])

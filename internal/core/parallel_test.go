@@ -41,13 +41,13 @@ func matmulData(n int) map[string]*tensor.Dense {
 func TestParallelLeafTasksMatchSerial(t *testing.T) {
 	workloads := map[string]func() (core.Input, error){
 		"summa": func() (core.Input, error) {
-			return algorithms.Matmul(algorithms.SUMMA, algorithms.MatmulConfig{N: 64, Procs: 16, ChunkSize: 16, Seed: 5})
+			return algorithms.Matmul(algorithms.SUMMA, algorithms.MatmulConfig{N: 64, Procs: 16, ChunkSize: 16})
 		},
 		"johnson": func() (core.Input, error) {
-			return algorithms.Matmul(algorithms.Johnson, algorithms.MatmulConfig{N: 24, Procs: 8, Seed: 5})
+			return algorithms.Matmul(algorithms.Johnson, algorithms.MatmulConfig{N: 24, Procs: 8})
 		},
 		"cannon-ragged": func() (core.Input, error) {
-			return algorithms.Matmul(algorithms.Cannon, algorithms.MatmulConfig{N: 25, Procs: 9, Seed: 5})
+			return algorithms.Matmul(algorithms.Cannon, algorithms.MatmulConfig{N: 25, Procs: 9})
 		},
 	}
 	for name, mk := range workloads {
@@ -101,7 +101,7 @@ func TestParallelLeafTasksMatchSerial(t *testing.T) {
 // additionally proves the plan and its pooled kernel scratch are safe to
 // share.
 func TestParallelSharedPlanConcurrentRuns(t *testing.T) {
-	in, err := algorithms.Matmul(algorithms.SUMMA, algorithms.MatmulConfig{N: 50, Procs: 16, ChunkSize: 16, Seed: 5})
+	in, err := algorithms.Matmul(algorithms.SUMMA, algorithms.MatmulConfig{N: 50, Procs: 16, ChunkSize: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

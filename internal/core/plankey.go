@@ -12,10 +12,10 @@ import (
 // inputs share a key exactly when they produce the same program. The key
 // covers the statement, the machine (grid hierarchy, processor/memory kinds,
 // node grouping), every tensor's name, shape, and placement, and the
-// schedule's serialized command form. Bound data is deliberately excluded —
-// a plan describes the task graph, not the values flowing through it — so
-// a plan cache keyed by PlanKey must hold data-free programs (compiled
-// without TensorDecl.Data) and bind data per execution (legion.Tape.Execute).
+// schedule's serialized command form. An input holds no data — a plan
+// describes the task graph, not the values flowing through it — so every
+// program compiled from it is data-free and binds data per execution
+// (legion.Tape.Execute).
 func PlanKey(in Input) string {
 	var b strings.Builder
 	b.WriteString("stmt:")

@@ -15,19 +15,19 @@ import (
 	"distal/internal/distnot"
 	"distal/internal/ir"
 	"distal/internal/schedule"
-	"distal/internal/tensor"
 )
 
-// assertBitIdentical runs in's compiled and tree kernels and compares every
-// output element exactly, then checks the compiled result against the
-// sequential reference evaluator.
+// assertBitIdentical runs in's compiled and tree kernels on the same fresh
+// data and compares every output element exactly, then checks the compiled
+// result against the sequential reference evaluator.
 func assertBitIdentical(t *testing.T, build func() core.Input) {
 	t.Helper()
-	got := runReal(t, build())
+	in := build()
+	got := runReal(t, in, algorithms.RandomData(in))
 
 	treeIn := build()
 	treeIn.TreeKernel = true
-	want := runReal(t, treeIn)
+	want := runReal(t, treeIn, algorithms.RandomData(treeIn))
 
 	gd, wd := got.Data(), want.Data()
 	if len(gd) != len(wd) {
@@ -39,14 +39,9 @@ func assertBitIdentical(t *testing.T, build func() core.Input) {
 		}
 	}
 
-	refIn := build()
-	data := map[string]*tensor.Dense{}
-	for tn, d := range refIn.Tensors {
-		if tn != refIn.Stmt.LHS.Tensor {
-			data[tn] = d.Data
-		}
-	}
-	ref, err := ir.Evaluate(refIn.Stmt, data)
+	data := algorithms.RandomData(in)
+	delete(data, in.Stmt.LHS.Tensor)
+	ref, err := ir.Evaluate(in.Stmt, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,13 +58,13 @@ func assertBitIdentical(t *testing.T, build func() core.Input) {
 func TestStridedKernelRagged(t *testing.T) {
 	cases := map[string]func() (core.Input, error){
 		"summa-ragged": func() (core.Input, error) {
-			return algorithms.Matmul(algorithms.SUMMA, algorithms.MatmulConfig{N: 50, Procs: 16, ChunkSize: 16, Seed: 5})
+			return algorithms.Matmul(algorithms.SUMMA, algorithms.MatmulConfig{N: 50, Procs: 16, ChunkSize: 16})
 		},
 		"cannon-ragged": func() (core.Input, error) {
-			return algorithms.Matmul(algorithms.Cannon, algorithms.MatmulConfig{N: 25, Procs: 9, Seed: 5})
+			return algorithms.Matmul(algorithms.Cannon, algorithms.MatmulConfig{N: 25, Procs: 9})
 		},
 		"johnson-ragged": func() (core.Input, error) {
-			return algorithms.Matmul(algorithms.Johnson, algorithms.MatmulConfig{N: 23, Procs: 8, Seed: 5})
+			return algorithms.Matmul(algorithms.Johnson, algorithms.MatmulConfig{N: 23, Procs: 8})
 		},
 	}
 	for name, mk := range cases {
@@ -93,7 +88,7 @@ func TestStridedKernelRagged(t *testing.T) {
 func TestStridedKernelRotatedInnermostFallback(t *testing.T) {
 	build := func() core.Input {
 		stmt := ir.MustParse("A(i,j) = B(i,k) * C(k,j)")
-		cfg := algorithms.MatmulConfig{N: 24, Procs: 9, Seed: 5}
+		cfg := algorithms.MatmulConfig{N: 24, Procs: 9}
 		s := schedule.New(stmt).
 			DistributeOnto([]string{"i", "j"}, []string{"io", "jo"}, []string{"ii", "ji"}, []int{3, 3}).
 			Divide("k", "ko", "ki", 3).
@@ -105,23 +100,14 @@ func TestStridedKernelRotatedInnermostFallback(t *testing.T) {
 		if err := s.Err(); err != nil {
 			t.Fatal(err)
 		}
-		decl := func(name string, seed int64) *core.TensorDecl {
-			d := &core.TensorDecl{
-				Name:      name,
-				Shape:     []int{cfg.N, cfg.N},
-				Placement: distnot.MustParsePlacement("xy->xy"),
-				Data:      tensor.New(name, cfg.N, cfg.N),
-			}
-			if seed != 0 {
-				d.Data.FillRandom(seed)
-			}
-			return d
+		decl := func(name string) *core.TensorDecl {
+			return &core.TensorDecl{Name: name, Shape: []int{cfg.N, cfg.N}, Placement: distnot.MustParsePlacement("xy->xy")}
 		}
 		return core.Input{
 			Stmt:    stmt,
 			Machine: cfg.MachineFor(3, 3),
 			Tensors: map[string]*core.TensorDecl{
-				"A": decl("A", 0), "B": decl("B", 7), "C": decl("C", 8),
+				"A": decl("A"), "B": decl("B"), "C": decl("C"),
 			},
 			Schedule: s,
 		}

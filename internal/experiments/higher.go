@@ -23,13 +23,18 @@ const (
 // HigherKernels lists the kernels in the paper's order (Fig. 16a-d).
 var HigherKernels = []HigherKernel{TTV, Innerprod, TTM, MTTKRP}
 
-// higherBase holds the single-node base extents of each kernel, chosen (like
-// the paper) to be just large enough to reach peak on one node.
-var higherBase = map[HigherKernel]algorithms.HigherConfig{
-	TTV:       {I: 1024, J: 1024, K: 512},
-	Innerprod: {I: 1024, J: 1024, K: 512},
-	TTM:       {I: 768, J: 768, K: 768, L: 32},
-	MTTKRP:    {I: 768, J: 768, K: 768, L: 32},
+// higher holds, per kernel, the single-node base extents, chosen (like the
+// paper) to be just large enough to reach peak on one node; DISTAL's
+// schedule of the kernel; and CTF's model of it.
+var higher = map[HigherKernel]struct {
+	base algorithms.HigherConfig
+	ours func(algorithms.HigherConfig) (core.Input, error)
+	ctf  func(algorithms.HigherConfig, int) (*baselines.Spec, error)
+}{
+	TTV:       {algorithms.HigherConfig{I: 1024, J: 1024, K: 512}, algorithms.TTV, baselines.CTFTTV},
+	Innerprod: {algorithms.HigherConfig{I: 1024, J: 1024, K: 512}, algorithms.Innerprod, baselines.CTFInnerprod},
+	TTM:       {algorithms.HigherConfig{I: 768, J: 768, K: 768, L: 32}, algorithms.TTM, baselines.CTFTTM},
+	MTTKRP:    {algorithms.HigherConfig{I: 768, J: 768, K: 768, L: 32}, algorithms.MTTKRP, baselines.CTFMTTKRP},
 }
 
 // bandwidthBound reports whether the paper plots the kernel in GB/s rather
@@ -39,7 +44,7 @@ func bandwidthBound(k HigherKernel) bool { return k == TTV || k == Innerprod }
 // scaleHigher weak-scales the base extents with the processor count
 // (constant memory per node): 3-tensor extents grow with cbrt(nodes).
 func scaleHigher(k HigherKernel, nodes int) algorithms.HigherConfig {
-	cfg := higherBase[k]
+	cfg := higher[k].base
 	cfg.I = weakScaledCube(cfg.I, nodes)
 	cfg.J = weakScaledCube(cfg.J, nodes)
 	cfg.K = weakScaledCube(cfg.K, nodes)
@@ -63,6 +68,9 @@ func kernelBytes(k HigherKernel, cfg algorithms.HigherConfig) float64 {
 // Fig16 regenerates one panel of Figure 16: DISTAL vs CTF for a kernel on
 // CPUs or GPUs, weak scaled.
 func Fig16(kernel HigherKernel, gpu bool, maxNodes int) (*Figure, error) {
+	if _, ok := higher[kernel]; !ok {
+		return nil, fmt.Errorf("experiments: unknown kernel %q", kernel)
+	}
 	yl := "GFLOP/s per node"
 	if bandwidthBound(kernel) {
 		yl = "GB/s per node"
@@ -85,7 +93,7 @@ func Fig16(kernel HigherKernel, gpu bool, maxNodes int) (*Figure, error) {
 		} else {
 			cfg.Procs, cfg.ProcsPerNode = nodes*2, 2
 		}
-		in, err := buildHigher(kernel, cfg)
+		in, err := higher[kernel].ours(cfg)
 		if err != nil {
 			return nil, fmt.Errorf("fig16 %s@%d: %w", kernel, nodes, err)
 		}
@@ -100,7 +108,7 @@ func Fig16(kernel HigherKernel, gpu bool, maxNodes int) (*Figure, error) {
 		ours.Points = append(ours.Points, higherPoint(kernel, cfg, res, nodes))
 
 		if !gpu { // the paper could not build CTF's GPU backend (§7.2)
-			spec, err := ctfHigher(kernel, cfg, nodes)
+			spec, err := higher[kernel].ctf(cfg, nodes)
 			if err != nil {
 				return nil, fmt.Errorf("fig16 ctf %s@%d: %w", kernel, nodes, err)
 			}
@@ -116,34 +124,6 @@ func Fig16(kernel HigherKernel, gpu bool, maxNodes int) (*Figure, error) {
 		fig.Series = append(fig.Series, ctf)
 	}
 	return fig, nil
-}
-
-func buildHigher(kernel HigherKernel, cfg algorithms.HigherConfig) (core.Input, error) {
-	switch kernel {
-	case TTV:
-		return algorithms.TTV(cfg)
-	case Innerprod:
-		return algorithms.Innerprod(cfg)
-	case TTM:
-		return algorithms.TTM(cfg)
-	case MTTKRP:
-		return algorithms.MTTKRP(cfg)
-	}
-	return core.Input{}, fmt.Errorf("experiments: unknown kernel %q", kernel)
-}
-
-func ctfHigher(kernel HigherKernel, cfg algorithms.HigherConfig, nodes int) (*baselines.Spec, error) {
-	switch kernel {
-	case TTV:
-		return baselines.CTFTTV(cfg, nodes)
-	case Innerprod:
-		return baselines.CTFInnerprod(cfg, nodes)
-	case TTM:
-		return baselines.CTFTTM(cfg, nodes)
-	case MTTKRP:
-		return baselines.CTFMTTKRP(cfg, nodes)
-	}
-	return nil, fmt.Errorf("experiments: unknown kernel %q", kernel)
 }
 
 func higherPoint(kernel HigherKernel, cfg algorithms.HigherConfig, res *legion.Result, nodes int) Point {

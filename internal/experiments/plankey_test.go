@@ -7,6 +7,7 @@ import (
 	"distal/internal/algorithms"
 	"distal/internal/baselines"
 	"distal/internal/core"
+	"distal/internal/request"
 )
 
 // planKeyInputs names every compile input the algorithms and baselines
@@ -42,7 +43,7 @@ func planKeyInputs() []struct {
 		for _, k := range HigherKernels {
 			cfg := scaleHigher(k, sweepNodes)
 			cfg.Procs, cfg.ProcsPerNode, cfg.GPU = procs, ppn, gpu
-			out = append(out, entry{fmt.Sprintf("%s-%s", k, tag), func() (core.Input, error) { return buildHigher(k, cfg) }})
+			out = append(out, entry{fmt.Sprintf("%s-%s", k, tag), func() (core.Input, error) { return higher[k].ours(cfg) }})
 		}
 	}
 	spec := func(build func() (*baselines.Spec, error)) func() (core.Input, error) {
@@ -51,7 +52,7 @@ func planKeyInputs() []struct {
 			if err != nil {
 				return core.Input{}, err
 			}
-			return s.In, nil
+			return request.Build(s.Request, s.Machine)
 		}
 	}
 	for _, nodes := range []int{1, 16, 256} {
@@ -71,7 +72,7 @@ func planKeyInputs() []struct {
 		}
 		for _, k := range HigherKernels {
 			cfg := scaleHigher(k, nodes)
-			out = append(out, entry{fmt.Sprintf("ctf-%s-%d", k, nodes), spec(func() (*baselines.Spec, error) { return ctfHigher(k, cfg, nodes) })})
+			out = append(out, entry{fmt.Sprintf("ctf-%s-%d", k, nodes), spec(func() (*baselines.Spec, error) { return higher[k].ctf(cfg, nodes) })})
 		}
 	}
 	return out

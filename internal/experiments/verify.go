@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"maps"
+	"math"
 	"strings"
 
 	"distal/internal/algorithms"
@@ -35,7 +37,7 @@ func Fig9Table(procs, n int) ([]Fig9Row, error) {
 	for _, alg := range algorithms.MatmulAlgs {
 		row := Fig9Row{Alg: algName(alg)}
 		// Correctness at a small size with real data.
-		small, err := algorithms.Matmul(alg, algorithms.MatmulConfig{N: 24, Procs: 8, Seed: 5})
+		small, err := algorithms.Matmul(alg, algorithms.MatmulConfig{N: 24, Procs: 8})
 		if err != nil {
 			return nil, err
 		}
@@ -67,37 +69,19 @@ func predictedCommGB(alg algorithms.Alg, n, p int) float64 {
 	n2 := float64(n) * float64(n)
 	switch alg {
 	case algorithms.Cannon, algorithms.PUMMA, algorithms.SUMMA:
-		return 2 * n2 * sqrtf(p) * 8 / 1e9
+		return 2 * n2 * math.Sqrt(float64(p)) * 8 / 1e9
 	default:
-		return 3 * n2 * cbrtf(p) * 8 / 1e9
+		return 3 * n2 * math.Cbrt(float64(p)) * 8 / 1e9
 	}
 }
 
-func sqrtf(p int) float64 {
-	r := 1.0
-	for i := 0; i < 40; i++ {
-		r = (r + float64(p)/r) / 2
-	}
-	return r
-}
-
-func cbrtf(p int) float64 {
-	r := 1.0
-	for i := 0; i < 60; i++ {
-		r = (2*r + float64(p)/(r*r)) / 3
-	}
-	return r
-}
-
-// validateReal executes the input on real data and compares against the
-// reference evaluator.
+// validateReal executes the input on fresh deterministic data, bound to the
+// execution, and compares against the reference evaluator.
 func validateReal(in core.Input) (bool, error) {
-	inputs := map[string]*tensor.Dense{}
-	for name, d := range in.Tensors {
-		if name != in.Stmt.LHS.Tensor {
-			inputs[name] = d.Data
-		}
-	}
+	data := algorithms.RandomData(in)
+	lhs := in.Stmt.LHS.Tensor
+	inputs := maps.Clone(data)
+	delete(inputs, lhs)
 	want, err := ir.Evaluate(in.Stmt, inputs)
 	if err != nil {
 		return false, err
@@ -106,10 +90,11 @@ func validateReal(in core.Input) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	if _, err := legion.Run(prog, legion.Options{Params: sim.LassenCPU(), Real: true}); err != nil {
+	opt := legion.Options{Params: sim.LassenCPU(), Real: true, Batch: []map[string]*tensor.Dense{data}}
+	if _, err := legion.Run(prog, opt); err != nil {
 		return false, err
 	}
-	got := in.Tensors[in.Stmt.LHS.Tensor].Data
+	got := data[lhs]
 	if want.Rank() == 0 && got.Rank() == 1 {
 		d := want.At() - got.At(0)
 		return d < 1e-9 && d > -1e-9, nil

@@ -8,11 +8,11 @@ import (
 
 // Ctx gives a Real-mode leaf kernel access to the data of its region
 // requirements in global coordinates. Reads and writes resolve against the
-// execution's data binding (one instance of Execute's instances, overriding
-// Region.Data), so one immutable cached program — and one cached tape — runs
-// on different data per execution, and a batched execution runs N
-// independent problem instances at once: every read or write resolves
-// against the instance the task computes.
+// execution's data binding (one instance of Execute's instances), so one
+// immutable cached program — and one cached tape — runs on different data
+// per execution, and a batched execution runs N independent problem
+// instances at once: every read or write resolves against the instance the
+// task computes.
 //
 // A Ctx is the tape's record of the task plus the execution's data; each
 // worker reuses one across the tasks it runs, so kernels must not retain it

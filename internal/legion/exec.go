@@ -18,9 +18,9 @@ type Options struct {
 	// the run is Analyse, which records the tasks on a Tape, then
 	// Tape.Execute on the bound data.
 	Real bool
-	// Batch binds per-execution canonical data by region name, overriding
-	// Region.Data, for N independent problem instances; a single run is a
-	// batch of one, and an empty Batch runs one instance on Region.Data. A
+	// Batch binds per-execution canonical data by region name for N
+	// independent problem instances; a single run is a batch of one, and a
+	// Real run needs at least one instance (regions hold no data). A
 	// cached (immutable, data-free) program can thereby run Real-mode
 	// executions on different tensors concurrently: the binding lives in the
 	// execution, not in the shared plan. The instances share one analysis —

@@ -21,7 +21,6 @@ func TestFlushFanInScatter(t *testing.T) {
 	place := distnot.NewPlacement(distnot.MustParse("x->x"))
 	a := NewRegion("A", []int{n}, place)
 	ta := tensor.New("A", n)
-	a.Bind(ta)
 	full := tensor.FullRect([]int{n})
 	launch := &Launch{
 		Name:   "partial",
@@ -39,7 +38,7 @@ func TestFlushFanInScatter(t *testing.T) {
 		},
 	}
 	prog := &Program{Name: "fanin", Machine: m, Regions: []*Region{a}, Launches: []*Launch{launch}}
-	res, err := Run(prog, Options{Params: testParams(), Real: true, Trace: true})
+	res, err := Run(prog, Options{Params: testParams(), Real: true, Trace: true, Batch: []map[string]*tensor.Dense{{"A": ta}}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,9 +36,6 @@ func vectorAddProgram(n, procs int) (*Program, *tensor.Dense, *tensor.Dense, *te
 	ta, tb, tc := tensor.New("A", n), tensor.New("B", n), tensor.New("C", n)
 	tb.FillRandom(1)
 	tc.FillRandom(2)
-	a.Bind(ta)
-	b.Bind(tb)
-	c.Bind(tc)
 	rectOf := func(p int) tensor.Rect {
 		lo, hi := tensor.BlockRange(n, procs, p)
 		return tensor.NewRect([]int{lo}, []int{hi})
@@ -68,7 +65,7 @@ func vectorAddProgram(n, procs int) (*Program, *tensor.Dense, *tensor.Dense, *te
 
 func TestOwnerComputesNoCommunication(t *testing.T) {
 	prog, ta, tb, tc := vectorAddProgram(12, 4)
-	res, err := Run(prog, Options{Params: testParams(), Real: true})
+	res, err := Run(prog, Options{Params: testParams(), Real: true, Batch: []map[string]*tensor.Dense{{"A": ta, "B": tb, "C": tc}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,8 +94,6 @@ func TestCommunicationWhenNotOwner(t *testing.T) {
 	a := NewRegion("A", []int{1}, nil) // scalar-ish output on leaf 0
 	ta, tb := tensor.New("A", 1), tensor.New("B", n)
 	tb.FillRandom(3)
-	a.Bind(ta)
-	b.Bind(tb)
 	launch := &Launch{
 		Name:   "sum",
 		Domain: machine.NewGrid(1),
@@ -120,7 +115,7 @@ func TestCommunicationWhenNotOwner(t *testing.T) {
 		},
 	}
 	prog := &Program{Name: "sum", Machine: m, Regions: []*Region{a, b}, Launches: []*Launch{launch}}
-	res, err := Run(prog, Options{Params: testParams(), Real: true, Trace: true})
+	res, err := Run(prog, Options{Params: testParams(), Real: true, Trace: true, Batch: []map[string]*tensor.Dense{{"A": ta, "B": tb}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +140,6 @@ func TestReductionFlush(t *testing.T) {
 	})
 	a := NewRegion("A", []int{4}, aPlace)
 	ta := tensor.New("A", 4)
-	a.Bind(ta)
 	launch := &Launch{
 		Name:   "partial",
 		Domain: machine.NewGrid(procs),
@@ -162,7 +156,7 @@ func TestReductionFlush(t *testing.T) {
 		},
 	}
 	prog := &Program{Name: "red", Machine: m, Regions: []*Region{a}, Launches: []*Launch{launch}}
-	res, err := Run(prog, Options{Params: testParams(), Real: true})
+	res, err := Run(prog, Options{Params: testParams(), Real: true, Batch: []map[string]*tensor.Dense{{"A": ta}}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,16 +43,6 @@ type Program struct {
 	Launches []*Launch
 }
 
-// RegionByName returns the region with the given name, or nil.
-func (p *Program) RegionByName(name string) *Region {
-	for _, r := range p.Regions {
-		if r.Name == name {
-			return r
-		}
-	}
-	return nil
-}
-
 // defaultMapPoint linearizes a launch-domain point onto the leaf grid. When
 // the domain is smaller than the machine the low leaf indices are used; when
 // larger, tasks wrap around (round-robin).

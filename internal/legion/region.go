@@ -88,8 +88,8 @@ func (p Privilege) String() string {
 }
 
 // Region is a logical region: a named dense index space of float64 values.
-// In Real mode Data holds the canonical contents; simulated runs never touch
-// it.
+// A region holds no data: a Real execution binds each region's contents per
+// instance (Options.Batch), so one program runs on any number of tensors.
 type Region struct {
 	Name  string
 	Shape []int
@@ -98,9 +98,6 @@ type Region struct {
 	// machine, from the tensor's format. Nil means the region is born on
 	// leaf 0 (undistributed).
 	Placement *distnot.Placement
-
-	// Data is the canonical backing store (Real mode only).
-	Data *tensor.Dense
 }
 
 // NewRegion creates a region with the given shape and placement.
@@ -110,20 +107,6 @@ func NewRegion(name string, shape []int, placement *distnot.Placement) *Region {
 
 // Bytes returns the payload size of a rect of this region.
 func (r *Region) Bytes(rect tensor.Rect) int64 { return int64(rect.Volume()) * 8 }
-
-// Bind attaches canonical data for Real-mode execution. The tensor's shape
-// must match the region's.
-func (r *Region) Bind(t *tensor.Dense) {
-	if len(t.Shape()) != len(r.Shape) {
-		panic(fmt.Sprintf("legion: bind rank mismatch for region %s", r.Name))
-	}
-	for d := range r.Shape {
-		if t.Shape()[d] != r.Shape[d] {
-			panic(fmt.Sprintf("legion: bind shape mismatch for region %s: %v vs %v", r.Name, t.Shape(), r.Shape))
-		}
-	}
-	r.Data = t
-}
 
 // Req is a region requirement of one task: the sub-rectangle accessed and
 // the privilege with which it is accessed.

@@ -71,11 +71,10 @@ func RunStages(ctx context.Context, stages []Stage, opt Options) (*Result, error
 	if !opt.Real {
 		return &t.res, nil
 	}
-	instances := opt.Batch
-	if len(instances) == 0 {
-		instances = []map[string]*tensor.Dense{nil} // one instance on Region.Data
+	if len(opt.Batch) == 0 {
+		return nil, fmt.Errorf("legion: a Real run needs Options.Batch: regions hold no data")
 	}
-	if err := t.Execute(ctx, instances, opt.RealWorkers); err != nil {
+	if err := t.Execute(ctx, opt.Batch, opt.RealWorkers); err != nil {
 		return nil, err
 	}
 	return t.Result(), nil

@@ -237,7 +237,7 @@ func (tl *tapeLaunch) readAliased(accs []tapeAcc) bool {
 }
 
 // Execute runs the tape's tasks on real data: instances holds one binding
-// per problem instance (region name -> tensor, overriding Region.Data), and
+// per problem instance (region name -> tensor, one for every region), and
 // every instance computes the whole program. Each stage drains its launches
 // in order, with a barrier per launch: a launch's groups × instances fan out
 // over up to workers goroutines (zero means min(GOMAXPROCS, 16); 1 runs
@@ -303,9 +303,6 @@ func (x *execution) bind(instances []map[string]*tensor.Dense) error {
 				return ""
 			}
 			d := bind[r.Name]
-			if d == nil {
-				d = r.Data
-			}
 			if d == nil {
 				return fmt.Errorf("legion: Real execution requires data bound to region %s%s", r.Name, inst())
 			}

@@ -94,7 +94,7 @@ func TestRegistryConcurrent(t *testing.T) {
 			g := r.Gauge("inflight", "test", nil)
 			for i := 0; i < per; i++ {
 				c.Inc()
-				h.Observe(float64(i%2))
+				h.Observe(float64(i % 2))
 				g.Add(1)
 				g.Add(-1)
 				if i%100 == 0 {

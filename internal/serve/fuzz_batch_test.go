@@ -76,15 +76,15 @@ func fuzzBatchSeeds() [](struct {
 		batch  int
 		frames []byte
 	}{
-		{2, goodFrameBytes(2)},                      // healthy batch
-		{3, goodFrameBytes(2)},                      // truncated instance frames
-		{1, goodFrameBytes(2)},                      // frames exceed the declared batch
-		{0, goodFrameBytes(1)},                      // lying batch header: zero
-		{100, goodFrameBytes(1)},                    // lying batch header: over the cap
-		{-4, nil},                                   // lying batch header: negative
-		{2, garbage},                                // malformed second instance
-		{2, goodFrameBytes(2)[:100]},                // truncated mid-frame
-		{1, nil},                                    // no frames at all
+		{2, goodFrameBytes(2)},       // healthy batch
+		{3, goodFrameBytes(2)},       // truncated instance frames
+		{1, goodFrameBytes(2)},       // frames exceed the declared batch
+		{0, goodFrameBytes(1)},       // lying batch header: zero
+		{100, goodFrameBytes(1)},     // lying batch header: over the cap
+		{-4, nil},                    // lying batch header: negative
+		{2, garbage},                 // malformed second instance
+		{2, goodFrameBytes(2)[:100]}, // truncated mid-frame
+		{1, nil},                     // no frames at all
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"distal/internal/cin"
 	"distal/internal/codegen"
+	"distal/internal/core"
 	"distal/internal/legion"
 )
 
@@ -24,20 +25,20 @@ type planData struct {
 	points       int // total index-launch domain points
 }
 
-// newPlanData wraps a freshly compiled program with this computation's
+// newPlanData wraps a program freshly compiled from in with the input's
 // descriptive metadata for caching. Every tensor of the statement is bound
 // by the caller.
-func (c *Computation) newPlanData(prog *legion.Program) *planData {
+func newPlanData(params Params, in core.Input, prog *legion.Program) *planData {
 	inputs := make([]slot, len(prog.Regions))
 	for i, r := range prog.Regions {
 		inputs[i] = slot{name: r.Name, shape: r.Shape}
 	}
 	pd := &planData{
-		runner:       newRunner(c.sess.params, []legion.Stage{{Prog: prog}}, inputs, nil, c.Stmt.LHS.Tensor),
+		runner:       newRunner(params, []legion.Stage{{Prog: prog}}, inputs, nil, in.Stmt.LHS.Tensor),
 		prog:         prog,
-		scheduleText: c.sched.String(),
-		notation:     cin.Build(c.sched).String(),
-		tensorNames:  c.Stmt.TensorNames(),
+		scheduleText: in.Schedule.String(),
+		notation:     cin.Build(in.Schedule).String(),
+		tensorNames:  in.Stmt.TensorNames(),
 		launches:     len(prog.Launches),
 	}
 	for _, l := range prog.Launches {

@@ -10,6 +10,7 @@ import (
 	"distal/internal/legion"
 	"distal/internal/obs"
 	"distal/internal/program"
+	"distal/internal/request"
 )
 
 // ProgramPlan is a compiled multi-statement program: one immutable plan per
@@ -101,11 +102,7 @@ func (s *Session) compileProgram(ctx context.Context, sp *obs.Span, req Request)
 		sp.SetAttr("source", "memo")
 		return &ProgramPlan{programData: pd, stats: CompileStats{Cached: true, Launches: pd.launches, Points: pd.points}}, nil
 	}
-	specs := make([]program.Statement, len(req.Stmts))
-	for i, st := range req.Stmts {
-		specs[i] = program.Statement{Stmt: st.Stmt, Formats: st.Formats, Schedule: st.Schedule}
-	}
-	prog, err := program.Parse(specs, req.Shapes)
+	prog, err := program.Parse(req.Stmts, req.Shapes)
 	if err != nil {
 		return nil, wrapErr(KindParse, "compile-program", err)
 	}
@@ -134,11 +131,14 @@ func (s *Session) compileProgram(ctx context.Context, sp *obs.Span, req Request)
 		canon := map[string]string{}
 		for _, name := range assign.TensorNames() {
 			stageShapes[name] = prog.Shapes[name]
-			_, c, ferr := effectiveFormat(st.Src.Formats, name, len(prog.Shapes[name]))
+			// Layouts compare by canonical rendering: distribution notation
+			// normalizes through Placement.String, so two annotations
+			// spelled differently but placing identically compare equal.
+			p, ferr := request.Placement(st.Src.Formats, name, len(prog.Shapes[name]))
 			if ferr != nil {
 				return nil, wrapErr(KindParse, "compile-program", fmt.Errorf("statement %d: %w", st.Index, ferr))
 			}
-			canon[name] = c
+			canon[name] = p.String()
 		}
 		var inherit []legion.Handoff
 		var freshLeaves []string
@@ -244,26 +244,6 @@ func (s *Session) compileProgram(ctx context.Context, sp *obs.Span, req Request)
 	}
 	s.memoize(&memoEntry{ck: ck, keys: keys, prog: pd})
 	return &ProgramPlan{programData: pd, stats: stats}, nil
-}
-
-// effectiveFormat resolves the format a stage places tensor name under: the
-// statement's annotation when present, the canonical tiling of the rank
-// otherwise. It returns the source text and the canonical rendering
-// (distribution notation normalizes through Placement.String, so two
-// annotations spelled differently but placing identically compare equal).
-func effectiveFormat(formats map[string]string, name string, rank int) (text, canon string, err error) {
-	if src, ok := formats[name]; ok {
-		f, err := ParseFormat(src)
-		if err != nil {
-			return "", "", fmt.Errorf("tensor %s: %w", name, err)
-		}
-		return src, f.Placement.String(), nil
-	}
-	if rank > 6 {
-		return "", "", fmt.Errorf("tensor %s has rank %d; the default tiling supports ranks up to 6 (give a Formats entry)", name, rank)
-	}
-	c := Tiled(rank).Placement.String()
-	return c, c, nil
 }
 
 // repartitionStage compiles the explicit layout change between a producer's

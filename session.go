@@ -13,8 +13,11 @@ import (
 
 	"distal/internal/cin"
 	"distal/internal/core"
+	"distal/internal/distnot"
 	"distal/internal/ir"
 	"distal/internal/obs"
+	"distal/internal/program"
+	"distal/internal/request"
 	"distal/internal/schedule"
 )
 
@@ -340,123 +343,39 @@ func (s *Session) MustDefine(expr string, tensors ...*Tensor) *Computation {
 }
 
 // Request is one compile job in pure data form — everything a server, CLI,
-// or stored workload needs to name a computation: the statement, tensor
-// shapes, tensor formats as distribution notation text, and the schedule as
-// scheduling-command text. Requests are data-free; bind real data to the
-// compiled plan through Plan.Bind.
-type Request struct {
-	// Stmt is the tensor index notation statement,
-	// e.g. "A(i,j) = B(i,k) * C(k,j)".
-	Stmt string
-	// Shapes gives every tensor's dimensions by name.
-	Shapes map[string][]int
-	// Formats gives tensor distribution notation per tensor,
-	// e.g. "xy->xy"; tensors without an entry default to the canonical
-	// tiling of their rank.
-	Formats map[string]string
-	// Schedule is scheduling-command text,
-	// e.g. "divide(i,io,ii,4) reorder(io,ii,j,k) distribute(io) communicate(io,A,B)".
-	// Empty means AutoSchedule.
-	Schedule string
-	// Stmts is the multi-statement form of a request: a list of statements
-	// whose left-hand sides name intermediates later statements consume,
-	// each with its own format annotations and schedule. Shapes then
-	// declares the leaf inputs only (intermediate shapes are inferred from
-	// their producers), and Stmt/Formats/Schedule must be empty. Requests
-	// with Stmts compile through Session.CompileProgram into a ProgramPlan;
-	// Compile rejects them.
-	Stmts []Statement
-}
+// or stored workload needs to name a computation: the statement (Stmt),
+// tensor shapes (Shapes), tensor formats as distribution notation text
+// (Formats), and the schedule as scheduling-command text (Schedule; empty
+// means AutoSchedule). A multi-statement request lists its statements in
+// Stmts instead and compiles through Session.CompileProgram. Requests are
+// data-free; bind real data to the compiled plan through Plan.Bind.
+type Request = request.Request
 
-// Statement is one statement of a multi-statement Request. Formats may only
-// name tensors of this statement; tensors without an entry default to the
-// canonical tiling of their rank. An empty Schedule auto-schedules the
-// stage.
-type Statement struct {
-	// Stmt is the tensor index notation statement,
-	// e.g. "D(i,j) = A(i,k) * B(k,j)".
-	Stmt string
-	// Formats gives tensor distribution notation per tensor of this
-	// statement, e.g. "xy->xy".
-	Formats map[string]string
-	// Schedule is scheduling-command text for this statement.
-	Schedule string
-}
+// Statement is one statement of a multi-statement Request: the statement
+// text, format annotations that may only name tensors of this statement
+// (others default to the canonical tiling of their rank), and a schedule
+// (empty auto-schedules the stage).
+type Statement = program.Statement
 
-// buildComputation turns a request into a schedulable computation,
-// classifying failures: request validation and statement/format parsing are
-// KindParse, schedule parsing/application is KindSchedule.
-func (s *Session) buildComputation(req Request) (*Computation, error) {
-	c, err := s.buildUnscheduled(req)
+// buildInput turns a request into the compile input on the session's
+// machine, classifying failures: request validation and statement/format
+// parsing are KindParse, schedule parsing/application is KindSchedule.
+func (s *Session) buildInput(req Request) (core.Input, error) {
+	in, err := request.Unscheduled(req, s.machine.M)
 	if err != nil {
-		return nil, err
+		return core.Input{}, wrapErr(KindParse, "compile", err)
 	}
-	if req.Schedule == "" {
-		if err := c.AutoSchedule(); err != nil {
-			return nil, wrapErr(KindSchedule, "compile", err)
-		}
-	} else if err := c.ApplySchedule(req.Schedule); err != nil {
-		return nil, wrapErr(KindSchedule, "compile", err)
+	if err := request.Schedule(in, req.Schedule); err != nil {
+		return core.Input{}, wrapErr(KindSchedule, "compile", err)
 	}
-	return c, nil
-}
-
-// buildUnscheduled is buildComputation without the schedule: it validates
-// the request and binds tensors, leaving the computation unscheduled (the
-// tuner derives candidate schedules itself).
-func (s *Session) buildUnscheduled(req Request) (*Computation, error) {
-	stmt, err := ir.Parse(req.Stmt)
-	if err != nil {
-		return nil, wrapErr(KindParse, "compile", err)
-	}
-	// Reject keys that name no tensor of the statement: in a pure-data wire
-	// format a typo'd name would otherwise silently fall back to defaults.
-	named := map[string]bool{}
-	for _, name := range stmt.TensorNames() {
-		named[name] = true
-	}
-	for key := range req.Shapes {
-		if !named[key] {
-			return nil, wrapErr(KindParse, "compile", fmt.Errorf("request Shapes names %s, which is not a tensor of %q", key, req.Stmt))
-		}
-	}
-	for key := range req.Formats {
-		if !named[key] {
-			return nil, wrapErr(KindParse, "compile", fmt.Errorf("request Formats names %s, which is not a tensor of %q", key, req.Stmt))
-		}
-	}
-	var tensors []*Tensor
-	for _, name := range stmt.TensorNames() {
-		shape, ok := req.Shapes[name]
-		if !ok {
-			return nil, wrapErr(KindParse, "compile", fmt.Errorf("request has no shape for tensor %s", name))
-		}
-		var f Format
-		if src, ok := req.Formats[name]; ok {
-			f, err = ParseFormat(src)
-			if err != nil {
-				return nil, wrapErr(KindParse, "compile", fmt.Errorf("tensor %s: %w", name, err))
-			}
-		} else {
-			if len(shape) > 6 {
-				return nil, wrapErr(KindParse, "compile", fmt.Errorf("tensor %s has rank %d; the default tiling supports ranks up to 6 (give a Formats entry)", name, len(shape)))
-			}
-			f = Tiled(len(shape))
-		}
-		tensors = append(tensors, NewTensor(name, f, shape...))
-	}
-	c, err := s.Define(req.Stmt, tensors...)
-	if err != nil {
-		return nil, wrapErr(KindParse, "compile", err)
-	}
-	return c, nil
+	return in, nil
 }
 
 // canonicalRequest renders a request deterministically and injectively:
 // every field is length-framed and every list and map is preceded by its
 // entry count, so no request can embed another's frame boundaries inside a
 // field value and collide (maps are rendered sorted and in full — an entry
-// buildComputation would reject must not canonicalize to the same string as
+// buildInput would reject must not canonicalize to the same string as
 // a request without it). Statements render last, each with its own formats
 // and schedule, so a program never collides with a single statement nor
 // with its statements split, merged, or annotated differently. Given a fixed
@@ -546,6 +465,7 @@ func (s *Session) compileFlight(ctx context.Context, sp *obs.Span, req Request, 
 		return nil, wrapErr(KindCanceled, "compile", err)
 	}
 	var fk string
+	var in core.Input // a fluent compile's input; a request builds its own on a miss
 	if c == nil {
 		if len(req.Stmts) > 0 {
 			return nil, wrapErr(KindParse, "compile",
@@ -556,7 +476,8 @@ func (s *Session) compileFlight(ctx context.Context, sp *obs.Span, req Request, 
 		if err := c.sched.Err(); err != nil {
 			return nil, wrapErr(KindSchedule, "compile", err)
 		}
-		fk = fluentFlight + core.PlanKey(c.compileInput())
+		in = c.compileInput()
+		fk = fluentFlight + core.PlanKey(in)
 	}
 	for {
 		if pd, key := s.resolve(fk); pd != nil {
@@ -595,14 +516,14 @@ func (s *Session) compileFlight(ctx context.Context, sp *obs.Span, req Request, 
 		s.mu.Unlock()
 
 		sp.SetAttr("flight", "lead")
-		return s.lead(ctx, fk, req, c, fl)
+		return s.lead(ctx, fk, req, in, fl)
 	}
 }
 
 // lead runs the compile as a flight's leader, guaranteeing — even on a
 // compiler panic — that the flight is removed and its done channel closed,
 // so waiters can never block on a dead flight.
-func (s *Session) lead(ctx context.Context, fk string, req Request, c *Computation, fl *flight) (plan *Plan, err error) {
+func (s *Session) lead(ctx context.Context, fk string, req Request, in core.Input, fl *flight) (plan *Plan, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			fl.err = fmt.Errorf("distal: compile panicked: %v", r)
@@ -613,7 +534,7 @@ func (s *Session) lead(ctx context.Context, fk string, req Request, c *Computati
 		s.mu.Unlock()
 		close(fl.done)
 	}()
-	plan, err = s.compileSlow(ctx, fk, req, c)
+	plan, err = s.compileSlow(ctx, fk, req, in)
 	if plan != nil {
 		fl.key, fl.data = plan.key, plan.planData
 	}
@@ -626,19 +547,18 @@ func cachedStats(pd *planData, shared bool) CompileStats {
 }
 
 // compileSlow is the leader's body, shared by both compile paths: build the
-// computation (requests only), check the plan cache under the content key,
-// and run the compiler on a miss. A request's rendering is memoized to the
-// key either way; a fluent compile has none to record.
-func (s *Session) compileSlow(ctx context.Context, fk string, req Request, c *Computation) (*Plan, error) {
+// input (requests only, when in is zero), check the plan cache under the
+// content key, and run the compiler on a miss. A request's rendering is
+// memoized to the key either way; a fluent compile has none to record.
+func (s *Session) compileSlow(ctx context.Context, fk string, req Request, in core.Input) (*Plan, error) {
 	ck := ""
-	if c == nil {
+	if in.Stmt == nil {
 		var err error
-		if c, err = s.buildComputation(req); err != nil {
+		if in, err = s.buildInput(req); err != nil {
 			return nil, err
 		}
 		ck = fk
 	}
-	in := c.compileInput()
 	key := core.PlanKey(in)
 	if pd := s.lookup(key); pd != nil {
 		// Same program already compiled under a different request rendering
@@ -654,7 +574,7 @@ func (s *Session) compileSlow(ctx context.Context, fk string, req Request, c *Co
 	if err != nil {
 		return nil, wrapErr(KindCompile, "compile", err)
 	}
-	pd := c.newPlanData(prog)
+	pd := newPlanData(s.params, in, prog)
 	s.store(key, pd)
 	s.memoize(&memoEntry{ck: ck, keys: []string{key}})
 	stats := CompileStats{CompileTime: time.Since(start), Launches: pd.launches, Points: pd.points}
@@ -663,21 +583,10 @@ func (s *Session) compileSlow(ctx context.Context, fk string, req Request, c *Co
 
 // compileInput assembles the compiler input for this computation.
 func (c *Computation) compileInput() core.Input {
-	decls := map[string]*core.TensorDecl{}
-	for _, name := range c.Stmt.TensorNames() {
+	return request.Declare(c.Stmt, c.Machine.M, c.sched, func(name string) ([]int, *distnot.Placement) {
 		t := c.tensors[name]
-		decls[name] = &core.TensorDecl{
-			Name:      name,
-			Shape:     t.Shape,
-			Placement: t.Format.Placement,
-		}
-	}
-	return core.Input{
-		Stmt:     c.Stmt,
-		Machine:  c.Machine.M,
-		Tensors:  decls,
-		Schedule: c.sched,
-	}
+		return t.Shape, t.Format.Placement
+	})
 }
 
 // Notation returns the concrete index notation of the scheduled statement
@@ -687,6 +596,23 @@ func (c *Computation) Notation() string { return cin.Build(c.sched).String() }
 // ScheduleText returns the schedule in its serializable command form, e.g.
 // "divide(i,io,ii,4) reorder(io,jo,ii,ji) distribute(io,jo)".
 func (c *Computation) ScheduleText() string { return c.sched.String() }
+
+// AutoSchedule derives a distribution schedule automatically, a first cut
+// of the auto-scheduling direction the paper lists as future work (§9). The
+// heuristic is owner-computes: the output tensor's index variables are
+// tiled over the machine grid (one per grid dimension, in order) and every
+// tensor's communication is aggregated at the task level. For computations
+// whose data distributions align with the output tiling (TTV, TTM,
+// element-wise kernels) this yields communication-free schedules; for
+// contractions it yields a broadcast-style schedule comparable to SUMMA
+// with one sequential step.
+//
+// The derived schedule is applied as ordinary scheduling commands, so it
+// serializes through ScheduleText like a hand-written one. AutoSchedule
+// must be called before any manual scheduling command and returns an error
+// if the output has fewer index variables than the machine has grid
+// dimensions.
+func (c *Computation) AutoSchedule() error { return request.Schedule(c.compileInput(), "") }
 
 // ApplySchedule parses scheduling-command text and applies it to the
 // computation's schedule, after any commands already applied.

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"distal/internal/request"
 	"distal/internal/tune"
 )
 
@@ -94,11 +95,11 @@ func (s *Session) Tune(ctx context.Context, req Request, opts TuneOptions) (*Tun
 	if err := ctx.Err(); err != nil {
 		return nil, wrapErr(KindCanceled, "tune", err)
 	}
-	c, err := s.buildUnscheduled(req)
+	in, err := request.Unscheduled(req, s.machine.M)
 	if err != nil {
-		return nil, err
+		return nil, wrapErr(KindParse, "compile", err)
 	}
-	extents, err := c.Stmt.VarExtents(req.Shapes)
+	extents, err := in.Stmt.VarExtents(req.Shapes)
 	if err != nil {
 		return nil, wrapErr(KindParse, "tune", err)
 	}
@@ -106,7 +107,7 @@ func (s *Session) Tune(ctx context.Context, req Request, opts TuneOptions) (*Tun
 
 	var seeds []string
 	baselineText := ""
-	if cs, err := autoScheduleCommands(c.Stmt, grid); err == nil {
+	if cs, err := request.AutoScheduleCommands(in.Stmt, grid); err == nil {
 		baselineText = cs.String()
 		seeds = append(seeds, baselineText)
 	}
@@ -153,7 +154,7 @@ func (s *Session) Tune(ctx context.Context, req Request, opts TuneOptions) (*Tun
 		budget = DefaultTuneBudget
 	}
 	start := time.Now()
-	tr, err := tune.Tune(ctx, tune.Input{Stmt: c.Stmt, Extents: extents, Grid: grid}, oracle, tune.Options{
+	tr, err := tune.Tune(ctx, tune.Input{Stmt: in.Stmt, Extents: extents, Grid: grid}, oracle, tune.Options{
 		Budget:  budget,
 		Beam:    opts.Beam,
 		Seed:    opts.Seed,
