@@ -24,19 +24,18 @@
 // so a plan can be cached (keyed by PlanKey, a content hash over statement,
 // shapes, formats, schedule text, and machine) and simulated concurrently
 // by many goroutines, and repeated executions skip the bounds analysis
-// entirely. Materialization is deterministic under every parallelization
-// strategy: multi-launch plans are built launch-parallel over a bounded
-// worker pool whose scratch (including the rect intern table and the
-// requirements of tensors anchored at the task level) persists across
-// launches, while single-launch plans split their domain across
-// point-chunked workers merged in chunk order.
+// entirely. One routine (materializer.build) analyzes every point and writes
+// it to a fixed place in its launch's slab, so materialization is the same
+// under any pool size: a bounded pool takes units — a whole launch of a
+// multi-launch plan, or a point range of a single launch — and each worker's
+// scratch (including the rect intern table and the requirements of tensors
+// anchored at the task level) persists across its units.
 package core
 
 import (
 	"context"
 	"encoding/binary"
 	"fmt"
-	"math"
 	"runtime"
 	"strconv"
 	"strings"
@@ -82,11 +81,12 @@ func Compile(in Input) (*legion.Program, error) {
 const cancelCheckPoints = 1024
 
 // CompileContext is Compile under a context: the launch-materialization
-// workers poll ctx every cancelCheckPoints domain points and the whole
-// compile aborts with ctx's error, so a canceled request stops burning the
-// pool promptly even mid-launch. The context's current span (the caller's
-// compile span) gains a block_vars attribute: how many leaf variables the
-// compiled kernel's block plan spans, 0 to 3 (absent under TreeKernel).
+// workers poll ctx at every unit of work and every cancelCheckPoints domain
+// points, and the whole compile aborts with ctx's error, so a canceled
+// request stops burning the pool promptly even mid-launch. The context's
+// current span (the caller's compile span) gains a block_vars attribute: how
+// many leaf variables the compiled kernel's block plan spans, 0 to 3 (absent
+// under TreeKernel).
 func CompileContext(ctx context.Context, in Input) (*legion.Program, error) {
 	c, err := newCompiler(ctx, in)
 	if err != nil {
@@ -201,8 +201,7 @@ type tensorPlan struct {
 // deriveBounds writes tp's requirement bounds at one point into lo/hi: the
 // union over the tensor's accesses of the access variables' intervals,
 // clamped to the tensor's shape. A scalar access (or a tensor with no
-// accesses) covers the full region. Shared by every materialization
-// strategy so the two cannot drift.
+// accesses) covers the full region.
 func (tp *tensorPlan) deriveBounds(ivs []schedule.Interval, lo, hi []int) {
 	first := true
 	fullRect := len(tp.accesses) == 0
@@ -482,37 +481,8 @@ func launchName(stmt *ir.Assignment, seqVars []string, seq map[string]int) strin
 	return stmt.LHS.Tensor + "[" + strings.Join(parts, ",") + "]"
 }
 
-// pointInfo is one deduplicated task description: an offset into the
-// launch's shared requirement slab and the analytic cost-model inputs.
+// pointInfo is one launch point's analytic cost-model inputs.
 type pointInfo struct {
-	off      int
-	flops    float64
-	memBytes float64
-}
-
-// pointWorker holds one materialization goroutine's scratch state: reusable
-// evaluator buffers, rect bound buffers, a key buffer, and worker-local
-// interning tables. Nothing here escapes to another worker.
-type pointWorker struct {
-	start, end int
-
-	point          []int
-	fixed          []bool
-	vals           []int
-	ivs            [][]schedule.Interval
-	rectLo, rectHi [][]int
-	keyBuf         []byte
-
-	rects map[string]tensor.Rect // interned rects, keyed by packed bounds
-	seen  map[string]int32       // packed point key -> local info index
-	infos []workerInfo
-}
-
-// workerInfo is one distinct point description found by a worker, prior to
-// the cross-worker merge.
-type workerInfo struct {
-	key      string
-	rects    []tensor.Rect // one per tensor, interned
 	flops    float64
 	memBytes float64
 }
@@ -538,75 +508,96 @@ func materializeWorkers(n int) int {
 	return w
 }
 
-// materializeLaunches materializes every launch of the plan. Launches are
-// independent, so multi-launch plans (chunked SUMMA-style pipelines) are
-// materialized launch-parallel over a bounded pool in which each worker owns
-// one materializer whose scratch — evaluation buffers, the rect intern
-// table, the dedup table — persists across the launches it processes:
-// worker setup is paid per pool slot, not per launch. Each launch is built
-// entirely by one worker, so its requirement slab needs no cross-worker
-// merge and the result is deterministic regardless of pool size or
-// scheduling. Single-launch plans keep the point-chunked pool (the launch
-// itself is the only unit of independence left).
+// materializeLaunches materializes every launch of the plan. The work is cut
+// into units — a whole launch of a multi-launch plan (a sequential
+// pipeline), or one of materializeWorkers(n) contiguous point ranges of a
+// single launch — which a bounded pool takes from an atomic counter. Each
+// worker owns one materializer whose scratch (evaluation buffers, the rect
+// intern table, the dist-only cache) persists across its units. Every point
+// is written to a fixed place in its launch's slab, and units cover disjoint
+// points, so nothing is merged and the result is the same under any pool
+// size or schedule.
 func (c *compiler) materializeLaunches(domain machine.Grid, seqs []map[string]int) []*legion.Launch {
+	n := domain.Size()
 	launches := make([]*legion.Launch, len(seqs))
-	if len(seqs) == 1 && materializeWorkers(domain.Size()) > 1 {
-		launches[0] = c.buildLaunchChunked(domain, seqs[0])
-		return launches
+	units, chunk := len(seqs), n
+	var slab []legion.Req
+	var infos []pointInfo
+	if len(seqs) == 1 {
+		units = materializeWorkers(n)
+		chunk = (n + units - 1) / units
+		launches[0], slab, infos = c.newLaunch(domain, seqs[0])
 	}
-	nw := runtime.GOMAXPROCS(0)
-	if nw > maxMaterializeWorkers {
-		nw = maxMaterializeWorkers
-	}
-	if nw > len(seqs) {
-		nw = len(seqs)
-	}
-	if nw <= 1 {
-		m := c.newMaterializer(domain.Rank(), len(seqs) > 1)
-		for i, seq := range seqs {
-			if c.ctx.Err() != nil {
-				return launches
-			}
-			launches[i] = m.buildLaunch(c, domain, seq)
-		}
-		return launches
-	}
+	nw := min(runtime.GOMAXPROCS(0), maxMaterializeWorkers, units)
 	var next atomic.Int64
+	work := func() {
+		m := c.newMaterializer(domain.Rank(), len(seqs) > 1)
+		for {
+			u := int(next.Add(1)) - 1
+			if u >= units || c.ctx.Err() != nil {
+				return
+			}
+			if len(seqs) > 1 {
+				l, slab, infos := c.newLaunch(domain, seqs[u])
+				launches[u] = l
+				m.build(c, domain, seqs[u], 0, n, slab, infos)
+				continue
+			}
+			m.build(c, domain, seqs[0], u*chunk, min((u+1)*chunk, n), slab, infos)
+		}
+	}
 	var wg sync.WaitGroup
-	for w := 0; w < nw; w++ {
+	for w := 1; w < nw; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			m := c.newMaterializer(domain.Rank(), true)
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(seqs) || c.ctx.Err() != nil {
-					return
-				}
-				launches[i] = m.buildLaunch(c, domain, seqs[i])
-			}
+			work()
 		}()
 	}
+	work()
 	wg.Wait()
 	return launches
 }
 
+// newLaunch allocates one launch's requirement slab and cost-model table and
+// returns the launch reading them: the point with linearized index lin has
+// its requirements at slab[lin*nt : lin*nt+nt] and its costs at infos[lin].
+func (c *compiler) newLaunch(domain machine.Grid, seq map[string]int) (*legion.Launch, []legion.Req, []pointInfo) {
+	n, nt := domain.Size(), len(c.tensors)
+	slab := make([]legion.Req, n*nt)
+	infos := make([]pointInfo, n)
+	return &legion.Launch{
+		Name:   launchName(c.in.Stmt, c.seqVars, seq),
+		Domain: domain,
+		Reqs: func(point []int) []legion.Req {
+			off := domain.Linearize(point) * nt
+			return slab[off : off+nt : off+nt]
+		},
+		Kernel: legion.Kernel{
+			Flops:    func(point []int) float64 { return infos[domain.Linearize(point)].flops },
+			MemBytes: func(point []int) float64 { return infos[domain.Linearize(point)].memBytes },
+			Run:      c.realKernel(seq),
+		},
+	}, slab, infos
+}
+
 // rectEntry is one interned requirement rect: the canonical Rect value, its
-// comparable key, a dense id used in point signatures, and its payload size.
-// The key is built once here so the runtime's per-requirement indexes never
-// rebuild it during execution.
+// comparable key, and its payload size. The key is built once here so the
+// runtime's per-requirement indexes never rebuild it during execution.
 type rectEntry struct {
 	rect  tensor.Rect
 	key   tensor.RectKey
-	id    int32
 	bytes int64
 }
 
-// materializer owns the scratch one worker uses to materialize whole
-// launches serially. The rect intern table persists across launches (rects
-// repeat across the launches of a pipeline — e.g. the output tensor's
-// requirement does not depend on the sequential loop at all); the dedup
-// table is cleared per launch. Nothing here is shared between workers.
+// rectBlock is how many rect entries the intern table allocates at once.
+const rectBlock = 64
+
+// materializer owns the scratch of one materialization worker. The rect
+// intern table persists across the worker's units (rects repeat across the
+// launches of a pipeline — e.g. the output tensor's requirement does not
+// depend on the sequential loop at all). Nothing here is shared between
+// workers.
 type materializer struct {
 	point          []int
 	fixed          []bool
@@ -614,21 +605,19 @@ type materializer struct {
 	ivs            [][]schedule.Interval
 	rectLo, rectHi [][]int
 	keyBuf         []byte
-	sigBuf         []byte
-	ents           []*rectEntry
 
-	rects map[string]*rectEntry // packed bounds -> interned rect, plan scope
-	seen  map[string]int32      // point signature -> info index, launch scope
+	rects map[string]*rectEntry // packed bounds -> interned rect
+	block []rectEntry           // storage new entries are carved from
 
-	// distCache memoizes, per domain point, the interned rects of tensors
-	// whose anchor cut fixes only distributed variables: their requirement
-	// is independent of the launch's sequential assignment, so later
-	// launches reuse the first launch's analysis (and skip evaluating the
-	// dist-only cut group altogether). Only populated for multi-launch
-	// plans (cacheDist): a single launch would pay for a cache it never
-	// reads back.
+	// distCache holds, at point*nt + tensor, the interned rect of every
+	// tensor whose anchor cut fixes only distributed variables: that
+	// requirement is independent of the launch's sequential assignment, so
+	// the worker's later launches reuse its first launch's analysis (and skip
+	// evaluating the dist-only cut group altogether). Only multi-launch plans
+	// set cacheDist, and their units are whole launches: a single launch
+	// would pay for a cache it never reads back.
 	cacheDist bool
-	distCache [][]*rectEntry
+	distCache []*rectEntry
 }
 
 func (c *compiler) newMaterializer(rank int, multiLaunch bool) *materializer {
@@ -639,9 +628,7 @@ func (c *compiler) newMaterializer(rank int, multiLaunch bool) *materializer {
 		fixed:     make([]bool, nv),
 		vals:      make([]int, nv),
 		ivs:       make([][]schedule.Interval, len(c.cuts)),
-		ents:      make([]*rectEntry, len(c.tensors)),
 		rects:     map[string]*rectEntry{},
-		seen:      map[string]int32{},
 	}
 	for i := range m.ivs {
 		m.ivs[i] = make([]schedule.Interval, nv)
@@ -654,43 +641,34 @@ func (c *compiler) newMaterializer(rank int, multiLaunch bool) *materializer {
 	return m
 }
 
-// buildLaunch materializes one launch start to finish: for each domain point
-// it evaluates every distinct anchor cut, derives and interns the per-tensor
-// requirement rects, and appends each distinct point description directly to
-// the launch's shared requirement slab. Point signatures are tuples of
-// interned rect ids (plus the cost-model flops), so the dedup key is a few
-// words rather than the packed bounds of every tensor.
-func (m *materializer) buildLaunch(c *compiler, domain machine.Grid, seq map[string]int) *legion.Launch {
+// build runs the bounds analysis of points [start, end) of one launch. For
+// each point it evaluates every distinct anchor cut, derives and interns the
+// per-tensor requirement rects, and writes the requirements to
+// slab[lin*nt : lin*nt+nt] and the cost-model inputs to infos[lin], where
+// lin is the point's linearized index. It is the only place the compiler
+// analyzes a launch point.
+func (m *materializer) build(c *compiler, domain machine.Grid, seq map[string]int, start, end int, slab []legion.Req, infos []pointInfo) {
 	ev := c.ev
 	full := len(c.cuts) - 1
-	n := domain.Size()
 	nt := len(c.tensors)
 	for i, v := range c.seqVars {
 		m.vals[c.seqIDs[i]] = seq[v]
 	}
-	idx := make([]int32, n)
-	slab := make([]legion.Req, 0, n*nt)
-	infos := make([]pointInfo, 0, n)
-	clear(m.seen)
-	// The dist-only cut group (if any) is the first one, and its intervals
-	// are consumed only by dist-only tensors: once every point's entry is
-	// cached, its evaluation can be skipped.
-	distGroup := len(c.cuts) > 0 && c.cuts[0].cut == len(c.dist) && full > 0
-	if m.distCache == nil && m.cacheDist {
-		m.distCache = make([][]*rectEntry, n)
+	reuse := m.distCache != nil // a previous launch filled the cache
+	if m.cacheDist && !reuse {
+		m.distCache = make([]*rectEntry, domain.Size()*nt)
 	}
+	// The dist-only cut group (if any) is the first one, and its intervals
+	// are consumed only by dist-only tensors, which a filled cache serves.
+	skipDist := reuse && c.cuts[0].cut == len(c.dist) && full > 0
 
-	for i := 0; i < n; i++ {
-		if i%cancelCheckPoints == cancelCheckPoints-1 && c.ctx.Err() != nil {
-			return nil
+	for i := start; i < end; i++ {
+		if (i-start)%cancelCheckPoints == cancelCheckPoints-1 && c.ctx.Err() != nil {
+			return
 		}
 		domain.DelinearizeInto(i, m.point)
 		for d, id := range c.distIDs {
 			m.vals[id] = m.point[d]
-		}
-		var cached []*rectEntry
-		if m.distCache != nil {
-			cached = m.distCache[i]
 		}
 		// Evaluate cut groups in ascending order: each fixes the variables
 		// it adds over the previous group.
@@ -698,8 +676,8 @@ func (m *materializer) buildLaunch(c *compiler, domain machine.Grid, seq map[str
 			for _, id := range c.cuts[g].addIDs {
 				m.fixed[id] = true
 			}
-			if g == 0 && distGroup && cached != nil {
-				continue // every consumer of this group is cached
+			if g == 0 && skipDist {
+				continue
 			}
 			ev.Eval(m.fixed, m.vals, m.ivs[g])
 		}
@@ -709,280 +687,49 @@ func (m *materializer) buildLaunch(c *compiler, domain machine.Grid, seq map[str
 			}
 		}
 
-		// Requirement bounds per tensor: union over the tensor's accesses,
-		// clamped to its shape, then interned by packed bounds.
-		m.sigBuf = m.sigBuf[:0]
+		reqs := slab[i*nt : i*nt+nt]
+		memBytes := 0.0
 		for ti := range c.tensors {
+			var e *rectEntry
+			switch {
+			case reuse && c.distOnly[ti]:
+				e = m.distCache[i*nt+ti]
+			case m.distCache != nil && c.distOnly[ti]:
+				e = m.intern(c, ti)
+				m.distCache[i*nt+ti] = e
+			default:
+				e = m.intern(c, ti)
+			}
 			tp := &c.tensors[ti]
-			if cached != nil && cached[ti] != nil {
-				e := cached[ti]
-				m.ents[ti] = e
-				m.sigBuf = binary.LittleEndian.AppendUint32(m.sigBuf, uint32(e.id))
-				continue
-			}
-			lo, hi := m.rectLo[ti], m.rectHi[ti]
-			tp.deriveBounds(m.ivs[tp.cutIdx], lo, hi)
-			m.keyBuf = m.keyBuf[:0]
-			m.keyBuf = binary.LittleEndian.AppendUint64(m.keyBuf, uint64(ti))
-			for d := range lo {
-				m.keyBuf = binary.LittleEndian.AppendUint64(m.keyBuf, uint64(lo[d]))
-				m.keyBuf = binary.LittleEndian.AppendUint64(m.keyBuf, uint64(hi[d]))
-			}
-			e, ok := m.rects[string(m.keyBuf)]
-			if !ok {
-				r := tensor.NewRect(lo, hi)
-				e = &rectEntry{rect: r, key: r.Key(), id: int32(len(m.rects)), bytes: c.tensors[ti].region.Bytes(r)}
-				m.rects[string(m.keyBuf)] = e
-			}
-			m.ents[ti] = e
-			m.sigBuf = binary.LittleEndian.AppendUint32(m.sigBuf, uint32(e.id))
+			reqs[ti] = legion.Req{Region: tp.region, Rect: e.rect, Priv: tp.priv, Key: e.key}
+			memBytes += float64(e.bytes)
 		}
-
-		if m.distCache != nil && cached == nil {
-			ent := make([]*rectEntry, nt)
-			for ti := range c.tensors {
-				if c.distOnly[ti] {
-					ent[ti] = m.ents[ti]
-				}
-			}
-			m.distCache[i] = ent
-		}
-
 		// Cost-model inputs from the full environment.
-		flops := c.pointFlops(m.ivs[full])
-		m.sigBuf = binary.LittleEndian.AppendUint64(m.sigBuf, math.Float64bits(flops))
-
-		li, ok := m.seen[string(m.sigBuf)]
-		if !ok {
-			off := len(slab)
-			memBytes := 0.0
-			for ti, e := range m.ents {
-				slab = append(slab, legion.Req{
-					Region: c.tensors[ti].region,
-					Rect:   e.rect,
-					Priv:   c.tensors[ti].priv,
-					Key:    e.key,
-				})
-				memBytes += float64(e.bytes)
-			}
-			li = int32(len(infos))
-			infos = append(infos, pointInfo{off: off, flops: flops, memBytes: memBytes})
-			m.seen[string(m.sigBuf)] = li
-		}
-		idx[i] = li
-	}
-
-	info := func(point []int) *pointInfo { return &infos[idx[domain.Linearize(point)]] }
-	return &legion.Launch{
-		Name:   launchName(c.in.Stmt, c.seqVars, seq),
-		Domain: domain,
-		Reqs: func(point []int) []legion.Req {
-			pi := info(point)
-			return slab[pi.off : pi.off+nt : pi.off+nt]
-		},
-		Kernel: legion.Kernel{
-			Flops:    func(point []int) float64 { return info(point).flops },
-			MemBytes: func(point []int) float64 { return info(point).memBytes },
-			Run:      c.realKernel(seq),
-		},
+		infos[i] = pointInfo{flops: c.pointFlops(m.ivs[full]), memBytes: memBytes}
 	}
 }
 
-// buildLaunchChunked lowers one index launch by splitting its domain across
-// a point-chunked worker pool; it is the materialization strategy for
-// single-launch plans, whose only independence is between points. The
-// bounds analysis of every domain point is materialized eagerly into the
-// launch, for two reasons: the resulting program is immutable — safe for
-// concurrent simulation, a prerequisite of plan caching — and repeated
-// executions of a cached plan skip the analysis entirely (it is the
-// dominant cost of a cold compile+execute).
-//
-// Materialization runs the compiled evaluator once per (point, anchor cut)
-// over the pool; identical points (common under replication) are interned so
-// the launch stores each distinct requirement set once, in one shared slab.
-// Workers are merged in chunk order, so the slab ordering is identical to
-// the serial path's first-appearance order.
-func (c *compiler) buildLaunchChunked(domain machine.Grid, seq map[string]int) *legion.Launch {
-	n := domain.Size()
-	nt := len(c.tensors)
-	seqVals := make([]int, len(c.seqIDs))
-	for i, v := range c.seqVars {
-		seqVals[i] = seq[v]
+// intern derives tensor ti's requirement bounds from the current point's
+// intervals — the union over its accesses, clamped to its shape — and
+// returns the interned rect with those bounds.
+func (m *materializer) intern(c *compiler, ti int) *rectEntry {
+	tp := &c.tensors[ti]
+	lo, hi := m.rectLo[ti], m.rectHi[ti]
+	tp.deriveBounds(m.ivs[tp.cutIdx], lo, hi)
+	m.keyBuf = binary.LittleEndian.AppendUint64(m.keyBuf[:0], uint64(ti))
+	for d := range lo {
+		m.keyBuf = binary.LittleEndian.AppendUint64(m.keyBuf, uint64(lo[d]))
+		m.keyBuf = binary.LittleEndian.AppendUint64(m.keyBuf, uint64(hi[d]))
 	}
-
-	idx := make([]int32, n) // point -> worker-local, then global, info index
-	nw := materializeWorkers(n)
-	workers := make([]*pointWorker, nw)
-	chunk := (n + nw - 1) / nw
-	var wg sync.WaitGroup
-	for w := 0; w < nw; w++ {
-		start := w * chunk
-		end := start + chunk
-		if end > n {
-			end = n
-		}
-		pw := c.newPointWorker(start, end, domain.Rank(), seqVals)
-		workers[w] = pw
-		if nw == 1 {
-			c.materializeChunk(pw, domain, idx)
-			continue
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			c.materializeChunk(pw, domain, idx)
-		}()
+	if e, ok := m.rects[string(m.keyBuf)]; ok {
+		return e
 	}
-	wg.Wait()
-	if c.ctx.Err() != nil {
-		return nil // workers bailed early; the compile is aborting
+	if len(m.block) == cap(m.block) {
+		m.block = make([]rectEntry, 0, rectBlock)
 	}
-
-	// Merge worker-local infos into the launch's shared requirement slab,
-	// deduplicating across workers. Workers are merged in chunk order so the
-	// result is deterministic.
-	var uniq int
-	for _, pw := range workers {
-		uniq += len(pw.infos)
-	}
-	slab := make([]legion.Req, 0, uniq*nt)
-	infos := make([]pointInfo, 0, uniq)
-	global := make(map[string]int32, uniq)
-	for _, pw := range workers {
-		trans := make([]int32, len(pw.infos))
-		for li, wi := range pw.infos {
-			gi, ok := global[wi.key]
-			if !ok {
-				gi = int32(len(infos))
-				global[wi.key] = gi
-				off := len(slab)
-				for ti := range c.tensors {
-					slab = append(slab, legion.Req{
-						Region: c.tensors[ti].region,
-						Rect:   wi.rects[ti],
-						Priv:   c.tensors[ti].priv,
-						Key:    wi.rects[ti].Key(),
-					})
-				}
-				infos = append(infos, pointInfo{off: off, flops: wi.flops, memBytes: wi.memBytes})
-			}
-			trans[li] = gi
-		}
-		for i := pw.start; i < pw.end; i++ {
-			idx[i] = trans[idx[i]]
-		}
-	}
-
-	info := func(point []int) *pointInfo { return &infos[idx[domain.Linearize(point)]] }
-	return &legion.Launch{
-		Name:   launchName(c.in.Stmt, c.seqVars, seq),
-		Domain: domain,
-		Reqs: func(point []int) []legion.Req {
-			pi := info(point)
-			return slab[pi.off : pi.off+nt : pi.off+nt]
-		},
-		Kernel: legion.Kernel{
-			Flops:    func(point []int) float64 { return info(point).flops },
-			MemBytes: func(point []int) float64 { return info(point).memBytes },
-			Run:      c.realKernel(seq),
-		},
-	}
-}
-
-// newPointWorker allocates one worker's scratch, pre-binding the launch's
-// sequential assignment (constant across the chunk).
-func (c *compiler) newPointWorker(start, end, rank int, seqVals []int) *pointWorker {
-	nv := c.ev.NumVars()
-	pw := &pointWorker{
-		start: start, end: end,
-		point: make([]int, rank),
-		fixed: make([]bool, nv),
-		vals:  make([]int, nv),
-		ivs:   make([][]schedule.Interval, len(c.cuts)),
-		rects: map[string]tensor.Rect{},
-		seen:  map[string]int32{},
-	}
-	for i := range pw.ivs {
-		pw.ivs[i] = make([]schedule.Interval, nv)
-	}
-	for _, tp := range c.tensors {
-		r := len(tp.shape)
-		pw.rectLo = append(pw.rectLo, make([]int, r))
-		pw.rectHi = append(pw.rectHi, make([]int, r))
-	}
-	for i, id := range c.seqIDs {
-		pw.vals[id] = seqVals[i]
-	}
-	return pw
-}
-
-// materializeChunk analyzes the worker's contiguous range of domain points:
-// for each point it evaluates every distinct anchor cut once, derives the
-// per-tensor requirement rects and cost-model inputs, and interns the
-// resulting description.
-func (c *compiler) materializeChunk(pw *pointWorker, domain machine.Grid, idx []int32) {
-	ev := c.ev
-	full := len(c.cuts) - 1
-	for i := pw.start; i < pw.end; i++ {
-		if (i-pw.start)%cancelCheckPoints == cancelCheckPoints-1 && c.ctx.Err() != nil {
-			return
-		}
-		domain.DelinearizeInto(i, pw.point)
-		for d, id := range c.distIDs {
-			pw.vals[id] = pw.point[d]
-		}
-		// Evaluate cut groups in ascending order: each fixes the variables
-		// it adds over the previous group.
-		for g := range c.cuts {
-			for _, id := range c.cuts[g].addIDs {
-				pw.fixed[id] = true
-			}
-			ev.Eval(pw.fixed, pw.vals, pw.ivs[g])
-		}
-		for g := range c.cuts {
-			for _, id := range c.cuts[g].addIDs {
-				pw.fixed[id] = false
-			}
-		}
-
-		// Requirement bounds per tensor: union over the tensor's accesses,
-		// clamped to its shape.
-		pw.keyBuf = pw.keyBuf[:0]
-		for ti := range c.tensors {
-			lo, hi := pw.rectLo[ti], pw.rectHi[ti]
-			c.tensors[ti].deriveBounds(pw.ivs[c.tensors[ti].cutIdx], lo, hi)
-			for d := range lo {
-				pw.keyBuf = binary.LittleEndian.AppendUint64(pw.keyBuf, uint64(lo[d]))
-				pw.keyBuf = binary.LittleEndian.AppendUint64(pw.keyBuf, uint64(hi[d]))
-			}
-		}
-
-		// Cost-model inputs from the full environment.
-		flops := c.pointFlops(pw.ivs[full])
-		pw.keyBuf = binary.LittleEndian.AppendUint64(pw.keyBuf, math.Float64bits(flops))
-
-		li, ok := pw.seen[string(pw.keyBuf)]
-		if !ok {
-			wi := workerInfo{key: string(pw.keyBuf), flops: flops}
-			pos := 0
-			for ti := range c.tensors {
-				// Each tensor's packed bounds are a substring of the point
-				// key; reuse them to intern the rect itself.
-				rkeyEnd := pos + 16*len(c.tensors[ti].shape)
-				rk := wi.key[pos:rkeyEnd]
-				pos = rkeyEnd
-				r, ok := pw.rects[rk]
-				if !ok {
-					r = tensor.NewRect(pw.rectLo[ti], pw.rectHi[ti])
-					pw.rects[rk] = r
-				}
-				wi.rects = append(wi.rects, r)
-				wi.memBytes += float64(c.tensors[ti].region.Bytes(r))
-			}
-			li = int32(len(pw.infos))
-			pw.seen[wi.key] = li
-			pw.infos = append(pw.infos, wi)
-		}
-		idx[i] = li
-	}
+	r := tensor.NewRect(lo, hi)
+	m.block = append(m.block, rectEntry{rect: r, key: r.Key(), bytes: tp.region.Bytes(r)})
+	e := &m.block[len(m.block)-1]
+	m.rects[string(m.keyBuf)] = e
+	return e
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"distal/internal/distnot"
 	"distal/internal/ir"
@@ -11,14 +12,15 @@ import (
 	"distal/internal/schedule"
 )
 
-// johnsonInput builds an 8x8x8 Johnson-style 3D matmul without data: 512
-// launch points, enough to engage several materialization workers.
-func johnsonInput(t *testing.T, n int) Input {
+// johnsonInput builds a g x g x g Johnson-style 3D matmul without data: one
+// launch of g^3 points (512 at g = 8, enough to engage several
+// materialization workers).
+func johnsonInput(t *testing.T, n, g int) Input {
 	t.Helper()
 	stmt := ir.MustParse("A(i,j) = B(i,k) * C(k,j)")
-	m := machine.New(machine.NewGrid(8, 8, 8), machine.SysMem, machine.CPU)
+	m := machine.New(machine.NewGrid(g, g, g), machine.SysMem, machine.CPU)
 	s := schedule.New(stmt).
-		DistributeOnto([]string{"i", "j", "k"}, []string{"io", "jo", "ko"}, []string{"ii", "ji", "ki"}, []int{8, 8, 8}).
+		DistributeOnto([]string{"i", "j", "k"}, []string{"io", "jo", "ko"}, []string{"ii", "ji", "ki"}, []int{g, g, g}).
 		Communicate("ko", "A", "B", "C")
 	if err := s.Err(); err != nil {
 		t.Fatal(err)
@@ -70,7 +72,7 @@ func assertSamePrograms(t *testing.T, p1, p2 *legion.Program) {
 // deterministic — two compiles of the same input produce identical
 // requirements and cost-model values at every point.
 func TestMaterializeDeterministic(t *testing.T) {
-	in := johnsonInput(t, 256)
+	in := johnsonInput(t, 256, 8)
 	p1, err := Compile(in)
 	if err != nil {
 		t.Fatal(err)
@@ -109,11 +111,12 @@ func summaInput(t *testing.T, n, g, chunks int) Input {
 	}
 }
 
-// TestMaterializeStrategiesAgree: the three materialization strategies —
-// serial (one materializer, GOMAXPROCS=1), launch-parallel (multi-launch
-// pool), and point-chunked (single launch split across workers) — must
-// produce identical programs. GOMAXPROCS is varied to force each strategy
-// regardless of the host's core count.
+// TestMaterializeStrategiesAgree: materialization must not depend on the
+// pool. Each GOMAXPROCS in {2, 3, 4} is compared against the one-worker
+// compile (GOMAXPROCS 1) of a multi-launch pipeline, whose units are whole
+// launches, and of single launches, whose units are point ranges. The
+// 5x5x5 grid's 125 points split into uneven ranges; its 256-wide tensors
+// leave ragged tail tiles.
 func TestMaterializeStrategiesAgree(t *testing.T) {
 	prev := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prev)
@@ -123,7 +126,8 @@ func TestMaterializeStrategiesAgree(t *testing.T) {
 		in   Input
 	}{
 		{"multiLaunch", summaInput(t, 256, 4, 8)},
-		{"singleLaunch", johnsonInput(t, 256)},
+		{"singleLaunch", johnsonInput(t, 256, 8)},
+		{"raggedSingleLaunch", johnsonInput(t, 256, 5)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			runtime.GOMAXPROCS(1)
@@ -131,27 +135,29 @@ func TestMaterializeStrategiesAgree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			runtime.GOMAXPROCS(4)
-			parallel, err := Compile(tc.in)
-			if err != nil {
-				t.Fatal(err)
+			for _, procs := range []int{2, 3, 4} {
+				runtime.GOMAXPROCS(procs)
+				parallel, err := Compile(tc.in)
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertSamePrograms(t, serial, parallel)
 			}
-			assertSamePrograms(t, serial, parallel)
 		})
 	}
 }
 
-// TestMaterializeinternsRects: points sharing a requirement rect must share
+// TestMaterializeInternsRects: points sharing a requirement rect must share
 // the interned rect storage rather than each holding a private copy.
 func TestMaterializeInternsRects(t *testing.T) {
-	in := johnsonInput(t, 256)
+	in := johnsonInput(t, 256, 8)
 	prog, err := Compile(in)
 	if err != nil {
 		t.Fatal(err)
 	}
 	l := prog.Launches[0]
-	// Points (0,0,0) and (0,0,1) write the same A tile (A's rect depends on
-	// io/jo only under the ko anchor... it depends on io,jo — identical here).
+	// Points (0,0,0) and (0,0,1) differ only in ko, and A's rect depends
+	// only on io and jo, so both write the same A tile.
 	q1 := l.Reqs([]int{0, 0, 0})[0]
 	q2 := l.Reqs([]int{0, 0, 1})[0]
 	if !q1.Rect.Equal(q2.Rect) {
@@ -163,28 +169,28 @@ func TestMaterializeInternsRects(t *testing.T) {
 }
 
 // TestMaterializeSharedSlab: all requirement slices of a launch live in one
-// shared backing slab rather than per-point allocations — verified by the
-// slices of adjacent distinct points being adjacent in memory.
+// shared backing slab rather than per-point allocations, in linearized point
+// order: each point's slice (one requirement per tensor) starts right where
+// the previous point's ends.
 func TestMaterializeSharedSlab(t *testing.T) {
-	in := johnsonInput(t, 256)
+	in := johnsonInput(t, 256, 8)
 	prog, err := Compile(in)
 	if err != nil {
 		t.Fatal(err)
 	}
 	l := prog.Launches[0]
-	n := l.Domain.Size()
-	// Count distinct requirement-slice headers: with a shared slab and
-	// interned point infos there are far fewer than n, and every slice has
-	// the same length (one req per tensor).
-	distinct := map[*legion.Req]bool{}
-	for i := 0; i < n; i++ {
+	const nt = 3
+	size := unsafe.Sizeof(legion.Req{})
+	var prevEnd uintptr
+	for i := 0; i < l.Domain.Size(); i++ {
 		r := l.Reqs(l.Domain.Delinearize(i))
-		if len(r) != 3 {
-			t.Fatalf("point %d: %d reqs, want 3", i, len(r))
+		if len(r) != nt || cap(r) != nt {
+			t.Fatalf("point %d: %d reqs (cap %d), want %d", i, len(r), cap(r), nt)
 		}
-		distinct[&r[0]] = true
-	}
-	if len(distinct) > n {
-		t.Fatalf("more slab entries (%d) than points (%d)", len(distinct), n)
+		start := uintptr(unsafe.Pointer(&r[0]))
+		if i > 0 && start != prevEnd {
+			t.Fatalf("point %d: requirements at %#x, want %#x right after point %d's", i, start, prevEnd, i-1)
+		}
+		prevEnd = start + nt*size
 	}
 }

@@ -34,6 +34,20 @@ func bigRequest() Request {
 // binds caller-owned tensors per execution and produces the reference
 // result, and a second binding of different data through the same shared
 // plan computes independently.
+// bigLaunchRequest compiles to a single launch of 64x64 distributed points
+// with no sequential loop, so materialization splits that one launch into
+// point ranges.
+func bigLaunchRequest() Request {
+	const n = 2048
+	return Request{
+		Stmt: gemmStmt,
+		Shapes: map[string][]int{
+			"A": {n, n}, "B": {n, n}, "C": {n, n},
+		},
+		Schedule: "divide(i,io,ii,64) divide(j,jo,ji,64) reorder(io,jo,ii,ji) distribute(io,jo)",
+	}
+}
+
 func TestPlanBindRun(t *testing.T) {
 	ctx := context.Background()
 	sess := NewSession(NewMachine(CPU, 2, 2))
@@ -242,25 +256,41 @@ func TestCompileCancellation(t *testing.T) {
 	// Mid-compile: the context starts reporting cancellation a few Err()
 	// polls in — past the entry checks, observed by the materialization
 	// workers' periodic checkpoints — and the abort must be classified and
-	// prompt.
-	baseline := runtime.NumGoroutine()
-	ctx2 := cancelAfterPolls(3)
-	_, err := sess.Compile(ctx2, bigRequest())
-	if KindOf(err) != KindCanceled {
-		t.Fatalf("mid-compile cancel: kind = %v (err %v), want KindCanceled", KindOf(err), err)
-	}
-	// Prompt means every materialization worker stops at its next
-	// checkpoint: a few polls past the threshold, where a finished compile
-	// of this request polls 67 times.
-	if polls := ctx2.polls.Load(); polls <= 3 || polls > 3+promptPolls {
-		t.Fatalf("%d context polls, want a few past the threshold of 3", polls)
-	}
-	waitGoroutines(t, baseline)
+	// prompt. A finished compile of the multi-launch request polls 67 times,
+	// of the single-launch one 8 times at GOMAXPROCS 1.
+	prev := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(prev)
+	for _, tc := range []struct {
+		name  string
+		req   Request
+		procs int
+	}{
+		{"multiLaunch", bigRequest(), prev},
+		{"singleLaunch/procs=1", bigLaunchRequest(), 1},
+		{"singleLaunch/procs=4", bigLaunchRequest(), 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			runtime.GOMAXPROCS(tc.procs)
+			sess := NewSession(NewMachine(CPU, 4, 4))
+			baseline := runtime.NumGoroutine()
+			ctx := cancelAfterPolls(3)
+			_, err := sess.Compile(ctx, tc.req)
+			if KindOf(err) != KindCanceled {
+				t.Fatalf("mid-compile cancel: kind = %v (err %v), want KindCanceled", KindOf(err), err)
+			}
+			// Prompt means every materialization worker stops at its next
+			// checkpoint: a few polls past the threshold.
+			if polls := ctx.polls.Load(); polls <= 3 || polls > 3+promptPolls {
+				t.Fatalf("%d context polls, want a few past the threshold of 3", polls)
+			}
+			waitGoroutines(t, baseline)
 
-	// The canceled compile must not have poisoned the cache: a live context
-	// compiles the same request successfully afterwards.
-	if _, err := sess.Compile(context.Background(), bigRequest()); err != nil {
-		t.Fatalf("compile after canceled attempt failed: %v", err)
+			// The canceled compile must not have poisoned the cache: a live
+			// context compiles the same request successfully afterwards.
+			if _, err := sess.Compile(context.Background(), tc.req); err != nil {
+				t.Fatalf("compile after canceled attempt failed: %v", err)
+			}
+		})
 	}
 }
 
