@@ -29,7 +29,10 @@
 // under any pool size: a bounded pool takes units — a whole launch of a
 // multi-launch plan, or a point range of a single launch — and each worker's
 // scratch (including the rect intern table and the requirements of tensors
-// anchored at the task level) persists across its units.
+// anchored at the task level) persists across its units. Each region's
+// distinct rects are numbered once, in first-appearance order, into the
+// region's rect table (legion.Region.Rects), and every requirement carries
+// its rect's id, so the runtime indexes its per-rect state by id.
 package core
 
 import (
@@ -516,7 +519,7 @@ func materializeWorkers(n int) int {
 // intern table, the dist-only cache) persists across its units. Every point
 // is written to a fixed place in its launch's slab, and units cover disjoint
 // points, so nothing is merged and the result is the same under any pool
-// size or schedule.
+// size or schedule. Requirement ids come out worker-local until numberRects.
 func (c *compiler) materializeLaunches(domain machine.Grid, seqs []map[string]int) []*legion.Launch {
 	n := domain.Size()
 	launches := make([]*legion.Launch, len(seqs))
@@ -528,22 +531,29 @@ func (c *compiler) materializeLaunches(domain machine.Grid, seqs []map[string]in
 		chunk = (n + units - 1) / units
 		launches[0], slab, infos = c.newLaunch(domain, seqs[0])
 	}
+	slabs := make([][]legion.Req, units) // unit u's requirements
 	nw := min(runtime.GOMAXPROCS(0), maxMaterializeWorkers, units)
+	mats := make([]*materializer, nw)
+	owner := make([]int, units) // the worker that built unit u
 	var next atomic.Int64
-	work := func() {
+	work := func(w int) {
 		m := c.newMaterializer(domain.Rank(), len(seqs) > 1)
+		mats[w] = m
 		for {
 			u := int(next.Add(1)) - 1
 			if u >= units || c.ctx.Err() != nil {
 				return
 			}
+			owner[u] = w
 			if len(seqs) > 1 {
 				l, slab, infos := c.newLaunch(domain, seqs[u])
-				launches[u] = l
+				launches[u], slabs[u] = l, slab
 				m.build(c, domain, seqs[u], 0, n, slab, infos)
 				continue
 			}
-			m.build(c, domain, seqs[0], u*chunk, min((u+1)*chunk, n), slab, infos)
+			lo, hi := u*chunk, min((u+1)*chunk, n)
+			slabs[u] = slab[lo*len(c.tensors) : hi*len(c.tensors)]
+			m.build(c, domain, seqs[0], lo, hi, slab, infos)
 		}
 	}
 	var wg sync.WaitGroup
@@ -551,12 +561,52 @@ func (c *compiler) materializeLaunches(domain machine.Grid, seqs []map[string]in
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			work()
+			work(w)
 		}()
 	}
-	work()
+	work(0)
 	wg.Wait()
+	if c.ctx.Err() == nil {
+		c.numberRects(mats, owner, slabs)
+	}
 	return launches
+}
+
+// numberRects gives every region its rect table and every requirement its
+// id in that table. Ids are numbered per region in first-appearance order —
+// units in order, then points, then tensors — which is the order a single
+// worker interns them in, so its local ids are kept as they are. Otherwise
+// each worker-local rect is hashed once, by its packed key, the first time
+// it appears; the pass over the requirements is an array lookup each.
+func (c *compiler) numberRects(mats []*materializer, owner []int, slabs [][]legion.Req) {
+	if len(mats) == 1 {
+		for ti, entries := range mats[0].table {
+			r := c.tensors[ti].region
+			for _, e := range entries {
+				r.Rects = append(r.Rects, e.rect)
+			}
+		}
+		return
+	}
+	nt := len(c.tensors)
+	global := map[string]int32{}
+	for u, reqs := range slabs {
+		m := mats[owner[u]]
+		for i := range reqs {
+			q := &reqs[i]
+			e := m.table[i%nt][q.ID]
+			if e.global < 0 {
+				id, ok := global[e.key]
+				if !ok {
+					id = int32(len(q.Region.Rects))
+					q.Region.Rects = append(q.Region.Rects, e.rect)
+					global[e.key] = id
+				}
+				e.global = id
+			}
+			q.ID = e.global
+		}
+	}
 }
 
 // newLaunch allocates one launch's requirement slab and cost-model table and
@@ -582,12 +632,15 @@ func (c *compiler) newLaunch(domain machine.Grid, seq map[string]int) (*legion.L
 }
 
 // rectEntry is one interned requirement rect: the canonical Rect value, its
-// comparable key, and its payload size. The key is built once here so the
-// runtime's per-requirement indexes never rebuild it during execution.
+// payload size, its id in the worker's table of the tensor's rects, and its
+// packed bounds (the intern table's key). numberRects sets global, the id
+// in the region's table, when the worker-local and region ids differ.
 type rectEntry struct {
-	rect  tensor.Rect
-	key   tensor.RectKey
-	bytes int64
+	rect   tensor.Rect
+	bytes  int64
+	id     int32
+	global int32
+	key    string
 }
 
 // rectBlock is how many rect entries the intern table allocates at once.
@@ -608,6 +661,7 @@ type materializer struct {
 
 	rects map[string]*rectEntry // packed bounds -> interned rect
 	block []rectEntry           // storage new entries are carved from
+	table [][]*rectEntry        // per tensor, its rects by worker-local id
 
 	// distCache holds, at point*nt + tensor, the interned rect of every
 	// tensor whose anchor cut fixes only distributed variables: that
@@ -629,6 +683,7 @@ func (c *compiler) newMaterializer(rank int, multiLaunch bool) *materializer {
 		vals:      make([]int, nv),
 		ivs:       make([][]schedule.Interval, len(c.cuts)),
 		rects:     map[string]*rectEntry{},
+		table:     make([][]*rectEntry, len(c.tensors)),
 	}
 	for i := range m.ivs {
 		m.ivs[i] = make([]schedule.Interval, nv)
@@ -701,7 +756,7 @@ func (m *materializer) build(c *compiler, domain machine.Grid, seq map[string]in
 				e = m.intern(c, ti)
 			}
 			tp := &c.tensors[ti]
-			reqs[ti] = legion.Req{Region: tp.region, Rect: e.rect, Priv: tp.priv, Key: e.key}
+			reqs[ti] = legion.Req{Region: tp.region, Rect: e.rect, Priv: tp.priv, ID: e.id}
 			memBytes += float64(e.bytes)
 		}
 		// Cost-model inputs from the full environment.
@@ -711,7 +766,8 @@ func (m *materializer) build(c *compiler, domain machine.Grid, seq map[string]in
 
 // intern derives tensor ti's requirement bounds from the current point's
 // intervals — the union over its accesses, clamped to its shape — and
-// returns the interned rect with those bounds.
+// returns the interned rect with those bounds, numbering a new one in the
+// worker's table of the tensor's rects.
 func (m *materializer) intern(c *compiler, ti int) *rectEntry {
 	tp := &c.tensors[ti]
 	lo, hi := m.rectLo[ti], m.rectHi[ti]
@@ -728,8 +784,10 @@ func (m *materializer) intern(c *compiler, ti int) *rectEntry {
 		m.block = make([]rectEntry, 0, rectBlock)
 	}
 	r := tensor.NewRect(lo, hi)
-	m.block = append(m.block, rectEntry{rect: r, key: r.Key(), bytes: tp.region.Bytes(r)})
+	key := string(m.keyBuf)
+	m.block = append(m.block, rectEntry{rect: r, bytes: tp.region.Bytes(r), id: int32(len(m.table[ti])), global: -1, key: key})
 	e := &m.block[len(m.block)-1]
-	m.rects[string(m.keyBuf)] = e
+	m.table[ti] = append(m.table[ti], e)
+	m.rects[key] = e
 	return e
 }

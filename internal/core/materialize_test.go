@@ -39,8 +39,8 @@ func johnsonInput(t *testing.T, n, g int) Input {
 }
 
 // assertSamePrograms compares two compiled programs launch by launch, point
-// by point: requirements, privileges, rects, and cost-model values must all
-// agree.
+// by point: requirements, privileges, rects, rect ids, and cost-model values
+// must all agree.
 func assertSamePrograms(t *testing.T, p1, p2 *legion.Program) {
 	t.Helper()
 	if len(p1.Launches) != len(p2.Launches) {
@@ -57,7 +57,7 @@ func assertSamePrograms(t *testing.T, p1, p2 *legion.Program) {
 			}
 			for qi := range r1 {
 				if r1[qi].Region.Name != r2[qi].Region.Name || r1[qi].Priv != r2[qi].Priv ||
-					!r1[qi].Rect.Equal(r2[qi].Rect) {
+					!r1[qi].Rect.Equal(r2[qi].Rect) || r1[qi].ID != r2[qi].ID {
 					t.Fatalf("launch %d point %v req %d: %v vs %v", li, pt, qi, r1[qi], r2[qi])
 				}
 			}
@@ -142,6 +142,60 @@ func TestMaterializeStrategiesAgree(t *testing.T) {
 					t.Fatal(err)
 				}
 				assertSamePrograms(t, serial, parallel)
+			}
+		})
+	}
+}
+
+// TestRectIDs: every requirement's id indexes its region's rect table
+// (Rects[ID] is the requirement's rect), the ids of a region are dense in
+// [0, len(Rects)) — every table entry is some requirement's — and equal
+// rects share an id while unequal rects do not.
+func TestRectIDs(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		in   Input
+	}{
+		{"multiLaunch", summaInput(t, 256, 4, 8)},
+		{"singleLaunch", johnsonInput(t, 256, 8)},
+		{"raggedSingleLaunch", johnsonInput(t, 256, 5)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			prog, err := Compile(tc.in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			used := map[*legion.Region][]bool{}
+			for _, r := range prog.Regions {
+				used[r] = make([]bool, len(r.Rects))
+				for i := range r.Rects {
+					for j := range i {
+						if r.Rects[i].Equal(r.Rects[j]) {
+							t.Fatalf("region %s: ids %d and %d share rect %v", r.Name, j, i, r.Rects[i])
+						}
+					}
+				}
+			}
+			for li, l := range prog.Launches {
+				for i := 0; i < l.Domain.Size(); i++ {
+					for _, q := range l.Reqs(l.Domain.Delinearize(i)) {
+						rects := q.Region.Rects
+						if q.ID < 0 || int(q.ID) >= len(rects) {
+							t.Fatalf("launch %d point %d: %v has id %d outside [0, %d)", li, i, q, q.ID, len(rects))
+						}
+						if !rects[q.ID].Equal(q.Rect) {
+							t.Fatalf("launch %d point %d: %v has id %d, whose rect is %v", li, i, q, q.ID, rects[q.ID])
+						}
+						used[q.Region][q.ID] = true
+					}
+				}
+			}
+			for r, u := range used {
+				for id, ok := range u {
+					if !ok {
+						t.Fatalf("region %s: id %d (%v) is no requirement's", r.Name, id, r.Rects[id])
+					}
+				}
 			}
 		})
 	}

@@ -134,11 +134,11 @@ type instance struct {
 // ensureLocal's candidate search consider distinct rects rather than every
 // instance; installation order across groups is restored from
 // instance.seq. A group lives exactly as long as it has instances: it is
-// indexed by rect key (exact-match candidates) and by volume bucket
+// indexed by rect id (exact-match candidates) and by volume bucket
 // (strict-containment candidates), and idx is its position in the bucket
 // for O(1) removal. An emptied group goes back to the executor's slab.
 type transGroup struct {
-	key         tensor.RectKey
+	id          int32
 	rect        tensor.Rect
 	vol         int64
 	idx         int
@@ -195,25 +195,24 @@ type regState struct {
 	// serve as copy sources. Within one stage the flag is inert.
 	dirty bool
 
-	// Live transient instances grouped by rect, rect-keyed two ways so the
+	// Live transient instances grouped by rect, indexed two ways so the
 	// candidate search never scans the whole group population:
-	// transByKey[k] is the group whose rect IS k (the exact-match
-	// candidates, one map hit), and volBuckets[v] holds the groups of
-	// volume v — only buckets of strictly larger volume can strictly
-	// contain a requirement rect (equal-volume containment implies
+	// transByID[id] is the group whose rect is region.Rects[id] (the
+	// exact-match candidates, one slice load), and volBuckets[v] holds the
+	// groups of volume v — only buckets of strictly larger volume can
+	// strictly contain a requirement rect (equal-volume containment implies
 	// equality), and in tiled workloads every transient shares the
 	// requirement's volume, so the strict scan is empty. volumes lists the
 	// occupied bucket volumes ascending; an emptied bucket keeps its
-	// storage in the map.
-	transByKey map[tensor.RectKey]*transGroup
+	// storage in the map. A stage adopting the state re-indexes the groups
+	// by its own region's ids (rekey).
+	transByID  []*transGroup
 	volBuckets map[int64][]*transGroup
 	volumes    []int64
-}
 
-type accKey struct {
-	region *Region
-	leaf   int
-	rect   tensor.RectKey
+	// accHead[id] chains the stage's accumulators of rect id, one per
+	// writing leaf, in opening order.
+	accHead []*accumulator
 }
 
 // accumulator is a task-local output buffer covering a rect of a region, as
@@ -223,12 +222,13 @@ type accKey struct {
 type accumulator struct {
 	region  *Region
 	rect    tensor.Rect
-	key     tensor.RectKey
+	rectID  int32
 	combine Privilege // ReduceSum accumulates; others overwrite
 	inPlace bool      // writes go directly to the owner instance
 	leaf    int
 	lastUse float64
-	id      int32 // index into the tape's accumulators (Real analyses)
+	id      int32        // index into the tape's accumulators (Real analyses)
+	next    *accumulator // the next accumulator of the same rect
 }
 
 type executor struct {
@@ -240,8 +240,8 @@ type executor struct {
 	gpuMem   bool
 	reg      map[*Region]*regState
 	stageReg []map[string]*Region // per completed stage: region name -> region, for handoff resolution
-	accs     map[accKey]*accumulator
 	accSeq   []*accumulator
+	flushBuf []*accumulator // scratch for one flush group
 	trace    []CopyRecord
 	candBuf  []*instance // scratch for ensureLocal's candidate collection
 	instSeq  int64       // next transient installation sequence number
@@ -399,7 +399,6 @@ func (e *executor) ensureLocal(l *Launch, point []int, q *Req, leaf int, issueAt
 	// per-leaf population is small (the persistent owner plus at most
 	// TransientWindow transients), so the scan beats any keyed memo here;
 	// the expensive part was always the cross-leaf candidate search below.
-	qk := q.rectKey()
 	for _, inst := range rs.perLeaf[leaf] {
 		if inst.rect.ContainsRect(q.Rect) {
 			return maxf(inst.validAt, issueAt), nil
@@ -407,14 +406,14 @@ func (e *executor) ensureLocal(l *Launch, point []int, q *Req, leaf int, issueAt
 	}
 	// Gather candidate source instances that fully contain the rect:
 	// persistent owners via the owner index, then live transients — the
-	// exact-rect group by key, plus groups from strictly-larger volume
+	// exact-rect group by id, plus groups from strictly-larger volume
 	// buckets (the only ones that can strictly contain the rect; none in
 	// pure tilings). Candidates re-sort into installation order, so the
 	// source selection is identical to an exhaustive ordered scan.
 	candidates := rs.coverFor(e.candBuf[:0], q.Rect)
 	if !e.opt.OwnerOnly {
 		base := len(candidates)
-		if g := rs.transByKey[qk]; g != nil {
+		if g := rs.transByID[q.ID]; g != nil {
 			candidates = g.appendTo(candidates)
 		}
 		qvol := int64(q.Rect.Volume())
@@ -473,7 +472,7 @@ func (e *executor) ensureLocal(l *Launch, point []int, q *Req, leaf int, issueAt
 	start := maxf(issueAt, best.validAt)
 	end := e.s.Copy(best.leaf, leaf, bytes, start, e.gpuMem, replicas)
 	e.record(l, point, q.Region, q.Rect, best.leaf, leaf, start, end)
-	e.installTransient(rs, leaf, q.Rect, qk, end, bytes)
+	e.installTransient(rs, leaf, q.Rect, q.ID, end, bytes)
 	return end, nil
 }
 
@@ -499,7 +498,7 @@ func (e *executor) gather(l *Launch, point []int, q *Req, leaf int, issueAt floa
 		return 0, fmt.Errorf("legion: no instances cover %s of region %s (launch %s point %v)",
 			q.Rect, q.Region.Name, l.Name, point)
 	}
-	e.installTransient(rs, leaf, q.Rect, q.rectKey(), latest, bytes)
+	e.installTransient(rs, leaf, q.Rect, q.ID, latest, bytes)
 	return latest, nil
 }
 
@@ -507,12 +506,12 @@ func (e *executor) gather(l *Launch, point []int, q *Req, leaf int, issueAt floa
 // its memory, and evicts the leaf's oldest transient of the region once the
 // window is full. The new instance is charged before the evicted one is
 // freed, so the memory high-water mark counts both.
-func (e *executor) installTransient(rs *regState, leaf int, rect tensor.Rect, key tensor.RectKey, validAt float64, bytes int64) {
-	g := rs.transByKey[key]
+func (e *executor) installTransient(rs *regState, leaf int, rect tensor.Rect, id int32, validAt float64, bytes int64) {
+	g := rs.transByID[id]
 	if g == nil {
 		g = e.groups.get(e.instChunk)
-		*g = transGroup{key: key, rect: rect, vol: int64(rect.Volume())}
-		rs.transByKey[key] = g
+		*g = transGroup{id: id, rect: rect, vol: int64(rect.Volume())}
+		rs.transByID[id] = g
 		rs.addToBucket(g)
 	}
 	inst := e.insts.get(e.instChunk)
@@ -541,7 +540,7 @@ func (e *executor) evict(rs *regState, inst *instance) {
 	g := inst.group
 	g.remove(inst)
 	if g.first == nil {
-		delete(rs.transByKey, g.key)
+		rs.transByID[g.id] = nil
 		rs.dropFromBucket(g)
 		*g = transGroup{}
 		e.groups.put(g)
@@ -593,10 +592,13 @@ func removeInst(s []*instance, x *instance) []*instance {
 // writeTarget returns the accumulator for a write requirement, preferring
 // in-place updates when the computing leaf owns the written rect.
 func (e *executor) writeTarget(q *Req, leaf int) *accumulator {
-	rk := q.rectKey()
-	key := accKey{region: q.Region, leaf: leaf, rect: rk}
-	if a, ok := e.accs[key]; ok {
-		return a
+	rs := e.reg[q.Region]
+	var last *accumulator
+	for a := rs.accHead[q.ID]; a != nil; a = a.next {
+		if a.leaf == leaf {
+			return a
+		}
+		last = a
 	}
 	e.lg.DelinearizeInto(leaf, e.coord)
 	rank := len(q.Region.Shape)
@@ -609,7 +611,7 @@ func (e *executor) writeTarget(q *Req, leaf int) *accumulator {
 	*a = accumulator{
 		region:  q.Region,
 		rect:    q.Rect,
-		key:     rk,
+		rectID:  q.ID,
 		combine: q.Priv,
 		inPlace: inPlace,
 		leaf:    leaf,
@@ -631,7 +633,11 @@ func (e *executor) writeTarget(q *Req, leaf int) *accumulator {
 		}
 		e.tape.accs = append(e.tape.accs, ta)
 	}
-	e.accs[key] = a
+	if last == nil {
+		rs.accHead[q.ID] = a
+	} else {
+		last.next = a
+	}
 	e.accSeq = append(e.accSeq, a)
 	return a
 }
@@ -656,28 +662,29 @@ func (e *executor) flushAccumulators() {
 	for _, a := range e.accSeq {
 		e.reg[a.region].dirty = true
 	}
-	// Group same-rect ReduceSum accumulators per region for tree merging.
-	type groupKey struct {
-		region *Region
-		rect   tensor.RectKey
-	}
-	groups := map[groupKey][]*accumulator{}
-	var order []groupKey
+	// Group same-rect accumulators per region for tree merging: a rect's
+	// chain is taken (and unlinked) at its first non-in-place member in
+	// accSeq, so groups run in first-appearance order.
 	for _, a := range e.accSeq {
 		if a.inPlace {
 			continue
 		}
-		k := groupKey{a.region, a.key}
-		if _, ok := groups[k]; !ok {
-			order = append(order, k)
+		rs := e.reg[a.region]
+		head := rs.accHead[a.rectID]
+		if head == nil {
+			continue
 		}
-		groups[k] = append(groups[k], a)
-	}
-	for _, k := range order {
-		accs := groups[k]
+		rs.accHead[a.rectID] = nil
+		accs := e.flushBuf[:0]
+		for x := head; x != nil; x = x.next {
+			if !x.inPlace {
+				accs = append(accs, x)
+			}
+		}
+		e.flushBuf = accs
 		replicas := len(accs)
-		region := accs[0].region
-		rect := accs[0].rect
+		region := a.region
+		rect := a.rect
 		bytes := region.Bytes(rect)
 		if accs[0].combine == ReduceSum && len(accs) > 1 {
 			// Binary combining tree: halve the accumulator set each round.
@@ -699,7 +706,6 @@ func (e *executor) flushAccumulators() {
 		// the owner overlaps are resolved once through the owner index
 		// rather than intersecting every accumulator with every owner of
 		// the region.
-		rs := e.reg[region]
 		pieces := rs.piecesFor(rect)
 		for _, a := range accs {
 			for _, op := range pieces {
@@ -717,8 +723,9 @@ func (e *executor) flushAccumulators() {
 	// contents are valid once the last writing task retired. Non-in-place
 	// scratch has been folded into the owners above and is released.
 	for _, a := range e.accSeq {
+		rs := e.reg[a.region]
+		rs.accHead[a.rectID] = nil
 		if a.inPlace {
-			rs := e.reg[a.region]
 			for _, inst := range rs.perLeaf[a.leaf] {
 				if inst.persistent && inst.rect.ContainsRect(a.rect) {
 					inst.validAt = maxf(inst.validAt, a.lastUse)
@@ -729,7 +736,6 @@ func (e *executor) flushAccumulators() {
 		e.s.Free(a.leaf, a.region.Bytes(a.rect))
 	}
 	e.accSeq = nil
-	clear(e.accs)
 }
 
 // record appends a copy to the trace (Trace mode). The rect is copied: owner

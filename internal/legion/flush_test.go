@@ -1,6 +1,8 @@
 package legion
 
 import (
+	"context"
+	"strings"
 	"testing"
 
 	"distal/internal/distnot"
@@ -37,7 +39,7 @@ func TestFlushFanInScatter(t *testing.T) {
 			},
 		},
 	}
-	prog := &Program{Name: "fanin", Machine: m, Regions: []*Region{a}, Launches: []*Launch{launch}}
+	prog := numbered(&Program{Name: "fanin", Machine: m, Regions: []*Region{a}, Launches: []*Launch{launch}})
 	res, err := Run(prog, Options{Params: testParams(), Real: true, Trace: true, Batch: []map[string]*tensor.Dense{{"A": ta}}})
 	if err != nil {
 		t.Fatal(err)
@@ -115,8 +117,8 @@ func TestSourceSelectionCostClass(t *testing.T) {
 		}
 	}
 	// t1 pulls B into node 1 (leaf 3); t2 reads it from node 1 (leaf 2).
-	prog := &Program{Name: "class", Machine: m, Regions: []*Region{a, b},
-		Launches: []*Launch{mk("t1", 3), mk("t2", 2)}}
+	prog := numbered(&Program{Name: "class", Machine: m, Regions: []*Region{a, b},
+		Launches: []*Launch{mk("t1", 3), mk("t2", 2)}})
 
 	res, err := Run(prog, Options{Params: params, Trace: true})
 	if err != nil {
@@ -141,5 +143,77 @@ func TestSourceSelectionCostClass(t *testing.T) {
 	}
 	if res.Time >= resOwner.Time {
 		t.Fatalf("intra-node source should be faster: %v vs %v", res.Time, resOwner.Time)
+	}
+}
+
+// TestAdoptedTransientSource: a region adopted read-only by a later stage
+// keeps its live transient replicas as copy sources, although the adopting
+// program numbers its rects differently. On TestSourceSelectionCostClass's
+// machine, stage 0 pulls B into leaf 3 (node 1); stage 1's first launch
+// reads another rect of B, so B's full rect takes a different id there, and
+// then leaf 2 reads all of B — it must fetch from leaf 3's intra-node
+// replica, not from owner 0 on the other node.
+func TestAdoptedTransientSource(t *testing.T) {
+	const n = 8
+	m := machine.New(machine.NewGrid(4), machine.SysMem, machine.CPU).WithProcsPerNode(2)
+	params := sim.Params{
+		PeakFlops:    100,
+		MemBandwidth: 1e18,
+		MemCapacity:  1 << 40,
+		IntraBW:      100,
+		InterBW:      10,
+	}
+	bPlace := distnot.NewPlacement(&distnot.Statement{
+		TensorDims:  []string{"x"},
+		MachineDims: []distnot.MachineName{{Kind: distnot.Fixed, Index: 0}},
+	})
+	aPlace := distnot.NewPlacement(distnot.MustParse("x->x"))
+	full := tensor.FullRect([]int{n})
+	a0, b0 := NewRegion("A", []int{4}, aPlace), NewRegion("B", []int{n}, bPlace)
+	pull := numbered(&Program{Name: "pull", Machine: m, Regions: []*Region{a0, b0},
+		Launches: []*Launch{readLaunch("t1", a0, b0, 3, full)}})
+	a1, b1 := NewRegion("A", []int{4}, aPlace), NewRegion("B", []int{n}, bPlace)
+	read := numbered(&Program{Name: "read", Machine: m, Regions: []*Region{a1, b1},
+		Launches: []*Launch{
+			readLaunch("t0", a1, b1, 0, tensor.NewRect([]int{0}, []int{4})), // local to owner 0
+			readLaunch("t2", a1, b1, 2, full),
+		}})
+	if !b0.Rects[0].Equal(full) || b1.Rects[0].Equal(full) {
+		t.Fatalf("B's full rect should take different ids: stage 0 %v, stage 1 %v", b0.Rects, b1.Rects)
+	}
+	res, err := RunStages(context.Background(), []Stage{
+		{Prog: pull},
+		{Prog: read, Inherit: []Handoff{{From: 0, Region: "B"}}},
+	}, Options{Params: params, Trace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Trace) != 2 {
+		t.Fatalf("trace = %v, want the pull and one read", res.Trace)
+	}
+	if c := res.Trace[1]; c.Src != 3 || c.Dst != 2 {
+		t.Fatalf("stage 1 copy = %+v, want intra-node replica 3 -> leaf 2", c)
+	}
+}
+
+// TestAdoptIntoTwoRegionsRejected: a region state is indexed by one region's
+// rect ids at a time, so a stage adopting one producer region into two of
+// its regions is an error rather than a walk with mixed ids.
+func TestAdoptIntoTwoRegionsRejected(t *testing.T) {
+	m := flatMachine(2)
+	place := distnot.NewPlacement(distnot.MustParse("x->x"))
+	full := tensor.FullRect([]int{4})
+	a0, b0 := NewRegion("A", []int{2}, place), NewRegion("B", []int{4}, place)
+	p0 := numbered(&Program{Name: "p0", Machine: m, Regions: []*Region{a0, b0},
+		Launches: []*Launch{readLaunch("t0", a0, b0, 0, full)}})
+	a1, b1, c1 := NewRegion("A", []int{2}, place), NewRegion("B", []int{4}, place), NewRegion("C", []int{4}, place)
+	p1 := numbered(&Program{Name: "p1", Machine: m, Regions: []*Region{a1, b1, c1},
+		Launches: []*Launch{readLaunch("t1", a1, b1, 1, full), readLaunch("t2", a1, c1, 1, full)}})
+	_, err := RunStages(context.Background(), []Stage{
+		{Prog: p0},
+		{Prog: p1, Inherit: []Handoff{{From: 0, Region: "B"}, {From: 0, Region: "B", To: "C"}}},
+	}, Options{Params: testParams()})
+	if err == nil || !strings.Contains(err.Error(), "two regions") {
+		t.Fatalf("err = %v, want a two-regions adoption error", err)
 	}
 }

@@ -35,11 +35,11 @@ func TestGatherPiecewise(t *testing.T) {
 	b := NewRegion("B", []int{n}, distnot.NewPlacement(distnot.MustParse("x->x")))
 	a := NewRegion("A", []int{procs}, distnot.NewPlacement(distnot.MustParse("x->x")))
 	full := tensor.FullRect([]int{n})
-	prog := &Program{Name: "gather", Machine: m, Regions: []*Region{a, b},
+	prog := numbered(&Program{Name: "gather", Machine: m, Regions: []*Region{a, b},
 		Launches: []*Launch{
 			readLaunch("g1", a, b, 0, full),
 			readLaunch("g2", a, b, 0, full),
-		}}
+		}})
 	res, err := Run(prog, Options{Params: testParams(), Trace: true})
 	if err != nil {
 		t.Fatal(err)
@@ -87,12 +87,12 @@ func TestTransientWindowRefetch(t *testing.T) {
 		}
 	}
 
-	narrow, err := Run(&Program{Name: "w1", Machine: m, Regions: []*Region{a, b}, Launches: launches()},
+	narrow, err := Run(numbered(&Program{Name: "w1", Machine: m, Regions: []*Region{a, b}, Launches: launches()}),
 		Options{Params: testParams(), TransientWindow: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wide, err := Run(&Program{Name: "w3", Machine: m, Regions: []*Region{a, b}, Launches: launches()},
+	wide, err := Run(numbered(&Program{Name: "w3", Machine: m, Regions: []*Region{a, b}, Launches: launches()}),
 		Options{Params: testParams(), TransientWindow: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -124,11 +124,11 @@ func TestTransientStrictContainment(t *testing.T) {
 	a := NewRegion("A", []int{procs}, distnot.NewPlacement(distnot.MustParse("x->x")))
 	full := tensor.FullRect([]int{n})
 	span := tensor.NewRect([]int{2}, []int{6}) // spans owners 0 and 1
-	prog := &Program{Name: "contain", Machine: m, Regions: []*Region{a, b},
+	prog := numbered(&Program{Name: "contain", Machine: m, Regions: []*Region{a, b},
 		Launches: []*Launch{
 			readLaunch("g1", a, b, 1, full), // leaf 1 gathers all of B
 			readLaunch("g2", a, b, 2, span), // leaf 2 wants a spanning sub-rect
-		}}
+		}})
 	res, err := Run(prog, Options{Params: testParams(), Trace: true})
 	if err != nil {
 		t.Fatal(err)

@@ -13,6 +13,46 @@ func flatMachine(n int) *machine.Machine {
 	return machine.New(machine.NewGrid(n), machine.SysMem, machine.CPU)
 }
 
+// numbered materializes every launch's requirements into one slab per launch
+// and numbers their rects into each region's table, as the compiler does;
+// the launches then read the slab. Regions shared with programs numbered
+// earlier keep their ids.
+func numbered(p *Program) *Program {
+	ids := map[*Region]map[tensor.RectKey]int32{}
+	for _, l := range p.Launches {
+		n := l.Domain.Size()
+		var slab []Req
+		offs := make([]int, n+1)
+		for i := range n {
+			for _, q := range l.Reqs(l.Domain.Delinearize(i)) {
+				tab := ids[q.Region]
+				if tab == nil {
+					tab = map[tensor.RectKey]int32{}
+					for id, r := range q.Region.Rects {
+						tab[r.Key()] = int32(id)
+					}
+					ids[q.Region] = tab
+				}
+				id, ok := tab[q.Rect.Key()]
+				if !ok {
+					id = int32(len(q.Region.Rects))
+					q.Region.Rects = append(q.Region.Rects, q.Rect)
+					tab[q.Rect.Key()] = id
+				}
+				q.ID = id
+				slab = append(slab, q)
+			}
+			offs[i+1] = len(slab)
+		}
+		domain := l.Domain
+		l.Reqs = func(pt []int) []Req {
+			i := domain.Linearize(pt)
+			return slab[offs[i]:offs[i+1]]
+		}
+	}
+	return p
+}
+
 func testParams() sim.Params {
 	return sim.Params{
 		PeakFlops:    100,
@@ -60,7 +100,7 @@ func vectorAddProgram(n, procs int) (*Program, *tensor.Dense, *tensor.Dense, *te
 			},
 		},
 	}
-	return &Program{Name: "vadd", Machine: m, Regions: []*Region{a, b, c}, Launches: []*Launch{launch}}, ta, tb, tc
+	return numbered(&Program{Name: "vadd", Machine: m, Regions: []*Region{a, b, c}, Launches: []*Launch{launch}}), ta, tb, tc
 }
 
 func TestOwnerComputesNoCommunication(t *testing.T) {
@@ -114,7 +154,7 @@ func TestCommunicationWhenNotOwner(t *testing.T) {
 			},
 		},
 	}
-	prog := &Program{Name: "sum", Machine: m, Regions: []*Region{a, b}, Launches: []*Launch{launch}}
+	prog := numbered(&Program{Name: "sum", Machine: m, Regions: []*Region{a, b}, Launches: []*Launch{launch}})
 	res, err := Run(prog, Options{Params: testParams(), Real: true, Trace: true, Batch: []map[string]*tensor.Dense{{"A": ta, "B": tb}}})
 	if err != nil {
 		t.Fatal(err)
@@ -155,7 +195,7 @@ func TestReductionFlush(t *testing.T) {
 			},
 		},
 	}
-	prog := &Program{Name: "red", Machine: m, Regions: []*Region{a}, Launches: []*Launch{launch}}
+	prog := numbered(&Program{Name: "red", Machine: m, Regions: []*Region{a}, Launches: []*Launch{launch}})
 	res, err := Run(prog, Options{Params: testParams(), Real: true, Batch: []map[string]*tensor.Dense{{"A": ta}}})
 	if err != nil {
 		t.Fatal(err)
@@ -200,8 +240,8 @@ func TestNearestSourceRelay(t *testing.T) {
 			Kernel: Kernel{Flops: func(pt []int) float64 { return 1 }},
 		}
 	}
-	prog := &Program{Name: "relay", Machine: m, Regions: []*Region{a, b},
-		Launches: []*Launch{mk("t1", 1), mk("t2", 2)}}
+	prog := numbered(&Program{Name: "relay", Machine: m, Regions: []*Region{a, b},
+		Launches: []*Launch{mk("t1", 1), mk("t2", 2)}})
 	res, err := Run(prog, Options{Params: testParams(), Trace: true})
 	if err != nil {
 		t.Fatal(err)
@@ -256,8 +296,8 @@ func TestOverlapVsSynchronous(t *testing.T) {
 			Kernel: Kernel{Flops: func(pt []int) float64 { return 1000 }},
 		}
 	}
-	prog := &Program{Name: "ovl", Machine: m, Regions: []*Region{a, b},
-		Launches: []*Launch{mk("s0", 0), mk("s1", 4)}}
+	prog := numbered(&Program{Name: "ovl", Machine: m, Regions: []*Region{a, b},
+		Launches: []*Launch{mk("s0", 0), mk("s1", 4)}})
 	async, err := Run(prog, Options{Params: testParams()})
 	if err != nil {
 		t.Fatal(err)
@@ -297,7 +337,7 @@ func TestTransientEviction(t *testing.T) {
 			Kernel: Kernel{Flops: func(pt []int) float64 { return 1 }},
 		})
 	}
-	prog := &Program{Name: "evict", Machine: m, Regions: []*Region{a, b}, Launches: launches}
+	prog := numbered(&Program{Name: "evict", Machine: m, Regions: []*Region{a, b}, Launches: launches})
 	res, err := Run(prog, Options{Params: testParams(), TransientWindow: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -331,7 +371,7 @@ func TestOOMDetection(t *testing.T) {
 func TestRealRequiresBoundData(t *testing.T) {
 	m := flatMachine(1)
 	a := NewRegion("A", []int{4}, nil)
-	prog := &Program{Name: "x", Machine: m, Regions: []*Region{a}}
+	prog := numbered(&Program{Name: "x", Machine: m, Regions: []*Region{a}})
 	if _, err := Run(prog, Options{Params: testParams(), Real: true}); err == nil {
 		t.Fatal("expected error for unbound region in Real mode")
 	}

@@ -29,12 +29,14 @@
 //     the rect's Lo corner; piecesFor (the owners overlapping a rect, with
 //     the overlaps: piecewise gathers and the accumulator flush scatter)
 //     visits the cells the rect overlaps;
-//   - transByKey/volBuckets: live transient instances grouped by rect,
-//     keyed exactly by tensor.RectKey (transByKey, the one-lookup
-//     equal-rect candidates) and by rect volume (volBuckets — only strictly
-//     larger volumes can strictly contain a requirement rect), with
-//     installation order recoverable from per-instance sequence numbers so
-//     candidate ordering matches an exhaustive ordered scan.
+//   - transByID/volBuckets: live transient instances grouped by rect,
+//     indexed by the requirement's rect id (transByID, the one-lookup
+//     equal-rect candidates: Req.ID indexes Region.Rects, so equal ids are
+//     equal rects) and by rect volume (volBuckets — only strictly larger
+//     volumes can strictly contain a requirement rect), with installation
+//     order recoverable from per-instance sequence numbers so candidate
+//     ordering matches an exhaustive ordered scan. Accumulators are found
+//     the same way: a chain per rect id, one accumulator per writing leaf.
 //
 // The simulated walk allocates per run, per region and per slab chunk, not
 // per point or copy. Owners are one slab per region. The per-leaf instance
@@ -98,6 +100,11 @@ type Region struct {
 	// machine, from the tensor's format. Nil means the region is born on
 	// leaf 0 (undistributed).
 	Placement *distnot.Placement
+
+	// Rects is the program's table of distinct requirement rects on this
+	// region, indexed by Req.ID: the compiler numbers every rect once when
+	// it materializes the requirements.
+	Rects []tensor.Rect
 }
 
 // NewRegion creates a region with the given shape and placement.
@@ -114,22 +121,10 @@ type Req struct {
 	Region *Region
 	Rect   tensor.Rect
 	Priv   Privilege
-	// Key is Rect's comparable identity, precomputed by the compiler when
-	// requirements are materialized (rects are interned there, so the key is
-	// built once per distinct rect rather than once per requirement per
-	// launch point during execution). A zero Key means "not precomputed";
-	// the executor falls back to rebuilding it.
-	Key tensor.RectKey
-}
-
-// rectKey returns the requirement rect's comparable identity, preferring the
-// precomputed Key. Requirement rects always have rank >= 1, so the zero
-// RectKey (rank 0) is never a valid precomputed key.
-func (q *Req) rectKey() tensor.RectKey {
-	if q.Key == (tensor.RectKey{}) {
-		return q.Rect.Key()
-	}
-	return q.Key
+	// ID is Rect's index in Region.Rects. Requirements with equal rects on
+	// one region share an id, so the executor indexes its per-rect state
+	// (live transients, accumulators) by id instead of hashing the rect.
+	ID int32
 }
 
 func (q Req) String() string {

@@ -118,7 +118,6 @@ func Analyse(ctx context.Context, stages []Stage, opt Options) (*Tape, error) {
 		lg:     first.Machine.LeafGrid(),
 		gpuMem: first.Machine.LeafMem() == machine.GPUFBMem,
 		reg:    map[*Region]*regState{},
-		accs:   map[accKey]*accumulator{},
 	}
 	e.coord = make([]int, e.lg.Rank())
 	t := &Tape{real: opt.Real}
@@ -234,6 +233,11 @@ func (e *executor) placeStage(si int, st *Stage) error {
 			return fmt.Errorf("legion: stage %d region %s has shape %v, inherited %s has %v", si, r.Name, r.Shape, h.Region, src.Shape)
 		}
 		rs := e.reg[src]
+		// The state is indexed by one region's rect ids at a time, so two
+		// regions of one stage cannot share it.
+		if named[rs.region.Name] == rs.region && rs.region != r {
+			return fmt.Errorf("legion: stage %d adopts %s into two regions", si, h.Region)
+		}
 		if rs.dirty {
 			// The producer rewrote the canonical contents at its flush:
 			// transient replicas copied before that are stale and must not
@@ -242,6 +246,7 @@ func (e *executor) placeStage(si int, st *Stage) error {
 			e.dropTransients(rs)
 			rs.dirty = false
 		}
+		rs.rekey(r)
 		e.reg[r] = rs
 		if e.slotOf != nil {
 			e.slotOf[r] = e.slotOf[src]
@@ -285,8 +290,9 @@ func (e *executor) placeRegion(r *Region) {
 		persistent: make([]instance, len(leaves)),
 		perLeaf:    make([][]*instance, n),
 		transFIFO:  make([][]*instance, n),
-		transByKey: map[tensor.RectKey]*transGroup{},
+		transByID:  make([]*transGroup, len(r.Rects)),
 		volBuckets: map[int64][]*transGroup{},
+		accHead:    make([]*accumulator, len(r.Rects)),
 	}
 	for leaf := range n {
 		k := leaf * (2*w + 1)
@@ -314,5 +320,39 @@ func (e *executor) dropTransients(rs *regState) {
 			e.evict(rs, inst)
 		}
 		rs.transFIFO[leaf] = fifo[:0]
+	}
+}
+
+// rekey indexes an adopted region state by the rect ids of r, the adopting
+// region: each live transient group takes the id of its rect in r.Rects, and
+// a group whose rect r never requests takes an id past the table's end —
+// never an exact match, it stays a containment candidate through its volume
+// bucket. The stage's accumulators have flushed, so the chains start empty.
+func (rs *regState) rekey(r *Region) {
+	old := rs.transByID
+	rs.region = r
+	rs.transByID = make([]*transGroup, len(r.Rects))
+	rs.accHead = make([]*accumulator, len(r.Rects))
+	live := map[tensor.RectKey]*transGroup{}
+	for _, g := range old {
+		if g != nil {
+			g.id = -1
+			live[g.rect.Key()] = g
+		}
+	}
+	if len(live) == 0 {
+		return
+	}
+	for id, rect := range r.Rects {
+		if g := live[rect.Key()]; g != nil {
+			g.id = int32(id)
+			rs.transByID[id] = g
+		}
+	}
+	for _, g := range old {
+		if g != nil && g.id < 0 {
+			g.id = int32(len(rs.transByID))
+			rs.transByID = append(rs.transByID, g)
+		}
 	}
 }

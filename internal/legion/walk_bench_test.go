@@ -46,10 +46,10 @@ func BenchmarkWalk(b *testing.B) {
 
 // walkAllocBudget caps the allocations of one simulated walk of an 8×8
 // SUMMA pipeline. The walk allocates per run, per region and per slab
-// chunk, never per copy or per point: 143 objects for 3 584 copies. The
+// chunk, never per copy or per point: 115 objects for 3 584 copies. The
 // budget is about 1.5× that, so a change that allocates per copy fails at
 // once. Counts repeat exactly, so the cap holds on any runner.
-const walkAllocBudget = 215
+const walkAllocBudget = 172
 
 func TestWalkAllocBudget(t *testing.T) {
 	prog := compileMatmul(t, algorithms.SUMMA, algorithms.MatmulConfig{N: 512, Procs: 64, ChunkSize: 16})
