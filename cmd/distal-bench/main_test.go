@@ -38,8 +38,22 @@ func captureStdout(t *testing.T, f func() error) string {
 // Fig. 16 tables, the Fig. 9 verification table and the summary. The
 // simulator is deterministic, so any difference is a behaviour change.
 func TestAllGolden(t *testing.T) {
-	got := captureStdout(t, func() error { return run("all", 16) })
-	path := filepath.Join("testdata", "all-16.golden")
+	checkGolden(t, "all-16.golden", captureStdout(t, func() error { return run("all", 16) }))
+}
+
+// TestTuneGolden pins `distal-bench -exp tune -tune-budget 32 -tune-seed 0`:
+// the five example workloads' baseline, hand and tuned makespans and every
+// winner's schedule text. The tuner is deterministic for a fixed budget and
+// seed, so any difference is a behaviour change.
+func TestTuneGolden(t *testing.T) {
+	checkGolden(t, "tune-32.golden", captureStdout(t, func() error { return tuneExamples(32, 0) }))
+}
+
+// checkGolden compares got with testdata/name, rewriting the file first
+// under -update.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
 	if *update {
 		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
@@ -50,6 +64,6 @@ func TestAllGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got != string(want) {
-		t.Errorf("run(\"all\", 16) differs from %s (rerun with -update only for an intended change):\n%s", path, got)
+		t.Errorf("output differs from %s (rerun with -update only for an intended change):\n%s", path, got)
 	}
 }
