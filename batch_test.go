@@ -20,88 +20,38 @@ import (
 	"time"
 
 	"distal"
+	"distal/internal/algorithms"
 	"distal/internal/ir"
+	"distal/internal/machine"
 	"distal/internal/tensor"
 )
 
-// batchCase is one of the five example workloads at test size: the same
-// statements, formats, and schedule shapes as examples/, shrunk so real
+// batchCase is one of the five example workloads at test size: the request
+// internal/algorithms writes for the example's algorithm, shrunk so real
 // execution stays fast under -race.
 type batchCase struct {
 	name    string
-	machine func() *distal.Machine
+	machine *distal.Machine
 	req     distal.Request
 }
 
-func batchCases() []batchCase {
-	square := func(n int, names ...string) map[string][]int {
-		out := map[string][]int{}
-		for _, name := range names {
-			out[name] = []int{n, n}
+func batchCases(t testing.TB) []batchCase {
+	var cases []batchCase
+	add := func(name string) func(*machine.Machine, distal.Request, error) {
+		return func(m *machine.Machine, req distal.Request, err error) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			cases = append(cases, batchCase{name, &distal.Machine{M: m}, req})
 		}
-		return out
 	}
-	gemm := "A(i,j) = B(i,k) * C(k,j)"
-	return []batchCase{
-		{
-			name:    "summa",
-			machine: func() *distal.Machine { return distal.NewMachine(distal.CPU, 4, 4) },
-			req: distal.Request{
-				Stmt: gemm, Shapes: square(64, "A", "B", "C"),
-				Schedule: "divide(i,io,ii,4) divide(j,jo,ji,4) reorder(io,jo,ii,ji) distribute(io,jo) " +
-					"split(k,ko,ki,16) reorder(io,jo,ko,ii,ji,ki) communicate(jo,A) communicate(ko,B,C)",
-			},
-		},
-		{
-			name:    "cannon",
-			machine: func() *distal.Machine { return distal.NewMachine(distal.CPU, 3, 3) },
-			req: distal.Request{
-				Stmt: gemm, Shapes: square(48, "A", "B", "C"),
-				Schedule: "divide(i,io,ii,3) divide(j,jo,ji,3) reorder(io,jo,ii,ji) distribute(io,jo) " +
-					"divide(k,ko,ki,3) reorder(io,jo,ko,ii,ji,ki) rotate(ko,io,jo,kos) " +
-					"communicate(jo,A) communicate(kos,B,C)",
-			},
-		},
-		{
-			name:    "johnson",
-			machine: func() *distal.Machine { return distal.NewMachine(distal.CPU, 2, 2, 2) },
-			req: distal.Request{
-				Stmt:   gemm,
-				Shapes: square(32, "A", "B", "C"),
-				Formats: map[string]string{
-					"A": "xy->xy0", "B": "xz->x0z", "C": "zy->0yz",
-				},
-				Schedule: "divide(i,io,ii,2) divide(j,jo,ji,2) divide(k,ko,ki,2) " +
-					"reorder(io,jo,ko,ii,ji,ki) distribute(io,jo,ko) communicate(ko,A,B,C)",
-			},
-		},
-		{
-			name:    "mttkrp",
-			machine: func() *distal.Machine { return distal.NewMachine(distal.CPU, 2, 2, 2) },
-			req: distal.Request{
-				Stmt: "A(i,l) = B(i,j,k) * C(j,l) * D(k,l)",
-				Shapes: map[string][]int{
-					"A": {32, 16}, "B": {32, 32, 32}, "C": {32, 16}, "D": {32, 16},
-				},
-				Formats: map[string]string{
-					"A": "ab->a00", "B": "abc->abc", "C": "ab->*a*", "D": "ab->**a",
-				},
-				Schedule: "divide(i,io,ii,2) divide(j,jo,ji,2) divide(k,ko,ki,2) " +
-					"reorder(io,jo,ko,ii,ji,ki,l) distribute(io,jo,ko) communicate(ko,A,B,C,D)",
-			},
-		},
-		{
-			name: "hierarchical",
-			machine: func() *distal.Machine {
-				return distal.NewMachine(distal.GPU, 2, 8).WithProcsPerNode(4)
-			},
-			req: distal.Request{
-				Stmt: gemm, Shapes: square(64, "A", "B", "C"),
-				Schedule: "divide(i,io,ii,2) divide(j,jo,ji,8) reorder(io,jo,ii,ji) distribute(io,jo) " +
-					"split(k,ko,ki,16) reorder(io,jo,ko,ii,ji,ki) communicate(jo,A) communicate(ko,B,C)",
-			},
-		},
-	}
+	add("summa")(algorithms.MatmulRequest(algorithms.SUMMA, algorithms.MatmulConfig{N: 64, Procs: 16}))
+	add("cannon")(algorithms.MatmulRequest(algorithms.Cannon, algorithms.MatmulConfig{N: 48, Procs: 9}))
+	add("johnson")(algorithms.MatmulRequest(algorithms.Johnson, algorithms.MatmulConfig{N: 32, Procs: 8}))
+	add("mttkrp")(algorithms.MTTKRPRequest(algorithms.HigherConfig{I: 32, J: 32, K: 32, L: 16, Procs: 8}))
+	gpus := algorithms.MatmulConfig{GPU: true, ProcsPerNode: 4}
+	add("hierarchical")(gpus.MachineFor(2, 8), algorithms.SummaRequest(64, 2, 8, 16), nil)
+	return cases
 }
 
 // instanceTensors builds one instance's bound tensor set: deterministic
@@ -135,9 +85,9 @@ func outputOf(ts []*distal.Tensor, plan *distal.Plan) *tensor.Dense {
 // calls on the same data — across batch sizes {1, 3, 8} and worker counts
 // {1, 4, 16} — and within 1e-9 of the ir.Evaluate oracle.
 func TestBindBatchMatchesSequential(t *testing.T) {
-	for _, c := range batchCases() {
+	for _, c := range batchCases(t) {
 		t.Run(c.name, func(t *testing.T) {
-			sess := distal.NewSession(c.machine())
+			sess := distal.NewSession(c.machine)
 			plan, err := sess.Compile(context.Background(), c.req)
 			if err != nil {
 				t.Fatal(err)
@@ -212,9 +162,9 @@ func TestBindBatchMatchesSequential(t *testing.T) {
 // single-instance run's — batching amortizes the walk, it never perturbs
 // the cost model.
 func TestBindBatchMetricsMatchSingle(t *testing.T) {
-	for _, c := range batchCases() {
+	for _, c := range batchCases(t) {
 		t.Run(c.name, func(t *testing.T) {
-			sess := distal.NewSession(c.machine())
+			sess := distal.NewSession(c.machine)
 			plan, err := sess.Compile(context.Background(), c.req)
 			if err != nil {
 				t.Fatal(err)
@@ -247,9 +197,9 @@ func TestBindBatchMetricsMatchSingle(t *testing.T) {
 // per tensor produce the same outputs as explicitly bound instances, with
 // every instance's result landing in its slice of the stacked output.
 func TestBindStackedMatchesBindBatch(t *testing.T) {
-	c := batchCases()[0] // summa
+	c := batchCases(t)[0] // summa
 	const batch, n = 3, 64
-	sess := distal.NewSession(c.machine())
+	sess := distal.NewSession(c.machine)
 	plan, err := sess.Compile(context.Background(), c.req)
 	if err != nil {
 		t.Fatal(err)
@@ -305,8 +255,8 @@ func TestBindStackedMatchesBindBatch(t *testing.T) {
 // tensors without the leading batch dimension, and output tensors shared
 // between instances (which would race under the parallel drain).
 func TestBindBatchValidation(t *testing.T) {
-	c := batchCases()[0]
-	sess := distal.NewSession(c.machine())
+	c := batchCases(t)[0]
+	sess := distal.NewSession(c.machine)
 	plan, err := sess.Compile(context.Background(), c.req)
 	if err != nil {
 		t.Fatal(err)
@@ -350,8 +300,8 @@ func TestBindBatchValidation(t *testing.T) {
 // reference, and under -race this proves the plan, its pooled kernel
 // scratch, and the batched executor state are private per execution.
 func TestBatchSharedPlanConcurrent(t *testing.T) {
-	c := batchCases()[0]
-	sess := distal.NewSession(c.machine())
+	c := batchCases(t)[0]
+	sess := distal.NewSession(c.machine)
 	plan, err := sess.Compile(context.Background(), c.req)
 	if err != nil {
 		t.Fatal(err)

@@ -59,6 +59,7 @@ import (
 
 	"distal/internal/ir"
 	"distal/internal/program"
+	"distal/internal/request"
 	"distal/internal/tensor"
 	"distal/internal/wire"
 )
@@ -102,7 +103,7 @@ func main() {
 	}
 	req := wire.RunRequest{Inputs: map[string]string{}}
 	var err error
-	if req.Shapes, err = parseShapesMulti(stmts, *shapes, *n); err != nil {
+	if req.Shapes, err = request.ParseShapes(stmts, *shapes, *n); err != nil {
 		log.Fatalf("distal-run: %v", err)
 	}
 	if len(stmts) == 1 {
@@ -111,7 +112,7 @@ func main() {
 			req.Schedule = scheds[0]
 		}
 		if len(formats) == 1 {
-			if req.Formats, err = parseFormats(formats[0]); err != nil {
+			if req.Formats, err = request.ParseFormats(formats[0]); err != nil {
 				log.Fatalf("distal-run: %v", err)
 			}
 		}
@@ -123,7 +124,7 @@ func main() {
 				spec.Schedule = scheds[i]
 			}
 			if len(formats) == len(stmts) {
-				if spec.Formats, err = parseFormats(formats[i]); err != nil {
+				if spec.Formats, err = request.ParseFormats(formats[i]); err != nil {
 					log.Fatalf("distal-run: statement %d: %v", i, err)
 				}
 			}
@@ -364,6 +365,13 @@ func verifyInstance(req wire.RunRequest, data map[string]*tensor.Dense, got *ten
 	want, err := ir.Evaluate(stmt, inputs)
 	if err != nil {
 		return err
+	}
+	if want.Rank() == 0 {
+		// A scalar output travels with shape (1); the interpreter returns
+		// it at rank 0.
+		scalar := tensor.New(stmt.LHS.Tensor, 1)
+		scalar.Data()[0] = want.At()
+		want = scalar
 	}
 	if !got.EqualWithin(want, 1e-9) {
 		return fmt.Errorf("streamed result disagrees with the reference interpreter: max |diff| = %g", got.MaxAbsDiff(want))

@@ -32,18 +32,17 @@ import (
 	"context"
 	"errors"
 	"flag"
-	"fmt"
 	"log"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
 	"distal"
+	"distal/internal/request"
 	"distal/internal/serve"
 )
 
@@ -67,9 +66,12 @@ func main() {
 		log.Fatalf("distal-serve: unknown -log-format %q (\"json\" or empty)", *logFormat)
 	}
 
-	dims, err := parseGrid(*grid)
+	dims, err := request.ParseGrid(*grid)
 	if err != nil {
 		log.Fatalf("distal-serve: %v", err)
+	}
+	if len(dims) > 3 {
+		log.Fatalf("distal-serve: bad grid %q: 1 to 3 dimensions", *grid)
 	}
 	pk := distal.CPU
 	if strings.EqualFold(*kind, "gpu") {
@@ -123,21 +125,4 @@ func main() {
 		log.Fatalf("distal-serve: %v", err)
 	}
 	<-done
-}
-
-// parseGrid parses "4", "4x4", "2x2x2" into grid dimensions.
-func parseGrid(s string) ([]int, error) {
-	parts := strings.Split(strings.ToLower(s), "x")
-	dims := make([]int, 0, len(parts))
-	for _, p := range parts {
-		n, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("bad grid %q: each dimension must be a positive integer", s)
-		}
-		dims = append(dims, n)
-	}
-	if len(dims) == 0 || len(dims) > 3 {
-		return nil, fmt.Errorf("bad grid %q: 1 to 3 dimensions", s)
-	}
-	return dims, nil
 }

@@ -24,12 +24,11 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
 	"distal"
-	"distal/internal/ir"
+	"distal/internal/request"
 )
 
 func main() {
@@ -57,13 +56,13 @@ func main() {
 	}
 	req := distal.Request{Stmt: *stmt, Schedule: *schedule}
 	var err error
-	if req.Shapes, err = parseShapes(*stmt, *shapes, *n); err != nil {
+	if req.Shapes, err = request.ParseShapes([]string{*stmt}, *shapes, *n); err != nil {
 		log.Fatalf("distal-tune: %v", err)
 	}
-	if req.Formats, err = parseFormats(*formats); err != nil {
+	if req.Formats, err = request.ParseFormats(*formats); err != nil {
 		log.Fatalf("distal-tune: %v", err)
 	}
-	dims, err := parseGrid(*grid)
+	dims, err := request.ParseGrid(*grid)
 	if err != nil {
 		log.Fatalf("distal-tune: %v", err)
 	}
@@ -169,78 +168,4 @@ func jsonResult(res *distal.TuneResult) tuneOutput {
 		out.Leaderboard = append(out.Leaderboard, entry(c))
 	}
 	return out
-}
-
-// parseShapes parses "A=1024x1024,B=512x512" into the request shape map;
-// when src is empty and n > 0, every tensor of the statement gets extent n
-// in each of its dimensions.
-func parseShapes(stmtSrc, src string, n int) (map[string][]int, error) {
-	out := map[string][]int{}
-	if src == "" {
-		if n <= 0 {
-			return nil, fmt.Errorf("give -shapes or -n")
-		}
-		stmt, err := ir.Parse(stmtSrc)
-		if err != nil {
-			return nil, err
-		}
-		byName := map[string]int{stmt.LHS.Tensor: len(stmt.LHS.Indices)}
-		for _, a := range stmt.RHS.Accesses(nil) {
-			byName[a.Tensor] = len(a.Indices)
-		}
-		for name, rank := range byName {
-			shape := make([]int, rank)
-			for d := range shape {
-				shape[d] = n
-			}
-			out[name] = shape
-		}
-		return out, nil
-	}
-	for _, ent := range strings.Split(src, ",") {
-		name, dims, ok := strings.Cut(strings.TrimSpace(ent), "=")
-		if !ok {
-			return nil, fmt.Errorf("bad -shapes entry %q (want NAME=AxBxC)", ent)
-		}
-		var shape []int
-		for _, d := range strings.Split(dims, "x") {
-			v, err := strconv.Atoi(strings.TrimSpace(d))
-			if err != nil || v <= 0 {
-				return nil, fmt.Errorf("bad dimension %q in -shapes entry %q", d, ent)
-			}
-			shape = append(shape, v)
-		}
-		out[strings.TrimSpace(name)] = shape
-	}
-	return out, nil
-}
-
-// parseFormats parses "A=xy->xy,B=xy->**" into the request format map.
-// Entries are comma-separated; distribution notation itself contains no
-// commas.
-func parseFormats(src string) (map[string]string, error) {
-	if src == "" {
-		return nil, nil
-	}
-	out := map[string]string{}
-	for _, ent := range strings.Split(src, ",") {
-		name, f, ok := strings.Cut(strings.TrimSpace(ent), "=")
-		if !ok {
-			return nil, fmt.Errorf("bad -formats entry %q (want NAME=notation)", ent)
-		}
-		out[strings.TrimSpace(name)] = strings.TrimSpace(f)
-	}
-	return out, nil
-}
-
-func parseGrid(src string) ([]int, error) {
-	var dims []int
-	for _, part := range strings.Split(src, "x") {
-		v, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || v < 1 {
-			return nil, fmt.Errorf("bad grid %q (want e.g. 16, 4x4, 2x2x2)", src)
-		}
-		dims = append(dims, v)
-	}
-	return dims, nil
 }

@@ -28,6 +28,7 @@ import (
 	"distal"
 	"distal/internal/algorithms"
 	"distal/internal/ir"
+	"distal/internal/request"
 )
 
 func main() {
@@ -89,34 +90,18 @@ func runExpr(expr, schedText string, n, procs int, gpu, simulate, trace bool, ma
 	if len(stmt.LHS.Indices) == 0 {
 		return fmt.Errorf("scalar outputs are not supported by -expr; use the library API")
 	}
-	names := "xyzwuv"
-	rankOf := map[string]int{}
-	collect := func(a *ir.Access) {
-		rankOf[a.Tensor] = len(a.Indices)
-	}
-	collect(stmt.LHS)
-	for _, a := range stmt.RHS.Accesses(nil) {
-		collect(a)
+	shapes, err := request.ParseShapes([]string{expr}, "", n)
+	if err != nil {
+		return err
 	}
 	sess := distal.NewSession(newMachine(procs, gpu), distal.WithParams(params(gpu)))
 	var tensors []*distal.Tensor
-	for name, rank := range rankOf {
-		if rank > len(names) {
-			return fmt.Errorf("tensor %s has rank %d; -expr supports ranks up to %d", name, rank, len(names))
+	for name, shape := range shapes {
+		src, err := firstMode("-expr", name, len(shape))
+		if err != nil {
+			return err
 		}
-		// A zero-index access is a scalar: a rank-1 tensor of extent 1.
-		shape := []int{1}
-		if rank > 0 {
-			shape = make([]int, rank)
-			for d := range shape {
-				shape[d] = n
-			}
-		} else {
-			rank = 1
-		}
-		// Partition the first mode across the 1-D machine; remaining modes
-		// span fully.
-		f, err := distal.ParseFormat(names[:rank] + "->" + names[:1])
+		f, err := distal.ParseFormat(src)
 		if err != nil {
 			return err
 		}
@@ -142,65 +127,42 @@ func runExpr(expr, schedText string, n, procs int, gpu, simulate, trace bool, ma
 }
 
 // runChain compiles a semicolon-separated statement list into a plan DAG:
-// leaf tensors get extent n per mode and the canonical tiling, each stage
-// auto-schedules, and intermediates stay distributed between stages.
+// leaf tensors get extent n per mode, each stage auto-schedules, and
+// intermediates stay distributed between stages.
 func runChain(src string, n, procs int, gpu, simulate, trace bool) error {
 	var stmts []distal.Statement
+	var texts []string
 	for _, s := range strings.Split(src, ";") {
 		if s = strings.TrimSpace(s); s != "" {
 			stmts = append(stmts, distal.Statement{Stmt: s})
+			texts = append(texts, s)
 		}
 	}
 	if len(stmts) == 0 {
 		return fmt.Errorf("-chain has no statements")
 	}
-	// Leaf tensors are the ones no statement assigns; every mode gets
-	// extent n, and every tensor is partitioned over the 1-D machine by its
-	// first mode (the same shorthand as -expr). Formats are per statement,
-	// identical for a tensor wherever it appears, so producer/consumer
-	// handoffs never need a repartition here.
-	names := "xyzwuv"
-	assigned := map[string]bool{}
-	rankOf := map[string]int{}
+	shapes, err := request.ParseShapes(texts, "", n)
+	if err != nil {
+		return err
+	}
+	// Every tensor is partitioned over the 1-D machine by its first mode
+	// (the same shorthand as -expr). Formats are per statement, identical
+	// for a tensor wherever it appears, so producer/consumer handoffs never
+	// need a repartition here.
 	for i := range stmts {
 		stmt, err := ir.Parse(stmts[i].Stmt)
 		if err != nil {
 			return err
 		}
-		assigned[stmt.LHS.Tensor] = true
-		fmts := map[string]string{}
-		rankOf[stmt.LHS.Tensor] = len(stmt.LHS.Indices)
-		fmts[stmt.LHS.Tensor] = ""
-		for _, a := range stmt.RHS.Accesses(nil) {
-			rankOf[a.Tensor] = len(a.Indices)
-			fmts[a.Tensor] = ""
-		}
-		for name := range fmts {
-			rank := rankOf[name]
-			if rank == 0 {
-				rank = 1 // a scalar access reads a rank-1 tensor of extent 1
+		// A one-statement chain still declares leaf inputs only.
+		delete(shapes, stmt.LHS.Tensor)
+		stmts[i].Formats = map[string]string{}
+		for _, a := range append(stmt.RHS.Accesses(nil), stmt.LHS) {
+			// A scalar access reads a rank-1 tensor of extent 1.
+			if stmts[i].Formats[a.Tensor], err = firstMode("-chain", a.Tensor, max(len(a.Indices), 1)); err != nil {
+				return err
 			}
-			if rank > len(names) {
-				return fmt.Errorf("tensor %s has rank %d; -chain supports ranks up to %d", name, rank, len(names))
-			}
-			fmts[name] = names[:rank] + "->" + names[:1]
 		}
-		stmts[i].Formats = fmts
-	}
-	shapes := map[string][]int{}
-	for name, rank := range rankOf {
-		if assigned[name] {
-			continue
-		}
-		if rank == 0 {
-			shapes[name] = []int{1}
-			continue
-		}
-		shape := make([]int, rank)
-		for d := range shape {
-			shape[d] = n
-		}
-		shapes[name] = shape
 	}
 	sess := distal.NewSession(newMachine(procs, gpu), distal.WithParams(params(gpu)))
 	pp, err := sess.CompileProgram(context.Background(), distal.Request{Shapes: shapes, Stmts: stmts})
@@ -214,6 +176,16 @@ func runChain(src string, n, procs int, gpu, simulate, trace bool) error {
 	fmt.Printf("output        %s %v\n", pp.Output(), pp.Shape(pp.Output()))
 	fmt.Printf("plan          %s cached=%t\n", pp.Key(), pp.Stats().Cached)
 	return execute(simulate, trace, pp.Simulate)
+}
+
+// firstMode writes the format that partitions a rank-r tensor over the 1-D
+// machine by its first mode; the remaining modes span fully.
+func firstMode(flag, name string, rank int) (string, error) {
+	const names = "xyzwuv"
+	if rank > len(names) {
+		return "", fmt.Errorf("tensor %s has rank %d; %s supports ranks up to %d", name, rank, flag, len(names))
+	}
+	return names[:rank] + "->" + names[:1], nil
 }
 
 // runAlg compiles one of the paper's matmul algorithms, written as a

@@ -1,8 +1,9 @@
-// Cannon demonstrates the rotate scheduling command: it builds Cannon's
-// algorithm (Fig. 9 / Fig. 11 of the paper) on a 3x3 grid and prints the
-// communication pattern of the B matrix at each step, reproducing Figure 12
-// — every processor reads B(io, (ko+io+jo) mod 3) and receives it from a
-// neighbor, never from a broadcast hotspot.
+// Cannon demonstrates the rotate scheduling command: it compiles Cannon's
+// algorithm (Fig. 9 / Fig. 11 of the paper), written as a request by
+// internal/algorithms, on a 3x3 grid and prints the communication pattern
+// of the B matrix at each step, reproducing Figure 12 — every processor
+// reads B(io, (ko+io+jo) mod 3) and receives it from a neighbor, never from
+// a broadcast hotspot.
 package main
 
 import (
@@ -11,36 +12,24 @@ import (
 	"log"
 
 	"distal"
+	"distal/internal/algorithms"
 )
 
 func main() {
 	const n, g = 24, 3
-	m := distal.NewMachine(distal.CPU, g, g)
-	sess := distal.NewSession(m)
-	f := distal.Tiled(2)
-	A := distal.NewTensor("A", f, n, n).Zero()
-	B := distal.NewTensor("B", f, n, n).FillRandom(1)
-	C := distal.NewTensor("C", f, n, n).FillRandom(2)
-
-	comp, err := sess.Define("A(i,j) = B(i,k) * C(k,j)", A, B, C)
+	m, req, err := algorithms.MatmulRequest(algorithms.Cannon, algorithms.MatmulConfig{N: n, Procs: g * g})
 	if err != nil {
 		log.Fatal(err)
 	}
-	comp.Schedule().
-		Divide("i", "io", "ii", g).Divide("j", "jo", "ji", g).
-		Reorder("io", "jo", "ii", "ji").
-		Distribute("io", "jo").
-		Divide("k", "ko", "ki", g).
-		Reorder("io", "jo", "ko", "ii", "ji", "ki").
-		Rotate("ko", []string{"io", "jo"}, "kos").
-		Communicate("jo", "A").
-		Communicate("kos", "B", "C")
-
+	sess := distal.NewSession(&distal.Machine{M: m})
 	ctx := context.Background()
-	plan, err := comp.Compile(ctx)
+	plan, err := sess.Compile(ctx, req)
 	if err != nil {
 		log.Fatal(err)
 	}
+	A := distal.NewTensor("A", distal.MustFormat(req.Formats["A"]), n, n).Zero()
+	B := distal.NewTensor("B", distal.MustFormat(req.Formats["B"]), n, n).FillRandom(1)
+	C := distal.NewTensor("C", distal.MustFormat(req.Formats["C"]), n, n).FillRandom(2)
 	res, err := plan.Bind(A, B, C).Run(ctx, distal.WithTrace())
 	if err != nil {
 		log.Fatal(err)

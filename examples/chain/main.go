@@ -21,6 +21,7 @@ import (
 	"log"
 
 	"distal"
+	"distal/internal/algorithms"
 	"distal/internal/program"
 	"distal/internal/tensor"
 )
@@ -31,14 +32,9 @@ func main() {
 	ttmMttkrp()
 }
 
-// gemmSched is the SUMMA template for one chain stage on a g x g grid.
-func gemmSched(out, lhs, rhs string, g, chunk int) string {
-	return fmt.Sprintf("divide(i,io,ii,%d) divide(j,jo,ji,%d) reorder(io,jo,ii,ji) distribute(io,jo) "+
-		"split(k,ko,ki,%d) reorder(io,jo,ko,ii,ji,ki) communicate(jo,%s) communicate(ko,%s,%s)",
-		g, g, chunk, out, lhs, rhs)
-}
-
-func gemmRequest(n, g, chunk int) distal.Request {
+// gemmRequest writes the chain with both stages SUMMA on a g x g grid, k
+// streaming in chunks of n/g.
+func gemmRequest(n, g int) distal.Request {
 	tiled := map[string]string{"A": "xy->xy", "B": "xy->xy", "C": "xy->xy", "D": "xy->xy", "E": "xy->xy"}
 	pick := func(names ...string) map[string]string {
 		m := map[string]string{}
@@ -50,8 +46,8 @@ func gemmRequest(n, g, chunk int) distal.Request {
 	return distal.Request{
 		Shapes: map[string][]int{"A": {n, n}, "B": {n, n}, "C": {n, n}},
 		Stmts: []distal.Statement{
-			{Stmt: "D(i,j) = A(i,k) * B(k,j)", Formats: pick("A", "B", "D"), Schedule: gemmSched("D", "A", "B", g, n/g)},
-			{Stmt: "E(i,j) = D(i,k) * C(k,j)", Formats: pick("D", "C", "E"), Schedule: gemmSched("E", "D", "C", g, n/g)},
+			{Stmt: "D(i,j) = A(i,k) * B(k,j)", Formats: pick("A", "B", "D"), Schedule: algorithms.SummaSchedule(g, g, n/g, "D", "A", "B")},
+			{Stmt: "E(i,j) = D(i,k) * C(k,j)", Formats: pick("D", "C", "E"), Schedule: algorithms.SummaSchedule(g, g, n/g, "E", "D", "C")},
 		},
 	}
 }
@@ -64,7 +60,7 @@ func gemmChain() {
 	// float tolerance in value.
 	const n, g = 64, 2
 	sess := distal.NewSession(distal.NewMachine(distal.CPU, g, g))
-	req := gemmRequest(n, g, n/g)
+	req := gemmRequest(n, g)
 	pp, err := sess.CompileProgram(context.Background(), req)
 	if err != nil {
 		log.Fatal(err)
@@ -91,7 +87,7 @@ func gemmChain() {
 	fmt.Printf("%-8s %-14s %-14s %-10s\n", "n", "dag GB", "seq GB", "saved")
 	for _, bign := range []int{2048, 4096, 8192} {
 		big := distal.NewSession(distal.NewMachine(distal.CPU, 4, 4))
-		bp, err := big.CompileProgram(context.Background(), gemmRequest(bign, 4, 256))
+		bp, err := big.CompileProgram(context.Background(), gemmRequest(bign, 4))
 		if err != nil {
 			log.Fatal(err)
 		}

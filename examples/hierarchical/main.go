@@ -1,10 +1,10 @@
-// Hierarchical demonstrates multi-GPU nodes: the machine is a 2x2 grid of
-// nodes, each with four GPUs (the Lassen organization of §3.1), the data
-// distribution is hierarchical ("xy->xy; xy->x": 2-D tiles per node,
-// row-split across each node's GPUs), and the schedule distributes loops at
-// both levels. Communication between GPUs of one node travels over NVLink;
-// between nodes over the InfiniBand NIC — the simulated statistics show the
-// split.
+// Hierarchical demonstrates multi-GPU nodes: the machine is a 2x8 grid of
+// GPUs whose consecutive groups of four share a node (the Lassen
+// organization of §3.1), so four nodes of four GPUs. It runs SUMMA there,
+// written as a request by internal/algorithms' SummaRequest, with tiles
+// over nodes and rows over the GPUs within a node. Communication between
+// GPUs of one node travels over NVLink; between nodes over the InfiniBand
+// NIC — the simulated statistics show the split.
 package main
 
 import (
@@ -13,6 +13,7 @@ import (
 	"log"
 
 	"distal"
+	"distal/internal/algorithms"
 	"distal/internal/ir"
 	"distal/internal/tensor"
 )
@@ -22,38 +23,26 @@ func main() {
 	const gx, gy, gpus = 2, 2, 4
 
 	// A flat grid of GPUs whose consecutive groups of four share a node.
-	m := distal.NewMachine(distal.GPU, gx, gy*gpus).WithProcsPerNode(gpus)
-	sess := distal.NewSession(m, distal.WithParams(distal.LassenGPU()))
+	m := algorithms.MatmulConfig{GPU: true, ProcsPerNode: gpus}.MachineFor(gx, gy*gpus)
+	sess := distal.NewSession(&distal.Machine{M: m}, distal.WithParams(distal.LassenGPU()))
 
-	// Tiles over nodes, rows over the GPUs within a node: expressed as a
-	// single-level format over the flattened grid (x tiles, y split 8-ways).
-	f := distal.MustFormat("xy->xy")
-	A := distal.NewTensor("A", f, n, n).Zero()
-	B := distal.NewTensor("B", f, n, n).FillRandom(1)
-	C := distal.NewTensor("C", f, n, n).FillRandom(2)
-
-	comp := sess.MustDefine("A(i,j) = B(i,k) * C(k,j)", A, B, C)
-	comp.Schedule().
-		Divide("i", "io", "ii", gx).
-		Divide("j", "jo", "ji", gy*gpus).
-		Reorder("io", "jo", "ii", "ji").
-		Distribute("io", "jo").
-		Split("k", "ko", "ki", n/gx).
-		Reorder("io", "jo", "ko", "ii", "ji", "ki").
-		Communicate("jo", "A").
-		Communicate("ko", "B", "C")
-
+	// SUMMA over the flattened grid, as a single-level format (x tiles, y
+	// split 8 ways); k streams in chunks of n/gx.
+	req := algorithms.SummaRequest(n, gx, gy*gpus, n/gx)
 	ctx := context.Background()
-	plan, err := comp.Compile(ctx)
+	plan, err := sess.Compile(ctx, req)
 	if err != nil {
 		log.Fatal(err)
 	}
+	A := distal.NewTensor("A", distal.MustFormat(req.Formats["A"]), n, n).Zero()
+	B := distal.NewTensor("B", distal.MustFormat(req.Formats["B"]), n, n).FillRandom(1)
+	C := distal.NewTensor("C", distal.MustFormat(req.Formats["C"]), n, n).FillRandom(2)
 	res, err := plan.Bind(A, B, C).Run(ctx) // under the session's LassenGPU model
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	want, err := ir.Evaluate(comp.Stmt, map[string]*tensor.Dense{"B": B.Data, "C": C.Data})
+	want, err := ir.Evaluate(ir.MustParse(req.Stmt), map[string]*tensor.Dense{"B": B.Data, "C": C.Data})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -3,7 +3,8 @@
 // distribution notation (xy->xy0, xz->x0z, zy->0yz), all three loops are
 // distributed, and partial products reduce into the owners of A. The
 // example validates the result and contrasts the communication volume with
-// SUMMA on the same processor count.
+// SUMMA on the same processor count. Both algorithms are the requests
+// internal/algorithms writes for them.
 package main
 
 import (
@@ -12,25 +13,16 @@ import (
 	"log"
 
 	"distal"
+	"distal/internal/algorithms"
 	"distal/internal/ir"
 	"distal/internal/tensor"
 )
 
+// run2D simulates SUMMA on a 4x2 grid, k streaming in chunks of n/4.
 func run2D(n int) (*distal.Result, error) {
-	sess := distal.NewSession(distal.NewMachine(distal.CPU, 4, 2))
-	f := distal.Tiled(2)
-	A := distal.NewTensor("A", f, n, n).Zero()
-	B := distal.NewTensor("B", f, n, n).FillRandom(1)
-	C := distal.NewTensor("C", f, n, n).FillRandom(2)
-	comp := sess.MustDefine("A(i,j) = B(i,k) * C(k,j)", A, B, C)
-	comp.Schedule().
-		Divide("i", "io", "ii", 4).Divide("j", "jo", "ji", 2).
-		Reorder("io", "jo", "ii", "ji").Distribute("io", "jo").
-		Split("k", "ko", "ki", n/4).
-		Reorder("io", "jo", "ko", "ii", "ji", "ki").
-		Communicate("jo", "A").Communicate("ko", "B", "C")
+	m := algorithms.MatmulConfig{}.MachineFor(4, 2)
 	ctx := context.Background()
-	plan, err := comp.Compile(ctx)
+	plan, err := distal.NewSession(&distal.Machine{M: m}).Compile(ctx, algorithms.SummaRequest(n, 4, 2, n/4))
 	if err != nil {
 		return nil, err
 	}
@@ -40,29 +32,24 @@ func run2D(n int) (*distal.Result, error) {
 func main() {
 	const n, g = 32, 2 // 2x2x2 processor cube
 
-	sess := distal.NewSession(distal.NewMachine(distal.CPU, g, g, g))
-	A := distal.NewTensor("A", distal.MustFormat("xy->xy0"), n, n).Zero()
-	B := distal.NewTensor("B", distal.MustFormat("xz->x0z"), n, n).FillRandom(1)
-	C := distal.NewTensor("C", distal.MustFormat("zy->0yz"), n, n).FillRandom(2)
-
-	comp := sess.MustDefine("A(i,j) = B(i,k) * C(k,j)", A, B, C)
-	comp.Schedule().
-		Divide("i", "io", "ii", g).Divide("j", "jo", "ji", g).Divide("k", "ko", "ki", g).
-		Reorder("io", "jo", "ko", "ii", "ji", "ki").
-		Distribute("io", "jo", "ko").
-		Communicate("ko", "A", "B", "C")
-
-	ctx := context.Background()
-	plan, err := comp.Compile(ctx)
+	m, req, err := algorithms.MatmulRequest(algorithms.Johnson, algorithms.MatmulConfig{N: n, Procs: g * g * g})
 	if err != nil {
 		log.Fatal(err)
 	}
+	ctx := context.Background()
+	plan, err := distal.NewSession(&distal.Machine{M: m}).Compile(ctx, req)
+	if err != nil {
+		log.Fatal(err)
+	}
+	A := distal.NewTensor("A", distal.MustFormat(req.Formats["A"]), n, n).Zero()
+	B := distal.NewTensor("B", distal.MustFormat(req.Formats["B"]), n, n).FillRandom(1)
+	C := distal.NewTensor("C", distal.MustFormat(req.Formats["C"]), n, n).FillRandom(2)
 	res, err := plan.Bind(A, B, C).Run(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	want, err := ir.Evaluate(comp.Stmt, map[string]*tensor.Dense{"B": B.Data, "C": C.Data})
+	want, err := ir.Evaluate(ir.MustParse(req.Stmt), map[string]*tensor.Dense{"B": B.Data, "C": C.Data})
 	if err != nil {
 		log.Fatal(err)
 	}

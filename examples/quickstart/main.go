@@ -4,6 +4,11 @@
 // reference, and timed on the simulated Lassen CPU cost model. It then
 // shows the service-shaped side of the API: the same workload as a pure
 // data Request whose repeated execution hits the session's plan cache.
+//
+// The other examples compile the requests internal/algorithms writes for
+// the paper's algorithms. This one spells its SUMMA schedule out through
+// the fluent Schedule() chain on purpose: walking through the fluent API of
+// Fig. 2 is what it is for.
 package main
 
 import (

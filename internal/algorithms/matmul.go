@@ -134,21 +134,39 @@ func MatmulRequest(alg Alg, cfg MatmulConfig) (*machine.Machine, request.Request
 	default:
 		return nil, request.Request{}, fmt.Errorf("algorithms: unknown algorithm %q", alg)
 	}
-	square := []int{cfg.N, cfg.N}
-	return cfg.MachineFor(grid...), request.Request{
+	return cfg.MachineFor(grid...), matmulRequest(cfg.N, formats, sched), nil
+}
+
+// matmulRequest writes MatmulStmt on n x n matrices placed under the
+// formats of A, B and C, scheduled by sched.
+func matmulRequest(n int, formats [3]string, sched string) request.Request {
+	square := []int{n, n}
+	return request.Request{
 		Stmt:     MatmulStmt,
 		Shapes:   map[string][]int{"A": square, "B": square, "C": square},
 		Formats:  map[string]string{"A": formats[0], "B": formats[1], "C": formats[2]},
 		Schedule: sched,
-	}, nil
+	}
 }
 
 // SummaSchedule writes SUMMA on a gx x gy grid: A's tiles stay in place
 // while k streams in chunks of the given size, each chunk's panels of B and
-// C broadcast to the tiles that need them.
-func SummaSchedule(gx, gy, chunk int) string {
+// C broadcast to the tiles that need them. Tensors, when given, rename A, B
+// and C, for a product such as E(i,j) = D(i,k) * C(k,j).
+func SummaSchedule(gx, gy, chunk int, tensors ...string) string {
+	if tensors == nil {
+		tensors = []string{"A", "B", "C"}
+	}
 	return distributeOnto("ij", gx, gy) + fmt.Sprintf(
-		" split(k,ko,ki,%d) reorder(ko,ii,ji,ki) communicate(jo,A) communicate(ko,B,C)", chunk)
+		" split(k,ko,ki,%d) reorder(ko,ii,ji,ki) communicate(jo,%s) communicate(ko,%s,%s)",
+		chunk, tensors[0], tensors[1], tensors[2])
+}
+
+// SummaRequest writes SUMMA on n x n tiled matrices over a gx x gy grid
+// with the given k chunk, for a grid or chunk other than the ones
+// MatmulRequest derives from the processor count.
+func SummaRequest(n, gx, gy, chunk int) request.Request {
+	return matmulRequest(n, [3]string{"xy->xy", "xy->xy", "xy->xy"}, SummaSchedule(gx, gy, chunk))
 }
 
 // distributeOnto writes the compound tile-and-distribute command of §3.3:

@@ -2,10 +2,14 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 
 	"distal"
+	"distal/internal/algorithms"
+	"distal/internal/machine"
+	"distal/internal/request"
 )
 
 // TuneRow is one auto-tuned example workload: the AutoSchedule baseline
@@ -17,8 +21,8 @@ type TuneRow struct {
 	// heuristic is undefined for the workload (fewer output variables than
 	// machine dimensions, e.g. GEMM on a cube).
 	BaselineSec float64 `json:"baseline_sec"`
-	// HandSec is the makespan of the example's hand-written schedule,
-	// which competes as a seed candidate.
+	// HandSec is the makespan of the algorithm's hand-written schedule
+	// (the request's own), which competes as a seed candidate.
 	HandSec   float64 `json:"hand_sec"`
 	TunedSec  float64 `json:"tuned_sec"`
 	Speedup   float64 `json:"speedup"`
@@ -32,95 +36,35 @@ type TuneRow struct {
 	HandOOM     bool `json:"hand_oom,omitempty"`
 }
 
-// tuneCase mirrors one of the five example workloads (examples/) as a pure
-// Request plus its machine, so the tuner can search the exact workloads the
-// repository demonstrates by hand.
+// tuneCase is one example workload: the request of the paper's algorithm
+// that the example under examples/ compiles, at a tuning size, with the
+// example's machine and cost model.
 type tuneCase struct {
 	name    string
-	machine func() *distal.Machine
 	params  distal.Params
-	req     distal.Request
+	machine *machine.Machine
+	req     request.Request
 }
 
-func tuneCases() []tuneCase {
-	square := func(n int, names ...string) map[string][]int {
-		out := map[string][]int{}
-		for _, name := range names {
-			out[name] = []int{n, n}
+func tuneCases() ([]tuneCase, error) {
+	var cases []tuneCase
+	var errs []error
+	add := func(name string, params distal.Params) func(*machine.Machine, request.Request, error) {
+		return func(m *machine.Machine, req request.Request, err error) {
+			cases = append(cases, tuneCase{name, params, m, req})
+			errs = append(errs, err)
 		}
-		return out
 	}
-	gemm := "A(i,j) = B(i,k) * C(k,j)"
-	return []tuneCase{
-		{
-			// examples/quickstart: SUMMA-style GEMM on a 4x4 CPU grid.
-			name:    "summa",
-			machine: func() *distal.Machine { return distal.NewMachine(distal.CPU, 4, 4) },
-			params:  distal.LassenCPU(),
-			req: distal.Request{
-				Stmt: gemm, Shapes: square(1024, "A", "B", "C"),
-				Schedule: "divide(i,io,ii,4) divide(j,jo,ji,4) reorder(io,jo,ii,ji) distribute(io,jo) " +
-					"split(k,ko,ki,256) reorder(io,jo,ko,ii,ji,ki) communicate(jo,A) communicate(ko,B,C)",
-			},
-		},
-		{
-			// examples/cannon: systolic GEMM on a 3x3 grid.
-			name:    "cannon",
-			machine: func() *distal.Machine { return distal.NewMachine(distal.CPU, 3, 3) },
-			params:  distal.LassenCPU(),
-			req: distal.Request{
-				Stmt: gemm, Shapes: square(768, "A", "B", "C"),
-				Schedule: "divide(i,io,ii,3) divide(j,jo,ji,3) reorder(io,jo,ii,ji) distribute(io,jo) " +
-					"divide(k,ko,ki,3) reorder(io,jo,ko,ii,ji,ki) rotate(ko,io,jo,kos) " +
-					"communicate(jo,A) communicate(kos,B,C)",
-			},
-		},
-		{
-			// examples/johnson3d: 3D GEMM on a processor cube, inputs fixed
-			// to cube faces.
-			name:    "johnson",
-			machine: func() *distal.Machine { return distal.NewMachine(distal.CPU, 2, 2, 2) },
-			params:  distal.LassenCPU(),
-			req: distal.Request{
-				Stmt:    gemm,
-				Shapes:  square(256, "A", "B", "C"),
-				Formats: map[string]string{"A": "xy->xy0", "B": "xz->x0z", "C": "zy->0yz"},
-				Schedule: "divide(i,io,ii,2) divide(j,jo,ji,2) divide(k,ko,ki,2) " +
-					"reorder(io,jo,ko,ii,ji,ki) distribute(io,jo,ko) communicate(ko,A,B,C)",
-			},
-		},
-		{
-			// examples/mttkrp: the Ballard et al. MTTKRP algorithm's data
-			// distribution on a processor cube.
-			name:    "mttkrp",
-			machine: func() *distal.Machine { return distal.NewMachine(distal.CPU, 2, 2, 2) },
-			params:  distal.LassenCPU(),
-			req: distal.Request{
-				Stmt: "A(i,l) = B(i,j,k) * C(j,l) * D(k,l)",
-				Shapes: map[string][]int{
-					"A": {64, 32}, "B": {64, 64, 64}, "C": {64, 32}, "D": {64, 32},
-				},
-				Formats: map[string]string{
-					"A": "ab->a00", "B": "abc->abc", "C": "ab->*a*", "D": "ab->**a",
-				},
-				Schedule: "divide(i,io,ii,2) divide(j,jo,ji,2) divide(k,ko,ki,2) " +
-					"reorder(io,jo,ko,ii,ji,ki,l) distribute(io,jo,ko) communicate(ko,A,B,C,D)",
-			},
-		},
-		{
-			// examples/hierarchical: multi-GPU nodes (2x8 GPUs, 4 per node).
-			name: "hierarchical",
-			machine: func() *distal.Machine {
-				return distal.NewMachine(distal.GPU, 2, 8).WithProcsPerNode(4)
-			},
-			params: distal.LassenGPU(),
-			req: distal.Request{
-				Stmt: gemm, Shapes: square(512, "A", "B", "C"),
-				Schedule: "divide(i,io,ii,2) divide(j,jo,ji,8) reorder(io,jo,ii,ji) distribute(io,jo) " +
-					"split(k,ko,ki,256) reorder(io,jo,ko,ii,ji,ki) communicate(jo,A) communicate(ko,B,C)",
-			},
-		},
-	}
+	cpu := distal.LassenCPU()
+	// SUMMA, the algorithm examples/quickstart walks through, on 4x4 CPUs.
+	add("summa", cpu)(algorithms.MatmulRequest(algorithms.SUMMA, algorithms.MatmulConfig{N: 1024, Procs: 16}))
+	add("cannon", cpu)(algorithms.MatmulRequest(algorithms.Cannon, algorithms.MatmulConfig{N: 768, Procs: 9}))
+	add("johnson", cpu)(algorithms.MatmulRequest(algorithms.Johnson, algorithms.MatmulConfig{N: 256, Procs: 8}))
+	add("mttkrp", cpu)(algorithms.MTTKRPRequest(algorithms.HigherConfig{I: 64, J: 64, K: 64, L: 32, Procs: 8}))
+	// examples/hierarchical: SUMMA on 2x8 GPUs, four per node.
+	gpus := algorithms.MatmulConfig{GPU: true, ProcsPerNode: 4}
+	add("hierarchical", distal.LassenGPU())(gpus.MachineFor(2, 8), algorithms.SummaRequest(512, 2, 8, 256), nil)
+	return cases, errors.Join(errs...)
 }
 
 // TuneExamples auto-tunes the five example workloads with the given budget
@@ -129,9 +73,13 @@ func tuneCases() []tuneCase {
 // turns a violation into an error.
 func TuneExamples(budget int, seed int64) ([]TuneRow, error) {
 	ctx := context.Background()
+	cases, err := tuneCases()
+	if err != nil {
+		return nil, err
+	}
 	var rows []TuneRow
-	for _, c := range tuneCases() {
-		sess := distal.NewSession(c.machine(), distal.WithParams(c.params))
+	for _, c := range cases {
+		sess := distal.NewSession(&distal.Machine{M: c.machine}, distal.WithParams(c.params))
 		res, err := sess.Tune(ctx, c.req, distal.TuneOptions{Budget: budget, Seed: seed})
 		if err != nil {
 			return nil, fmt.Errorf("tune %s: %w", c.name, err)
@@ -148,18 +96,15 @@ func TuneExamples(budget int, seed int64) ([]TuneRow, error) {
 			row.BaselineOOM = res.Baseline.OOM
 			row.Speedup = res.Speedup()
 		}
-		if c.req.Schedule != "" {
-			plan, err := sess.Compile(ctx, c.req)
-			if err != nil {
-				return nil, fmt.Errorf("tune %s: hand schedule: %w", c.name, err)
-			}
-			hand, err := plan.Simulate(ctx)
-			if err != nil {
-				return nil, fmt.Errorf("tune %s: hand schedule: %w", c.name, err)
-			}
-			row.HandSec = hand.Time
-			row.HandOOM = hand.OOM
+		plan, err := sess.Compile(ctx, c.req)
+		if err != nil {
+			return nil, fmt.Errorf("tune %s: hand schedule: %w", c.name, err)
 		}
+		hand, err := plan.Simulate(ctx)
+		if err != nil {
+			return nil, fmt.Errorf("tune %s: hand schedule: %w", c.name, err)
+		}
+		row.HandSec, row.HandOOM = hand.Time, hand.OOM
 		rows = append(rows, row)
 	}
 	return rows, nil
@@ -167,8 +112,8 @@ func TuneExamples(budget int, seed int64) ([]TuneRow, error) {
 
 // VerifyTune checks the tuner's core guarantee on example-workload rows:
 // the winner's simulated makespan is no worse than the AutoSchedule
-// baseline (where it exists) or the example's hand-written schedule (which
-// competes as a seed candidate). A reference schedule that exhausts memory
+// baseline (where it exists) or the algorithm's hand-written schedule
+// (which competes as a seed candidate). A reference schedule that exhausts memory
 // does not bind — the tuner rightly prefers any non-OOM schedule over a
 // faster OOM one — but then the winner must itself be OOM-free.
 func VerifyTune(rows []TuneRow) error {

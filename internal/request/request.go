@@ -59,9 +59,9 @@ func Build(req Request, m *machine.Machine) (core.Input, error) {
 
 // Unscheduled validates req's statement, shapes and formats against machine
 // m and returns the compile input with an empty schedule. Every tensor of
-// the statement needs a shape; Shapes and Formats keys that name no tensor
-// of the statement are rejected, since in a pure-data wire format a typo'd
-// name would otherwise silently fall back to defaults.
+// the statement needs a shape of positive extents; Shapes and Formats keys
+// that name no tensor of the statement are rejected, since in a pure-data
+// wire format a typo'd name would otherwise silently fall back to defaults.
 func Unscheduled(req Request, m *machine.Machine) (core.Input, error) {
 	stmt, err := ir.Parse(req.Stmt)
 	if err != nil {
@@ -87,6 +87,11 @@ func Unscheduled(req Request, m *machine.Machine) (core.Input, error) {
 		shape, ok := req.Shapes[name]
 		if !ok {
 			return core.Input{}, fmt.Errorf("request has no shape for tensor %s", name)
+		}
+		for _, extent := range shape {
+			if extent <= 0 {
+				return core.Input{}, fmt.Errorf("request shape %v of tensor %s has a non-positive extent", shape, name)
+			}
 		}
 		if placements[name], err = Placement(req.Formats, name, len(shape)); err != nil {
 			return core.Input{}, err

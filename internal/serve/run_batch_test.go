@@ -40,9 +40,9 @@ func batchFramed(t *testing.T, req wire.RunRequest, frames ...*tensor.Dense) []b
 // in-process single-instance Bind.Run of the same data, through exactly one
 // compile.
 func TestRunBatchEndpoint(t *testing.T) {
-	for _, c := range runCases() {
+	for _, c := range runCases(t) {
 		t.Run(c.name, func(t *testing.T) {
-			sess := distal.NewSession(c.machine())
+			sess := distal.NewSession(c.machine)
 			ts := httptest.NewServer(New(sess, Config{}))
 			defer ts.Close()
 
@@ -80,8 +80,8 @@ func TestRunBatchEndpoint(t *testing.T) {
 // executes once, so its metric headers are bit-identical to the same
 // workload run single-instance.
 func TestRunBatchMetricsMatchSingle(t *testing.T) {
-	c := runCases()[0]
-	ts := httptest.NewServer(New(distal.NewSession(c.machine()), Config{}))
+	c := runCases(t)[0]
+	ts := httptest.NewServer(New(distal.NewSession(c.machine), Config{}))
 	defer ts.Close()
 
 	client := &wire.Client{BaseURL: ts.URL}
@@ -110,8 +110,8 @@ func TestRunBatchMetricsMatchSingle(t *testing.T) {
 // instance i from seed+i on the server, and the client reconstructs every
 // instance bit-identically without shipping a byte.
 func TestRunBatchServerSideFills(t *testing.T) {
-	c := runCases()[0] // summa
-	ts := httptest.NewServer(New(distal.NewSession(c.machine()), Config{}))
+	c := runCases(t)[0] // summa
+	ts := httptest.NewServer(New(distal.NewSession(c.machine), Config{}))
 	defer ts.Close()
 
 	const n = 3
@@ -146,8 +146,8 @@ func TestRunBatchServerSideFills(t *testing.T) {
 // name the casualty, and the surviving instances' outputs stay correct and
 // in order.
 func TestRunBatchPartialFailure(t *testing.T) {
-	c := runCases()[0]
-	ts := httptest.NewServer(New(distal.NewSession(c.machine()), Config{}))
+	c := runCases(t)[0]
+	ts := httptest.NewServer(New(distal.NewSession(c.machine), Config{}))
 	defer ts.Close()
 
 	const n = 3
@@ -192,7 +192,7 @@ func TestRunBatchPartialFailure(t *testing.T) {
 // bad batch counts and framing disagreements 422, desynchronized frames 400,
 // never 500.
 func TestRunBatchErrorMapping(t *testing.T) {
-	c := runCases()[0]
+	c := runCases(t)[0]
 
 	mk := func(name string, dims ...int) *tensor.Dense {
 		d := tensor.New(name, dims...)
@@ -302,7 +302,7 @@ func TestRunBatchErrorMapping(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			ts := httptest.NewServer(New(distal.NewSession(c.machine()), tc.cfg))
+			ts := httptest.NewServer(New(distal.NewSession(c.machine), tc.cfg))
 			defer ts.Close()
 			ct := wire.ContentTypeRun
 			if tc.json {
@@ -329,8 +329,8 @@ func TestRunBatchErrorMapping(t *testing.T) {
 // the declared count, one status token per instance, and the per-instance
 // messages — and the body holds exactly the surviving frames.
 func TestRunBatchHeaders(t *testing.T) {
-	c := runCases()[0]
-	ts := httptest.NewServer(New(distal.NewSession(c.machine()), Config{}))
+	c := runCases(t)[0]
+	ts := httptest.NewServer(New(distal.NewSession(c.machine), Config{}))
 	defer ts.Close()
 
 	req := c.req

@@ -15,89 +15,41 @@ import (
 	"testing"
 
 	"distal"
+	"distal/internal/algorithms"
 	"distal/internal/ir"
+	"distal/internal/machine"
+	"distal/internal/request"
 	"distal/internal/tensor"
 	"distal/internal/wire"
 )
 
-// runCase is one of the five example workloads at test size: the same
-// statements, formats, and schedule shapes as examples/, shrunk so real
+// runCase is one of the five example workloads at test size: the request
+// internal/algorithms writes for the example's algorithm, shrunk so real
 // execution stays fast.
 type runCase struct {
 	name    string
-	machine func() *distal.Machine
+	machine *distal.Machine
 	req     wire.RunRequest
 }
 
-func runCases() []runCase {
-	square := func(n int, names ...string) map[string][]int {
-		out := map[string][]int{}
-		for _, name := range names {
-			out[name] = []int{n, n}
+func runCases(t testing.TB) []runCase {
+	var cases []runCase
+	add := func(name string) func(*machine.Machine, request.Request, error) {
+		return func(m *machine.Machine, r request.Request, err error) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			req := wire.RunRequest{Stmt: r.Stmt, Shapes: r.Shapes, Formats: r.Formats, Schedule: r.Schedule}
+			cases = append(cases, runCase{name, &distal.Machine{M: m}, req})
 		}
-		return out
 	}
-	gemm := "A(i,j) = B(i,k) * C(k,j)"
-	return []runCase{
-		{
-			name:    "summa",
-			machine: func() *distal.Machine { return distal.NewMachine(distal.CPU, 4, 4) },
-			req: wire.RunRequest{
-				Stmt: gemm, Shapes: square(64, "A", "B", "C"),
-				Schedule: "divide(i,io,ii,4) divide(j,jo,ji,4) reorder(io,jo,ii,ji) distribute(io,jo) " +
-					"split(k,ko,ki,16) reorder(io,jo,ko,ii,ji,ki) communicate(jo,A) communicate(ko,B,C)",
-			},
-		},
-		{
-			name:    "cannon",
-			machine: func() *distal.Machine { return distal.NewMachine(distal.CPU, 3, 3) },
-			req: wire.RunRequest{
-				Stmt: gemm, Shapes: square(48, "A", "B", "C"),
-				Schedule: "divide(i,io,ii,3) divide(j,jo,ji,3) reorder(io,jo,ii,ji) distribute(io,jo) " +
-					"divide(k,ko,ki,3) reorder(io,jo,ko,ii,ji,ki) rotate(ko,io,jo,kos) " +
-					"communicate(jo,A) communicate(kos,B,C)",
-			},
-		},
-		{
-			name:    "johnson",
-			machine: func() *distal.Machine { return distal.NewMachine(distal.CPU, 2, 2, 2) },
-			req: wire.RunRequest{
-				Stmt:   gemm,
-				Shapes: square(32, "A", "B", "C"),
-				Formats: map[string]string{
-					"A": "xy->xy0", "B": "xz->x0z", "C": "zy->0yz",
-				},
-				Schedule: "divide(i,io,ii,2) divide(j,jo,ji,2) divide(k,ko,ki,2) " +
-					"reorder(io,jo,ko,ii,ji,ki) distribute(io,jo,ko) communicate(ko,A,B,C)",
-			},
-		},
-		{
-			name:    "mttkrp",
-			machine: func() *distal.Machine { return distal.NewMachine(distal.CPU, 2, 2, 2) },
-			req: wire.RunRequest{
-				Stmt: "A(i,l) = B(i,j,k) * C(j,l) * D(k,l)",
-				Shapes: map[string][]int{
-					"A": {32, 16}, "B": {32, 32, 32}, "C": {32, 16}, "D": {32, 16},
-				},
-				Formats: map[string]string{
-					"A": "ab->a00", "B": "abc->abc", "C": "ab->*a*", "D": "ab->**a",
-				},
-				Schedule: "divide(i,io,ii,2) divide(j,jo,ji,2) divide(k,ko,ki,2) " +
-					"reorder(io,jo,ko,ii,ji,ki,l) distribute(io,jo,ko) communicate(ko,A,B,C,D)",
-			},
-		},
-		{
-			name: "hierarchical",
-			machine: func() *distal.Machine {
-				return distal.NewMachine(distal.GPU, 2, 8).WithProcsPerNode(4)
-			},
-			req: wire.RunRequest{
-				Stmt: gemm, Shapes: square(64, "A", "B", "C"),
-				Schedule: "divide(i,io,ii,2) divide(j,jo,ji,8) reorder(io,jo,ii,ji) distribute(io,jo) " +
-					"split(k,ko,ki,16) reorder(io,jo,ko,ii,ji,ki) communicate(jo,A) communicate(ko,B,C)",
-			},
-		},
-	}
+	add("summa")(algorithms.MatmulRequest(algorithms.SUMMA, algorithms.MatmulConfig{N: 64, Procs: 16}))
+	add("cannon")(algorithms.MatmulRequest(algorithms.Cannon, algorithms.MatmulConfig{N: 48, Procs: 9}))
+	add("johnson")(algorithms.MatmulRequest(algorithms.Johnson, algorithms.MatmulConfig{N: 32, Procs: 8}))
+	add("mttkrp")(algorithms.MTTKRPRequest(algorithms.HigherConfig{I: 32, J: 32, K: 32, L: 16, Procs: 8}))
+	gpus := algorithms.MatmulConfig{GPU: true, ProcsPerNode: 4}
+	add("hierarchical")(gpus.MachineFor(2, 8), algorithms.SummaRequest(64, 2, 8, 16), nil)
+	return cases
 }
 
 // inputsFor builds deterministic random data for every RHS tensor of c and
@@ -127,7 +79,7 @@ func inputsFor(t *testing.T, c runCase, seed int64) (wire.RunRequest, map[string
 // through Plan.Bind(...).Run and returns the output tensor.
 func referenceRun(t *testing.T, c runCase, data map[string]*tensor.Dense) *tensor.Dense {
 	t.Helper()
-	sess := distal.NewSession(c.machine())
+	sess := distal.NewSession(c.machine)
 	plan, err := sess.Compile(context.Background(), distal.Request{
 		Stmt: c.req.Stmt, Shapes: c.req.Shapes, Formats: c.req.Formats, Schedule: c.req.Schedule,
 	})
@@ -168,9 +120,9 @@ func assertBitsEqual(t *testing.T, label string, got, want *tensor.Dense) {
 // to an in-process Plan.Bind(...).Run of the same data and to the
 // ir.Evaluate reference semantics.
 func TestRunEndpointExamples(t *testing.T) {
-	for _, c := range runCases() {
+	for _, c := range runCases(t) {
 		t.Run(c.name, func(t *testing.T) {
-			sess := distal.NewSession(c.machine())
+			sess := distal.NewSession(c.machine)
 			ts := httptest.NewServer(New(sess, Config{}))
 			defer ts.Close()
 
@@ -224,8 +176,8 @@ func TestRunEndpointExamples(t *testing.T) {
 // shipping any tensor bytes — fills materialize server-side and match the
 // client's deterministic reconstruction.
 func TestRunServerSideFills(t *testing.T) {
-	c := runCases()[0] // summa
-	sess := distal.NewSession(c.machine())
+	c := runCases(t)[0] // summa
+	sess := distal.NewSession(c.machine)
 	ts := httptest.NewServer(New(sess, Config{}))
 	defer ts.Close()
 
@@ -260,8 +212,8 @@ func TestRunServerSideFills(t *testing.T) {
 // workload on different data share exactly one compiled plan and never mix
 // up their outputs.
 func TestRunConcurrentSharedPlan(t *testing.T) {
-	c := runCases()[0]
-	sess := distal.NewSession(c.machine())
+	c := runCases(t)[0]
+	sess := distal.NewSession(c.machine)
 	ts := httptest.NewServer(New(sess, Config{Workers: 4}))
 	defer ts.Close()
 
@@ -311,8 +263,8 @@ func TestRunConcurrentSharedPlan(t *testing.T) {
 // taxonomy — malformed wire bytes 400, shape mismatches and framing
 // disagreements 422, mismatched Content-Type 415 — never 500.
 func TestRunErrorMapping(t *testing.T) {
-	c := runCases()[0]
-	sess := distal.NewSession(c.machine())
+	c := runCases(t)[0]
+	sess := distal.NewSession(c.machine)
 	ts := httptest.NewServer(New(sess, Config{}))
 	defer ts.Close()
 
@@ -437,7 +389,7 @@ func TestRunErrorMapping(t *testing.T) {
 		}
 	})
 	t.Run("body over the run limit", func(t *testing.T) {
-		small := httptest.NewServer(New(distal.NewSession(c.machine()), Config{MaxRunBody: 1 << 10}))
+		small := httptest.NewServer(New(distal.NewSession(c.machine), Config{MaxRunBody: 1 << 10}))
 		defer small.Close()
 		body := framed(wireReq("B", "C"), mk("B", 64, 64), mk("C", 64, 64))
 		resp, err := http.Post(small.URL+"/v1/run", wire.ContentTypeRun, bytes.NewReader(body))
@@ -495,8 +447,8 @@ func TestJSONEndpointsRejectMismatchedContentType(t *testing.T) {
 // TestRunStreamsChunked: the response must arrive as chunked transfer (no
 // Content-Length), the shape a streaming encoder produces.
 func TestRunStreamsChunked(t *testing.T) {
-	c := runCases()[0]
-	ts := httptest.NewServer(New(distal.NewSession(c.machine()), Config{}))
+	c := runCases(t)[0]
+	ts := httptest.NewServer(New(distal.NewSession(c.machine), Config{}))
 	defer ts.Close()
 	req := c.req
 	req.Inputs = map[string]string{"B": "rand:3", "C": "rand:4"}
@@ -527,8 +479,8 @@ func TestRunStreamsChunked(t *testing.T) {
 // TestClientReusesConnection: wire.Client reads every response to its end,
 // so sequential runs, single and batched, share one keep-alive connection.
 func TestClientReusesConnection(t *testing.T) {
-	c := runCases()[0]
-	ts := httptest.NewServer(New(distal.NewSession(c.machine()), Config{}))
+	c := runCases(t)[0]
+	ts := httptest.NewServer(New(distal.NewSession(c.machine), Config{}))
 	defer ts.Close()
 	var (
 		dials  atomic.Int64

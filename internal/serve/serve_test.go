@@ -98,6 +98,11 @@ func TestExecuteErrorMapping(t *testing.T) {
 		{"parse", ExecuteRequest{Stmt: "A(i,j) ="}, http.StatusBadRequest, "parse"},
 		{"missing shape", ExecuteRequest{Stmt: "A(i,j) = B(i,k) * C(k,j)",
 			Shapes: map[string][]int{"A": {8, 8}}}, http.StatusBadRequest, "parse"},
+		{"negative extents", func() ExecuteRequest {
+			q := summaRequest(64)
+			q.Shapes = map[string][]int{"A": {-3, -3}, "B": {-3, -3}, "C": {-3, -3}}
+			return q
+		}(), http.StatusBadRequest, "parse"},
 		{"schedule", func() ExecuteRequest {
 			q := summaRequest(64)
 			q.Schedule = "divide(zz,a,b,2)"

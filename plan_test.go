@@ -169,6 +169,9 @@ func TestErrorKinds(t *testing.T) {
 		{"parse", Request{Stmt: "A(i,j) ="}, KindParse},
 		{"missing shape", Request{Stmt: gemmStmt, Shapes: map[string][]int{"A": {8, 8}}}, KindParse},
 		{"bad format", Request{Stmt: gemmStmt, Shapes: shapes, Formats: map[string]string{"A": "xy->>xy"}}, KindParse},
+		{"negative extents", Request{Stmt: gemmStmt, Shapes: map[string][]int{"A": {-3, -3}, "B": {-3, -3}, "C": {-3, -3}},
+			Schedule: "divide(i,io,ii,2) reorder(io,ii,j,k) distribute(io) communicate(io,A,B,C)"}, KindParse},
+		{"zero extent", Request{Stmt: gemmStmt, Shapes: map[string][]int{"A": {8, 0}, "B": {8, 8}, "C": {8, 0}}}, KindParse},
 		{"bad schedule", Request{Stmt: gemmStmt, Shapes: shapes, Schedule: "divide(i,io,ii)"}, KindSchedule},
 		{"unknown variable", Request{Stmt: gemmStmt, Shapes: shapes, Schedule: "divide(zz,io,ii,2)"}, KindSchedule},
 	}
