@@ -39,8 +39,8 @@ func ParseShapes(stmts []string, src string, n int) (map[string][]int, error) {
 	}
 	assigned := map[string]bool{}
 	rank := map[string]int{}
-	for _, src := range stmts {
-		stmt, err := ir.Parse(src)
+	for _, text := range stmts {
+		stmt, err := ir.Parse(text)
 		if err != nil {
 			return nil, err
 		}
