@@ -187,7 +187,7 @@ func main() {
 	}
 
 	if *verify {
-		if err := verifyResult(req, data, result); err != nil {
+		if err := verifyInstance(req, data, result, 0); err != nil {
 			log.Fatalf("distal-run: verify: %v", err)
 		}
 		fmt.Println("verify=ok")
@@ -329,29 +329,40 @@ func fetchTrace(ctx context.Context, client *wire.Client, id, path string) error
 	return nil
 }
 
-// verifyResult reconstructs every input locally (streamed tensors are
-// already in hand; fills are deterministic on both ends), evaluates the
-// statement — or the whole multi-statement chain — with the reference
-// interpreter, and compares numerics.
-func verifyResult(req wire.RunRequest, data map[string]*tensor.Dense, got *tensor.Dense) error {
-	return verifyInstance(req, data, got, 0)
-}
-
-// verifyInstance is verifyResult for instance inst of a batched run: fills
-// reconstruct with the per-instance seed offset the server applied.
+// verifyInstance reconstructs instance inst's inputs locally (streamed
+// tensors are already in hand; fills are deterministic on both ends, with the
+// per-instance seed offset the server applied), evaluates the statement — or
+// the whole multi-statement chain — with the reference interpreter, and
+// compares numerics.
 func verifyInstance(req wire.RunRequest, data map[string]*tensor.Dense, got *tensor.Dense, inst int) error {
+	var (
+		names []string
+		eval  func(map[string]*tensor.Dense) (*tensor.Dense, error)
+	)
 	if len(req.Stmts) > 0 {
-		return verifyChainInstance(req, data, got, inst)
-	}
-	stmt, err := ir.Parse(req.Stmt)
-	if err != nil {
-		return err
+		p, err := program.Parse(req.Stmts, req.Shapes)
+		if err != nil {
+			return err
+		}
+		names = p.Inputs()
+		eval = func(in map[string]*tensor.Dense) (*tensor.Dense, error) {
+			outs, err := program.Evaluate(p, in)
+			return outs[p.Output()], err
+		}
+	} else {
+		stmt, err := ir.Parse(req.Stmt)
+		if err != nil {
+			return err
+		}
+		for _, name := range stmt.TensorNames() {
+			if name != stmt.LHS.Tensor {
+				names = append(names, name)
+			}
+		}
+		eval = func(in map[string]*tensor.Dense) (*tensor.Dense, error) { return ir.Evaluate(stmt, in) }
 	}
 	inputs := map[string]*tensor.Dense{}
-	for _, name := range stmt.TensorNames() {
-		if name == stmt.LHS.Tensor {
-			continue
-		}
+	for _, name := range names {
 		if t, ok := data[name]; ok {
 			inputs[name] = t
 			continue
@@ -362,55 +373,19 @@ func verifyInstance(req wire.RunRequest, data map[string]*tensor.Dense, got *ten
 		}
 		inputs[name] = t
 	}
-	want, err := ir.Evaluate(stmt, inputs)
+	want, err := eval(inputs)
 	if err != nil {
 		return err
 	}
 	if want.Rank() == 0 {
 		// A scalar output travels with shape (1); the interpreter returns
 		// it at rank 0.
-		scalar := tensor.New(stmt.LHS.Tensor, 1)
+		scalar := tensor.New(want.Name(), 1)
 		scalar.Data()[0] = want.At()
 		want = scalar
 	}
 	if !got.EqualWithin(want, 1e-9) {
 		return fmt.Errorf("streamed result disagrees with the reference interpreter: max |diff| = %g", got.MaxAbsDiff(want))
-	}
-	return nil
-}
-
-// verifyChainInstance evaluates the whole multi-statement chain with the
-// sequential reference interpreter — leaf inputs from hand-held frames or
-// reconstructed fills — and compares the last statement's output against the
-// streamed result.
-func verifyChainInstance(req wire.RunRequest, data map[string]*tensor.Dense, got *tensor.Dense, inst int) error {
-	specs := make([]program.Statement, len(req.Stmts))
-	for i, st := range req.Stmts {
-		specs[i] = program.Statement{Stmt: st.Stmt, Formats: st.Formats, Schedule: st.Schedule}
-	}
-	p, err := program.Parse(specs, req.Shapes)
-	if err != nil {
-		return err
-	}
-	inputs := map[string]*tensor.Dense{}
-	for _, name := range p.Inputs() {
-		if t, ok := data[name]; ok {
-			inputs[name] = t
-			continue
-		}
-		t := tensor.New(name, req.Shapes[name]...)
-		if err := wire.ApplyFillInstance(t, req.Inputs[name], inst); err != nil {
-			return err
-		}
-		inputs[name] = t
-	}
-	outs, err := program.Evaluate(p, inputs)
-	if err != nil {
-		return err
-	}
-	want := outs[p.Output()]
-	if !got.EqualWithin(want, 1e-9) {
-		return fmt.Errorf("streamed result disagrees with the reference chain evaluation: max |diff| = %g", got.MaxAbsDiff(want))
 	}
 	return nil
 }

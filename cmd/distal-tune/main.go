@@ -29,6 +29,7 @@ import (
 
 	"distal"
 	"distal/internal/request"
+	"distal/internal/serve"
 )
 
 func main() {
@@ -90,7 +91,7 @@ func main() {
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(jsonResult(res)); err != nil {
+		if err := enc.Encode(serve.NewTuneResponse(res)); err != nil {
 			log.Fatalf("distal-tune: %v", err)
 		}
 		return
@@ -106,66 +107,4 @@ func main() {
 		fmt.Printf("%-4d %-12s %-10.1f %-8d %s%s\n",
 			i+1, fmt.Sprintf("%.6fs", c.MakespanSec), c.GFlops, c.Copies, c.Schedule, state)
 	}
-}
-
-// tuneOutput is the -json schema, field-compatible with the /v1/tune wire
-// format (see internal/serve), so scripts can consume either surface.
-type tuneOutput struct {
-	Winner      tuneEntry   `json:"winner"`
-	Baseline    *tuneEntry  `json:"baseline,omitempty"`
-	SpeedupX    float64     `json:"speedup_x,omitempty"`
-	Leaderboard []tuneEntry `json:"leaderboard"`
-	Generated   int         `json:"generated"`
-	Illegal     int         `json:"illegal"`
-	Deduped     int         `json:"deduped"`
-	Evaluated   int         `json:"evaluated"`
-	Failed      int         `json:"failed"`
-	ElapsedMS   float64     `json:"elapsed_ms"`
-}
-
-type tuneEntry struct {
-	Schedule     string  `json:"schedule"`
-	MakespanSec  float64 `json:"makespan_sec"`
-	GFlops       float64 `json:"gflops"`
-	Copies       int64   `json:"copies"`
-	IntraBytes   int64   `json:"intra_bytes"`
-	InterBytes   int64   `json:"inter_bytes"`
-	PeakMemBytes int64   `json:"peak_mem_bytes"`
-	OOM          bool    `json:"oom,omitempty"`
-	PlanKey      string  `json:"plan_key"`
-}
-
-func entry(c distal.TunedCandidate) tuneEntry {
-	return tuneEntry{
-		Schedule:     c.Schedule,
-		MakespanSec:  c.MakespanSec,
-		GFlops:       c.GFlops,
-		Copies:       c.Copies,
-		IntraBytes:   c.IntraBytes,
-		InterBytes:   c.InterBytes,
-		PeakMemBytes: c.PeakMemBytes,
-		OOM:          c.OOM,
-		PlanKey:      c.PlanKey,
-	}
-}
-
-func jsonResult(res *distal.TuneResult) tuneOutput {
-	out := tuneOutput{
-		Winner:    entry(res.Winner),
-		SpeedupX:  res.Speedup(),
-		Generated: res.Generated,
-		Illegal:   res.Illegal,
-		Deduped:   res.Deduped,
-		Evaluated: res.Evaluated,
-		Failed:    res.Failed,
-		ElapsedMS: float64(res.Elapsed) / float64(time.Millisecond),
-	}
-	if res.Baseline != nil {
-		e := entry(*res.Baseline)
-		out.Baseline = &e
-	}
-	for _, c := range res.Leaderboard {
-		out.Leaderboard = append(out.Leaderboard, entry(c))
-	}
-	return out
 }

@@ -209,11 +209,7 @@ func ttmMttkrp() {
 // evaluate runs the whole program through the sequential reference
 // interpreter and returns every computed tensor.
 func evaluate(req distal.Request, leaves map[string]*tensor.Dense) map[string]*tensor.Dense {
-	stmts := make([]program.Statement, len(req.Stmts))
-	for i, s := range req.Stmts {
-		stmts[i] = program.Statement{Stmt: s.Stmt}
-	}
-	p, err := program.Parse(stmts, req.Shapes)
+	p, err := program.Parse(req.Stmts, req.Shapes)
 	if err != nil {
 		log.Fatal(err)
 	}

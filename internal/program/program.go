@@ -25,11 +25,12 @@ import (
 // Statement is one statement of a multi-statement program: the index
 // notation text plus its own format annotations and schedule. Formats may
 // only name tensors of this statement; an empty schedule means the session
-// auto-schedules the stage.
+// auto-schedules the stage. The json tags are the "stmts" entries of a
+// /v1/run request (internal/wire's StmtSpec).
 type Statement struct {
-	Stmt     string
-	Formats  map[string]string
-	Schedule string
+	Stmt     string            `json:"stmt"`
+	Formats  map[string]string `json:"formats,omitempty"`
+	Schedule string            `json:"schedule,omitempty"`
 }
 
 // Stage is one parsed statement in executable position.

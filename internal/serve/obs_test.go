@@ -420,6 +420,47 @@ func TestRequestIDEcho(t *testing.T) {
 	}
 }
 
+// TestRequestIDBounded: a caller-chosen id that is too long, or that no
+// GET /v1/trace/{id} path could reach, is neither echoed nor kept; the
+// request gets a generated id, whose trace is reachable. The longest
+// accepted id, every allowed byte class included, is echoed.
+func TestRequestIDBounded(t *testing.T) {
+	ts, _ := newTestServer(t, Config{})
+	data, _ := json.Marshal(summaRequest(64))
+	echoed := func(t *testing.T, id string) string {
+		hreq, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/execute", bytes.NewReader(data))
+		hreq.Header.Set("Content-Type", "application/json")
+		hreq.Header.Set(wire.HeaderRequestID, id)
+		resp, err := http.DefaultClient.Do(hreq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body) //nolint:errcheck
+		resp.Body.Close()
+		got := resp.Header.Get(wire.HeaderRequestID)
+		if tr := fetchTraceExport(t, ts.URL, got); tr.OtherData["request_id"] != got {
+			t.Fatalf("trace for id %q reports %q", got, tr.OtherData["request_id"])
+		}
+		return got
+	}
+	for name, id := range map[string]string{
+		"900KiB": strings.Repeat("x", 900<<10),
+		"65B":    strings.Repeat("x", 65),
+		"slash":  "a/b",
+		"space":  "a b",
+	} {
+		t.Run(name, func(t *testing.T) {
+			if got := echoed(t, id); got == id || got == "" || len(got) > 64 {
+				t.Fatalf("request id = %.80q, want a generated one", got)
+			}
+		})
+	}
+	id := strings.Repeat("aZ09._-", 10)[:64]
+	if got := echoed(t, id); got != id {
+		t.Fatalf("request id = %q, want the caller's %q", got, id)
+	}
+}
+
 // syncWriter serializes concurrent access-log writes with reads in the test.
 type syncWriter struct {
 	mu *sync.Mutex

@@ -131,12 +131,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		bind    func(...[]*distal.Tensor) *distal.BatchBinding
 	)
 	if len(q.Stmts) > 0 {
-		stmts := make([]distal.Statement, len(q.Stmts))
-		for i, st := range q.Stmts {
-			stmts[i] = distal.Statement{Stmt: st.Stmt, Formats: st.Formats, Schedule: st.Schedule}
-		}
 		pp, err := s.sess.CompileProgram(ctx, distal.Request{
-			Stmt: q.Stmt, Shapes: q.Shapes, Formats: q.Formats, Schedule: q.Schedule, Stmts: stmts,
+			Stmt: q.Stmt, Shapes: q.Shapes, Formats: q.Formats, Schedule: q.Schedule, Stmts: q.Stmts,
 		})
 		if err != nil {
 			s.writeError(w, err)

@@ -39,6 +39,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"regexp"
 	"runtime"
 	"sync"
 	"time"
@@ -250,9 +251,9 @@ func (sw *statusWriter) Hijack() (net.Conn, *bufio.ReadWriter, error) {
 }
 
 // instrument wraps a handler with the per-request observability envelope:
-// request id (generated, or echoed from Distal-Request-Id), a trace rooted
-// at the endpoint name and published to the trace ring, request/latency
-// metrics, and the optional JSON access-log line.
+// request id (generated, or echoed from a valid Distal-Request-Id), a trace
+// rooted at the endpoint name and published to the trace ring,
+// request/latency metrics, and the optional JSON access-log line.
 func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 	reqs := s.reg.Counter(mRequests, "Requests by endpoint.", []string{"endpoint"}, endpoint)
 	dur := s.reg.Histogram(mDuration, "Request wall time by endpoint.", obs.LatencyBuckets, []string{"endpoint"}, endpoint)
@@ -262,7 +263,7 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 		s.inflight.Add(1)
 		defer s.inflight.Add(-1)
 		id := r.Header.Get(wire.HeaderRequestID)
-		if id == "" {
+		if !requestID.MatchString(id) {
 			id = obs.NewRequestID()
 		}
 		w.Header().Set(wire.HeaderRequestID, id)
@@ -276,6 +277,12 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 		s.accessLog(r, sw, id, elapsed, tr)
 	}
 }
+
+// requestID matches the caller-chosen request ids the server echoes and
+// keeps as trace-ring keys: bounded, so the ring holds no caller-sized
+// headers, and one GET /v1/trace/{id} path segment, so every kept id is
+// reachable. Any other id is replaced by a generated one.
+var requestID = regexp.MustCompile(`^[A-Za-z0-9._-]{1,64}$`)
 
 // accessLog emits one JSON line per request when Config.LogJSON is set.
 func (s *Server) accessLog(r *http.Request, sw *statusWriter, id string, elapsed time.Duration, tr *obs.Trace) {
@@ -660,7 +667,8 @@ type TuneRequest struct {
 	TimeoutMS int `json:"timeout_ms,omitempty"`
 }
 
-// TuneEntry is one leaderboard row on the wire.
+// TuneEntry is one leaderboard row on the wire: a distal.TunedCandidate,
+// field for field, so a candidate converts to it.
 type TuneEntry struct {
 	Schedule     string  `json:"schedule"`
 	MakespanSec  float64 `json:"makespan_sec"`
@@ -689,18 +697,27 @@ type TuneResponse struct {
 	ElapsedMS   float64     `json:"elapsed_ms"`
 }
 
-func tuneEntry(c distal.TunedCandidate) TuneEntry {
-	return TuneEntry{
-		Schedule:     c.Schedule,
-		MakespanSec:  c.MakespanSec,
-		GFlops:       c.GFlops,
-		Copies:       c.Copies,
-		IntraBytes:   c.IntraBytes,
-		InterBytes:   c.InterBytes,
-		PeakMemBytes: c.PeakMemBytes,
-		OOM:          c.OOM,
-		PlanKey:      c.PlanKey,
+// NewTuneResponse is res in the /v1/tune response schema, which
+// distal-tune -json prints too.
+func NewTuneResponse(res *distal.TuneResult) TuneResponse {
+	resp := TuneResponse{
+		Winner:    TuneEntry(res.Winner),
+		SpeedupX:  res.Speedup(),
+		Generated: res.Generated,
+		Illegal:   res.Illegal,
+		Deduped:   res.Deduped,
+		Evaluated: res.Evaluated,
+		Failed:    res.Failed,
+		ElapsedMS: float64(res.Elapsed) / float64(time.Millisecond),
 	}
+	if res.Baseline != nil {
+		e := TuneEntry(*res.Baseline)
+		resp.Baseline = &e
+	}
+	for _, c := range res.Leaderboard {
+		resp.Leaderboard = append(resp.Leaderboard, TuneEntry(c))
+	}
+	return resp
 }
 
 func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
@@ -739,24 +756,7 @@ func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	resp := TuneResponse{
-		Winner:    tuneEntry(res.Winner),
-		SpeedupX:  res.Speedup(),
-		Generated: res.Generated,
-		Illegal:   res.Illegal,
-		Deduped:   res.Deduped,
-		Evaluated: res.Evaluated,
-		Failed:    res.Failed,
-		ElapsedMS: float64(res.Elapsed) / float64(time.Millisecond),
-	}
-	if res.Baseline != nil {
-		e := tuneEntry(*res.Baseline)
-		resp.Baseline = &e
-	}
-	for _, c := range res.Leaderboard {
-		resp.Leaderboard = append(resp.Leaderboard, tuneEntry(c))
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, NewTuneResponse(res))
 }
 
 // StatsResponse is the /v1/stats payload. Every counter is read back from

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 
 	"distal/internal/ir"
@@ -45,69 +46,11 @@ func (c *Client) Run(ctx context.Context, req RunRequest, data map[string]*tenso
 	if req.Batch != nil {
 		return nil, nil, fmt.Errorf("wire: request declares batch %d: use RunBatch", *req.Batch)
 	}
-	order, shapes, err := wireOrder(req)
-	if err != nil {
-		return nil, nil, err
-	}
-	for name := range data {
-		if req.Inputs[name] != FillWire {
-			return nil, nil, fmt.Errorf("wire: data given for %s, whose inputs entry is %q, not %q", name, req.Inputs[name], FillWire)
-		}
-	}
-	frames := make([]*tensor.Dense, len(order))
-	for i, name := range order {
-		t, ok := data[name]
-		if !ok {
-			return nil, nil, fmt.Errorf("wire: input %s is marked %q but no data was given", name, FillWire)
-		}
-		frames[i] = t
-	}
-	envelope, err := json.Marshal(req)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	var body io.Reader
-	contentType := ContentTypeRun
-	if len(frames) == 0 {
-		// All-fills requests take the curl-friendly bare-JSON form.
-		body, contentType = bytes.NewReader(envelope), "application/json"
-	} else {
-		pr, pw := io.Pipe()
-		body = pr
-		go func() {
-			err := WriteJSONSection(pw, envelope)
-			if err == nil {
-				err = EncodeFrames(pw, frames...)
-			}
-			pw.CloseWithError(err)
-		}()
-	}
-	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/v1/run", body)
-	if err != nil {
-		return nil, nil, err
-	}
-	httpReq.Header.Set("Content-Type", contentType)
-	client := c.HTTP
-	if client == nil {
-		client = http.DefaultClient
-	}
-	resp, err := client.Do(httpReq)
+	resp, stats, limit, err := c.post(ctx, req, []map[string]*tensor.Dense{data})
 	if err != nil {
 		return nil, nil, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, nil, decodeError(resp)
-	}
-	stats := StatsFromHeaders(resp.Header)
-	limit := DefaultMaxElements
-	if shape, ok := shapes[stats.Output]; ok {
-		limit = 1
-		for _, s := range shape {
-			limit *= s
-		}
-	}
 	out, err := DecodeLimit(resp.Body, limit)
 	if err != nil {
 		return nil, nil, fmt.Errorf("wire: decoding response: %w", err)
@@ -166,76 +109,16 @@ func (c *Client) RunBatch(ctx context.Context, req RunRequest, batch []map[strin
 		return nil, fmt.Errorf("wire: batched run needs at least one instance")
 	}
 	req.Batch = &n
-	order, shapes, err := wireOrder(req)
-	if err != nil {
-		return nil, err
-	}
-	if len(order) == 0 && len(batch) > 0 {
-		return nil, fmt.Errorf("wire: instance data given but no input is marked %q", FillWire)
-	}
-	var frames []*tensor.Dense
-	if len(order) > 0 {
-		if len(batch) != n {
-			return nil, fmt.Errorf("wire: %d instances declared but data for %d was given", n, len(batch))
-		}
-		frames = make([]*tensor.Dense, 0, n*len(order))
-		for i, data := range batch {
-			for name := range data {
-				if req.Inputs[name] != FillWire {
-					return nil, fmt.Errorf("wire: instance %d: data given for %s, whose inputs entry is %q, not %q", i, name, req.Inputs[name], FillWire)
-				}
-			}
-			for _, name := range order {
-				t, ok := data[name]
-				if !ok {
-					return nil, fmt.Errorf("wire: instance %d: input %s is marked %q but no data was given", i, name, FillWire)
-				}
-				frames = append(frames, t)
-			}
-		}
-	}
-	envelope, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
-	}
-
-	var body io.Reader
-	contentType := ContentTypeRun
-	if len(frames) == 0 {
-		body, contentType = bytes.NewReader(envelope), "application/json"
-	} else {
-		pr, pw := io.Pipe()
-		body = pr
-		go func() {
-			err := WriteJSONSection(pw, envelope)
-			if err == nil {
-				err = EncodeFrames(pw, frames...)
-			}
-			pw.CloseWithError(err)
-		}()
-	}
-	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/v1/run", body)
-	if err != nil {
-		return nil, err
-	}
-	httpReq.Header.Set("Content-Type", contentType)
-	client := c.HTTP
-	if client == nil {
-		client = http.DefaultClient
-	}
-	resp, err := client.Do(httpReq)
+	resp, stats, limit, err := c.post(ctx, req, batch)
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeError(resp)
-	}
 
 	out := &BatchOutcome{
 		Outputs: make([]*tensor.Dense, n),
 		Errs:    make([]error, n),
-		Stats:   StatsFromHeaders(resp.Header),
+		Stats:   stats,
 	}
 	status := strings.Split(resp.Header.Get(HeaderBatchStatus), ",")
 	if len(status) != n {
@@ -245,13 +128,6 @@ func (c *Client) RunBatch(ctx context.Context, req RunRequest, batch []map[strin
 	if raw := resp.Header.Get(HeaderBatchErrors); raw != "" {
 		if err := json.Unmarshal([]byte(raw), &messages); err != nil || len(messages) != n {
 			return nil, fmt.Errorf("wire: malformed %s header", HeaderBatchErrors)
-		}
-	}
-	limit := DefaultMaxElements
-	if shape, ok := shapes[out.Stats.Output]; ok {
-		limit = 1
-		for _, s := range shape {
-			limit *= s
 		}
 	}
 	for i, st := range status {
@@ -267,12 +143,102 @@ func (c *Client) RunBatch(ctx context.Context, req RunRequest, batch []map[strin
 		if err != nil {
 			return nil, fmt.Errorf("wire: decoding instance %d of the response: %w", i, err)
 		}
-		out.Outputs[i] = t.Rename(out.Stats.Output)
+		out.Outputs[i] = t.Rename(stats.Output)
 	}
 	if err := expectEOF(resp.Body); err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// post validates req, frames each instance's wire-marked inputs
+// instance-major, and POSTs the body: the curl-friendly bare JSON when no
+// input rides as a frame, otherwise the JSON section plus frames streamed
+// through an io.Pipe, so large tensors are never buffered a second time.
+// req.Batch, nil for a single run, declares how many instances insts holds.
+// A 200 response comes back with its stats and the element limit of one
+// output frame; the caller closes its body. Any other status is a
+// *RunError.
+func (c *Client) post(ctx context.Context, req RunRequest, insts []map[string]*tensor.Dense) (*http.Response, RunStats, int, error) {
+	fail := func(err error) (*http.Response, RunStats, int, error) { return nil, RunStats{}, 0, err }
+	order, shapes, err := frameOrder(req)
+	if err != nil {
+		return fail(err)
+	}
+	n, at := 1, func(int) string { return "" }
+	if req.Batch != nil {
+		n, at = *req.Batch, func(i int) string { return fmt.Sprintf("instance %d: ", i) }
+		if len(order) == 0 && len(insts) > 0 {
+			return fail(fmt.Errorf("wire: instance data given but no input is marked %q", FillWire))
+		}
+		if len(order) > 0 && len(insts) != n {
+			return fail(fmt.Errorf("wire: %d instances declared but data for %d was given", n, len(insts)))
+		}
+	}
+	var frames []*tensor.Dense
+	for i, data := range insts {
+		for name := range data {
+			if req.Inputs[name] != FillWire {
+				return fail(fmt.Errorf("wire: %sdata given for %s, whose inputs entry is %q, not %q", at(i), name, req.Inputs[name], FillWire))
+			}
+		}
+		for _, name := range order {
+			t, ok := data[name]
+			if !ok {
+				return fail(fmt.Errorf("wire: %sinput %s is marked %q but no data was given", at(i), name, FillWire))
+			}
+			frames = append(frames, t)
+		}
+	}
+	envelope, err := json.Marshal(req)
+	if err != nil {
+		return fail(err)
+	}
+
+	body, contentType := io.Reader(bytes.NewReader(envelope)), "application/json"
+	var pw *io.PipeWriter
+	if len(frames) > 0 {
+		var pr *io.PipeReader
+		pr, pw = io.Pipe()
+		body, contentType = pr, ContentTypeRun
+	}
+	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/v1/run", body)
+	if err != nil {
+		return fail(err)
+	}
+	httpReq.Header.Set("Content-Type", contentType)
+	if pw != nil {
+		// Started only once the request exists: the transport closes the
+		// pipe's reader when it is done with the body, which ends this
+		// writer on every path.
+		go func() {
+			err := WriteJSONSection(pw, envelope)
+			if err == nil {
+				err = EncodeFrames(pw, frames...)
+			}
+			pw.CloseWithError(err)
+		}()
+	}
+	client := c.HTTP
+	if client == nil {
+		client = http.DefaultClient
+	}
+	resp, err := client.Do(httpReq)
+	if err != nil {
+		return fail(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		defer resp.Body.Close()
+		return fail(decodeError(resp))
+	}
+	stats := StatsFromHeaders(resp.Header)
+	limit := DefaultMaxElements
+	if shape, ok := shapes[stats.Output]; ok {
+		if elems, err := tensor.Elems(shape); err == nil {
+			limit = elems
+		}
+	}
+	return resp, stats, limit, nil
 }
 
 // expectEOF reads the response body to its end after the last frame: a
@@ -292,75 +258,49 @@ func expectEOF(body io.Reader) error {
 	}
 }
 
-// wireOrder returns the names of req's wire-marked inputs in frame order —
+// frameOrder returns the names of req's wire-marked inputs in frame order —
 // statement order for single-statement runs, the program's leaf first-use
-// order for multi-statement runs — after validating every directive. The
-// returned shapes cover every tensor a response could stream (multi-
-// statement outputs are inferred, not declared), for bounding the decode.
-func wireOrder(req RunRequest) ([]string, map[string][]int, error) {
+// order for multi-statement runs — after validating every directive. A
+// program is parsed exactly as the server will, so both ends agree on which
+// tensors ride as frames; only its leaf inputs may carry Inputs directives.
+// The returned shapes cover every tensor a response could stream (a
+// program's computed tensors are inferred, not declared), for bounding the
+// decode.
+func frameOrder(req RunRequest) ([]string, map[string][]int, error) {
+	var names []string
+	shapes, what := req.Shapes, fmt.Sprintf("a tensor of %q", req.Stmt)
 	if len(req.Stmts) > 0 {
-		return programOrder(req)
-	}
-	stmt, err := ir.Parse(req.Stmt)
-	if err != nil {
-		return nil, nil, fmt.Errorf("wire: %w", err)
-	}
-	named := map[string]bool{}
-	for _, name := range stmt.TensorNames() {
-		named[name] = true
+		if req.Stmt != "" {
+			return nil, nil, fmt.Errorf("wire: request sets both stmt and stmts; a multi-statement run puts every statement in stmts")
+		}
+		p, err := program.Parse(req.Stmts, req.Shapes)
+		if err != nil {
+			return nil, nil, fmt.Errorf("wire: %w", err)
+		}
+		names, shapes = p.Inputs(), p.Shapes
+		what = "a leaf input of the program (computed tensors are server-allocated)"
+	} else {
+		stmt, err := ir.Parse(req.Stmt)
+		if err != nil {
+			return nil, nil, fmt.Errorf("wire: %w", err)
+		}
+		names = stmt.TensorNames()
 	}
 	for name, fill := range req.Inputs {
-		if !named[name] {
-			return nil, nil, fmt.Errorf("wire: inputs names %s, which is not a tensor of %q", name, req.Stmt)
+		if !slices.Contains(names, name) {
+			return nil, nil, fmt.Errorf("wire: inputs names %s, which is not %s", name, what)
 		}
 		if !ValidFill(fill) {
 			return nil, nil, fmt.Errorf("wire: tensor %s: bad inputs directive %q", name, fill)
 		}
 	}
 	var order []string
-	for _, name := range stmt.TensorNames() {
+	for _, name := range names {
 		if req.Inputs[name] == FillWire {
 			order = append(order, name)
 		}
 	}
-	return order, req.Shapes, nil
-}
-
-// programOrder is wireOrder for a multi-statement run: it parses the
-// program exactly as the server will, so both ends agree on which tensors
-// ride as frames and in what order. Only leaf inputs may carry Inputs
-// directives — intermediates and outputs are always server-allocated.
-func programOrder(req RunRequest) ([]string, map[string][]int, error) {
-	if req.Stmt != "" {
-		return nil, nil, fmt.Errorf("wire: request sets both stmt and stmts; a multi-statement run puts every statement in stmts")
-	}
-	specs := make([]program.Statement, len(req.Stmts))
-	for i, st := range req.Stmts {
-		specs[i] = program.Statement{Stmt: st.Stmt, Formats: st.Formats, Schedule: st.Schedule}
-	}
-	p, err := program.Parse(specs, req.Shapes)
-	if err != nil {
-		return nil, nil, fmt.Errorf("wire: %w", err)
-	}
-	leaf := map[string]bool{}
-	for _, name := range p.Inputs() {
-		leaf[name] = true
-	}
-	for name, fill := range req.Inputs {
-		if !leaf[name] {
-			return nil, nil, fmt.Errorf("wire: inputs names %s, which is not a leaf input of the program (computed tensors are server-allocated)", name)
-		}
-		if !ValidFill(fill) {
-			return nil, nil, fmt.Errorf("wire: tensor %s: bad inputs directive %q", name, fill)
-		}
-	}
-	var order []string
-	for _, name := range p.Inputs() {
-		if req.Inputs[name] == FillWire {
-			order = append(order, name)
-		}
-	}
-	return order, p.Shapes, nil
+	return order, shapes, nil
 }
 
 func decodeError(resp *http.Response) error {

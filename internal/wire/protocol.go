@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 
+	"distal/internal/program"
 	"distal/internal/tensor"
 )
 
@@ -51,8 +52,8 @@ const (
 	HeaderPeakMemB  = "Distal-Peak-Mem-Bytes"
 	HeaderCompileMS = "Distal-Compile-Ms"
 	// HeaderRequestID carries the request id: generated server-side per
-	// request, echoed back when the client supplies one, and the key of the
-	// server's GET /v1/trace/{id} export.
+	// request, echoed back when the client supplies one of 1 to 64 bytes of
+	// [A-Za-z0-9._-], and the key of the server's GET /v1/trace/{id} export.
 	HeaderRequestID = "Distal-Request-Id"
 	// HeaderStages carries a JSON array of StageInfo on multi-statement run
 	// responses: one row per execution stage, repartitions included.
@@ -131,11 +132,7 @@ type RunRequest struct {
 // StmtSpec is one statement of a multi-statement run: the index notation
 // text plus that statement's own format annotations and schedule (empty
 // schedule means the server auto-schedules the stage).
-type StmtSpec struct {
-	Stmt     string            `json:"stmt"`
-	Formats  map[string]string `json:"formats,omitempty"`
-	Schedule string            `json:"schedule,omitempty"`
-}
+type StmtSpec = program.Statement
 
 // ApplyFill materializes a fill directive into t: "zero", "ones", or
 // "rand:<seed>" (the deterministic tensor.FillRandom stream, so client and

@@ -175,21 +175,17 @@ func DecodeLimit(r io.Reader, maxElems int) (*tensor.Dense, error) {
 	}
 	var shapeArr [MaxRank]int
 	shape := shapeArr[:rank]
-	count := int64(1)
 	for d := range shape {
 		v := binary.LittleEndian.Uint64(dims[8*d:])
 		if v > uint64(maxElems) {
 			return nil, formatErrf("dim %d = %d exceeds the element limit of %d", d, v, maxElems)
 		}
 		shape[d] = int(v)
-		count *= int64(shape[d])
-		// Each factor is already <= maxElems <= 1<<27, so the running
-		// product stays far below int64 overflow between checks.
-		if count > int64(maxElems) {
-			return nil, formatErrf("payload of %v elements exceeds the limit of %d", slices.Clone(shape), maxElems)
-		}
 	}
-	total := int(count)
+	total, err := tensor.Elems(shape)
+	if err != nil || total > maxElems {
+		return nil, formatErrf("payload of %v elements exceeds the limit of %d", slices.Clone(shape), maxElems)
+	}
 	data := make([]float64, total)
 	for off := 0; off < total; {
 		n := min(chunkBytes/8, total-off)
