@@ -46,21 +46,51 @@ func TestAlgGolden(t *testing.T) {
 				name = alg + "-gpu"
 			}
 			t.Run(name, func(t *testing.T) {
-				got := captureStdout(t, func() error { return runAlg(alg, 64, 16, gpu, true, true, 4) })
-				path := filepath.Join("testdata", name+".golden")
-				if *update {
-					if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-						t.Fatal(err)
-					}
-				}
-				want, err := os.ReadFile(path)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got != string(want) {
-					t.Errorf("runAlg(%q) differs from %s (rerun with -update only for an intended change):\n%s", alg, path, got)
-				}
+				checkGolden(t, name, captureStdout(t, func() error { return runAlg(alg, 64, 16, gpu, true, true, 4) }))
 			})
 		}
+	}
+}
+
+// TestExprChainGolden pins what the -expr and -chain modes print at the
+// default -n 64 -procs 4: an auto-scheduled statement, an explicit schedule
+// with -trace, an auto-scheduled GEMM on GPUs, and a two-statement chain.
+func TestExprChainGolden(t *testing.T) {
+	const gemm = "A(i,j) = B(i,k) * C(k,j)"
+	for _, tc := range []struct {
+		name string
+		run  func() error
+	}{
+		// distal -expr "A(i,j) = B(i,j,k) * c(k)" -sim
+		{"expr-ttv", func() error { return runExpr("A(i,j) = B(i,j,k) * c(k)", "", 64, 4, false, true, false, 4) }},
+		// distal -expr "A(i,j) = B(i,k) * C(k,j)" -sched "..." -sim -trace
+		{"expr-sched", func() error {
+			return runExpr(gemm, "divide(i,io,ii,4) reorder(io,ii,j,k) distribute(io) communicate(io,A,B,C)", 64, 4, false, true, true, 4)
+		}},
+		// distal -expr "A(i,j) = B(i,k) * C(k,j)" -gpu -procs 8 -sim
+		{"expr-gpu", func() error { return runExpr(gemm, "", 64, 8, true, true, false, 4) }},
+		// distal -chain "D(i,j)=A(i,k)*B(k,j); E(i,j)=D(i,k)*C(k,j)" -sim
+		{"chain", func() error { return runChain("D(i,j)=A(i,k)*B(k,j); E(i,j)=D(i,k)*C(k,j)", 64, 4, false, true, false) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) { checkGolden(t, tc.name, captureStdout(t, tc.run)) })
+	}
+}
+
+// checkGolden compares got with testdata/<name>.golden, rewriting the file
+// first under -update.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", name+".golden")
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("%s differs from %s (rerun with -update only for an intended change):\n%s", name, path, got)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"distal/internal/ir"
+	"distal/internal/machine"
 	"distal/internal/tensor"
 )
 
@@ -677,5 +678,173 @@ func TestFluentCompileErrorPropagates(t *testing.T) {
 	// The session must remain usable afterwards.
 	if _, err := execute(sess, gemmRequest(64)); err != nil {
 		t.Fatalf("session unusable after failed fluent compile: %v", err)
+	}
+}
+
+// TestFluentMatchesRequest: a fluent computation names the same program as
+// the Request that spells it out by hand, so the two share one plan. Each
+// case compiles the fluent computation first and the hand-written request
+// second on one session; the keys must be equal and the second compile
+// must be a cache hit, not a compiler run.
+func TestFluentMatchesRequest(t *testing.T) {
+	square := func(n int, names ...string) map[string][]int {
+		shapes := map[string][]int{}
+		for _, name := range names {
+			shapes[name] = []int{n, n}
+		}
+		return shapes
+	}
+	gpuNodes := &Machine{M: machine.New(machine.NewGrid(2, 2), machine.SysMem, machine.CPU).
+		WithChild(machine.New(machine.NewGrid(2), machine.GPUFBMem, machine.GPU))}
+	for _, tc := range []struct {
+		name    string
+		machine *Machine
+		expr    string
+		tensors []*Tensor
+		sched   func(*Sched)
+		req     Request
+	}{
+		{
+			name:    "quickstart substitute",
+			machine: NewMachine(CPU, 2, 2),
+			expr:    gemmStmt,
+			tensors: []*Tensor{NewTensor("A", Tiled(2), 64, 64), NewTensor("B", Tiled(2), 64, 64), NewTensor("C", Tiled(2), 64, 64)},
+			sched: func(s *Sched) {
+				s.Divide("i", "io", "ii", 2).Divide("j", "jo", "ji", 2).
+					Reorder("io", "jo", "ii", "ji").Distribute("io", "jo").
+					Split("k", "ko", "ki", 16).Reorder("io", "jo", "ko", "ii", "ji", "ki").
+					Communicate("jo", "A").Communicate("ko", "B", "C").
+					Substitute([]string{"ii", "ji", "ki"}, "BLAS.GEMM")
+			},
+			req: Request{Stmt: gemmStmt, Shapes: square(64, "A", "B", "C"),
+				Schedule: "divide(i,io,ii,2) divide(j,jo,ji,2) reorder(io,jo,ii,ji) distribute(io,jo) " +
+					"split(k,ko,ki,16) reorder(io,jo,ko,ii,ji,ki) communicate(jo,A) communicate(ko,B,C) " +
+					"substitute(ii,ji,ki,BLAS.GEMM)"},
+		},
+		{
+			name:    "cannon rotate",
+			machine: NewMachine(CPU, 3, 3),
+			expr:    gemmStmt,
+			tensors: []*Tensor{NewTensor("A", Tiled(2), 48, 48), NewTensor("B", Tiled(2), 48, 48), NewTensor("C", Tiled(2), 48, 48)},
+			sched: func(s *Sched) {
+				s.Divide("i", "io", "ii", 3).Divide("j", "jo", "ji", 3).
+					Reorder("io", "jo", "ii", "ji").Distribute("io", "jo").
+					Divide("k", "ko", "ki", 3).Reorder("ko", "ii", "ji", "ki").
+					Rotate("ko", []string{"io", "jo"}, "kos").
+					Communicate("jo", "A").Communicate("kos", "B", "C")
+			},
+			req: Request{Stmt: gemmStmt, Shapes: square(48, "A", "B", "C"),
+				Formats: map[string]string{"A": "xy->xy", "B": "xy->xy", "C": "xy->xy"},
+				Schedule: "divide(i,io,ii,3) divide(j,jo,ji,3) reorder(io,jo,ii,ji) distribute(io,jo) " +
+					"divide(k,ko,ki,3) reorder(ko,ii,ji,ki) rotate(ko,io,jo,kos) communicate(jo,A) communicate(kos,B,C)"},
+		},
+		{
+			name:    "distribute onto",
+			machine: NewMachine(CPU, 2, 2),
+			expr:    gemmStmt,
+			tensors: []*Tensor{NewTensor("A", Tiled(2), 32, 32), NewTensor("B", Tiled(2), 32, 32), NewTensor("C", Tiled(2), 32, 32)},
+			sched: func(s *Sched) {
+				s.DistributeOnto([]string{"i", "j"}, []string{"in", "jn"}, []string{"il", "jl"}).
+					Communicate("jn", "A", "B", "C")
+			},
+			req: Request{Stmt: gemmStmt, Shapes: square(32, "A", "B", "C"),
+				Schedule: "divide(i,in,il,2) divide(j,jn,jl,2) reorder(in,jn,il,jl) distribute(in,jn) communicate(jn,A,B,C)"},
+		},
+		{
+			name:    "collapse",
+			machine: NewMachine(CPU, 4),
+			expr:    "A(i,j) = B(i,j)",
+			tensors: []*Tensor{NewTensor("A", MustFormat("xy->x"), 16, 16), NewTensor("B", MustFormat("xy->x"), 16, 16)},
+			sched: func(s *Sched) {
+				s.Collapse("i", "j", "f").Divide("f", "fo", "fi", 4).Distribute("fo").Communicate("fo", "A", "B")
+			},
+			req: Request{Stmt: "A(i,j) = B(i,j)", Shapes: square(16, "A", "B"),
+				Formats:  map[string]string{"A": "xy->x", "B": "xy->x"},
+				Schedule: "collapse(i,j,f) divide(f,fo,fi,4) distribute(fo) communicate(fo,A,B)"},
+		},
+		{
+			name:    "replicated",
+			machine: NewMachine(CPU, 2, 2),
+			expr:    gemmStmt,
+			tensors: []*Tensor{NewTensor("A", Tiled(2), 32, 32), NewTensor("B", MustFormat("xy->x*"), 32, 32), NewTensor("C", MustFormat("xy->*y"), 32, 32)},
+			sched: func(s *Sched) {
+				s.DistributeOnto([]string{"i", "j"}, []string{"io", "jo"}, []string{"ii", "ji"}).
+					Communicate("jo", "A", "B", "C")
+			},
+			req: Request{Stmt: gemmStmt, Shapes: square(32, "A", "B", "C"),
+				Formats:  map[string]string{"B": "xy->x*", "C": "xy->*y"},
+				Schedule: "divide(i,io,ii,2) divide(j,jo,ji,2) reorder(io,jo,ii,ji) distribute(io,jo) communicate(jo,A,B,C)"},
+		},
+		{
+			name:    "face fixed",
+			machine: NewMachine(CPU, 2, 2, 2),
+			expr:    gemmStmt,
+			tensors: []*Tensor{NewTensor("A", MustFormat("xy->xy0"), 32, 32), NewTensor("B", MustFormat("xz->x0z"), 32, 32), NewTensor("C", MustFormat("zy->0yz"), 32, 32)},
+			sched: func(s *Sched) {
+				s.DistributeOnto([]string{"i", "j", "k"}, []string{"io", "jo", "ko"}, []string{"ii", "ji", "ki"}).
+					Communicate("ko", "A", "B", "C")
+			},
+			req: Request{Stmt: gemmStmt, Shapes: square(32, "A", "B", "C"),
+				Formats: map[string]string{"A": "xy->xy0", "B": "xz->x0z", "C": "zy->0yz"},
+				Schedule: "divide(i,io,ii,2) divide(j,jo,ji,2) divide(k,ko,ki,2) reorder(io,jo,ko,ii,ji,ki) " +
+					"distribute(io,jo,ko) communicate(ko,A,B,C)"},
+		},
+		{
+			name:    "hierarchical",
+			machine: gpuNodes,
+			expr:    gemmStmt,
+			tensors: []*Tensor{NewTensor("A", MustFormat("xy->xy; zw->z"), 16, 16), NewTensor("B", MustFormat("xy->xy; zw->z"), 16, 16), NewTensor("C", MustFormat("xy->xy; zw->z"), 16, 16)},
+			sched: func(s *Sched) {
+				s.Divide("i", "io", "ii", 2).Divide("j", "jo", "ji", 2).Divide("ii", "iio", "iii", 2).
+					Reorder("io", "jo", "iio", "iii", "ji", "k").Distribute("io", "jo", "iio").
+					Communicate("iio", "A", "B", "C")
+			},
+			req: Request{Stmt: gemmStmt, Shapes: square(16, "A", "B", "C"),
+				Formats: map[string]string{"A": "xy->xy; zw->z", "B": "xy->xy; zw->z", "C": "xy->xy; zw->z"},
+				Schedule: "divide(i,io,ii,2) divide(j,jo,ji,2) divide(ii,iio,iii,2) reorder(io,jo,iio,iii,ji,k) " +
+					"distribute(io,jo,iio) communicate(iio,A,B,C)"},
+		},
+		{
+			name:    "mttkrp",
+			machine: NewMachine(CPU, 2, 2, 2),
+			expr:    "A(i,l) = B(i,j,k) * C(j,l) * D(k,l)",
+			tensors: []*Tensor{NewTensor("A", MustFormat("ab->a00"), 8, 4), NewTensor("B", MustFormat("abc->abc"), 8, 8, 8),
+				NewTensor("C", MustFormat("ab->*a*"), 8, 4), NewTensor("D", MustFormat("ab->**a"), 8, 4)},
+			sched: func(s *Sched) {
+				s.Divide("i", "io", "ii", 2).Divide("j", "jo", "ji", 2).Divide("k", "ko", "ki", 2).
+					Reorder("io", "jo", "ko", "ii", "ji", "ki", "l").Distribute("io", "jo", "ko").
+					Communicate("ko", "A", "B", "C", "D")
+			},
+			req: Request{Stmt: "A(i,l) = B(i,j,k) * C(j,l) * D(k,l)",
+				Shapes:  map[string][]int{"A": {8, 4}, "B": {8, 8, 8}, "C": {8, 4}, "D": {8, 4}},
+				Formats: map[string]string{"A": "ab->a00", "B": "abc->abc", "C": "ab->*a*", "D": "ab->**a"},
+				Schedule: "divide(i,io,ii,2) divide(j,jo,ji,2) divide(k,ko,ki,2) reorder(io,jo,ko,ii,ji,ki,l) " +
+					"distribute(io,jo,ko) communicate(ko,A,B,C,D)"},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx := context.Background()
+			sess := NewSession(tc.machine)
+			comp, err := sess.Define(tc.expr, tc.tensors...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.sched(comp.Schedule())
+			fluent, err := comp.Compile(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan, err := sess.Compile(ctx, tc.req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if plan.Key() != fluent.Key() {
+				t.Fatalf("request plan key %s, fluent %s:\n  request schedule %s\n  fluent schedule  %s",
+					plan.Key(), fluent.Key(), plan.ScheduleText(), fluent.ScheduleText())
+			}
+			if st := sess.CacheStats(); st.Misses != 1 || st.Hits != 1 || !plan.Stats().Cached {
+				t.Fatalf("stats = %+v, cached = %t; want the request to hit the fluent plan", st, plan.Stats().Cached)
+			}
+		})
 	}
 }
