@@ -13,9 +13,11 @@
 //	    -sched "divide(i,io,ii,4) reorder(io,ii,j,k) distribute(io) communicate(io,A,B,C)" \
 //	    -sim                                     # explicit schedule text
 //
-// Both paths go through the session API. An -alg algorithm is the paper's
-// request text (internal/algorithms) compiled on the algorithm's machine;
-// -expr declares the statement's tensors and applies the schedule text.
+// Every mode compiles a request through the session API. An -alg algorithm
+// is the paper's request text (internal/algorithms) compiled on the
+// algorithm's machine; -expr writes a request of the statement, its shapes
+// and first-mode formats, and the schedule text (empty auto-schedules);
+// -chain writes a multi-statement request.
 package main
 
 import (
@@ -94,32 +96,14 @@ func runExpr(expr, schedText string, n, procs int, gpu, simulate, trace bool, ma
 	if err != nil {
 		return err
 	}
-	sess := distal.NewSession(newMachine(procs, gpu), distal.WithParams(params(gpu)))
-	var tensors []*distal.Tensor
+	formats := map[string]string{}
 	for name, shape := range shapes {
-		src, err := firstMode("-expr", name, len(shape))
-		if err != nil {
+		if formats[name], err = firstMode("-expr", name, len(shape)); err != nil {
 			return err
 		}
-		f, err := distal.ParseFormat(src)
-		if err != nil {
-			return err
-		}
-		tensors = append(tensors, distal.NewTensor(name, f, shape...))
 	}
-	comp, err := sess.Define(expr, tensors...)
-	if err != nil {
-		return err
-	}
-	if schedText == "" {
-		err = comp.AutoSchedule()
-	} else {
-		err = comp.ApplySchedule(schedText)
-	}
-	if err != nil {
-		return err
-	}
-	plan, err := comp.Compile(context.Background())
+	sess := distal.NewSession(newMachine(procs, gpu), distal.WithParams(params(gpu)))
+	plan, err := sess.Compile(context.Background(), distal.Request{Stmt: expr, Shapes: shapes, Formats: formats, Schedule: schedText})
 	if err != nil {
 		return err
 	}

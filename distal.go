@@ -42,7 +42,8 @@
 // BatchBinding, and a Binding is a BatchBinding of one instance.
 //
 // For programmatic construction, the fluent layer mirrors Figure 2 of the
-// paper and compiles to the same cached Plan:
+// paper. A computation compiles as the Request it spells, so it shares the
+// cached Plan of the equivalent Request:
 //
 //	f := distal.Tiled(2)                              // rank-2 tiling, xy -> xy
 //	A := distal.NewTensor("A", f, n, n).Zero()
@@ -65,6 +66,7 @@ package distal
 
 import (
 	"context"
+	"fmt"
 
 	"distal/internal/distnot"
 	"distal/internal/ir"
@@ -266,15 +268,52 @@ func (s *Sched) Substitute(vars []string, kernel string) *Sched {
 // Err returns the first scheduling error, if any.
 func (s *Sched) Err() error { return s.c.sched.Err() }
 
-// Compile lowers the computation to a Plan through the session's plan
-// cache and singleflight table, exactly as Session.Compile does for a
-// Request: a computation whose statement, tensor shapes and formats,
-// schedule, and machine match an earlier compile — fluent or Request —
-// shares its plan without re-running the compiler. Run the plan on the
-// computation's tensors with Bind(...).Run. A sticky scheduling error
-// surfaces here as KindSchedule; cancellation of ctx as KindCanceled.
+// Compile lowers the computation to a Plan by compiling the Request it
+// spells — its statement, tensor shapes and formats, and schedule as text —
+// through Session.Compile: a computation that names the same program as an
+// earlier compile, fluent or Request, shares its plan without re-running
+// the compiler. Run the plan on the computation's tensors with
+// Bind(...).Run. A sticky scheduling error, or a computation with no
+// scheduling commands, surfaces here as KindSchedule; a tensor with a zero
+// Format as KindParse; cancellation of ctx as KindCanceled.
 func (c *Computation) Compile(ctx context.Context) (*Plan, error) {
-	return c.sess.compile(ctx, Request{}, c)
+	req, err := c.request()
+	if err != nil {
+		return nil, err
+	}
+	return c.sess.Compile(ctx, req)
+}
+
+// request renders the computation as the Request it compiles as. A request
+// cannot spell a zero Format (no placement) nor an empty schedule (which it
+// reads as AutoSchedule), so both are rejected here rather than compiled as
+// something else.
+func (c *Computation) request() (Request, error) {
+	if err := c.sched.Err(); err != nil {
+		return Request{}, wrapErr(KindSchedule, "compile", err)
+	}
+	sched := c.sched.String()
+	if sched == "" {
+		return Request{}, wrapErr(KindSchedule, "compile",
+			fmt.Errorf("distal: computation has no schedule (call AutoSchedule or ApplySchedule)"))
+	}
+	names := c.Stmt.TensorNames()
+	req := Request{
+		Stmt:     c.Stmt.String(),
+		Shapes:   make(map[string][]int, len(names)),
+		Formats:  make(map[string]string, len(names)),
+		Schedule: sched,
+	}
+	for _, name := range names {
+		t := c.tensors[name]
+		if t.Format.Placement == nil {
+			return Request{}, wrapErr(KindParse, "compile",
+				fmt.Errorf("distal: tensor %s has a zero Format (use ParseFormat or Tiled)", name))
+		}
+		req.Shapes[name] = t.Shape
+		req.Formats[name] = t.Format.Placement.String()
+	}
+	return req, nil
 }
 
 // Result re-exports the runtime's execution summary.

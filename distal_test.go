@@ -2,6 +2,8 @@ package distal
 
 import (
 	"context"
+	"fmt"
+	"strings"
 	"testing"
 
 	"distal/internal/ir"
@@ -71,6 +73,53 @@ func TestScheduleErrorSurfacesAtCompile(t *testing.T) {
 	comp.Schedule().Divide("nope", "a", "b", 2)
 	if _, err := comp.Compile(context.Background()); KindOf(err) != KindSchedule {
 		t.Fatalf("schedule error should surface at Compile as KindSchedule, got %v", err)
+	}
+}
+
+// TestComputationMustSpellARequest: a fluent computation compiles as the
+// Request it spells, so what a request cannot spell is rejected with a typed
+// error instead of compiling as something else: a zero Format (no
+// placement, which a request would read as the default tiling), an empty
+// schedule (which a request would read as AutoSchedule), and a zero extent.
+func TestComputationMustSpellARequest(t *testing.T) {
+	sess := NewSession(NewMachine(CPU, 2, 2))
+	for _, tc := range []struct {
+		name    string
+		format  Format
+		extent  int
+		noSched bool
+		want    ErrKind
+		mention string
+	}{
+		{name: "zero format", format: Format{}, extent: 32, want: KindParse, mention: "ParseFormat"},
+		{name: "no schedule", format: Tiled(2), extent: 32, noSched: true, want: KindSchedule, mention: "AutoSchedule"},
+		{name: "zero extent", format: Tiled(2), extent: 0, want: KindParse, mention: "non-positive extent"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			comp := sess.MustDefine("A(i,j) = B(i,j)",
+				NewTensor("A", tc.format, tc.extent, 32), NewTensor("B", Tiled(2), tc.extent, 32))
+			if !tc.noSched {
+				if err := comp.AutoSchedule(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			_, err := comp.Compile(context.Background())
+			if KindOf(err) != tc.want || !strings.Contains(fmt.Sprint(err), tc.mention) {
+				t.Fatalf("err = %v (kind %v), want %v naming %s", err, KindOf(err), tc.want, tc.mention)
+			}
+		})
+	}
+	// The layout notation spells what the zero Format used to mean: the
+	// whole tensor on leaf 0.
+	comp := sess.MustDefine("A(i,j) = B(i,j)", NewTensor("A", MustFormat("xy->00"), 32, 32), NewTensor("B", Tiled(2), 32, 32))
+	if err := comp.AutoSchedule(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := comp.Compile(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := sess.Redistribute(NewTensor("B", Format{}, 32, 32), Tiled(2)); err == nil {
+		t.Fatal("Redistribute of a tensor with a zero Format should be rejected")
 	}
 }
 

@@ -6,7 +6,6 @@ package ir
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -212,16 +211,4 @@ func (s *Assignment) VarExtents(shapes map[string][]int) (map[string]int, error)
 // (the distributed pipeline uses the latter so they are partitionable).
 func scalarCompatible(a *Access, shape []int) bool {
 	return len(a.Indices) == 0 && len(shape) == 1 && shape[0] == 1
-}
-
-// SortedVarNames returns the statement's variable names sorted, useful for
-// deterministic diagnostics.
-func (s *Assignment) SortedVarNames() []string {
-	vs := s.Vars()
-	names := make([]string, len(vs))
-	for i, v := range vs {
-		names[i] = v.Name
-	}
-	sort.Strings(names)
-	return names
 }

@@ -96,16 +96,6 @@ func (c *Ctx) WriteSet(name string, v float64, p ...int) {
 	t.Set(v, local(p, a.rect)...)
 }
 
-// ReadLocalAt reads back a value previously written by this task's
-// write/reduce requirement (needed by += kernels that read their output).
-func (c *Ctx) ReadLocalAt(name string, p ...int) float64 {
-	a, t := c.acc(name)
-	if a.inPlace {
-		return t.At(p...)
-	}
-	return t.At(local(p, a.rect)...)
-}
-
 // Holds reports whether the task holds a requirement, read or write, on the
 // named region. A requirement whose rect is empty is never bound: the task
 // has no in-space point that touches the region, so a kernel that resolves

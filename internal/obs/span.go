@@ -30,9 +30,6 @@ var disabled atomic.Bool
 // that never call NewTrace pay only the context lookup either way.
 func SetDisabled(v bool) { disabled.Store(v) }
 
-// Disabled reports the global kill switch.
-func Disabled() bool { return disabled.Load() }
-
 // Attr is one key/value annotation on a span. Values are strings: the
 // trace_event args object renders them verbatim, and a fixed shape keeps
 // span records allocation-predictable.

@@ -82,7 +82,7 @@ func Unscheduled(req Request, m *machine.Machine) (core.Input, error) {
 			return core.Input{}, fmt.Errorf("request Formats names %s, which is not a tensor of %q", key, req.Stmt)
 		}
 	}
-	placements := make(map[string]*distnot.Placement, len(names))
+	decls := make(map[string]*core.TensorDecl, len(names))
 	for _, name := range names {
 		shape, ok := req.Shapes[name]
 		if !ok {
@@ -93,28 +93,16 @@ func Unscheduled(req Request, m *machine.Machine) (core.Input, error) {
 				return core.Input{}, fmt.Errorf("request shape %v of tensor %s has a non-positive extent", shape, name)
 			}
 		}
-		if placements[name], err = Placement(req.Formats, name, len(shape)); err != nil {
+		p, err := Placement(req.Formats, name, len(shape))
+		if err != nil {
 			return core.Input{}, err
 		}
+		decls[name] = &core.TensorDecl{Name: name, Shape: append([]int(nil), shape...), Placement: p}
 	}
 	if err := stmt.Validate(req.Shapes); err != nil {
 		return core.Input{}, err
 	}
-	return Declare(stmt, m, schedule.New(stmt), func(name string) ([]int, *distnot.Placement) {
-		return append([]int(nil), req.Shapes[name]...), placements[name]
-	}), nil
-}
-
-// Declare assembles the compile input of stmt on machine m under sched;
-// decl gives each tensor's shape and placement.
-func Declare(stmt *ir.Assignment, m *machine.Machine, sched *schedule.Schedule, decl func(name string) ([]int, *distnot.Placement)) core.Input {
-	names := stmt.TensorNames()
-	decls := make(map[string]*core.TensorDecl, len(names))
-	for _, name := range names {
-		shape, p := decl(name)
-		decls[name] = &core.TensorDecl{Name: name, Shape: shape, Placement: p}
-	}
-	return core.Input{Stmt: stmt, Machine: m, Tensors: decls, Schedule: sched}
+	return core.Input{Stmt: stmt, Machine: m, Tensors: decls, Schedule: schedule.New(stmt)}, nil
 }
 
 // Placement resolves the format tensor name is placed under: its Formats

@@ -263,16 +263,10 @@ func (s *Session) repartitionStage(ctx context.Context, name string, shape []int
 		rname = fmt.Sprintf("%s__r%d", name, i)
 	}
 	taken[rname] = true
-	stmt, sched := redistributeText(rname, name, len(shape), s.machine.Processors())
 	ctx, rsp := obs.Start(ctx, "compile-repartition")
 	rsp.SetAttr("tensor", name)
 	defer rsp.End()
-	plan, err := s.Compile(ctx, Request{
-		Stmt:     stmt,
-		Shapes:   map[string][]int{name: shape, rname: shape},
-		Formats:  map[string]string{name: srcFmt, rname: dstFmt},
-		Schedule: sched,
-	})
+	plan, err := s.Compile(ctx, redistributeRequest(rname, name, shape, srcFmt, dstFmt, s.machine.Processors()))
 	if err != nil {
 		return nil, &Error{Kind: KindOf(err), Op: "compile-program",
 			Err: fmt.Errorf("repartitioning %s from %q to %q: %w", name, srcFmt, dstFmt, err)}

@@ -21,22 +21,15 @@ func (s *Session) Redistribute(t *Tensor, dst Format) (*Plan, *Tensor, error) {
 	if len(t.Shape) == 0 || len(t.Shape) > 6 {
 		return nil, nil, fmt.Errorf("distal: redistribute supports ranks 1..6, got %d", len(t.Shape))
 	}
-	if dst.Placement == nil {
-		return nil, nil, fmt.Errorf("distal: redistribute destination format is empty (use ParseFormat)")
+	if t.Format.Placement == nil || dst.Placement == nil {
+		return nil, nil, fmt.Errorf("distal: redistribute source or destination format is empty (use ParseFormat)")
 	}
 	out := NewTensor(t.Name+"_r", dst, t.Shape...)
 	if t.Data != nil {
 		out.Zero()
 	}
-	stmt, sched := redistributeText(out.Name, t.Name, len(t.Shape), s.machine.Processors())
-	comp, err := s.Define(stmt, out, t)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := comp.ApplySchedule(sched); err != nil {
-		return nil, nil, err
-	}
-	plan, err := comp.Compile(context.Background())
+	req := redistributeRequest(out.Name, t.Name, t.Shape, t.Format.Placement.String(), dst.Placement.String(), s.machine.Processors())
+	plan, err := s.Compile(context.Background(), req)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -58,19 +51,22 @@ func (s *Session) RedistributeCost(t *Tensor, dst Format) (bytes int64, seconds 
 	return res.IntraBytes + res.InterBytes, res.Time, nil
 }
 
-// redistributeText is the layout change of a rank-r tensor src into dst as
-// statement and schedule text: the identity statement dst = src,
-// owner-computes over the destination — the leading dimension divided
-// across all procs leaf processors and every tensor's communication
-// aggregated at the task level. This is correct for any (src, dst)
-// placement pair: reads gather from the source owners, writes flush to the
-// destination owners. Being text, the layout change is itself a storable
-// workload that the plan cache holds like any other.
-func redistributeText(dst, src string, rank, procs int) (stmt, sched string) {
-	vars := []string{"i", "j", "k", "l", "u", "v"}[:rank]
+// redistributeRequest is the layout change of tensor src, of the given
+// shape, from format srcFmt into tensor dst under dstFmt: the identity
+// statement dst = src, owner-computes over the destination — the leading
+// dimension divided across all procs leaf processors and every tensor's
+// communication aggregated at the task level. This is correct for any
+// (src, dst) placement pair: reads gather from the source owners, writes
+// flush to the destination owners. Being a request, the layout change is
+// itself a storable workload that the plan cache holds like any other.
+func redistributeRequest(dst, src string, shape []int, srcFmt, dstFmt string, procs int) Request {
+	vars := []string{"i", "j", "k", "l", "u", "v"}[:len(shape)]
 	idx := strings.Join(vars, ",")
-	stmt = fmt.Sprintf("%s(%s) = %s(%s)", dst, idx, src, idx)
-	sched = fmt.Sprintf("divide(%s,d0,d0i,%d) reorder(%s) distribute(d0) communicate(d0,%s,%s)",
-		vars[0], procs, strings.Join(append([]string{"d0", "d0i"}, vars[1:]...), ","), dst, src)
-	return stmt, sched
+	return Request{
+		Stmt:    fmt.Sprintf("%s(%s) = %s(%s)", dst, idx, src, idx),
+		Shapes:  map[string][]int{src: shape, dst: shape},
+		Formats: map[string]string{src: srcFmt, dst: dstFmt},
+		Schedule: fmt.Sprintf("divide(%s,d0,d0i,%d) reorder(%s) distribute(d0) communicate(d0,%s,%s)",
+			vars[0], procs, strings.Join(append([]string{"d0", "d0i"}, vars[1:]...), ","), dst, src),
+	}
 }

@@ -13,7 +13,6 @@ import (
 
 	"distal/internal/cin"
 	"distal/internal/core"
-	"distal/internal/distnot"
 	"distal/internal/ir"
 	"distal/internal/obs"
 	"distal/internal/program"
@@ -53,10 +52,9 @@ type Session struct {
 	memo         map[string]*list.Element
 	byPlan       map[string][]string // plan key -> canonical requests resolving through it
 
-	// flights collapses concurrent identical compiles, Request and fluent
-	// alike (see compileFlight for the key spaces): the first caller
-	// compiles, later callers arriving before it finishes wait and share
-	// the result (exactly one cache miss).
+	// flights collapses concurrent identical compiles, keyed by canonical
+	// request: the first caller compiles, later callers arriving before it
+	// finishes wait and share the result (exactly one cache miss).
 	flights map[string]*flight
 }
 
@@ -195,13 +193,9 @@ func (s *Session) store(key string, data *planData) {
 
 // memoize records a canonical request's entry under the memo's own LRU
 // bound, unless a plan it resolves through has already left the plan cache
-// (an entry exists only while all of them are cached). An empty ck (a fluent
-// compile, which has no request rendering) records nothing, and a request
-// memoized already keeps its entry. Caller must not hold s.mu.
+// (an entry exists only while all of them are cached). A request memoized
+// already keeps its entry. Caller must not hold s.mu.
 func (s *Session) memoize(me *memoEntry) {
-	if me.ck == "" {
-		return
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.capacity <= 0 || s.memoCapacity <= 0 {
@@ -265,24 +259,14 @@ func (s *Session) hitMemo(ck string) *memoEntry {
 	return me
 }
 
-// resolve is the compile fast path: it resolves a flight key to a cached
-// plan in one critical section — a fluent key straight through the plan
-// cache, a canonical request through the memo and then the plan cache. It
-// returns the plan data and key on a hit (counting a hit) and nil on any
-// miss (counting nothing — the leader counts the miss exactly once).
-func (s *Session) resolve(fk string) (*planData, string) {
+// resolve is the compile fast path: it resolves a canonical request through
+// the memo and then the plan cache in one critical section. It returns the
+// plan data and key on a hit (counting a hit) and nil on any miss (counting
+// nothing — the leader counts the miss exactly once).
+func (s *Session) resolve(ck string) (*planData, string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if key, ok := strings.CutPrefix(fk, fluentFlight); ok {
-		el, ok := s.plans[key]
-		if !ok {
-			return nil, ""
-		}
-		s.hits++
-		s.lru.MoveToFront(el)
-		return el.Value.(*planEntry).data, key
-	}
-	me := s.hitMemo(fk)
+	me := s.hitMemo(ck)
 	if me == nil {
 		return nil, ""
 	}
@@ -357,25 +341,11 @@ type Request = request.Request
 // (empty auto-schedules the stage).
 type Statement = program.Statement
 
-// buildInput turns a request into the compile input on the session's
-// machine, classifying failures: request validation and statement/format
-// parsing are KindParse, schedule parsing/application is KindSchedule.
-func (s *Session) buildInput(req Request) (core.Input, error) {
-	in, err := request.Unscheduled(req, s.machine.M)
-	if err != nil {
-		return core.Input{}, wrapErr(KindParse, "compile", err)
-	}
-	if err := request.Schedule(in, req.Schedule); err != nil {
-		return core.Input{}, wrapErr(KindSchedule, "compile", err)
-	}
-	return in, nil
-}
-
 // canonicalRequest renders a request deterministically and injectively:
 // every field is length-framed and every list and map is preceded by its
 // entry count, so no request can embed another's frame boundaries inside a
 // field value and collide (maps are rendered sorted and in full — an entry
-// buildInput would reject must not canonicalize to the same string as
+// compileSlow would reject must not canonicalize to the same string as
 // a request without it). Statements render last, each with its own formats
 // and schedule, so a program never collides with a single statement nor
 // with its statements split, merged, or annotated differently. Given a fixed
@@ -430,15 +400,9 @@ func canonicalRequest(req Request) string {
 // the compiling leader is canceled retry instead of inheriting the
 // leader's cancellation.
 func (s *Session) Compile(ctx context.Context, req Request) (*Plan, error) {
-	return s.compile(ctx, req, nil)
-}
-
-// compile is the one compile entry point behind Session.Compile (c == nil)
-// and Computation.Compile (req unused), recorded as a "compile" span.
-func (s *Session) compile(ctx context.Context, req Request, c *Computation) (*Plan, error) {
 	ctx, sp := obs.Start(ctx, "compile")
 	defer sp.End()
-	plan, err := s.compileFlight(ctx, sp, req, c)
+	plan, err := s.compileFlight(ctx, sp, req)
 	if plan != nil {
 		sp.SetAttr("plan_key", plan.key)
 		if plan.stats.Cached {
@@ -450,46 +414,25 @@ func (s *Session) compile(ctx context.Context, req Request, c *Computation) (*Pl
 	return plan, err
 }
 
-// fluentFlight prefixes the flight key of a fluent compile: the plan key
-// itself, since a fluent computation has no request rendering. Canonical
-// requests are length-framed and so start with a decimal digit; the two
-// key spaces cannot collide.
-const fluentFlight = "plan\x00"
-
-// compileFlight is compile's body: the cache fast path, then the
+// compileFlight is Compile's body: the memo fast path, then the
 // singleflight table, then leading a compile of our own. A request flies
-// under its canonical rendering; a fluent computation under fluentFlight
-// plus its plan key.
-func (s *Session) compileFlight(ctx context.Context, sp *obs.Span, req Request, c *Computation) (*Plan, error) {
+// under its canonical rendering.
+func (s *Session) compileFlight(ctx context.Context, sp *obs.Span, req Request) (*Plan, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, wrapErr(KindCanceled, "compile", err)
 	}
-	var fk string
-	var in core.Input // a fluent compile's input; a request builds its own on a miss
-	if c == nil {
-		if len(req.Stmts) > 0 {
-			return nil, wrapErr(KindParse, "compile",
-				fmt.Errorf("request carries %d statements; multi-statement programs compile through Session.CompileProgram", len(req.Stmts)))
-		}
-		fk = canonicalRequest(req)
-	} else {
-		if err := c.sched.Err(); err != nil {
-			return nil, wrapErr(KindSchedule, "compile", err)
-		}
-		in = c.compileInput()
-		fk = fluentFlight + core.PlanKey(in)
+	if len(req.Stmts) > 0 {
+		return nil, wrapErr(KindParse, "compile",
+			fmt.Errorf("request carries %d statements; multi-statement programs compile through Session.CompileProgram", len(req.Stmts)))
 	}
+	ck := canonicalRequest(req)
 	for {
-		if pd, key := s.resolve(fk); pd != nil {
-			if c == nil {
-				sp.SetAttr("source", "memo")
-			} else {
-				sp.SetAttr("source", "cache")
-			}
+		if pd, key := s.resolve(ck); pd != nil {
+			sp.SetAttr("source", "memo")
 			return &Plan{planData: pd, key: key, stats: cachedStats(pd, false)}, nil
 		}
 		s.mu.Lock()
-		if fl, ok := s.flights[fk]; ok {
+		if fl, ok := s.flights[ck]; ok {
 			s.mu.Unlock()
 			wait := sp.StartChild("singleflight-wait")
 			select {
@@ -512,29 +455,29 @@ func (s *Session) compileFlight(ctx context.Context, sp *obs.Span, req Request, 
 			return &Plan{planData: fl.data, key: fl.key, stats: cachedStats(fl.data, true)}, nil
 		}
 		fl := &flight{done: make(chan struct{})}
-		s.flights[fk] = fl
+		s.flights[ck] = fl
 		s.mu.Unlock()
 
 		sp.SetAttr("flight", "lead")
-		return s.lead(ctx, fk, req, in, fl)
+		return s.lead(ctx, ck, req, fl)
 	}
 }
 
 // lead runs the compile as a flight's leader, guaranteeing — even on a
 // compiler panic — that the flight is removed and its done channel closed,
 // so waiters can never block on a dead flight.
-func (s *Session) lead(ctx context.Context, fk string, req Request, in core.Input, fl *flight) (plan *Plan, err error) {
+func (s *Session) lead(ctx context.Context, ck string, req Request, fl *flight) (plan *Plan, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			fl.err = fmt.Errorf("distal: compile panicked: %v", r)
 			plan, err = nil, fl.err
 		}
 		s.mu.Lock()
-		delete(s.flights, fk)
+		delete(s.flights, ck)
 		s.mu.Unlock()
 		close(fl.done)
 	}()
-	plan, err = s.compileSlow(ctx, fk, req, in)
+	plan, err = s.compileSlow(ctx, ck, req)
 	if plan != nil {
 		fl.key, fl.data = plan.key, plan.planData
 	}
@@ -546,24 +489,23 @@ func cachedStats(pd *planData, shared bool) CompileStats {
 	return CompileStats{Cached: true, Shared: shared, Launches: pd.launches, Points: pd.points}
 }
 
-// compileSlow is the leader's body, shared by both compile paths: build the
-// input (requests only, when in is zero), check the plan cache under the
-// content key, and run the compiler on a miss. A request's rendering is
-// memoized to the key either way; a fluent compile has none to record.
-func (s *Session) compileSlow(ctx context.Context, fk string, req Request, in core.Input) (*Plan, error) {
-	ck := ""
-	if in.Stmt == nil {
-		var err error
-		if in, err = s.buildInput(req); err != nil {
-			return nil, err
-		}
-		ck = fk
+// compileSlow is the leader's body: build the input, check the plan cache
+// under the content key, and run the compiler on a miss. The request's
+// rendering ck is memoized to the key either way. Request validation and
+// statement/format parsing fail as KindParse, schedule parsing and
+// application as KindSchedule.
+func (s *Session) compileSlow(ctx context.Context, ck string, req Request) (*Plan, error) {
+	in, err := request.Unscheduled(req, s.machine.M)
+	if err != nil {
+		return nil, wrapErr(KindParse, "compile", err)
+	}
+	if err := request.Schedule(in, req.Schedule); err != nil {
+		return nil, wrapErr(KindSchedule, "compile", err)
 	}
 	key := core.PlanKey(in)
 	if pd := s.lookup(key); pd != nil {
 		// Same program already compiled under a different request rendering
-		// (e.g. explicit vs. defaulted formats) or fluently: memoize this
-		// rendering too.
+		// (e.g. explicit vs. defaulted formats): memoize this rendering too.
 		s.memoize(&memoEntry{ck: ck, keys: []string{key}})
 		return &Plan{planData: pd, key: key, stats: cachedStats(pd, false)}, nil
 	}
@@ -579,14 +521,6 @@ func (s *Session) compileSlow(ctx context.Context, fk string, req Request, in co
 	s.memoize(&memoEntry{ck: ck, keys: []string{key}})
 	stats := CompileStats{CompileTime: time.Since(start), Launches: pd.launches, Points: pd.points}
 	return &Plan{planData: pd, key: key, stats: stats}, nil
-}
-
-// compileInput assembles the compiler input for this computation.
-func (c *Computation) compileInput() core.Input {
-	return request.Declare(c.Stmt, c.Machine.M, c.sched, func(name string) ([]int, *distnot.Placement) {
-		t := c.tensors[name]
-		return t.Shape, t.Format.Placement
-	})
 }
 
 // Notation returns the concrete index notation of the scheduled statement
@@ -612,7 +546,13 @@ func (c *Computation) ScheduleText() string { return c.sched.String() }
 // must be called before any manual scheduling command and returns an error
 // if the output has fewer index variables than the machine has grid
 // dimensions.
-func (c *Computation) AutoSchedule() error { return request.Schedule(c.compileInput(), "") }
+func (c *Computation) AutoSchedule() error {
+	cs, err := request.AutoScheduleCommands(c.Stmt, c.Machine.M.LeafGrid().Dims)
+	if err != nil {
+		return err
+	}
+	return c.sched.Apply(cs).Err()
+}
 
 // ApplySchedule parses scheduling-command text and applies it to the
 // computation's schedule, after any commands already applied.
