@@ -295,7 +295,7 @@ func (c *Computation) request() (Request, error) {
 	sched := c.sched.String()
 	if sched == "" {
 		return Request{}, wrapErr(KindSchedule, "compile",
-			fmt.Errorf("distal: computation has no schedule (call AutoSchedule or ApplySchedule)"))
+			fmt.Errorf("computation has no schedule (call AutoSchedule or ApplySchedule)"))
 	}
 	names := c.Stmt.TensorNames()
 	req := Request{
@@ -308,7 +308,7 @@ func (c *Computation) request() (Request, error) {
 		t := c.tensors[name]
 		if t.Format.Placement == nil {
 			return Request{}, wrapErr(KindParse, "compile",
-				fmt.Errorf("distal: tensor %s has a zero Format (use ParseFormat or Tiled)", name))
+				fmt.Errorf("tensor %s has a zero Format (use ParseFormat or Tiled)", name))
 		}
 		req.Shapes[name] = t.Shape
 		req.Formats[name] = t.Format.Placement.String()
