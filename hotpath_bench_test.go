@@ -8,6 +8,7 @@ package distal
 // Run with: go test -run=NONE -bench='Compile|ColdExecute|SimulateLarge' -benchmem
 
 import (
+	"context"
 	"testing"
 
 	"distal/internal/algorithms"
@@ -139,5 +140,22 @@ func BenchmarkSimulateLarge(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkTune is one tune of the repository benchmark's tune-gemm
+// workload, in process: GEMM n = 8192 on an 8x8 CPU grid, budget 64, seed 1,
+// on a fresh session, so every candidate is a schedule parse, a cold compile,
+// a cache store and a simulate. Its bytes/op is the compile→simulate cycle's
+// heap churn.
+func BenchmarkTune(b *testing.B) {
+	const n = 8192
+	req := Request{Stmt: gemmStmt, Shapes: map[string][]int{"A": {n, n}, "B": {n, n}, "C": {n, n}}}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s := NewSession(NewMachine(CPU, 8, 8))
+		if _, err := s.Tune(context.Background(), req, TuneOptions{Budget: 64, Seed: 1}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

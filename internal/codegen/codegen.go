@@ -32,12 +32,11 @@ func Program(p *legion.Program, maxPoints int) string {
 			shown = maxPoints
 		}
 		for i := 0; i < shown; i++ {
-			pt := l.Domain.Delinearize(i)
-			var reqs []string
-			for _, q := range l.Reqs(pt) {
-				reqs = append(reqs, q.String())
+			reqs := make([]string, len(l.Regions))
+			for t := range reqs {
+				reqs[t] = l.Req(i, t).String()
 			}
-			fmt.Fprintf(&b, "  task%v: %s\n", pt, strings.Join(reqs, " "))
+			fmt.Fprintf(&b, "  task%v: %s\n", l.Domain.Delinearize(i), strings.Join(reqs, " "))
 		}
 		if shown < n {
 			fmt.Fprintf(&b, "  ... %d more points\n", n-shown)

@@ -20,8 +20,9 @@
 //     (kernelprog.go) with a tree-walking fallback (Input.TreeKernel).
 //
 // Compiled programs are immutable: every launch's per-point region
-// requirements are materialized eagerly at compile time into a shared slab,
-// so a plan can be cached (keyed by PlanKey, a content hash over statement,
+// requirements are materialized eagerly at compile time, as one rect id per
+// point and tensor in a launch-wide slab (legion.Launch.IDs), so a plan can
+// be cached (keyed by PlanKey, a content hash over statement,
 // shapes, formats, schedule text, and machine) and simulated concurrently
 // by many goroutines, and repeated executions skip the bounds analysis
 // entirely. One routine (materializer.build) analyzes every point and writes
@@ -31,8 +32,9 @@
 // scratch (including the rect intern table and the requirements of tensors
 // anchored at the task level) persists across its units. Each region's
 // distinct rects are numbered once, in first-appearance order, into the
-// region's rect table (legion.Region.Rects), and every requirement carries
-// its rect's id, so the runtime indexes its per-rect state by id.
+// region's rect table (legion.Region.Rects), and a launch stores only each
+// requirement's id in that table, so the runtime indexes its per-rect state
+// by id.
 package core
 
 import (
@@ -171,6 +173,8 @@ type compiler struct {
 	distIDs       []int
 	seqIDs        []int // ids of seqVars, in order
 	tensors       []tensorPlan
+	regionList    []*legion.Region   // the tensors' regions, every launch's Regions
+	privs         []legion.Privilege // the tensors' privileges, every launch's Privs
 	cuts          []cutGroup
 	flopsPerPoint float64
 	writePriv     legion.Privilege
@@ -445,6 +449,8 @@ func (c *compiler) buildPlan(splitDepth int) {
 			tp.accesses = append(tp.accesses, dims)
 		}
 		c.tensors = append(c.tensors, tp)
+		c.regionList = append(c.regionList, tp.region)
+		c.privs = append(c.privs, tp.priv)
 	}
 	c.distOnly = make([]bool, len(c.tensors))
 	for ti := range c.tensors {
@@ -524,14 +530,13 @@ func (c *compiler) materializeLaunches(domain machine.Grid, seqs []map[string]in
 	n := domain.Size()
 	launches := make([]*legion.Launch, len(seqs))
 	units, chunk := len(seqs), n
-	var slab []legion.Req
 	var infos []pointInfo
 	if len(seqs) == 1 {
 		units = materializeWorkers(n)
 		chunk = (n + units - 1) / units
-		launches[0], slab, infos = c.newLaunch(domain, seqs[0])
+		launches[0], infos = c.newLaunch(domain, seqs[0])
 	}
-	slabs := make([][]legion.Req, units) // unit u's requirements
+	slabs := make([][]int32, units) // unit u's requirement ids
 	nw := min(runtime.GOMAXPROCS(0), maxMaterializeWorkers, units)
 	mats := make([]*materializer, nw)
 	owner := make([]int, units) // the worker that built unit u
@@ -546,14 +551,15 @@ func (c *compiler) materializeLaunches(domain machine.Grid, seqs []map[string]in
 			}
 			owner[u] = w
 			if len(seqs) > 1 {
-				l, slab, infos := c.newLaunch(domain, seqs[u])
-				launches[u], slabs[u] = l, slab
-				m.build(c, domain, seqs[u], 0, n, slab, infos)
+				l, infos := c.newLaunch(domain, seqs[u])
+				launches[u], slabs[u] = l, l.IDs
+				m.build(c, domain, seqs[u], 0, n, l.IDs, infos)
 				continue
 			}
+			ids := launches[0].IDs
 			lo, hi := u*chunk, min((u+1)*chunk, n)
-			slabs[u] = slab[lo*len(c.tensors) : hi*len(c.tensors)]
-			m.build(c, domain, seqs[0], lo, hi, slab, infos)
+			slabs[u] = ids[lo*len(c.tensors) : hi*len(c.tensors)]
+			m.build(c, domain, seqs[0], lo, hi, ids, infos)
 		}
 	}
 	var wg sync.WaitGroup
@@ -572,68 +578,80 @@ func (c *compiler) materializeLaunches(domain machine.Grid, seqs []map[string]in
 	return launches
 }
 
-// numberRects gives every region its rect table and every requirement its
-// id in that table. Ids are numbered per region in first-appearance order —
-// units in order, then points, then tensors — which is the order a single
-// worker interns them in, so its local ids are kept as they are. Otherwise
-// each worker-local rect is hashed once, by its packed key, the first time
-// it appears; the pass over the requirements is an array lookup each.
-func (c *compiler) numberRects(mats []*materializer, owner []int, slabs [][]legion.Req) {
+// numberRects gives every region its rect table and rewrites every
+// requirement id, in place, from the worker's table to the region's. Ids are
+// numbered per region in first-appearance order — units in order, then
+// points, then tensors — which is the order a single worker interns them in,
+// so its local ids are kept as they are. Otherwise each worker-local rect is
+// hashed once, by its packed key, the first time it appears; the pass over
+// the ids is an array lookup each.
+func (c *compiler) numberRects(mats []*materializer, owner []int, slabs [][]int32) {
 	if len(mats) == 1 {
 		for ti, entries := range mats[0].table {
 			r := c.tensors[ti].region
-			for _, e := range entries {
-				r.Rects = append(r.Rects, e.rect)
+			r.Rects = make([]tensor.Rect, len(entries))
+			for id, e := range entries {
+				r.Rects[id] = e.rect
 			}
 		}
 		return
 	}
-	nt := len(c.tensors)
-	global := map[string]int32{}
-	for u, reqs := range slabs {
+	// The workers' tables bound the region tables' sizes: a rect is counted
+	// once per worker that met it.
+	nt, total := len(c.tensors), 0
+	for ti, tp := range c.tensors {
+		n := 0
+		for _, m := range mats {
+			n += len(m.table[ti])
+		}
+		tp.region.Rects = make([]tensor.Rect, 0, n)
+		total += n
+	}
+	global := make(map[string]int32, total)
+	for u, ids := range slabs {
 		m := mats[owner[u]]
-		for i := range reqs {
-			q := &reqs[i]
-			e := m.table[i%nt][q.ID]
+		for i, id := range ids {
+			e := m.table[i%nt][id]
 			if e.global < 0 {
-				id, ok := global[e.key]
+				r := c.tensors[i%nt].region
+				g, ok := global[e.key]
 				if !ok {
-					id = int32(len(q.Region.Rects))
-					q.Region.Rects = append(q.Region.Rects, e.rect)
-					global[e.key] = id
+					g = int32(len(r.Rects))
+					r.Rects = append(r.Rects, e.rect)
+					global[e.key] = g
 				}
-				e.global = id
+				e.global = g
 			}
-			q.ID = e.global
+			ids[i] = e.global
 		}
 	}
 }
 
-// newLaunch allocates one launch's requirement slab and cost-model table and
-// returns the launch reading them: the point with linearized index lin has
-// its requirements at slab[lin*nt : lin*nt+nt] and its costs at infos[lin].
-func (c *compiler) newLaunch(domain machine.Grid, seq map[string]int) (*legion.Launch, []legion.Req, []pointInfo) {
+// newLaunch allocates one launch's requirement-id slab and cost-model table
+// and returns the launch reading them: the point with linearized index lin
+// has its requirement ids at IDs[lin*nt : lin*nt+nt], one per tensor, and
+// its costs at infos[lin].
+func (c *compiler) newLaunch(domain machine.Grid, seq map[string]int) (*legion.Launch, []pointInfo) {
 	n, nt := domain.Size(), len(c.tensors)
-	slab := make([]legion.Req, n*nt)
 	infos := make([]pointInfo, n)
 	return &legion.Launch{
-		Name:   launchName(c.in.Stmt, c.seqVars, seq),
-		Domain: domain,
-		Reqs: func(point []int) []legion.Req {
-			off := domain.Linearize(point) * nt
-			return slab[off : off+nt : off+nt]
-		},
+		Name:    launchName(c.in.Stmt, c.seqVars, seq),
+		Domain:  domain,
+		Regions: c.regionList,
+		Privs:   c.privs,
+		IDs:     make([]int32, n*nt),
 		Kernel: legion.Kernel{
 			Flops:    func(point []int) float64 { return infos[domain.Linearize(point)].flops },
 			MemBytes: func(point []int) float64 { return infos[domain.Linearize(point)].memBytes },
 			Run:      c.realKernel(seq),
 		},
-	}, slab, infos
+	}, infos
 }
 
-// rectEntry is one interned requirement rect: the canonical Rect value, its
-// payload size, its id in the worker's table of the tensor's rects, and its
-// packed bounds (the intern table's key). numberRects sets global, the id
+// rectEntry is one interned requirement rect: the canonical Rect value
+// (its bounds carved from the worker's bound block), its payload size, its
+// id in the worker's table of the tensor's rects, and its packed bounds (the
+// intern table's key). numberRects sets global, the id
 // in the region's table, when the worker-local and region ids differ.
 type rectEntry struct {
 	rect   tensor.Rect
@@ -643,7 +661,8 @@ type rectEntry struct {
 	key    string
 }
 
-// rectBlock is how many rect entries the intern table allocates at once.
+// rectBlock is how many rect entries (and bounds of as many rects) the
+// intern table allocates at once.
 const rectBlock = 64
 
 // materializer owns the scratch of one materialization worker. The rect
@@ -661,6 +680,7 @@ type materializer struct {
 
 	rects map[string]*rectEntry // packed bounds -> interned rect
 	block []rectEntry           // storage new entries are carved from
+	ints  []int                 // storage new entries' Lo and Hi are carved from
 	table [][]*rectEntry        // per tensor, its rects by worker-local id
 
 	// distCache holds, at point*nt + tensor, the interned rect of every
@@ -698,11 +718,11 @@ func (c *compiler) newMaterializer(rank int, multiLaunch bool) *materializer {
 
 // build runs the bounds analysis of points [start, end) of one launch. For
 // each point it evaluates every distinct anchor cut, derives and interns the
-// per-tensor requirement rects, and writes the requirements to
-// slab[lin*nt : lin*nt+nt] and the cost-model inputs to infos[lin], where
+// per-tensor requirement rects, and writes their worker-local ids to
+// ids[lin*nt : lin*nt+nt] and the cost-model inputs to infos[lin], where
 // lin is the point's linearized index. It is the only place the compiler
 // analyzes a launch point.
-func (m *materializer) build(c *compiler, domain machine.Grid, seq map[string]int, start, end int, slab []legion.Req, infos []pointInfo) {
+func (m *materializer) build(c *compiler, domain machine.Grid, seq map[string]int, start, end int, ids []int32, infos []pointInfo) {
 	ev := c.ev
 	full := len(c.cuts) - 1
 	nt := len(c.tensors)
@@ -742,7 +762,7 @@ func (m *materializer) build(c *compiler, domain machine.Grid, seq map[string]in
 			}
 		}
 
-		reqs := slab[i*nt : i*nt+nt]
+		pids := ids[i*nt : i*nt+nt]
 		memBytes := 0.0
 		for ti := range c.tensors {
 			var e *rectEntry
@@ -755,8 +775,7 @@ func (m *materializer) build(c *compiler, domain machine.Grid, seq map[string]in
 			default:
 				e = m.intern(c, ti)
 			}
-			tp := &c.tensors[ti]
-			reqs[ti] = legion.Req{Region: tp.region, Rect: e.rect, Priv: tp.priv, ID: e.id}
+			pids[ti] = e.id
 			memBytes += float64(e.bytes)
 		}
 		// Cost-model inputs from the full environment.
@@ -783,7 +802,13 @@ func (m *materializer) intern(c *compiler, ti int) *rectEntry {
 	if len(m.block) == cap(m.block) {
 		m.block = make([]rectEntry, 0, rectBlock)
 	}
-	r := tensor.NewRect(lo, hi)
+	rank := len(lo)
+	if len(m.ints)+2*rank > cap(m.ints) {
+		m.ints = make([]int, 0, 2*rank*rectBlock)
+	}
+	k := len(m.ints)
+	m.ints = append(append(m.ints, lo...), hi...)
+	r := tensor.Rect{Lo: m.ints[k : k+rank : k+rank], Hi: m.ints[k+rank : k+2*rank : k+2*rank]}
 	key := string(m.keyBuf)
 	m.block = append(m.block, rectEntry{rect: r, bytes: tp.region.Bytes(r), id: int32(len(m.table[ti])), global: -1, key: key})
 	e := &m.block[len(m.block)-1]

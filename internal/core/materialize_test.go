@@ -3,13 +3,13 @@ package core
 import (
 	"runtime"
 	"testing"
-	"unsafe"
 
 	"distal/internal/distnot"
 	"distal/internal/ir"
 	"distal/internal/legion"
 	"distal/internal/machine"
 	"distal/internal/schedule"
+	"distal/internal/tensor"
 )
 
 // johnsonInput builds a g x g x g Johnson-style 3D matmul without data: one
@@ -48,17 +48,17 @@ func assertSamePrograms(t *testing.T, p1, p2 *legion.Program) {
 	}
 	for li := range p1.Launches {
 		l1, l2 := p1.Launches[li], p2.Launches[li]
+		if len(l1.Regions) != len(l2.Regions) {
+			t.Fatalf("launch %d: req counts differ", li)
+		}
 		n := l1.Domain.Size()
 		for i := 0; i < n; i++ {
 			pt := l1.Domain.Delinearize(i)
-			r1, r2 := l1.Reqs(pt), l2.Reqs(pt)
-			if len(r1) != len(r2) {
-				t.Fatalf("launch %d point %v: req counts differ", li, pt)
-			}
-			for qi := range r1 {
-				if r1[qi].Region.Name != r2[qi].Region.Name || r1[qi].Priv != r2[qi].Priv ||
-					!r1[qi].Rect.Equal(r2[qi].Rect) || r1[qi].ID != r2[qi].ID {
-					t.Fatalf("launch %d point %v req %d: %v vs %v", li, pt, qi, r1[qi], r2[qi])
+			for qi := range l1.Regions {
+				q1, q2 := l1.Req(i, qi), l2.Req(i, qi)
+				if q1.Region.Name != q2.Region.Name || q1.Priv != q2.Priv ||
+					!q1.Rect.Equal(q2.Rect) || q1.ID != q2.ID {
+					t.Fatalf("launch %d point %v req %d: %v vs %v", li, pt, qi, q1, q2)
 				}
 			}
 			if l1.Kernel.Flops(pt) != l2.Kernel.Flops(pt) || l1.Kernel.MemBytes(pt) != l2.Kernel.MemBytes(pt) {
@@ -178,7 +178,8 @@ func TestRectIDs(t *testing.T) {
 			}
 			for li, l := range prog.Launches {
 				for i := 0; i < l.Domain.Size(); i++ {
-					for _, q := range l.Reqs(l.Domain.Delinearize(i)) {
+					for qi := range l.Regions {
+						q := l.Req(i, qi)
 						rects := q.Region.Rects
 						if q.ID < 0 || int(q.ID) >= len(rects) {
 							t.Fatalf("launch %d point %d: %v has id %d outside [0, %d)", li, i, q, q.ID, len(rects))
@@ -201,8 +202,9 @@ func TestRectIDs(t *testing.T) {
 	}
 }
 
-// TestMaterializeInternsRects: points sharing a requirement rect must share
-// the interned rect storage rather than each holding a private copy.
+// TestMaterializeInternsRects: points sharing a requirement rect share its
+// id, and so the one interned rect storage, rather than each holding a
+// private copy.
 func TestMaterializeInternsRects(t *testing.T) {
 	in := johnsonInput(t, 256, 8)
 	prog, err := Compile(in)
@@ -212,39 +214,63 @@ func TestMaterializeInternsRects(t *testing.T) {
 	l := prog.Launches[0]
 	// Points (0,0,0) and (0,0,1) differ only in ko, and A's rect depends
 	// only on io and jo, so both write the same A tile.
-	q1 := l.Reqs([]int{0, 0, 0})[0]
-	q2 := l.Reqs([]int{0, 0, 1})[0]
+	q1 := l.Req(l.Domain.Linearize([]int{0, 0, 0}), 0)
+	q2 := l.Req(l.Domain.Linearize([]int{0, 0, 1}), 0)
 	if !q1.Rect.Equal(q2.Rect) {
 		t.Fatalf("expected equal A rects, got %v vs %v", q1.Rect, q2.Rect)
 	}
-	if &q1.Rect.Lo[0] != &q2.Rect.Lo[0] {
-		t.Fatal("equal rects at different points are not interned (distinct backing arrays)")
+	// Across the launch, every two points with equal rects of a tensor
+	// share the id and the Lo backing.
+	for ti, r := range l.Regions {
+		first := map[tensor.RectKey]legion.Req{}
+		for i := 0; i < l.Domain.Size(); i++ {
+			q := l.Req(i, ti)
+			p, ok := first[q.Rect.Key()]
+			if !ok {
+				first[q.Rect.Key()] = q
+				continue
+			}
+			if p.ID != q.ID {
+				t.Fatalf("region %s point %d: rect %v has id %d, an earlier point's has %d", r.Name, i, q.Rect, q.ID, p.ID)
+			}
+			if &p.Rect.Lo[0] != &q.Rect.Lo[0] {
+				t.Fatalf("region %s point %d: equal rects %v are not interned (distinct backing arrays)", r.Name, i, q.Rect)
+			}
+		}
 	}
 }
 
-// TestMaterializeSharedSlab: all requirement slices of a launch live in one
-// shared backing slab rather than per-point allocations, in linearized point
-// order: each point's slice (one requirement per tensor) starts right where
-// the previous point's ends.
+// TestMaterializeSharedSlab: a launch stores its requirements as one slab of
+// rect ids, point-major in linearized point order, one id per point and
+// region, and every id indexes its region's rect table.
 func TestMaterializeSharedSlab(t *testing.T) {
-	in := johnsonInput(t, 256, 8)
-	prog, err := Compile(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := prog.Launches[0]
-	const nt = 3
-	size := unsafe.Sizeof(legion.Req{})
-	var prevEnd uintptr
-	for i := 0; i < l.Domain.Size(); i++ {
-		r := l.Reqs(l.Domain.Delinearize(i))
-		if len(r) != nt || cap(r) != nt {
-			t.Fatalf("point %d: %d reqs (cap %d), want %d", i, len(r), cap(r), nt)
-		}
-		start := uintptr(unsafe.Pointer(&r[0]))
-		if i > 0 && start != prevEnd {
-			t.Fatalf("point %d: requirements at %#x, want %#x right after point %d's", i, start, prevEnd, i-1)
-		}
-		prevEnd = start + nt*size
+	for _, tc := range []struct {
+		name string
+		in   Input
+	}{
+		{"multiLaunch", summaInput(t, 256, 4, 8)},
+		{"singleLaunch", johnsonInput(t, 256, 8)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			prog, err := Compile(tc.in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for li, l := range prog.Launches {
+				nt := len(l.Regions)
+				if nt != 3 || len(l.Privs) != nt {
+					t.Fatalf("launch %d: %d regions and %d privileges, want 3 each", li, nt, len(l.Privs))
+				}
+				if len(l.IDs) != l.Domain.Size()*nt {
+					t.Fatalf("launch %d: %d ids for %d points of %d regions", li, len(l.IDs), l.Domain.Size(), nt)
+				}
+				for k, id := range l.IDs {
+					r := l.Regions[k%nt]
+					if id < 0 || int(id) >= len(r.Rects) {
+						t.Fatalf("launch %d point %d: region %s id %d outside [0, %d)", li, k/nt, r.Name, id, len(r.Rects))
+					}
+				}
+			}
+		})
 	}
 }

@@ -213,6 +213,12 @@ type regState struct {
 	// accHead[id] chains the stage's accumulators of rect id, one per
 	// writing leaf, in opening order.
 	accHead []*accumulator
+
+	// The backings of the owner rects, the owning leaves and the per-leaf
+	// lists, kept for the walk that reuses the state.
+	bounds []int
+	leaves []int
+	lists  []*instance
 }
 
 // accumulator is a task-local output buffer covering a rect of a region, as
@@ -232,47 +238,38 @@ type accumulator struct {
 }
 
 type executor struct {
+	*walkScratch
 	prog     *Program
 	opt      Options
 	ctx      context.Context
 	s        *sim.Sim
 	lg       machine.Grid
 	gpuMem   bool
-	reg      map[*Region]*regState
 	stageReg []map[string]*Region // per completed stage: region name -> region, for handoff resolution
-	accSeq   []*accumulator
-	flushBuf []*accumulator // scratch for one flush group
 	trace    []CopyRecord
-	candBuf  []*instance // scratch for ensureLocal's candidate collection
-	instSeq  int64       // next transient installation sequence number
-	steps    int         // points since the last cancellation checkpoint
+	instSeq  int64 // next transient installation sequence number
+	steps    int   // points since the last cancellation checkpoint
 
 	// A Real analysis records its tasks on tape (nil when simulating), and
-	// slotOf maps every placed or adopted region to its data slot.
-	tape   *Tape
-	slotOf map[*Region]int32
+	// slotOf (in the scratch) maps every placed or adopted region to its
+	// data slot.
+	tape *Tape
 
-	// Transient instances, their groups and accumulators come from slabs,
-	// in chunks sized from the launch in progress: points × read
-	// requirements bounds the transients it installs, points × write
+	// Transient instances, their groups and accumulators come from the
+	// scratch's slabs, in chunks sized from the launch in progress: points ×
+	// read requirements bounds the transients it installs, points × write
 	// requirements the accumulators it opens.
-	insts     slab[instance]
-	groups    slab[transGroup]
-	accSlab   slab[accumulator]
 	instChunk int
 	accChunk  int
-	coord     []int          // leaf-coordinate scratch
-	rectBuf   []int          // owner-rect scratch
-	pointBuf  []int          // launch-point scratch
-	taskAccs  []*accumulator // per-point write-target buffer
 
 	// Double-buffering throttle: copies for a leaf's task in launch s may
 	// not start before its task in launch s-TransientWindow completed
 	// (prefetch depth matches the instance window, as Legion's deferred
-	// execution is bounded by mapper-allocated staging buffers).
-	endHist    [][]float64 // per-leaf task end times, one per recent launch, oldest first
-	launchEnds []float64   // per-leaf task end times of the launch in progress
-	spareEnds  []float64   // the last launch dropped from endHist, reused by the next
+	// execution is bounded by mapper-allocated staging buffers). endHist
+	// (in the scratch) holds the per-leaf task end times of the recent
+	// launches, oldest first.
+	launchEnds []float64 // per-leaf task end times of the launch in progress
+	spareEnds  []float64 // the last launch dropped from endHist, reused by the next
 }
 
 // Run executes the program under the given options: RunStages of the
@@ -294,7 +291,8 @@ const cancelCheckEvery = 256
 // write-safety groups at its end; no kernel runs here, so the cost model
 // never sees the worker pool and simulated metrics are identical at any
 // worker count. The walk allocates nothing per point: a reused point buffer
-// and a reused write-target buffer.
+// and a reused write-target buffer, with the point's requirements assembled
+// from the launch's rect ids into a reused buffer.
 func (e *executor) runLaunch(l *Launch) error {
 	mapPoint := l.MapPoint
 	if mapPoint == nil {
@@ -302,10 +300,22 @@ func (e *executor) runLaunch(l *Launch) error {
 	}
 	n := l.Domain.Size()
 	rank := l.Domain.Rank()
+	nt := len(l.Regions)
+	reads := 0
+	for _, p := range l.Privs {
+		if p == ReadOnly {
+			reads++
+		}
+	}
+	e.instChunk, e.accChunk = n*reads, n*(nt-reads)
 	if cap(e.pointBuf) < rank {
 		e.pointBuf = make([]int, rank)
 	}
 	point := e.pointBuf[:rank]
+	if cap(e.reqs) < nt {
+		e.reqs = make([]Req, nt)
+	}
+	reqs := e.reqs[:nt]
 	rec := e.tape.launch(l, n, rank)
 	for i := 0; i < n; i++ {
 		if e.steps++; e.steps >= cancelCheckEvery {
@@ -319,15 +329,8 @@ func (e *executor) runLaunch(l *Launch) error {
 		if leaf < 0 || leaf >= e.lg.Size() {
 			return fmt.Errorf("legion: launch %s maps point %v to leaf %d outside the machine", l.Name, point, leaf)
 		}
-		reqs := l.Reqs(point)
-		if i == 0 {
-			reads := 0
-			for _, q := range reqs {
-				if q.Priv == ReadOnly {
-					reads++
-				}
-			}
-			e.instChunk, e.accChunk = n*reads, n*(len(reqs)-reads)
+		for t := range reqs {
+			reqs[t] = l.Req(i, t)
 		}
 		issueAt := 0.0
 		if e.opt.Synchronous {
@@ -735,7 +738,7 @@ func (e *executor) flushAccumulators() {
 		}
 		e.s.Free(a.leaf, a.region.Bytes(a.rect))
 	}
-	e.accSeq = nil
+	e.accSeq = e.accSeq[:0]
 }
 
 // record appends a copy to the trace (Trace mode). The rect is copied: owner

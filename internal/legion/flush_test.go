@@ -24,12 +24,9 @@ func TestFlushFanInScatter(t *testing.T) {
 	a := NewRegion("A", []int{n}, place)
 	ta := tensor.New("A", n)
 	full := tensor.FullRect([]int{n})
-	launch := &Launch{
+	launch := numbered(&Launch{
 		Name:   "partial",
 		Domain: machine.NewGrid(procs),
-		Reqs: func(pt []int) []Req {
-			return []Req{{Region: a, Rect: full, Priv: ReduceSum}}
-		},
 		Kernel: Kernel{
 			Flops: func(pt []int) float64 { return n },
 			Run: func(ctx *Ctx) {
@@ -38,8 +35,10 @@ func TestFlushFanInScatter(t *testing.T) {
 				}
 			},
 		},
-	}
-	prog := numbered(&Program{Name: "fanin", Machine: m, Regions: []*Region{a}, Launches: []*Launch{launch}})
+	}, func(pt []int) []Req {
+		return []Req{{Region: a, Rect: full, Priv: ReduceSum}}
+	})
+	prog := &Program{Name: "fanin", Machine: m, Regions: []*Region{a}, Launches: []*Launch{launch}}
 	res, err := Run(prog, Options{Params: testParams(), Real: true, Trace: true, Batch: []map[string]*tensor.Dense{{"A": ta}}})
 	if err != nil {
 		t.Fatal(err)
@@ -103,22 +102,21 @@ func TestSourceSelectionCostClass(t *testing.T) {
 	a := NewRegion("A", []int{4}, distnot.NewPlacement(distnot.MustParse("x->x")))
 	full := tensor.FullRect([]int{n})
 	mk := func(name string, dst int) *Launch {
-		return &Launch{
+		return numbered(&Launch{
 			Name:     name,
 			Domain:   machine.NewGrid(1),
 			MapPoint: func(pt []int) int { return dst },
-			Reqs: func(pt []int) []Req {
-				return []Req{
-					{Region: a, Rect: tensor.NewRect([]int{dst}, []int{dst + 1}), Priv: WriteDiscard},
-					{Region: b, Rect: full, Priv: ReadOnly},
-				}
-			},
-			Kernel: Kernel{Flops: func(pt []int) float64 { return 1 }},
-		}
+			Kernel:   Kernel{Flops: func(pt []int) float64 { return 1 }},
+		}, func(pt []int) []Req {
+			return []Req{
+				{Region: a, Rect: tensor.NewRect([]int{dst}, []int{dst + 1}), Priv: WriteDiscard},
+				{Region: b, Rect: full, Priv: ReadOnly},
+			}
+		})
 	}
 	// t1 pulls B into node 1 (leaf 3); t2 reads it from node 1 (leaf 2).
-	prog := numbered(&Program{Name: "class", Machine: m, Regions: []*Region{a, b},
-		Launches: []*Launch{mk("t1", 3), mk("t2", 2)}})
+	prog := &Program{Name: "class", Machine: m, Regions: []*Region{a, b},
+		Launches: []*Launch{mk("t1", 3), mk("t2", 2)}}
 
 	res, err := Run(prog, Options{Params: params, Trace: true})
 	if err != nil {
@@ -170,14 +168,14 @@ func TestAdoptedTransientSource(t *testing.T) {
 	aPlace := distnot.NewPlacement(distnot.MustParse("x->x"))
 	full := tensor.FullRect([]int{n})
 	a0, b0 := NewRegion("A", []int{4}, aPlace), NewRegion("B", []int{n}, bPlace)
-	pull := numbered(&Program{Name: "pull", Machine: m, Regions: []*Region{a0, b0},
-		Launches: []*Launch{readLaunch("t1", a0, b0, 3, full)}})
+	pull := &Program{Name: "pull", Machine: m, Regions: []*Region{a0, b0},
+		Launches: []*Launch{readLaunch("t1", a0, b0, 3, full)}}
 	a1, b1 := NewRegion("A", []int{4}, aPlace), NewRegion("B", []int{n}, bPlace)
-	read := numbered(&Program{Name: "read", Machine: m, Regions: []*Region{a1, b1},
+	read := &Program{Name: "read", Machine: m, Regions: []*Region{a1, b1},
 		Launches: []*Launch{
 			readLaunch("t0", a1, b1, 0, tensor.NewRect([]int{0}, []int{4})), // local to owner 0
 			readLaunch("t2", a1, b1, 2, full),
-		}})
+		}}
 	if !b0.Rects[0].Equal(full) || b1.Rects[0].Equal(full) {
 		t.Fatalf("B's full rect should take different ids: stage 0 %v, stage 1 %v", b0.Rects, b1.Rects)
 	}
@@ -204,11 +202,11 @@ func TestAdoptIntoTwoRegionsRejected(t *testing.T) {
 	place := distnot.NewPlacement(distnot.MustParse("x->x"))
 	full := tensor.FullRect([]int{4})
 	a0, b0 := NewRegion("A", []int{2}, place), NewRegion("B", []int{4}, place)
-	p0 := numbered(&Program{Name: "p0", Machine: m, Regions: []*Region{a0, b0},
-		Launches: []*Launch{readLaunch("t0", a0, b0, 0, full)}})
+	p0 := &Program{Name: "p0", Machine: m, Regions: []*Region{a0, b0},
+		Launches: []*Launch{readLaunch("t0", a0, b0, 0, full)}}
 	a1, b1, c1 := NewRegion("A", []int{2}, place), NewRegion("B", []int{4}, place), NewRegion("C", []int{4}, place)
-	p1 := numbered(&Program{Name: "p1", Machine: m, Regions: []*Region{a1, b1, c1},
-		Launches: []*Launch{readLaunch("t1", a1, b1, 1, full), readLaunch("t2", a1, c1, 1, full)}})
+	p1 := &Program{Name: "p1", Machine: m, Regions: []*Region{a1, b1, c1},
+		Launches: []*Launch{readLaunch("t1", a1, b1, 1, full), readLaunch("t2", a1, c1, 1, full)}}
 	_, err := RunStages(context.Background(), []Stage{
 		{Prog: p0},
 		{Prog: p1, Inherit: []Handoff{{From: 0, Region: "B"}, {From: 0, Region: "B", To: "C"}}},

@@ -12,18 +12,17 @@ import (
 // of b and writing its own piece of a (in place, so writes do not disturb
 // the copy accounting).
 func readLaunch(name string, a, b *Region, dst int, rect tensor.Rect) *Launch {
-	return &Launch{
+	return numbered(&Launch{
 		Name:     name,
 		Domain:   machine.NewGrid(1),
 		MapPoint: func(pt []int) int { return dst },
-		Reqs: func(pt []int) []Req {
-			return []Req{
-				{Region: a, Rect: tensor.NewRect([]int{dst}, []int{dst + 1}), Priv: WriteDiscard},
-				{Region: b, Rect: rect, Priv: ReadOnly},
-			}
-		},
-		Kernel: Kernel{Flops: func(pt []int) float64 { return 1 }},
-	}
+		Kernel:   Kernel{Flops: func(pt []int) float64 { return 1 }},
+	}, func(pt []int) []Req {
+		return []Req{
+			{Region: a, Rect: tensor.NewRect([]int{dst}, []int{dst + 1}), Priv: WriteDiscard},
+			{Region: b, Rect: rect, Priv: ReadOnly},
+		}
+	})
 }
 
 // TestGatherPiecewise: a requirement spanning several owners' pieces has no
@@ -35,11 +34,11 @@ func TestGatherPiecewise(t *testing.T) {
 	b := NewRegion("B", []int{n}, distnot.NewPlacement(distnot.MustParse("x->x")))
 	a := NewRegion("A", []int{procs}, distnot.NewPlacement(distnot.MustParse("x->x")))
 	full := tensor.FullRect([]int{n})
-	prog := numbered(&Program{Name: "gather", Machine: m, Regions: []*Region{a, b},
+	prog := &Program{Name: "gather", Machine: m, Regions: []*Region{a, b},
 		Launches: []*Launch{
 			readLaunch("g1", a, b, 0, full),
 			readLaunch("g2", a, b, 0, full),
-		}})
+		}}
 	res, err := Run(prog, Options{Params: testParams(), Trace: true})
 	if err != nil {
 		t.Fatal(err)
@@ -87,12 +86,12 @@ func TestTransientWindowRefetch(t *testing.T) {
 		}
 	}
 
-	narrow, err := Run(numbered(&Program{Name: "w1", Machine: m, Regions: []*Region{a, b}, Launches: launches()}),
+	narrow, err := Run(&Program{Name: "w1", Machine: m, Regions: []*Region{a, b}, Launches: launches()},
 		Options{Params: testParams(), TransientWindow: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wide, err := Run(numbered(&Program{Name: "w3", Machine: m, Regions: []*Region{a, b}, Launches: launches()}),
+	wide, err := Run(&Program{Name: "w3", Machine: m, Regions: []*Region{a, b}, Launches: launches()},
 		Options{Params: testParams(), TransientWindow: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -124,11 +123,11 @@ func TestTransientStrictContainment(t *testing.T) {
 	a := NewRegion("A", []int{procs}, distnot.NewPlacement(distnot.MustParse("x->x")))
 	full := tensor.FullRect([]int{n})
 	span := tensor.NewRect([]int{2}, []int{6}) // spans owners 0 and 1
-	prog := numbered(&Program{Name: "contain", Machine: m, Regions: []*Region{a, b},
+	prog := &Program{Name: "contain", Machine: m, Regions: []*Region{a, b},
 		Launches: []*Launch{
 			readLaunch("g1", a, b, 1, full), // leaf 1 gathers all of B
 			readLaunch("g2", a, b, 2, span), // leaf 2 wants a spanning sub-rect
-		}})
+		}}
 	res, err := Run(prog, Options{Params: testParams(), Trace: true})
 	if err != nil {
 		t.Fatal(err)

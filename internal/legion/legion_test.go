@@ -1,6 +1,8 @@
 package legion
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"distal/internal/distnot"
@@ -13,44 +15,46 @@ func flatMachine(n int) *machine.Machine {
 	return machine.New(machine.NewGrid(n), machine.SysMem, machine.CPU)
 }
 
-// numbered materializes every launch's requirements into one slab per launch
-// and numbers their rects into each region's table, as the compiler does;
-// the launches then read the slab. Regions shared with programs numbered
-// earlier keep their ids.
-func numbered(p *Program) *Program {
+// numbered gives a launch the requirements reqs computes per point, as the
+// compiler does: it numbers every rect into its region's table (a region
+// shared with launches numbered earlier keeps their ids) and stores the ids
+// point-major on the launch. Every point must require the same regions with
+// the same privileges.
+func numbered(l *Launch, reqs func(pt []int) []Req) *Launch {
 	ids := map[*Region]map[tensor.RectKey]int32{}
-	for _, l := range p.Launches {
-		n := l.Domain.Size()
-		var slab []Req
-		offs := make([]int, n+1)
-		for i := range n {
-			for _, q := range l.Reqs(l.Domain.Delinearize(i)) {
-				tab := ids[q.Region]
-				if tab == nil {
-					tab = map[tensor.RectKey]int32{}
-					for id, r := range q.Region.Rects {
-						tab[r.Key()] = int32(id)
-					}
-					ids[q.Region] = tab
-				}
-				id, ok := tab[q.Rect.Key()]
-				if !ok {
-					id = int32(len(q.Region.Rects))
-					q.Region.Rects = append(q.Region.Rects, q.Rect)
-					tab[q.Rect.Key()] = id
-				}
-				q.ID = id
-				slab = append(slab, q)
+	for i := range l.Domain.Size() {
+		qs := reqs(l.Domain.Delinearize(i))
+		if i == 0 {
+			for _, q := range qs {
+				l.Regions = append(l.Regions, q.Region)
+				l.Privs = append(l.Privs, q.Priv)
 			}
-			offs[i+1] = len(slab)
 		}
-		domain := l.Domain
-		l.Reqs = func(pt []int) []Req {
-			i := domain.Linearize(pt)
-			return slab[offs[i]:offs[i+1]]
+		if len(qs) != len(l.Regions) {
+			panic(fmt.Sprintf("launch %s: point %d has %d requirements, point 0 has %d", l.Name, i, len(qs), len(l.Regions)))
+		}
+		for t, q := range qs {
+			if q.Region != l.Regions[t] || q.Priv != l.Privs[t] {
+				panic(fmt.Sprintf("launch %s: point %d requirement %d is %v, point 0's is on %s %v", l.Name, i, t, q, l.Regions[t].Name, l.Privs[t]))
+			}
+			tab := ids[q.Region]
+			if tab == nil {
+				tab = map[tensor.RectKey]int32{}
+				for id, r := range q.Region.Rects {
+					tab[r.Key()] = int32(id)
+				}
+				ids[q.Region] = tab
+			}
+			id, ok := tab[q.Rect.Key()]
+			if !ok {
+				id = int32(len(q.Region.Rects))
+				q.Region.Rects = append(q.Region.Rects, q.Rect)
+				tab[q.Rect.Key()] = id
+			}
+			l.IDs = append(l.IDs, id)
 		}
 	}
-	return p
+	return l
 }
 
 func testParams() sim.Params {
@@ -80,17 +84,9 @@ func vectorAddProgram(n, procs int) (*Program, *tensor.Dense, *tensor.Dense, *te
 		lo, hi := tensor.BlockRange(n, procs, p)
 		return tensor.NewRect([]int{lo}, []int{hi})
 	}
-	launch := &Launch{
+	launch := numbered(&Launch{
 		Name:   "add",
 		Domain: machine.NewGrid(procs),
-		Reqs: func(pt []int) []Req {
-			r := rectOf(pt[0])
-			return []Req{
-				{Region: a, Rect: r, Priv: WriteDiscard},
-				{Region: b, Rect: r, Priv: ReadOnly},
-				{Region: c, Rect: r, Priv: ReadOnly},
-			}
-		},
 		Kernel: Kernel{
 			Flops: func(pt []int) float64 { return float64(rectOf(pt[0]).Volume()) },
 			Run: func(ctx *Ctx) {
@@ -99,8 +95,15 @@ func vectorAddProgram(n, procs int) (*Program, *tensor.Dense, *tensor.Dense, *te
 				})
 			},
 		},
-	}
-	return numbered(&Program{Name: "vadd", Machine: m, Regions: []*Region{a, b, c}, Launches: []*Launch{launch}}), ta, tb, tc
+	}, func(pt []int) []Req {
+		r := rectOf(pt[0])
+		return []Req{
+			{Region: a, Rect: r, Priv: WriteDiscard},
+			{Region: b, Rect: r, Priv: ReadOnly},
+			{Region: c, Rect: r, Priv: ReadOnly},
+		}
+	})
+	return &Program{Name: "vadd", Machine: m, Regions: []*Region{a, b, c}, Launches: []*Launch{launch}}, ta, tb, tc
 }
 
 func TestOwnerComputesNoCommunication(t *testing.T) {
@@ -134,15 +137,9 @@ func TestCommunicationWhenNotOwner(t *testing.T) {
 	a := NewRegion("A", []int{1}, nil) // scalar-ish output on leaf 0
 	ta, tb := tensor.New("A", 1), tensor.New("B", n)
 	tb.FillRandom(3)
-	launch := &Launch{
+	launch := numbered(&Launch{
 		Name:   "sum",
 		Domain: machine.NewGrid(1),
-		Reqs: func(pt []int) []Req {
-			return []Req{
-				{Region: a, Rect: tensor.FullRect([]int{1}), Priv: ReduceSum},
-				{Region: b, Rect: tensor.FullRect([]int{n}), Priv: ReadOnly},
-			}
-		},
 		Kernel: Kernel{
 			Flops: func(pt []int) float64 { return float64(n) },
 			Run: func(ctx *Ctx) {
@@ -153,8 +150,13 @@ func TestCommunicationWhenNotOwner(t *testing.T) {
 				ctx.WriteAdd("A", s, 0)
 			},
 		},
-	}
-	prog := numbered(&Program{Name: "sum", Machine: m, Regions: []*Region{a, b}, Launches: []*Launch{launch}})
+	}, func(pt []int) []Req {
+		return []Req{
+			{Region: a, Rect: tensor.FullRect([]int{1}), Priv: ReduceSum},
+			{Region: b, Rect: tensor.FullRect([]int{n}), Priv: ReadOnly},
+		}
+	})
+	prog := &Program{Name: "sum", Machine: m, Regions: []*Region{a, b}, Launches: []*Launch{launch}}
 	res, err := Run(prog, Options{Params: testParams(), Real: true, Trace: true, Batch: []map[string]*tensor.Dense{{"A": ta, "B": tb}}})
 	if err != nil {
 		t.Fatal(err)
@@ -180,12 +182,9 @@ func TestReductionFlush(t *testing.T) {
 	})
 	a := NewRegion("A", []int{4}, aPlace)
 	ta := tensor.New("A", 4)
-	launch := &Launch{
+	launch := numbered(&Launch{
 		Name:   "partial",
 		Domain: machine.NewGrid(procs),
-		Reqs: func(pt []int) []Req {
-			return []Req{{Region: a, Rect: tensor.FullRect([]int{4}), Priv: ReduceSum}}
-		},
 		Kernel: Kernel{
 			Flops: func(pt []int) float64 { return 4 },
 			Run: func(ctx *Ctx) {
@@ -194,8 +193,10 @@ func TestReductionFlush(t *testing.T) {
 				}
 			},
 		},
-	}
-	prog := numbered(&Program{Name: "red", Machine: m, Regions: []*Region{a}, Launches: []*Launch{launch}})
+	}, func(pt []int) []Req {
+		return []Req{{Region: a, Rect: tensor.FullRect([]int{4}), Priv: ReduceSum}}
+	})
+	prog := &Program{Name: "red", Machine: m, Regions: []*Region{a}, Launches: []*Launch{launch}}
 	res, err := Run(prog, Options{Params: testParams(), Real: true, Batch: []map[string]*tensor.Dense{{"A": ta}}})
 	if err != nil {
 		t.Fatal(err)
@@ -227,21 +228,20 @@ func TestNearestSourceRelay(t *testing.T) {
 	a := NewRegion("A", []int{procs}, distnot.NewPlacement(distnot.MustParse("x->x")))
 	full := tensor.FullRect([]int{n})
 	mk := func(name string, dst int) *Launch {
-		return &Launch{
+		return numbered(&Launch{
 			Name:     name,
 			Domain:   machine.NewGrid(1),
 			MapPoint: func(pt []int) int { return dst },
-			Reqs: func(pt []int) []Req {
-				return []Req{
-					{Region: a, Rect: tensor.NewRect([]int{dst}, []int{dst + 1}), Priv: WriteDiscard},
-					{Region: b, Rect: full, Priv: ReadOnly},
-				}
-			},
-			Kernel: Kernel{Flops: func(pt []int) float64 { return 1 }},
-		}
+			Kernel:   Kernel{Flops: func(pt []int) float64 { return 1 }},
+		}, func(pt []int) []Req {
+			return []Req{
+				{Region: a, Rect: tensor.NewRect([]int{dst}, []int{dst + 1}), Priv: WriteDiscard},
+				{Region: b, Rect: full, Priv: ReadOnly},
+			}
+		})
 	}
-	prog := numbered(&Program{Name: "relay", Machine: m, Regions: []*Region{a, b},
-		Launches: []*Launch{mk("t1", 1), mk("t2", 2)}})
+	prog := &Program{Name: "relay", Machine: m, Regions: []*Region{a, b},
+		Launches: []*Launch{mk("t1", 1), mk("t2", 2)}}
 	res, err := Run(prog, Options{Params: testParams(), Trace: true})
 	if err != nil {
 		t.Fatal(err)
@@ -283,21 +283,20 @@ func TestOverlapVsSynchronous(t *testing.T) {
 	// and computing for a long time: chunk 2's copy can overlap chunk 1's
 	// compute only in async mode.
 	mk := func(name string, lo int) *Launch {
-		return &Launch{
+		return numbered(&Launch{
 			Name:     name,
 			Domain:   machine.NewGrid(1),
 			MapPoint: func(pt []int) int { return 1 },
-			Reqs: func(pt []int) []Req {
-				return []Req{
-					{Region: a, Rect: tensor.NewRect([]int{1}, []int{2}), Priv: ReduceSum},
-					{Region: b, Rect: tensor.NewRect([]int{lo}, []int{lo + 4}), Priv: ReadOnly},
-				}
-			},
-			Kernel: Kernel{Flops: func(pt []int) float64 { return 1000 }},
-		}
+			Kernel:   Kernel{Flops: func(pt []int) float64 { return 1000 }},
+		}, func(pt []int) []Req {
+			return []Req{
+				{Region: a, Rect: tensor.NewRect([]int{1}, []int{2}), Priv: ReduceSum},
+				{Region: b, Rect: tensor.NewRect([]int{lo}, []int{lo + 4}), Priv: ReadOnly},
+			}
+		})
 	}
-	prog := numbered(&Program{Name: "ovl", Machine: m, Regions: []*Region{a, b},
-		Launches: []*Launch{mk("s0", 0), mk("s1", 4)}})
+	prog := &Program{Name: "ovl", Machine: m, Regions: []*Region{a, b},
+		Launches: []*Launch{mk("s0", 0), mk("s1", 4)}}
 	async, err := Run(prog, Options{Params: testParams()})
 	if err != nil {
 		t.Fatal(err)
@@ -324,20 +323,19 @@ func TestTransientEviction(t *testing.T) {
 	var launches []*Launch
 	for s := 0; s < chunks; s++ {
 		lo := s * (n / chunks)
-		launches = append(launches, &Launch{
+		launches = append(launches, numbered(&Launch{
 			Name:     "step",
 			Domain:   machine.NewGrid(1),
 			MapPoint: func(pt []int) int { return 1 },
-			Reqs: func(pt []int) []Req {
-				return []Req{
-					{Region: a, Rect: tensor.NewRect([]int{1}, []int{2}), Priv: ReduceSum},
-					{Region: b, Rect: tensor.NewRect([]int{lo}, []int{lo + n/chunks}), Priv: ReadOnly},
-				}
-			},
-			Kernel: Kernel{Flops: func(pt []int) float64 { return 1 }},
-		})
+			Kernel:   Kernel{Flops: func(pt []int) float64 { return 1 }},
+		}, func(pt []int) []Req {
+			return []Req{
+				{Region: a, Rect: tensor.NewRect([]int{1}, []int{2}), Priv: ReduceSum},
+				{Region: b, Rect: tensor.NewRect([]int{lo}, []int{lo + n/chunks}), Priv: ReadOnly},
+			}
+		}))
 	}
-	prog := numbered(&Program{Name: "evict", Machine: m, Regions: []*Region{a, b}, Launches: launches})
+	prog := &Program{Name: "evict", Machine: m, Regions: []*Region{a, b}, Launches: launches}
 	res, err := Run(prog, Options{Params: testParams(), TransientWindow: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -371,7 +369,7 @@ func TestOOMDetection(t *testing.T) {
 func TestRealRequiresBoundData(t *testing.T) {
 	m := flatMachine(1)
 	a := NewRegion("A", []int{4}, nil)
-	prog := numbered(&Program{Name: "x", Machine: m, Regions: []*Region{a}})
+	prog := &Program{Name: "x", Machine: m, Regions: []*Region{a}}
 	if _, err := Run(prog, Options{Params: testParams(), Real: true}); err == nil {
 		t.Fatal("expected error for unbound region in Real mode")
 	}
@@ -403,5 +401,16 @@ func TestRegionOwnerRectNilPlacement(t *testing.T) {
 	rect, ok := r.OwnerRect(m, []int{0})
 	if !ok || !rect.Equal(tensor.FullRect([]int{4})) {
 		t.Fatalf("rect = %v", rect)
+	}
+}
+
+// TestLaunchIDsMustCoverDomain: a launch whose id slab does not hold one id
+// per point and region is rejected before the walk reads past it.
+func TestLaunchIDsMustCoverDomain(t *testing.T) {
+	prog, _, _, _ := vectorAddProgram(8, 2)
+	l := prog.Launches[0]
+	l.IDs = l.IDs[:len(l.IDs)-1]
+	if _, err := Run(prog, Options{Params: testParams()}); err == nil || !strings.Contains(err.Error(), "requirement ids") {
+		t.Fatalf("err = %v, want a requirement-id count error", err)
 	}
 }

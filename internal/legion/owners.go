@@ -25,8 +25,10 @@ import (
 // block counts, and an unreplicated placement has one owner per cell.
 //
 // Owners are immutable for a run, so the index is built once when the region
-// is placed and never changes.
+// is placed and never changes. Its arrays, query scratch included, are the
+// region state's and serve the next walk that reuses the state.
 type ownerIndex struct {
+	cut    []int   // backing of bounds, stride and box
 	bounds [][]int // bounds[d]: sorted distinct owner bounds along dimension d
 	stride []int   // row-major stride of dimension d in the cell grid
 	start  []int32 // cell c lists the owners ids[start[c]:start[c+1]]
@@ -47,16 +49,17 @@ type ownerPiece struct {
 	bytes int64
 }
 
-// newOwnerIndex indexes the given owners, whose rects are non-empty and of
-// the given rank.
-func newOwnerIndex(owners []instance, rank int) ownerIndex {
-	var ix ownerIndex
+// build indexes the given owners, whose rects are non-empty and of the
+// given rank, reusing the index's arrays.
+func (ix *ownerIndex) build(owners []instance, rank int) {
+	ix.bounds, ix.start, ix.ids = ix.bounds[:0], ix.start[:0], ix.ids[:0]
 	if len(owners) == 0 {
-		return ix
+		return
 	}
 	// One backing holds every dimension's bounds, the strides and the box.
-	cut := make([]int, 0, 2*len(owners)*rank+4*rank)
-	ix.bounds = make([][]int, rank)
+	ix.cut = resize(ix.cut, 2*len(owners)*rank+4*rank)
+	cut := ix.cut[:0]
+	ix.bounds = resize(ix.bounds, rank)
 	cells := 1
 	for d := range rank {
 		base := len(cut)
@@ -78,7 +81,7 @@ func newOwnerIndex(owners []instance, rank int) ownerIndex {
 
 	// Counting sort of (cell, owner) pairs: count each cell's owners, turn
 	// the counts into starts, fill, then shift the advanced starts back.
-	ix.start = make([]int32, cells+1)
+	ix.start = resize(ix.start, cells+1)
 	for i := range owners {
 		ix.setBox(owners[i].rect)
 		ix.eachCell(func(c int) { ix.start[c+1]++ })
@@ -86,7 +89,7 @@ func newOwnerIndex(owners []instance, rank int) ownerIndex {
 	for c := range cells {
 		ix.start[c+1] += ix.start[c]
 	}
-	ix.ids = make([]int32, ix.start[cells])
+	ix.ids = resize(ix.ids, int(ix.start[cells]))
 	for i := range owners {
 		ix.setBox(owners[i].rect)
 		ix.eachCell(func(c int) {
@@ -96,7 +99,6 @@ func newOwnerIndex(owners []instance, rank int) ownerIndex {
 	}
 	copy(ix.start[1:], ix.start[:cells])
 	ix.start[0] = 0
-	return ix
 }
 
 // setBox sets the box to the cells of an owner rect, whose bounds are
@@ -217,15 +219,19 @@ func (rs *regState) piecesFor(rect tensor.Rect) []ownerPiece {
 
 // slab hands out values carved from chunks and takes released ones back for
 // reuse, so the walk allocates one chunk per many instances or groups rather
-// than one object each. A value from get holds stale contents when recycled:
-// the caller sets every field.
+// than one object each. The chunks outlive the walk: reset hands them out
+// again to the next one. A value from get holds stale contents when
+// recycled: the caller sets every field.
 type slab[T any] struct {
-	chunk []T
-	free  []*T
+	chunks [][]T // every chunk allocated; the walk has taken chunks[:used]
+	used   int
+	chunk  []T // the untaken rest of the chunk in use
+	free   []*T
 }
 
-// get returns a recycled value, or carves one from the chunk, allocating a
-// chunk of n values when it is used up.
+// get returns a recycled value, or carves one from the chunk, moving to the
+// next chunk (allocating one of n values when none is left) when it is used
+// up.
 func (s *slab[T]) get(n int) *T {
 	if k := len(s.free); k > 0 {
 		v := s.free[k-1]
@@ -233,7 +239,11 @@ func (s *slab[T]) get(n int) *T {
 		return v
 	}
 	if len(s.chunk) == 0 {
-		s.chunk = make([]T, max(n, 1))
+		if s.used == len(s.chunks) {
+			s.chunks = append(s.chunks, make([]T, max(n, 1)))
+		}
+		s.chunk = s.chunks[s.used]
+		s.used++
 	}
 	v := &s.chunk[0]
 	s.chunk = s.chunk[1:]
@@ -242,3 +252,14 @@ func (s *slab[T]) get(n int) *T {
 
 // put releases a value for reuse; nothing may reference it any more.
 func (s *slab[T]) put(v *T) { s.free = append(s.free, v) }
+
+// reset releases every value for the next walk. It zeroes the chunks used,
+// so a pooled chunk keeps no program's regions alive.
+func (s *slab[T]) reset() {
+	for _, c := range s.chunks[:s.used] {
+		clear(c)
+	}
+	s.used, s.chunk = 0, nil
+	clear(s.free)
+	s.free = s.free[:0]
+}

@@ -15,11 +15,11 @@ import (
 func placedRegion(t *testing.T, m *machine.Machine, r *Region) *regState {
 	t.Helper()
 	e := &executor{
-		prog: &Program{Machine: m},
-		opt:  Options{TransientWindow: 2},
-		s:    sim.New(m, testParams()),
-		lg:   m.LeafGrid(),
-		reg:  map[*Region]*regState{},
+		walkScratch: walkPool.New().(*walkScratch),
+		prog:        &Program{Machine: m},
+		opt:         Options{TransientWindow: 2},
+		s:           sim.New(m, testParams()),
+		lg:          m.LeafGrid(),
 	}
 	e.coord = make([]int, e.lg.Rank())
 	e.placeRegion(r)

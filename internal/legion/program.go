@@ -19,9 +19,15 @@ type Kernel struct {
 // Launch is an index task launch: one task per point of Domain, each with
 // point-dependent region requirements (Legion projection functors).
 //
+// Every task requires the same regions with the same privileges, one
+// requirement per entry of Regions; only the rects vary by point, and they
+// are stored as ids into each region's rect table. The point with
+// linearized index lin requires Regions[t].Rects[IDs[lin*nt+t]] with
+// privilege Privs[t], where nt = len(Regions).
+//
 // The executor reuses one point slice across the domain walk: MapPoint,
-// Reqs, the Kernel callbacks, and Ctx.Point must not retain the slice
-// beyond their call (copy it if needed), mirroring Grid.Points.
+// the Kernel callbacks, and Ctx.Point must not retain the slice beyond
+// their call (copy it if needed), mirroring Grid.Points.
 type Launch struct {
 	Name   string
 	Domain machine.Grid
@@ -29,9 +35,16 @@ type Launch struct {
 	// Nil uses the default mapper: the domain is linearized onto the leaf
 	// grid round-robin.
 	MapPoint func(point []int) int
-	// Reqs computes the region requirements of the task at a point.
-	Reqs   func(point []int) []Req
-	Kernel Kernel
+	Regions  []*Region
+	Privs    []Privilege
+	IDs      []int32
+	Kernel   Kernel
+}
+
+// Req returns requirement t of the point with linearized index lin.
+func (l *Launch) Req(lin, t int) Req {
+	r, id := l.Regions[t], l.IDs[lin*len(l.Regions)+t]
+	return Req{Region: r, Rect: r.Rects[id], Priv: l.Privs[t], ID: id}
 }
 
 // Program is a compiled DISTAL kernel: an ordered sequence of index

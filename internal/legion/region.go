@@ -39,11 +39,13 @@
 //     the same way: a chain per rect id, one accumulator per writing leaf.
 //
 // The simulated walk allocates per run, per region and per slab chunk, not
-// per point or copy. Owners are one slab per region. The per-leaf instance
-// lists and eviction FIFOs are leaf-indexed slices of fixed capacity carved
-// from one per-region slab. Transient instances, their groups and
-// accumulators come from slabs chunked by the launch's size, and evicted
-// instances and emptied groups are recycled.
+// per point or copy, and a warm walk not even that: all of it lives in a
+// pooled walk scratch (scratch.go) that the next walk reuses. Owners are one
+// slab per region. The per-leaf instance lists and eviction FIFOs are
+// leaf-indexed slices of fixed capacity carved from one per-region slab.
+// Transient instances, their groups and accumulators come from slabs
+// chunked by the launch's size, and evicted instances and emptied groups are
+// recycled.
 //
 // Copy source selection prices candidates per cost class (see
 // sim.CopyClassCost): the cost model runs once per intra-/inter-node class
@@ -102,8 +104,8 @@ type Region struct {
 	Placement *distnot.Placement
 
 	// Rects is the program's table of distinct requirement rects on this
-	// region, indexed by Req.ID: the compiler numbers every rect once when
-	// it materializes the requirements.
+	// region, indexed by Req.ID (and by Launch.IDs): the compiler numbers
+	// every rect once when it materializes the requirements.
 	Rects []tensor.Rect
 }
 
@@ -116,7 +118,8 @@ func NewRegion(name string, shape []int, placement *distnot.Placement) *Region {
 func (r *Region) Bytes(rect tensor.Rect) int64 { return int64(rect.Volume()) * 8 }
 
 // Req is a region requirement of one task: the sub-rectangle accessed and
-// the privilege with which it is accessed.
+// the privilege with which it is accessed. A launch stores only the rect's
+// id per point; Launch.Req assembles the Req.
 type Req struct {
 	Region *Region
 	Rect   tensor.Rect

@@ -8,7 +8,6 @@ import (
 
 	"distal/internal/machine"
 	"distal/internal/obs"
-	"distal/internal/sim"
 	"distal/internal/tensor"
 )
 
@@ -84,10 +83,13 @@ func RunStages(ctx context.Context, stages []Stage, opt Options) (*Result, error
 // learned: the simulated Result and, when opt.Real, the tape of tasks a
 // Real execution replays (see Tape). Everything it does is independent of
 // the data, so a tape analysed once serves any number of executions under
-// options with equal Accounting. A simulation records no tasks. Analyse
-// checks ctx between launches and every cancelCheckEvery points, and opens
-// an "analyse" span; a simulation's walk also opens the "run-stage" and
-// "launch" spans a Real execution leaves to Execute.
+// options with equal Accounting. A simulation records no tasks. Before
+// walking, Analyse checks that every launch holds one requirement id per
+// point and region. It checks ctx between launches and every
+// cancelCheckEvery points, and opens an "analyse" span; a simulation's walk
+// also opens the "run-stage" and "launch" spans a Real execution leaves to
+// Execute. The walk works in a scratch taken from a pool and returned at its
+// end (see walkScratch); the tape and its Result never point into it.
 func Analyse(ctx context.Context, stages []Stage, opt Options) (*Tape, error) {
 	if len(stages) == 0 {
 		return nil, fmt.Errorf("legion: no stages to run")
@@ -106,24 +108,32 @@ func Analyse(ctx context.Context, stages []Stage, opt Options) (*Tape, error) {
 		if stages[i].Prog.Machine != first.Machine {
 			return nil, fmt.Errorf("legion: stage %d targets a different machine than stage 0", i)
 		}
+		for _, l := range stages[i].Prog.Launches {
+			if nt, n := len(l.Regions), l.Domain.Size(); len(l.Privs) != nt || len(l.IDs) != n*nt {
+				return nil, fmt.Errorf("legion: launch %s has %d privileges and %d requirement ids for %d points of %d regions",
+					l.Name, len(l.Privs), len(l.IDs), n, nt)
+			}
+		}
 	}
 	actx, asp := obs.Start(ctx, "analyse")
 	defer asp.End()
 	asp.SetAttr("cached", "false")
+	sc := walkPool.Get().(*walkScratch)
+	defer sc.release()
+	sc.sim.Reset(first.Machine, opt.Params)
 	e := &executor{
-		prog:   first,
-		opt:    opt,
-		ctx:    ctx,
-		s:      sim.New(first.Machine, opt.Params),
-		lg:     first.Machine.LeafGrid(),
-		gpuMem: first.Machine.LeafMem() == machine.GPUFBMem,
-		reg:    map[*Region]*regState{},
+		walkScratch: sc,
+		prog:        first,
+		opt:         opt,
+		ctx:         ctx,
+		s:           &sc.sim,
+		lg:          sc.sim.LeafGrid(),
+		gpuMem:      first.Machine.LeafMem() == machine.GPUFBMem,
 	}
-	e.coord = make([]int, e.lg.Rank())
+	e.coord = resize(e.coord, e.lg.Rank())
 	t := &Tape{real: opt.Real}
 	if opt.Real {
 		e.tape = t
-		e.slotOf = map[*Region]int32{}
 	}
 	for si := range stages {
 		st := &stages[si]
@@ -155,7 +165,7 @@ func Analyse(ctx context.Context, stages []Stage, opt Options) (*Tape, error) {
 			}
 			ends := e.spareEnds
 			if ends == nil {
-				ends = make([]float64, e.lg.Size())
+				ends = e.endRow(e.lg.Size())
 			}
 			e.spareEnds = nil
 			if n := len(e.endHist); n > 0 {
@@ -248,7 +258,7 @@ func (e *executor) placeStage(si int, st *Stage) error {
 		}
 		rs.rekey(r)
 		e.reg[r] = rs
-		if e.slotOf != nil {
+		if e.tape != nil {
 			e.slotOf[r] = e.slotOf[src]
 		}
 	}
@@ -268,14 +278,16 @@ func (e *executor) placeRegion(r *Region) {
 		e.tape.slots = append(e.tape.slots, r)
 	}
 	// Owner rects are narrowed in place in one backing slab: a leaf that
-	// owns nothing leaves its slot to the next leaf.
+	// owns nothing leaves its slot to the next leaf. Every array comes from
+	// the region state the scratch hands out, reused from an earlier walk.
+	rs := e.regState()
 	n, rank := e.lg.Size(), len(r.Shape)
-	bounds := make([]int, 2*rank*n)
+	bounds := resize(rs.bounds, 2*rank*n)
 	ownerRect := func(i int) tensor.Rect {
 		k := 2 * rank * i
 		return tensor.Rect{Lo: bounds[k : k+rank : k+rank], Hi: bounds[k+rank : k+2*rank : k+2*rank]}
 	}
-	leaves := make([]int, 0, n)
+	leaves := resize(rs.leaves, n)[:0]
 	for leaf := 0; leaf < n; leaf++ {
 		e.lg.DelinearizeInto(leaf, e.coord)
 		rect := ownerRect(len(leaves))
@@ -284,15 +296,21 @@ func (e *executor) placeRegion(r *Region) {
 		}
 	}
 	w := e.opt.TransientWindow
-	lists := make([]*instance, n*(2*w+1))
-	rs := &regState{
+	lists := resize(rs.lists, n*(2*w+1))
+	clear(rs.volBuckets)
+	*rs = regState{
 		region:     r,
-		persistent: make([]instance, len(leaves)),
-		perLeaf:    make([][]*instance, n),
-		transFIFO:  make([][]*instance, n),
-		transByID:  make([]*transGroup, len(r.Rects)),
-		volBuckets: map[int64][]*transGroup{},
-		accHead:    make([]*accumulator, len(r.Rects)),
+		persistent: resize(rs.persistent, len(leaves)),
+		owners:     rs.owners,
+		perLeaf:    resize(rs.perLeaf, n),
+		transFIFO:  resize(rs.transFIFO, n),
+		transByID:  resize(rs.transByID, len(r.Rects)),
+		volBuckets: rs.volBuckets,
+		volumes:    rs.volumes[:0],
+		accHead:    resize(rs.accHead, len(r.Rects)),
+		bounds:     bounds,
+		leaves:     leaves,
+		lists:      lists,
 	}
 	for leaf := range n {
 		k := leaf * (2*w + 1)
@@ -306,7 +324,7 @@ func (e *executor) placeRegion(r *Region) {
 		rs.perLeaf[leaf] = append(rs.perLeaf[leaf], inst)
 		e.s.Alloc(leaf, inst.bytes)
 	}
-	rs.owners = newOwnerIndex(rs.persistent, rank)
+	rs.owners.build(rs.persistent, rank)
 	e.reg[r] = rs
 }
 

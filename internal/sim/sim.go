@@ -45,31 +45,44 @@ type Sim struct {
 
 // New returns a fresh simulation over m with the given cost model.
 func New(m *machine.Machine, p Params) *Sim {
+	s := &Sim{}
+	s.Reset(m, p)
+	return s
+}
+
+// Reset makes s a fresh simulation over m with the given cost model, as New
+// would return, reusing the per-leaf and per-node arrays of its previous
+// simulation when they are large enough.
+func (s *Sim) Reset(m *machine.Machine, p Params) {
 	lg := m.LeafGrid()
-	n := lg.Size()
-	outer := m.Nodes()
-	s := &Sim{
+	n, outer := lg.Size(), m.Nodes()
+	// The per-leaf and per-node availability times share one backing, the
+	// memory counters another; each grows only past its capacity and comes
+	// back zeroed.
+	times := append(s.procFree[:0], make([]float64, 3*n+2*outer)...)
+	mem := append(s.memUsed[:0], make([]int64, 2*n)...)
+	nodeOf := append(s.nodeOf[:0], make([]int, n+lg.Rank())...)
+	*s = Sim{
 		Machine:  m,
 		Params:   p,
 		leafGrid: lg,
 		nLeaves:  n,
 		nNodes:   outer,
-		procFree: make([]float64, n),
-		outFree:  make([]float64, n),
-		inFree:   make([]float64, n),
-		nicOut:   make([]float64, outer),
-		nicIn:    make([]float64, outer),
-		memUsed:  make([]int64, n),
-		memPeak:  make([]int64, n),
+		procFree: times[:n], // each backing's first array keeps its capacity
+		outFree:  times[n : 2*n],
+		inFree:   times[2*n : 3*n],
+		nicOut:   times[3*n : 3*n+outer],
+		nicIn:    times[3*n+outer:],
+		memUsed:  mem[:n],
+		memPeak:  mem[n:],
+		nodeOf:   nodeOf[:n],
 		oomProc:  -1,
 	}
-	s.nodeOf = make([]int, n)
-	coord := make([]int, lg.Rank())
+	coord := nodeOf[n:]
 	for l := 0; l < n; l++ {
 		lg.DelinearizeInto(l, coord)
 		s.nodeOf[l] = m.NodeOf(coord)
 	}
-	return s
 }
 
 // LeafGrid returns the flattened leaf-processor grid.
