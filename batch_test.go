@@ -60,7 +60,7 @@ func batchCases(t testing.TB) []batchCase {
 // the same values through distinct allocations.
 func instanceTensors(plan *distal.Plan, req distal.Request, seed int64) []*distal.Tensor {
 	var ts []*distal.Tensor
-	for i, name := range plan.Tensors() {
+	for i, name := range plan.Inputs() {
 		d := tensor.New(name, req.Shapes[name]...)
 		if name != plan.Output() {
 			d.FillRandom(seed + int64(i))

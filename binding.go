@@ -11,16 +11,16 @@ import (
 	"distal/internal/tensor"
 )
 
-// runner is the execution half every compiled handle shares: a Plan runs as
-// a one-stage program, a ProgramPlan as its DAG of stages, and both bind,
+// runner is the execution half of every plan: a single statement runs as a
+// one-stage program, a statement list as its DAG of stages, and both bind,
 // run and simulate through the one runner below. Its first Real run analyses
-// the stages once for every later run of the handle, from any copy of it the
-// plan cache hands out.
+// the stages once for every later run of the plan, from any handle the
+// session hands out.
 type runner struct {
 	params Params
 	stages []legion.Stage
-	inputs []slot                      // what a caller binds: a plan's every tensor, a program's leaf inputs
-	owned  []slot                      // what a binding allocates: a program's intermediates and output
+	inputs []slot                      // what a caller binds: a statement's every tensor, a list's leaf inputs
+	owned  []slot                      // what a binding allocates: a list's intermediates and output
 	output string                      // the tensor a run answers with
 	build  chan struct{}               // one slot, held while a tape build runs
 	tape   atomic.Pointer[legion.Tape] // the Real analysis under the default options
@@ -112,9 +112,9 @@ func (r *runner) cachedTape(ctx context.Context, opt legion.Options) (*legion.Ta
 // a program's last statement's LHS.
 func (r *runner) Output() string { return r.output }
 
-// inputShape returns the compiled shape of a tensor the caller binds, or nil.
-func (r *runner) inputShape(name string) []int {
-	for _, s := range r.inputs {
+// shapeIn returns the shape of the slot named name, or nil.
+func shapeIn(slots []slot, name string) []int {
+	for _, s := range slots {
 		if s.name == name {
 			return s.shape
 		}
@@ -131,9 +131,9 @@ func (r *runner) bindInstance(tensors []*Tensor, withInter bool) (map[string]*te
 	data := make(map[string]*tensor.Dense, len(r.inputs)+len(r.owned))
 	var out *Tensor
 	for _, t := range tensors {
-		shape := r.inputShape(t.Name)
+		shape := shapeIn(r.inputs, t.Name)
 		switch {
-		case shape == nil && slices.ContainsFunc(r.owned, func(s slot) bool { return s.name == t.Name }):
+		case shape == nil && shapeIn(r.owned, t.Name) != nil:
 			return nil, nil, fmt.Errorf("tensor %s is computed by the program; bind leaf inputs only", t.Name)
 		case shape == nil:
 			return nil, nil, fmt.Errorf("plan has no tensor %s", t.Name)
@@ -288,7 +288,7 @@ func (r *runner) BindStacked(batch int, stacked ...*Tensor) *BatchBinding {
 	}
 	instances := make([][]*Tensor, batch)
 	for _, t := range stacked {
-		shape := r.inputShape(t.Name)
+		shape := shapeIn(r.inputs, t.Name)
 		if shape == nil || t.Data == nil {
 			// Not a stack of anything bindable: BindBatch names the error.
 			for i := range instances {

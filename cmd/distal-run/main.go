@@ -57,7 +57,6 @@ import (
 	"strings"
 	"time"
 
-	"distal/internal/ir"
 	"distal/internal/program"
 	"distal/internal/request"
 	"distal/internal/tensor"
@@ -106,30 +105,22 @@ func main() {
 	if req.Shapes, err = request.ParseShapes(stmts, *shapes, *n); err != nil {
 		log.Fatalf("distal-run: %v", err)
 	}
-	if len(stmts) == 1 {
-		req.Stmt = stmts[0]
-		if len(scheds) == 1 {
-			req.Schedule = scheds[0]
+	specs := make([]wire.StmtSpec, len(stmts))
+	for i, s := range stmts {
+		specs[i].Stmt = s
+		if len(scheds) == len(stmts) {
+			specs[i].Schedule = scheds[i]
 		}
-		if len(formats) == 1 {
-			if req.Formats, err = request.ParseFormats(formats[0]); err != nil {
-				log.Fatalf("distal-run: %v", err)
+		if len(formats) == len(stmts) {
+			if specs[i].Formats, err = request.ParseFormats(formats[i]); err != nil {
+				log.Fatalf("distal-run: statement %d: %v", i, err)
 			}
 		}
+	}
+	if len(specs) == 1 { // the statement form, whose output may be bound too
+		req.Stmt, req.Formats, req.Schedule = specs[0].Stmt, specs[0].Formats, specs[0].Schedule
 	} else {
-		req.Stmts = make([]wire.StmtSpec, len(stmts))
-		for i, s := range stmts {
-			spec := wire.StmtSpec{Stmt: s}
-			if len(scheds) == len(stmts) {
-				spec.Schedule = scheds[i]
-			}
-			if len(formats) == len(stmts) {
-				if spec.Formats, err = request.ParseFormats(formats[i]); err != nil {
-					log.Fatalf("distal-run: statement %d: %v", i, err)
-				}
-			}
-			req.Stmts[i] = spec
-		}
+		req.Stmts = specs
 	}
 
 	// Sort each -in into a server-side fill or a local .dt file to stream.
@@ -329,40 +320,18 @@ func fetchTrace(ctx context.Context, client *wire.Client, id, path string) error
 	return nil
 }
 
-// verifyInstance reconstructs instance inst's inputs locally (streamed
-// tensors are already in hand; fills are deterministic on both ends, with the
-// per-instance seed offset the server applied), evaluates the statement — or
-// the whole multi-statement chain — with the reference interpreter, and
-// compares numerics.
+// verifyInstance reconstructs instance inst's bound tensors locally
+// (streamed tensors are already in hand; fills are deterministic on both
+// ends, with the per-instance seed offset the server applied), evaluates the
+// request — one statement or a whole chain — with the reference
+// interpreter, and compares numerics.
 func verifyInstance(req wire.RunRequest, data map[string]*tensor.Dense, got *tensor.Dense, inst int) error {
-	var (
-		names []string
-		eval  func(map[string]*tensor.Dense) (*tensor.Dense, error)
-	)
-	if len(req.Stmts) > 0 {
-		p, err := program.Parse(req.Stmts, req.Shapes)
-		if err != nil {
-			return err
-		}
-		names = p.Inputs()
-		eval = func(in map[string]*tensor.Dense) (*tensor.Dense, error) {
-			outs, err := program.Evaluate(p, in)
-			return outs[p.Output()], err
-		}
-	} else {
-		stmt, err := ir.Parse(req.Stmt)
-		if err != nil {
-			return err
-		}
-		for _, name := range stmt.TensorNames() {
-			if name != stmt.LHS.Tensor {
-				names = append(names, name)
-			}
-		}
-		eval = func(in map[string]*tensor.Dense) (*tensor.Dense, error) { return ir.Evaluate(stmt, in) }
+	p, err := program.ParseRequest(program.Statement{Stmt: req.Stmt, Formats: req.Formats, Schedule: req.Schedule}, req.Stmts, req.Shapes)
+	if err != nil {
+		return err
 	}
 	inputs := map[string]*tensor.Dense{}
-	for _, name := range names {
+	for _, name := range p.Inputs() {
 		if t, ok := data[name]; ok {
 			inputs[name] = t
 			continue
@@ -373,10 +342,11 @@ func verifyInstance(req wire.RunRequest, data map[string]*tensor.Dense, got *ten
 		}
 		inputs[name] = t
 	}
-	want, err := eval(inputs)
+	outs, err := program.Evaluate(p, inputs)
 	if err != nil {
 		return err
 	}
+	want := outs[p.Output()]
 	if want.Rank() == 0 {
 		// A scalar output travels with shape (1); the interpreter returns
 		// it at rank 0.

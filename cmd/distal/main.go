@@ -17,7 +17,7 @@
 // is the paper's request text (internal/algorithms) compiled on the
 // algorithm's machine; -expr writes a request of the statement, its shapes
 // and first-mode formats, and the schedule text (empty auto-schedules);
-// -chain writes a multi-statement request.
+// -chain writes a statement-list request. Both forms compile to one Plan.
 package main
 
 import (
@@ -149,17 +149,17 @@ func runChain(src string, n, procs int, gpu, simulate, trace bool) error {
 		}
 	}
 	sess := distal.NewSession(newMachine(procs, gpu), distal.WithParams(params(gpu)))
-	pp, err := sess.CompileProgram(context.Background(), distal.Request{Shapes: shapes, Stmts: stmts})
+	plan, err := sess.Compile(context.Background(), distal.Request{Shapes: shapes, Stmts: stmts})
 	if err != nil {
 		return err
 	}
 	fmt.Println("=== program ===")
 	fmt.Printf("statements    %d\n", len(stmts))
-	fmt.Printf("stages        %d (%d repartitions)\n", pp.Stages(), pp.Repartitions())
-	fmt.Printf("inputs        %s\n", strings.Join(pp.Inputs(), ", "))
-	fmt.Printf("output        %s %v\n", pp.Output(), pp.Shape(pp.Output()))
-	fmt.Printf("plan          %s cached=%t\n", pp.Key(), pp.Stats().Cached)
-	return execute(simulate, trace, pp.Simulate)
+	fmt.Printf("stages        %d (%d repartitions)\n", plan.Stages(), plan.Repartitions())
+	fmt.Printf("inputs        %s\n", strings.Join(plan.Inputs(), ", "))
+	fmt.Printf("output        %s %v\n", plan.Output(), plan.Shape(plan.Output()))
+	fmt.Printf("plan          %s cached=%t\n", plan.Key(), plan.Stats().Cached)
+	return execute(plan, simulate, trace)
 }
 
 // firstMode writes the format that partitions a rank-r tensor over the 1-D
@@ -191,9 +191,6 @@ func runAlg(alg string, n, procs int, gpu, simulate, trace bool, maxPoints int) 
 	return show(plan, maxPoints, simulate, trace)
 }
 
-// simulator runs a compiled plan or plan DAG without data.
-type simulator func(context.Context, ...distal.ExecOption) (*distal.Result, error)
-
 // show prints what the compiler produced for a plan — its schedule, the
 // concrete index notation of the scheduled statement, and the generated
 // program — then simulates it when -sim or -trace asks.
@@ -206,12 +203,12 @@ func show(plan *distal.Plan, maxPoints int, simulate, trace bool) error {
 	fmt.Println()
 	fmt.Println("=== generated program ===")
 	fmt.Print(plan.Listing(maxPoints))
-	return execute(simulate, trace, plan.Simulate)
+	return execute(plan, simulate, trace)
 }
 
-// execute simulates (when -sim or -trace asks for it) and prints the
-// statistics and, with -trace, the copy trace.
-func execute(simulate, trace bool, run simulator) error {
+// execute simulates the plan (when -sim or -trace asks for it) and prints
+// the statistics and, with -trace, the copy trace.
+func execute(plan *distal.Plan, simulate, trace bool) error {
 	if !simulate && !trace {
 		return nil
 	}
@@ -219,7 +216,7 @@ func execute(simulate, trace bool, run simulator) error {
 	if trace {
 		mods = append(mods, distal.WithTrace())
 	}
-	res, err := run(context.Background(), mods...)
+	res, err := plan.Simulate(context.Background(), mods...)
 	if err != nil {
 		return err
 	}

@@ -35,11 +35,12 @@
 // (KindParse, KindSchedule, KindCompile, KindExec, KindCanceled).
 // cmd/distal-serve exposes all of this over HTTP/JSON (see internal/serve).
 //
-// Session.CompileProgram compiles a multi-statement Request into a
-// ProgramPlan whose intermediates stay distributed between stages. It
-// simulates and binds exactly as a Plan does, because a Plan runs as a
-// one-stage program: Bind returns a Binding, BindBatch and BindStacked a
-// BatchBinding, and a Binding is a BatchBinding of one instance.
+// A Request may instead list several statements in Stmts, whose
+// intermediates feed later statements. Compile turns either form into one
+// Plan type: a single statement is a one-stage plan, a list a DAG of stages
+// whose intermediates stay distributed in between. Every plan binds and runs
+// alike: Bind returns a Binding, BindBatch and BindStacked a BatchBinding,
+// and a Binding is a BatchBinding of one instance.
 //
 // For programmatic construction, the fluent layer mirrors Figure 2 of the
 // paper. A computation compiles as the Request it spells, so it shares the

@@ -61,7 +61,7 @@ func gemmChain() {
 	const n, g = 64, 2
 	sess := distal.NewSession(distal.NewMachine(distal.CPU, g, g))
 	req := gemmRequest(n, g)
-	pp, err := sess.CompileProgram(context.Background(), req)
+	pp, err := sess.Compile(context.Background(), req)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -87,7 +87,8 @@ func gemmChain() {
 	fmt.Printf("%-8s %-14s %-14s %-10s\n", "n", "dag GB", "seq GB", "saved")
 	for _, bign := range []int{2048, 4096, 8192} {
 		big := distal.NewSession(distal.NewMachine(distal.CPU, 4, 4))
-		bp, err := big.CompileProgram(context.Background(), gemmRequest(bign, 4))
+		bigReq := gemmRequest(bign, 4)
+		bp, err := big.Compile(context.Background(), bigReq)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -95,14 +96,7 @@ func gemmChain() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		var seq int64
-		for _, sp := range bp.StagePlans() {
-			res, err := sp.Simulate(context.Background())
-			if err != nil {
-				log.Fatal(err)
-			}
-			seq += res.InterBytes
-		}
+		seq := standaloneBytes(big, bigReq)
 		// The baseline's handoff: D down to the root and back out.
 		for _, dir := range [][2]string{{"xy->xy", "xy->00"}, {"xy->00", "xy->xy"}} {
 			bytes, _, err := big.RedistributeCost(
@@ -150,7 +144,7 @@ func ttmMttkrp() {
 	const n, r, g = 16, 4, 2
 	sess := distal.NewSession(distal.NewMachine(distal.CPU, g, g))
 	q := req(n, r, g, n/g)
-	pp, err := sess.CompileProgram(context.Background(), q)
+	pp, err := sess.Compile(context.Background(), q)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -174,7 +168,8 @@ func ttmMttkrp() {
 	for _, bign := range []int{256, 512} {
 		const bigr = 32
 		big := distal.NewSession(distal.NewMachine(distal.CPU, 4, 4))
-		bp, err := big.CompileProgram(context.Background(), req(bign, bigr, 4, bign/4))
+		bigReq := req(bign, bigr, 4, bign/4)
+		bp, err := big.Compile(context.Background(), bigReq)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -182,14 +177,7 @@ func ttmMttkrp() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		var seq int64
-		for _, sp := range bp.StagePlans() {
-			res, err := sp.Simulate(context.Background())
-			if err != nil {
-				log.Fatal(err)
-			}
-			seq += res.InterBytes
-		}
+		seq := standaloneBytes(big, bigReq)
 		// The baseline's handoff: T down to leaf (0,0) and back out.
 		for _, dir := range [][2]string{{"xyz->xy", "xyz->00"}, {"xyz->00", "xyz->xy"}} {
 			bytes, _, err := big.RedistributeCost(
@@ -204,6 +192,34 @@ func ttmMttkrp() {
 			float64(dag.InterBytes)/1e9, float64(seq)/1e9,
 			100*(1-float64(dag.InterBytes)/float64(seq)))
 	}
+}
+
+// standaloneBytes simulates each statement of req as a request of its own,
+// as two independent requests would run them, and sums their inter-node
+// bytes. Each resolves to the cached plan its DAG stage runs.
+func standaloneBytes(sess *distal.Session, req distal.Request) int64 {
+	p, err := program.Parse(req.Stmts, req.Shapes)
+	if err != nil {
+		log.Fatal(err)
+	}
+	var sum int64
+	for _, st := range p.Stages {
+		shapes := map[string][]int{}
+		for _, name := range st.Assign.TensorNames() {
+			shapes[name] = p.Shapes[name]
+		}
+		plan, err := sess.Compile(context.Background(), distal.Request{
+			Stmt: st.Src.Stmt, Shapes: shapes, Formats: st.Src.Formats, Schedule: st.Src.Schedule})
+		if err != nil {
+			log.Fatal(err)
+		}
+		res, err := plan.Simulate(context.Background())
+		if err != nil {
+			log.Fatal(err)
+		}
+		sum += res.InterBytes
+	}
+	return sum
 }
 
 // evaluate runs the whole program through the sequential reference

@@ -1,32 +1,34 @@
-// Package program parses multi-statement tensor programs into dependency
-// DAGs. A program is a list of tensor index notation statements whose
-// left-hand sides name intermediates that later statements consume — e.g.
-// "D(i,j) = A(i,k) * B(k,j)" feeding "E(i,j) = D(i,k) * C(k,j)". The parser
-// classifies every tensor as a leaf input (never assigned; its shape must be
-// declared) or an assigned tensor (its shape is inferred from the producing
-// statement's right-hand side), orders the statements topologically, and
-// rejects programs that cannot execute: duplicate assignments, dependency
-// cycles, shape conflicts, and declarations for tensors the program computes
-// itself.
+// Package program parses compile requests into dependency DAGs. A request
+// names either one statement or a list of tensor index notation statements
+// whose left-hand sides name intermediates that later statements consume —
+// e.g. "D(i,j) = A(i,k) * B(k,j)" feeding "E(i,j) = D(i,k) * C(k,j)". Both
+// forms parse to a Program; a single statement is a one-stage program. The
+// list parser classifies every tensor as a leaf input (never assigned; its
+// shape must be declared) or an assigned tensor (its shape is inferred from
+// the producing statement's right-hand side), orders the statements
+// topologically, and rejects programs that cannot execute: duplicate
+// assignments, dependency cycles, shape conflicts, and declarations for
+// tensors the program computes itself.
 //
 // The package is shared by both ends of the wire: the distal session layer
-// compiles a parsed program into a plan DAG, and the wire client derives the
-// leaf-input frame order from the same Parse, so client and server always
-// agree on which tensors ride as frames and in what order.
+// compiles a parsed program into a plan, and the wire client derives the
+// frame order from the same ParseRequest, so client and server always agree
+// on which tensors ride as frames and in what order.
 package program
 
 import (
 	"fmt"
+	"slices"
 
 	"distal/internal/ir"
 	"distal/internal/tensor"
 )
 
-// Statement is one statement of a multi-statement program: the index
-// notation text plus its own format annotations and schedule. Formats may
-// only name tensors of this statement; an empty schedule means the session
-// auto-schedules the stage. The json tags are the "stmts" entries of a
-// /v1/run request (internal/wire's StmtSpec).
+// Statement is one statement of a program: the index notation text plus its
+// own format annotations and schedule. Formats may only name tensors of this
+// statement; an empty schedule means the session auto-schedules the stage.
+// The json tags are the "stmts" entries of a /v1/run request (internal/wire's
+// StmtSpec).
 type Statement struct {
 	Stmt     string            `json:"stmt"`
 	Formats  map[string]string `json:"formats,omitempty"`
@@ -54,12 +56,28 @@ type Program struct {
 	// position.
 	Stages []*Stage
 	// Shapes maps every tensor of the program to its shape — leaf inputs
-	// as declared, assigned tensors as inferred from their producer.
+	// as declared, assigned tensors as inferred from their producer. A
+	// single statement's is the declared map itself.
 	Shapes map[string][]int
 
-	inputs   []string       // leaf inputs, first-use order over the source list
+	inputs   []string       // what a caller binds, in frame order
 	producer map[string]int // assigned tensor -> source index of its producer
 	output   string         // the last source statement's LHS
+}
+
+// ParseRequest parses a request in either of its two forms. The statement
+// form sets one and leaves stmts empty: it declares every tensor's shape,
+// its output's included, and a caller binds every tensor in statement
+// order. The list form sets stmts and leaves one zero, and parses as Parse
+// does: a caller binds the leaf inputs in first-use order.
+func ParseRequest(one Statement, stmts []Statement, shapes map[string][]int) (*Program, error) {
+	if len(stmts) == 0 {
+		return parseStatement(one, shapes)
+	}
+	if one.Stmt != "" || one.Schedule != "" || len(one.Formats) > 0 {
+		return nil, fmt.Errorf("program: a request with stmts puts its statements, formats and schedules inside stmts; the top-level stmt, formats and schedule must be empty")
+	}
+	return Parse(stmts, shapes)
 }
 
 // Parse parses and validates a statement list against the declared leaf
@@ -220,6 +238,50 @@ func Parse(stmts []Statement, shapes map[string][]int) (*Program, error) {
 	return p, nil
 }
 
+// parseStatement parses the statement form. Every tensor of the statement
+// needs a shape of positive extents, its output's included, and the shapes
+// must agree on every index variable's extent. Shapes and Formats keys that
+// name no tensor of the statement are rejected, since in a pure-data wire
+// format a typo'd name would otherwise silently fall back to defaults.
+func parseStatement(st Statement, shapes map[string][]int) (*Program, error) {
+	a, err := ir.Parse(st.Stmt)
+	if err != nil {
+		return nil, err
+	}
+	names := a.TensorNames()
+	for key := range shapes {
+		if !slices.Contains(names, key) {
+			return nil, fmt.Errorf("request Shapes names %s, which is not a tensor of %q", key, st.Stmt)
+		}
+	}
+	for key := range st.Formats {
+		if !slices.Contains(names, key) {
+			return nil, fmt.Errorf("request Formats names %s, which is not a tensor of %q", key, st.Stmt)
+		}
+	}
+	for _, name := range names {
+		shape, ok := shapes[name]
+		if !ok {
+			return nil, fmt.Errorf("request has no shape for tensor %s", name)
+		}
+		for _, extent := range shape {
+			if extent <= 0 {
+				return nil, fmt.Errorf("request shape %v of tensor %s has a non-positive extent", shape, name)
+			}
+		}
+	}
+	if err := a.Validate(shapes); err != nil {
+		return nil, err
+	}
+	return &Program{
+		Stages:   []*Stage{{Assign: a, Src: st}},
+		Shapes:   shapes,
+		inputs:   names,
+		producer: map[string]int{a.LHS.Tensor: 0},
+		output:   a.LHS.Tensor,
+	}, nil
+}
+
 // inferLHS computes the LHS shape of a statement from the (known) shapes of
 // its RHS tensors, mirroring ir.Evaluate's extent inference.
 func inferLHS(a *ir.Assignment, shapes map[string][]int) ([]int, error) {
@@ -253,10 +315,11 @@ func inferLHS(a *ir.Assignment, shapes map[string][]int) ([]int, error) {
 	return outShape, nil
 }
 
-// Inputs returns the program's leaf inputs — tensors no statement assigns —
-// in first-use order over the source statement list. This is the canonical
-// wire frame order of a multi-statement run. The caller must not mutate the
-// returned slice.
+// Inputs returns the tensors a caller binds, in the canonical wire frame
+// order: a single statement's every tensor in statement order (LHS first,
+// then RHS tensors left to right, duplicates dropped), a list's leaf inputs
+// — tensors no statement assigns — in first-use order over the source
+// statement list. The caller must not mutate the returned slice.
 func (p *Program) Inputs() []string { return p.inputs }
 
 // Output returns the last source statement's LHS: the tensor a run of the

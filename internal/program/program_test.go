@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"distal/internal/ir"
 	"distal/internal/tensor"
 )
 
@@ -19,6 +20,7 @@ func TestParseValidation(t *testing.T) {
 	nn := []int{8, 8}
 	cases := []struct {
 		name   string
+		one    Statement // the statement form, when stmts is empty
 		stmts  []Statement
 		shapes map[string][]int
 		want   string // substring of the expected error; "" means success
@@ -31,7 +33,54 @@ func TestParseValidation(t *testing.T) {
 		{
 			name:  "empty program",
 			stmts: nil,
-			want:  "empty statement list",
+			want:  "expected identifier",
+		},
+		{
+			name:   "statement ok",
+			one:    Statement{Stmt: "A(i,j) = B(i,k) * C(k,j)", Formats: map[string]string{"A": "xy->xy"}},
+			shapes: map[string][]int{"A": nn, "B": nn, "C": nn},
+		},
+		{
+			name:   "statement scalar output",
+			one:    Statement{Stmt: "s = A(i,j) * B(i,j)"},
+			shapes: map[string][]int{"s": {1}, "A": nn, "B": nn},
+		},
+		{
+			name:   "statement and stmts",
+			one:    Statement{Schedule: "distribute(i)"},
+			stmts:  stmts("D(i,j) = A(i,k) * B(k,j)"),
+			shapes: map[string][]int{"A": nn, "B": nn},
+			want:   "the top-level stmt, formats and schedule must be empty",
+		},
+		{
+			name:   "statement without output shape",
+			one:    Statement{Stmt: "A(i,j) = B(i,k) * C(k,j)"},
+			shapes: map[string][]int{"B": nn, "C": nn},
+			want:   "request has no shape for tensor A",
+		},
+		{
+			name:   "statement output shape disagrees",
+			one:    Statement{Stmt: "A(i,j) = B(i,k) * C(k,j)"},
+			shapes: map[string][]int{"A": {8, 4}, "B": nn, "C": nn},
+			want:   "extent",
+		},
+		{
+			name:   "statement non-positive extent",
+			one:    Statement{Stmt: "A(i) = B(i)"},
+			shapes: map[string][]int{"A": {0}, "B": {0}},
+			want:   "non-positive extent",
+		},
+		{
+			name:   "statement unknown shapes key",
+			one:    Statement{Stmt: "A(i) = B(i)"},
+			shapes: map[string][]int{"A": {8}, "B": {8}, "X": {8}},
+			want:   "request Shapes names X",
+		},
+		{
+			name:   "statement unknown formats key",
+			one:    Statement{Stmt: "A(i) = B(i)", Formats: map[string]string{"X": "x->x"}},
+			shapes: map[string][]int{"A": {8}, "B": {8}},
+			want:   "request Formats names X",
 		},
 		{
 			name:   "duplicate assignment",
@@ -93,7 +142,7 @@ func TestParseValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := Parse(tc.stmts, tc.shapes)
+			_, err := ParseRequest(tc.one, tc.stmts, tc.shapes)
 			if tc.want == "" {
 				if err != nil {
 					t.Fatalf("Parse: %v", err)
@@ -141,6 +190,37 @@ func TestParseShapeInferenceAndOrder(t *testing.T) {
 	}
 	if _, ok := p.Producer("A"); ok {
 		t.Fatal("Producer(A) reports leaf input A as assigned")
+	}
+}
+
+// TestParseStatementForm: a single statement is a one-stage program that
+// binds every tensor in statement order, its output included, and
+// evaluates as the reference interpreter evaluates the statement.
+func TestParseStatementForm(t *testing.T) {
+	shapes := map[string][]int{"A": {4, 5}, "B": {4, 3}, "C": {3, 5}}
+	p, err := ParseRequest(Statement{Stmt: "A(i,j) = B(i,k) * C(k,j)"}, nil, shapes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(p.Stages) != 1 || p.Output() != "A" || strings.Join(p.Inputs(), ",") != "A,B,C" {
+		t.Fatalf("stages %d, output %s, inputs %v; want 1, A, [A B C]", len(p.Stages), p.Output(), p.Inputs())
+	}
+	in := map[string]*tensor.Dense{"A": tensor.New("A", 4, 5), "B": tensor.New("B", 4, 3), "C": tensor.New("C", 3, 5)}
+	in["B"].FillRandom(1)
+	in["C"].FillRandom(2)
+	got, err := Evaluate(p, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ir.Evaluate(p.Stages[0].Assign, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got["A"].EqualWithin(want, 0) {
+		t.Fatal("a one-stage program evaluates differently from its statement")
+	}
+	if _, err := Parse(nil, nil); err == nil || !strings.Contains(err.Error(), "empty statement list") {
+		t.Fatalf("Parse of no statements: %v", err)
 	}
 }
 

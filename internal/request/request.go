@@ -8,6 +8,7 @@ package request
 
 import (
 	"fmt"
+	"slices"
 
 	"distal/internal/core"
 	"distal/internal/distnot"
@@ -34,13 +35,14 @@ type Request struct {
 	// e.g. "divide(i,io,ii,4) reorder(io,ii,j,k) distribute(io) communicate(io,A,B)".
 	// Empty means AutoSchedule.
 	Schedule string
-	// Stmts is the multi-statement form of a request: a list of statements
-	// whose left-hand sides name intermediates later statements consume,
-	// each with its own format annotations and schedule. Shapes then
-	// declares the leaf inputs only (intermediate shapes are inferred from
-	// their producers), and Stmt/Formats/Schedule must be empty. Requests
-	// with Stmts compile through Session.CompileProgram into a ProgramPlan;
-	// Compile rejects them.
+	// Stmts is the list form of a request: statements whose left-hand
+	// sides name intermediates later statements consume, each with its own
+	// format annotations and schedule. Shapes then declares the leaf inputs
+	// only (intermediate and output shapes are inferred from their
+	// producers), and Stmt/Formats/Schedule must be empty. Both forms
+	// parse through program.ParseRequest and compile through
+	// Session.Compile into a Plan; a single statement is a one-stage
+	// program.
 	Stmts []program.Statement
 }
 
@@ -58,51 +60,31 @@ func Build(req Request, m *machine.Machine) (core.Input, error) {
 }
 
 // Unscheduled validates req's statement, shapes and formats against machine
-// m and returns the compile input with an empty schedule. Every tensor of
-// the statement needs a shape of positive extents; Shapes and Formats keys
-// that name no tensor of the statement are rejected, since in a pure-data
-// wire format a typo'd name would otherwise silently fall back to defaults.
+// m, as program.ParseRequest parses the statement form, and returns the
+// compile input with an empty schedule: every tensor declared at its shape,
+// placed by its Formats entry or the canonical tiling of its rank.
 func Unscheduled(req Request, m *machine.Machine) (core.Input, error) {
-	stmt, err := ir.Parse(req.Stmt)
+	p, err := program.ParseRequest(Statement(req), nil, req.Shapes)
 	if err != nil {
 		return core.Input{}, err
 	}
+	stmt := p.Stages[0].Assign
 	names := stmt.TensorNames()
-	named := make(map[string]bool, len(names))
-	for _, name := range names {
-		named[name] = true
-	}
-	for key := range req.Shapes {
-		if !named[key] {
-			return core.Input{}, fmt.Errorf("request Shapes names %s, which is not a tensor of %q", key, req.Stmt)
-		}
-	}
-	for key := range req.Formats {
-		if !named[key] {
-			return core.Input{}, fmt.Errorf("request Formats names %s, which is not a tensor of %q", key, req.Stmt)
-		}
-	}
 	decls := make(map[string]*core.TensorDecl, len(names))
 	for _, name := range names {
-		shape, ok := req.Shapes[name]
-		if !ok {
-			return core.Input{}, fmt.Errorf("request has no shape for tensor %s", name)
-		}
-		for _, extent := range shape {
-			if extent <= 0 {
-				return core.Input{}, fmt.Errorf("request shape %v of tensor %s has a non-positive extent", shape, name)
-			}
-		}
-		p, err := Placement(req.Formats, name, len(shape))
+		p, err := Placement(req.Formats, name, len(req.Shapes[name]))
 		if err != nil {
 			return core.Input{}, err
 		}
-		decls[name] = &core.TensorDecl{Name: name, Shape: append([]int(nil), shape...), Placement: p}
-	}
-	if err := stmt.Validate(req.Shapes); err != nil {
-		return core.Input{}, err
+		decls[name] = &core.TensorDecl{Name: name, Shape: slices.Clone(req.Shapes[name]), Placement: p}
 	}
 	return core.Input{Stmt: stmt, Machine: m, Tensors: decls, Schedule: schedule.New(stmt)}, nil
+}
+
+// Statement returns req's statement form: its statement, formats and
+// schedule.
+func Statement(req Request) program.Statement {
+	return program.Statement{Stmt: req.Stmt, Formats: req.Formats, Schedule: req.Schedule}
 }
 
 // Placement resolves the format tensor name is placed under: its Formats

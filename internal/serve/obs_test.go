@@ -117,11 +117,11 @@ func TestTraceExportChain(t *testing.T) {
 			}
 			count[e.Name]++
 			switch e.Name {
-			case "compile", "compile-program":
+			case "compile", "compile-stage":
 				cacheAttrs = append(cacheAttrs, e.Args["cache"])
 			}
-			if e.Name == "compile-program" && e.Args["plan_key"] != stats.PlanKey {
-				t.Fatalf("compile-program plan_key = %q, want the program key %q", e.Args["plan_key"], stats.PlanKey)
+			if e.Name == "compile" && (e.Args["plan_key"] != stats.PlanKey || e.Args["stages"] != "2") {
+				t.Fatalf("compile plan_key = %q stages = %q, want the program key %q and 2", e.Args["plan_key"], e.Args["stages"], stats.PlanKey)
 			}
 			// Both stages' leaves (ii, ji, ki) block all three variables.
 			if e.Name == "compiler-run" && e.Args["block_vars"] != "3" {
@@ -130,8 +130,8 @@ func TestTraceExportChain(t *testing.T) {
 		}
 		for name, want := range map[string]int{
 			"/v1/run": 1, "queue-wait": 1, "decode-frames": 1, "execute": 1,
-			"stream-response": 1, "compile-program": 1,
-			"compile-stage": stageCompiles, "compile": stageCompiles, "compiler-run": stageCompiles, "run-stage": 2,
+			"stream-response": 1, "compile": 1,
+			"compile-stage": stageCompiles, "compiler-run": stageCompiles, "run-stage": 2,
 		} {
 			if count[name] != want {
 				t.Fatalf("trace has %d %q spans, want %d (counts: %v)", count[name], name, want, count)

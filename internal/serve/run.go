@@ -19,9 +19,9 @@ import (
 )
 
 // handleRun is real execution over the wire: a data-free distal.Request
-// rides in the body's JSON section, input tensors follow as wire frames in
-// statement order (or are filled server-side), the plan resolves through
-// the session cache, BindBatch(...).Run executes on a worker slot under the
+// rides in the body's JSON section, the tensors the plan binds follow as
+// wire frames in its frame order (or are filled server-side), the plan
+// resolves through the session cache, BindBatch(...).Run executes on a worker slot under the
 // request deadline, and the computed output tensor streams back as one
 // frame with the run's metrics in Distal-* headers.
 //
@@ -116,52 +116,20 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.release()
 
-	// Compile: the single-statement path resolves one plan, the
-	// multi-statement path a plan DAG. Both run through the same binding, so
-	// only the names to materialize per instance (frame order), the tensors
-	// the binding allocates, and the reporting differ.
-	var (
-		names   []string
-		staged  []*distal.Plan // a program's stages: the binding allocates their outputs
-		planKey string
-		cached  bool
-		output  string
-		compile time.Duration
-		stages  []wire.StageInfo
-		bind    func(...[]*distal.Tensor) *distal.BatchBinding
-	)
-	if len(q.Stmts) > 0 {
-		pp, err := s.sess.CompileProgram(ctx, distal.Request{
-			Stmt: q.Stmt, Shapes: q.Shapes, Formats: q.Formats, Schedule: q.Schedule, Stmts: q.Stmts,
-		})
-		if err != nil {
-			s.writeError(w, err)
-			return
-		}
-		// Only leaf inputs may carry directives: intermediates and the
-		// output are allocated server-side by the program binding.
-		names, staged = pp.Inputs(), pp.StagePlans()
-		st := pp.Stats()
-		planKey, cached, output, compile, bind = pp.Key(), st.Cached, pp.Output(), st.CompileTime, pp.BindBatch
-		for _, sm := range pp.StageMetas() {
-			stages = append(stages, wire.StageInfo(sm))
-		}
-	} else {
-		plan, err := s.sess.Compile(ctx, distal.Request{
-			Stmt: q.Stmt, Shapes: q.Shapes, Formats: q.Formats, Schedule: q.Schedule,
-		})
-		if err != nil {
-			s.writeError(w, err)
-			return
-		}
-		names = plan.Tensors()
-		st := plan.Stats()
-		planKey, cached, output, compile, bind = plan.Key(), st.Cached, plan.Output(), st.CompileTime, plan.BindBatch
+	// Compile either request form into one plan: a statement's binds every
+	// tensor, a list's its leaf inputs, and the binding allocates the rest.
+	plan, err := s.sess.Compile(ctx, distal.Request{
+		Stmt: q.Stmt, Shapes: q.Shapes, Formats: q.Formats, Schedule: q.Schedule, Stmts: q.Stmts,
+	})
+	if err != nil {
+		s.writeError(w, err)
+		return
 	}
+	names, stages := plan.Inputs(), plan.StageMetas()
 	for name := range q.Inputs {
 		if !slices.Contains(names, name) {
 			what := fmt.Sprintf("a tensor of %q", q.Stmt)
-			if staged != nil {
+			if stages != nil {
 				what = "a leaf input of the program (computed tensors are server-allocated)"
 			}
 			s.writeError(w, &distal.Error{Kind: distal.KindParse, Op: "run",
@@ -185,10 +153,10 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	for _, name := range names {
-		admit(q.Shapes[name])
+		admit(plan.Shape(name))
 	}
-	for _, sp := range staged {
-		admit(sp.Shape(sp.Output()))
+	for _, st := range stages {
+		admit(plan.Shape(st.Output))
 	}
 	if admitErr != nil {
 		s.writeError(w, &distal.Error{Kind: distal.KindInput, Op: "run", Err: admitErr})
@@ -277,32 +245,34 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	ctx = ectx
 	esp.SetAttr("instances", strconv.Itoa(len(surviving)))
 	t0 := time.Now()
-	bb := bind(surviving...)
+	bb := plan.BindBatch(surviving...)
 	results, err := bb.Run(ctx)
 	esp.End()
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
-	res := results[0]
-	s.phaseCompile.Observe(compile.Seconds())
+	res, cs := results[0], plan.Stats()
+	s.phaseCompile.Observe(cs.CompileTime.Seconds())
 	s.phaseExecute.Observe(time.Since(t0).Seconds())
 	s.batchSize.Observe(float64(len(surviving)))
 	s.bytesIntra.Add(float64(res.IntraBytes))
 	s.bytesInter.Add(float64(res.InterBytes))
 
 	stats := wire.RunStats{
-		PlanKey:      planKey,
-		Cached:       cached,
-		Output:       output,
+		PlanKey:      plan.Key(),
+		Cached:       cs.Cached,
+		Output:       plan.Output(),
 		TimeS:        res.Time,
 		GFlops:       res.GFlopsPerSec(),
 		Copies:       res.Copies,
 		IntraBytes:   res.IntraBytes,
 		InterBytes:   res.InterBytes,
 		PeakMemBytes: res.PeakMemBytes,
-		CompileMS:    float64(compile) / float64(time.Millisecond),
-		Stages:       stages,
+		CompileMS:    float64(cs.CompileTime) / float64(time.Millisecond),
+	}
+	for _, st := range stages {
+		stats.Stages = append(stats.Stages, wire.StageInfo(st))
 	}
 	stats.SetHeaders(w.Header())
 	if batched {

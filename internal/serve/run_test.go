@@ -87,7 +87,7 @@ func referenceRun(t *testing.T, c runCase, data map[string]*tensor.Dense) *tenso
 		t.Fatal(err)
 	}
 	var binds []*distal.Tensor
-	for _, name := range plan.Tensors() {
+	for _, name := range plan.Inputs() {
 		shape := c.req.Shapes[name]
 		d := tensor.New(name, shape...)
 		if in, ok := data[name]; ok && name != plan.Output() {

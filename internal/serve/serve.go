@@ -304,14 +304,9 @@ func (s *Server) accessLog(r *http.Request, sw *statusWriter, id string, elapsed
 	if sw.kind != "" {
 		entry["kind"] = sw.kind
 	}
-	// A program's key and provenance sit on its compile-program span (its
-	// stages' compile spans carry stage keys, and a memo hit has none); a
-	// single statement's on its compile span.
-	sp := tr.Find("compile-program")
-	if sp == nil {
-		sp = tr.Find("compile")
-	}
-	if sp != nil {
+	// The plan's key and provenance sit on its compile span (a list's
+	// compile-stage spans carry stage keys).
+	if sp := tr.Find("compile"); sp != nil {
 		for _, a := range sp.Attrs() {
 			if a.Key == "plan_key" || a.Key == "cache" {
 				entry[a.Key] = a.Val

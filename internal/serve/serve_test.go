@@ -381,6 +381,14 @@ func TestTuneEndpointErrors(t *testing.T) {
 	if err := json.Unmarshal(body, &e); err != nil || e.Error.Kind != "parse" {
 		t.Fatalf("bad stmt: kind %q, want parse (%v)", e.Error.Kind, err)
 	}
+	// A statement list is not a tuning request.
+	resp, body = post(t, ts.URL+"/v1/tune", map[string]any{
+		"stmts":  []map[string]string{{"stmt": "D(i,j) = A(i,k) * B(k,j)"}},
+		"shapes": map[string][]int{"A": {8, 8}, "B": {8, 8}},
+	})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("stmts body: status %d, want 400: %s", resp.StatusCode, body)
+	}
 	req := TuneRequest{
 		Stmt:   "A(i,j) = B(i,k) * C(k,j)",
 		Shapes: map[string][]int{"A": {64, 64}, "B": {64, 64}, "C": {64, 64}},

@@ -10,7 +10,6 @@ import (
 	"slices"
 	"strings"
 
-	"distal/internal/ir"
 	"distal/internal/program"
 	"distal/internal/tensor"
 )
@@ -259,36 +258,22 @@ func expectEOF(body io.Reader) error {
 }
 
 // frameOrder returns the names of req's wire-marked inputs in frame order —
-// statement order for single-statement runs, the program's leaf first-use
-// order for multi-statement runs — after validating every directive. A
-// program is parsed exactly as the server will, so both ends agree on which
-// tensors ride as frames; only its leaf inputs may carry Inputs directives.
-// The returned shapes cover every tensor a response could stream (a
-// program's computed tensors are inferred, not declared), for bounding the
+// the tensors the request binds, as program.ParseRequest lists them: a
+// statement's every tensor in statement order, a list's leaf inputs in
+// first-use order — after validating every directive. The request is parsed
+// exactly as the server parses it, so both ends agree on which tensors ride
+// as frames. The returned shapes cover every tensor a response could stream
+// (a list's computed tensors are inferred, not declared), for bounding the
 // decode.
 func frameOrder(req RunRequest) ([]string, map[string][]int, error) {
-	var names []string
-	shapes, what := req.Shapes, fmt.Sprintf("a tensor of %q", req.Stmt)
-	if len(req.Stmts) > 0 {
-		if req.Stmt != "" {
-			return nil, nil, fmt.Errorf("wire: request sets both stmt and stmts; a multi-statement run puts every statement in stmts")
-		}
-		p, err := program.Parse(req.Stmts, req.Shapes)
-		if err != nil {
-			return nil, nil, fmt.Errorf("wire: %w", err)
-		}
-		names, shapes = p.Inputs(), p.Shapes
-		what = "a leaf input of the program (computed tensors are server-allocated)"
-	} else {
-		stmt, err := ir.Parse(req.Stmt)
-		if err != nil {
-			return nil, nil, fmt.Errorf("wire: %w", err)
-		}
-		names = stmt.TensorNames()
+	p, err := program.ParseRequest(program.Statement{Stmt: req.Stmt, Formats: req.Formats, Schedule: req.Schedule}, req.Stmts, req.Shapes)
+	if err != nil {
+		return nil, nil, fmt.Errorf("wire: %w", err)
 	}
+	names := p.Inputs()
 	for name, fill := range req.Inputs {
 		if !slices.Contains(names, name) {
-			return nil, nil, fmt.Errorf("wire: inputs names %s, which is not %s", name, what)
+			return nil, nil, fmt.Errorf("wire: inputs names %s, which is not a tensor the request binds (%s)", name, strings.Join(names, ", "))
 		}
 		if !ValidFill(fill) {
 			return nil, nil, fmt.Errorf("wire: tensor %s: bad inputs directive %q", name, fill)
@@ -300,7 +285,7 @@ func frameOrder(req RunRequest) ([]string, map[string][]int, error) {
 			order = append(order, name)
 		}
 	}
-	return order, shapes, nil
+	return order, p.Shapes, nil
 }
 
 func decodeError(resp *http.Response) error {

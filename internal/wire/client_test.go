@@ -83,15 +83,15 @@ func TestClientRejectsLocally(t *testing.T) {
 		{name: "instance-data-without-wire", batch: true, req: stmtReq(map[string]string{"B": "ones"}),
 			data: []map[string]*tensor.Dense{{}}, want: "no input is marked \"wire\""},
 		{name: "unknown-input-stmt", req: stmtReq(map[string]string{"Z": "ones"}),
-			want: "inputs names Z, which is not a tensor of"},
+			want: "inputs names Z, which is not a tensor the request binds (A, C, B)"},
 		{name: "unknown-input-program", req: progReq(map[string]string{"D": "ones"}),
-			want: "inputs names D, which is not a leaf input of the program"},
+			want: "inputs names D, which is not a tensor the request binds (Y, X, W)"},
 		{name: "bad-directive", req: stmtReq(map[string]string{"B": "twos"}),
 			want: "bad inputs directive"},
 		{name: "bad-directive-program", req: progReq(map[string]string{"X": "twos"}),
 			want: "bad inputs directive"},
 		{name: "stmt-and-stmts", req: func() RunRequest { r := progReq(nil); r.Stmt = gemm; return r }(),
-			want: "sets both stmt and stmts"},
+			want: "the top-level stmt, formats and schedule must be empty"},
 		{name: "bad-statement", req: RunRequest{Stmt: "A(i,j) = ", Shapes: square("A")},
 			want: "wire:"},
 	}

@@ -1,4 +1,4 @@
-package codegen
+package distal
 
 import (
 	"strings"
@@ -10,6 +10,16 @@ import (
 	"distal/internal/machine"
 	"distal/internal/schedule"
 )
+
+// listing renders a hand-compiled program through Plan.Listing.
+func listing(t *testing.T, in core.Input, maxPoints int) string {
+	t.Helper()
+	prog, err := core.Compile(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return (&Plan{planData: &planData{prog: prog}}).Listing(maxPoints)
+}
 
 // TestGoldenSUMMAListing pins the generated program for a 2x2 SUMMA, the
 // compiler's canonical output.
@@ -26,15 +36,11 @@ func TestGoldenSUMMAListing(t *testing.T) {
 		Reorder("ko", "ii", "ji", "ki").
 		Communicate("jo", "A").
 		Communicate("ko", "B", "C")
-	prog, err := core.Compile(core.Input{
+	got := listing(t, core.Input{
 		Stmt: stmt, Machine: m,
 		Tensors:  map[string]*core.TensorDecl{"A": decl("A"), "B": decl("B"), "C": decl("C")},
 		Schedule: s,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := Program(prog, 0)
+	}, 0)
 	want := `program "A(i,j) = B(i,k) * C(k,j)" on Grid(2,2)[CPU/SysMem]
 region A[4 4] place xy->xy
 region B[4 4] place xy->xy
@@ -63,18 +69,14 @@ func TestListingTruncation(t *testing.T) {
 		Divide("i", "io", "ii", 8).
 		Distribute("io").
 		Communicate("io", "A", "B")
-	prog, err := core.Compile(core.Input{
+	got := listing(t, core.Input{
 		Stmt: stmt, Machine: m,
 		Tensors: map[string]*core.TensorDecl{
 			"A": {Name: "A", Shape: []int{16}, Placement: place},
 			"B": {Name: "B", Shape: []int{16}, Placement: place},
 		},
 		Schedule: s,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := Program(prog, 2)
+	}, 2)
 	if !strings.Contains(got, "... 6 more points") {
 		t.Fatalf("missing truncation marker:\n%s", got)
 	}

@@ -2,8 +2,6 @@ package distal
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"math"
 	"reflect"
 	"slices"
@@ -89,7 +87,7 @@ func TestOneStageMatchesStatement(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			one, err := sess.CompileProgram(ctx, asStatementList(tc.req))
+			one, err := sess.Compile(ctx, asStatementList(tc.req))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -112,7 +110,7 @@ func TestOneStageMatchesStatement(t *testing.T) {
 
 			out := plan.Output()
 			for _, workers := range []int{1, 4} {
-				pb := plan.Bind(bindAll(plan.Tensors(), out, plan.Shape)...)
+				pb := plan.Bind(bindAll(plan.Inputs(), out, plan.Shape)...)
 				want, err := pb.Run(ctx, WithRealWorkers(workers))
 				if err != nil {
 					t.Fatal(err)
@@ -139,23 +137,25 @@ func TestOneStageMatchesStatement(t *testing.T) {
 			// Output binding: the statement binds every tensor, its output
 			// included; the list binds its leaf inputs and allocates the
 			// output, so binding the output is an error.
-			if one.Output() != out || !slices.Contains(plan.Tensors(), out) || slices.Contains(one.Inputs(), out) {
-				t.Fatalf("statement binds %v, list binds %v; output %s (list %s)", plan.Tensors(), one.Inputs(), out, one.Output())
+			if one.Output() != out || !slices.Contains(plan.Inputs(), out) || slices.Contains(one.Inputs(), out) {
+				t.Fatalf("statement binds %v, list binds %v; output %s (list %s)", plan.Inputs(), one.Inputs(), out, one.Output())
 			}
-			want := slices.DeleteFunc(slices.Clone(plan.Tensors()), func(n string) bool { return n == out })
+			want := slices.DeleteFunc(slices.Clone(plan.Inputs()), func(n string) bool { return n == out })
 			if !slices.Equal(one.Inputs(), want) {
 				t.Fatalf("list binds %v, want the statement's inputs %v", one.Inputs(), want)
 			}
-			bound := bindAll(plan.Tensors(), out, plan.Shape)
+			bound := bindAll(plan.Inputs(), out, plan.Shape)
 			if _, err := one.Bind(bound...).Run(ctx); err == nil {
 				t.Fatal("the list accepted a bound output")
 			}
 
-			// Key: the list reports a program key, a hash over its one stage
-			// key.
-			sum := sha256.Sum256([]byte(plan.Key() + "\x00"))
-			if one.Key() != hex.EncodeToString(sum[:]) || one.Key() == plan.Key() {
+			// Key: a one-stage plan's key is its stage's plan key. Only the
+			// list reports stage rows.
+			if one.Key() != plan.Key() {
 				t.Fatalf("list key %s, statement key %s", one.Key(), plan.Key())
+			}
+			if len(one.StageMetas()) != 1 || plan.StageMetas() != nil {
+				t.Fatalf("stage rows: list %d, statement %d; want 1 and none", len(one.StageMetas()), len(plan.StageMetas()))
 			}
 		})
 	}
@@ -182,26 +182,20 @@ func TestOneStageErrorTexts(t *testing.T) {
 
 	for _, c := range []struct {
 		name    string
-		list    bool
 		req     Request
 		kind    ErrKind
 		message string
 	}{
-		{"statement without output shape", false, noOut, KindParse,
+		{"statement without output shape", noOut, KindParse,
 			"distal: compile: request has no shape for tensor A"},
-		{"list declaring its output", true, declared, KindParse,
-			"distal: compile-program: program: Shapes declares A, which statement 0 computes; intermediate shapes are inferred from their producer"},
-		{"statement with a bad schedule", false, badSched, KindSchedule,
+		{"list declaring its output", declared, KindParse,
+			"distal: compile: program: Shapes declares A, which statement 0 computes; intermediate shapes are inferred from their producer"},
+		{"statement with a bad schedule", badSched, KindSchedule,
 			"distal: compile: schedule: parse: divide takes (var, outer, inner, n), got 3 args"},
-		{"list with a bad schedule", true, asStatementList(badSched), KindSchedule,
-			"distal: compile-program: statement 0: distal: compile: schedule: parse: divide takes (var, outer, inner, n), got 3 args"},
+		{"list with a bad schedule", asStatementList(badSched), KindSchedule,
+			"distal: compile: statement 0: schedule: parse: divide takes (var, outer, inner, n), got 3 args"},
 	} {
-		var err error
-		if c.list {
-			_, err = sess.CompileProgram(ctx, c.req)
-		} else {
-			_, err = sess.Compile(ctx, c.req)
-		}
+		_, err := sess.Compile(ctx, c.req)
 		if err == nil || err.Error() != c.message || KindOf(err) != c.kind {
 			t.Errorf("%s: error %v (kind %v), want %q (%v)", c.name, err, KindOf(err), c.message, c.kind)
 		}

@@ -47,7 +47,7 @@ func TestCompileProgramValidation(t *testing.T) {
 		{
 			name: "no statements",
 			req:  Request{Shapes: map[string][]int{"A": nn}},
-			want: "no statements",
+			want: "expected identifier",
 		},
 		{
 			name: "top-level stmt set",
@@ -94,9 +94,9 @@ func TestCompileProgramValidation(t *testing.T) {
 	sess := NewSession(NewMachine(CPU, 2, 2))
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := sess.CompileProgram(context.Background(), tc.req)
+			_, err := sess.Compile(context.Background(), tc.req)
 			if err == nil {
-				t.Fatalf("CompileProgram succeeded, want error containing %q", tc.want)
+				t.Fatalf("Compile succeeded, want error containing %q", tc.want)
 			}
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error %q does not contain %q", err, tc.want)
@@ -108,14 +108,25 @@ func TestCompileProgramValidation(t *testing.T) {
 	}
 }
 
-func TestCompileRejectsStmts(t *testing.T) {
+// TestCompileStatementList: Compile takes a statement list and returns a
+// two-stage plan whose simulated Result is the one the chain compiled to
+// before statement lists and single statements shared one compile path.
+func TestCompileStatementList(t *testing.T) {
 	sess := NewSession(NewMachine(CPU, 2, 2))
-	_, err := sess.Compile(context.Background(), chainRequest(32))
-	if err == nil {
-		t.Fatal("Compile accepted a multi-statement request")
+	plan, err := sess.Compile(context.Background(), chainRequest(32))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if KindOf(err) != KindParse || !strings.Contains(err.Error(), "CompileProgram") {
-		t.Fatalf("error = %v, want KindParse pointing at CompileProgram", err)
+	if plan.Stages() != 2 || plan.Repartitions() != 0 || len(plan.StageMetas()) != 2 {
+		t.Fatalf("stages %d, repartitions %d, stage rows %d; want 2, 0, 2", plan.Stages(), plan.Repartitions(), len(plan.StageMetas()))
+	}
+	res, err := plan.Simulate(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := &Result{Time: 1.467584e-05, Flops: 131072, InterBytes: 32768, Copies: 16, PeakMemBytes: 18432, OOMLeaf: -1}
+	if !reflect.DeepEqual(res, want) {
+		t.Fatalf("Simulate = %+v, want %+v", res, want)
 	}
 }
 
@@ -129,7 +140,7 @@ func TestProgramDifferential(t *testing.T) {
 	const n = 32
 	sess := NewSession(NewMachine(CPU, 2, 2))
 	ctx := context.Background()
-	pp, err := sess.CompileProgram(ctx, chainRequest(n))
+	pp, err := sess.Compile(ctx, chainRequest(n))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +238,7 @@ func TestProgramDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	one, err := sess.CompileProgram(ctx, Request{
+	one, err := sess.Compile(ctx, Request{
 		Shapes: map[string][]int{"A": {n, n}, "B": {n, n}},
 		Stmts:  []Statement{{Stmt: "D(i,j) = A(i,k) * B(k,j)", Formats: formats, Schedule: chainSchedule("D", "A", "B")}},
 	})
@@ -282,7 +293,7 @@ func TestProgramSimBeatsSequential(t *testing.T) {
 	const n = 256
 	sess := NewSession(NewMachine(CPU, 2, 2))
 	ctx := context.Background()
-	pp, err := sess.CompileProgram(ctx, chainRequest(n))
+	pp, err := sess.Compile(ctx, chainRequest(n))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,14 +351,14 @@ func TestProgramSimBeatsSequential(t *testing.T) {
 func TestProgramPlanCaching(t *testing.T) {
 	sess := NewSession(NewMachine(CPU, 2, 2))
 	ctx := context.Background()
-	pp1, err := sess.CompileProgram(ctx, chainRequest(64))
+	pp1, err := sess.Compile(ctx, chainRequest(64))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if pp1.Stats().Cached {
 		t.Fatal("first compile reported cached")
 	}
-	pp2, err := sess.CompileProgram(ctx, chainRequest(64))
+	pp2, err := sess.Compile(ctx, chainRequest(64))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +386,7 @@ func TestProgramRepartition(t *testing.T) {
 				Formats: map[string]string{"D": "xy->x*", "C": "xy->xy", "E": "xy->xy"}},
 		},
 	}
-	pp, err := sess.CompileProgram(ctx, req)
+	pp, err := sess.Compile(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,7 +423,7 @@ func TestProgramRepartition(t *testing.T) {
 func TestProgramBindErrors(t *testing.T) {
 	const n = 16
 	sess := NewSession(NewMachine(CPU, 2, 2))
-	pp, err := sess.CompileProgram(context.Background(), chainRequest(n))
+	pp, err := sess.Compile(context.Background(), chainRequest(n))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -450,7 +461,7 @@ func TestProgramBatch(t *testing.T) {
 	const n, k = 24, 3
 	sess := NewSession(NewMachine(CPU, 2, 2))
 	ctx := context.Background()
-	pp, err := sess.CompileProgram(ctx, chainRequest(n))
+	pp, err := sess.Compile(ctx, chainRequest(n))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -531,7 +542,7 @@ func TestProgramPoolConcurrent(t *testing.T) {
 	const n, goroutines, runs, batch = 16, 8, 3, 2
 	ctx := context.Background()
 	sess := NewSession(NewMachine(CPU, 2, 2))
-	pp, err := sess.CompileProgram(ctx, chainRequest(n))
+	pp, err := sess.Compile(ctx, chainRequest(n))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -593,7 +604,7 @@ func TestCanceledBatchRunReturnsIntermediates(t *testing.T) {
 	const n = 32
 	ctx := context.Background()
 	sess := NewSession(NewMachine(CPU, 2, 2))
-	pp, err := sess.CompileProgram(ctx, chainRequest(n))
+	pp, err := sess.Compile(ctx, chainRequest(n))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -634,16 +645,16 @@ func TestProgramMemo(t *testing.T) {
 	ctx := context.Background()
 	sess := NewSession(NewMachine(CPU, 2, 2), WithPlanCacheSize(2))
 	req := chainRequest(16)
-	first, err := sess.CompileProgram(ctx, req)
+	first, err := sess.Compile(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := sess.CompileProgram(ctx, req)
+	again, err := sess.Compile(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again.programData != first.programData || !again.Stats().Cached || again.Stats().CompileTime != 0 {
-		t.Fatalf("repeat compile: shared=%v stats=%+v, want the memoized DAG, cached", again.programData == first.programData, again.Stats())
+	if again.planData != first.planData || !again.Stats().Cached || again.Stats().CompileTime != 0 {
+		t.Fatalf("repeat compile: shared=%v stats=%+v, want the memoized DAG, cached", again.planData == first.planData, again.Stats())
 	}
 	if first.Stats().Cached {
 		t.Fatal("a handle's stats changed when another handle shared its DAG")
@@ -675,28 +686,28 @@ func TestProgramMemo(t *testing.T) {
 	if resident {
 		t.Fatal("the program's memo entry outlived its evicted stage plan")
 	}
-	third, err := sess.CompileProgram(ctx, req)
+	third, err := sess.Compile(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if third.programData == first.programData || third.Stats().Cached {
+	if third.planData == first.planData || third.Stats().Cached {
 		t.Fatalf("after eviction: shared=%v cached=%v, want a fresh compile of the evicted stage",
-			third.programData == first.programData, third.Stats().Cached)
+			third.planData == first.planData, third.Stats().Cached)
 	}
 	if third.Key() != first.Key() {
 		t.Fatalf("recompiled program key %s, want %s", third.Key(), first.Key())
 	}
 
 	off := NewSession(NewMachine(CPU, 2, 2), WithPlanCacheSize(0))
-	p1, err := off.CompileProgram(ctx, req)
+	p1, err := off.Compile(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := off.CompileProgram(ctx, req)
+	p2, err := off.Compile(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p1.programData == p2.programData || off.CacheStats().MemoEntries != 0 {
+	if p1.planData == p2.planData || off.CacheStats().MemoEntries != 0 {
 		t.Fatal("a session without a plan cache memoized a program")
 	}
 }

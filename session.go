@@ -3,6 +3,9 @@ package distal
 import (
 	"container/list"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -14,6 +17,7 @@ import (
 	"distal/internal/cin"
 	"distal/internal/core"
 	"distal/internal/ir"
+	"distal/internal/legion"
 	"distal/internal/obs"
 	"distal/internal/program"
 	"distal/internal/request"
@@ -37,18 +41,18 @@ type Session struct {
 
 	mu       sync.Mutex
 	capacity int
-	lru      *list.List // of *planEntry, front = most recent
+	lru      *list.List // of *entry keyed by plan key, front = most recent
 	plans    map[string]*list.Element
 	hits     int64
 	misses   int64
 
-	// Request memo: canonical request rendering -> plan key, or for a
-	// multi-statement request its compiled DAG. An LRU bounded at
-	// memoCapacity whose entries also die with any plan they resolve through
-	// (plan-cache eviction removes them via byPlan). A memo hit skips
-	// statement parsing, tensor construction, and schedule replay entirely.
+	// Request memo: canonical request rendering -> the payload it compiled
+	// to. An LRU bounded at memoCapacity whose entries also die with any
+	// plan they resolve through (plan-cache eviction removes them via
+	// byPlan). A memo hit skips statement parsing, tensor construction, and
+	// schedule replay entirely.
 	memoCapacity int
-	memoLRU      *list.List // of *memoEntry, front = most recent
+	memoLRU      *list.List // of *entry keyed by canonical request, front = most recent
 	memo         map[string]*list.Element
 	byPlan       map[string][]string // plan key -> canonical requests resolving through it
 
@@ -58,20 +62,16 @@ type Session struct {
 	flights map[string]*flight
 }
 
-type planEntry struct {
+// entry is one element of the plan cache (keyed by plan key) or of the
+// request memo (keyed by canonical request; it resolves through the
+// plan-cache entries data.keys names).
+type entry struct {
 	key  string
 	data *planData
 }
 
-type memoEntry struct {
-	ck   string
-	keys []string     // the plans it resolves through: a statement's one, a program's stages
-	prog *programData // a program's compiled DAG; nil for a statement
-}
-
 type flight struct {
 	done chan struct{}
-	key  string
 	data *planData
 	err  error
 }
@@ -124,16 +124,15 @@ func (s *Session) Params() Params { return s.params }
 // CacheStats summarizes plan-cache effectiveness.
 type CacheStats struct {
 	// Hits counts Compile calls served without running the compiler (plan
-	// cache, request memo, or a shared in-flight compile); a program
-	// resolved from the request memo counts one per stage, as compiling
-	// each stage would.
+	// cache, request memo, or a shared in-flight compile); a statement list
+	// served whole counts one per stage, as compiling each stage would.
 	Hits int64
 	// Misses counts Compile calls that ran the compiler.
 	Misses int64
 	// Entries is the number of cached plans.
 	Entries int
-	// MemoEntries is the number of canonical requests memoized to plan keys
-	// or, for multi-statement requests, to compiled programs.
+	// MemoEntries is the number of canonical requests memoized to the
+	// plans they compiled to.
 	MemoEntries int
 }
 
@@ -159,28 +158,30 @@ func (s *Session) lookup(key string) *planData {
 	}
 	s.hits++
 	s.lru.MoveToFront(el)
-	return el.Value.(*planEntry).data
+	return el.Value.(*entry).data
 }
 
-// store inserts a plan, evicting the least recently used beyond capacity.
-// Memo entries pointing at an evicted plan are dropped with it: the memo is
-// a view over the plan cache, never a second cache.
-func (s *Session) store(key string, data *planData) {
+// store inserts a plan, evicting the least recently used beyond capacity,
+// and returns the payload the cache holds for key: data, or the one a
+// concurrent compile of the same key stored first, so that every handle of
+// a key shares one payload and one tape. Memo entries pointing at an
+// evicted plan are dropped with it: the memo is a view over the plan cache,
+// never a second cache.
+func (s *Session) store(key string, data *planData) *planData {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.capacity <= 0 {
-		return
+		return data
 	}
 	if el, ok := s.plans[key]; ok {
 		s.lru.MoveToFront(el)
-		el.Value.(*planEntry).data = data
-		return
+		return el.Value.(*entry).data
 	}
-	s.plans[key] = s.lru.PushFront(&planEntry{key: key, data: data})
+	s.plans[key] = s.lru.PushFront(&entry{key: key, data: data})
 	for s.lru.Len() > s.capacity {
 		last := s.lru.Back()
 		s.lru.Remove(last)
-		evicted := last.Value.(*planEntry).key
+		evicted := last.Value.(*entry).key
 		delete(s.plans, evicted)
 		for _, ck := range slices.Clone(s.byPlan[evicted]) {
 			if mel, ok := s.memo[ck]; ok {
@@ -189,30 +190,31 @@ func (s *Session) store(key string, data *planData) {
 		}
 		delete(s.byPlan, evicted)
 	}
+	return data
 }
 
-// memoize records a canonical request's entry under the memo's own LRU
-// bound, unless a plan it resolves through has already left the plan cache
-// (an entry exists only while all of them are cached). A request memoized
-// already keeps its entry. Caller must not hold s.mu.
-func (s *Session) memoize(me *memoEntry) {
+// memoize records that canonical request ck compiled to data, under the
+// memo's own LRU bound, unless a plan it resolves through has already left
+// the plan cache (an entry exists only while all of them are cached). A
+// request memoized already keeps its entry. Caller must not hold s.mu.
+func (s *Session) memoize(ck string, data *planData) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.capacity <= 0 || s.memoCapacity <= 0 {
 		return
 	}
-	if el, ok := s.memo[me.ck]; ok {
+	if el, ok := s.memo[ck]; ok {
 		s.memoLRU.MoveToFront(el)
 		return
 	}
-	for _, k := range me.keys {
+	for _, k := range data.keys {
 		if _, ok := s.plans[k]; !ok {
 			return
 		}
 	}
-	s.memo[me.ck] = s.memoLRU.PushFront(me)
-	for _, k := range me.keys {
-		s.byPlan[k] = append(s.byPlan[k], me.ck)
+	s.memo[ck] = s.memoLRU.PushFront(&entry{key: ck, data: data})
+	for _, k := range data.keys {
+		s.byPlan[k] = append(s.byPlan[k], ck)
 	}
 	for s.memoLRU.Len() > s.memoCapacity {
 		s.dropMemo(s.memoLRU.Back())
@@ -222,10 +224,10 @@ func (s *Session) memoize(me *memoEntry) {
 // dropMemo removes a memo entry and its byPlan back-references. Caller
 // holds s.mu.
 func (s *Session) dropMemo(el *list.Element) {
-	me := s.memoLRU.Remove(el).(*memoEntry)
-	delete(s.memo, me.ck)
-	for _, k := range me.keys {
-		cks := slices.DeleteFunc(s.byPlan[k], func(ck string) bool { return ck == me.ck })
+	me := s.memoLRU.Remove(el).(*entry)
+	delete(s.memo, me.key)
+	for _, k := range me.data.keys {
+		cks := slices.DeleteFunc(s.byPlan[k], func(ck string) bool { return ck == me.key })
 		if len(cks) == 0 {
 			delete(s.byPlan, k)
 		} else {
@@ -234,17 +236,20 @@ func (s *Session) dropMemo(el *list.Element) {
 	}
 }
 
-// hitMemo resolves a canonical request through the memo: on a hit it counts
-// one plan-cache hit per plan the entry resolves through (a program's stages,
-// as compiling each would) and promotes the entry and those plans. Caller
-// holds s.mu.
-func (s *Session) hitMemo(ck string) *memoEntry {
+// resolve is the compile fast path: it resolves a canonical request through
+// the memo in one critical section. On a hit it counts one plan-cache hit per
+// plan the entry resolves through (a list's stages, as compiling each would),
+// promotes the entry and those plans, and returns the payload; on a miss it
+// returns nil and counts nothing — the leader counts the miss exactly once.
+func (s *Session) resolve(ck string) *planData {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	el, ok := s.memo[ck]
 	if !ok {
 		return nil
 	}
-	me := el.Value.(*memoEntry)
-	for _, k := range me.keys {
+	me := el.Value.(*entry)
+	for _, k := range me.data.keys {
 		pe, ok := s.plans[k]
 		if !ok {
 			// Unreachable while eviction drops entries through byPlan; an
@@ -254,34 +259,9 @@ func (s *Session) hitMemo(ck string) *memoEntry {
 		}
 		s.lru.MoveToFront(pe)
 	}
-	s.hits += int64(len(me.keys))
+	s.hits += int64(len(me.data.keys))
 	s.memoLRU.MoveToFront(el)
-	return me
-}
-
-// resolve is the compile fast path: it resolves a canonical request through
-// the memo and then the plan cache in one critical section. It returns the
-// plan data and key on a hit (counting a hit) and nil on any miss (counting
-// nothing — the leader counts the miss exactly once).
-func (s *Session) resolve(ck string) (*planData, string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	me := s.hitMemo(ck)
-	if me == nil {
-		return nil, ""
-	}
-	return s.plans[me.keys[0]].Value.(*planEntry).data, me.keys[0]
-}
-
-// resolveProgram is CompileProgram's fast path: the compiled DAG a canonical
-// multi-statement request is memoized to, or nil (counting nothing).
-func (s *Session) resolveProgram(ck string) *programData {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if me := s.hitMemo(ck); me != nil {
-		return me.prog
-	}
-	return nil
+	return me.data
 }
 
 // Define parses the statement and declares the named tensors against the
@@ -330,12 +310,13 @@ func (s *Session) MustDefine(expr string, tensors ...*Tensor) *Computation {
 // or stored workload needs to name a computation: the statement (Stmt),
 // tensor shapes (Shapes), tensor formats as distribution notation text
 // (Formats), and the schedule as scheduling-command text (Schedule; empty
-// means AutoSchedule). A multi-statement request lists its statements in
-// Stmts instead and compiles through Session.CompileProgram. Requests are
-// data-free; bind real data to the compiled plan through Plan.Bind.
+// means AutoSchedule). A statement list names its statements in Stmts
+// instead, each with its own formats and schedule. Both forms compile
+// through Session.Compile. Requests are data-free; bind real data to the
+// compiled plan through Plan.Bind.
 type Request = request.Request
 
-// Statement is one statement of a multi-statement Request: the statement
+// Statement is one statement of a Request's statement list: the statement
 // text, format annotations that may only name tensors of this statement
 // (others default to the canonical tiling of their rank), and a schedule
 // (empty auto-schedules the stage).
@@ -347,7 +328,7 @@ type Statement = program.Statement
 // field value and collide (maps are rendered sorted and in full — an entry
 // compileSlow would reject must not canonicalize to the same string as
 // a request without it). Statements render last, each with its own formats
-// and schedule, so a program never collides with a single statement nor
+// and schedule, so a list never collides with a single statement nor
 // with its statements split, merged, or annotated differently. Given a fixed
 // session machine the rendering fully determines the compile input, so it
 // keys both the request memo and the singleflight table.
@@ -391,6 +372,13 @@ func canonicalRequest(req Request) string {
 }
 
 // Compile compiles a request into an immutable Plan through the plan cache.
+// A single statement (Stmt, Formats, Schedule) compiles to a one-stage plan
+// that binds every tensor; a statement list (Stmts) to a DAG whose stages
+// each compile as the statement they name, so a list sharing a statement
+// with an earlier compile shares its plan. A list's Shapes declares the leaf
+// inputs only: intermediate and output shapes are inferred from their
+// producers, and a Shapes entry for an assigned tensor is rejected as
+// KindParse.
 //
 // A request seen before resolves through the request memo without
 // re-parsing the statement or replaying the schedule; concurrent identical
@@ -402,6 +390,24 @@ func canonicalRequest(req Request) string {
 func (s *Session) Compile(ctx context.Context, req Request) (*Plan, error) {
 	ctx, sp := obs.Start(ctx, "compile")
 	defer sp.End()
+	plan, err := s.compileTraced(ctx, sp, req)
+	if plan != nil {
+		sp.SetAttr("stages", strconv.Itoa(plan.Stages()))
+	}
+	return plan, err
+}
+
+// CompileProgram is Compile.
+//
+// Deprecated: kept only for benchmark/http.go; ROADMAP item 4's first PR
+// deletes it.
+func (s *Session) CompileProgram(ctx context.Context, req Request) (*Plan, error) {
+	return s.Compile(ctx, req)
+}
+
+// compileTraced is compileFlight reporting on sp: the plan's key and
+// whether the compiler ran.
+func (s *Session) compileTraced(ctx context.Context, sp *obs.Span, req Request) (*Plan, error) {
 	plan, err := s.compileFlight(ctx, sp, req)
 	if plan != nil {
 		sp.SetAttr("plan_key", plan.key)
@@ -421,15 +427,11 @@ func (s *Session) compileFlight(ctx context.Context, sp *obs.Span, req Request) 
 	if err := ctx.Err(); err != nil {
 		return nil, wrapErr(KindCanceled, "compile", err)
 	}
-	if len(req.Stmts) > 0 {
-		return nil, wrapErr(KindParse, "compile",
-			fmt.Errorf("request carries %d statements; multi-statement programs compile through Session.CompileProgram", len(req.Stmts)))
-	}
 	ck := canonicalRequest(req)
 	for {
-		if pd, key := s.resolve(ck); pd != nil {
+		if pd := s.resolve(ck); pd != nil {
 			sp.SetAttr("source", "memo")
-			return &Plan{planData: pd, key: key, stats: cachedStats(pd, false)}, nil
+			return &Plan{planData: pd, stats: cachedStats(pd, false)}, nil
 		}
 		s.mu.Lock()
 		if fl, ok := s.flights[ck]; ok {
@@ -449,10 +451,10 @@ func (s *Session) compileFlight(ctx context.Context, sp *obs.Span, req Request) 
 				return nil, fl.err
 			}
 			s.mu.Lock()
-			s.hits++ // served by the shared flight: no compile ran for us
+			s.hits += int64(len(fl.data.keys)) // served by the shared flight: no compile ran for us
 			s.mu.Unlock()
 			sp.SetAttr("source", "flight")
-			return &Plan{planData: fl.data, key: fl.key, stats: cachedStats(fl.data, true)}, nil
+			return &Plan{planData: fl.data, stats: cachedStats(fl.data, true)}, nil
 		}
 		fl := &flight{done: make(chan struct{})}
 		s.flights[ck] = fl
@@ -465,7 +467,8 @@ func (s *Session) compileFlight(ctx context.Context, sp *obs.Span, req Request) 
 
 // lead runs the compile as a flight's leader, guaranteeing — even on a
 // compiler panic — that the flight is removed and its done channel closed,
-// so waiters can never block on a dead flight.
+// so waiters can never block on a dead flight. The request's rendering ck
+// is memoized to the payload it compiled to.
 func (s *Session) lead(ctx context.Context, ck string, req Request, fl *flight) (plan *Plan, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -477,9 +480,10 @@ func (s *Session) lead(ctx context.Context, ck string, req Request, fl *flight) 
 		s.mu.Unlock()
 		close(fl.done)
 	}()
-	plan, err = s.compileSlow(ctx, ck, req)
+	plan, err = s.compileSlow(ctx, req)
 	if plan != nil {
-		fl.key, fl.data = plan.key, plan.planData
+		fl.data = plan.planData
+		s.memoize(ck, plan.planData)
 	}
 	fl.err = err
 	return plan, err
@@ -489,12 +493,16 @@ func cachedStats(pd *planData, shared bool) CompileStats {
 	return CompileStats{Cached: true, Shared: shared, Launches: pd.launches, Points: pd.points}
 }
 
-// compileSlow is the leader's body: build the input, check the plan cache
-// under the content key, and run the compiler on a miss. The request's
-// rendering ck is memoized to the key either way. Request validation and
+// compileSlow is the leader's body. A single statement's plan is the
+// statement's cached payload itself: build the compile input, check the
+// plan cache under the content key, and run the compiler on a miss. A
+// list's plan is a DAG over its stages' payloads. Request validation and
 // statement/format parsing fail as KindParse, schedule parsing and
 // application as KindSchedule.
-func (s *Session) compileSlow(ctx context.Context, ck string, req Request) (*Plan, error) {
+func (s *Session) compileSlow(ctx context.Context, req Request) (*Plan, error) {
+	if len(req.Stmts) > 0 {
+		return s.compileList(ctx, req)
+	}
 	in, err := request.Unscheduled(req, s.machine.M)
 	if err != nil {
 		return nil, wrapErr(KindParse, "compile", err)
@@ -505,9 +513,8 @@ func (s *Session) compileSlow(ctx context.Context, ck string, req Request) (*Pla
 	key := core.PlanKey(in)
 	if pd := s.lookup(key); pd != nil {
 		// Same program already compiled under a different request rendering
-		// (e.g. explicit vs. defaulted formats): memoize this rendering too.
-		s.memoize(&memoEntry{ck: ck, keys: []string{key}})
-		return &Plan{planData: pd, key: key, stats: cachedStats(pd, false)}, nil
+		// (e.g. explicit vs. defaulted formats).
+		return &Plan{planData: pd, stats: cachedStats(pd, false)}, nil
 	}
 	start := time.Now()
 	rctx, run := obs.Start(ctx, "compiler-run")
@@ -516,11 +523,197 @@ func (s *Session) compileSlow(ctx context.Context, ck string, req Request) (*Pla
 	if err != nil {
 		return nil, wrapErr(KindCompile, "compile", err)
 	}
-	pd := newPlanData(s.params, in, prog)
-	s.store(key, pd)
-	s.memoize(&memoEntry{ck: ck, keys: []string{key}})
+	pd := s.store(key, newPlanData(s.params, key, in, prog))
 	stats := CompileStats{CompileTime: time.Since(start), Launches: pd.launches, Points: pd.points}
-	return &Plan{planData: pd, key: key, stats: stats}, nil
+	return &Plan{planData: pd, stats: stats}, nil
+}
+
+// compileList compiles a statement list into a DAG. Each stage compiles as
+// the statement request it names, through the memo, the singleflight table
+// and the plan cache, so a statement seen before costs no compiler run; a
+// producer/consumer pair that disagrees on an intermediate's layout gets an
+// inserted repartition stage.
+func (s *Session) compileList(ctx context.Context, req Request) (*Plan, error) {
+	prog, err := program.ParseRequest(request.Statement(req), req.Stmts, req.Shapes)
+	if err != nil {
+		return nil, wrapErr(KindParse, "compile", err)
+	}
+	// taken guards repartition-region naming against every tensor of the
+	// program (and previously inserted repartitions).
+	taken := map[string]bool{}
+	for name := range prog.Shapes {
+		taken[name] = true
+	}
+	type layout struct{ name, canon string } // a tensor under a canonical format
+	type placed struct {
+		idx    int    // stage holding this (tensor, layout)
+		region string // region name in that stage's program
+	}
+	var (
+		built    []planStage
+		placedAt = map[layout]placed{}
+		builtOf  = map[string]int{}    // assigned tensor -> producing stage index
+		fmtOf    = map[string]string{} // assigned tensor -> canonical producer format
+	)
+	add := func(plan *Plan, st planStage) int {
+		st.stmt, st.stats = plan.planData, plan.stats
+		built = append(built, st)
+		return len(built) - 1
+	}
+	for _, st := range prog.Stages {
+		assign := st.Assign
+		lhs := assign.LHS.Tensor
+		stageShapes := map[string][]int{}
+		canon := map[string]string{}
+		for _, name := range assign.TensorNames() {
+			stageShapes[name] = prog.Shapes[name]
+			// Layouts compare by canonical rendering: distribution notation
+			// normalizes through Placement.String, so two annotations
+			// spelled differently but placing identically compare equal.
+			p, ferr := request.Placement(st.Src.Formats, name, len(prog.Shapes[name]))
+			if ferr != nil {
+				return nil, wrapErr(KindParse, "compile", fmt.Errorf("statement %d: %w", st.Index, ferr))
+			}
+			canon[name] = p.String()
+		}
+		var inherit []legion.Handoff
+		var freshLeaves []layout
+		for _, name := range assign.TensorNames() {
+			if name == lhs {
+				continue
+			}
+			key := layout{name, canon[name]}
+			if pi, ok := builtOf[name]; ok {
+				// An earlier stage computed this tensor: adopt its instances
+				// when the layouts agree, repartition owner-to-owner when
+				// they do not — never through a single leaf.
+				if fmtOf[name] == canon[name] {
+					inherit = append(inherit, legion.Handoff{From: pi, Region: name, To: name})
+					continue
+				}
+				loc, ok := placedAt[key]
+				if !ok {
+					rname, plan, rerr := s.repartition(ctx, name, prog.Shapes[name], fmtOf[name], canon[name], taken)
+					if rerr != nil {
+						return nil, rerr
+					}
+					loc = placed{region: rname}
+					loc.idx = add(plan, planStage{
+						inherit: []legion.Handoff{{From: pi, Region: name, To: name}},
+						output:  rname,
+						repart:  true,
+					})
+					placedAt[key] = loc
+				}
+				inherit = append(inherit, legion.Handoff{From: loc.idx, Region: loc.region, To: name})
+				continue
+			}
+			// A leaf input: share the placed instances with any earlier
+			// stage that reads it under the same layout (read-only, so
+			// adoption is free); a different layout places its own copy.
+			if loc, ok := placedAt[key]; ok {
+				inherit = append(inherit, legion.Handoff{From: loc.idx, Region: loc.region, To: name})
+			} else {
+				freshLeaves = append(freshLeaves, key)
+			}
+		}
+		sctx, ssp := obs.Start(ctx, "compile-stage")
+		ssp.SetAttr("statement", strconv.Itoa(st.Index))
+		ssp.SetAttr("output", lhs)
+		plan, cerr := s.compileTraced(sctx, ssp, Request{
+			Stmt:     st.Src.Stmt,
+			Shapes:   stageShapes,
+			Formats:  st.Src.Formats,
+			Schedule: st.Src.Schedule,
+		})
+		ssp.End()
+		if cerr != nil {
+			return nil, rewrap(cerr, "statement %d", st.Index)
+		}
+		idx := add(plan, planStage{inherit: inherit, output: lhs})
+		for _, key := range freshLeaves {
+			placedAt[key] = placed{idx: idx, region: key.name}
+		}
+		builtOf[lhs] = idx
+		fmtOf[lhs] = canon[lhs]
+		placedAt[layout{lhs, canon[lhs]}] = placed{idx: idx, region: lhs}
+	}
+
+	var (
+		ls     []legion.Stage
+		inputs []slot
+		owned  []slot
+		keys   []string
+	)
+	for _, name := range prog.Inputs() {
+		inputs = append(inputs, slot{name: name, shape: prog.Shapes[name]})
+	}
+	stats := CompileStats{Cached: true}
+	h := sha256.New()
+	for _, st := range built {
+		ls = append(ls, legion.Stage{Prog: st.stmt.prog, Inherit: st.inherit, Label: st.output, Repart: st.repart})
+		owned = append(owned, slot{name: st.output, shape: shapeIn(st.stmt.inputs, st.output)})
+		keys = append(keys, st.stmt.key)
+		h.Write([]byte(st.stmt.key))
+		h.Write([]byte{0})
+		sst := st.stats
+		stats.Cached = stats.Cached && sst.Cached
+		stats.Shared = stats.Shared || sst.Shared
+		stats.CompileTime += sst.CompileTime
+		stats.Launches += sst.Launches
+		stats.Points += sst.Points
+	}
+	key := hex.EncodeToString(h.Sum(nil))
+	if len(keys) == 1 {
+		key = keys[0] // a one-stage plan's key is its stage's
+	}
+	pd := &planData{
+		runner:   newRunner(s.params, ls, inputs, owned, prog.Output()),
+		key:      key,
+		keys:     keys,
+		bound:    prog.Inputs(),
+		launches: stats.Launches,
+		points:   stats.Points,
+		stages:   built,
+	}
+	return &Plan{planData: pd, stats: stats}, nil
+}
+
+// repartition compiles the explicit layout change between a producer's
+// format and a consumer's: the Redistribute identity statement, placed
+// src-format in and dst-format out, scheduled owner-computes over the
+// destination — so the runtime performs exactly the owner-to-owner copies
+// the layout change requires. Its plan resolves through the plan cache like
+// any other, and its input region adopts the producer's instances directly.
+// It returns the repartitioned region's name and the plan.
+func (s *Session) repartition(ctx context.Context, name string, shape []int, srcFmt, dstFmt string, taken map[string]bool) (string, *Plan, error) {
+	if len(shape) == 0 || len(shape) > 6 {
+		return "", nil, wrapErr(KindParse, "compile",
+			fmt.Errorf("intermediate %s has rank %d; repartitioning supports ranks 1..6", name, len(shape)))
+	}
+	rname := name + "__r"
+	for i := 2; taken[rname]; i++ {
+		rname = fmt.Sprintf("%s__r%d", name, i)
+	}
+	taken[rname] = true
+	ctx, rsp := obs.Start(ctx, "compile-repartition")
+	rsp.SetAttr("tensor", name)
+	defer rsp.End()
+	plan, err := s.compileTraced(ctx, rsp, redistributeRequest(rname, name, shape, srcFmt, dstFmt, s.machine.Processors()))
+	if err != nil {
+		return "", nil, rewrap(err, "repartitioning %s from %q to %q", name, srcFmt, dstFmt)
+	}
+	return rname, plan, nil
+}
+
+// rewrap prefixes a stage's compile error with where in the list it
+// happened, keeping its kind and op.
+func rewrap(err error, format string, args ...any) error {
+	var de *Error
+	if !errors.As(err, &de) {
+		return wrapErr(KindCompile, "compile", fmt.Errorf(format+": %w", append(args, err)...))
+	}
+	return &Error{Kind: de.Kind, Op: de.Op, Err: fmt.Errorf(format+": %w", append(args, de.Err)...)}
 }
 
 // Notation returns the concrete index notation of the scheduled statement

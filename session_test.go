@@ -240,12 +240,12 @@ func TestSessionMemoCanonicalInjective(t *testing.T) {
 		}
 		seen[ck] = name
 	}
-	pp, err := sess.CompileProgram(ctx, chain)
+	pp, err := sess.Compile(ctx, chain)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for name, req := range programs {
-		if got, err := sess.CompileProgram(ctx, req); err == nil && got.programData == pp.programData {
+		if got, err := sess.Compile(ctx, req); err == nil && got.planData == pp.planData {
 			t.Fatalf("program %q was served the chain's memoized DAG", name)
 		}
 	}

@@ -128,7 +128,7 @@ func TestWarmProgramBatchAllocBytes(t *testing.T) {
 	ctx := context.Background()
 	req := chainBatch()
 	sess := distal.NewSession(distal.NewMachine(distal.CPU, 4, 4))
-	pp, err := sess.CompileProgram(ctx, req)
+	pp, err := sess.Compile(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}

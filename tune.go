@@ -2,6 +2,7 @@ package distal
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -94,6 +95,9 @@ type TuneResult struct {
 func (s *Session) Tune(ctx context.Context, req Request, opts TuneOptions) (*TuneResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, wrapErr(KindCanceled, "tune", err)
+	}
+	if len(req.Stmts) > 0 {
+		return nil, wrapErr(KindParse, "tune", errors.New("tuning takes one statement"))
 	}
 	in, err := request.Unscheduled(req, s.machine.M)
 	if err != nil {

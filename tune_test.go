@@ -171,6 +171,10 @@ func TestTuneRequestErrors(t *testing.T) {
 	if KindOf(err) != KindParse {
 		t.Fatalf("bad statement: kind %v, want parse", KindOf(err))
 	}
+	_, err = sess.Tune(context.Background(), chainRequest(16), TuneOptions{Budget: 4})
+	if KindOf(err) != KindParse || err.Error() != "distal: tune: tuning takes one statement" {
+		t.Fatalf("statement list: %v (kind %v), want a parse error saying tuning takes one statement", err, KindOf(err))
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, err = sess.Tune(ctx, gemmRequest(64), TuneOptions{})
