@@ -168,8 +168,7 @@ func (r *runner) bindInstance(tensors []*Tensor, withInter bool) (map[string]*te
 // borrow lends every instance a set of intermediates from the scratch pool,
 // cleared (a stage may accumulate into its output), or a fresh zeroed set
 // when the pool has none. The caller returns them with giveBack once the run
-// is over. A plan owns nothing and a one-stage program only its output, so
-// neither lends anything.
+// is over. A binding that owns at most its output lends nothing.
 func (r *runner) borrow(insts []map[string]*tensor.Dense) []*[]*tensor.Dense {
 	if len(r.owned) <= 1 {
 		return nil

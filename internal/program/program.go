@@ -43,9 +43,6 @@ type Stage struct {
 	Assign *ir.Assignment
 	// Src is the source statement (formats, schedule ride along).
 	Src Statement
-	// Deps lists the source indices of the statements whose outputs this
-	// statement reads, ascending.
-	Deps []int
 }
 
 // Program is a parsed multi-statement program: statements in topological
@@ -60,9 +57,8 @@ type Program struct {
 	// single statement's is the declared map itself.
 	Shapes map[string][]int
 
-	inputs   []string       // what a caller binds, in frame order
-	producer map[string]int // assigned tensor -> source index of its producer
-	output   string         // the last source statement's LHS
+	inputs []string // what a caller binds, in frame order
+	output string   // the last source statement's LHS
 }
 
 // ParseRequest parses a request in either of its two forms. The statement
@@ -139,10 +135,10 @@ func Parse(stmts []Statement, shapes map[string][]int) (*Program, error) {
 	// Dependency edges: statement i depends on statement j when i reads a
 	// tensor j assigns. Reading your own output in the same statement has
 	// no producer to run first and is rejected (ir's += reads the prior
-	// contents of a *leaf* LHS, which stays legal).
+	// contents of a *leaf* LHS, which stays legal). An edge repeats once per
+	// access; the sort below counts it as often as it removes it.
 	deps := make([][]int, len(stmts))
 	for i, a := range parsed {
-		seen := map[int]bool{}
 		for _, acc := range a.RHS.Accesses(nil) {
 			j, assigned := producer[acc.Tensor]
 			if !assigned {
@@ -151,42 +147,29 @@ func Parse(stmts []Statement, shapes map[string][]int) (*Program, error) {
 			if j == i {
 				return nil, fmt.Errorf("program: statement %d reads its own output %s", i, acc.Tensor)
 			}
-			if !seen[j] {
-				seen[j] = true
-				deps[i] = append(deps[i], j)
-			}
+			deps[i] = append(deps[i], j)
 		}
-		insertionSort(deps[i])
 	}
 	// Stable Kahn topological sort: among ready statements the smallest
 	// source index runs first, so equivalent programs order independent
 	// stages deterministically.
 	indeg := make([]int, len(stmts))
-	for i := range deps {
-		indeg[i] = len(deps[i])
-	}
 	dependents := make([][]int, len(stmts))
 	for i, ds := range deps {
+		indeg[i] = len(ds)
 		for _, j := range ds {
 			dependents[j] = append(dependents[j], i)
 		}
 	}
-	var ready []int
+	var ready, order []int
 	for i, d := range indeg {
 		if d == 0 {
 			ready = append(ready, i)
 		}
 	}
-	var order []int
 	for len(ready) > 0 {
-		best := 0
-		for k := 1; k < len(ready); k++ {
-			if ready[k] < ready[best] {
-				best = k
-			}
-		}
-		i := ready[best]
-		ready = append(ready[:best], ready[best+1:]...)
+		i := slices.Min(ready)
+		ready = slices.DeleteFunc(ready, func(r int) bool { return r == i })
 		order = append(order, i)
 		for _, j := range dependents[i] {
 			if indeg[j]--; indeg[j] == 0 {
@@ -206,9 +189,8 @@ func Parse(stmts []Statement, shapes map[string][]int) (*Program, error) {
 		known[name] = shape
 	}
 	p := &Program{
-		Shapes:   known,
-		producer: producer,
-		output:   parsed[len(parsed)-1].LHS.Tensor,
+		Shapes: known,
+		output: parsed[len(parsed)-1].LHS.Tensor,
 	}
 	for _, i := range order {
 		a := parsed[i]
@@ -220,7 +202,7 @@ func Parse(stmts []Statement, shapes map[string][]int) (*Program, error) {
 		if err := a.Validate(known); err != nil {
 			return nil, fmt.Errorf("program: statement %d: %w", i, err)
 		}
-		p.Stages = append(p.Stages, &Stage{Index: i, Assign: a, Src: stmts[i], Deps: deps[i]})
+		p.Stages = append(p.Stages, &Stage{Index: i, Assign: a, Src: stmts[i]})
 	}
 	// Leaf inputs in first-use order over the *source* list: the order is a
 	// wire contract (frames ride in it), so it must not depend on the
@@ -238,11 +220,11 @@ func Parse(stmts []Statement, shapes map[string][]int) (*Program, error) {
 	return p, nil
 }
 
-// parseStatement parses the statement form. Every tensor of the statement
-// needs a shape of positive extents, its output's included, and the shapes
-// must agree on every index variable's extent. Shapes and Formats keys that
-// name no tensor of the statement are rejected, since in a pure-data wire
-// format a typo'd name would otherwise silently fall back to defaults.
+// parseStatement parses the statement form: every tensor, its output
+// included, needs a shape of positive extents, and the shapes must agree on
+// every index variable's extent. Shapes and Formats keys that name no tensor
+// of the statement are rejected: in a pure-data wire format a typo'd name
+// would otherwise silently fall back to defaults.
 func parseStatement(st Statement, shapes map[string][]int) (*Program, error) {
 	a, err := ir.Parse(st.Stmt)
 	if err != nil {
@@ -274,11 +256,10 @@ func parseStatement(st Statement, shapes map[string][]int) (*Program, error) {
 		return nil, err
 	}
 	return &Program{
-		Stages:   []*Stage{{Assign: a, Src: st}},
-		Shapes:   shapes,
-		inputs:   names,
-		producer: map[string]int{a.LHS.Tensor: 0},
-		output:   a.LHS.Tensor,
+		Stages: []*Stage{{Assign: a, Src: st}},
+		Shapes: shapes,
+		inputs: names,
+		output: a.LHS.Tensor,
 	}, nil
 }
 
@@ -326,13 +307,6 @@ func (p *Program) Inputs() []string { return p.inputs }
 // program answers with.
 func (p *Program) Output() string { return p.output }
 
-// Producer returns the source index of the statement assigning name, and
-// whether name is assigned at all (leaf inputs are not).
-func (p *Program) Producer(name string) (int, bool) {
-	i, ok := p.producer[name]
-	return i, ok
-}
-
 // Evaluate runs the program sequentially with the reference interpreter,
 // feeding each statement's output to its consumers, and returns every
 // assigned tensor by name. It is the semantics a distributed plan-DAG
@@ -356,12 +330,4 @@ func Evaluate(p *Program, inputs map[string]*tensor.Dense) (map[string]*tensor.D
 		outs[st.Assign.LHS.Tensor] = out
 	}
 	return outs, nil
-}
-
-func insertionSort(s []int) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

@@ -129,7 +129,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	for name := range q.Inputs {
 		if !slices.Contains(names, name) {
 			what := fmt.Sprintf("a tensor of %q", q.Stmt)
-			if stages != nil {
+			if len(stages) > 0 {
 				what = "a leaf input of the program (computed tensors are server-allocated)"
 			}
 			s.writeError(w, &distal.Error{Kind: distal.KindParse, Op: "run",

@@ -258,13 +258,11 @@ func expectEOF(body io.Reader) error {
 }
 
 // frameOrder returns the names of req's wire-marked inputs in frame order —
-// the tensors the request binds, as program.ParseRequest lists them: a
-// statement's every tensor in statement order, a list's leaf inputs in
-// first-use order — after validating every directive. The request is parsed
-// exactly as the server parses it, so both ends agree on which tensors ride
-// as frames. The returned shapes cover every tensor a response could stream
-// (a list's computed tensors are inferred, not declared), for bounding the
-// decode.
+// the order program.ParseRequest lists the tensors the request binds in —
+// after validating every directive. The request parses exactly as the
+// server parses it, so both ends agree on which tensors ride as frames. The
+// returned shapes cover every tensor a response could stream (a list's
+// computed tensors are inferred, not declared), for bounding the decode.
 func frameOrder(req RunRequest) ([]string, map[string][]int, error) {
 	p, err := program.ParseRequest(program.Statement{Stmt: req.Stmt, Formats: req.Formats, Schedule: req.Schedule}, req.Stmts, req.Shapes)
 	if err != nil {

@@ -154,7 +154,7 @@ func TestOneStageMatchesStatement(t *testing.T) {
 			if one.Key() != plan.Key() {
 				t.Fatalf("list key %s, statement key %s", one.Key(), plan.Key())
 			}
-			if len(one.StageMetas()) != 1 || plan.StageMetas() != nil {
+			if len(one.StageMetas()) != 1 || len(plan.StageMetas()) != 0 {
 				t.Fatalf("stage rows: list %d, statement %d; want 1 and none", len(one.StageMetas()), len(plan.StageMetas()))
 			}
 		})

@@ -10,14 +10,12 @@ import (
 	"distal/internal/legion"
 )
 
-// planData is the immutable payload a Plan wraps. A statement's payload is
-// what the plan cache stores under the statement's plan key: its compiled
-// runtime program as the one stage it runs as, plus the descriptive metadata
-// a service reports (schedule text, concrete index notation). A statement
-// list's payload is what the request memo stores: a DAG of stages, each
-// pointing at a cached statement payload. One payload is shared by every
-// Plan handle resolved to it; nothing in it is mutated after compilation
-// except the runner's tape, which fills once, and its intermediate pool.
+// planData is the immutable payload a Plan wraps: a statement's is what the
+// plan cache stores under its plan key, its compiled program as the one
+// stage it runs as plus the metadata a service reports; a statement list's
+// is a DAG of stages pointing at cached statement payloads. Every handle
+// resolved to a payload shares it; only the runner's tape, which fills
+// once, and its intermediate pool change after compilation.
 type planData struct {
 	runner
 	key      string
@@ -26,7 +24,7 @@ type planData struct {
 	launches int
 	points   int // total index-launch domain points
 
-	// A statement's own program and metadata; a list reads its stage 0's.
+	// A statement's own program and metadata; a list's are its stage 0's.
 	prog         *legion.Program
 	scheduleText string
 	notation     string
@@ -71,27 +69,18 @@ func newPlanData(params Params, key string, in core.Input, prog *legion.Program)
 	return pd
 }
 
-// first returns the statement payload of stage 0: the payload itself for a
-// statement.
-func (pd *planData) first() *planData {
-	if pd.stages != nil {
-		return pd.stages[0].stmt
-	}
-	return pd
-}
-
 // CompileStats describes how one Compile call was satisfied.
 type CompileStats struct {
 	// Cached reports the plan was served without running the compiler:
-	// from the plan cache, the request memo, or a shared in-flight compile.
-	// A statement list's plan is Cached only when every stage was.
+	// from the plan cache, the request memo, or a shared in-flight compile
+	// (for a statement list, for every stage).
 	Cached bool
 	// Shared reports the plan came from a concurrent identical Compile call
 	// (singleflight): this caller waited for the leader instead of
 	// compiling. Shared implies Cached.
 	Shared bool
-	// CompileTime is the wall time the compiler ran for this call, summed
-	// over a list's stages; zero when Cached.
+	// CompileTime is the wall time the compiler ran for this call; zero
+	// when Cached.
 	CompileTime time.Duration
 	// Launches and Points are the program's size: index launches and total
 	// launch-domain points, summed over a list's stages.
@@ -100,14 +89,10 @@ type CompileStats struct {
 }
 
 // Plan is an immutable compiled workload: the unit a service compiles once,
-// caches, and executes many times. It is a program of stages: a single
-// statement compiles to a one-stage plan, a statement list to a DAG of
-// stages that runs with intermediates kept distributed in between. A
-// producer's output instances are handed to the consumer as pre-placed
-// initial instances; when producer and consumer disagree on an
-// intermediate's format, an explicit repartition stage (the Redistribute
-// schedule, itself a cached statement plan) moves the data owner-to-owner —
-// an intermediate never gathers to a single leaf between stages.
+// caches, and executes many times. A single statement compiles to a
+// one-stage plan, a statement list to a DAG of stages whose intermediates
+// stay distributed in between, moved owner-to-owner by an inserted
+// repartition stage where producer and consumer formats disagree.
 //
 // A Plan never holds data — Simulate walks the task graph under the cost
 // model, and Bind attaches caller-owned tensors per execution — so one Plan
@@ -134,11 +119,11 @@ type Plan struct {
 func (p *Plan) Key() string { return p.key }
 
 // ScheduleText returns stage 0's schedule in serializable command form.
-func (p *Plan) ScheduleText() string { return p.first().scheduleText }
+func (p *Plan) ScheduleText() string { return p.scheduleText }
 
 // Notation returns the concrete index notation of stage 0's scheduled
 // statement (the loop structure the compiler lowered, §5.1).
-func (p *Plan) Notation() string { return p.first().notation }
+func (p *Plan) Notation() string { return p.notation }
 
 // Stats reports how this Compile call was satisfied and the program's size.
 func (p *Plan) Stats() CompileStats { return p.stats }
@@ -195,14 +180,11 @@ type StageMeta struct {
 }
 
 // StageMetas returns one StageMeta per execution stage of a statement
-// list's plan, repartitions included, in execution order; nil for a single
+// list's plan, repartitions included, in execution order; none for a single
 // statement's plan, whose Key and Stats describe its one stage. A stage is
 // Cached when this handle's compile ran no compiler for it: every stage of
 // a memo-resolved plan.
 func (p *Plan) StageMetas() []StageMeta {
-	if p.stages == nil {
-		return nil
-	}
 	out := make([]StageMeta, len(p.stages))
 	for i, st := range p.stages {
 		out[i] = StageMeta{
@@ -222,17 +204,16 @@ func (p *Plan) StageMetas() []StageMeta {
 // every index launch with its per-point region requirements, listing at
 // most maxPoints task points per launch (0 means all).
 func (p *Plan) Listing(maxPoints int) string {
-	prog := p.first().prog
 	var b strings.Builder
-	fmt.Fprintf(&b, "program %q on %s\n", prog.Name, prog.Machine)
-	for _, r := range prog.Regions {
+	fmt.Fprintf(&b, "program %q on %s\n", p.prog.Name, p.prog.Machine)
+	for _, r := range p.prog.Regions {
 		place := "unplaced (leaf 0)"
 		if r.Placement != nil {
 			place = r.Placement.String()
 		}
 		fmt.Fprintf(&b, "region %s%v place %s\n", r.Name, r.Shape, place)
 	}
-	for _, l := range prog.Launches {
+	for _, l := range p.prog.Launches {
 		fmt.Fprintf(&b, "index_launch %s over %s\n", l.Name, l.Domain)
 		n := l.Domain.Size()
 		shown := n

@@ -371,14 +371,11 @@ func canonicalRequest(req Request) string {
 	return b.String()
 }
 
-// Compile compiles a request into an immutable Plan through the plan cache.
-// A single statement (Stmt, Formats, Schedule) compiles to a one-stage plan
-// that binds every tensor; a statement list (Stmts) to a DAG whose stages
-// each compile as the statement they name, so a list sharing a statement
-// with an earlier compile shares its plan. A list's Shapes declares the leaf
-// inputs only: intermediate and output shapes are inferred from their
-// producers, and a Shapes entry for an assigned tensor is rejected as
-// KindParse.
+// Compile compiles a request into an immutable Plan through the plan cache:
+// a single statement (Stmt, Formats, Schedule) into a one-stage plan that
+// binds every tensor, a statement list (Stmts) into a DAG whose stages each
+// compile as the statement they name. A list's Shapes declares its leaf
+// inputs only; a Shapes entry for a computed tensor is KindParse.
 //
 // A request seen before resolves through the request memo without
 // re-parsing the statement or replaying the schedule; concurrent identical
@@ -390,7 +387,7 @@ func canonicalRequest(req Request) string {
 func (s *Session) Compile(ctx context.Context, req Request) (*Plan, error) {
 	ctx, sp := obs.Start(ctx, "compile")
 	defer sp.End()
-	plan, err := s.compileTraced(ctx, sp, req)
+	plan, err := s.compileFlight(ctx, sp, req)
 	if plan != nil {
 		sp.SetAttr("stages", strconv.Itoa(plan.Stages()))
 	}
@@ -405,25 +402,21 @@ func (s *Session) CompileProgram(ctx context.Context, req Request) (*Plan, error
 	return s.Compile(ctx, req)
 }
 
-// compileTraced is compileFlight reporting on sp: the plan's key and
-// whether the compiler ran.
-func (s *Session) compileTraced(ctx context.Context, sp *obs.Span, req Request) (*Plan, error) {
-	plan, err := s.compileFlight(ctx, sp, req)
-	if plan != nil {
-		sp.SetAttr("plan_key", plan.key)
-		if plan.stats.Cached {
-			sp.SetAttr("cache", "hit")
-		} else {
-			sp.SetAttr("cache", "miss")
-		}
-	}
-	return plan, err
-}
-
 // compileFlight is Compile's body: the memo fast path, then the
 // singleflight table, then leading a compile of our own. A request flies
-// under its canonical rendering.
-func (s *Session) compileFlight(ctx context.Context, sp *obs.Span, req Request) (*Plan, error) {
+// under its canonical rendering. sp learns the plan's key and whether the
+// compiler ran.
+func (s *Session) compileFlight(ctx context.Context, sp *obs.Span, req Request) (plan *Plan, err error) {
+	defer func() {
+		if plan != nil {
+			cache := "miss"
+			if plan.stats.Cached {
+				cache = "hit"
+			}
+			sp.SetAttr("plan_key", plan.key)
+			sp.SetAttr("cache", cache)
+		}
+	}()
 	if err := ctx.Err(); err != nil {
 		return nil, wrapErr(KindCanceled, "compile", err)
 	}
@@ -620,7 +613,7 @@ func (s *Session) compileList(ctx context.Context, req Request) (*Plan, error) {
 		sctx, ssp := obs.Start(ctx, "compile-stage")
 		ssp.SetAttr("statement", strconv.Itoa(st.Index))
 		ssp.SetAttr("output", lhs)
-		plan, cerr := s.compileTraced(sctx, ssp, Request{
+		plan, cerr := s.compileFlight(sctx, ssp, Request{
 			Stmt:     st.Src.Stmt,
 			Shapes:   stageShapes,
 			Formats:  st.Src.Formats,
@@ -656,25 +649,28 @@ func (s *Session) compileList(ctx context.Context, req Request) (*Plan, error) {
 		keys = append(keys, st.stmt.key)
 		h.Write([]byte(st.stmt.key))
 		h.Write([]byte{0})
-		sst := st.stats
-		stats.Cached = stats.Cached && sst.Cached
-		stats.Shared = stats.Shared || sst.Shared
-		stats.CompileTime += sst.CompileTime
-		stats.Launches += sst.Launches
-		stats.Points += sst.Points
+		stats.Cached = stats.Cached && st.stats.Cached
+		stats.Shared = stats.Shared || st.stats.Shared
+		stats.CompileTime += st.stats.CompileTime
+		stats.Launches += st.stats.Launches
+		stats.Points += st.stats.Points
 	}
 	key := hex.EncodeToString(h.Sum(nil))
 	if len(keys) == 1 {
 		key = keys[0] // a one-stage plan's key is its stage's
 	}
+	first := built[0].stmt
 	pd := &planData{
-		runner:   newRunner(s.params, ls, inputs, owned, prog.Output()),
-		key:      key,
-		keys:     keys,
-		bound:    prog.Inputs(),
-		launches: stats.Launches,
-		points:   stats.Points,
-		stages:   built,
+		runner:       newRunner(s.params, ls, inputs, owned, prog.Output()),
+		key:          key,
+		keys:         keys,
+		bound:        prog.Inputs(),
+		launches:     stats.Launches,
+		points:       stats.Points,
+		prog:         first.prog,
+		scheduleText: first.scheduleText,
+		notation:     first.notation,
+		stages:       built,
 	}
 	return &Plan{planData: pd, stats: stats}, nil
 }
@@ -699,7 +695,7 @@ func (s *Session) repartition(ctx context.Context, name string, shape []int, src
 	ctx, rsp := obs.Start(ctx, "compile-repartition")
 	rsp.SetAttr("tensor", name)
 	defer rsp.End()
-	plan, err := s.compileTraced(ctx, rsp, redistributeRequest(rname, name, shape, srcFmt, dstFmt, s.machine.Processors()))
+	plan, err := s.compileFlight(ctx, rsp, redistributeRequest(rname, name, shape, srcFmt, dstFmt, s.machine.Processors()))
 	if err != nil {
 		return "", nil, rewrap(err, "repartitioning %s from %q to %q", name, srcFmt, dstFmt)
 	}
