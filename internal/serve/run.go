@@ -21,9 +21,9 @@ import (
 // handleRun is real execution over the wire: a data-free distal.Request
 // rides in the body's JSON section, the tensors the plan binds follow as
 // wire frames in its frame order (or are filled server-side), the plan
-// resolves through the session cache, BindBatch(...).Run executes on a worker slot under the
-// request deadline, and the computed output tensor streams back as one
-// frame with the run's metrics in Distal-* headers.
+// resolves through the session cache, BindBatch(...).Run executes on a
+// worker slot under the request deadline, and the computed output tensor
+// streams back as one frame with the run's metrics in Distal-* headers.
 //
 // Accepted bodies:
 //

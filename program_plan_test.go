@@ -534,10 +534,10 @@ func bitsEqual(t *testing.T, what string, got, want *tensor.Dense) {
 	}
 }
 
-// TestProgramPoolConcurrent runs one ProgramPlan from 8 goroutines, each a
-// few batched runs on its own data, so pooled intermediates move between
-// runs and goroutines: every output must equal its sequential Binding run
-// bit for bit (run with -race).
+// TestProgramPoolConcurrent runs one statement list's plan from 8
+// goroutines, each a few batched runs on its own data, so pooled
+// intermediates move between runs and goroutines: every output must equal
+// its sequential Binding run bit for bit (run with -race).
 func TestProgramPoolConcurrent(t *testing.T) {
 	const n, goroutines, runs, batch = 16, 8, 3, 2
 	ctx := context.Background()
