@@ -711,3 +711,34 @@ func TestProgramMemo(t *testing.T) {
 		t.Fatal("a session without a plan cache memoized a program")
 	}
 }
+
+// TestCompileListSingleflight: concurrent identical statement-list compiles
+// share one DAG payload and run the compiler once per stage; every other
+// caller counts a hit per stage, whether the memo or the shared flight
+// served it (run with -race).
+func TestCompileListSingleflight(t *testing.T) {
+	const callers = 8
+	sess := NewSession(NewMachine(CPU, 2, 2))
+	plans := make([]*Plan, callers)
+	errs := make([]error, callers)
+	var wg sync.WaitGroup
+	for i := range plans {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			plans[i], errs[i] = sess.Compile(context.Background(), chainRequest(32))
+		}(i)
+	}
+	wg.Wait()
+	for i, p := range plans {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if p.planData != plans[0].planData {
+			t.Fatalf("caller %d got its own DAG payload", i)
+		}
+	}
+	if st := sess.CacheStats(); st.Misses != 2 || st.Hits != 2*(callers-1) {
+		t.Fatalf("cache stats %+v, want 2 misses and %d hits", st, 2*(callers-1))
+	}
+}
