@@ -8,7 +8,6 @@ package request
 
 import (
 	"fmt"
-	"slices"
 
 	"distal/internal/core"
 	"distal/internal/distnot"
@@ -64,11 +63,11 @@ func Build(req Request, m *machine.Machine) (core.Input, error) {
 // compile input with an empty schedule: every tensor declared at its shape,
 // placed by its Formats entry or the canonical tiling of its rank.
 func Unscheduled(req Request, m *machine.Machine) (core.Input, error) {
-	p, err := program.ParseRequest(Statement(req), nil, req.Shapes)
+	prog, err := program.ParseRequest(Statement(req), nil, req.Shapes)
 	if err != nil {
 		return core.Input{}, err
 	}
-	stmt := p.Stages[0].Assign
+	stmt := prog.Stages[0].Assign
 	names := stmt.TensorNames()
 	decls := make(map[string]*core.TensorDecl, len(names))
 	for _, name := range names {
@@ -76,7 +75,7 @@ func Unscheduled(req Request, m *machine.Machine) (core.Input, error) {
 		if err != nil {
 			return core.Input{}, err
 		}
-		decls[name] = &core.TensorDecl{Name: name, Shape: slices.Clone(req.Shapes[name]), Placement: p}
+		decls[name] = &core.TensorDecl{Name: name, Shape: append([]int(nil), req.Shapes[name]...), Placement: p}
 	}
 	return core.Input{Stmt: stmt, Machine: m, Tensors: decls, Schedule: schedule.New(stmt)}, nil
 }
