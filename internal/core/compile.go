@@ -29,17 +29,17 @@
 // it to a fixed place in its launch's slab, so materialization is the same
 // under any pool size: a bounded pool takes units — a whole launch of a
 // multi-launch plan, or a point range of a single launch — and each worker's
-// scratch (including the rect intern table and the requirements of tensors
-// anchored at the task level) persists across its units. Each region's
-// distinct rects are numbered once, in first-appearance order, into the
-// region's rect table (legion.Region.Rects), and a launch stores only each
-// requirement's id in that table, so the runtime indexes its per-rect state
-// by id.
+// scratch (including its rect tables and the requirements of tensors
+// anchored at the task level) persists across its units and is pooled
+// across compiles. Each region's distinct rects are numbered once, in
+// first-appearance order, by an open-addressed table of rect ids probed by
+// their bounds (recttable.go), into the region's rect table
+// (legion.Region.Rects), and a launch stores only each requirement's id in
+// that table, so the runtime indexes its per-rect state by id.
 package core
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"runtime"
 	"strconv"
@@ -521,8 +521,8 @@ func materializeWorkers(n int) int {
 // into units — a whole launch of a multi-launch plan (a sequential
 // pipeline), or one of materializeWorkers(n) contiguous point ranges of a
 // single launch — which a bounded pool takes from an atomic counter. Each
-// worker owns one materializer whose scratch (evaluation buffers, the rect
-// intern table, the dist-only cache) persists across its units. Every point
+// worker owns one pooled materializer whose scratch (evaluation buffers, the
+// rect tables, the dist-only cache) persists across its units. Every point
 // is written to a fixed place in its launch's slab, and units cover disjoint
 // points, so nothing is merged and the result is the same under any pool
 // size or schedule. Requirement ids come out worker-local until numberRects.
@@ -575,55 +575,49 @@ func (c *compiler) materializeLaunches(domain machine.Grid, seqs []map[string]in
 	if c.ctx.Err() == nil {
 		c.numberRects(mats, owner, slabs)
 	}
+	for _, m := range mats {
+		matPool.Put(m)
+	}
 	return launches
 }
 
 // numberRects gives every region its rect table and rewrites every
 // requirement id, in place, from the worker's table to the region's. Ids are
 // numbered per region in first-appearance order — units in order, then
-// points, then tensors — which is the order a single worker interns them in,
+// points, then tensors — which is the order a single worker numbers them in,
 // so its local ids are kept as they are. Otherwise each worker-local rect is
-// hashed once, by its packed key, the first time it appears; the pass over
-// the ids is an array lookup each.
+// interned once into the region's table, the first time it appears; the
+// pass over the ids is an array lookup each.
 func (c *compiler) numberRects(mats []*materializer, owner []int, slabs [][]int32) {
 	if len(mats) == 1 {
-		for ti, entries := range mats[0].table {
-			r := c.tensors[ti].region
-			r.Rects = make([]tensor.Rect, len(entries))
-			for id, e := range entries {
-				r.Rects[id] = e.rect
-			}
+		for ti, tp := range c.tensors {
+			tp.region.Rects = mats[0].tables[ti].rects()
 		}
 		return
 	}
-	// The workers' tables bound the region tables' sizes: a rect is counted
-	// once per worker that met it.
-	nt, total := len(c.tensors), 0
+	nt := len(c.tensors)
+	merge := grow(mats[0].merge, nt)
+	mats[0].merge = merge
 	for ti, tp := range c.tensors {
-		n := 0
+		merge[ti].reset(len(tp.shape))
 		for _, m := range mats {
-			n += len(m.table[ti])
+			m.global[ti] = resize(m.global[ti], int(m.tables[ti].n))
 		}
-		tp.region.Rects = make([]tensor.Rect, 0, n)
-		total += n
 	}
-	global := make(map[string]int32, total)
 	for u, ids := range slabs {
 		m := mats[owner[u]]
 		for i, id := range ids {
-			e := m.table[i%nt][id]
-			if e.global < 0 {
-				r := c.tensors[i%nt].region
-				g, ok := global[e.key]
-				if !ok {
-					g = int32(len(r.Rects))
-					r.Rects = append(r.Rects, e.rect)
-					global[e.key] = g
-				}
-				e.global = g
+			ti := i % nt
+			g := m.global[ti][id] - 1
+			if g < 0 {
+				g = merge[ti].intern(m.tables[ti].at(id))
+				m.global[ti][id] = g + 1
 			}
-			ids[i] = e.global
+			ids[i] = g
 		}
+	}
+	for ti, tp := range c.tensors {
+		tp.region.Rects = merge[ti].rects()
 	}
 }
 
@@ -648,72 +642,83 @@ func (c *compiler) newLaunch(domain machine.Grid, seq map[string]int) (*legion.L
 	}, infos
 }
 
-// rectEntry is one interned requirement rect: the canonical Rect value
-// (its bounds carved from the worker's bound block), its payload size, its
-// id in the worker's table of the tensor's rects, and its packed bounds (the
-// intern table's key). numberRects sets global, the id
-// in the region's table, when the worker-local and region ids differ.
-type rectEntry struct {
-	rect   tensor.Rect
-	bytes  int64
-	id     int32
-	global int32
-	key    string
-}
-
-// rectBlock is how many rect entries (and bounds of as many rects) the
-// intern table allocates at once.
-const rectBlock = 64
-
-// materializer owns the scratch of one materialization worker. The rect
-// intern table persists across the worker's units (rects repeat across the
-// launches of a pipeline — e.g. the output tensor's requirement does not
-// depend on the sequential loop at all). Nothing here is shared between
-// workers.
+// materializer owns the scratch of one materialization worker. Its rect
+// tables persist across the worker's units (rects repeat across the launches
+// of a pipeline — e.g. the output tensor's requirement does not depend on
+// the sequential loop at all). Nothing here is shared between workers, and
+// nothing here outlives the compile in its program: materializers are pooled
+// across compiles (matPool), and numberRects copies the bounds a region
+// keeps out of the tables.
 type materializer struct {
 	point          []int
 	fixed          []bool
 	vals           []int
 	ivs            [][]schedule.Interval
 	rectLo, rectHi [][]int
-	keyBuf         []byte
 
-	rects map[string]*rectEntry // packed bounds -> interned rect
-	block []rectEntry           // storage new entries are carved from
-	ints  []int                 // storage new entries' Lo and Hi are carved from
-	table [][]*rectEntry        // per tensor, its rects by worker-local id
+	tables []rectTable // per tensor, its rects by worker-local id
+	// global maps, per tensor, each worker-local id to 1 + its id in the
+	// region's table (0 until numberRects meets it); merge holds the
+	// region tables numberRects builds when several workers materialized,
+	// and is used on the first worker's materializer only.
+	global [][]int32
+	merge  []rectTable
 
-	// distCache holds, at point*nt + tensor, the interned rect of every
-	// tensor whose anchor cut fixes only distributed variables: that
+	// distCache holds, at point*nt + tensor, the worker-local rect id of
+	// every tensor whose anchor cut fixes only distributed variables: that
 	// requirement is independent of the launch's sequential assignment, so
 	// the worker's later launches reuse its first launch's analysis (and skip
 	// evaluating the dist-only cut group altogether). Only multi-launch plans
 	// set cacheDist, and their units are whole launches: a single launch
-	// would pay for a cache it never reads back.
-	cacheDist bool
-	distCache []*rectEntry
+	// would pay for a cache it never reads back. distFilled marks that a
+	// launch filled it.
+	cacheDist, distFilled bool
+	distCache             []int32
 }
 
+var matPool = sync.Pool{New: func() any { return new(materializer) }}
+
+// newMaterializer takes a materializer from the pool and sizes its scratch
+// for this compile.
 func (c *compiler) newMaterializer(rank int, multiLaunch bool) *materializer {
-	nv := c.ev.NumVars()
-	m := &materializer{
-		cacheDist: multiLaunch && c.anyDistOnly,
-		point:     make([]int, rank),
-		fixed:     make([]bool, nv),
-		vals:      make([]int, nv),
-		ivs:       make([][]schedule.Interval, len(c.cuts)),
-		rects:     map[string]*rectEntry{},
-		table:     make([][]*rectEntry, len(c.tensors)),
-	}
+	nv, nt := c.ev.NumVars(), len(c.tensors)
+	m := matPool.Get().(*materializer)
+	m.cacheDist, m.distFilled = multiLaunch && c.anyDistOnly, false
+	m.point = resize(m.point, rank)
+	m.fixed = resize(m.fixed, nv)
+	m.vals = resize(m.vals, nv)
+	m.ivs = grow(m.ivs, len(c.cuts))
 	for i := range m.ivs {
-		m.ivs[i] = make([]schedule.Interval, nv)
+		m.ivs[i] = resize(m.ivs[i], nv)
 	}
-	for _, tp := range c.tensors {
+	m.rectLo, m.rectHi = grow(m.rectLo, nt), grow(m.rectHi, nt)
+	m.tables, m.global = grow(m.tables, nt), grow(m.global, nt)
+	for ti, tp := range c.tensors {
 		r := len(tp.shape)
-		m.rectLo = append(m.rectLo, make([]int, r))
-		m.rectHi = append(m.rectHi, make([]int, r))
+		m.rectLo[ti], m.rectHi[ti] = resize(m.rectLo[ti], r), resize(m.rectHi[ti], r)
+		m.tables[ti].reset(r)
 	}
 	return m
+}
+
+// resize returns s with length n and zeroed contents, allocating only when
+// its capacity is short.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// grow returns s with length n, keeping its contents — and, up to its
+// capacity, the elements an earlier use left past its length.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return append(s[:cap(s)], make([]T, n-cap(s))...)
+	}
+	return s[:n]
 }
 
 // build runs the bounds analysis of points [start, end) of one launch. For
@@ -729,9 +734,10 @@ func (m *materializer) build(c *compiler, domain machine.Grid, seq map[string]in
 	for i, v := range c.seqVars {
 		m.vals[c.seqIDs[i]] = seq[v]
 	}
-	reuse := m.distCache != nil // a previous launch filled the cache
+	reuse := m.distFilled // a previous launch filled the cache
 	if m.cacheDist && !reuse {
-		m.distCache = make([]*rectEntry, domain.Size()*nt)
+		m.distCache = resize(m.distCache, domain.Size()*nt)
+		m.distFilled = true
 	}
 	// The dist-only cut group (if any) is the first one, and its intervals
 	// are consumed only by dist-only tensors, which a filled cache serves.
@@ -764,19 +770,20 @@ func (m *materializer) build(c *compiler, domain machine.Grid, seq map[string]in
 
 		pids := ids[i*nt : i*nt+nt]
 		memBytes := 0.0
-		for ti := range c.tensors {
-			var e *rectEntry
+		for ti, tp := range c.tensors {
+			var id int32
 			switch {
 			case reuse && c.distOnly[ti]:
-				e = m.distCache[i*nt+ti]
-			case m.distCache != nil && c.distOnly[ti]:
-				e = m.intern(c, ti)
-				m.distCache[i*nt+ti] = e
+				id = m.distCache[i*nt+ti]
+			case m.cacheDist && c.distOnly[ti]:
+				id = m.intern(c, ti)
+				m.distCache[i*nt+ti] = id
 			default:
-				e = m.intern(c, ti)
+				id = m.intern(c, ti)
 			}
-			pids[ti] = e.id
-			memBytes += float64(e.bytes)
+			pids[ti] = id
+			lo, hi := m.tables[ti].at(id)
+			memBytes += float64(tp.region.Bytes(tensor.Rect{Lo: lo, Hi: hi}))
 		}
 		// Cost-model inputs from the full environment.
 		infos[i] = pointInfo{flops: c.pointFlops(m.ivs[full]), memBytes: memBytes}
@@ -785,34 +792,11 @@ func (m *materializer) build(c *compiler, domain machine.Grid, seq map[string]in
 
 // intern derives tensor ti's requirement bounds from the current point's
 // intervals — the union over its accesses, clamped to its shape — and
-// returns the interned rect with those bounds, numbering a new one in the
-// worker's table of the tensor's rects.
-func (m *materializer) intern(c *compiler, ti int) *rectEntry {
+// returns their id in the worker's table of the tensor's rects, numbering
+// them when they are new.
+func (m *materializer) intern(c *compiler, ti int) int32 {
 	tp := &c.tensors[ti]
 	lo, hi := m.rectLo[ti], m.rectHi[ti]
 	tp.deriveBounds(m.ivs[tp.cutIdx], lo, hi)
-	m.keyBuf = binary.LittleEndian.AppendUint64(m.keyBuf[:0], uint64(ti))
-	for d := range lo {
-		m.keyBuf = binary.LittleEndian.AppendUint64(m.keyBuf, uint64(lo[d]))
-		m.keyBuf = binary.LittleEndian.AppendUint64(m.keyBuf, uint64(hi[d]))
-	}
-	if e, ok := m.rects[string(m.keyBuf)]; ok {
-		return e
-	}
-	if len(m.block) == cap(m.block) {
-		m.block = make([]rectEntry, 0, rectBlock)
-	}
-	rank := len(lo)
-	if len(m.ints)+2*rank > cap(m.ints) {
-		m.ints = make([]int, 0, 2*rank*rectBlock)
-	}
-	k := len(m.ints)
-	m.ints = append(append(m.ints, lo...), hi...)
-	r := tensor.Rect{Lo: m.ints[k : k+rank : k+rank], Hi: m.ints[k+rank : k+2*rank : k+2*rank]}
-	key := string(m.keyBuf)
-	m.block = append(m.block, rectEntry{rect: r, bytes: tp.region.Bytes(r), id: int32(len(m.table[ti])), global: -1, key: key})
-	e := &m.block[len(m.block)-1]
-	m.table[ti] = append(m.table[ti], e)
-	m.rects[key] = e
-	return e
+	return m.tables[ti].intern(lo, hi)
 }

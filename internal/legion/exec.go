@@ -203,12 +203,15 @@ type regState struct {
 	// strictly contain a requirement rect (equal-volume containment implies
 	// equality), and in tiled workloads every transient shares the
 	// requirement's volume, so the strict scan is empty. volumes lists the
-	// occupied bucket volumes ascending; an emptied bucket keeps its
-	// storage in the map. A stage adopting the state re-indexes the groups
-	// by its own region's ids (rekey).
-	transByID  []*transGroup
-	volBuckets map[int64][]*transGroup
-	volumes    []int64
+	// occupied bucket volumes ascending, and exactly the map's keys: an
+	// emptied bucket leaves the map, and its storage joins spareBuckets,
+	// which new buckets open on, in this walk or a later one. A stage
+	// adopting the state re-indexes the groups by its own region's ids
+	// (rekey).
+	transByID    []*transGroup
+	volBuckets   map[int64][]*transGroup
+	spareBuckets [][]*transGroup
+	volumes      []int64
 
 	// accHead[id] chains the stage's accumulators of rect id, one per
 	// writing leaf, in opening order.
@@ -553,10 +556,14 @@ func (e *executor) evict(rs *regState, inst *instance) {
 }
 
 // addToBucket registers a new group in its volume bucket, opening the
-// bucket (and recording its volume in the sorted volume list) if needed.
+// bucket (on spare storage, recording its volume in the sorted volume list)
+// if needed.
 func (rs *regState) addToBucket(g *transGroup) {
-	b := rs.volBuckets[g.vol]
-	if len(b) == 0 {
+	b, ok := rs.volBuckets[g.vol]
+	if !ok {
+		if n := len(rs.spareBuckets); n > 0 {
+			b, rs.spareBuckets = rs.spareBuckets[n-1], rs.spareBuckets[:n-1]
+		}
 		i := sort.Search(len(rs.volumes), func(i int) bool { return rs.volumes[i] >= g.vol })
 		rs.volumes = append(rs.volumes, 0)
 		copy(rs.volumes[i+1:], rs.volumes[i:])
@@ -567,8 +574,8 @@ func (rs *regState) addToBucket(g *transGroup) {
 }
 
 // dropFromBucket removes an emptied group from its volume bucket
-// (swap-remove via the group's stored index), closing the bucket when it
-// was the last group of that volume.
+// (swap-remove via the group's stored index), closing the bucket — its
+// storage joins the spares — when it was the last group of that volume.
 func (rs *regState) dropFromBucket(g *transGroup) {
 	b := rs.volBuckets[g.vol]
 	last := len(b) - 1
@@ -576,11 +583,14 @@ func (rs *regState) dropFromBucket(g *transGroup) {
 	b[g.idx].idx = g.idx
 	b[last] = nil
 	b = b[:last]
-	rs.volBuckets[g.vol] = b
-	if len(b) == 0 {
-		i := sort.Search(len(rs.volumes), func(i int) bool { return rs.volumes[i] >= g.vol })
-		rs.volumes = append(rs.volumes[:i], rs.volumes[i+1:]...)
+	if len(b) > 0 {
+		rs.volBuckets[g.vol] = b
+		return
 	}
+	rs.spareBuckets = append(rs.spareBuckets, b)
+	delete(rs.volBuckets, g.vol)
+	i := sort.Search(len(rs.volumes), func(i int) bool { return rs.volumes[i] >= g.vol })
+	rs.volumes = append(rs.volumes[:i], rs.volumes[i+1:]...)
 }
 
 func removeInst(s []*instance, x *instance) []*instance {

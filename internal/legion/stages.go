@@ -297,20 +297,27 @@ func (e *executor) placeRegion(r *Region) {
 	}
 	w := e.opt.TransientWindow
 	lists := resize(rs.lists, n*(2*w+1))
+	// The buckets an earlier walk left open go to the spares.
+	for _, v := range rs.volumes {
+		b := rs.volBuckets[v]
+		clear(b)
+		rs.spareBuckets = append(rs.spareBuckets, b[:0])
+	}
 	clear(rs.volBuckets)
 	*rs = regState{
-		region:     r,
-		persistent: resize(rs.persistent, len(leaves)),
-		owners:     rs.owners,
-		perLeaf:    resize(rs.perLeaf, n),
-		transFIFO:  resize(rs.transFIFO, n),
-		transByID:  resize(rs.transByID, len(r.Rects)),
-		volBuckets: rs.volBuckets,
-		volumes:    rs.volumes[:0],
-		accHead:    resize(rs.accHead, len(r.Rects)),
-		bounds:     bounds,
-		leaves:     leaves,
-		lists:      lists,
+		region:       r,
+		persistent:   resize(rs.persistent, len(leaves)),
+		owners:       rs.owners,
+		perLeaf:      resize(rs.perLeaf, n),
+		transFIFO:    resize(rs.transFIFO, n),
+		transByID:    resize(rs.transByID, len(r.Rects)),
+		volBuckets:   rs.volBuckets,
+		spareBuckets: rs.spareBuckets,
+		volumes:      rs.volumes[:0],
+		accHead:      resize(rs.accHead, len(r.Rects)),
+		bounds:       bounds,
+		leaves:       leaves,
+		lists:        lists,
 	}
 	for leaf := range n {
 		k := leaf * (2*w + 1)

@@ -47,15 +47,16 @@ func BenchmarkWalk(b *testing.B) {
 
 // walkAllocBudget caps the allocations of one warm simulated walk of an 8×8
 // SUMMA pipeline. The walk takes its region states, owner indexes, slab
-// chunks, simulator arrays and buffers from a pooled scratch, so a warm walk
-// allocates only what it returns or keeps per run: 22 objects for 3 584
-// copies (115 before the scratch was pooled). The budget is about 1.5× that,
-// so a change that allocates per copy or per launch (32 of them), or stops
-// reusing the scratch, fails at once. Counts repeat exactly, so the cap holds
-// on any runner.
-const walkAllocBudget = 33
+// chunks, volume buckets, simulator arrays and buffers from a pooled scratch,
+// and the machine's leaf grid is computed once, so a warm walk allocates only
+// what it returns or keeps per run: 5 objects for 3 584 copies (115 before
+// the scratch was pooled, 22 before the buckets and the leaf grid were
+// kept). The budget is about 1.5× that, so a change that allocates per copy
+// or per launch (32 of them), or stops reusing the scratch, fails at once.
+// Counts repeat exactly, so the cap holds on any runner.
+const walkAllocBudget = 8
 
-// coldWalkAllocBudget caps the same walk from an empty pool: 121–122 objects,
+// coldWalkAllocBudget caps the same walk from an empty pool: 118–119 objects,
 // everything the scratch holds included. Under -race, where sync.Pool drops
 // scratch at random, any walk may be cold, so it is the only cap there.
 const coldWalkAllocBudget = 172

@@ -147,12 +147,14 @@ type Machine struct {
 	// preserve the node structure of the physical machine (4 GPUs per
 	// node). When zero, each coordinate of the outermost grid is one node.
 	ProcsPerNode int
+
+	leaf Grid // LeafGrid, computed when the machine is built
 }
 
 // New returns a flat machine over the grid with the given memory/processor
 // kinds.
 func New(g Grid, mem MemKind, proc ProcKind) *Machine {
-	return &Machine{Grid: g, Mem: mem, Proc: proc}
+	return &Machine{Grid: g, Mem: mem, Proc: proc, leaf: g}
 }
 
 // WithChild returns a copy of m whose abstract processors are each organized
@@ -160,6 +162,7 @@ func New(g Grid, mem MemKind, proc ProcKind) *Machine {
 func (m *Machine) WithChild(child *Machine) *Machine {
 	cp := *m
 	cp.Child = child
+	cp.leaf = NewGrid(append(append([]int(nil), m.Grid.Dims...), child.leaf.Dims...)...)
 	return &cp
 }
 
@@ -186,14 +189,9 @@ func (m *Machine) LeafCount() int {
 
 // LeafGrid returns the flattened grid whose dimensions are the concatenation
 // of all levels' dimensions. Coordinates in this grid identify single leaf
-// processors.
-func (m *Machine) LeafGrid() Grid {
-	var dims []int
-	for _, lvl := range m.Levels() {
-		dims = append(dims, lvl.Grid.Dims...)
-	}
-	return NewGrid(dims...)
-}
+// processors. The grid is the machine's own, computed by New and WithChild:
+// callers must not modify its dimensions.
+func (m *Machine) LeafGrid() Grid { return m.leaf }
 
 // LeafMem returns the memory kind of leaf processors (the innermost level).
 func (m *Machine) LeafMem() MemKind {

@@ -13,8 +13,9 @@ import (
 // and per tiling the sequential-step pipelines (SUMMA-style broadcast or
 // Cannon-style rotation) and per-tensor communicate placements that refine
 // it. Every candidate the space emits is a serializable schedule in command
-// text form; candidates are legality-checked against the scheduling
-// language before they are offered for evaluation.
+// text form, in the canonical form its legality check (canonicalize)
+// renders, so the tuner counts and deduplicates the texts without
+// re-parsing them.
 type Space struct {
 	stmt    *ir.Assignment
 	ext     map[string]int
@@ -88,18 +89,13 @@ func command(op string, args ...string) schedule.Command {
 	return schedule.Command{Op: op, Args: args}
 }
 
-// legal reports whether the commands apply cleanly to a fresh schedule over
-// the statement. It is the pre-compile legality gate: everything it admits
-// the scheduling language accepts, so compile failures are left to the
-// oracle (and counted separately).
-func (sp *Space) legal(cs schedule.Commands) bool {
-	return schedule.New(sp.stmt).Apply(cs).Err() == nil
-}
-
 // canonicalize applies the commands to a fresh schedule and returns the
 // applied log's text — the canonical form under which candidates are
 // deduplicated (no-op commands vanish, every surviving command renders
-// exactly as recorded). ok is false when the commands are illegal.
+// exactly as recorded). ok is false when the commands are illegal. It is the
+// pre-compile legality gate: everything it admits the scheduling language
+// accepts, so compile failures are left to the oracle (and counted
+// separately).
 func (sp *Space) canonicalize(cs schedule.Commands) (string, bool) {
 	s := schedule.New(sp.stmt).Apply(cs)
 	if s.Err() != nil {
@@ -194,11 +190,12 @@ func (sp *Space) buildTiling(sel []string) *Tiling {
 	)
 	cs := append(append(schedule.Commands(nil), t.base...),
 		command("communicate", append([]string{t.anchor()}, sp.tensors...)...))
-	if !sp.legal(cs) {
+	text, ok := sp.canonicalize(cs)
+	if !ok {
 		sp.rejected++
 		return nil
 	}
-	t.text = cs.String()
+	t.text = text
 	return t
 }
 
@@ -324,11 +321,12 @@ func (sp *Space) Refinements(t *Tiling) []string {
 				}
 				for _, mask := range masks {
 					cand := append(append(schedule.Commands(nil), cs...), sp.communicates(mask, t.anchor(), step)...)
-					if !sp.legal(cand) {
+					text, ok := sp.canonicalize(cand)
+					if !ok {
 						sp.rejected++
 						continue
 					}
-					out = append(out, cand.String())
+					out = append(out, text)
 				}
 			}
 		}

@@ -13,10 +13,11 @@
 // tilings and refines them with sequential-step pipelines: a remaining
 // variable divided into steps, optionally rotated by the distributed
 // variables (Cannon-style systolic communication), with per-tensor
-// communicate placements. Candidates are generated as schedule command
-// text, legality-checked against the scheduling language before any
-// compile, deduplicated by canonical text, and evaluated concurrently over
-// a bounded worker pool.
+// communicate placements. Candidates are generated as canonical schedule
+// command text, legality-checked against the scheduling language once, when
+// they are generated, deduplicated by that text, and evaluated concurrently
+// over a bounded worker pool. Caller seeds are parsed and canonicalized
+// before they compete.
 //
 // The tuner is deterministic: for a fixed statement, machine, seed, and
 // budget it generates the same candidates in the same order, samples
@@ -194,7 +195,7 @@ func Tune(ctx context.Context, in Input, oracle Oracle, opts Options) (*Result, 
 
 	// Seeds run first and are never sampled away; they raise the effective
 	// budget if the caller passed more seeds than budget.
-	seeds := t.admit(opts.Seeds)
+	seeds := t.admitSeeds(opts.Seeds)
 	budget := opts.Budget
 	if budget < len(seeds) {
 		budget = len(seeds)
@@ -258,25 +259,32 @@ func tilingTexts(ts []*Tiling) []string {
 	return out
 }
 
-// admit filters raw candidate texts through the legality and dedup gates,
-// updating the stats. Order is preserved.
-func (t *tuner) admit(cands []string) []string {
-	var out []string
-	for _, c := range cands {
+// admitSeeds parses and canonicalizes the caller's seed texts, counting the
+// illegal ones, then admits the canonical texts.
+func (t *tuner) admitSeeds(seeds []string) []string {
+	texts := make([]string, 0, len(seeds))
+	for _, c := range seeds {
 		if c == "" {
 			continue
 		}
+		if cs, err := schedule.Parse(c); err == nil {
+			if text, ok := t.sp.canonicalize(cs); ok {
+				texts = append(texts, text)
+				continue
+			}
+		}
 		t.stats.Generated++
-		cs, err := schedule.Parse(c)
-		if err != nil {
-			t.stats.Illegal++
-			continue
-		}
-		text, ok := t.sp.canonicalize(cs)
-		if !ok {
-			t.stats.Illegal++
-			continue
-		}
+		t.stats.Illegal++
+	}
+	return t.admit(texts)
+}
+
+// admit counts canonical candidate texts — the space emits nothing else —
+// and drops the ones already seen, updating the stats. Order is preserved.
+func (t *tuner) admit(cands []string) []string {
+	var out []string
+	for _, text := range cands {
+		t.stats.Generated++
 		if t.seen[text] {
 			t.stats.Deduped++
 			continue

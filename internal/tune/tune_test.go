@@ -75,6 +75,45 @@ func TestGeneratorRoundTrips(t *testing.T) {
 	}
 }
 
+// TestEmittedTextsCanonical: the tuner counts and deduplicates generated
+// texts without re-parsing them, so every text Tilings and Refinements emit
+// must already be canonical: equal to canonicalize(Parse(text)). Covered on
+// GEMM over 2-D and 3-D grids (tune-gemm's 8x8 at n = 8192 among them) and
+// MTTKRP.
+func TestEmittedTextsCanonical(t *testing.T) {
+	mttkrp, err := ir.Parse("A(i,l) = B(i,j,k) * C(j,l) * D(k,l)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, in := range []Input{
+		gemmInput(t, 256, 4, 4),
+		gemmInput(t, 8192, 8, 8),
+		gemmInput(t, 64, 2, 2, 2),
+		{Stmt: mttkrp, Extents: map[string]int{"i": 16, "j": 16, "k": 16, "l": 8}, Grid: []int{2, 2, 2}},
+	} {
+		sp, err := NewSpace(in.Stmt, in.Extents, in.Grid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for _, tl := range sp.Tilings() {
+			for _, text := range append([]string{tl.Text()}, sp.Refinements(tl)...) {
+				cs, err := schedule.Parse(text)
+				if err != nil {
+					t.Fatalf("%s on %v: candidate does not parse: %v\n%s", in.Stmt, in.Grid, err, text)
+				}
+				if canon, ok := sp.canonicalize(cs); !ok || canon != text {
+					t.Fatalf("%s on %v: emitted text is not canonical:\n emitted: %s\n   canon: %s (legal %v)", in.Stmt, in.Grid, text, canon, ok)
+				}
+				n++
+			}
+		}
+		if n == 0 {
+			t.Fatalf("%s on %v: no candidates", in.Stmt, in.Grid)
+		}
+	}
+}
+
 // TestTilingsDeterministicAndGridCompatible checks tiling enumeration:
 // deterministic order, owner-computes first, and every divide factor
 // matching its machine dimension with no ragged tiles.

@@ -18,17 +18,18 @@ import (
 // The returned tensor is the destination, zeroed when t has data; after
 // plan.Bind(dst, t).Run its Data holds t's contents.
 func (s *Session) Redistribute(t *Tensor, dst Format) (*Plan, *Tensor, error) {
-	if len(t.Shape) == 0 || len(t.Shape) > 6 {
-		return nil, nil, fmt.Errorf("distal: redistribute supports ranks 1..6, got %d", len(t.Shape))
-	}
 	if t.Format.Placement == nil || dst.Placement == nil {
 		return nil, nil, fmt.Errorf("distal: redistribute source or destination format is empty (use ParseFormat)")
 	}
-	out := NewTensor(t.Name+"_r", dst, t.Shape...)
+	name := t.Name + "_r"
+	req, err := redistributeRequest(name, t.Name, t.Shape, t.Format.Placement.String(), dst.Placement.String(), s.machine.Processors())
+	if err != nil {
+		return nil, nil, wrapErr(KindParse, "redistribute", err)
+	}
+	out := NewTensor(name, dst, t.Shape...)
 	if t.Data != nil {
 		out.Zero()
 	}
-	req := redistributeRequest(out.Name, t.Name, t.Shape, t.Format.Placement.String(), dst.Placement.String(), s.machine.Processors())
 	plan, err := s.Compile(context.Background(), req)
 	if err != nil {
 		return nil, nil, err
@@ -58,9 +59,14 @@ func (s *Session) RedistributeCost(t *Tensor, dst Format) (bytes int64, seconds 
 // communication aggregated at the task level. This is correct for any
 // (src, dst) placement pair: reads gather from the source owners, writes
 // flush to the destination owners. Being a request, the layout change is
-// itself a storable workload that the plan cache holds like any other.
-func redistributeRequest(dst, src string, shape []int, srcFmt, dstFmt string, procs int) Request {
-	vars := []string{"i", "j", "k", "l", "u", "v"}[:len(shape)]
+// itself a storable workload that the plan cache holds like any other. The
+// statement names one index variable per mode, for ranks 1 to 6.
+func redistributeRequest(dst, src string, shape []int, srcFmt, dstFmt string, procs int) (Request, error) {
+	vars := []string{"i", "j", "k", "l", "u", "v"}
+	if len(shape) == 0 || len(shape) > len(vars) {
+		return Request{}, fmt.Errorf("tensor %s has rank %d; a layout change supports ranks 1..%d", src, len(shape), len(vars))
+	}
+	vars = vars[:len(shape)]
 	idx := strings.Join(vars, ",")
 	return Request{
 		Stmt:    fmt.Sprintf("%s(%s) = %s(%s)", dst, idx, src, idx),
@@ -68,5 +74,5 @@ func redistributeRequest(dst, src string, shape []int, srcFmt, dstFmt string, pr
 		Formats: map[string]string{src: srcFmt, dst: dstFmt},
 		Schedule: fmt.Sprintf("divide(%s,d0,d0i,%d) reorder(%s) distribute(d0) communicate(d0,%s,%s)",
 			vars[0], procs, strings.Join(append([]string{"d0", "d0i"}, vars[1:]...), ","), dst, src),
-	}
+	}, nil
 }

@@ -2,6 +2,7 @@ package distal
 
 import (
 	"context"
+	"strings"
 	"testing"
 )
 
@@ -129,5 +130,29 @@ func TestSessionRedistributeErrors(t *testing.T) {
 	}
 	if _, _, err := sess.RedistributeCost(bad, MustFormat("x->x")); err == nil {
 		t.Fatal("RedistributeCost should propagate the error")
+	}
+}
+
+// TestLayoutChangeRankLimit: a rank-7 tensor is refused with one message
+// both by Redistribute and by the repartition a statement list inserts
+// between disagreeing formats, as an error rather than a panic.
+func TestLayoutChangeRankLimit(t *testing.T) {
+	const want = "tensor T has rank 7; a layout change supports ranks 1..6"
+	sess := NewSession(NewMachine(CPU, 2))
+	shape := []int{2, 2, 2, 2, 2, 2, 2}
+	_, _, err := sess.Redistribute(NewTensor("T", MustFormat("abcdefg->a"), shape...), MustFormat("abcdefg->a"))
+	if err == nil || KindOf(err) != KindParse || err.Error() != "distal: redistribute: "+want {
+		t.Fatalf("Redistribute: %v (kind %v), want a parse error %q", err, KindOf(err), want)
+	}
+	idx := "a,b,c,d,e,f,g"
+	_, err = sess.Compile(context.Background(), Request{
+		Shapes: map[string][]int{"S": shape},
+		Stmts: []Statement{
+			{Stmt: "T(" + idx + ") = S(" + idx + ")", Formats: map[string]string{"S": "abcdefg->a", "T": "abcdefg->a"}},
+			{Stmt: "U(" + idx + ") = T(" + idx + ")", Formats: map[string]string{"T": "abcdefg->b", "U": "abcdefg->b"}},
+		},
+	})
+	if err == nil || KindOf(err) != KindParse || !strings.Contains(err.Error(), want) {
+		t.Fatalf("statement list: %v (kind %v), want a parse error containing %q", err, KindOf(err), want)
 	}
 }

@@ -683,19 +683,19 @@ func (s *Session) compileList(ctx context.Context, req Request) (*Plan, error) {
 // any other, and its input region adopts the producer's instances directly.
 // It returns the repartitioned region's name and the plan.
 func (s *Session) repartition(ctx context.Context, name string, shape []int, srcFmt, dstFmt string, taken map[string]bool) (string, *Plan, error) {
-	if len(shape) == 0 || len(shape) > 6 {
-		return "", nil, wrapErr(KindParse, "compile",
-			fmt.Errorf("intermediate %s has rank %d; repartitioning supports ranks 1..6", name, len(shape)))
-	}
 	rname := name + "__r"
 	for i := 2; taken[rname]; i++ {
 		rname = fmt.Sprintf("%s__r%d", name, i)
+	}
+	req, err := redistributeRequest(rname, name, shape, srcFmt, dstFmt, s.machine.Processors())
+	if err != nil {
+		return "", nil, wrapErr(KindParse, "compile", err)
 	}
 	taken[rname] = true
 	ctx, rsp := obs.Start(ctx, "compile-repartition")
 	rsp.SetAttr("tensor", name)
 	defer rsp.End()
-	plan, err := s.compileFlight(ctx, rsp, redistributeRequest(rname, name, shape, srcFmt, dstFmt, s.machine.Processors()))
+	plan, err := s.compileFlight(ctx, rsp, req)
 	if err != nil {
 		return "", nil, rewrap(err, "repartitioning %s from %q to %q", name, srcFmt, dstFmt)
 	}

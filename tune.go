@@ -101,7 +101,7 @@ func (s *Session) Tune(ctx context.Context, req Request, opts TuneOptions) (*Tun
 	}
 	in, err := request.Unscheduled(req, s.machine.M)
 	if err != nil {
-		return nil, wrapErr(KindParse, "compile", err)
+		return nil, wrapErr(KindParse, "tune", err)
 	}
 	extents, err := in.Stmt.VarExtents(req.Shapes)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -168,8 +169,8 @@ func TestTuneSeedChangesSampling(t *testing.T) {
 func TestTuneRequestErrors(t *testing.T) {
 	sess := NewSession(NewMachine(CPU, 2, 2))
 	_, err := sess.Tune(context.Background(), Request{Stmt: "not a statement"}, TuneOptions{})
-	if KindOf(err) != KindParse {
-		t.Fatalf("bad statement: kind %v, want parse", KindOf(err))
+	if KindOf(err) != KindParse || !strings.HasPrefix(err.Error(), "distal: tune: ") {
+		t.Fatalf("bad statement: %v (kind %v), want a parse error of op tune", err, KindOf(err))
 	}
 	_, err = sess.Tune(context.Background(), chainRequest(16), TuneOptions{Budget: 4})
 	if KindOf(err) != KindParse || err.Error() != "distal: tune: tuning takes one statement" {
