@@ -325,8 +325,8 @@ func BenchmarkLeafKernel(b *testing.B) {
 		if len(prog.Launches) != 1 || prog.Launches[0].Domain.Size() != 1 {
 			b.Fatalf("want one launch of one task, got %d launches", len(prog.Launches))
 		}
-		run := prog.Launches[0].Kernel.Run
-		prog.Launches[0].Kernel.Run = func(ctx *legion.Ctx) {
+		run := prog.Launches[0].Run
+		prog.Launches[0].Run = func(ctx *legion.Ctx) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				run(ctx)

@@ -490,12 +490,6 @@ func launchName(stmt *ir.Assignment, seqVars []string, seq map[string]int) strin
 	return stmt.LHS.Tensor + "[" + strings.Join(parts, ",") + "]"
 }
 
-// pointInfo is one launch point's analytic cost-model inputs.
-type pointInfo struct {
-	flops    float64
-	memBytes float64
-}
-
 // maxMaterializeWorkers bounds the worker pool: launch materialization is
 // memory-bound map work that stops scaling early, and compiles may already
 // run concurrently across sessions.
@@ -530,11 +524,10 @@ func (c *compiler) materializeLaunches(domain machine.Grid, seqs []map[string]in
 	n := domain.Size()
 	launches := make([]*legion.Launch, len(seqs))
 	units, chunk := len(seqs), n
-	var infos []pointInfo
 	if len(seqs) == 1 {
 		units = materializeWorkers(n)
 		chunk = (n + units - 1) / units
-		launches[0], infos = c.newLaunch(domain, seqs[0])
+		launches[0] = c.newLaunch(domain, seqs[0])
 	}
 	slabs := make([][]int32, units) // unit u's requirement ids
 	nw := min(runtime.GOMAXPROCS(0), maxMaterializeWorkers, units)
@@ -551,15 +544,14 @@ func (c *compiler) materializeLaunches(domain machine.Grid, seqs []map[string]in
 			}
 			owner[u] = w
 			if len(seqs) > 1 {
-				l, infos := c.newLaunch(domain, seqs[u])
+				l := c.newLaunch(domain, seqs[u])
 				launches[u], slabs[u] = l, l.IDs
-				m.build(c, domain, seqs[u], 0, n, l.IDs, infos)
+				m.build(c, l, seqs[u], 0, n)
 				continue
 			}
-			ids := launches[0].IDs
 			lo, hi := u*chunk, min((u+1)*chunk, n)
-			slabs[u] = ids[lo*len(c.tensors) : hi*len(c.tensors)]
-			m.build(c, domain, seqs[0], lo, hi, ids, infos)
+			slabs[u] = launches[0].IDs[lo*len(c.tensors) : hi*len(c.tensors)]
+			m.build(c, launches[0], seqs[0], lo, hi)
 		}
 	}
 	var wg sync.WaitGroup
@@ -621,25 +613,21 @@ func (c *compiler) numberRects(mats []*materializer, owner []int, slabs [][]int3
 	}
 }
 
-// newLaunch allocates one launch's requirement-id slab and cost-model table
-// and returns the launch reading them: the point with linearized index lin
-// has its requirement ids at IDs[lin*nt : lin*nt+nt], one per tensor, and
-// its costs at infos[lin].
-func (c *compiler) newLaunch(domain machine.Grid, seq map[string]int) (*legion.Launch, []pointInfo) {
+// newLaunch allocates one launch with its requirement-id slab and cost
+// table, for build to fill: the point with linearized index lin has its
+// requirement ids at IDs[lin*nt : lin*nt+nt], one per tensor, and its costs
+// at Cost[lin].
+func (c *compiler) newLaunch(domain machine.Grid, seq map[string]int) *legion.Launch {
 	n, nt := domain.Size(), len(c.tensors)
-	infos := make([]pointInfo, n)
 	return &legion.Launch{
 		Name:    launchName(c.in.Stmt, c.seqVars, seq),
 		Domain:  domain,
 		Regions: c.regionList,
 		Privs:   c.privs,
 		IDs:     make([]int32, n*nt),
-		Kernel: legion.Kernel{
-			Flops:    func(point []int) float64 { return infos[domain.Linearize(point)].flops },
-			MemBytes: func(point []int) float64 { return infos[domain.Linearize(point)].memBytes },
-			Run:      c.realKernel(seq),
-		},
-	}, infos
+		Cost:    make([]legion.Cost, n),
+		Run:     c.realKernel(seq),
+	}
 }
 
 // materializer owns the scratch of one materialization worker. Its rect
@@ -721,14 +709,14 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// build runs the bounds analysis of points [start, end) of one launch. For
+// build runs the bounds analysis of points [start, end) of launch l. For
 // each point it evaluates every distinct anchor cut, derives and interns the
 // per-tensor requirement rects, and writes their worker-local ids to
-// ids[lin*nt : lin*nt+nt] and the cost-model inputs to infos[lin], where
+// l.IDs[lin*nt : lin*nt+nt] and the cost-model inputs to l.Cost[lin], where
 // lin is the point's linearized index. It is the only place the compiler
 // analyzes a launch point.
-func (m *materializer) build(c *compiler, domain machine.Grid, seq map[string]int, start, end int, ids []int32, infos []pointInfo) {
-	ev := c.ev
+func (m *materializer) build(c *compiler, l *legion.Launch, seq map[string]int, start, end int) {
+	ev, domain, ids := c.ev, l.Domain, l.IDs
 	full := len(c.cuts) - 1
 	nt := len(c.tensors)
 	for i, v := range c.seqVars {
@@ -786,7 +774,7 @@ func (m *materializer) build(c *compiler, domain machine.Grid, seq map[string]in
 			memBytes += float64(tp.region.Bytes(tensor.Rect{Lo: lo, Hi: hi}))
 		}
 		// Cost-model inputs from the full environment.
-		infos[i] = pointInfo{flops: c.pointFlops(m.ivs[full]), memBytes: memBytes}
+		l.Cost[i] = legion.Cost{Flops: c.pointFlops(m.ivs[full]), MemBytes: memBytes}
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 
 	"distal/internal/distnot"
@@ -38,9 +39,9 @@ func johnsonInput(t *testing.T, n, g int) Input {
 	}
 }
 
-// assertSamePrograms compares two compiled programs launch by launch, point
-// by point: requirements, privileges, rects, rect ids, and cost-model values
-// must all agree.
+// assertSamePrograms compares two compiled programs launch by launch:
+// requirements, privileges, rects and rect ids point by point, and the
+// whole cost tables, must all agree.
 func assertSamePrograms(t *testing.T, p1, p2 *legion.Program) {
 	t.Helper()
 	if len(p1.Launches) != len(p2.Launches) {
@@ -51,6 +52,9 @@ func assertSamePrograms(t *testing.T, p1, p2 *legion.Program) {
 		if len(l1.Regions) != len(l2.Regions) {
 			t.Fatalf("launch %d: req counts differ", li)
 		}
+		if !slices.Equal(l1.Cost, l2.Cost) {
+			t.Fatalf("launch %d: cost tables differ", li)
+		}
 		n := l1.Domain.Size()
 		for i := 0; i < n; i++ {
 			pt := l1.Domain.Delinearize(i)
@@ -60,9 +64,6 @@ func assertSamePrograms(t *testing.T, p1, p2 *legion.Program) {
 					!q1.Rect.Equal(q2.Rect) || q1.ID != q2.ID {
 					t.Fatalf("launch %d point %v req %d: %v vs %v", li, pt, qi, q1, q2)
 				}
-			}
-			if l1.Kernel.Flops(pt) != l2.Kernel.Flops(pt) || l1.Kernel.MemBytes(pt) != l2.Kernel.MemBytes(pt) {
-				t.Fatalf("launch %d point %v: cost model differs", li, pt)
 			}
 		}
 	}

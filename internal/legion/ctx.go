@@ -18,13 +18,14 @@ import (
 // worker reuses one across the tasks it runs, so kernels must not retain it
 // (or its Point) past their return.
 type Ctx struct {
-	// Point is the task's domain coordinate. It is shared by every instance
-	// of the task and by concurrent executions of the tape: read-only.
+	// Point is the task's domain coordinate, delinearized from the task's
+	// index into the worker's buffer before each task: read-only.
 	Point []int
 	x     *execution
 	tl    *tapeLaunch
 	task  *tapeTask
-	inst  int // batch instance index (0 for single-instance runs)
+	inst  int    // batch instance index (0 for single-instance runs)
+	pt    [8]int // Point's backing up to rank 8, so a warm run never allocates it
 }
 
 // readData returns the instance's data of the task's read requirement on

@@ -287,22 +287,17 @@ func Run(p *Program, opt Options) (*Result, error) {
 // context poll stays off the per-point profile.
 const cancelCheckEvery = 256
 
-// runLaunch walks the launch domain once, serially, doing all simulated-time
-// accounting (copy pricing, compute charging, accumulator lifetimes) exactly
-// as the point order dictates. A Real analysis also records each task on the
-// tape — its point, read regions and write accumulators — and the launch's
-// write-safety groups at its end; no kernel runs here, so the cost model
-// never sees the worker pool and simulated metrics are identical at any
-// worker count. The walk allocates nothing per point: a reused point buffer
-// and a reused write-target buffer, with the point's requirements assembled
-// from the launch's rect ids into a reused buffer.
+// runLaunch walks the launch domain once, serially, by linearized index,
+// doing all simulated-time accounting (copy pricing, compute charging,
+// accumulator lifetimes) exactly as the point order dictates. A Real
+// analysis also records each task on the tape — its read regions and write
+// accumulators — and the launch's write-safety groups at its end; no kernel
+// runs here, so the cost model never sees the worker pool and simulated
+// metrics are identical at any worker count. The walk allocates nothing per
+// point: it reads the launch's tables by index into a reused requirement
+// buffer and a reused write-target buffer.
 func (e *executor) runLaunch(l *Launch) error {
-	mapPoint := l.MapPoint
-	if mapPoint == nil {
-		mapPoint = defaultMapPoint(l.Domain, e.lg)
-	}
-	n := l.Domain.Size()
-	rank := l.Domain.Rank()
+	n, leaves := l.Domain.Size(), e.lg.Size()
 	nt := len(l.Regions)
 	reads := 0
 	for _, p := range l.Privs {
@@ -311,29 +306,24 @@ func (e *executor) runLaunch(l *Launch) error {
 		}
 	}
 	e.instChunk, e.accChunk = n*reads, n*(nt-reads)
-	if cap(e.pointBuf) < rank {
-		e.pointBuf = make([]int, rank)
-	}
-	point := e.pointBuf[:rank]
 	if cap(e.reqs) < nt {
 		e.reqs = make([]Req, nt)
 	}
 	reqs := e.reqs[:nt]
-	rec := e.tape.launch(l, n, rank)
-	for i := 0; i < n; i++ {
+	rec := e.tape.launch(l, n)
+	for lin := 0; lin < n; lin++ {
 		if e.steps++; e.steps >= cancelCheckEvery {
 			e.steps = 0
 			if err := e.ctx.Err(); err != nil {
 				return err
 			}
 		}
-		l.Domain.DelinearizeInto(i, point)
-		leaf := mapPoint(point)
-		if leaf < 0 || leaf >= e.lg.Size() {
-			return fmt.Errorf("legion: launch %s maps point %v to leaf %d outside the machine", l.Name, point, leaf)
+		leaf := lin % leaves
+		if l.Leaf != nil {
+			leaf = int(l.Leaf[lin])
 		}
 		for t := range reqs {
-			reqs[t] = l.Req(i, t)
+			reqs[t] = l.Req(lin, t)
 		}
 		issueAt := 0.0
 		if e.opt.Synchronous {
@@ -345,7 +335,7 @@ func (e *executor) runLaunch(l *Launch) error {
 		}
 		taskReady := issueAt
 		if rec != nil {
-			rec.addTask(point)
+			rec.addTask()
 		}
 		taskAccs := e.taskAccs[:0]
 		for qi := range reqs {
@@ -355,7 +345,7 @@ func (e *executor) runLaunch(l *Launch) error {
 			}
 			switch q.Priv {
 			case ReadOnly:
-				at, err := e.ensureLocal(l, point, q, leaf, issueAt)
+				at, err := e.ensureLocal(l, lin, q, leaf, issueAt)
 				if err != nil {
 					return err
 				}
@@ -373,14 +363,8 @@ func (e *executor) runLaunch(l *Launch) error {
 				}
 			}
 		}
-		flops, bytes := 0.0, 0.0
-		if l.Kernel.Flops != nil {
-			flops = l.Kernel.Flops(point)
-		}
-		if l.Kernel.MemBytes != nil {
-			bytes = l.Kernel.MemBytes(point)
-		}
-		end := e.s.Compute(leaf, flops, bytes, taskReady)
+		c := &l.Cost[lin]
+		end := e.s.Compute(leaf, c.Flops, c.MemBytes, taskReady)
 		if e.launchEnds != nil && end > e.launchEnds[leaf] {
 			e.launchEnds[leaf] = end
 		}
@@ -399,7 +383,7 @@ func (e *executor) runLaunch(l *Launch) error {
 
 // ensureLocal makes the data of requirement q available in leaf's memory and
 // returns the time at which it is valid there.
-func (e *executor) ensureLocal(l *Launch, point []int, q *Req, leaf int, issueAt float64) (float64, error) {
+func (e *executor) ensureLocal(l *Launch, lin int, q *Req, leaf int, issueAt float64) (float64, error) {
 	rs := e.reg[q.Region]
 	// Fast path: an instance on this leaf already covers the rect. The
 	// per-leaf population is small (the persistent owner plus at most
@@ -442,7 +426,7 @@ func (e *executor) ensureLocal(l *Launch, point []int, q *Req, leaf int, issueAt
 	if len(candidates) == 0 {
 		// No single instance holds the whole rect: gather piecewise from the
 		// persistent owners.
-		return e.gather(l, point, q, leaf, issueAt, bytes)
+		return e.gather(l, lin, q, leaf, issueAt, bytes)
 	}
 	// Price every candidate as CopyEstimate would (CopyStart + class cost),
 	// but compute the class cost once per cost class: candidate sources on
@@ -477,7 +461,7 @@ func (e *executor) ensureLocal(l *Launch, point []int, q *Req, leaf int, issueAt
 	}
 	start := maxf(issueAt, best.validAt)
 	end := e.s.Copy(best.leaf, leaf, bytes, start, e.gpuMem, replicas)
-	e.record(l, point, q.Region, q.Rect, best.leaf, leaf, start, end)
+	e.record(l, lin, q.Region, q.Rect, best.leaf, leaf, start, end)
 	e.installTransient(rs, leaf, q.Rect, q.ID, end, bytes)
 	return end, nil
 }
@@ -485,7 +469,7 @@ func (e *executor) ensureLocal(l *Launch, point []int, q *Req, leaf int, issueAt
 // gather copies the pieces of q.Rect held by persistent owners and installs
 // a combined transient instance. The owner index bounds the walk to the
 // owners actually overlapping the rect.
-func (e *executor) gather(l *Launch, point []int, q *Req, leaf int, issueAt float64, bytes int64) (float64, error) {
+func (e *executor) gather(l *Launch, lin int, q *Req, leaf int, issueAt float64, bytes int64) (float64, error) {
 	rs := e.reg[q.Region]
 	covered := int64(0)
 	latest := issueAt
@@ -497,12 +481,12 @@ func (e *executor) gather(l *Launch, point []int, q *Req, leaf int, issueAt floa
 		}
 		start := maxf(issueAt, op.inst.validAt)
 		end := e.s.Copy(op.inst.leaf, leaf, op.bytes, start, e.gpuMem, 1)
-		e.record(l, point, q.Region, op.piece, op.inst.leaf, leaf, start, end)
+		e.record(l, lin, q.Region, op.piece, op.inst.leaf, leaf, start, end)
 		latest = maxf(latest, end)
 	}
 	if covered < bytes {
 		return 0, fmt.Errorf("legion: no instances cover %s of region %s (launch %s point %v)",
-			q.Rect, q.Region.Name, l.Name, point)
+			q.Rect, q.Region.Name, l.Name, l.Domain.Delinearize(lin))
 	}
 	e.installTransient(rs, leaf, q.Rect, q.ID, latest, bytes)
 	return latest, nil
@@ -707,7 +691,7 @@ func (e *executor) flushAccumulators() {
 					src, dst := accs[i], accs[i-half]
 					ready := maxf(src.lastUse, dst.lastUse)
 					end := e.s.Copy(src.leaf, dst.leaf, bytes, ready, e.gpuMem, replicas)
-					e.record(nil, nil, region, rect, src.leaf, dst.leaf, ready, end)
+					e.record(nil, 0, region, rect, src.leaf, dst.leaf, ready, end)
 					// The destination folds the contribution in.
 					dst.lastUse = e.s.Compute(dst.leaf, float64(rect.Volume()), float64(bytes), end)
 				}
@@ -727,7 +711,7 @@ func (e *executor) flushAccumulators() {
 					continue
 				}
 				end := e.s.Copy(a.leaf, op.inst.leaf, op.bytes, a.lastUse, e.gpuMem, replicas)
-				e.record(nil, nil, region, op.piece, a.leaf, op.inst.leaf, a.lastUse, end)
+				e.record(nil, 0, region, op.piece, a.leaf, op.inst.leaf, a.lastUse, end)
 				op.inst.validAt = maxf(op.inst.validAt, end)
 			}
 		}
@@ -751,19 +735,20 @@ func (e *executor) flushAccumulators() {
 	e.accSeq = e.accSeq[:0]
 }
 
-// record appends a copy to the trace (Trace mode). The rect is copied: owner
-// pieces are scratch that the next piecesFor overwrites.
-func (e *executor) record(l *Launch, point []int, region *Region, rect tensor.Rect, src, dst int, start, end float64) {
+// record appends a copy to the trace (Trace mode): a copy of launch l's
+// point lin, or of the stage-end flush when l is nil. The rect is copied:
+// owner pieces are scratch that the next piecesFor overwrites.
+func (e *executor) record(l *Launch, lin int, region *Region, rect tensor.Rect, src, dst int, start, end float64) {
 	if !e.opt.Trace {
 		return
 	}
-	name := "flush"
+	name, point := "flush", []int(nil)
 	if l != nil {
-		name = l.Name
+		name, point = l.Name, l.Domain.Delinearize(lin)
 	}
 	e.trace = append(e.trace, CopyRecord{
 		Launch: name,
-		Point:  append([]int(nil), point...),
+		Point:  point,
 		Region: region.Name,
 		Rect:   tensor.NewRect(rect.Lo, rect.Hi),
 		Src:    src,

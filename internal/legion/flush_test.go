@@ -27,16 +27,13 @@ func TestFlushFanInScatter(t *testing.T) {
 	launch := numbered(&Launch{
 		Name:   "partial",
 		Domain: machine.NewGrid(procs),
-		Kernel: Kernel{
-			Flops: func(pt []int) float64 { return n },
-			Run: func(ctx *Ctx) {
-				for i := 0; i < n; i++ {
-					ctx.WriteAdd("A", float64(ctx.Point[0]+1), i)
-				}
-			},
+		Run: func(ctx *Ctx) {
+			for i := 0; i < n; i++ {
+				ctx.WriteAdd("A", float64(ctx.Point[0]+1), i)
+			}
 		},
-	}, func(pt []int) []Req {
-		return []Req{{Region: a, Rect: full, Priv: ReduceSum}}
+	}, func(pt []int) ([]Req, Cost) {
+		return []Req{{Region: a, Rect: full, Priv: ReduceSum}}, Cost{Flops: n}
 	})
 	prog := &Program{Name: "fanin", Machine: m, Regions: []*Region{a}, Launches: []*Launch{launch}}
 	res, err := Run(prog, Options{Params: testParams(), Real: true, Trace: true, Batch: []map[string]*tensor.Dense{{"A": ta}}})
@@ -103,15 +100,14 @@ func TestSourceSelectionCostClass(t *testing.T) {
 	full := tensor.FullRect([]int{n})
 	mk := func(name string, dst int) *Launch {
 		return numbered(&Launch{
-			Name:     name,
-			Domain:   machine.NewGrid(1),
-			MapPoint: func(pt []int) int { return dst },
-			Kernel:   Kernel{Flops: func(pt []int) float64 { return 1 }},
-		}, func(pt []int) []Req {
+			Name:   name,
+			Domain: machine.NewGrid(1),
+			Leaf:   []int32{int32(dst)},
+		}, func(pt []int) ([]Req, Cost) {
 			return []Req{
 				{Region: a, Rect: tensor.NewRect([]int{dst}, []int{dst + 1}), Priv: WriteDiscard},
 				{Region: b, Rect: full, Priv: ReadOnly},
-			}
+			}, Cost{Flops: 1}
 		})
 	}
 	// t1 pulls B into node 1 (leaf 3); t2 reads it from node 1 (leaf 2).

@@ -13,15 +13,14 @@ import (
 // the copy accounting).
 func readLaunch(name string, a, b *Region, dst int, rect tensor.Rect) *Launch {
 	return numbered(&Launch{
-		Name:     name,
-		Domain:   machine.NewGrid(1),
-		MapPoint: func(pt []int) int { return dst },
-		Kernel:   Kernel{Flops: func(pt []int) float64 { return 1 }},
-	}, func(pt []int) []Req {
+		Name:   name,
+		Domain: machine.NewGrid(1),
+		Leaf:   []int32{int32(dst)},
+	}, func(pt []int) ([]Req, Cost) {
 		return []Req{
 			{Region: a, Rect: tensor.NewRect([]int{dst}, []int{dst + 1}), Priv: WriteDiscard},
 			{Region: b, Rect: rect, Priv: ReadOnly},
-		}
+		}, Cost{Flops: 1}
 	})
 }
 

@@ -15,15 +15,17 @@ func flatMachine(n int) *machine.Machine {
 	return machine.New(machine.NewGrid(n), machine.SysMem, machine.CPU)
 }
 
-// numbered gives a launch the requirements reqs computes per point, as the
-// compiler does: it numbers every rect into its region's table (a region
-// shared with launches numbered earlier keeps their ids) and stores the ids
-// point-major on the launch. Every point must require the same regions with
-// the same privileges.
-func numbered(l *Launch, reqs func(pt []int) []Req) *Launch {
+// numbered gives a launch the requirements and cost reqs computes per
+// point, as the compiler does: it numbers every rect into its region's table
+// (a region shared with launches numbered earlier keeps their ids), stores
+// the ids point-major on the launch, and appends each point's cost to its
+// Cost table. Every point must require the same regions with the same
+// privileges.
+func numbered(l *Launch, reqs func(pt []int) ([]Req, Cost)) *Launch {
 	ids := map[*Region]map[tensor.RectKey]int32{}
 	for i := range l.Domain.Size() {
-		qs := reqs(l.Domain.Delinearize(i))
+		qs, cost := reqs(l.Domain.Delinearize(i))
+		l.Cost = append(l.Cost, cost)
 		if i == 0 {
 			for _, q := range qs {
 				l.Regions = append(l.Regions, q.Region)
@@ -87,21 +89,18 @@ func vectorAddProgram(n, procs int) (*Program, *tensor.Dense, *tensor.Dense, *te
 	launch := numbered(&Launch{
 		Name:   "add",
 		Domain: machine.NewGrid(procs),
-		Kernel: Kernel{
-			Flops: func(pt []int) float64 { return float64(rectOf(pt[0]).Volume()) },
-			Run: func(ctx *Ctx) {
-				rectOf(ctx.Point[0]).Points(func(p []int) {
-					ctx.WriteSet("A", ctx.ReadAt("B", p...)+ctx.ReadAt("C", p...), p...)
-				})
-			},
+		Run: func(ctx *Ctx) {
+			rectOf(ctx.Point[0]).Points(func(p []int) {
+				ctx.WriteSet("A", ctx.ReadAt("B", p...)+ctx.ReadAt("C", p...), p...)
+			})
 		},
-	}, func(pt []int) []Req {
+	}, func(pt []int) ([]Req, Cost) {
 		r := rectOf(pt[0])
 		return []Req{
 			{Region: a, Rect: r, Priv: WriteDiscard},
 			{Region: b, Rect: r, Priv: ReadOnly},
 			{Region: c, Rect: r, Priv: ReadOnly},
-		}
+		}, Cost{Flops: float64(r.Volume())}
 	})
 	return &Program{Name: "vadd", Machine: m, Regions: []*Region{a, b, c}, Launches: []*Launch{launch}}, ta, tb, tc
 }
@@ -140,21 +139,18 @@ func TestCommunicationWhenNotOwner(t *testing.T) {
 	launch := numbered(&Launch{
 		Name:   "sum",
 		Domain: machine.NewGrid(1),
-		Kernel: Kernel{
-			Flops: func(pt []int) float64 { return float64(n) },
-			Run: func(ctx *Ctx) {
-				s := 0.0
-				for i := 0; i < n; i++ {
-					s += ctx.ReadAt("B", i)
-				}
-				ctx.WriteAdd("A", s, 0)
-			},
+		Run: func(ctx *Ctx) {
+			s := 0.0
+			for i := 0; i < n; i++ {
+				s += ctx.ReadAt("B", i)
+			}
+			ctx.WriteAdd("A", s, 0)
 		},
-	}, func(pt []int) []Req {
+	}, func(pt []int) ([]Req, Cost) {
 		return []Req{
 			{Region: a, Rect: tensor.FullRect([]int{1}), Priv: ReduceSum},
 			{Region: b, Rect: tensor.FullRect([]int{n}), Priv: ReadOnly},
-		}
+		}, Cost{Flops: float64(n)}
 	})
 	prog := &Program{Name: "sum", Machine: m, Regions: []*Region{a, b}, Launches: []*Launch{launch}}
 	res, err := Run(prog, Options{Params: testParams(), Real: true, Trace: true, Batch: []map[string]*tensor.Dense{{"A": ta, "B": tb}}})
@@ -185,16 +181,13 @@ func TestReductionFlush(t *testing.T) {
 	launch := numbered(&Launch{
 		Name:   "partial",
 		Domain: machine.NewGrid(procs),
-		Kernel: Kernel{
-			Flops: func(pt []int) float64 { return 4 },
-			Run: func(ctx *Ctx) {
-				for i := 0; i < 4; i++ {
-					ctx.WriteAdd("A", float64(ctx.Point[0]+1), i)
-				}
-			},
+		Run: func(ctx *Ctx) {
+			for i := 0; i < 4; i++ {
+				ctx.WriteAdd("A", float64(ctx.Point[0]+1), i)
+			}
 		},
-	}, func(pt []int) []Req {
-		return []Req{{Region: a, Rect: tensor.FullRect([]int{4}), Priv: ReduceSum}}
+	}, func(pt []int) ([]Req, Cost) {
+		return []Req{{Region: a, Rect: tensor.FullRect([]int{4}), Priv: ReduceSum}}, Cost{Flops: 4}
 	})
 	prog := &Program{Name: "red", Machine: m, Regions: []*Region{a}, Launches: []*Launch{launch}}
 	res, err := Run(prog, Options{Params: testParams(), Real: true, Batch: []map[string]*tensor.Dense{{"A": ta}}})
@@ -229,15 +222,14 @@ func TestNearestSourceRelay(t *testing.T) {
 	full := tensor.FullRect([]int{n})
 	mk := func(name string, dst int) *Launch {
 		return numbered(&Launch{
-			Name:     name,
-			Domain:   machine.NewGrid(1),
-			MapPoint: func(pt []int) int { return dst },
-			Kernel:   Kernel{Flops: func(pt []int) float64 { return 1 }},
-		}, func(pt []int) []Req {
+			Name:   name,
+			Domain: machine.NewGrid(1),
+			Leaf:   []int32{int32(dst)},
+		}, func(pt []int) ([]Req, Cost) {
 			return []Req{
 				{Region: a, Rect: tensor.NewRect([]int{dst}, []int{dst + 1}), Priv: WriteDiscard},
 				{Region: b, Rect: full, Priv: ReadOnly},
-			}
+			}, Cost{Flops: 1}
 		})
 	}
 	prog := &Program{Name: "relay", Machine: m, Regions: []*Region{a, b},
@@ -284,15 +276,14 @@ func TestOverlapVsSynchronous(t *testing.T) {
 	// compute only in async mode.
 	mk := func(name string, lo int) *Launch {
 		return numbered(&Launch{
-			Name:     name,
-			Domain:   machine.NewGrid(1),
-			MapPoint: func(pt []int) int { return 1 },
-			Kernel:   Kernel{Flops: func(pt []int) float64 { return 1000 }},
-		}, func(pt []int) []Req {
+			Name:   name,
+			Domain: machine.NewGrid(1),
+			Leaf:   []int32{1},
+		}, func(pt []int) ([]Req, Cost) {
 			return []Req{
 				{Region: a, Rect: tensor.NewRect([]int{1}, []int{2}), Priv: ReduceSum},
 				{Region: b, Rect: tensor.NewRect([]int{lo}, []int{lo + 4}), Priv: ReadOnly},
-			}
+			}, Cost{Flops: 1000}
 		})
 	}
 	prog := &Program{Name: "ovl", Machine: m, Regions: []*Region{a, b},
@@ -324,15 +315,14 @@ func TestTransientEviction(t *testing.T) {
 	for s := 0; s < chunks; s++ {
 		lo := s * (n / chunks)
 		launches = append(launches, numbered(&Launch{
-			Name:     "step",
-			Domain:   machine.NewGrid(1),
-			MapPoint: func(pt []int) int { return 1 },
-			Kernel:   Kernel{Flops: func(pt []int) float64 { return 1 }},
-		}, func(pt []int) []Req {
+			Name:   "step",
+			Domain: machine.NewGrid(1),
+			Leaf:   []int32{1},
+		}, func(pt []int) ([]Req, Cost) {
 			return []Req{
 				{Region: a, Rect: tensor.NewRect([]int{1}, []int{2}), Priv: ReduceSum},
 				{Region: b, Rect: tensor.NewRect([]int{lo}, []int{lo + n/chunks}), Priv: ReadOnly},
-			}
+			}, Cost{Flops: 1}
 		}))
 	}
 	prog := &Program{Name: "evict", Machine: m, Regions: []*Region{a, b}, Launches: launches}
@@ -395,22 +385,37 @@ func TestGFlopsPerSec(t *testing.T) {
 func TestRegionOwnerRectNilPlacement(t *testing.T) {
 	m := flatMachine(2)
 	r := NewRegion("R", []int{4}, nil)
-	if _, ok := r.OwnerRect(m, []int{1}); ok {
+	rect := tensor.FullRect(r.Shape)
+	if r.ownerRectInto(rect, m, []int{1}) {
 		t.Fatal("nil placement should live only on leaf 0")
 	}
-	rect, ok := r.OwnerRect(m, []int{0})
-	if !ok || !rect.Equal(tensor.FullRect([]int{4})) {
+	rect = tensor.NewRect([]int{9}, []int{9})
+	if !r.ownerRectInto(rect, m, []int{0}) || !rect.Equal(tensor.FullRect([]int{4})) {
 		t.Fatalf("rect = %v", rect)
 	}
 }
 
-// TestLaunchIDsMustCoverDomain: a launch whose id slab does not hold one id
-// per point and region is rejected before the walk reads past it.
+// TestLaunchIDsMustCoverDomain: a launch whose id slab, cost table or leaf
+// table does not hold one entry per point (and region), or whose leaf table
+// names a leaf outside the machine, is rejected with an error naming the
+// launch, not a panic, before the walk reads past a table.
 func TestLaunchIDsMustCoverDomain(t *testing.T) {
-	prog, _, _, _ := vectorAddProgram(8, 2)
-	l := prog.Launches[0]
-	l.IDs = l.IDs[:len(l.IDs)-1]
-	if _, err := Run(prog, Options{Params: testParams()}); err == nil || !strings.Contains(err.Error(), "requirement ids") {
-		t.Fatalf("err = %v, want a requirement-id count error", err)
+	for _, tc := range []struct {
+		name   string
+		mutate func(l *Launch)
+		want   string
+	}{
+		{"short IDs", func(l *Launch) { l.IDs = l.IDs[:len(l.IDs)-1] }, "launch add has 3 privileges, 5 requirement ids, 2 costs and 0 leaves for 2 points of 3 regions"},
+		{"short Cost", func(l *Launch) { l.Cost = l.Cost[:1] }, "launch add has 3 privileges, 6 requirement ids, 1 costs and 0 leaves for 2 points of 3 regions"},
+		{"short Leaf", func(l *Launch) { l.Leaf = []int32{0} }, "launch add has 3 privileges, 6 requirement ids, 2 costs and 1 leaves for 2 points of 3 regions"},
+		{"Leaf outside the machine", func(l *Launch) { l.Leaf = []int32{0, 2} }, "launch add maps point [1] to leaf 2 outside the machine"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			prog, _, _, _ := vectorAddProgram(8, 2)
+			tc.mutate(prog.Launches[0])
+			if _, err := Run(prog, Options{Params: testParams()}); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want %q", err, tc.want)
+			}
+		})
 	}
 }

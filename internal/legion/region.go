@@ -134,18 +134,9 @@ func (q Req) String() string {
 	return fmt.Sprintf("%s[%s %s]", q.Region.Name, q.Rect, q.Priv)
 }
 
-// OwnerRect returns the sub-rectangle of the region owned by the given leaf
-// processor under the region's placement, and whether the leaf owns one.
-func (r *Region) OwnerRect(m *machine.Machine, leaf []int) (tensor.Rect, bool) {
-	rect := tensor.FullRect(r.Shape)
-	if !r.ownerRectInto(rect, m, leaf) {
-		return tensor.Rect{}, false
-	}
-	return rect, true
-}
-
-// ownerRectInto is OwnerRect writing into dst, whose Lo and Hi have the
-// region's rank.
+// ownerRectInto writes into dst, whose Lo and Hi have the region's rank,
+// the sub-rectangle of the region the given leaf processor owns under the
+// region's placement, and reports whether the leaf owns one.
 func (r *Region) ownerRectInto(dst tensor.Rect, m *machine.Machine, leaf []int) bool {
 	if r.Placement == nil {
 		for _, x := range leaf {

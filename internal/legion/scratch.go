@@ -11,8 +11,8 @@ import (
 // earlier walk's simulator arrays, region states (with their owner rects,
 // instance lists, rect-id indexes and owner index), slab chunks and buffers
 // instead of allocating them. Nothing a walk hands out — its Result, the
-// Result's Trace, a Tape — points into the scratch: the trace copies its
-// points and rects, and a tape's rects are the program's Region.Rects.
+// Result's Trace, a Tape — points into the scratch: the trace's points and
+// rects are fresh, and a tape's rects are the program's Region.Rects.
 type walkScratch struct {
 	sim    sim.Sim
 	reg    map[*Region]*regState
@@ -40,7 +40,6 @@ type walkScratch struct {
 	reqs     []Req          // the requirements of the point being walked
 	coord    []int          // leaf-coordinate scratch
 	rectBuf  []int          // owner-rect scratch
-	pointBuf []int          // launch-point scratch
 }
 
 var walkPool = sync.Pool{New: func() any {

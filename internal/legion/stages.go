@@ -84,8 +84,8 @@ func RunStages(ctx context.Context, stages []Stage, opt Options) (*Result, error
 // Real execution replays (see Tape). Everything it does is independent of
 // the data, so a tape analysed once serves any number of executions under
 // options with equal Accounting. A simulation records no tasks. Before
-// walking, Analyse checks that every launch holds one requirement id per
-// point and region. It checks ctx between launches and every
+// walking, Analyse checks every launch's tables against its domain (see
+// Launch.check). It checks ctx between launches and every
 // cancelCheckEvery points, and opens an "analyse" span; a simulation's walk
 // also opens the "run-stage" and "launch" spans a Real execution leaves to
 // Execute. The walk works in a scratch taken from a pool and returned at its
@@ -109,9 +109,8 @@ func Analyse(ctx context.Context, stages []Stage, opt Options) (*Tape, error) {
 			return nil, fmt.Errorf("legion: stage %d targets a different machine than stage 0", i)
 		}
 		for _, l := range stages[i].Prog.Launches {
-			if nt, n := len(l.Regions), l.Domain.Size(); len(l.Privs) != nt || len(l.IDs) != n*nt {
-				return nil, fmt.Errorf("legion: launch %s has %d privileges and %d requirement ids for %d points of %d regions",
-					l.Name, len(l.Privs), len(l.IDs), n, nt)
+			if err := l.check(first.Machine); err != nil {
+				return nil, err
 			}
 		}
 	}

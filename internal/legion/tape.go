@@ -41,28 +41,27 @@ type tapeStage struct {
 	acc0, acc1 int // the stage's accumulators are accs[acc0:acc1]
 }
 
-// tapeLaunch is one index launch's tasks in point order. Tasks are grouped
-// by write safety: two tasks share a group when they write through the same
-// accumulator, or through in-place accumulators of one region whose rects
-// overlap (possible under replicated placements). Groups touch pairwise
-// disjoint memory, so they may run concurrently; tasks within a group run in
-// point order, so floating-point accumulation order, and hence every result
-// bit, matches serial execution. If the launch reads a region some task
-// writes in place, cross-task order is observable through reads, and all
-// tasks form one group. Group g is members[groups[g]:groups[g+1]]: groups
-// are ordered by first member, members by point.
+// tapeLaunch is one index launch's tasks in point order: task i is the point
+// with linearized index i. Tasks are grouped by write safety: two tasks
+// share a group when they write through the same accumulator, or through
+// in-place accumulators of one region whose rects overlap (possible under
+// replicated placements). Groups touch pairwise disjoint memory, so they may
+// run concurrently; tasks within a group run in point order, so
+// floating-point accumulation order, and hence every result bit, matches
+// serial execution. If the launch reads a region some task writes in place,
+// cross-task order is observable through reads, and all tasks form one
+// group. Group g is members[groups[g]:groups[g+1]]: groups are ordered by
+// first member, members by point.
 type tapeLaunch struct {
 	launch  *Launch
 	tasks   []tapeTask
 	reads   []tapeRead // task i reads reads[tasks[i].r0:tasks[i].r1]
 	writes  []int32    // task i writes accs[writes[tasks[i].w0:tasks[i].w1]]
-	points  []int      // backing of the tasks' points
 	members []int32
 	groups  []int32
 }
 
 type tapeTask struct {
-	point          []int
 	r0, r1, w0, w1 int32
 }
 
@@ -96,28 +95,24 @@ func (t *Tape) Result() *Result {
 // launch appends l to the stage being analysed and returns its record when
 // the launch has tasks to record (a launch with a kernel), nil otherwise. A
 // nil tape (a simulation) records nothing.
-func (t *Tape) launch(l *Launch, n, rank int) *tapeLaunch {
+func (t *Tape) launch(l *Launch, n int) *tapeLaunch {
 	if t == nil {
 		return nil
 	}
 	st := &t.stages[len(t.stages)-1]
 	st.launches = append(st.launches, tapeLaunch{launch: l})
-	if l.Kernel.Run == nil {
+	if l.Run == nil {
 		return nil
 	}
 	tl := &st.launches[len(st.launches)-1]
 	tl.tasks = make([]tapeTask, 0, n)
-	tl.points = make([]int, n*rank)
 	return tl
 }
 
-// addTask opens the record of the launch's next task, at point.
-func (tl *tapeLaunch) addTask(point []int) {
-	i, rank := len(tl.tasks), len(point)
-	p := tl.points[i*rank : (i+1)*rank : (i+1)*rank]
-	copy(p, point)
+// addTask opens the record of the launch's next task.
+func (tl *tapeLaunch) addTask() {
 	r, w := int32(len(tl.reads)), int32(len(tl.writes))
-	tl.tasks = append(tl.tasks, tapeTask{point: p, r0: r, r1: r, w0: w, w1: w})
+	tl.tasks = append(tl.tasks, tapeTask{r0: r, r1: r, w0: w, w1: w})
 }
 
 // addRead binds region name, through slot, as a read of the open task.
@@ -435,17 +430,19 @@ func (x *execution) work(tl *tapeLaunch, units int, c *Ctx) {
 }
 
 // runUnit runs group u/batch of the launch on instance u%batch, in point
-// order, through the worker's Ctx.
+// order, through the worker's Ctx: each task's index delinearizes into the
+// Ctx's point buffer.
 func (x *execution) runUnit(tl *tapeLaunch, u int, c *Ctx) error {
 	g := u / x.batch
 	c.x, c.tl, c.inst = x, tl, u%x.batch
-	run := tl.launch.Kernel.Run
+	d, run := tl.launch.Domain, tl.launch.Run
+	c.Point = append(c.pt[:0], make([]int, d.Rank())...)
 	for _, ti := range tl.members[tl.groups[g]:tl.groups[g+1]] {
 		if err := x.ctx.Err(); err != nil {
 			return err
 		}
 		c.task = &tl.tasks[ti]
-		c.Point = c.task.point
+		d.DelinearizeInto(int(ti), c.Point)
 		run(c)
 	}
 	return nil

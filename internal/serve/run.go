@@ -128,12 +128,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	names, stages := plan.Inputs(), plan.StageMetas()
 	for name := range q.Inputs {
 		if !slices.Contains(names, name) {
-			what := fmt.Sprintf("a tensor of %q", q.Stmt)
-			if len(stages) > 0 {
-				what = "a leaf input of the program (computed tensors are server-allocated)"
-			}
 			s.writeError(w, &distal.Error{Kind: distal.KindParse, Op: "run",
-				Err: fmt.Errorf("inputs names %s, which is not %s", name, what)})
+				Err: fmt.Errorf("inputs names %s, which is not a tensor the request binds (%s)", name, strings.Join(names, ", "))})
 			return
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -196,7 +197,7 @@ func TestRunProgramErrors(t *testing.T) {
 				q.Inputs["D"] = "zero"
 			},
 			status: 400,
-			want:   "leaf input",
+			want:   "inputs names D, which is not a tensor the request binds",
 		},
 	}
 	for _, tc := range cases {
@@ -212,6 +213,53 @@ func TestRunProgramErrors(t *testing.T) {
 			}
 			if !strings.Contains(msg, tc.want) {
 				t.Fatalf("message %q does not contain %q", msg, tc.want)
+			}
+		})
+	}
+}
+
+// TestRunUnknownInputOneText: an inputs directive naming a tensor the
+// request does not bind is refused with one text in both request forms, the
+// text wire.Client gives before sending, listing the tensors the request
+// does bind in frame order.
+func TestRunUnknownInputOneText(t *testing.T) {
+	const n = 16
+	sess := distal.NewSession(distal.NewMachine(distal.CPU, 2, 2))
+	ts := httptest.NewServer(New(sess, Config{}))
+	defer ts.Close()
+
+	list := chainRunRequest(n)
+	list.Inputs = map[string]string{"A": "rand:1", "D": "zero"}
+	stmt := wire.RunRequest{
+		Stmt:     list.Stmts[0].Stmt,
+		Schedule: list.Stmts[0].Schedule,
+		Shapes:   map[string][]int{"A": {n, n}, "B": {n, n}, "D": {n, n}},
+		Inputs:   map[string]string{"B": "ones", "Z": "zero"},
+	}
+	for _, tc := range []struct {
+		name string
+		req  wire.RunRequest
+		body string
+	}{
+		{"statement", stmt, `{"error":{"kind":"parse","message":"distal: run: inputs names Z, which is not a tensor the request binds (D, A, B)"}}`},
+		{"statement list", list, `{"error":{"kind":"parse","message":"distal: run: inputs names D, which is not a tensor the request binds (A, B, C)"}}`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			body, err := json.Marshal(tc.req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.Post(ts.URL+"/v1/run", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			got, err := io.ReadAll(resp.Body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusBadRequest || strings.TrimSpace(string(got)) != tc.body {
+				t.Fatalf("got %d %s, want 400 %s", resp.StatusCode, got, tc.body)
 			}
 		})
 	}

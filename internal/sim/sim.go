@@ -20,7 +20,6 @@ type Sim struct {
 	Params  Params
 
 	leafGrid machine.Grid
-	nLeaves  int
 	nNodes   int
 	nodeOf   []int // per leaf: node index, precomputed (hot in copy pricing)
 
@@ -66,7 +65,6 @@ func (s *Sim) Reset(m *machine.Machine, p Params) {
 		Machine:  m,
 		Params:   p,
 		leafGrid: lg,
-		nLeaves:  n,
 		nNodes:   outer,
 		procFree: times[:n], // each backing's first array keeps its capacity
 		outFree:  times[n : 2*n],
@@ -87,9 +85,6 @@ func (s *Sim) Reset(m *machine.Machine, p Params) {
 
 // LeafGrid returns the flattened leaf-processor grid.
 func (s *Sim) LeafGrid() machine.Grid { return s.leafGrid }
-
-// Leaves returns the number of leaf processors.
-func (s *Sim) Leaves() int { return s.nLeaves }
 
 // NodeOf returns the node (outermost-grid flat index) of leaf l.
 func (s *Sim) NodeOf(l int) int { return s.nodeOf[l] }

@@ -179,8 +179,8 @@ func TestLassenParamsSanity(t *testing.T) {
 
 func TestNodeOfLeaves(t *testing.T) {
 	s := New(gpuMachine(2, 4), Params{})
-	if s.Leaves() != 8 {
-		t.Fatalf("leaves = %d, want 8", s.Leaves())
+	if s.LeafGrid().Size() != 8 {
+		t.Fatalf("leaves = %d, want 8", s.LeafGrid().Size())
 	}
 	if s.NodeOf(3) != 0 || s.NodeOf(4) != 1 {
 		t.Fatalf("NodeOf wrong: %d %d", s.NodeOf(3), s.NodeOf(4))
