@@ -13,10 +13,10 @@ package core
 //   - the one-multiply reduce shape (store += load*load) with exactly one
 //     block variable a reduction runs a register-tiled micro-kernel: four
 //     adjacent output cells accumulate in registers while the reduction loop
-//     runs innermost per tile (tileBlock);
+//     runs innermost per tile (leaf.Tile);
 //   - every other body runs the register program a row at a time (runRows),
 //     with the product-chain shapes fused into a single loop per row
-//     (dotBlock when the row is a reduction, axpyBlock when it walks the
+//     (leaf.DotRows when the row is a reduction, leaf.Axpy when it walks the
 //     output contiguously).
 //
 // Bit-identity with the per-point walk (and so with the tree oracle) rests
@@ -29,10 +29,11 @@ package core
 // order, a tile or row loop walks the plane's reduction variable(s) in
 // increasing order, and cells are independent.
 //
-// Products that feed an addition are written s += float64(a*b): the explicit
-// conversion rounds the product, so compilers that fuse multiply-add (arm64,
-// ppc64le, s390x, riscv64) produce the same bits as the generic walk, which
-// rounds every product when it stores it to a register slot.
+// The float loops themselves live in internal/leaf, which links first, so
+// their code placement does not move with this package's neighbours; its
+// package doc says how they keep products from fusing into multiply-adds.
+
+import "distal/internal/leaf"
 
 // lowering selects how a task's blocks execute.
 type lowering uint8
@@ -154,7 +155,7 @@ func (kp *kernelProg) runBlock(ks *kernelScratch, box [3]int) {
 		}
 		so, xo, yo := store.off, x.off, y.off
 		for range box[0] {
-			tileBlock(store.data, so, x.data, xo, xr, y.data, yo, yr, nt, nr)
+			leaf.Tile(store.data, so, x.data, xo, xr, y.data, yo, yr, nt, nr)
 			so, xo, yo = so+store.sw, xo+x.sw, yo+y.sw
 		}
 		return
@@ -162,9 +163,9 @@ func (kp *kernelProg) runBlock(ks *kernelScratch, box [3]int) {
 	for w := 0; ; {
 		switch low.kind {
 		case lowerDot:
-			dotBlock(store, low.x, low.y, nu, nv)
+			leaf.DotRows(store.view(), low.x.view(), low.y.view(), nu, nv)
 		case lowerAxpy:
-			axpyBlock(store, low.p1, low.p2, low.b, low.c, nu, nv)
+			leaf.Axpy(store.view(), low.p1.view(), low.p2.view(), low.b.view(), low.c.view(), nu, nv)
 		default:
 			kp.runRows(ks, loads, store, nu, nv)
 		}
@@ -178,117 +179,12 @@ func (kp *kernelProg) runBlock(ks *kernelScratch, box [3]int) {
 	}
 }
 
-// tileBlock is the one-multiply micro-kernel: s[t] += sum over r of
-// x[r]*y[r][t] for nt adjacent output cells t (contiguous in s and in y) and
-// nr reduction steps (x advances by xr, y by yr per step). Four cells
-// accumulate in registers while r runs innermost per tile, so each cell
-// still adds its nr terms in increasing r — the order of the leaf loop nest
-// whichever of the two block variables r is — and the four independent
-// chains hide the add latency a single running sum would serialise on. Cells
-// past the last whole tile run the same recurrence two at a time, then one:
-// narrow outputs (two cells per task is common) keep two chains in flight.
-func tileBlock(s []float64, so int, x []float64, xo, xr int, y []float64, yo, yr int, nt, nr int) {
-	t := 0
-	for ; t+4 <= nt; t += 4 {
-		st := s[so+t : so+t+4 : so+t+4]
-		s0, s1, s2, s3 := st[0], st[1], st[2], st[3]
-		ix, iy := xo, yo+t
-		for r := 0; r < nr; r++ {
-			xv := x[ix]
-			yt := y[iy : iy+4 : iy+4]
-			s0 += float64(xv * yt[0])
-			s1 += float64(xv * yt[1])
-			s2 += float64(xv * yt[2])
-			s3 += float64(xv * yt[3])
-			ix += xr
-			iy += yr
-		}
-		st[0], st[1], st[2], st[3] = s0, s1, s2, s3
+// view returns the access as a leaf view, a nil access as an absent one.
+func (b *boundAccess) view() leaf.View {
+	if b == nil {
+		return leaf.View{}
 	}
-	if t+2 <= nt {
-		st := s[so+t : so+t+2 : so+t+2]
-		s0, s1 := st[0], st[1]
-		ix, iy := xo, yo+t
-		for r := 0; r < nr; r++ {
-			xv := x[ix]
-			yt := y[iy : iy+2 : iy+2]
-			s0 += float64(xv * yt[0])
-			s1 += float64(xv * yt[1])
-			ix += xr
-			iy += yr
-		}
-		st[0], st[1] = s0, s1
-		t += 2
-	}
-	for ; t < nt; t++ {
-		s[so+t] = dot(s[so+t], x, xo, xr, y, yo+t, yr, nr)
-	}
-}
-
-// dot returns acc plus the n products a[ia+i*sa]*b[ib+i*sb], added in
-// increasing i.
-func dot(acc float64, a []float64, ia, sa int, b []float64, ib, sb int, n int) float64 {
-	for i := 0; i < n; i++ {
-		acc += float64(a[ia] * b[ib])
-		ia += sa
-		ib += sb
-	}
-	return acc
-}
-
-// dotBlock runs store += a*b where the row is a reduction (the store does
-// not move along the inner variable): one strided dot product per row, the
-// partial sum in a register. Rows run in order, so a store cell that does
-// not move along the outer variable either still adds its terms in loop
-// order.
-func dotBlock(store, a, b *boundAccess, nu, nv int) {
-	so, ao, bo := store.off, a.off, b.off
-	for u := 0; u < nu; u++ {
-		store.data[so] = dot(store.data[so], a.data, ao, a.sv, b.data, bo, b.sv, nv)
-		so += store.su
-		ao += a.su
-		bo += b.su
-	}
-}
-
-// axpyBlock runs a product chain whose rows walk the output contiguously:
-// per row, p = p1 (times p2 when present) is read once, and the row adds
-// p*b[v] — times c[v] when present — into the store. b, c and the store have
-// unit stride along the row.
-func axpyBlock(store, p1, p2, b, c *boundAccess, nu, nv int) {
-	so, o1, bo := store.off, p1.off, b.off
-	o2, co := 0, 0
-	if p2 != nil {
-		o2 = p2.off
-	}
-	if c != nil {
-		co = c.off
-	}
-	for u := 0; u < nu; u++ {
-		p := p1.data[o1]
-		if p2 != nil {
-			p = float64(p * p2.data[o2])
-			o2 += p2.su
-		}
-		sr := store.data[so : so+nv]
-		br := b.data[bo : bo+nv]
-		br = br[:len(sr)]
-		if c == nil {
-			for v := range sr {
-				sr[v] += float64(p * br[v])
-			}
-		} else {
-			cr := c.data[co : co+nv]
-			cr = cr[:len(sr)]
-			for v := range sr {
-				sr[v] += float64(float64(p*br[v]) * cr[v])
-			}
-			co += c.su
-		}
-		so += store.su
-		o1 += p1.su
-		bo += b.su
-	}
+	return leaf.View{Data: b.data, Off: b.off, SU: b.su, SV: b.sv}
 }
 
 // rowVec is a row-varying value of the row program: n elements starting at
@@ -308,7 +204,6 @@ type rowVec struct {
 // bit-identical to the per-point walk.
 func (kp *kernelProg) runRows(ks *kernelScratch, loads []boundAccess, store *boundAccess, nu, nv int) {
 	regs, vecs := ks.regs, ks.vecs
-	sd := store.data
 	for u := 0; u < nu; u++ {
 		for i := range kp.ops {
 			op := &kp.ops[i]
@@ -336,11 +231,11 @@ func (kp *kernelProg) runRows(ks *kernelScratch, loads []boundAccess, store *bou
 				dst := ks.rowTemp(i, nv)
 				switch {
 				case ia:
-					rowScalarOp(mul, dst, regs[op.a], ks.unitRow(int(op.b), nv))
+					leaf.ScalarOp(mul, dst, regs[op.a], ks.unitRow(int(op.b), nv))
 				case ib:
-					rowScalarOp(mul, dst, regs[op.b], ks.unitRow(int(op.a), nv))
+					leaf.ScalarOp(mul, dst, regs[op.b], ks.unitRow(int(op.a), nv))
 				default:
-					rowVecOp(mul, dst, ks.unitRow(int(op.a), nv), ks.unitRow(int(op.b), nv))
+					leaf.VecOp(mul, dst, ks.unitRow(int(op.a), nv), ks.unitRow(int(op.b), nv))
 				}
 				vecs[i] = rowVec{dst, 0, 1}
 			}
@@ -348,55 +243,7 @@ func (kp *kernelProg) runRows(ks *kernelScratch, loads []boundAccess, store *bou
 		// The result always moves along the row: every leaf variable derives
 		// from a statement variable, and every statement variable indexes
 		// some access of the right-hand side.
-		so, ss := store.off+u*store.su, store.sv
-		row := ks.unitRow(int(kp.out), nv)
-		switch {
-		case !kp.reduces:
-			for _, x := range row {
-				sd[so] = x
-				so += ss
-			}
-		case ss == 0:
-			acc := sd[so]
-			for _, x := range row {
-				acc += x
-			}
-			sd[so] = acc
-		default:
-			for _, x := range row {
-				sd[so] += x
-				so += ss
-			}
-		}
-	}
-}
-
-// rowScalarOp writes s*b[v] or s+b[v] into dst (both operations commute, so
-// one form serves either operand order).
-func rowScalarOp(mul bool, dst []float64, s float64, b []float64) {
-	b = b[:len(dst)]
-	if mul {
-		for v := range dst {
-			dst[v] = s * b[v]
-		}
-		return
-	}
-	for v := range dst {
-		dst[v] = s + b[v]
-	}
-}
-
-// rowVecOp writes a[v]*b[v] or a[v]+b[v] into dst.
-func rowVecOp(mul bool, dst, a, b []float64) {
-	a, b = a[:len(dst)], b[:len(dst)]
-	if mul {
-		for v := range dst {
-			dst[v] = a[v] * b[v]
-		}
-		return
-	}
-	for v := range dst {
-		dst[v] = a[v] + b[v]
+		leaf.StoreRow(kp.reduces, store.data, store.off+u*store.su, store.sv, ks.unitRow(int(kp.out), nv))
 	}
 }
 
@@ -411,11 +258,7 @@ func (ks *kernelScratch) unitRow(i, n int) []float64 {
 	v := &ks.vecs[i]
 	if v.stride != 1 {
 		tmp := ks.rowTemp(i, n)
-		off := v.off
-		for x := range tmp {
-			tmp[x] = v.data[off]
-			off += v.stride
-		}
+		leaf.Gather(tmp, v.data, v.off, v.stride)
 		*v = rowVec{tmp, 0, 1}
 	}
 	return v.data[v.off : v.off+n]

@@ -118,30 +118,35 @@ func (r *Result) GFlopsPerSec() float64 {
 	return r.Flops / r.Time / 1e9
 }
 
+// An instance's fields are ordered by use: the source scan reads the first
+// four of every candidate, and the local scan group, bytes and persistent
+// before rect, so each scan's fields lie within 64 bytes.
 type instance struct {
 	leaf       int
-	rect       tensor.Rect
-	group      *transGroup // a transient's group (nil for owners)
-	seq        int64       // installation order (transients; candidate tie-breaking)
 	validAt    float64
-	persistent bool
+	seq        int64       // installation order (transients: the candidate merge's key)
+	next, prev *instance   // a transient's neighbours in its group
+	group      *transGroup // a transient's group (nil for owners)
 	bytes      int64
-	prev, next *instance // a transient's neighbours in its group
+	persistent bool
+	rect       tensor.Rect
 }
 
 // transGroup is the set of live transient instances sharing one rect, a
-// list in installation order linked through the instances. Grouping makes
-// ensureLocal's candidate search consider distinct rects rather than every
-// instance; installation order across groups is restored from
-// instance.seq. A group lives exactly as long as it has instances: it is
-// indexed by rect id (exact-match candidates) and by volume bucket
-// (strict-containment candidates), and idx is its position in the bucket
-// for O(1) removal. An emptied group goes back to the executor's slab.
+// list in installation order linked through the instances, n long.
+// Grouping makes ensureLocal's candidate search consider distinct rects
+// rather than every instance; installation order across groups is restored
+// by merging the lists on instance.seq. A group lives exactly as long as it
+// has instances: it is indexed by rect id (exact-match candidates) and by
+// volume bucket (strict-containment candidates), and idx is its position in
+// the bucket for O(1) removal. An emptied group goes back to the executor's
+// slab.
 type transGroup struct {
 	id          int32
 	rect        tensor.Rect
 	vol         int64
 	idx         int
+	n           int
 	first, last *instance
 }
 
@@ -153,6 +158,7 @@ func (g *transGroup) push(inst *instance) {
 		g.last.next = inst
 	}
 	g.last = inst
+	g.n++
 }
 
 func (g *transGroup) remove(inst *instance) {
@@ -166,14 +172,19 @@ func (g *transGroup) remove(inst *instance) {
 	} else {
 		inst.next.prev = inst.prev
 	}
+	g.n--
 }
 
-// appendTo appends the group's instances to dst in installation order.
-func (g *transGroup) appendTo(dst []*instance) []*instance {
-	for x := g.first; x != nil; x = x.next {
-		dst = append(dst, x)
-	}
-	return dst
+// rectFacts are what a walk learns once about a requirement rect, by its
+// id: its volume and bytes (a rect is empty when its volume is 0), learnt
+// when the id is first required, and the persistent owners containing it,
+// regState.coverIDs[cover:cover+covers] (indices into persistent, in
+// placement order), learnt at its first copy (covers is -1 until then).
+// Owners are immutable for the walk, so no fact ever changes.
+type rectFacts struct {
+	vol, bytes    int64
+	cover, covers int32
+	known         bool
 }
 
 type regState struct {
@@ -216,6 +227,11 @@ type regState struct {
 	// accHead[id] chains the stage's accumulators of rect id, one per
 	// writing leaf, in opening order.
 	accHead []*accumulator
+
+	// facts[id] memoizes rect id's facts (factsOf), coverIDs backing their
+	// owner covers. Both start empty when the region is placed or adopted.
+	facts    []rectFacts
+	coverIDs []int32
 
 	// The backings of the owner rects, the owning leaves and the per-leaf
 	// lists, kept for the walk that reuses the state.
@@ -295,7 +311,8 @@ const cancelCheckEvery = 256
 // runs here, so the cost model never sees the worker pool and simulated
 // metrics are identical at any worker count. The walk allocates nothing per
 // point: it reads the launch's tables by index into a reused requirement
-// buffer and a reused write-target buffer.
+// buffer and a reused write-target buffer, and resolves the launch's region
+// states once.
 func (e *executor) runLaunch(l *Launch) error {
 	n, leaves := l.Domain.Size(), e.lg.Size()
 	nt := len(l.Regions)
@@ -310,6 +327,10 @@ func (e *executor) runLaunch(l *Launch) error {
 		e.reqs = make([]Req, nt)
 	}
 	reqs := e.reqs[:nt]
+	e.reqState = resize(e.reqState, nt)
+	for t, r := range l.Regions {
+		e.reqState[t] = e.reg[r]
+	}
 	rec := e.tape.launch(l, n)
 	for lin := 0; lin < n; lin++ {
 		if e.steps++; e.steps >= cancelCheckEvery {
@@ -339,13 +360,14 @@ func (e *executor) runLaunch(l *Launch) error {
 		}
 		taskAccs := e.taskAccs[:0]
 		for qi := range reqs {
-			q := &reqs[qi]
-			if q.Rect.Empty() {
+			q, rs := &reqs[qi], e.reqState[qi]
+			f := rs.factsOf(q)
+			if f.vol == 0 {
 				continue
 			}
 			switch q.Priv {
 			case ReadOnly:
-				at, err := e.ensureLocal(l, lin, q, leaf, issueAt)
+				at, err := e.ensureLocal(l, lin, q, rs, f, leaf, issueAt)
 				if err != nil {
 					return err
 				}
@@ -356,7 +378,7 @@ func (e *executor) runLaunch(l *Launch) error {
 					rec.addRead(q.Region.Name, e.slotOf[q.Region])
 				}
 			default:
-				acc := e.writeTarget(q, leaf)
+				acc := e.writeTarget(q, rs, leaf)
 				taskAccs = append(taskAccs, acc)
 				if rec != nil {
 					rec.addWrite(acc.id, e.tape.accs)
@@ -381,96 +403,98 @@ func (e *executor) runLaunch(l *Launch) error {
 	return nil
 }
 
-// ensureLocal makes the data of requirement q available in leaf's memory and
-// returns the time at which it is valid there.
-func (e *executor) ensureLocal(l *Launch, lin int, q *Req, leaf int, issueAt float64) (float64, error) {
-	rs := e.reg[q.Region]
+// ensureLocal makes the data of requirement q, of region state rs and
+// facts f, available in leaf's memory and returns the time at which it is
+// valid there.
+//
+// A miss copies the whole rect from the candidate source whose copy ends
+// first, ties going to the earlier candidate. The candidates are the owners
+// containing the rect, in placement order, then the live transients
+// containing it in installation order: the rect's own group (found by id)
+// and every group of strictly larger volume containing it (none in pure
+// tilings; equal-volume containment is equality), merged on seq. That is
+// exactly an exhaustive ordered scan over every instance, at the cost of the
+// candidates alone: the owner cover is memoized per rect id, each group's
+// list is already in seq order, and the pricer reads the destination's
+// state once.
+func (e *executor) ensureLocal(l *Launch, lin int, q *Req, rs *regState, f *rectFacts, leaf int, issueAt float64) (float64, error) {
 	// Fast path: an instance on this leaf already covers the rect. The
 	// per-leaf population is small (the persistent owner plus at most
-	// TransientWindow transients), so the scan beats any keyed memo here;
-	// the expensive part was always the cross-leaf candidate search below.
+	// TransientWindow transients), so the scan beats any keyed memo here.
+	// Only the rect's own group holds transients equal to it, and an
+	// instance of the same volume contains only an equal rect, so the rect
+	// comparison runs only for larger instances and equal-sized owners.
+	g := rs.transByID[q.ID]
 	for _, inst := range rs.perLeaf[leaf] {
-		if inst.rect.ContainsRect(q.Rect) {
+		own := g != nil && inst.group == g
+		couldHold := inst.bytes > f.bytes || inst.persistent && inst.bytes == f.bytes
+		if own || couldHold && inst.rect.ContainsRect(q.Rect) {
 			return maxf(inst.validAt, issueAt), nil
 		}
 	}
-	// Gather candidate source instances that fully contain the rect:
-	// persistent owners via the owner index, then live transients — the
-	// exact-rect group by id, plus groups from strictly-larger volume
-	// buckets (the only ones that can strictly contain the rect; none in
-	// pure tilings). Candidates re-sort into installation order, so the
-	// source selection is identical to an exhaustive ordered scan.
-	candidates := rs.coverFor(e.candBuf[:0], q.Rect)
+	covers := rs.coverOf(q, f)
+	replicas := len(covers)
+	heads := e.heads[:0]
 	if !e.opt.OwnerOnly {
-		base := len(candidates)
-		if g := rs.transByID[q.ID]; g != nil {
-			candidates = g.appendTo(candidates)
+		if g != nil {
+			heads = append(heads, g.first)
+			replicas += g.n
 		}
-		qvol := int64(q.Rect.Volume())
-		for i := len(rs.volumes) - 1; i >= 0 && rs.volumes[i] > qvol; i-- {
-			for _, g := range rs.volBuckets[rs.volumes[i]] {
-				if g.rect.ContainsRect(q.Rect) {
-					candidates = g.appendTo(candidates)
+		for i := len(rs.volumes) - 1; i >= 0 && rs.volumes[i] > f.vol; i-- {
+			for _, big := range rs.volBuckets[rs.volumes[i]] {
+				if big.rect.ContainsRect(q.Rect) {
+					heads = append(heads, big.first)
+					replicas += big.n
 				}
 			}
 		}
-		tail := candidates[base:]
-		for i := 1; i < len(tail); i++ {
-			for j := i; j > 0 && tail[j].seq < tail[j-1].seq; j-- {
-				tail[j], tail[j-1] = tail[j-1], tail[j]
-			}
-		}
 	}
-	e.candBuf = candidates[:0]
-	bytes := q.Region.Bytes(q.Rect)
-	if len(candidates) == 0 {
+	e.heads = heads
+	if replicas == 0 {
 		// No single instance holds the whole rect: gather piecewise from the
 		// persistent owners.
-		return e.gather(l, lin, q, leaf, issueAt, bytes)
+		return e.gather(l, lin, q, rs, leaf, issueAt, f.bytes)
 	}
-	// Price every candidate as CopyEstimate would (CopyStart + class cost),
-	// but compute the class cost once per cost class: candidate sources on
-	// the same side of the intra-/inter-node split differ only in port
-	// availability and instance validity, so the occupancy/latency/overhead
-	// term — the only part that needs the cost model — is shared. Symmetric
-	// replica sets (every source in one class, the common case under
-	// replication) price the model exactly once.
-	replicas := len(candidates)
-	var intraCost, interCost float64
-	haveIntra, haveInter := false, false
-	best, bestEnd := candidates[0], 0.0
-	for i, c := range candidates {
-		var cost float64
-		if e.s.SameNode(c.leaf, leaf) {
-			if !haveIntra {
-				intraCost = e.s.CopyClassCost(c.leaf, leaf, bytes, e.gpuMem, replicas)
-				haveIntra = true
-			}
-			cost = intraCost
-		} else {
-			if !haveInter {
-				interCost = e.s.CopyClassCost(c.leaf, leaf, bytes, e.gpuMem, replicas)
-				haveInter = true
-			}
-			cost = interCost
+	p := &e.pricer
+	e.s.PriceCopies(p, leaf, f.bytes, issueAt, e.gpuMem, replicas)
+	var best *instance
+	bestEnd := 0.0
+	for _, id := range covers {
+		c := &rs.persistent[id]
+		if end := p.End(c.leaf, c.validAt); best == nil || end < bestEnd {
+			best, bestEnd = c, end
 		}
-		end := e.s.CopyStart(c.leaf, leaf, maxf(issueAt, c.validAt)) + cost
-		if i == 0 || end < bestEnd {
+	}
+	// Merge the groups' lists on seq: the earliest-installed head is priced
+	// and replaced by its successor; an exhausted list leaves the heads.
+	for len(heads) > 0 {
+		k := 0
+		for i := 1; i < len(heads); i++ {
+			if heads[i].seq < heads[k].seq {
+				k = i
+			}
+		}
+		c := heads[k]
+		if heads[k] = c.next; c.next == nil {
+			last := len(heads) - 1
+			heads[k], heads[last] = heads[last], nil
+			heads = heads[:last]
+		}
+		if end := p.End(c.leaf, c.validAt); best == nil || end < bestEnd {
 			best, bestEnd = c, end
 		}
 	}
 	start := maxf(issueAt, best.validAt)
-	end := e.s.Copy(best.leaf, leaf, bytes, start, e.gpuMem, replicas)
+	end := e.s.Copy(best.leaf, leaf, f.bytes, start, e.gpuMem, replicas)
 	e.record(l, lin, q.Region, q.Rect, best.leaf, leaf, start, end)
-	e.installTransient(rs, leaf, q.Rect, q.ID, end, bytes)
+	e.installTransient(rs, leaf, q.Rect, q.ID, end, f.bytes)
 	return end, nil
 }
 
 // gather copies the pieces of q.Rect held by persistent owners and installs
 // a combined transient instance. The owner index bounds the walk to the
 // owners actually overlapping the rect.
-func (e *executor) gather(l *Launch, lin int, q *Req, leaf int, issueAt float64, bytes int64) (float64, error) {
-	rs := e.reg[q.Region]
+func (e *executor) gather(l *Launch, lin int, q *Req, rs *regState, leaf int, issueAt float64, bytes int64) (float64, error) {
 	covered := int64(0)
 	latest := issueAt
 	for _, op := range rs.piecesFor(q.Rect) {
@@ -586,10 +610,10 @@ func removeInst(s []*instance, x *instance) []*instance {
 	return s
 }
 
-// writeTarget returns the accumulator for a write requirement, preferring
-// in-place updates when the computing leaf owns the written rect.
-func (e *executor) writeTarget(q *Req, leaf int) *accumulator {
-	rs := e.reg[q.Region]
+// writeTarget returns the accumulator for a write requirement of region
+// state rs, preferring in-place updates when the computing leaf owns the
+// written rect.
+func (e *executor) writeTarget(q *Req, rs *regState, leaf int) *accumulator {
 	var last *accumulator
 	for a := rs.accHead[q.ID]; a != nil; a = a.next {
 		if a.leaf == leaf {

@@ -167,12 +167,12 @@ func (ix *ownerIndex) cellOf(p []int) (int, bool) {
 	return c, true
 }
 
-// coverFor appends to dst the persistent instances whose rect contains the
-// given requirement rect, in placement order.
-func (rs *regState) coverFor(dst []*instance, rect tensor.Rect) []*instance {
+// coverFor appends to dst the indices of the persistent instances whose
+// rect contains the given requirement rect, in placement order.
+func (rs *regState) coverFor(dst []int32, rect tensor.Rect) []int32 {
 	if rect.Empty() {
 		for i := range rs.persistent {
-			dst = append(dst, &rs.persistent[i])
+			dst = append(dst, int32(i))
 		}
 		return dst
 	}
@@ -182,11 +182,32 @@ func (rs *regState) coverFor(dst []*instance, rect tensor.Rect) []*instance {
 		return dst
 	}
 	for _, id := range ix.ids[ix.start[c]:ix.start[c+1]] {
-		if o := &rs.persistent[id]; o.rect.ContainsRect(rect) {
-			dst = append(dst, o)
+		if rs.persistent[id].rect.ContainsRect(rect) {
+			dst = append(dst, id)
 		}
 	}
 	return dst
+}
+
+// factsOf returns the facts of requirement q's rect, learning its volume
+// and bytes on the first request of its id.
+func (rs *regState) factsOf(q *Req) *rectFacts {
+	f := &rs.facts[q.ID]
+	if !f.known {
+		*f = rectFacts{vol: int64(q.Rect.Volume()), bytes: q.Region.Bytes(q.Rect), covers: -1, known: true}
+	}
+	return f
+}
+
+// coverOf returns the indices of the owners containing requirement q's
+// rect, of facts f, in placement order, learning them on the first call.
+func (rs *regState) coverOf(q *Req, f *rectFacts) []int32 {
+	if f.covers < 0 {
+		n := int32(len(rs.coverIDs))
+		rs.coverIDs = rs.coverFor(rs.coverIDs, q.Rect)
+		f.cover, f.covers = n, int32(len(rs.coverIDs))-n
+	}
+	return rs.coverIDs[f.cover : f.cover+f.covers]
 }
 
 // piecesFor returns the persistent owners overlapping the given requirement

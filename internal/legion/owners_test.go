@@ -7,32 +7,21 @@ import (
 
 	"distal/internal/distnot"
 	"distal/internal/machine"
-	"distal/internal/sim"
 	"distal/internal/tensor"
 )
 
 // placedRegion places r on m exactly as a run does and returns its state.
-func placedRegion(t *testing.T, m *machine.Machine, r *Region) *regState {
-	t.Helper()
-	e := &executor{
-		walkScratch: walkPool.New().(*walkScratch),
-		prog:        &Program{Machine: m},
-		opt:         Options{TransientWindow: 2},
-		s:           sim.New(m, testParams()),
-		lg:          m.LeafGrid(),
-	}
-	e.coord = make([]int, e.lg.Rank())
-	e.placeRegion(r)
-	return e.reg[r]
+func placedRegion(m *machine.Machine, r *Region) *regState {
+	return testExecutor(m, Options{Params: testParams()}, r).reg[r]
 }
 
 // scanCover and scanPieces are the owner lookups by ordered linear scan over
 // every persistent owner: the semantics the owner index must reproduce.
-func scanCover(rs *regState, rect tensor.Rect) []*instance {
-	var out []*instance
+func scanCover(rs *regState, rect tensor.Rect) []int32 {
+	var out []int32
 	for i := range rs.persistent {
 		if rs.persistent[i].rect.ContainsRect(rect) {
-			out = append(out, &rs.persistent[i])
+			out = append(out, int32(i))
 		}
 	}
 	return out
@@ -105,7 +94,7 @@ func TestOwnerIndexMatchesScan(t *testing.T) {
 		m := machine.New(machine.NewGrid(rng.Intn(3)+2, rng.Intn(3)+2), machine.SysMem, machine.CPU).WithChild(child)
 		shape := []int{extents[rng.Intn(len(extents))], extents[rng.Intn(len(extents))]}
 		place := randomPlacement(rng)
-		rs := placedRegion(t, m, NewRegion("T", shape, place))
+		rs := placedRegion(m, NewRegion("T", shape, place))
 		for q := 0; q < 40; q++ {
 			rect := randomQuery(rng, shape, rs)
 			if got, want := rs.coverFor(nil, rect), scanCover(rs, rect); !slices.Equal(got, want) {
@@ -139,7 +128,7 @@ func TestOwnerIndexCellBound(t *testing.T) {
 		{"xy->0y", 2, 3},
 	} {
 		shape := []int{29, 13} // ragged under every split above
-		rs := placedRegion(t, m, NewRegion("T", shape, distnot.MustParsePlacement(tc.place)))
+		rs := placedRegion(m, NewRegion("T", shape, distnot.MustParsePlacement(tc.place)))
 		ix := &rs.owners
 		cells := len(ix.start) - 1
 		if cells > tc.blocks {

@@ -29,14 +29,18 @@
 //     the rect's Lo corner; piecesFor (the owners overlapping a rect, with
 //     the overlaps: piecewise gathers and the accumulator flush scatter)
 //     visits the cells the rect overlaps;
+//   - regState.facts: per rect id, what the walk learns once — the rect's
+//     volume and bytes, and coverFor's answer, asked at the id's first
+//     copy — so a later miss on the same id reads its owner candidates
+//     from a table;
 //   - transByID/volBuckets: live transient instances grouped by rect,
 //     indexed by the requirement's rect id (transByID, the one-lookup
 //     equal-rect candidates: Req.ID indexes Region.Rects, so equal ids are
 //     equal rects) and by rect volume (volBuckets — only strictly larger
-//     volumes can strictly contain a requirement rect), with installation
-//     order recoverable from per-instance sequence numbers so candidate
-//     ordering matches an exhaustive ordered scan. Accumulators are found
-//     the same way: a chain per rect id, one accumulator per writing leaf.
+//     volumes can strictly contain a requirement rect). Each group is a
+//     list in installation order with a member count. Accumulators are
+//     found the same way: a chain per rect id, one accumulator per writing
+//     leaf.
 //
 // The simulated walk allocates per run, per region and per slab chunk, not
 // per point or copy, and a warm walk not even that: all of it lives in a
@@ -47,9 +51,15 @@
 // chunked by the launch's size, and evicted instances and emptied groups are
 // recycled.
 //
-// Copy source selection prices candidates per cost class (see
-// sim.CopyClassCost): the cost model runs once per intra-/inter-node class
-// and each candidate costs only a port-availability lookup.
+// Copy source selection (ensureLocal) is one ordered scan whose cost follows
+// the live candidates alone: the memoized covering owners in placement
+// order, then the transients of the rect's own group and of every larger
+// group containing it, merged on their installation sequence numbers — the
+// order an exhaustive scan over every instance would visit them in. No
+// candidate list is built or sorted. A sim.CopyPricer reads the destination
+// once per miss and prices each cost class once, so each candidate costs
+// only its source's validity, port and NIC times; ties go to the earlier
+// candidate.
 package legion
 
 import (

@@ -35,7 +35,9 @@ type walkScratch struct {
 
 	accSeq   []*accumulator
 	flushBuf []*accumulator // scratch for one flush group
-	candBuf  []*instance    // scratch for ensureLocal's candidate collection
+	heads    []*instance    // ensureLocal's merge cursors, one per candidate group
+	pricer   sim.CopyPricer // ensureLocal's pricer of the miss in progress
+	reqState []*regState    // the region state of each requirement of the launch in progress
 	taskAccs []*accumulator // per-point write-target buffer
 	reqs     []Req          // the requirements of the point being walked
 	coord    []int          // leaf-coordinate scratch

@@ -314,6 +314,8 @@ func (e *executor) placeRegion(r *Region) {
 		spareBuckets: rs.spareBuckets,
 		volumes:      rs.volumes[:0],
 		accHead:      resize(rs.accHead, len(r.Rects)),
+		facts:        resize(rs.facts, len(r.Rects)),
+		coverIDs:     slices.Grow(rs.coverIDs[:0], len(r.Rects)),
 		bounds:       bounds,
 		leaves:       leaves,
 		lists:        lists,
@@ -351,12 +353,14 @@ func (e *executor) dropTransients(rs *regState) {
 // region: each live transient group takes the id of its rect in r.Rects, and
 // a group whose rect r never requests takes an id past the table's end —
 // never an exact match, it stays a containment candidate through its volume
-// bucket. The stage's accumulators have flushed, so the chains start empty.
+// bucket. The stage's accumulators have flushed, so the chains start empty,
+// and the rect facts are learnt again under the new ids.
 func (rs *regState) rekey(r *Region) {
 	old := rs.transByID
 	rs.region = r
 	rs.transByID = make([]*transGroup, len(r.Rects))
 	rs.accHead = make([]*accumulator, len(r.Rects))
+	rs.facts, rs.coverIDs = resize(rs.facts, len(r.Rects)), rs.coverIDs[:0]
 	live := map[tensor.RectKey]*transGroup{}
 	for _, g := range old {
 		if g != nil {

@@ -26,11 +26,14 @@ func compileMatmul(tb testing.TB, alg algorithms.Alg, cfg algorithms.MatmulConfi
 
 // BenchmarkWalk times the simulated launch walk of the three 2-D matmul
 // algorithms on the paper's largest GPU runs (256 nodes of 4 GPUs, Figs. 15
-// and 16), the walks that dominate regenerating those figures. Building and
-// compiling happen outside the timer.
+// and 16), the walks that dominate regenerating those figures, and of
+// Johnson's and COSMA's, whose inputs are pinned to faces of a 3-D grid, so
+// most leaves own nothing and fetch what they read. No sweep walk copies a
+// rect that several owners cover (TestReplicatedOwnersCover does). Building
+// and compiling happen outside the timer.
 func BenchmarkWalk(b *testing.B) {
 	cfg := algorithms.MatmulConfig{N: 319488, Procs: 1024, ProcsPerNode: 4, GPU: true}
-	for _, alg := range []algorithms.Alg{algorithms.Cannon, algorithms.PUMMA, algorithms.SUMMA} {
+	for _, alg := range []algorithms.Alg{algorithms.Cannon, algorithms.PUMMA, algorithms.SUMMA, algorithms.Johnson, algorithms.COSMA} {
 		b.Run(string(alg), func(b *testing.B) {
 			prog := compileMatmul(b, alg, cfg)
 			opt := legion.Options{Params: sim.LassenGPU()}
@@ -56,7 +59,7 @@ func BenchmarkWalk(b *testing.B) {
 // Counts repeat exactly, so the cap holds on any runner.
 const walkAllocBudget = 8
 
-// coldWalkAllocBudget caps the same walk from an empty pool: 118–119 objects,
+// coldWalkAllocBudget caps the same walk from an empty pool: 121–122 objects,
 // everything the scratch holds included. Under -race, where sync.Pool drops
 // scratch at random, any walk may be cold, so it is the only cap there.
 const coldWalkAllocBudget = 172

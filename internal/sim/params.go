@@ -11,13 +11,14 @@
 // of every experiment comes from the simulated mechanisms (contention,
 // overlap, capacity).
 //
-// Copy pricing decomposes exactly as CopyEstimate = CopyStart +
-// CopyClassCost: the start term is pure resource availability (ports,
-// NICs), while the class cost (occupancy, latency, replica overhead)
-// depends on source and destination only through their intra-/inter-node
-// classification. Callers comparing many candidate sources — the runtime's
-// nearest-valid-instance selection — rely on this identity to invoke the
-// cost model once per class instead of once per candidate.
+// A copy's end time is its start — the ready time pushed past the
+// availability of the ports and NICs it occupies — plus a class cost
+// (occupancy, latency, replica overhead) that depends on source and
+// destination only through their intra-/inter-node classification. A
+// CopyPricer, for the runtime's nearest-valid-instance selection, splits
+// the start into its destination terms, read once per copy, and its source
+// terms, read per candidate, and prices each class once; max is exact, so
+// every end it returns is the one Copy would commit.
 package sim
 
 // Params holds the cost-model constants of a simulated machine.

@@ -155,53 +155,63 @@ func (s *Sim) Compute(l int, flops, bytes float64, ready float64) float64 {
 	return end
 }
 
-// CopyEstimate returns the completion time a copy would have without
-// committing any resources; used for source selection. It always equals
-// CopyStart + CopyClassCost for the same arguments, so callers comparing
-// many candidate sources can price each cost class once and pay only the
-// port-availability lookup per candidate.
-func (s *Sim) CopyEstimate(src, dst int, bytes int64, ready float64, srcGPUMem bool, replicas int) float64 {
-	_, end := s.copyTimes(src, dst, bytes, ready, srcGPUMem, replicas)
-	return end
+// CopyPricer prices the candidate sources of one copy: bytes moved into
+// leaf dst, issued no earlier than issueAt. PriceCopies reads the
+// destination's in-port and NIC once; End then reads only source-side state,
+// and prices each cost class's duration — occupancy, latency and replica
+// overhead, which depend on the source only through the intra-/inter-node
+// split — once, on first use. An End is exactly the end time Copy would
+// return for that source and the ready time max(issueAt, validAt), without
+// committing anything: max is exact, so the order in which the start terms
+// are taken cannot change it.
+type CopyPricer struct {
+	s         *Sim
+	dstNode   int
+	bytes     int64
+	srcGPUMem bool
+	replicas  int
+	// intraStart is the destination's bound on an intra-node copy's start
+	// (issueAt and the in-port), interStart adds its NIC ingress.
+	intraStart, interStart float64
+	intraCost, interCost   float64
+	haveIntra, haveInter   bool
 }
 
-// SameNode reports whether two leaves share a node — the copy cost-class
-// predicate: two candidate sources on the same side of it have identical
-// CopyClassCost toward a destination.
-func (s *Sim) SameNode(a, b int) bool { return s.nodeOf[a] == s.nodeOf[b] }
-
-// CopyClassCost returns the availability-independent duration of a copy:
-// link occupancy, link latency, and replica runtime overhead. It depends on
-// (src, dst) only through their intra-/inter-node classification, so it is
-// constant across a cost class of candidate sources.
-func (s *Sim) CopyClassCost(src, dst int, bytes int64, srcGPUMem bool, replicas int) float64 {
-	lat := s.Params.IntraLatency
-	if s.nodeOf[src] != s.nodeOf[dst] {
-		lat = s.Params.InterLatency
-	}
-	return s.occupancy(src, dst, bytes, srcGPUMem) + lat + s.Params.ReplicaOverhead*float64(replicas)
+// PriceCopies readies p to price copies of bytes into leaf dst issued no
+// earlier than issueAt, with srcGPUMem and replicas as Copy takes them.
+func (s *Sim) PriceCopies(p *CopyPricer, dst int, bytes int64, issueAt float64, srcGPUMem bool, replicas int) {
+	dn := s.nodeOf[dst]
+	intra := maxf(issueAt, s.inFree[dst])
+	p.s, p.dstNode, p.bytes, p.srcGPUMem, p.replicas = s, dn, bytes, srcGPUMem, replicas
+	p.intraStart, p.interStart = intra, maxf(intra, s.nicIn[dn])
+	p.haveIntra, p.haveInter = false, false
 }
 
-// CopyStart returns the earliest time a copy from src to dst could start: the
-// readiness time pushed past the FIFO availability of the ports and NICs the
-// copy would occupy. No resources are committed.
-func (s *Sim) CopyStart(src, dst int, ready float64) float64 {
-	start := ready
-	if sn, dn := s.nodeOf[src], s.nodeOf[dst]; sn != dn {
-		if s.nicOut[sn] > start {
-			start = s.nicOut[sn]
+// End returns the end time of the copy from leaf src, whose data is valid
+// from validAt.
+func (p *CopyPricer) End(src int, validAt float64) float64 {
+	s := p.s
+	start := maxf(validAt, s.outFree[src])
+	if sn := s.nodeOf[src]; sn != p.dstNode {
+		if !p.haveInter {
+			p.priceClass(true)
 		}
-		if s.nicIn[dn] > start {
-			start = s.nicIn[dn]
-		}
+		return maxf(maxf(start, s.nicOut[sn]), p.interStart) + p.interCost
 	}
-	if s.outFree[src] > start {
-		start = s.outFree[src]
+	if !p.haveIntra {
+		p.priceClass(false)
 	}
-	if s.inFree[dst] > start {
-		start = s.inFree[dst]
+	return maxf(start, p.intraStart) + p.intraCost
+}
+
+// priceClass prices the intra- or inter-node cost class.
+func (p *CopyPricer) priceClass(inter bool) {
+	c := p.s.classCost(inter, p.bytes, p.srcGPUMem, p.replicas)
+	if inter {
+		p.interCost, p.haveInter = c, true
+	} else {
+		p.intraCost, p.haveIntra = c, true
 	}
-	return start
 }
 
 // Copy schedules a transfer of bytes from leaf src to leaf dst, not before
@@ -212,8 +222,8 @@ func (s *Sim) CopyStart(src, dst int, ready float64) float64 {
 // (runtime-overhead model).
 func (s *Sim) Copy(src, dst int, bytes int64, ready float64, srcGPUMem bool, replicas int) float64 {
 	start, end := s.copyTimes(src, dst, bytes, ready, srcGPUMem, replicas)
-	occEnd := start + s.occupancy(src, dst, bytes, srcGPUMem)
 	sn, dn := s.nodeOf[src], s.nodeOf[dst]
+	occEnd := start + s.occupancy(sn != dn, bytes, srcGPUMem)
 	if sn == dn {
 		s.outFree[src] = occEnd
 		s.inFree[dst] = occEnd
@@ -230,8 +240,10 @@ func (s *Sim) Copy(src, dst int, bytes int64, ready float64, srcGPUMem bool, rep
 	return end
 }
 
-func (s *Sim) occupancy(src, dst int, bytes int64, srcGPUMem bool) float64 {
-	if s.nodeOf[src] == s.nodeOf[dst] {
+// occupancy is how long a copy of bytes holds its ports (and, inter-node,
+// its NICs).
+func (s *Sim) occupancy(inter bool, bytes int64, srcGPUMem bool) float64 {
+	if !inter {
 		return float64(bytes) / s.Params.IntraBW
 	}
 	bw := s.Params.InterBW
@@ -241,10 +253,44 @@ func (s *Sim) occupancy(src, dst int, bytes int64, srcGPUMem bool) float64 {
 	return float64(bytes) / bw
 }
 
+// classCost is the availability-independent duration of a copy: link
+// occupancy, link latency and replica overhead.
+func (s *Sim) classCost(inter bool, bytes int64, srcGPUMem bool, replicas int) float64 {
+	lat := s.Params.IntraLatency
+	if inter {
+		lat = s.Params.InterLatency
+	}
+	return s.occupancy(inter, bytes, srcGPUMem) + lat + s.Params.ReplicaOverhead*float64(replicas)
+}
+
+// copyTimes returns when a copy from src to dst ready at ready would start
+// and end: the start is the readiness time pushed past the FIFO
+// availability of the ports and NICs the copy occupies.
 func (s *Sim) copyTimes(src, dst int, bytes int64, ready float64, srcGPUMem bool, replicas int) (start, end float64) {
-	start = s.CopyStart(src, dst, ready)
-	end = start + s.CopyClassCost(src, dst, bytes, srcGPUMem, replicas)
-	return start, end
+	start = ready
+	sn, dn := s.nodeOf[src], s.nodeOf[dst]
+	if sn != dn {
+		if s.nicOut[sn] > start {
+			start = s.nicOut[sn]
+		}
+		if s.nicIn[dn] > start {
+			start = s.nicIn[dn]
+		}
+	}
+	if s.outFree[src] > start {
+		start = s.outFree[src]
+	}
+	if s.inFree[dst] > start {
+		start = s.inFree[dst]
+	}
+	return start, start + s.classCost(sn != dn, bytes, srcGPUMem, replicas)
+}
+
+func maxf(a, b float64) float64 {
+	if a > b {
+		return a
+	}
+	return b
 }
 
 // Barrier advances every processor's availability to at least t. It models

@@ -88,8 +88,8 @@ func TestDistinctNICsParallel(t *testing.T) {
 func TestGPUSourcePenalty(t *testing.T) {
 	p := Params{InterBW: 25, SrcPenaltyBW: 18, InterLatency: 0}
 	s := New(gpuMachine(2, 1), p)
-	fast := s.CopyEstimate(0, 1, 1800, 0, false, 1)
-	slow := s.CopyEstimate(0, 1, 1800, 0, true, 1)
+	fast := s.copyEstimate(0, 1, 1800, 0, false, 1)
+	slow := s.copyEstimate(0, 1, 1800, 0, true, 1)
 	if fast >= slow {
 		t.Fatalf("GPU-source copy should be slower: %v vs %v", fast, slow)
 	}
@@ -138,7 +138,7 @@ func TestFreeBelowZeroPanics(t *testing.T) {
 func TestCopyEstimateDoesNotCommit(t *testing.T) {
 	p := Params{InterBW: 10, InterLatency: 0}
 	s := New(flatCPU(2), p)
-	_ = s.CopyEstimate(0, 1, 100, 0, false, 1)
+	_ = s.copyEstimate(0, 1, 100, 0, false, 1)
 	if e := s.Copy(0, 1, 100, 0, false, 1); e != 10 {
 		t.Fatalf("estimate must not occupy resources; end = %v, want 10", e)
 	}
@@ -187,40 +187,63 @@ func TestNodeOfLeaves(t *testing.T) {
 	}
 }
 
-// TestCopyEstimateDecomposition: CopyEstimate must equal exactly
-// CopyStart + CopyClassCost — ensureLocal's cheapest-source shortcut prices
-// each cost class once and relies on this identity for its selection to be
-// bit-identical to an exhaustive per-candidate estimate.
+// copyEstimate returns the completion time a copy would have without
+// committing any resources: the oracle CopyPricer.End must reproduce.
+func (s *Sim) copyEstimate(src, dst int, bytes int64, ready float64, srcGPUMem bool, replicas int) float64 {
+	_, end := s.copyTimes(src, dst, bytes, ready, srcGPUMem, replicas)
+	return end
+}
+
+// TestCopyEstimateDecomposition: a CopyPricer's End must equal copyEstimate
+// exactly, for every source, destination and ready time, on both presets —
+// ensureLocal picks its copy source by End, so its choice is then the one an
+// exhaustive per-candidate estimate makes. Ready times include every port
+// and NIC time, so ties between the start terms are covered; pricing the
+// sources in either order (so the class costs are learnt in either order)
+// gives the same ends, and pricing commits nothing.
 func TestCopyEstimateDecomposition(t *testing.T) {
-	p := Params{IntraBW: 40, InterBW: 10, IntraLatency: 1e-6, InterLatency: 5e-6, ReplicaOverhead: 1e-7}
-	s := New(gpuMachine(2, 2), p) // 2 nodes x 2 GPUs: leaves 0,1 | 2,3
-	// Commit some traffic so ports and NICs have non-trivial availability.
-	s.Copy(0, 2, 100, 0, true, 1)
-	s.Copy(1, 0, 64, 0.001, true, 2)
-	cases := []struct {
-		src, dst int
-		bytes    int64
-		ready    float64
-		gpu      bool
-		replicas int
-	}{
-		{0, 1, 800, 0, true, 1},   // intra-node
-		{0, 3, 800, 0, true, 3},   // inter-node, busy NIC
-		{2, 3, 160, 0.5, true, 2}, // intra-node on the far node
-		{3, 0, 160, 0, false, 4},  // inter-node reverse
-	}
-	for _, c := range cases {
-		want := s.CopyEstimate(c.src, c.dst, c.bytes, c.ready, c.gpu, c.replicas)
-		got := s.CopyStart(c.src, c.dst, c.ready) + s.CopyClassCost(c.src, c.dst, c.bytes, c.gpu, c.replicas)
-		if got != want {
-			t.Fatalf("copy %d->%d: start+classCost = %v, CopyEstimate = %v", c.src, c.dst, got, want)
+	for name, p := range map[string]Params{"cpu": LassenCPU(), "gpu": LassenGPU()} {
+		s := New(gpuMachine(2, 2), p) // 2 nodes x 2 leaves: leaves 0,1 | 2,3
+		// Commit some traffic so ports and NICs have distinct availability.
+		s.Copy(0, 2, 1<<20, 0, true, 1)
+		s.Copy(1, 0, 1<<16, 1e-5, true, 2)
+		s.Copy(3, 1, 1<<18, 2e-5, false, 1)
+		s.Copy(2, 3, 1<<12, 0, true, 3)
+		readies := []float64{0, 1e-6, 1e-3}
+		for _, arr := range [][]float64{s.outFree, s.inFree, s.nicOut, s.nicIn} {
+			readies = append(readies, arr...)
 		}
-	}
-	// Same-class sources toward one destination share CopyClassCost.
-	if s.CopyClassCost(0, 2, 320, true, 2) != s.CopyClassCost(1, 2, 320, true, 2) {
-		t.Fatal("sources in one cost class must share CopyClassCost")
-	}
-	if !s.SameNode(0, 1) || s.SameNode(1, 2) {
-		t.Fatal("SameNode misclassifies the leaf grid")
+		copies := s.CopyCount
+		leaves := s.LeafGrid().Size()
+		for _, bytes := range []int64{8, 800, 1 << 20} {
+			for _, gpu := range []bool{false, true} {
+				for _, replicas := range []int{1, 3} {
+					for dst := 0; dst < leaves; dst++ {
+						for _, issueAt := range readies {
+							var fwd, rev CopyPricer
+							s.PriceCopies(&fwd, dst, bytes, issueAt, gpu, replicas)
+							s.PriceCopies(&rev, dst, bytes, issueAt, gpu, replicas)
+							for i := 0; i < leaves; i++ {
+								for _, validAt := range readies {
+									src, back := i, leaves-1-i
+									want := s.copyEstimate(src, dst, bytes, max(issueAt, validAt), gpu, replicas)
+									if got := fwd.End(src, validAt); got != want {
+										t.Fatalf("%s: copy %d->%d of %d bytes, issue %v, valid %v: End = %v, estimate %v",
+											name, src, dst, bytes, issueAt, validAt, got, want)
+									}
+									wantBack := s.copyEstimate(back, dst, bytes, max(issueAt, validAt), gpu, replicas)
+									if got := rev.End(back, validAt); got != wantBack {
+										t.Fatalf("%s: reversed copy %d->%d: End = %v, estimate %v", name, back, dst, got, wantBack)
+									}
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+		if s.CopyCount != copies {
+			t.Fatalf("%s: pricing committed copies: %d, want %d", name, s.CopyCount, copies)
+		}
 	}
 }

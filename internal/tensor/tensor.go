@@ -5,6 +5,11 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+
+	// Link order only: a package tensor imports links before tensor, the
+	// module's first package, so the leaf kernels' code placement does not
+	// move with the packages linked after it (see package leaf).
+	_ "distal/internal/leaf"
 )
 
 // Dense is a dense, row-major tensor of float64 values. It is the single
