@@ -280,7 +280,9 @@ func (r *runner) BindBatch(instances ...[]*Tensor) *BatchBinding {
 // stacked tensor has shape [batch, d0, d1, ...] where [d0, d1, ...] is the
 // compiled shape of that tensor, and instance i is the zero-copy slice
 // data[i*vol : (i+1)*vol]. A stacked output receives every instance's result
-// in its slice — one allocation in, one allocation out.
+// in its slice — one allocation in, one allocation out. It is public API for
+// callers that hold batches stacked; nothing in this repository but its
+// tests binds that way.
 func (r *runner) BindStacked(batch int, stacked ...*Tensor) *BatchBinding {
 	if batch <= 0 {
 		return &BatchBinding{r: r, err: wrapErr(KindExec, "bind-batch", fmt.Errorf("batch must be positive, got %d", batch))}

@@ -68,9 +68,8 @@ func BenchmarkCompile(b *testing.B) {
 }
 
 // realSumma is a validated-execution workload: chunked SUMMA on a 4x4 grid,
-// small enough that the leaf kernels (not the simulator) dominate. The tree variant runs the fallback tree-walking
-// kernel instead of the compiled kernel program.
-func realSumma(b *testing.B, tree bool) core.Input {
+// small enough that the leaf kernels (not the simulator) dominate.
+func realSumma(b *testing.B) core.Input {
 	b.Helper()
 	in, err := algorithms.Matmul(algorithms.SUMMA, algorithms.MatmulConfig{
 		N: 128, Procs: 16, ChunkSize: 32,
@@ -78,28 +77,22 @@ func realSumma(b *testing.B, tree bool) core.Input {
 	if err != nil {
 		b.Fatal(err)
 	}
-	in.TreeKernel = tree
 	return in
 }
 
 // BenchmarkColdExecute measures what a plan-cache miss costs end to end:
 // compile plus one execution. The sim case is the serving path (simulated
-// cost model only); the real cases execute leaf kernels on actual data —
-// "real" through the compiled kernel program, "realTree" through the
-// tree-walking fallback it replaced.
+// cost model only); the real case executes the compiled leaf kernels on
+// actual data.
 func BenchmarkColdExecute(b *testing.B) {
-	compiled, tree := realSumma(b, false), realSumma(b, true)
-	bind := func(in core.Input) []map[string]*tensor.Dense {
-		return []map[string]*tensor.Dense{algorithms.RandomData(in)}
-	}
+	summa := realSumma(b)
 	cases := []struct {
 		name string
 		in   core.Input
 		opt  legion.Options
 	}{
 		{"sim", johnson8(b), legion.Options{Params: sim.LassenGPU()}},
-		{"real", compiled, legion.Options{Params: sim.LassenCPU(), Real: true, Batch: bind(compiled)}},
-		{"realTree", tree, legion.Options{Params: sim.LassenCPU(), Real: true, Batch: bind(tree)}},
+		{"real", summa, legion.Options{Params: sim.LassenCPU(), Real: true, Batch: []map[string]*tensor.Dense{algorithms.RandomData(summa)}}},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {

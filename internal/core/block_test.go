@@ -6,7 +6,7 @@ package core_test
 // micro-kernel in both orientations, fused and generic rows, blocks handed
 // back per point, height-1 blocks and plans with no block at all — must
 // produce outputs bit-identical to the tree-walking oracle
-// (Input.TreeKernel) at every worker count and batch size.
+// (core.CompileTree) at every worker count and batch size.
 
 import (
 	"fmt"
@@ -131,7 +131,7 @@ func blockSchedule(tensors []string, anchor string, leaf []string, extra string)
 
 // blockInput builds the core.Input of a table cell and n data bindings
 // (inputs seeded differently per instance, outputs zero).
-func blockInput(t *testing.T, c blockCase, ext map[byte]int, order string, n int) (func(tree bool) core.Input, []map[string]*tensor.Dense) {
+func blockInput(t *testing.T, c blockCase, ext map[byte]int, order string, n int) (func() core.Input, []map[string]*tensor.Dense) {
 	t.Helper()
 	stmt := ir.MustParse(c.stmt)
 	accesses := stmt.RHS.Accesses([]*ir.Access{stmt.LHS})
@@ -146,17 +146,16 @@ func blockInput(t *testing.T, c blockCase, ext map[byte]int, order string, n int
 		shapes[a.Tensor] = shape
 	}
 	text := leafOrders[order](c, names)
-	build := func(tree bool) core.Input {
+	build := func() core.Input {
 		s, err := schedule.FromText(stmt, text)
 		if err != nil {
 			t.Fatalf("schedule %q: %v", text, err)
 		}
 		in := core.Input{
-			Stmt:       stmt,
-			Machine:    algorithms.MatmulConfig{}.MachineFor(2),
-			Tensors:    map[string]*core.TensorDecl{},
-			Schedule:   s,
-			TreeKernel: tree,
+			Stmt:     stmt,
+			Machine:  algorithms.MatmulConfig{}.MachineFor(2),
+			Tensors:  map[string]*core.TensorDecl{},
+			Schedule: s,
 		}
 		for _, a := range accesses {
 			place := "xyzw"[:len(a.Indices)] + "->*"
@@ -196,7 +195,7 @@ func TestBlockKernelMatchesTree(t *testing.T) {
 					build, data := blockInput(t, c, ext, order, instances)
 					lhs := ir.MustParse(c.stmt).LHS.Tensor
 
-					treeProg, err := core.Compile(build(true))
+					treeProg, err := core.CompileTree(build())
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -222,7 +221,7 @@ func TestBlockKernelMatchesTree(t *testing.T) {
 						t.Fatalf("tree oracle diverges from ir.Evaluate: max diff %v", want[0].MaxAbsDiff(ref))
 					}
 
-					prog, err := core.Compile(build(false))
+					prog, err := core.Compile(build())
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -17,7 +17,7 @@
 //  5. leaf loops become the task body: an analytic FLOP/byte model for
 //     simulation and a real einsum kernel for validated execution, lowered
 //     once per plan to a flat register program over raw tensor storage
-//     (kernelprog.go) with a tree-walking fallback (Input.TreeKernel).
+//     (kernelprog.go).
 //
 // Compiled programs are immutable: every launch's per-point region
 // requirements are materialized eagerly at compile time, as one rect id per
@@ -69,11 +69,6 @@ type Input struct {
 	Machine  *machine.Machine
 	Tensors  map[string]*TensorDecl
 	Schedule *schedule.Schedule
-	// TreeKernel selects the tree-walking Real-mode leaf kernel instead of
-	// the compiled kernel program. The two are bit-identical (asserted by
-	// the golden tests); the tree walk exists as a debuggable fallback and
-	// as the reference the compiled program is validated against.
-	TreeKernel bool
 }
 
 // Compile lowers the scheduled statement to a Legion program.
@@ -90,8 +85,7 @@ const cancelCheckPoints = 1024
 // points, and the whole compile aborts with ctx's error, so a canceled
 // request stops burning the pool promptly even mid-launch. The context's
 // current span (the caller's compile span) gains a block_vars attribute: how
-// many leaf variables the compiled kernel's block plan spans, 0 to 3 (absent
-// under TreeKernel).
+// many leaf variables the compiled kernel's block plan spans, 0 to 3.
 func CompileContext(ctx context.Context, in Input) (*legion.Program, error) {
 	c, err := newCompiler(ctx, in)
 	if err != nil {
@@ -320,29 +314,33 @@ func (c *compiler) lower() (*legion.Program, error) {
 		domain = machine.NewGrid(dims...)
 	}
 
-	// One launch per assignment of the sequential control variables, in
-	// lexicographic order.
+	prog.Launches = c.materializeLaunches(domain, c.seqAssignments())
+	if err := c.ctx.Err(); err != nil {
+		return nil, err
+	}
+	return prog, nil
+}
+
+// seqAssignments lists one assignment of the sequential control variables
+// per launch, in lexicographic order; a plan without them has one launch
+// and a nil assignment.
+func (c *compiler) seqAssignments() []map[string]int {
+	if len(c.seqVars) == 0 {
+		return []map[string]int{nil}
+	}
 	seqDims := make([]int, len(c.seqVars))
 	for i, v := range c.seqVars {
 		seqDims[i] = c.extents[v]
 	}
 	var seqs []map[string]int
-	if len(seqDims) == 0 {
-		seqs = []map[string]int{nil}
-	} else {
-		tensor.FullRect(seqDims).Points(func(p []int) {
-			seq := map[string]int{}
-			for i, v := range c.seqVars {
-				seq[v] = p[i]
-			}
-			seqs = append(seqs, seq)
-		})
-	}
-	prog.Launches = c.materializeLaunches(domain, seqs)
-	if err := c.ctx.Err(); err != nil {
-		return nil, err
-	}
-	return prog, nil
+	tensor.FullRect(seqDims).Points(func(p []int) {
+		seq := map[string]int{}
+		for i, v := range c.seqVars {
+			seq[v] = p[i]
+		}
+		seqs = append(seqs, seq)
+	})
+	return seqs
 }
 
 func (c *compiler) posOf(name string) int {
@@ -460,22 +458,20 @@ func (c *compiler) buildPlan(splitDepth int) {
 		}
 	}
 
-	if !c.in.TreeKernel {
-		c.kprog = compileKernelProg(stmt, c.ev, c.writePriv == legion.ReduceSum)
-		c.leafIDs = make([]int, len(c.leaf))
-		c.leafExt = make([]int, len(c.leaf))
-		for i, name := range c.leaf {
-			c.leafIDs[i] = c.ev.VarID(name)
-			c.leafExt[i] = c.extents[name]
-		}
-		c.kprog.planBlock(c.leafIDs, c.leafExt)
-		obs.FromContext(c.ctx).SetAttr("block_vars", strconv.Itoa(c.kprog.blockVars))
-		nv, nOrig := c.ev.NumVars(), len(c.ev.OrigIDs())
-		nOps, nAcc, nLeaf, rowLen := len(c.kprog.ops), len(c.kprog.accesses), len(c.leaf), c.kprog.rowLen
-		c.kpool = &sync.Pool{New: func() any {
-			return newKernelScratch(nv, nOrig, nOps, nAcc, nLeaf, rowLen)
-		}}
+	c.kprog = compileKernelProg(stmt, c.ev, c.writePriv == legion.ReduceSum)
+	c.leafIDs = make([]int, len(c.leaf))
+	c.leafExt = make([]int, len(c.leaf))
+	for i, name := range c.leaf {
+		c.leafIDs[i] = c.ev.VarID(name)
+		c.leafExt[i] = c.extents[name]
 	}
+	c.kprog.planBlock(c.leafIDs, c.leafExt)
+	obs.FromContext(c.ctx).SetAttr("block_vars", strconv.Itoa(c.kprog.blockVars))
+	nv, nOrig := c.ev.NumVars(), len(c.ev.OrigIDs())
+	nOps, nAcc, nLeaf, rowLen := len(c.kprog.ops), len(c.kprog.accesses), len(c.leaf), c.kprog.rowLen
+	c.kpool = &sync.Pool{New: func() any {
+		return newKernelScratch(nv, nOrig, nOps, nAcc, nLeaf, rowLen)
+	}}
 }
 
 // launchName renders "kernel[ko=2,…]" for diagnostics and traces.

@@ -1,6 +1,10 @@
 package core
 
-import "context"
+import (
+	"context"
+
+	"distal/internal/legion"
+)
 
 // LeafBlockVars compiles in and returns how many leaf variables its kernel's
 // block plan spans (0 to 3).
@@ -13,4 +17,23 @@ func LeafBlockVars(in Input) (int, error) {
 		return 0, err
 	}
 	return c.kprog.blockVars, nil
+}
+
+// CompileTree is Compile with every launch's Real-mode body replaced by the
+// tree-walking oracle (treekernel_test.go): the same program, region
+// requirements and costs, executed by recursive descent instead of the
+// compiled kernel program.
+func CompileTree(in Input) (*legion.Program, error) {
+	c, err := newCompiler(context.Background(), in)
+	if err != nil {
+		return nil, err
+	}
+	prog, err := c.lower()
+	if err != nil {
+		return nil, err
+	}
+	for i, seq := range c.seqAssignments() {
+		prog.Launches[i].Run = c.treeKernel(seq)
+	}
+	return prog, nil
 }

@@ -1,12 +1,9 @@
 package core
 
 import (
-	"fmt"
 	"sync"
 
-	"distal/internal/ir"
 	"distal/internal/legion"
-	"distal/internal/schedule"
 )
 
 // kernelScratch is the per-worker scratch of one compiled-kernel task
@@ -84,14 +81,10 @@ func (ks *kernelScratch) release(pool *sync.Pool) {
 // time (blockkernel.go). A block whose ragged tail is not a box is judged
 // plane by plane, then per point (walkBlock); a leaf whose innermost
 // reconstruction is not affine, and a leaf with no loops, take the per-point
-// walk, so results are bit-identical to the tree-walking fallback
-// (Input.TreeKernel), which remains the reference the compiled program is
-// asserted against. Scratch is pooled per worker (kernelScratch), so a task
+// walk. Results are bit-identical to the tests' tree-walking oracle
+// (CompileTree). Scratch is pooled per worker (kernelScratch), so a task
 // allocates nothing.
 func (c *compiler) realKernel(seq map[string]int) func(ctx *legion.Ctx) {
-	if c.in.TreeKernel {
-		return c.treeKernel(seq)
-	}
 	kp := c.kprog
 	ev := c.ev
 	pool := c.kpool
@@ -220,154 +213,3 @@ func (kp *kernelProg) walkPoints(ks *kernelScratch) {
 		}
 	}
 }
-
-// compiledExpr is the statement's RHS lowered to a pointer tree whose
-// accesses carry a dense index — the leaf loop evaluates it without any map
-// lookups. Superseded by kernelProg's flat register program on the default
-// path; kept as the fallback and reference implementation.
-type compiledExpr struct {
-	op     exprOp
-	tensor string  // exAccess
-	acc    int     // exAccess: index into the access-plan tables
-	val    float64 // exLit
-	l, r   *compiledExpr
-}
-
-type exprOp uint8
-
-const (
-	exAccess exprOp = iota
-	exLit
-	exAdd
-	exMul
-)
-
-// treeKernel is the tree-walking Real-mode leaf body: it evaluates the RHS
-// by recursive descent over compiledExpr and reads through Ctx's
-// coordinate-checked accessors. It computes exactly what the compiled
-// kernelProg computes, in the same floating-point operation order.
-func (c *compiler) treeKernel(seq map[string]int) func(ctx *legion.Ctx) {
-	stmt := c.in.Stmt
-	lhs := stmt.LHS
-	reduces := len(stmt.ReductionVars()) > 0 || stmt.Increment
-	ev := c.ev
-
-	// Position of each original variable in the evaluator's value output.
-	origPos := map[string]int{}
-	for i, id := range ev.OrigIDs() {
-		origPos[ev.VarName(int(id))] = i
-	}
-	// Access plans, one per access (LHS first): the value position indexing
-	// each tensor dimension, resolved once here rather than per leaf point.
-	var accPlans [][]int
-	addAccess := func(a *ir.Access) int {
-		dims := make([]int, len(a.Indices))
-		for d, v := range a.Indices {
-			dims[d] = origPos[v.Name]
-		}
-		accPlans = append(accPlans, dims)
-		return len(accPlans) - 1
-	}
-	addAccess(lhs)
-	var compile func(e ir.Expr) *compiledExpr
-	compile = func(e ir.Expr) *compiledExpr {
-		switch e := e.(type) {
-		case *ir.Access:
-			return &compiledExpr{op: exAccess, tensor: e.Tensor, acc: addAccess(e)}
-		case *ir.Literal:
-			return &compiledExpr{op: exLit, val: e.Value}
-		case *ir.Add:
-			return &compiledExpr{op: exAdd, l: compile(e.L), r: compile(e.R)}
-		case *ir.Mul:
-			return &compiledExpr{op: exMul, l: compile(e.L), r: compile(e.R)}
-		default:
-			panic(fmt.Sprintf("core: unknown expression %T", e))
-		}
-	}
-	rhs := compile(stmt.RHS)
-
-	type binding struct{ id, val int }
-	var seqBind []binding
-	for _, v := range c.seqVars {
-		seqBind = append(seqBind, binding{ev.VarID(v), seq[v]})
-	}
-	distIDs := append([]int(nil), c.distIDs...)
-	leafIDs := make([]int, len(c.leaf))
-	leafExt := make([]int, len(c.leaf))
-	for i, name := range c.leaf {
-		leafIDs[i] = ev.VarID(name)
-		leafExt[i] = c.extents[name]
-	}
-
-	return func(ctx *legion.Ctx) {
-		nv := ev.NumVars()
-		fixed := make([]bool, nv)
-		vals := make([]int, nv)
-		scratch := make([]schedule.Interval, nv)
-		origVals := make([]int, len(ev.OrigIDs()))
-		for i, id := range distIDs {
-			fixed[id] = true
-			vals[id] = ctx.Point[i]
-		}
-		for _, b := range seqBind {
-			fixed[b.id] = true
-			vals[b.id] = b.val
-		}
-		for _, id := range leafIDs {
-			fixed[id] = true
-		}
-		// Per-access point buffers, indexed like accPlans.
-		accBufs := make([][]int, len(accPlans))
-		for i, dims := range accPlans {
-			if len(dims) == 0 {
-				accBufs[i] = scalarPoint // scalars are rank-1 unit regions
-				continue
-			}
-			accBufs[i] = make([]int, len(dims))
-		}
-		pointFor := func(acc int) []int {
-			dims := accPlans[acc]
-			p := accBufs[acc]
-			for d, pos := range dims {
-				p[d] = origVals[pos]
-			}
-			return p
-		}
-		var evalExpr func(e *compiledExpr) float64
-		evalExpr = func(e *compiledExpr) float64 {
-			switch e.op {
-			case exAccess:
-				return ctx.ReadAt(e.tensor, pointFor(e.acc)...)
-			case exLit:
-				return e.val
-			case exAdd:
-				return evalExpr(e.l) + evalExpr(e.r)
-			default:
-				return evalExpr(e.l) * evalExpr(e.r)
-			}
-		}
-		var walk func(d int)
-		walk = func(d int) {
-			if d < len(leafIDs) {
-				for x := 0; x < leafExt[d]; x++ {
-					vals[leafIDs[d]] = x
-					walk(d + 1)
-				}
-				return
-			}
-			if !ev.ValueInto(fixed, vals, scratch, origVals) {
-				return // ragged-boundary point outside the iteration space
-			}
-			v := evalExpr(rhs)
-			p := pointFor(0)
-			if reduces {
-				ctx.WriteAdd(lhs.Tensor, v, p...)
-			} else {
-				ctx.WriteSet(lhs.Tensor, v, p...)
-			}
-		}
-		walk(0)
-	}
-}
-
-var scalarPoint = []int{0}

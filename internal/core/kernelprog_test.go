@@ -2,7 +2,7 @@ package core_test
 
 // Golden equivalence tests for the compiled Real-mode kernel program: for
 // every example workload shipped in examples/, the compiled kernelProg and
-// the tree-walking fallback kernel must produce bit-identical outputs (not
+// the tree-walking oracle (core.CompileTree) must produce bit-identical outputs (not
 // merely within epsilon — the two lower the same expression in the same
 // floating-point operation order, so any difference is a lowering bug).
 
@@ -53,11 +53,12 @@ func exampleInputs(t *testing.T) map[string]func() core.Input {
 	}
 }
 
-// runReal compiles in and executes it on data bound to the execution,
+// runReal compiles in with compile (core.Compile, or core.CompileTree for
+// the tree oracle) and executes it on data bound to the execution,
 // returning the LHS data.
-func runReal(t *testing.T, in core.Input, data map[string]*tensor.Dense) *tensor.Dense {
+func runReal(t *testing.T, compile func(core.Input) (*legion.Program, error), in core.Input, data map[string]*tensor.Dense) *tensor.Dense {
 	t.Helper()
-	prog, err := core.Compile(in)
+	prog, err := compile(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +70,7 @@ func runReal(t *testing.T, in core.Input, data map[string]*tensor.Dense) *tensor
 }
 
 // TestKernelProgGolden asserts the compiled kernel program and the
-// tree-walking fallback produce bit-identical results on every example
+// tree-walking oracle produce bit-identical results on every example
 // workload, and that both match the sequential reference evaluator.
 func TestKernelProgGolden(t *testing.T) {
 	for name, build := range exampleInputs(t) {
@@ -80,7 +81,7 @@ func TestKernelProgGolden(t *testing.T) {
 // TestKernelProgIncrement pins the += path: the compiled kernel must
 // accumulate on top of existing LHS contents exactly as the tree walk does.
 func TestKernelProgIncrement(t *testing.T) {
-	build := func(tree bool) core.Input {
+	build := func() core.Input {
 		in, err := algorithms.Matmul(algorithms.SUMMA, algorithms.MatmulConfig{N: 16, Procs: 4})
 		if err != nil {
 			t.Fatal(err)
@@ -92,16 +93,16 @@ func TestKernelProgIncrement(t *testing.T) {
 			t.Fatal(err)
 		}
 		in.Schedule = sched
-		in.TreeKernel = tree
 		return in
 	}
-	run := func(in core.Input) *tensor.Dense {
+	run := func(compile func(core.Input) (*legion.Program, error)) *tensor.Dense {
+		in := build()
 		data := algorithms.RandomData(in)
 		data["A"].Fill(1)
-		return runReal(t, in, data)
+		return runReal(t, compile, in, data)
 	}
-	got := run(build(false))
-	want := run(build(true))
+	got := run(core.Compile)
+	want := run(core.CompileTree)
 	for i := range got.Data() {
 		if got.Data()[i] != want.Data()[i] {
 			t.Fatalf("increment output[%d]: %v != %v", i, got.Data()[i], want.Data()[i])

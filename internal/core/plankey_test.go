@@ -57,3 +57,19 @@ func TestPlanKeyDiscriminates(t *testing.T) {
 		t.Error("varying a placement did not change the plan key")
 	}
 }
+
+// TestPlanKeyHashesLeafCommands: parallelize and substitute change no
+// lowering, but they are commands of the schedule text, so the plan key
+// hashes them. The key is pinned: keeping them only in the command log
+// leaves every plan key where it was.
+func TestPlanKeyHashesLeafCommands(t *testing.T) {
+	in := keyInput(64, 2, 2, keySched+" parallelize(ii) substitute(ji,k,BLAS.GEMM)")
+	got := PlanKey(in)
+	if got == PlanKey(keyInput(64, 2, 2, keySched)) {
+		t.Fatal("parallelize/substitute did not reach the plan key")
+	}
+	const want = "0414fd38f089bbc87f4068e7b5c35ca6182829946ca5a8a9542dc6ff8424fc64"
+	if got != want {
+		t.Fatalf("plan key = %s, want %s", got, want)
+	}
+}

@@ -2,10 +2,10 @@ package core_test
 
 // Golden tests for the strided row lowering of the Real-mode kernel: ragged
 // (non-divisible) extents and rotated schedules must produce outputs
-// bit-identical to the tree-walking fallback. The strided path handles full
-// rows with one ValueProgram pass and a constant-stride inner loop, re-runs
-// ragged boundary rows per point, and refuses rows whose innermost
-// reconstruction is not affine — these cases pin all three regimes.
+// bit-identical to the tree-walking oracle (core.CompileTree). The strided
+// path handles full rows with one ValueProgram pass and a constant-stride
+// inner loop, re-runs ragged boundary rows per point, and refuses rows whose
+// innermost reconstruction is not affine — these cases pin all three regimes.
 
 import (
 	"testing"
@@ -23,11 +23,10 @@ import (
 func assertBitIdentical(t *testing.T, build func() core.Input) {
 	t.Helper()
 	in := build()
-	got := runReal(t, in, algorithms.RandomData(in))
+	got := runReal(t, core.Compile, in, algorithms.RandomData(in))
 
 	treeIn := build()
-	treeIn.TreeKernel = true
-	want := runReal(t, treeIn, algorithms.RandomData(treeIn))
+	want := runReal(t, core.CompileTree, treeIn, algorithms.RandomData(treeIn))
 
 	gd, wd := got.Data(), want.Data()
 	if len(gd) != len(wd) {

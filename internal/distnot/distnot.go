@@ -50,24 +50,6 @@ func (n MachineName) String() string {
 	}
 }
 
-// PartitionFunc selects the abstract partitioning function P of §3.2.
-type PartitionFunc int
-
-const (
-	// Blocked maps contiguous coordinate ranges to the same color
-	// (the paper's choice).
-	Blocked PartitionFunc = iota
-	// Cyclic maps adjacent coordinates to different colors round-robin.
-	Cyclic
-)
-
-func (p PartitionFunc) String() string {
-	if p == Cyclic {
-		return "cyclic"
-	}
-	return "blocked"
-}
-
 // Statement is one tensor distribution notation statement for one machine
 // level.
 type Statement struct {
@@ -75,8 +57,6 @@ type Statement struct {
 	TensorDims []string
 	// MachineDims names each dimension of the machine, in order.
 	MachineDims []MachineName
-	// Func is the partitioning function (Blocked unless stated otherwise).
-	Func PartitionFunc
 }
 
 // Parse parses the compact form used throughout the paper, e.g.
@@ -199,8 +179,9 @@ func (s *Statement) machineDimOf(d int) int {
 // RectFor returns the sub-rectangle of a tensor with the given shape held by
 // the processor at coordinate proc in grid, and whether that processor holds
 // any piece at all (processors off a Fixed face hold nothing). RectFor
-// implements the composition F∘P of §3.2 for the Blocked partitioning
-// function, restricted to rect-describable pieces.
+// implements the composition F∘P of §3.2 with the paper's blocked
+// partitioning function P, which maps contiguous coordinate ranges to one
+// color.
 func (s *Statement) RectFor(shape []int, grid machine.Grid, proc []int) (tensor.Rect, bool) {
 	r := tensor.FullRect(shape)
 	if !s.narrow(r, grid, proc) {
@@ -214,9 +195,6 @@ func (s *Statement) RectFor(shape []int, grid machine.Grid, proc []int) (tensor.
 // along d, translated by r.Lo[d]. It reports false, with r partly narrowed,
 // when proc lies off a Fixed face.
 func (s *Statement) narrow(r tensor.Rect, grid machine.Grid, proc []int) bool {
-	if s.Func != Blocked {
-		panic("distnot: RectFor supports only the Blocked partitioning function; use OwnedCoords for Cyclic")
-	}
 	if len(r.Lo) != len(s.TensorDims) || len(proc) != len(s.MachineDims) {
 		panic(fmt.Sprintf("distnot: RectFor rank mismatch: tensor rank %d, proc rank %d vs statement %s", len(r.Lo), len(proc), s))
 	}
@@ -236,98 +214,12 @@ func (s *Statement) narrow(r tensor.Rect, grid machine.Grid, proc []int) bool {
 	return true
 }
 
-// OwnersOf returns the coordinates of every processor whose piece contains
-// the tensor coordinate p: the partitioned dimensions select a unique color
-// and Fixed/Broadcast machine dimensions expand it per F of §3.2.
-func (s *Statement) OwnersOf(shape []int, grid machine.Grid, p []int) [][]int {
-	procs := [][]int{nil}
-	for j, n := range s.MachineDims {
-		var choices []int
-		switch n.Kind {
-		case Fixed:
-			choices = []int{n.Index}
-		case Broadcast:
-			for x := 0; x < grid.Dims[j]; x++ {
-				choices = append(choices, x)
-			}
-		case Dim:
-			d := tensorDimIndex(s.TensorDims, n.Var)
-			choices = []int{blockOf(shape[d], grid.Dims[j], p[d], s.Func)}
-		}
-		var next [][]int
-		for _, prefix := range procs {
-			for _, c := range choices {
-				next = append(next, append(append([]int(nil), prefix...), c))
-			}
-		}
-		procs = next
-	}
-	return procs
-}
-
-func tensorDimIndex(dims []string, name string) int {
-	for i, d := range dims {
-		if d == name {
-			return i
-		}
-	}
-	panic(fmt.Sprintf("distnot: unknown tensor dimension %q", name))
-}
-
-// blockOf returns the color of coordinate x when an extent of n is divided
-// into count pieces under the given partitioning function.
-func blockOf(n, count, x int, f PartitionFunc) int {
-	switch f {
-	case Blocked:
-		size := (n + count - 1) / count
-		return x / size
-	case Cyclic:
-		return x % count
-	default:
-		panic("distnot: unknown partitioning function")
-	}
-}
-
-// OwnedCoords returns, for each coordinate along tensor dimension d, whether
-// processor index pi of a machine dimension with the given extent owns it.
-// This exposes the Cyclic function for analyses that cannot use rects.
-func OwnedCoords(n, count, pi int, f PartitionFunc) []int {
-	switch f {
-	case Blocked:
-		lo, hi := tensor.BlockRange(n, count, pi)
-		out := make([]int, 0, hi-lo)
-		for x := lo; x < hi; x++ {
-			out = append(out, x)
-		}
-		return out
-	case Cyclic:
-		return tensor.CyclicSlots(n, count, pi)
-	default:
-		panic("distnot: unknown partitioning function")
-	}
-}
-
-// Replicas returns how many processors hold each piece: the product of the
-// extents of Broadcast dimensions.
-func (s *Statement) Replicas(grid machine.Grid) int {
-	n := 1
-	for j, name := range s.MachineDims {
-		if name.Kind == Broadcast {
-			n *= grid.Dims[j]
-		}
-	}
-	return n
-}
-
 func (s *Statement) String() string {
 	var b strings.Builder
 	b.WriteString(strings.Join(s.TensorDims, ""))
 	b.WriteString("->")
 	for _, n := range s.MachineDims {
 		b.WriteString(n.String())
-	}
-	if s.Func == Cyclic {
-		b.WriteString(" (cyclic)")
 	}
 	return b.String()
 }

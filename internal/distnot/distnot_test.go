@@ -242,17 +242,6 @@ func TestPiecesTile(t *testing.T) {
 	}
 }
 
-func TestCyclicOwnedCoords(t *testing.T) {
-	got := OwnedCoords(7, 3, 1, Cyclic)
-	if len(got) != 2 || got[0] != 1 || got[1] != 4 {
-		t.Fatalf("cyclic coords = %v, want [1 4]", got)
-	}
-	blocked := OwnedCoords(7, 3, 1, Blocked)
-	if len(blocked) != 3 || blocked[0] != 3 {
-		t.Fatalf("blocked coords = %v, want [3 4 5]", blocked)
-	}
-}
-
 func TestHierarchicalPlacement(t *testing.T) {
 	// Paper example: [T xy->xy M, T zw->z M]: 2-D tiling at the node level,
 	// row-wise partition of each tile per GPU.

@@ -43,7 +43,8 @@ func ParsePlacement(src string) (*Placement, error) {
 	return &Placement{Levels: levels}, nil
 }
 
-// MustParsePlacement is ParsePlacement but panics on error.
+// MustParsePlacement is ParsePlacement but panics on error. Only tests call
+// it (in three packages), to spell fixed placements inline.
 func MustParsePlacement(src string) *Placement {
 	p, err := ParsePlacement(src)
 	if err != nil {

@@ -68,7 +68,10 @@ func (c *Ctx) acc(name string) (*tapeAcc, *tensor.Dense) {
 // ReadAt returns the value of region name at the global coordinate p.
 // Reading is always satisfied from the canonical data: read-only inputs have
 // a single version for the duration of a program, so every valid instance
-// holds identical contents.
+// holds identical contents. ReadAt, WriteAdd and WriteSet are the
+// coordinate-checked accessors: compiled kernels bind raw surfaces instead
+// (ReadSurface, WriteSurface), and the tests' tree-walking oracle and
+// hand-written tasks read and write through these.
 func (c *Ctx) ReadAt(name string, p ...int) float64 {
 	t := c.readData(name)
 	if t == nil {

@@ -193,12 +193,11 @@ type regState struct {
 	// (placement) order; owners indexes their rects.
 	persistent []instance
 	owners     ownerIndex
-	// perLeaf[leaf] is every live instance on the leaf, its owner first;
-	// transFIFO[leaf] is the leaf's transients in eviction order. Both are
-	// carved from one per-region slab with fixed capacities of
-	// TransientWindow+1 and TransientWindow.
-	perLeaf   [][]*instance
-	transFIFO [][]*instance
+	// perLeaf[leaf] is every live instance on the leaf: its owner first, if
+	// it has one (placeRegion appends owners before any transient), then
+	// its transients in eviction order. The lists are carved from one
+	// per-region slab with a fixed capacity of TransientWindow+1.
+	perLeaf [][]*instance
 
 	// dirty marks that some launch wrote the region since its transients
 	// were last valid: when a later stage adopts the region (RunStages),
@@ -536,16 +535,23 @@ func (e *executor) installTransient(rs *regState, leaf int, rect tensor.Rect, id
 	e.instSeq++
 	g.push(inst)
 	e.s.Alloc(leaf, bytes)
-	fifo := rs.transFIFO[leaf]
-	if len(fifo) == e.opt.TransientWindow {
-		old := fifo[0]
-		fifo = fifo[:copy(fifo, fifo[1:])]
+	list := rs.perLeaf[leaf]
+	if own := owned(list); len(list)-own == e.opt.TransientWindow {
+		old := list[own]
+		list = list[:own+copy(list[own:], list[own+1:])]
 		e.s.Free(leaf, old.bytes)
-		rs.perLeaf[leaf] = removeInst(rs.perLeaf[leaf], old)
 		e.evict(rs, old)
 	}
-	rs.transFIFO[leaf] = append(fifo, inst)
-	rs.perLeaf[leaf] = append(rs.perLeaf[leaf], inst)
+	rs.perLeaf[leaf] = append(list, inst)
+}
+
+// owned returns how many of a leaf's instances are owners: 1 when the list
+// starts with the leaf's owner, else 0.
+func owned(list []*instance) int {
+	if len(list) > 0 && list[0].persistent {
+		return 1
+	}
+	return 0
 }
 
 // evict retires a transient that has left its leaf's lists: it leaves its
@@ -599,15 +605,6 @@ func (rs *regState) dropFromBucket(g *transGroup) {
 	delete(rs.volBuckets, g.vol)
 	i := sort.Search(len(rs.volumes), func(i int) bool { return rs.volumes[i] >= g.vol })
 	rs.volumes = append(rs.volumes[:i], rs.volumes[i+1:]...)
-}
-
-func removeInst(s []*instance, x *instance) []*instance {
-	for i, v := range s {
-		if v == x {
-			return append(s[:i], s[i+1:]...)
-		}
-	}
-	return s
 }
 
 // writeTarget returns the accumulator for a write requirement of region

@@ -31,9 +31,18 @@ func scanPieces(rs *regState, rect tensor.Rect) []ownerPiece {
 	var out []ownerPiece
 	for i := range rs.persistent {
 		inst := &rs.persistent[i]
-		if piece := inst.rect.Intersect(rect); !piece.Empty() {
+		if piece := intersect(inst.rect, rect); !piece.Empty() {
 			out = append(out, ownerPiece{inst: inst, piece: piece, bytes: rs.region.Bytes(piece)})
 		}
+	}
+	return out
+}
+
+// intersect returns the intersection of two rects of equal rank.
+func intersect(a, b tensor.Rect) tensor.Rect {
+	out := tensor.NewRect(a.Lo, a.Hi)
+	for d := range out.Lo {
+		out.Lo[d], out.Hi[d] = max(a.Lo[d], b.Lo[d]), min(a.Hi[d], b.Hi[d])
 	}
 	return out
 }

@@ -45,8 +45,9 @@
 // The simulated walk allocates per run, per region and per slab chunk, not
 // per point or copy, and a warm walk not even that: all of it lives in a
 // pooled walk scratch (scratch.go) that the next walk reuses. Owners are one
-// slab per region. The per-leaf instance lists and eviction FIFOs are
-// leaf-indexed slices of fixed capacity carved from one per-region slab.
+// slab per region. The per-leaf instance lists (owner first, then the
+// transients in eviction order) are leaf-indexed slices of fixed capacity
+// carved from one per-region slab.
 // Transient instances, their groups and accumulators come from slabs
 // chunked by the launch's size, and evicted instances and emptied groups are
 // recycled.

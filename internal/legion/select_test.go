@@ -141,9 +141,9 @@ func scanSources(rs *regState, rect tensor.Rect, ownerOnly bool) []*instance {
 	if ownerOnly {
 		return out
 	}
-	for _, fifo := range rs.transFIFO {
-		for _, inst := range fifo {
-			if inst.rect.ContainsRect(rect) {
+	for _, list := range rs.perLeaf {
+		for _, inst := range list {
+			if !inst.persistent && inst.rect.ContainsRect(rect) {
 				trans = append(trans, inst)
 			}
 		}

@@ -295,7 +295,7 @@ func (e *executor) placeRegion(r *Region) {
 		}
 	}
 	w := e.opt.TransientWindow
-	lists := resize(rs.lists, n*(2*w+1))
+	lists := resize(rs.lists, n*(w+1))
 	// The buckets an earlier walk left open go to the spares.
 	for _, v := range rs.volumes {
 		b := rs.volBuckets[v]
@@ -308,7 +308,6 @@ func (e *executor) placeRegion(r *Region) {
 		persistent:   resize(rs.persistent, len(leaves)),
 		owners:       rs.owners,
 		perLeaf:      resize(rs.perLeaf, n),
-		transFIFO:    resize(rs.transFIFO, n),
 		transByID:    resize(rs.transByID, len(r.Rects)),
 		volBuckets:   rs.volBuckets,
 		spareBuckets: rs.spareBuckets,
@@ -321,9 +320,8 @@ func (e *executor) placeRegion(r *Region) {
 		lists:        lists,
 	}
 	for leaf := range n {
-		k := leaf * (2*w + 1)
+		k := leaf * (w + 1)
 		rs.perLeaf[leaf] = lists[k : k : k+w+1]
-		rs.transFIFO[leaf] = lists[k+w+1 : k+w+1 : k+2*w+1]
 	}
 	for i, leaf := range leaves {
 		inst := &rs.persistent[i]
@@ -339,13 +337,13 @@ func (e *executor) placeRegion(r *Region) {
 // dropTransients frees every live transient instance of a region and resets
 // its transient indexes; the persistent owners are untouched.
 func (e *executor) dropTransients(rs *regState) {
-	for leaf, fifo := range rs.transFIFO {
-		for _, inst := range fifo {
+	for leaf, list := range rs.perLeaf {
+		own := owned(list)
+		for _, inst := range list[own:] {
 			e.s.Free(leaf, inst.bytes)
-			rs.perLeaf[leaf] = removeInst(rs.perLeaf[leaf], inst)
 			e.evict(rs, inst)
 		}
-		rs.transFIFO[leaf] = fifo[:0]
+		rs.perLeaf[leaf] = list[:own]
 	}
 }
 

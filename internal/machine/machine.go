@@ -158,7 +158,9 @@ func New(g Grid, mem MemKind, proc ProcKind) *Machine {
 }
 
 // WithChild returns a copy of m whose abstract processors are each organized
-// as the child machine.
+// as the child machine. It is the only constructor of a multi-level machine;
+// no request, CLI or server builds one, so only tests (in six packages)
+// reach the hierarchical paths through it.
 func (m *Machine) WithChild(child *Machine) *Machine {
 	cp := *m
 	cp.Child = child
@@ -174,9 +176,6 @@ func (m *Machine) Levels() []*Machine {
 	}
 	return out
 }
-
-// Depth returns the number of hierarchy levels.
-func (m *Machine) Depth() int { return len(m.Levels()) }
 
 // LeafCount returns the total number of leaf processors across all levels.
 func (m *Machine) LeafCount() int {
@@ -197,12 +196,6 @@ func (m *Machine) LeafGrid() Grid { return m.leaf }
 func (m *Machine) LeafMem() MemKind {
 	lv := m.Levels()
 	return lv[len(lv)-1].Mem
-}
-
-// LeafProc returns the processor kind of leaf processors.
-func (m *Machine) LeafProc() ProcKind {
-	lv := m.Levels()
-	return lv[len(lv)-1].Proc
 }
 
 // NodeOf maps a leaf-grid coordinate to its node's flat index. Two leaves

@@ -66,10 +66,11 @@ func TestInvalidGridPanics(t *testing.T) {
 
 func TestFlatMachine(t *testing.T) {
 	m := New(NewGrid(4, 4), SysMem, CPU)
-	if m.Depth() != 1 || m.LeafCount() != 16 {
-		t.Fatalf("depth/leaves = %d/%d, want 1/16", m.Depth(), m.LeafCount())
+	lv := m.Levels()
+	if len(lv) != 1 || m.LeafCount() != 16 {
+		t.Fatalf("depth/leaves = %d/%d, want 1/16", len(lv), m.LeafCount())
 	}
-	if m.LeafMem() != SysMem || m.LeafProc() != CPU {
+	if m.LeafMem() != SysMem || lv[0].Proc != CPU {
 		t.Fatal("leaf mem/proc wrong for flat machine")
 	}
 }
@@ -78,8 +79,9 @@ func TestHierarchicalMachine(t *testing.T) {
 	// 2x2 grid of nodes, each node a 1-D grid of 4 GPUs (the Lassen model).
 	gpus := New(NewGrid(4), GPUFBMem, GPU)
 	m := New(NewGrid(2, 2), SysMem, CPU).WithChild(gpus)
-	if m.Depth() != 2 {
-		t.Fatalf("depth = %d, want 2", m.Depth())
+	lv := m.Levels()
+	if len(lv) != 2 {
+		t.Fatalf("depth = %d, want 2", len(lv))
 	}
 	if m.LeafCount() != 16 {
 		t.Fatalf("leaf count = %d, want 16", m.LeafCount())
@@ -88,7 +90,7 @@ func TestHierarchicalMachine(t *testing.T) {
 	if lg.Rank() != 3 || lg.Dims[0] != 2 || lg.Dims[1] != 2 || lg.Dims[2] != 4 {
 		t.Fatalf("leaf grid = %v", lg)
 	}
-	if m.LeafMem() != GPUFBMem || m.LeafProc() != GPU {
+	if m.LeafMem() != GPUFBMem || lv[1].Proc != GPU {
 		t.Fatal("leaf mem/proc should come from innermost level")
 	}
 }

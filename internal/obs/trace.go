@@ -50,13 +50,6 @@ func NewTrace(ctx context.Context, id, rootName string) (*Trace, context.Context
 // ID returns the trace's request id.
 func (t *Trace) ID() string { return t.id }
 
-// Root returns the trace's root span.
-func (t *Trace) Root() *Span {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.spans[0]
-}
-
 // Finish closes the root span (and any span left open, at the root's end
 // time) and stamps the drop count. Call exactly once, after the request's
 // last instrumented work.
@@ -135,18 +128,8 @@ func (t *Trace) Find(name string) *Span {
 	return nil
 }
 
-// Name and DurMS expose a finished span's identity for inspection.
+// Name returns the span's name.
 func (s *Span) Name() string { return s.name }
-
-// DurMS returns the span's duration in milliseconds (0 until End).
-func (s *Span) DurMS() float64 {
-	if s == nil {
-		return 0
-	}
-	s.trace.mu.Lock()
-	defer s.trace.mu.Unlock()
-	return float64(s.dur) / float64(time.Millisecond)
-}
 
 // Attrs returns a copy of the span's annotations.
 func (s *Span) Attrs() []Attr {

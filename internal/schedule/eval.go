@@ -1,9 +1,6 @@
 package schedule
 
-import (
-	"fmt"
-	"sort"
-)
+import "sort"
 
 // This file compiles a schedule's bounds analysis into an Evaluator: a
 // topologically-ordered slice program over integer variable ids. The
@@ -54,7 +51,7 @@ type Evaluator struct {
 }
 
 // NumVars returns the number of schedule variables; every scratch slice
-// passed to Eval/ValueInto must have exactly this length.
+// passed to Eval must have exactly this length.
 func (ev *Evaluator) NumVars() int { return len(ev.names) }
 
 // VarID returns the id of a variable, or -1 if unknown.
@@ -132,29 +129,6 @@ func (ev *Evaluator) Eval(fixed []bool, vals []int, out []Interval) {
 			}
 		}
 	}
-}
-
-// ValueInto computes the concrete value of every original statement variable
-// from a full assignment (every loop-order variable fixed), writing them into
-// origVals in stmt.Vars() order. It returns false if any original variable
-// falls outside its extent (the ragged tail of a non-divisible block).
-// scratch must have length NumVars; origVals length len(OrigIDs()).
-func (ev *Evaluator) ValueInto(fixed []bool, vals []int, scratch []Interval, origVals []int) bool {
-	ev.Eval(fixed, vals, scratch)
-	for i, id := range ev.orig {
-		iv := scratch[id]
-		if iv.Hi <= iv.Lo {
-			return false
-		}
-		if !iv.Fixed() {
-			panic(fmt.Sprintf("schedule: variable %s not fixed by full assignment", ev.names[id]))
-		}
-		if iv.Lo < 0 || iv.Lo >= ev.extents[id] {
-			return false
-		}
-		origVals[i] = iv.Lo
-	}
-	return true
 }
 
 // CompileEvaluator resolves the schedule's derived-variable DAG against the

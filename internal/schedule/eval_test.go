@@ -1,6 +1,7 @@
 package schedule
 
 import (
+	"fmt"
 	"testing"
 
 	"distal/internal/ir"
@@ -175,4 +176,29 @@ func TestEvaluatorValueInto(t *testing.T) {
 	if ev.ValueInto(fixed, vals, scratch, orig) {
 		t.Fatal("io=3,ii=2 is i=11, outside extent 10; want ragged rejection")
 	}
+}
+
+// ValueInto is the tests' interval-domain value oracle, which ValueProgram
+// is checked against: it computes the concrete value of every original
+// statement variable from a full assignment (every loop-order variable
+// fixed), writing them into origVals in stmt.Vars() order. It returns false
+// if any original variable falls outside its extent (the ragged tail of a
+// non-divisible block).
+// scratch must have length NumVars; origVals length len(OrigIDs()).
+func (ev *Evaluator) ValueInto(fixed []bool, vals []int, scratch []Interval, origVals []int) bool {
+	ev.Eval(fixed, vals, scratch)
+	for i, id := range ev.orig {
+		iv := scratch[id]
+		if iv.Hi <= iv.Lo {
+			return false
+		}
+		if !iv.Fixed() {
+			panic(fmt.Sprintf("schedule: variable %s not fixed by full assignment", ev.names[id]))
+		}
+		if iv.Lo < 0 || iv.Lo >= ev.extents[id] {
+			return false
+		}
+		origVals[i] = iv.Lo
+	}
+	return true
 }

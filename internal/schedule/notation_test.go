@@ -1,28 +1,22 @@
-package cin
+package schedule
 
 import (
 	"strings"
 	"testing"
-
-	"distal/internal/ir"
-	"distal/internal/schedule"
 )
 
-func TestBuildDefaultNest(t *testing.T) {
-	s := schedule.New(ir.MustParse("A(i,j) = B(i,k) * C(k,j)"))
-	got := Build(s).String()
+func TestNotationDefaultNest(t *testing.T) {
+	got := New(gemm()).Notation()
 	want := "forall i forall j forall k A(i,j) = B(i,k) * C(k,j)"
 	if got != want {
-		t.Fatalf("cin = %q, want %q", got, want)
+		t.Fatalf("notation = %q, want %q", got, want)
 	}
 }
 
-// TestPaperExampleLowering pins the example of §5.3: the concrete index
-// notation for the divide transformation rule.
+// TestDivideRelation pins the example of §5.3: the concrete index notation
+// for the divide transformation rule.
 func TestDivideRelation(t *testing.T) {
-	s := schedule.New(ir.MustParse("A(i,j) = B(i,k) * C(k,j)")).
-		Divide("i", "io", "ii", 4)
-	got := Build(s).String()
+	got := New(gemm()).Divide("i", "io", "ii", 4).Notation()
 	if !strings.Contains(got, "forall io forall ii forall j forall k") {
 		t.Fatalf("missing divided loops: %q", got)
 	}
@@ -32,7 +26,7 @@ func TestDivideRelation(t *testing.T) {
 }
 
 func TestSUMMARelations(t *testing.T) {
-	s := schedule.New(ir.MustParse("A(i,j) = B(i,k) * C(k,j)")).
+	s := New(gemm()).
 		DistributeOnto([]string{"i", "j"}, []string{"io", "jo"}, []string{"ii", "ji"}, []int{2, 2}).
 		Split("k", "ko", "ki", 256).
 		Reorder("ko", "ii", "ji", "ki").
@@ -41,7 +35,7 @@ func TestSUMMARelations(t *testing.T) {
 	if s.Err() != nil {
 		t.Fatal(s.Err())
 	}
-	got := Build(s).String()
+	got := s.Notation()
 	for _, frag := range []string{
 		"forall io forall jo forall ko forall ii forall ji forall ki",
 		"divide(i,io,ii,2)",
@@ -53,26 +47,25 @@ func TestSUMMARelations(t *testing.T) {
 		"communicate(C,ko)",
 	} {
 		if !strings.Contains(got, frag) {
-			t.Fatalf("cin missing %q in %q", frag, got)
+			t.Fatalf("notation missing %q in %q", frag, got)
 		}
 	}
 }
 
 func TestRotateRelation(t *testing.T) {
-	s := schedule.New(ir.MustParse("A(i,j) = B(i,k) * C(k,j)")).
+	got := New(gemm()).
 		DistributeOnto([]string{"i", "j"}, []string{"io", "jo"}, []string{"ii", "ji"}, []int{3, 3}).
 		Divide("k", "ko", "ki", 3).
 		Reorder("ko", "ii", "ji", "ki").
-		Rotate("ko", []string{"io", "jo"}, "kos")
-	got := Build(s).String()
+		Rotate("ko", []string{"io", "jo"}, "kos").
+		Notation()
 	if !strings.Contains(got, "rotate(ko,{io,jo},kos)") {
 		t.Fatalf("missing rotate relation: %q", got)
 	}
 }
 
 func TestCollapseRelation(t *testing.T) {
-	s := schedule.New(ir.MustParse("A(i,j) = B(i,k) * C(k,j)")).Collapse("i", "j", "f")
-	got := Build(s).String()
+	got := New(gemm()).Collapse("i", "j", "f").Notation()
 	if !strings.Contains(got, "collapse(i,j,f)") {
 		t.Fatalf("missing collapse relation: %q", got)
 	}

@@ -77,8 +77,6 @@ type Schedule struct {
 
 	distributed []string          // distributed variables, machine-dim order
 	comm        map[string]string // tensor name -> anchor variable
-	parallel    map[string]bool   // variables marked parallelize
-	leafHint    string            // substitute() target, e.g. "BLAS.GEMM"
 
 	log Commands // every successful command, in application order
 
@@ -89,10 +87,9 @@ type Schedule struct {
 // default left-to-right order (§5.1).
 func New(stmt *ir.Assignment) *Schedule {
 	s := &Schedule{
-		stmt:     stmt,
-		vars:     map[string]*Var{},
-		comm:     map[string]string{},
-		parallel: map[string]bool{},
+		stmt: stmt,
+		vars: map[string]*Var{},
+		comm: map[string]string{},
 	}
 	for _, v := range stmt.Vars() {
 		s.vars[v.Name] = &Var{Name: v.Name, Kind: Original}
@@ -149,12 +146,6 @@ func (s *Schedule) Distributed() []string { return append([]string(nil), s.distr
 // CommAnchor returns the communicate anchor variable for a tensor ("" if
 // unset).
 func (s *Schedule) CommAnchor(tensor string) string { return s.comm[tensor] }
-
-// LeafHint returns the substitute() target, if any.
-func (s *Schedule) LeafHint() string { return s.leafHint }
-
-// Parallelized reports whether a variable was marked parallelize.
-func (s *Schedule) Parallelized(name string) bool { return s.parallel[name] }
 
 func (s *Schedule) posOf(name string) int {
 	for i, v := range s.order {
@@ -381,8 +372,9 @@ func (s *Schedule) Communicate(v string, tensors ...string) *Schedule {
 
 // Parallelize marks a (leaf) loop for thread-level parallel execution. In
 // this implementation leaf processors are modeled at their full parallel
-// throughput, so Parallelize is validated but does not change the cost
-// model; it is kept for schedule compatibility.
+// throughput, so Parallelize is validated and recorded in the command log
+// (and so in String and the plan key) but changes neither the lowering nor
+// the cost model; it is kept for schedule compatibility.
 func (s *Schedule) Parallelize(v string) *Schedule {
 	if s.err != nil {
 		return s
@@ -390,15 +382,15 @@ func (s *Schedule) Parallelize(v string) *Schedule {
 	if s.posOf(v) < 0 {
 		return s.fail("parallelize: unknown or already-transformed variable %s", v)
 	}
-	s.parallel[v] = true
 	s.record("parallelize", v)
 	return s
 }
 
 // Substitute declares that the loops over the given (innermost) variables
 // are implemented by an optimized leaf kernel (e.g. a vendor GEMM). The
-// variables must be the innermost loops. Like the paper's substitute, this
-// affects leaf execution, not distribution.
+// variables must be the innermost loops. The compiled kernel lowers every
+// leaf itself, so like Parallelize this is validated and recorded in the
+// command log but changes no lowering.
 func (s *Schedule) Substitute(vars []string, kernel string) *Schedule {
 	if s.err != nil {
 		return s
@@ -419,7 +411,6 @@ func (s *Schedule) Substitute(vars []string, kernel string) *Schedule {
 	if err := checkToken(kernel); err != nil {
 		return s.fail("substitute: kernel: %v", err)
 	}
-	s.leafHint = kernel
 	s.record("substitute", append(append([]string{}, vars...), kernel)...)
 	return s
 }
@@ -451,21 +442,63 @@ func (s *Schedule) DistributeOnto(targets, dist, local []string, gridDims []int)
 // reproduces this schedule exactly (see Apply).
 func (s *Schedule) String() string { return s.log.String() }
 
-// Describe renders the schedule's resulting state compactly for diagnostics
-// (loop order, distribution, communication anchors).
-func (s *Schedule) Describe() string {
+// Notation renders the scheduled statement in concrete index notation
+// (§5.1, Fig. 14 of the DISTAL paper): one forall per loop-order variable,
+// outermost first, around the assignment, then the transformations that
+// produced the loops as "s.t." relations, e.g.
+//
+//	forall io forall ii forall j forall k A(i,j) = B(i,k) * C(k,j) s.t. divide(i,io,ii,4)
+//
+// Relations come in a stable order: variable derivations (in loop order of
+// their outer result), then distribute, then communicate.
+func (s *Schedule) Notation() string {
+	if len(s.order) == 0 {
+		return "forall  " + s.stmt.String()
+	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "order(%s)", strings.Join(s.order, ","))
+	for _, v := range s.order {
+		fmt.Fprintf(&b, "forall %s ", v)
+	}
+	b.WriteString(s.stmt.String())
+	sep := " s.t. "
+	rel := func(format string, args ...any) {
+		b.WriteString(sep)
+		fmt.Fprintf(&b, format, args...)
+		sep = ", "
+	}
+	seen := map[string]bool{}
+	for _, name := range s.order {
+		v := s.vars[name]
+		if seen[v.Name] {
+			continue
+		}
+		switch v.Kind {
+		case DivideOuter:
+			rel("divide(%s,%s,%s,%d)", v.Origin, v.Name, v.Partner, v.Param)
+			seen[v.Partner] = true
+		case DivideInner:
+			rel("divide(%s,%s,%s,%d)", v.Origin, v.Partner, v.Name, v.Param)
+			seen[v.Partner] = true
+		case SplitOuter:
+			rel("split(%s,%s,%s,%d)", v.Origin, v.Name, v.Partner, v.Param)
+			seen[v.Partner] = true
+		case SplitInner:
+			rel("split(%s,%s,%s,%d)", v.Origin, v.Partner, v.Name, v.Param)
+			seen[v.Partner] = true
+		case Fused:
+			rel("collapse(%s,%s,%s)", v.FuseA, v.FuseB, v.Name)
+		case Rotated:
+			rel("rotate(%s,{%s},%s)", v.Origin, strings.Join(v.RotateOffsets, ","), v.Name)
+		}
+		seen[v.Name] = true
+	}
 	if len(s.distributed) > 0 {
-		fmt.Fprintf(&b, " distribute(%s)", strings.Join(s.distributed, ","))
+		rel("distribute(%s)", strings.Join(s.distributed, ","))
 	}
 	for _, t := range s.stmt.TensorNames() {
-		if v, ok := s.comm[t]; ok {
-			fmt.Fprintf(&b, " communicate(%s@%s)", t, v)
+		if a := s.comm[t]; a != "" {
+			rel("communicate(%s,%s)", t, a)
 		}
-	}
-	if s.leafHint != "" {
-		fmt.Fprintf(&b, " substitute(%s)", s.leafHint)
 	}
 	return b.String()
 }

@@ -183,26 +183,57 @@ func TestCollapse(t *testing.T) {
 	}
 }
 
+// TestSubstitute: substitute leaves the loop nest alone, so its only trace
+// is the command log. The command reaches String(), the text every plan
+// key hashes, and the notation is the unscheduled statement's. Illegal uses
+// still fail.
 func TestSubstitute(t *testing.T) {
 	s := New(gemm()).Substitute([]string{"j", "k"}, "BLAS.GEMM")
 	if err := s.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if s.LeafHint() != "BLAS.GEMM" {
-		t.Fatal("leaf hint not recorded")
+	if got, want := s.String(), "substitute(j,k,BLAS.GEMM)"; got != want {
+		t.Fatalf("String() = %q, want %q", got, want)
 	}
-	if New(gemm()).Substitute([]string{"i", "j"}, "X").Err() == nil {
-		t.Fatal("substitute of non-innermost loops should fail")
+	if got, want := s.Notation(), New(gemm()).Notation(); got != want {
+		t.Fatalf("Notation() = %q, want the unscheduled %q", got, want)
+	}
+	for name, bad := range map[string]*Schedule{
+		"not innermost": New(gemm()).Substitute([]string{"i", "j"}, "X"),
+		"no variables":  New(gemm()).Substitute(nil, "X"),
+		"too many":      New(gemm()).Substitute([]string{"i", "j", "k", "l"}, "X"),
+		"bad kernel":    New(gemm()).Substitute([]string{"k"}, "BLAS GEMM"),
+	} {
+		if bad.Err() == nil {
+			t.Errorf("%s: substitute should fail", name)
+		}
+		if bad.String() != "" {
+			t.Errorf("%s: a failed substitute was recorded: %q", name, bad.String())
+		}
 	}
 }
 
+// TestParallelize: parallelize, like substitute, is validated and recorded
+// in the command log (and so in the plan key) without changing the loop
+// nest. Illegal uses still fail.
 func TestParallelize(t *testing.T) {
 	s := New(gemm()).Parallelize("i")
 	if err := s.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if !s.Parallelized("i") || s.Parallelized("j") {
-		t.Fatal("parallelize flag wrong")
+	if got, want := s.String(), "parallelize(i)"; got != want {
+		t.Fatalf("String() = %q, want %q", got, want)
+	}
+	if got, want := s.Notation(), New(gemm()).Notation(); got != want {
+		t.Fatalf("Notation() = %q, want the unscheduled %q", got, want)
+	}
+	for name, bad := range map[string]*Schedule{
+		"unknown":     New(gemm()).Parallelize("z"),
+		"transformed": New(gemm()).Divide("i", "io", "ii", 2).Parallelize("i"),
+	} {
+		if bad.Err() == nil {
+			t.Errorf("%s: parallelize should fail", name)
+		}
 	}
 }
 

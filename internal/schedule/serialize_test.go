@@ -100,8 +100,8 @@ func TestFromTextMatchesFluent(t *testing.T) {
 	if fmt.Sprint(parsed.Distributed()) != fmt.Sprint(fluent.Distributed()) {
 		t.Fatalf("distributed differs: %v vs %v", parsed.Distributed(), fluent.Distributed())
 	}
-	if parsed.Describe() != fluent.Describe() {
-		t.Fatalf("state differs:\n  fluent: %s\n  parsed: %s", fluent.Describe(), parsed.Describe())
+	if parsed.Notation() != fluent.Notation() || parsed.String() != fluent.String() {
+		t.Fatalf("state differs:\n  fluent: %s; %s\n  parsed: %s; %s", fluent.Notation(), fluent, parsed.Notation(), parsed)
 	}
 }
 
@@ -157,7 +157,7 @@ func TestSerializeRoundTripProperty(t *testing.T) {
 		}
 		if fmt.Sprint(rt.Order()) != fmt.Sprint(s.Order()) ||
 			fmt.Sprint(rt.Distributed()) != fmt.Sprint(s.Distributed()) ||
-			rt.Describe() != s.Describe() {
+			rt.Notation() != s.Notation() || rt.String() != s.String() {
 			t.Logf("seed %d: state differs for %q", seed, text)
 			return false
 		}

@@ -91,25 +91,8 @@ func (r Rect) ContainsRect(other Rect) bool {
 	return true
 }
 
-// Intersect returns the intersection of two rects of equal rank.
-func (r Rect) Intersect(other Rect) Rect {
-	if r.Rank() != other.Rank() {
-		panic(fmt.Sprintf("tensor: intersect rank mismatch: %d vs %d", r.Rank(), other.Rank()))
-	}
-	out := NewRect(r.Lo, r.Hi)
-	for d := range out.Lo {
-		if other.Lo[d] > out.Lo[d] {
-			out.Lo[d] = other.Lo[d]
-		}
-		if other.Hi[d] < out.Hi[d] {
-			out.Hi[d] = other.Hi[d]
-		}
-	}
-	return out
-}
-
 // Overlaps reports whether the two rects (of equal rank) share at least one
-// point: !r.Intersect(other).Empty(), without building the intersection.
+// point, without building their intersection.
 func (r Rect) Overlaps(other Rect) bool {
 	if r.Rank() != other.Rank() {
 		panic(fmt.Sprintf("tensor: overlap rank mismatch: %d vs %d", r.Rank(), other.Rank()))
@@ -137,11 +120,6 @@ func (r Rect) Equal(other Rect) bool {
 		}
 	}
 	return true
-}
-
-// Clamp returns r restricted to [0, shape).
-func (r Rect) Clamp(shape []int) Rect {
-	return r.Intersect(FullRect(shape))
 }
 
 // Extent returns Hi[d]-Lo[d].
@@ -234,14 +212,4 @@ func BlockRange(n, count, i int) (lo, hi int) {
 		hi = n
 	}
 	return lo, hi
-}
-
-// CyclicSlots returns the coordinates in [0,n) owned by slot i of count under
-// a cyclic (round-robin) distribution: {i, i+count, i+2*count, ...}.
-func CyclicSlots(n, count, i int) []int {
-	var out []int
-	for x := i; x < n; x += count {
-		out = append(out, x)
-	}
-	return out
 }

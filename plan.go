@@ -5,7 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"distal/internal/cin"
 	"distal/internal/core"
 	"distal/internal/legion"
 )
@@ -61,7 +60,7 @@ func newPlanData(params Params, key string, in core.Input, prog *legion.Program)
 		launches:     len(prog.Launches),
 		prog:         prog,
 		scheduleText: in.Schedule.String(),
-		notation:     cin.Build(in.Schedule).String(),
+		notation:     in.Schedule.Notation(),
 	}
 	for _, l := range prog.Launches {
 		pd.points += l.Domain.Size()
@@ -235,5 +234,6 @@ func (p *Plan) Listing(maxPoints int) string {
 }
 
 // WithCostModel overrides the cost model of one execution (the session's
-// default otherwise).
+// default otherwise). It is public API: the in-repository callers simulate
+// under their session's cost model, so only tests use it.
 func WithCostModel(p Params) ExecOption { return legion.WithParams(p) }

@@ -14,7 +14,6 @@ import (
 	"sync"
 	"time"
 
-	"distal/internal/cin"
 	"distal/internal/core"
 	"distal/internal/ir"
 	"distal/internal/legion"
@@ -297,7 +296,8 @@ func (s *Session) Define(expr string, tensors ...*Tensor) (*Computation, error) 
 	}, nil
 }
 
-// MustDefine is Define but panics on error.
+// MustDefine is Define but panics on error. It is public API for fluent
+// programs with fixed statements; only tests call it here.
 func (s *Session) MustDefine(expr string, tensors ...*Tensor) *Computation {
 	c, err := s.Define(expr, tensors...)
 	if err != nil {
@@ -714,7 +714,7 @@ func rewrap(err error, format string, args ...any) error {
 
 // Notation returns the concrete index notation of the scheduled statement
 // (the loop structure the compiler lowers, §5.1).
-func (c *Computation) Notation() string { return cin.Build(c.sched).String() }
+func (c *Computation) Notation() string { return c.sched.Notation() }
 
 // ScheduleText returns the schedule in its serializable command form, e.g.
 // "divide(i,io,ii,4) reorder(io,jo,ii,ji) distribute(io,jo)".

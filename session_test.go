@@ -106,6 +106,31 @@ func TestSessionExecuteErrors(t *testing.T) {
 	}
 }
 
+// TestMultiLevelFormatOnOneLevelMachine pins what ";" in a format means to
+// every machine the public API builds: NewMachine, with or without
+// WithProcsPerNode, is one level deep, so a format with a second level
+// (";") is a compile error naming both depths. ProcsPerNode groups the
+// leaves into nodes for the cost model; it adds no machine level.
+func TestMultiLevelFormatOnOneLevelMachine(t *testing.T) {
+	for name, m := range map[string]*Machine{
+		"cpu 2x2":             NewMachine(CPU, 2, 2),
+		"gpu 2x8, 4 per node": NewMachine(GPU, 2, 8).WithProcsPerNode(4),
+	} {
+		_, err := NewSession(m).Compile(context.Background(), Request{
+			Stmt:    gemmStmt,
+			Shapes:  map[string][]int{"A": {8, 8}, "B": {8, 8}, "C": {8, 8}},
+			Formats: map[string]string{"A": "xy->xy; xy->x"},
+		})
+		const want = "distal: compile: core: tensor A: distnot: placement has 2 levels but machine has 1"
+		if err == nil || err.Error() != want {
+			t.Errorf("%s: err = %v, want %q", name, err, want)
+		}
+		if KindOf(err) != KindCompile {
+			t.Errorf("%s: kind = %v, want %v", name, KindOf(err), KindCompile)
+		}
+	}
+}
+
 // TestSessionRequestMemo: a repeated request resolves through the request
 // memo — no statement re-parse — and still reports plan-cache hits; results
 // stay identical, and the memo-resolved plan reports itself as cached.
