@@ -65,6 +65,19 @@ func TestDefineErrors(t *testing.T) {
 	}
 }
 
+// TestNotationLoopFree: a statement with no index variables has no loops,
+// so its concrete index notation is the bare statement.
+func TestNotationLoopFree(t *testing.T) {
+	f := MustFormat("->0")
+	comp, err := NewSession(NewMachine(CPU, 2)).Define("a = b * c", NewTensor("a", f), NewTensor("b", f), NewTensor("c", f))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := comp.Notation(), "a = b * c"; got != want {
+		t.Fatalf("Notation() = %q, want %q", got, want)
+	}
+}
+
 func TestScheduleErrorSurfacesAtCompile(t *testing.T) {
 	f := MustFormat("x->x")
 	A := NewTensor("A", f, 4).Zero()

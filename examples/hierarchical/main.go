@@ -1,10 +1,12 @@
-// Hierarchical demonstrates multi-GPU nodes: the machine is a 2x8 grid of
-// GPUs whose consecutive groups of four share a node (the Lassen
+// Hierarchical demonstrates multi-GPU nodes: the machine is a flat 2x8 grid
+// of GPUs whose consecutive groups of four share a node (the Lassen
 // organization of §3.1), so four nodes of four GPUs. It runs SUMMA there,
-// written as a request by internal/algorithms' SummaRequest, with tiles
-// over nodes and rows over the GPUs within a node. Communication between
-// GPUs of one node travels over NVLink; between nodes over the InfiniBand
-// NIC — the simulated statistics show the split.
+// written as a request by internal/algorithms' SummaRequest, with one
+// single-level format over the flat grid: A, B and C are tiled 2x8, one tile
+// per GPU, and nothing in the format or schedule names the nodes. The node
+// grouping shows only in where copies travel: between GPUs of one node over
+// NVLink, between nodes over the InfiniBand NIC — the simulated statistics
+// show the split.
 package main
 
 import (

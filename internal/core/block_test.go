@@ -129,9 +129,10 @@ func blockSchedule(tensors []string, anchor string, leaf []string, extra string)
 		extra, strings.Join(order, ","), tensors[0], anchor, strings.Join(tensors[1:], ","))
 }
 
-// blockInput builds the core.Input of a table cell and n data bindings
-// (inputs seeded differently per instance, outputs zero).
-func blockInput(t *testing.T, c blockCase, ext map[byte]int, order string, n int) (func() core.Input, []map[string]*tensor.Dense) {
+// blockInput builds the core.Input of a table cell, its schedule rendered by
+// sched from the statement's tensor names (output first), and n data
+// bindings (inputs seeded differently per instance, outputs zero).
+func blockInput(t *testing.T, c blockCase, ext map[byte]int, sched func(tensors []string) string, n int) (func() core.Input, []map[string]*tensor.Dense) {
 	t.Helper()
 	stmt := ir.MustParse(c.stmt)
 	accesses := stmt.RHS.Accesses([]*ir.Access{stmt.LHS})
@@ -145,7 +146,7 @@ func blockInput(t *testing.T, c blockCase, ext map[byte]int, order string, n int
 		}
 		shapes[a.Tensor] = shape
 	}
-	text := leafOrders[order](c, names)
+	text := sched(names)
 	build := func() core.Input {
 		s, err := schedule.FromText(stmt, text)
 		if err != nil {
@@ -191,110 +192,193 @@ func TestBlockKernelMatchesTree(t *testing.T) {
 		for extName, ext := range blockExtents {
 			for order := range leafOrders {
 				t.Run(c.name+"/"+extName+"/"+order, func(t *testing.T) {
-					const instances = 3
-					build, data := blockInput(t, c, ext, order, instances)
-					lhs := ir.MustParse(c.stmt).LHS.Tensor
-
-					treeProg, err := core.CompileTree(build())
-					if err != nil {
-						t.Fatal(err)
-					}
-					want := make([]*tensor.Dense, instances)
-					for b := range want {
-						bind := cloneData(data[b])
-						if _, err := legion.Run(treeProg, legion.Options{Params: sim.LassenCPU(), Real: true, RealWorkers: 1, Batch: []map[string]*tensor.Dense{bind}}); err != nil {
-							t.Fatal(err)
-						}
-						want[b] = bind[lhs]
-					}
-					inputs := map[string]*tensor.Dense{}
-					for name, d := range data[0] {
-						if name != lhs {
-							inputs[name] = d
-						}
-					}
-					ref, err := ir.Evaluate(ir.MustParse(c.stmt), inputs)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !want[0].EqualWithin(ref, 1e-9) {
-						t.Fatalf("tree oracle diverges from ir.Evaluate: max diff %v", want[0].MaxAbsDiff(ref))
-					}
-
-					prog, err := core.Compile(build())
-					if err != nil {
-						t.Fatal(err)
-					}
-					for _, workers := range []int{1, 4} {
-						for _, batch := range []int{1, instances} {
-							binds := make([]map[string]*tensor.Dense, batch)
-							for b := range binds {
-								binds[b] = cloneData(data[b])
-							}
-							if _, err := legion.Run(prog, legion.Options{Params: sim.LassenCPU(), Real: true, RealWorkers: workers, Batch: binds}); err != nil {
-								t.Fatal(err)
-							}
-							for b := range binds {
-								got, wd := binds[b][lhs].Data(), want[b].Data()
-								for i := range wd {
-									if got[i] != wd[i] {
-										t.Fatalf("workers=%d batch=%d instance %d output[%d]: block kernel %v != tree kernel %v (bit-identical required)",
-											workers, batch, b, i, got[i], wd[i])
-									}
-								}
-							}
-						}
-					}
+					checkMatchesTree(t, c, ext, func(tensors []string) string { return leafOrders[order](c, tensors) })
 				})
 			}
 		}
 	}
 }
 
-// TestWorkloadLeavesBlockThreeVariables guards the benchmark's kernel-bound
-// workloads against a silent return to per-row block analysis: the leaf of
-// serve-small and run-gemm (SUMMA on a 4x4 grid) and of both chain-batch
-// stages, with the schedules of benchmark/http.go, blocks its three
-// innermost variables.
-func TestWorkloadLeavesBlockThreeVariables(t *testing.T) {
-	summa := func(chunk int) string {
-		return fmt.Sprintf("divide(i,io,ii,4) divide(j,jo,ji,4) reorder(io,jo,ii,ji) distribute(io,jo) "+
-			"split(k,ko,ki,%d) reorder(io,jo,ko,ii,ji,ki) communicate(jo,A) communicate(ko,B,C)", chunk)
+// checkMatchesTree runs c at extents ext under the schedule sched renders
+// through the compiled kernel at 1 and 4 workers, batches of 1 and 3, and
+// fails unless every output is bit-identical to the tree oracle run serially
+// on the same instance; the oracle itself is checked against the sequential
+// reference evaluator.
+func checkMatchesTree(t *testing.T, c blockCase, ext map[byte]int, sched func(tensors []string) string) {
+	t.Helper()
+	const instances = 3
+	build, data := blockInput(t, c, ext, sched, instances)
+	lhs := ir.MustParse(c.stmt).LHS.Tensor
+
+	treeProg, err := core.CompileTree(build())
+	if err != nil {
+		t.Fatal(err)
 	}
-	const n, k = 256, 8
-	for _, w := range []struct {
-		name, stmt, sched string
-		shapes            map[string][]int
-	}{
-		{"serve-small", "A(i,j) = B(i,k) * C(k,j)", summa(8),
-			map[string][]int{"A": {64, 64}, "B": {64, 64}, "C": {64, 64}}},
-		{"run-gemm", "A(i,j) = B(i,k) * C(k,j)", summa(64),
-			map[string][]int{"A": {256, 256}, "B": {256, 256}, "C": {256, 256}}},
-		{"chain-batch/D", "D(i,j) = A(i,k) * B(k,j)",
-			"divide(i,io,ii,4) divide(j,jo,ji,4) reorder(io,jo,ii,ji) distribute(io,jo) " +
-				"split(k,ko,ki,8) reorder(io,jo,ko,ii,ji,ki) communicate(jo,D) communicate(ko,A,B)",
-			map[string][]int{"D": {n, n}, "A": {n, k}, "B": {k, n}}},
-		{"chain-batch/E", "E(i,l) = D(i,j) * C(j,l)",
-			"divide(i,io,ii,4) divide(l,lo,li,4) reorder(io,lo,ii,li) distribute(io,lo) " +
-				"split(j,jo,ji,64) reorder(io,lo,jo,ii,li,ji) communicate(lo,E) communicate(jo,D,C)",
-			map[string][]int{"E": {n, k}, "D": {n, n}, "C": {n, k}}},
-	} {
-		stmt := ir.MustParse(w.stmt)
-		s, err := schedule.FromText(stmt, w.sched)
-		if err != nil {
-			t.Fatalf("%s: %v", w.name, err)
+	want := make([]*tensor.Dense, instances)
+	for b := range want {
+		bind := cloneData(data[b])
+		if _, err := legion.Run(treeProg, legion.Options{Params: sim.LassenCPU(), Real: true, RealWorkers: 1, Batch: []map[string]*tensor.Dense{bind}}); err != nil {
+			t.Fatal(err)
 		}
-		in := core.Input{Stmt: stmt, Machine: algorithms.MatmulConfig{}.MachineFor(4, 4), Tensors: map[string]*core.TensorDecl{}, Schedule: s}
-		for name, shape := range w.shapes {
-			in.Tensors[name] = &core.TensorDecl{Name: name, Shape: shape, Placement: distnot.MustParsePlacement("xy->xy")}
+		want[b] = bind[lhs]
+	}
+	inputs := map[string]*tensor.Dense{}
+	for name, d := range data[0] {
+		if name != lhs {
+			inputs[name] = d
 		}
-		got, err := core.LeafBlockVars(in)
+	}
+	ref, err := ir.Evaluate(ir.MustParse(c.stmt), inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !want[0].EqualWithin(ref, 1e-9) {
+		t.Fatalf("tree oracle diverges from ir.Evaluate: max diff %v", want[0].MaxAbsDiff(ref))
+	}
+
+	prog, err := core.Compile(build())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 4} {
+		for _, batch := range []int{1, instances} {
+			binds := make([]map[string]*tensor.Dense, batch)
+			for b := range binds {
+				binds[b] = cloneData(data[b])
+			}
+			if _, err := legion.Run(prog, legion.Options{Params: sim.LassenCPU(), Real: true, RealWorkers: workers, Batch: binds}); err != nil {
+				t.Fatal(err)
+			}
+			for b := range binds {
+				got, wd := binds[b][lhs].Data(), want[b].Data()
+				for i := range wd {
+					if got[i] != wd[i] {
+						t.Fatalf("workers=%d batch=%d instance %d output[%d]: block kernel %v != tree kernel %v (bit-identical required)",
+							workers, batch, b, i, got[i], wd[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// workloadLeaf is one leaf of a benchmark workload, on a 4x4 grid.
+type workloadLeaf struct {
+	name, stmt, sched string
+	shapes            map[string][]int
+}
+
+// workloadLeaves are the leaves of the benchmark's kernel-bound workloads:
+// serve-small and run-gemm (SUMMA) and both chain-batch stages, with the
+// schedules of benchmark/http.go.
+var workloadLeaves = []workloadLeaf{
+	{"serve-small", "A(i,j) = B(i,k) * C(k,j)", summaSchedule(8),
+		map[string][]int{"A": {64, 64}, "B": {64, 64}, "C": {64, 64}}},
+	{"run-gemm", "A(i,j) = B(i,k) * C(k,j)", summaSchedule(64),
+		map[string][]int{"A": {256, 256}, "B": {256, 256}, "C": {256, 256}}},
+	{"chain-batch/D", "D(i,j) = A(i,k) * B(k,j)",
+		"divide(i,io,ii,4) divide(j,jo,ji,4) reorder(io,jo,ii,ji) distribute(io,jo) " +
+			"split(k,ko,ki,8) reorder(io,jo,ko,ii,ji,ki) communicate(jo,D) communicate(ko,A,B)",
+		map[string][]int{"D": {256, 256}, "A": {256, 8}, "B": {8, 256}}},
+	{"chain-batch/E", "E(i,l) = D(i,j) * C(j,l)",
+		"divide(i,io,ii,4) divide(l,lo,li,4) reorder(io,lo,ii,li) distribute(io,lo) " +
+			"split(j,jo,ji,64) reorder(io,lo,jo,ii,li,ji) communicate(lo,E) communicate(jo,D,C)",
+		map[string][]int{"E": {256, 8}, "D": {256, 256}, "C": {256, 8}}},
+}
+
+func summaSchedule(chunk int) string {
+	return fmt.Sprintf("divide(i,io,ii,4) divide(j,jo,ji,4) reorder(io,jo,ii,ji) distribute(io,jo) "+
+		"split(k,ko,ki,%d) reorder(io,jo,ko,ii,ji,ki) communicate(jo,A) communicate(ko,B,C)", chunk)
+}
+
+// workloadInput builds workloadLeaves[i]'s input on a 4x4 grid.
+func workloadInput(t *testing.T, i int) core.Input {
+	t.Helper()
+	w := workloadLeaves[i]
+	stmt := ir.MustParse(w.stmt)
+	s, err := schedule.FromText(stmt, w.sched)
+	if err != nil {
+		t.Fatalf("%s: %v", w.name, err)
+	}
+	in := core.Input{Stmt: stmt, Machine: algorithms.MatmulConfig{}.MachineFor(4, 4), Tensors: map[string]*core.TensorDecl{}, Schedule: s}
+	for name, shape := range w.shapes {
+		in.Tensors[name] = &core.TensorDecl{Name: name, Shape: shape, Placement: distnot.MustParsePlacement("xy->xy")}
+	}
+	return in
+}
+
+// TestWorkloadLeavesBlockThreeVariables guards the benchmark's kernel-bound
+// workloads against a silent return to per-row block analysis: every leaf of
+// workloadLeaves blocks its three innermost variables.
+func TestWorkloadLeavesBlockThreeVariables(t *testing.T) {
+	for i, w := range workloadLeaves {
+		got, err := core.LeafBlockVars(workloadInput(t, i))
 		if err != nil {
 			t.Fatalf("%s: %v", w.name, err)
 		}
 		if got != 3 {
 			t.Errorf("%s: the leaf blocks %d variables, want 3", w.name, got)
 		}
+	}
+}
+
+// fusedCases are the tile lowering's plane regimes. Each leaf is three
+// block variables, the plane outermost: the tile along the outer variable
+// (reduction innermost) and along the inner one, which fuse planes four at
+// a time, and two shapes that must stay per plane — a plane variable that
+// is a reduction (every plane adds into the same store cells) and a y that
+// moves with the plane (the planes share no streamed operand).
+var fusedCases = []struct {
+	blockCase
+	leaf  []string
+	fused bool
+}{
+	{blockCase{name: "tile-outer", stmt: "A(i,j) = B(i,k) * C(k,j)"}, []string{"ii", "j", "ki"}, true},
+	{blockCase{name: "tile-inner", stmt: "A(i,j) = B(i,k) * C(k,j)"}, []string{"ii", "ki", "j"}, true},
+	{blockCase{name: "reduction-plane", stmt: "A(i,j) = B(i,l,k) * C(k,j)"}, []string{"ii", "l", "j", "ki"}, false},
+	{blockCase{name: "y-moves", stmt: "A(i,j) = B(i,k) * C(i,k,j)"}, []string{"ii", "j", "ki"}, false},
+}
+
+// TestFusedPlanesMatchTree runs each fusedCases shape at plane counts on
+// either side of each multiple of four (i over two processors gives ii
+// planes; l is the reduction plane), a ragged count (i 13: 7 and 6 planes),
+// and tile widths with and without a ragged remainder, bit for bit against
+// the tree oracle, and checks which shapes fuse.
+func TestFusedPlanesMatchTree(t *testing.T) {
+	for _, c := range fusedCases {
+		sched := func(tensors []string) string { return blockSchedule(tensors, "ko", c.leaf, "") }
+		for _, planes := range []int{1, 3, 4, 5, 6, 7, 8, 9, 13} {
+			for _, width := range []int{3, 4, 6, 9} {
+				ext := map[byte]int{'i': 2 * planes, 'j': width, 'k': 10, 'l': planes}
+				if planes == 13 {
+					ext['i'] = 13
+				}
+				t.Run(fmt.Sprintf("%s/planes%d/width%d", c.name, planes, width), func(t *testing.T) {
+					checkMatchesTree(t, c.blockCase, ext, sched)
+				})
+			}
+		}
+		build, _ := blockInput(t, c.blockCase, map[byte]int{'i': 16, 'j': 8, 'k': 8, 'l': 4}, sched, 0)
+		fused, err := core.FusesPlanes(build())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fused != c.fused {
+			t.Errorf("%s: fuses planes %v, want %v", c.name, fused, c.fused)
+		}
+	}
+}
+
+// TestRunGemmFusesPlanes pins the kernel run-gemm is measured on: its SUMMA
+// leaf (ii, ji, ki) runs four planes at a time.
+func TestRunGemmFusesPlanes(t *testing.T) {
+	i := slices.IndexFunc(workloadLeaves, func(w workloadLeaf) bool { return w.name == "run-gemm" })
+	fused, err := core.FusesPlanes(workloadInput(t, i))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !fused {
+		t.Error("run-gemm's leaf runs its tile plane by plane, want four planes at a time")
 	}
 }
 
@@ -310,7 +394,9 @@ func cloneData(data map[string]*tensor.Dense) map[string]*tensor.Dense {
 // task's worth of work through the compiled kernel (realKernel on a
 // one-processor plan, invoked b.N times inside a single launch so nothing
 // but the kernel is timed) beside a hand-written Go loop nest of the same
-// shape and loop order, both reporting GFLOP/s.
+// shape and loop order, both reporting GFLOP/s. gemm/hand is a pure-Go 2×4
+// register tile; on amd64, where gemm/kernel runs four planes through the
+// SSE2 4×4 tile (leaf.Tile4), the hand loop is the slower of the two.
 func BenchmarkLeafKernel(b *testing.B) {
 	report := func(b *testing.B, flops int) {
 		b.ReportMetric(float64(flops)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")

@@ -13,7 +13,12 @@ package core
 //   - the one-multiply reduce shape (store += load*load) with exactly one
 //     block variable a reduction runs a register-tiled micro-kernel: four
 //     adjacent output cells accumulate in registers while the reduction loop
-//     runs innermost per tile (leaf.Tile);
+//     runs innermost per tile (leaf.Tile). When the plane variable moves the
+//     store by at least a row and not the streamed operand y (SUMMA's ii),
+//     planes run four at a time through the 4×4 tile (leaf.Tile4: one load
+//     of y serves four store rows); leftover planes, and every block whose
+//     planes share store cells, read different y or alias the store, run
+//     leaf.Tile per plane;
 //   - every other body runs the register program a row at a time (runRows),
 //     with the product-chain shapes fused into a single loop per row
 //     (leaf.DotRows when the row is a reduction, leaf.Axpy when it walks the
@@ -61,6 +66,8 @@ type blockLowering struct {
 	// lowerTile*: x does not move along the tile variable, y and the store
 	// are contiguous along it. lowerDot: the two factors.
 	x, y *boundAccess
+	// planes4: the tile lowering runs planes four at a time (leaf.Tile4).
+	planes4 bool
 	// lowerAxpy: the row adds (p*b[v])*c[v] into the store, p = p1[*p2]
 	// row-invariant; p2 and c are nil when absent.
 	p1, p2, b, c *boundAccess
@@ -91,13 +98,13 @@ func (kp *kernelProg) bindBlock(loads []boundAccess, store *boundAccess) blockLo
 	if kp.chain == 2 {
 		switch {
 		case store.sv == 0 && store.su == 1 && l0.su == 0 && l1.su == 1:
-			return blockLowering{kind: lowerTileOuter, x: l0, y: l1}
+			return kp.tile(lowerTileOuter, store, l0, l1)
 		case store.sv == 0 && store.su == 1 && l0.su == 1 && l1.su == 0:
-			return blockLowering{kind: lowerTileOuter, x: l1, y: l0}
+			return kp.tile(lowerTileOuter, store, l1, l0)
 		case store.su == 0 && store.sv == 1 && l0.sv == 0 && l1.sv == 1:
-			return blockLowering{kind: lowerTileInner, x: l0, y: l1}
+			return kp.tile(lowerTileInner, store, l0, l1)
 		case store.su == 0 && store.sv == 1 && l0.sv == 1 && l1.sv == 0:
-			return blockLowering{kind: lowerTileInner, x: l1, y: l0}
+			return kp.tile(lowerTileInner, store, l1, l0)
 		case store.sv == 0:
 			return blockLowering{kind: lowerDot, x: l0, y: l1}
 		}
@@ -132,6 +139,28 @@ func (kp *kernelProg) bindBlock(loads []boundAccess, store *boundAccess) blockLo
 	return low
 }
 
+// tile returns a tile lowering along the block's outer (lowerTileOuter) or
+// inner variable. Its planes run four at a time when Tile4's terms hold for
+// every box of the block: the planes read one y (y.sw == 0), their store rows
+// are disjoint (a plane moves the store by at least the tile variable's
+// extent, which bounds every box's tile width), and the store shares no
+// array with x or y.
+func (kp *kernelProg) tile(kind lowering, store, x, y *boundAccess) blockLowering {
+	width := kp.blockExt[1]
+	if kind == lowerTileInner {
+		width = kp.blockExt[2]
+	}
+	return blockLowering{kind: kind, x: x, y: y,
+		planes4: y.sw == 0 && store.sw >= width && !sameArray(store.data, x.data) && !sameArray(store.data, y.data)}
+}
+
+// sameArray reports whether a and b share a backing array. Tensor storage
+// is only ever resliced by its start (a batch slab's instances included), so
+// every slice of one array ends its capacity at the array's last element.
+func sameArray(a, b []float64) bool {
+	return cap(a) > 0 && cap(b) > 0 && &a[:cap(a)][cap(a)-1] == &b[:cap(b)][cap(b)-1]
+}
+
 // runBlock executes the in-space prefix box BlockRun returned, ks.origVals
 // holding the original variables at its origin: one origin-offset
 // computation per access, then the box's planes in increasing order, each
@@ -154,7 +183,14 @@ func (kp *kernelProg) runBlock(ks *kernelScratch, box [3]int) {
 			xr, yr, nt, nr = x.su, y.su, nv, nu
 		}
 		so, xo, yo := store.off, x.off, y.off
-		for range box[0] {
+		w := 0
+		if low.planes4 {
+			for ; w+4 <= box[0]; w += 4 {
+				leaf.Tile4(store.data, so, store.sw, x.data, xo, x.sw, xr, y.data, yo, yr, nt, nr)
+				so, xo = so+4*store.sw, xo+4*x.sw
+			}
+		}
+		for ; w < box[0]; w++ {
 			leaf.Tile(store.data, so, x.data, xo, xr, y.data, yo, yr, nt, nr)
 			so, xo, yo = so+store.sw, xo+x.sw, yo+y.sw
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"distal/internal/legion"
+	"distal/internal/tensor"
 )
 
 // LeafBlockVars compiles in and returns how many leaf variables its kernel's
@@ -17,6 +18,33 @@ func LeafBlockVars(in Input) (int, error) {
 		return 0, err
 	}
 	return c.kprog.blockVars, nil
+}
+
+// FusesPlanes compiles in and reports whether its leaf's tile lowering runs
+// planes four at a time (leaf.Tile4). Every access binds as an in-place task
+// binds it: its tensor's row-major strides, on an array of its own.
+func FusesPlanes(in Input) (bool, error) {
+	c, err := newCompiler(context.Background(), in)
+	if err != nil {
+		return false, err
+	}
+	if _, err := c.lower(); err != nil {
+		return false, err
+	}
+	kp := c.kprog
+	if kp.bp == nil {
+		return false, nil
+	}
+	bind := func(p accessPlan) boundAccess {
+		d := tensor.New(p.tensor, in.Tensors[p.tensor].Shape...)
+		return boundAccess{data: d.Data(), stride: d.Strides(), pos: p.pos}
+	}
+	loads := make([]boundAccess, len(kp.accesses))
+	for i, a := range kp.accesses {
+		loads[i] = bind(a)
+	}
+	store := bind(kp.store)
+	return kp.bindBlock(loads, &store).planes4, nil
 }
 
 // CompileTree is Compile with every launch's Real-mode body replaced by the

@@ -1,5 +1,5 @@
 // Package leaf holds the float loops of the leaf kernels: the register-tiled
-// micro-kernel, the strided dot products, the fused product-chain row and
+// micro-kernels, the strided dot products, the fused product-chain row and
 // the row operations of the general lowering. internal/core chooses a
 // lowering per task and walks the block (blockkernel.go); everything here is
 // float traffic over raw storage, with offsets and strides, and no other
@@ -18,14 +18,26 @@
 // written s += float64(a*b): the explicit conversion rounds the product, so
 // compilers that fuse multiply-add produce the same bits as the generic walk.
 //
-// The linker keeps the functions in source order. The order below puts
-// Axpy at 0 mod 64 and Tile at 32 in the benchmark binary, where neither's
-// hot row loop straddles a 64-byte line. With Axpy at 32, its MTTKRP loop
-// spanned two lines and the run-mttkrp workload ran ≈10 % slower (2-vCPU
-// x86-64 container, go1.24). The row operations are small enough that the
-// compiler would inline them into their callers, and so lay their loops
-// out with internal/core; they are marked go:noinline to stay here. Each
-// call does a row's work.
+// One kernel is assembly: Tile4's 4×4 block (tile4_amd64.s), four planes
+// that share the streamed operand, ≈2.4× Tile's flops on the GEMM leaf. It
+// is SSE2, the amd64 baseline every GOAMD64 level includes, so it needs no
+// CPU detection and has no switch. It holds to the same rule by
+// construction: each product is a MULPD, rounded, and its addition a
+// separate ADDPD, never a fused multiply-add. AVX2 and FMA3 would widen the
+// tile, but they are not baseline — they need CPU detection and a second
+// kernel to test against the first — so they are out of scope. Other ports
+// run Tile per plane (tile4_generic.go).
+//
+// The linker keeps the Go functions in source order, and the assembly after
+// them. The order below puts Axpy at 0 mod 64 and Tile at 32 in the
+// benchmark binary, where neither's hot row loop straddles a 64-byte line.
+// With Axpy at 32, its MTTKRP loop spanned two lines and the run-mttkrp
+// workload ran ≈10 % slower (2-vCPU x86-64 container, go1.24). Tile4 lives
+// in a file that sorts after this one, so it moves none of them, and
+// PCALIGN aligns its kernel's loop. The row operations are small enough
+// that the compiler would inline them into their callers, and so lay their
+// loops out with internal/core; they are marked go:noinline to stay here.
+// Each call does a row's work.
 package leaf
 
 // View is a strided view of a float64 surface: element (u, v) of a block

@@ -224,8 +224,12 @@ type regState struct {
 	volumes      []int64
 
 	// accHead[id] chains the stage's accumulators of rect id, one per
-	// writing leaf, in opening order.
+	// writing leaf, in opening order; the head holds the chain's tail.
+	// accOf finds the chain's later members by accKey(id, leaf), so a rect
+	// every point of a launch reduces into costs one lookup per point, not a
+	// scan of the leaves that wrote it before.
 	accHead []*accumulator
+	accOf   map[uint64]*accumulator
 
 	// facts[id] memoizes rect id's facts (factsOf), coverIDs backing their
 	// owner covers. Both start empty when the region is placed or adopted.
@@ -253,6 +257,12 @@ type accumulator struct {
 	lastUse float64
 	id      int32        // index into the tape's accumulators (Real analyses)
 	next    *accumulator // the next accumulator of the same rect
+	tail    *accumulator // on a chain's head: its last accumulator
+}
+
+// accKey keys rect id's accumulator on leaf in regState.accOf.
+func accKey(id int32, leaf int) uint64 {
+	return uint64(uint32(id))<<32 | uint64(uint32(leaf))
 }
 
 type executor struct {
@@ -611,12 +621,14 @@ func (rs *regState) dropFromBucket(g *transGroup) {
 // state rs, preferring in-place updates when the computing leaf owns the
 // written rect.
 func (e *executor) writeTarget(q *Req, rs *regState, leaf int) *accumulator {
-	var last *accumulator
-	for a := rs.accHead[q.ID]; a != nil; a = a.next {
-		if a.leaf == leaf {
+	head := rs.accHead[q.ID]
+	if head != nil {
+		if head.leaf == leaf {
+			return head
+		}
+		if a := rs.accOf[accKey(q.ID, leaf)]; a != nil {
 			return a
 		}
-		last = a
 	}
 	e.lg.DelinearizeInto(leaf, e.coord)
 	rank := len(q.Region.Shape)
@@ -651,10 +663,15 @@ func (e *executor) writeTarget(q *Req, rs *regState, leaf int) *accumulator {
 		}
 		e.tape.accs = append(e.tape.accs, ta)
 	}
-	if last == nil {
+	if head == nil {
+		a.tail = a
 		rs.accHead[q.ID] = a
 	} else {
-		last.next = a
+		head.tail.next, head.tail = a, a
+		if rs.accOf == nil {
+			rs.accOf = map[uint64]*accumulator{}
+		}
+		rs.accOf[accKey(q.ID, leaf)] = a
 	}
 	e.accSeq = append(e.accSeq, a)
 	return a
@@ -743,6 +760,9 @@ func (e *executor) flushAccumulators() {
 	for _, a := range e.accSeq {
 		rs := e.reg[a.region]
 		rs.accHead[a.rectID] = nil
+		if len(rs.accOf) > 0 {
+			clear(rs.accOf)
+		}
 		if a.inPlace {
 			for _, inst := range rs.perLeaf[a.leaf] {
 				if inst.persistent && inst.rect.ContainsRect(a.rect) {

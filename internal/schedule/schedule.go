@@ -451,10 +451,9 @@ func (s *Schedule) String() string { return s.log.String() }
 //
 // Relations come in a stable order: variable derivations (in loop order of
 // their outer result), then distribute, then communicate.
+//
+// A statement with no index variables has no loops: it renders bare.
 func (s *Schedule) Notation() string {
-	if len(s.order) == 0 {
-		return "forall  " + s.stmt.String()
-	}
 	var b strings.Builder
 	for _, v := range s.order {
 		fmt.Fprintf(&b, "forall %s ", v)
