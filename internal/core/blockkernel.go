@@ -155,8 +155,9 @@ func (kp *kernelProg) tile(kind lowering, store, x, y *boundAccess) blockLowerin
 }
 
 // sameArray reports whether a and b share a backing array. Tensor storage
-// is only ever resliced by its start (a batch slab's instances included), so
-// every slice of one array ends its capacity at the array's last element.
+// is never cut with a three-index slice (a batch slab's instances are
+// two-index slices of one array), so every slice of an array ends its
+// capacity at the array's last element.
 func sameArray(a, b []float64) bool {
 	return cap(a) > 0 && cap(b) > 0 && &a[:cap(a)][cap(a)-1] == &b[:cap(b)][cap(b)-1]
 }

@@ -3,9 +3,10 @@ package leaf
 // Tile4 is Tile over four planes that share the streamed operand y: plane p
 // adds into s from so+p*ss and reads x from xo+p*xs, so it computes exactly
 // the four calls Tile(s, so+p*ss, x, xo+p*xs, xr, y, yo, yr, nt, nr). Each
-// whole 4-wide tile runs as a 4×4 register block (tile4x4): one load of a
-// y row's four cells serves all four planes. The planes' store rows must not
-// overlap each other, x or y; the caller guarantees it.
+// whole 4-wide tile runs as a 4×4 register block (tile4x4, one call for all
+// of them): one load of a y row's four cells serves all four planes. The
+// planes' store rows must not overlap each other, x or y; the caller
+// guarantees it.
 //
 // Every cell gets the same rounded products and the same additions, in
 // increasing r, as under Tile, so the results are bit-identical. One thing
@@ -23,9 +24,8 @@ func Tile4(s []float64, so, ss int, x []float64, xo, xs, xr int, y []float64, yo
 		checkSpan(s, so, ss, 4, 1, nt)
 		checkSpan(x, xo, xs, 4, xr, nr)
 		checkSpan(y, yo, 1, nt, yr, nr)
-		for ; t+4 <= nt; t += 4 {
-			tile4x4(s, so+t, ss, x, xo, xs, xr, y, yo+t, yr, nr)
-		}
+		t = nt &^ 3
+		tile4x4(s, so, ss, x, xo, xs, xr, y, yo, yr, t, nr)
 	}
 	if t == nt {
 		return

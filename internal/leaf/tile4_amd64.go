@@ -1,7 +1,8 @@
 package leaf
 
-// tile4x4 runs Tile4's 4×4 block at s[so], x[xo] and y[yo] in SSE2
-// (tile4_amd64.s): nr ≥ 1 reduction steps, every index in range.
+// tile4x4 runs Tile4's whole tiles — nt cells, a positive multiple of 4, at
+// s[so], x[xo] and y[yo] — in SSE2 (tile4_amd64.s): nr ≥ 1 reduction steps,
+// every index in range.
 //
 //go:noescape
-func tile4x4(s []float64, so, ss int, x []float64, xo, xs, xr int, y []float64, yo, yr, nr int)
+func tile4x4(s []float64, so, ss int, x []float64, xo, xs, xr int, y []float64, yo, yr, nt, nr int)

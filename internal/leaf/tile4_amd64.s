@@ -1,44 +1,49 @@
 #include "textflag.h"
 
-// func tile4x4(s []float64, so, ss int, x []float64, xo, xs, xr int, y []float64, yo, yr, nr int)
+// func tile4x4(s []float64, so, ss int, x []float64, xo, xs, xr int, y []float64, yo, yr, nt, nr int)
 //
-// Four planes by four cells: X0–X7 hold s[so+p*ss+c], two cells per
-// register (X2p cells 0–1, X2p+1 cells 2–3 of plane p). Per reduction step
-// the two halves of y's row load once (X8, X9), plane p's x broadcasts to
-// both lanes of X10+p, and each half product is a MULPD into a copy of y
-// followed by an ADDPD into the accumulator: the rounded product, then the
-// addition, as Tile's s += float64(x*y) does per cell. SSE2 only (the amd64
-// baseline), and never a fused multiply-add.
-TEXT ·tile4x4(SB), NOSPLIT, $0-136
+// Four planes by four cells at a time, nt/4 tiles along the row: X0–X7
+// hold s[so+p*ss+c], two cells per register (X2p cells 0–1, X2p+1 cells
+// 2–3 of plane p). Per reduction step the two halves of y's row load once
+// (X8, X9), plane p's x broadcasts to both lanes of X10+p, and each half
+// product is a MULPD into a copy of y followed by an ADDPD into the
+// accumulator: the rounded product, then the addition, as Tile's
+// s += float64(x*y) does per cell. SSE2 only (the amd64 baseline), and
+// never a fused multiply-add.
+TEXT ·tile4x4(SB), NOSPLIT, $0-144
 	MOVQ s_base+0(FP), BX
 	MOVQ so+24(FP), AX
 	LEAQ (BX)(AX*8), BX
 	MOVQ ss+32(FP), R10
 	SHLQ $3, R10
-	LEAQ (R10)(R10*2), R11
-	MOVQ x_base+40(FP), SI
-	MOVQ xo+64(FP), AX
-	LEAQ (SI)(AX*8), SI
+	MOVQ x_base+40(FP), AX
+	MOVQ xo+64(FP), CX
+	LEAQ (AX)(CX*8), AX
 	MOVQ xs+72(FP), R8
 	SHLQ $3, R8
 	LEAQ (R8)(R8*2), R9
 	MOVQ xr+80(FP), R12
 	SHLQ $3, R12
-	MOVQ y_base+88(FP), DI
-	MOVQ yo+112(FP), AX
-	LEAQ (DI)(AX*8), DI
+	MOVQ y_base+88(FP), DX
+	MOVQ yo+112(FP), CX
+	LEAQ (DX)(CX*8), DX
 	MOVQ yr+120(FP), R13
 	SHLQ $3, R13
-	MOVQ nr+128(FP), CX
+	MOVQ nt+128(FP), R11
 
+tiles:
+	LEAQ (BX)(R10*2), CX
 	MOVUPD (BX), X0
 	MOVUPD 16(BX), X1
 	MOVUPD (BX)(R10*1), X2
 	MOVUPD 16(BX)(R10*1), X3
-	MOVUPD (BX)(R10*2), X4
-	MOVUPD 16(BX)(R10*2), X5
-	MOVUPD (BX)(R11*1), X6
-	MOVUPD 16(BX)(R11*1), X7
+	MOVUPD (CX), X4
+	MOVUPD 16(CX), X5
+	MOVUPD (CX)(R10*1), X6
+	MOVUPD 16(CX)(R10*1), X7
+	MOVQ AX, SI
+	MOVQ DX, DI
+	MOVQ nr+136(FP), CX
 
 	PCALIGN $32
 loop:
@@ -83,12 +88,18 @@ loop:
 	DECQ CX
 	JNZ loop
 
+	LEAQ (BX)(R10*2), CX
 	MOVUPD X0, (BX)
 	MOVUPD X1, 16(BX)
 	MOVUPD X2, (BX)(R10*1)
 	MOVUPD X3, 16(BX)(R10*1)
-	MOVUPD X4, (BX)(R10*2)
-	MOVUPD X5, 16(BX)(R10*2)
-	MOVUPD X6, (BX)(R11*1)
-	MOVUPD X7, 16(BX)(R11*1)
+	MOVUPD X4, (CX)
+	MOVUPD X5, 16(CX)
+	MOVUPD X6, (CX)(R10*1)
+	MOVUPD X7, 16(CX)(R10*1)
+
+	ADDQ $32, BX
+	ADDQ $32, DX
+	SUBQ $4, R11
+	JNZ tiles
 	RET

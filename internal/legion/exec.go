@@ -224,10 +224,11 @@ type regState struct {
 	volumes      []int64
 
 	// accHead[id] chains the stage's accumulators of rect id, one per
-	// writing leaf, in opening order; the head holds the chain's tail.
-	// accOf finds the chain's later members by accKey(id, leaf), so a rect
-	// every point of a launch reduces into costs one lookup per point, not a
-	// scan of the leaves that wrote it before.
+	// writing leaf, in opening order; the head holds the chain's tail and
+	// length. A lookup scans the first accScan members, and accOf finds
+	// the rest by accKey(id, leaf): a rect every point of a launch reduces
+	// into costs a bounded scan and one hash per point, not a scan of every
+	// leaf that wrote it before.
 	accHead []*accumulator
 	accOf   map[uint64]*accumulator
 
@@ -258,7 +259,13 @@ type accumulator struct {
 	id      int32        // index into the tape's accumulators (Real analyses)
 	next    *accumulator // the next accumulator of the same rect
 	tail    *accumulator // on a chain's head: its last accumulator
+	n       int          // on a chain's head: its length
 }
+
+// accScan is how many of a chain's accumulators a lookup scans before it
+// hashes: a scan of a few beats a map lookup, and most rects have that few
+// writers.
+const accScan = 8
 
 // accKey keys rect id's accumulator on leaf in regState.accOf.
 func accKey(id int32, leaf int) uint64 {
@@ -622,12 +629,16 @@ func (rs *regState) dropFromBucket(g *transGroup) {
 // written rect.
 func (e *executor) writeTarget(q *Req, rs *regState, leaf int) *accumulator {
 	head := rs.accHead[q.ID]
-	if head != nil {
-		if head.leaf == leaf {
-			return head
-		}
-		if a := rs.accOf[accKey(q.ID, leaf)]; a != nil {
+	a := head
+	for i := 0; i < accScan && a != nil; i++ {
+		if a.leaf == leaf {
 			return a
+		}
+		a = a.next
+	}
+	if a != nil {
+		if found := rs.accOf[accKey(q.ID, leaf)]; found != nil {
+			return found
 		}
 	}
 	e.lg.DelinearizeInto(leaf, e.coord)
@@ -637,7 +648,7 @@ func (e *executor) writeTarget(q *Req, rs *regState, leaf int) *accumulator {
 	}
 	owned := tensor.Rect{Lo: e.rectBuf[:rank], Hi: e.rectBuf[rank : 2*rank]}
 	inPlace := q.Region.ownerRectInto(owned, e.prog.Machine, e.coord) && owned.ContainsRect(q.Rect)
-	a := e.accSlab.get(e.accChunk)
+	a = e.accSlab.get(e.accChunk)
 	*a = accumulator{
 		region:  q.Region,
 		rect:    q.Rect,
@@ -663,15 +674,19 @@ func (e *executor) writeTarget(q *Req, rs *regState, leaf int) *accumulator {
 		}
 		e.tape.accs = append(e.tape.accs, ta)
 	}
-	if head == nil {
-		a.tail = a
+	switch {
+	case head == nil:
+		a.tail, a.n = a, 1
 		rs.accHead[q.ID] = a
-	} else {
-		head.tail.next, head.tail = a, a
+	case head.n >= accScan:
 		if rs.accOf == nil {
 			rs.accOf = map[uint64]*accumulator{}
 		}
 		rs.accOf[accKey(q.ID, leaf)] = a
+		fallthrough
+	default:
+		head.tail.next, head.tail = a, a
+		head.n++
 	}
 	e.accSeq = append(e.accSeq, a)
 	return a

@@ -206,6 +206,46 @@ func TestReductionFlush(t *testing.T) {
 	}
 }
 
+// TestReductionFlushManyLeaves: two rounds of points on twelve procs reduce
+// into one tile owned by proc 0, so the second round finds each proc's
+// accumulator again — past the chain's scanned prefix (accScan) through
+// the hash. Proc 0 writes in place and the eleven others hold one
+// accumulator each, which a binary tree merges in ten copies and one more
+// lands on the owner: a second accumulator for any proc would add copies.
+func TestReductionFlushManyLeaves(t *testing.T) {
+	const procs = 12
+	aPlace := distnot.NewPlacement(&distnot.Statement{
+		TensorDims:  []string{"x"},
+		MachineDims: []distnot.MachineName{{Kind: distnot.Fixed, Index: 0}},
+	})
+	a := NewRegion("A", []int{4}, aPlace)
+	ta := tensor.New("A", 4)
+	launch := numbered(&Launch{
+		Name:   "partial",
+		Domain: machine.NewGrid(2 * procs),
+		Run: func(ctx *Ctx) {
+			for i := 0; i < 4; i++ {
+				ctx.WriteAdd("A", 1, i)
+			}
+		},
+	}, func(pt []int) ([]Req, Cost) {
+		return []Req{{Region: a, Rect: tensor.FullRect([]int{4}), Priv: ReduceSum}}, Cost{Flops: 4}
+	})
+	prog := &Program{Name: "red", Machine: flatMachine(procs), Regions: []*Region{a}, Launches: []*Launch{launch}}
+	res, err := Run(prog, Options{Params: testParams(), Real: true, Batch: []map[string]*tensor.Dense{{"A": ta}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Copies != procs-1 {
+		t.Fatalf("copies = %d, want %d: one accumulator per proc off the owner", res.Copies, procs-1)
+	}
+	for i := 0; i < 4; i++ {
+		if ta.At(i) != 2*procs {
+			t.Fatalf("A(%d) = %v, want %d", i, ta.At(i), 2*procs)
+		}
+	}
+}
+
 // TestNearestSourceRelay: with three procs, two consumers of the same remote
 // piece; the second consumer should be able to fetch from the first (relay)
 // rather than the owner when that is cheaper.
