@@ -224,11 +224,11 @@ type regState struct {
 	volumes      []int64
 
 	// accHead[id] chains the stage's accumulators of rect id, one per
-	// writing leaf, in opening order; the head holds the chain's tail and
-	// length. A lookup scans the first accScan members, and accOf finds
-	// the rest by accKey(id, leaf): a rect every point of a launch reduces
-	// into costs a bounded scan and one hash per point, not a scan of every
-	// leaf that wrote it before.
+	// writing leaf, in opening order; the head holds the chain's tail. A
+	// lookup scans the first accScan members, and accOf finds the rest by
+	// accKey(id, leaf): a rect every point of a launch reduces into costs a
+	// bounded scan and one hash per point, not a scan of every leaf that
+	// wrote it before.
 	accHead []*accumulator
 	accOf   map[uint64]*accumulator
 
@@ -259,7 +259,6 @@ type accumulator struct {
 	id      int32        // index into the tape's accumulators (Real analyses)
 	next    *accumulator // the next accumulator of the same rect
 	tail    *accumulator // on a chain's head: its last accumulator
-	n       int          // on a chain's head: its length
 }
 
 // accScan is how many of a chain's accumulators a lookup scans before it
@@ -629,8 +628,8 @@ func (rs *regState) dropFromBucket(g *transGroup) {
 // written rect.
 func (e *executor) writeTarget(q *Req, rs *regState, leaf int) *accumulator {
 	head := rs.accHead[q.ID]
-	a := head
-	for i := 0; i < accScan && a != nil; i++ {
+	a, scanned := head, 0
+	for ; scanned < accScan && a != nil; scanned++ {
 		if a.leaf == leaf {
 			return a
 		}
@@ -674,19 +673,17 @@ func (e *executor) writeTarget(q *Req, rs *regState, leaf int) *accumulator {
 		}
 		e.tape.accs = append(e.tape.accs, ta)
 	}
-	switch {
-	case head == nil:
-		a.tail, a.n = a, 1
+	if head == nil {
+		a.tail = a
 		rs.accHead[q.ID] = a
-	case head.n >= accScan:
-		if rs.accOf == nil {
-			rs.accOf = map[uint64]*accumulator{}
-		}
-		rs.accOf[accKey(q.ID, leaf)] = a
-		fallthrough
-	default:
+	} else {
 		head.tail.next, head.tail = a, a
-		head.n++
+		if scanned == accScan { // a lands past the scanned prefix
+			if rs.accOf == nil {
+				rs.accOf = map[uint64]*accumulator{}
+			}
+			rs.accOf[accKey(q.ID, leaf)] = a
+		}
 	}
 	e.accSeq = append(e.accSeq, a)
 	return a
