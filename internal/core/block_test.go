@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"distal/internal/algorithms"
@@ -358,27 +359,69 @@ func TestFusedPlanesMatchTree(t *testing.T) {
 				})
 			}
 		}
-		build, _ := blockInput(t, c.blockCase, map[byte]int{'i': 16, 'j': 8, 'k': 8, 'l': 4}, sched, 0)
-		fused, err := core.FusesPlanes(build())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fused != c.fused {
-			t.Errorf("%s: fuses planes %v, want %v", c.name, fused, c.fused)
+		build, data := blockInput(t, c.blockCase, map[byte]int{'i': 16, 'j': 8, 'k': 8, 'l': 4}, sched, 1)
+		fused, tasks := countFusion(t, build(), data)
+		if want := map[bool]int64{true: tasks, false: 0}[c.fused]; tasks == 0 || fused != want {
+			t.Errorf("%s: %d of %d tasks fuse planes, want %d", c.name, fused, tasks, want)
 		}
 	}
 }
 
-// TestRunGemmFusesPlanes pins the kernel run-gemm is measured on: its SUMMA
-// leaf (ii, ji, ki) runs four planes at a time.
-func TestRunGemmFusesPlanes(t *testing.T) {
-	i := slices.IndexFunc(workloadLeaves, func(w workloadLeaf) bool { return w.name == "run-gemm" })
-	fused, err := core.FusesPlanes(workloadInput(t, i))
+// countFusion runs in once per batch of binds through the real binding path
+// and returns how many of its tasks, over all runs, take the four-plane
+// tile (core.CompileCountingFusion).
+func countFusion(t *testing.T, in core.Input, batches ...[]map[string]*tensor.Dense) (fused, tasks int64) {
+	t.Helper()
+	var f, n atomic.Int64
+	prog, err := core.CompileCountingFusion(in, &f, &n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !fused {
-		t.Error("run-gemm's leaf runs its tile plane by plane, want four planes at a time")
+	for _, binds := range batches {
+		if _, err := legion.Run(prog, legion.Options{Params: sim.LassenCPU(), Real: true, RealWorkers: 2, Batch: binds}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return f.Load(), n.Load()
+}
+
+// TestRunGemmFusesPlanes pins the kernel run-gemm is measured on: every task
+// of its SUMMA leaf (ii, ji, ki) runs four planes at a time, bound the ways
+// a run binds it — one instance of its own arrays, and a batch of three
+// whose instances are views of one slab per tensor, as BindStacked makes
+// them. An output sharing an array with an input runs plane by plane.
+func TestRunGemmFusesPlanes(t *testing.T) {
+	const batch = 3
+	i := slices.IndexFunc(workloadLeaves, func(w workloadLeaf) bool { return w.name == "run-gemm" })
+	shapes := workloadLeaves[i].shapes
+	own := map[string]*tensor.Dense{}
+	stacked := make([]map[string]*tensor.Dense, batch)
+	for b := range stacked {
+		stacked[b] = map[string]*tensor.Dense{}
+	}
+	for name, shape := range shapes {
+		own[name] = tensor.New(name, shape...)
+		vol := len(own[name].Data())
+		slab := make([]float64, batch*vol)
+		for b := range stacked {
+			stacked[b][name] = tensor.FromData(name, slab[b*vol:(b+1)*vol], shape...)
+		}
+	}
+	fused, tasks := countFusion(t, workloadInput(t, i), []map[string]*tensor.Dense{own}, stacked)
+	if tasks == 0 || fused != tasks {
+		t.Errorf("run-gemm: %d of %d tasks fuse planes, want all", fused, tasks)
+	}
+
+	// A and B halves of one array: the store aliases x.
+	vol := len(own["A"].Data())
+	slab := make([]float64, 2*vol)
+	shared := map[string]*tensor.Dense{
+		"A": tensor.FromData("A", slab[:vol], shapes["A"]...),
+		"B": tensor.FromData("B", slab[vol:], shapes["B"]...),
+		"C": own["C"],
+	}
+	if fused, tasks := countFusion(t, workloadInput(t, i), []map[string]*tensor.Dense{shared}); fused != 0 || tasks == 0 {
+		t.Errorf("run-gemm with A and B in one array: %d of %d tasks fuse planes, want 0", fused, tasks)
 	}
 }
 

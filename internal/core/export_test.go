@@ -2,9 +2,9 @@ package core
 
 import (
 	"context"
+	"sync/atomic"
 
 	"distal/internal/legion"
-	"distal/internal/tensor"
 )
 
 // LeafBlockVars compiles in and returns how many leaf variables its kernel's
@@ -20,31 +20,43 @@ func LeafBlockVars(in Input) (int, error) {
 	return c.kprog.blockVars, nil
 }
 
-// FusesPlanes compiles in and reports whether its leaf's tile lowering runs
-// planes four at a time (leaf.Tile4). Every access binds as an in-place task
-// binds it: its tensor's row-major strides, on an array of its own.
-func FusesPlanes(in Input) (bool, error) {
+// CompileCountingFusion is Compile with every launch's body wrapped: each
+// task first binds its accesses from its own surfaces, as the compiled body
+// binds them (in-place instances, task-local accumulators and batch views
+// alike), and counts itself in tasks, and in fused when its tile lowering
+// runs planes four at a time (leaf.Tile4); then the body runs.
+func CompileCountingFusion(in Input, fused, tasks *atomic.Int64) (*legion.Program, error) {
 	c, err := newCompiler(context.Background(), in)
 	if err != nil {
-		return false, err
+		return nil, err
 	}
-	if _, err := c.lower(); err != nil {
-		return false, err
+	prog, err := c.lower()
+	if err != nil {
+		return nil, err
 	}
 	kp := c.kprog
-	if kp.bp == nil {
-		return false, nil
+	for _, l := range prog.Launches {
+		run := l.Run
+		l.Run = func(ctx *legion.Ctx) {
+			holds := ctx.Holds(kp.store.tensor)
+			for i := range kp.accesses {
+				holds = holds && ctx.Holds(kp.accesses[i].tensor)
+			}
+			if kp.bp != nil && holds {
+				loads := make([]boundAccess, len(kp.accesses))
+				for i := range kp.accesses {
+					loads[i] = kp.accesses[i].bindRead(ctx)
+				}
+				store := kp.store.bindWrite(ctx)
+				tasks.Add(1)
+				if kp.bindBlock(loads, &store).planes4 {
+					fused.Add(1)
+				}
+			}
+			run(ctx)
+		}
 	}
-	bind := func(p accessPlan) boundAccess {
-		d := tensor.New(p.tensor, in.Tensors[p.tensor].Shape...)
-		return boundAccess{data: d.Data(), stride: d.Strides(), pos: p.pos}
-	}
-	loads := make([]boundAccess, len(kp.accesses))
-	for i, a := range kp.accesses {
-		loads[i] = bind(a)
-	}
-	store := bind(kp.store)
-	return kp.bindBlock(loads, &store).planes4, nil
+	return prog, nil
 }
 
 // CompileTree is Compile with every launch's Real-mode body replaced by the

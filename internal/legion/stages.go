@@ -303,7 +303,6 @@ func (e *executor) placeRegion(r *Region) {
 		rs.spareBuckets = append(rs.spareBuckets, b[:0])
 	}
 	clear(rs.volBuckets)
-	clear(rs.accOf) // a canceled walk leaves its chains unflushed
 	*rs = regState{
 		region:       r,
 		persistent:   resize(rs.persistent, len(leaves)),
@@ -314,7 +313,6 @@ func (e *executor) placeRegion(r *Region) {
 		spareBuckets: rs.spareBuckets,
 		volumes:      rs.volumes[:0],
 		accHead:      resize(rs.accHead, len(r.Rects)),
-		accOf:        rs.accOf,
 		facts:        resize(rs.facts, len(r.Rects)),
 		coverIDs:     slices.Grow(rs.coverIDs[:0], len(r.Rects)),
 		bounds:       bounds,
