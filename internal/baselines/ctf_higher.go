@@ -61,7 +61,9 @@ func redistSeconds(totalBytes int64, nodes int, p sim.Params) float64 {
 // reshapeSeconds estimates a local reshape/elementwise pass over the given
 // bytes on every node (read + write through memory).
 func reshapeSeconds(totalBytes int64, nodes int, p sim.Params) float64 {
-	perRank := float64(totalBytes) / float64(nodes) / RanksPerNode
+	// Rounded, so that 2*perRank (perRank+perRank) cannot fuse with the
+	// division by 4, a multiplication (docs/ARCHITECTURE.md).
+	perRank := float64(float64(totalBytes) / float64(nodes) / RanksPerNode)
 	return 2 * perRank / p.MemBandwidth
 }
 

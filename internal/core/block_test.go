@@ -10,9 +10,9 @@ package core_test
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"distal/internal/algorithms"
@@ -360,20 +360,21 @@ func TestFusedPlanesMatchTree(t *testing.T) {
 			}
 		}
 		build, data := blockInput(t, c.blockCase, map[byte]int{'i': 16, 'j': 8, 'k': 8, 'l': 4}, sched, 1)
-		fused, tasks := countFusion(t, build(), data)
+		n := countLowerings(t, build(), data)
+		fused, tasks := n.Fused.Load(), n.Tasks.Load()
 		if want := map[bool]int64{true: tasks, false: 0}[c.fused]; tasks == 0 || fused != want {
 			t.Errorf("%s: %d of %d tasks fuse planes, want %d", c.name, fused, tasks, want)
 		}
 	}
 }
 
-// countFusion runs in once per batch of binds through the real binding path
-// and returns how many of its tasks, over all runs, take the four-plane
-// tile (core.CompileCountingFusion).
-func countFusion(t *testing.T, in core.Input, batches ...[]map[string]*tensor.Dense) (fused, tasks int64) {
+// countLowerings runs in once per batch of binds through the real binding
+// path and returns its tasks, over all runs, counted by lowering
+// (core.CompileCounting).
+func countLowerings(t *testing.T, in core.Input, batches ...[]map[string]*tensor.Dense) *core.LoweringCounts {
 	t.Helper()
-	var f, n atomic.Int64
-	prog, err := core.CompileCountingFusion(in, &f, &n)
+	n := new(core.LoweringCounts)
+	prog, err := core.CompileCounting(in, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,20 +383,102 @@ func countFusion(t *testing.T, in core.Input, batches ...[]map[string]*tensor.De
 			t.Fatal(err)
 		}
 	}
-	return f.Load(), n.Load()
+	return n
 }
 
 // TestRunGemmFusesPlanes pins the kernel run-gemm is measured on: every task
 // of its SUMMA leaf (ii, ji, ki) runs four planes at a time, bound the ways
-// a run binds it — one instance of its own arrays, and a batch of three
-// whose instances are views of one slab per tensor, as BindStacked makes
-// them. An output sharing an array with an input runs plane by plane.
+// a run binds it (runBindings). An output sharing an array with an input
+// runs plane by plane.
 func TestRunGemmFusesPlanes(t *testing.T) {
-	const batch = 3
 	i := slices.IndexFunc(workloadLeaves, func(w workloadLeaf) bool { return w.name == "run-gemm" })
-	shapes := workloadLeaves[i].shapes
-	own := map[string]*tensor.Dense{}
-	stacked := make([]map[string]*tensor.Dense, batch)
+	own, stacked := runBindings(workloadLeaves[i].shapes)
+	n := countLowerings(t, workloadInput(t, i), []map[string]*tensor.Dense{own}, stacked)
+	if fused, tasks := n.Fused.Load(), n.Tasks.Load(); tasks == 0 || fused != tasks {
+		t.Errorf("run-gemm: %d of %d tasks fuse planes, want all", fused, tasks)
+	}
+	// The store aliases x.
+	n = countLowerings(t, workloadInput(t, i), []map[string]*tensor.Dense{oneArray(own, "A", "B")})
+	if fused, tasks := n.Fused.Load(), n.Tasks.Load(); fused != 0 || tasks == 0 {
+		t.Errorf("run-gemm with A and B in one array: %d of %d tasks fuse planes, want 0", fused, tasks)
+	}
+}
+
+// TestRunMTTKRPHoldsRow pins the kernel run-mttkrp is measured on: every task
+// of its leaf (ji, ki, l), whose rows all add into one output row, holds
+// that row in registers (leaf.HeldRow), bound the ways a run binds it. An
+// output sharing an array with any factor runs leaf.Axpy instead wherever
+// the store is that array: in the two tasks at grid points (io, 0, 0), which
+// own A's rows (format ab->a00) and add into them in place. The other six
+// reduce into task-local accumulators and still hold the row.
+func TestRunMTTKRPHoldsRow(t *testing.T) {
+	// benchmark/http.go's run-mttkrp request: 64³ × 32 on a 2×2×2 grid.
+	in, err := algorithms.MTTKRP(algorithms.HigherConfig{I: 64, J: 64, K: 64, L: 32, Procs: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shapes := map[string][]int{}
+	for name, d := range in.Tensors {
+		shapes[name] = d.Shape
+	}
+	own, stacked := runBindings(shapes)
+	n := countLowerings(t, in, []map[string]*tensor.Dense{own}, stacked)
+	if held, tasks := n.Held.Load(), n.Tasks.Load(); tasks == 0 || held != tasks {
+		t.Errorf("run-mttkrp: %d of %d tasks hold the output row, want all", held, tasks)
+	}
+	for _, factor := range []string{"B", "C", "D"} {
+		n := countLowerings(t, in, []map[string]*tensor.Dense{oneArray(own, "A", factor)})
+		if held, axpy := n.Held.Load(), n.Axpy.Load(); axpy != 2 || held+axpy != n.Tasks.Load() {
+			t.Errorf("run-mttkrp with A and %s in one array: %d held and %d Axpy of %d tasks, want 2 Axpy and the rest held",
+				factor, held, axpy, n.Tasks.Load())
+		}
+	}
+}
+
+// heldCases are the held-row lowering's regimes under three-variable
+// leaves: MTTKRP's order, where every row (ki) adds into one output row,
+// which is held, and two shapes that must run leaf.Axpy — an output that
+// moves with the row variable (ii), and a chain whose two leading factors
+// do not move along the output row (p2 present, no c).
+var heldCases = []struct {
+	blockCase
+	leaf []string
+	held bool
+}{
+	{blockCase{name: "held", stmt: "A(i,l) = B(i,j,k) * C(j,l) * D(k,l)"}, []string{"ii", "j", "ki", "l"}, true},
+	{blockCase{name: "store-moves", stmt: "A(i,l) = B(i,j,k) * C(j,l) * D(k,l)"}, []string{"j", "ki", "ii", "l"}, false},
+	{blockCase{name: "two-scalars", stmt: "A(i,l) = B(i,j,k) * D(i,k) * C(j,l)"}, []string{"ii", "j", "ki", "l"}, false},
+}
+
+// TestHeldRowMatchesTree runs each heldCases shape at output rows below,
+// at and past one and two groups of eight, bit for bit against the tree
+// oracle, and checks which shapes hold the row.
+func TestHeldRowMatchesTree(t *testing.T) {
+	for _, c := range heldCases {
+		sched := func(tensors []string) string { return blockSchedule(tensors, "ko", c.leaf, "") }
+		for _, width := range []int{7, 8, 9, 16, 19} {
+			ext := map[byte]int{'i': 6, 'j': 3, 'k': 10, 'l': width}
+			t.Run(fmt.Sprintf("%s/width%d", c.name, width), func(t *testing.T) {
+				checkMatchesTree(t, c.blockCase, ext, sched)
+			})
+		}
+		build, data := blockInput(t, c.blockCase, map[byte]int{'i': 6, 'j': 3, 'k': 8, 'l': 16}, sched, 1)
+		n := countLowerings(t, build(), data)
+		held, axpy, tasks := n.Held.Load(), n.Axpy.Load(), n.Tasks.Load()
+		if c.held && (tasks == 0 || held != tasks) || !c.held && (tasks == 0 || held != 0 || axpy != tasks) {
+			t.Errorf("%s: %d held and %d Axpy of %d tasks, want all %s", c.name, held, axpy, tasks,
+				map[bool]string{true: "held", false: "Axpy"}[c.held])
+		}
+	}
+}
+
+// runBindings binds shapes the ways a run binds them: own gives every tensor
+// an array of its own, and stacked is a batch of three whose instances are
+// views of one slab per tensor, as BindStacked makes them.
+func runBindings(shapes map[string][]int) (own map[string]*tensor.Dense, stacked []map[string]*tensor.Dense) {
+	const batch = 3
+	own = map[string]*tensor.Dense{}
+	stacked = make([]map[string]*tensor.Dense, batch)
 	for b := range stacked {
 		stacked[b] = map[string]*tensor.Dense{}
 	}
@@ -407,22 +490,18 @@ func TestRunGemmFusesPlanes(t *testing.T) {
 			stacked[b][name] = tensor.FromData(name, slab[b*vol:(b+1)*vol], shape...)
 		}
 	}
-	fused, tasks := countFusion(t, workloadInput(t, i), []map[string]*tensor.Dense{own}, stacked)
-	if tasks == 0 || fused != tasks {
-		t.Errorf("run-gemm: %d of %d tasks fuse planes, want all", fused, tasks)
-	}
+	return own, stacked
+}
 
-	// A and B halves of one array: the store aliases x.
-	vol := len(own["A"].Data())
-	slab := make([]float64, 2*vol)
-	shared := map[string]*tensor.Dense{
-		"A": tensor.FromData("A", slab[:vol], shapes["A"]...),
-		"B": tensor.FromData("B", slab[vol:], shapes["B"]...),
-		"C": own["C"],
-	}
-	if fused, tasks := countFusion(t, workloadInput(t, i), []map[string]*tensor.Dense{shared}); fused != 0 || tasks == 0 {
-		t.Errorf("run-gemm with A and B in one array: %d of %d tasks fuse planes, want 0", fused, tasks)
-	}
+// oneArray returns binds with tensors a and b moved into the two halves of
+// one array.
+func oneArray(binds map[string]*tensor.Dense, a, b string) map[string]*tensor.Dense {
+	va, vb := len(binds[a].Data()), len(binds[b].Data())
+	slab := make([]float64, va+vb)
+	out := maps.Clone(binds)
+	out[a] = tensor.FromData(a, slab[:va], binds[a].Shape()...)
+	out[b] = tensor.FromData(b, slab[va:], binds[b].Shape()...)
+	return out
 }
 
 func cloneData(data map[string]*tensor.Dense) map[string]*tensor.Dense {
@@ -438,8 +517,10 @@ func cloneData(data map[string]*tensor.Dense) map[string]*tensor.Dense {
 // one-processor plan, invoked b.N times inside a single launch so nothing
 // but the kernel is timed) beside a hand-written Go loop nest of the same
 // shape and loop order, both reporting GFLOP/s. gemm/hand is a pure-Go 2×4
-// register tile; on amd64, where gemm/kernel runs four planes through the
-// SSE2 4×4 tile (leaf.Tile4), the hand loop is the slower of the two.
+// register tile and mttkrp/hand a plain Go row loop; on amd64, where
+// gemm/kernel runs four planes through the SSE2 4×4 tile (leaf.Tile4) and
+// mttkrp/kernel holds its output row in SSE2 registers (leaf.HeldRow), each
+// hand loop is the slower of its pair.
 func BenchmarkLeafKernel(b *testing.B) {
 	report := func(b *testing.B, flops int) {
 		b.ReportMetric(float64(flops)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")

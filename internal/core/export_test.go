@@ -20,12 +20,19 @@ func LeafBlockVars(in Input) (int, error) {
 	return c.kprog.blockVars, nil
 }
 
-// CompileCountingFusion is Compile with every launch's body wrapped: each
-// task first binds its accesses from its own surfaces, as the compiled body
-// binds them (in-place instances, task-local accumulators and batch views
-// alike), and counts itself in tasks, and in fused when its tile lowering
-// runs planes four at a time (leaf.Tile4); then the body runs.
-func CompileCountingFusion(in Input, fused, tasks *atomic.Int64) (*legion.Program, error) {
+// LoweringCounts counts tasks by the lowering their blocks take, bound as
+// CompileCounting binds them: Fused runs planes four at a time (leaf.Tile4),
+// Held holds its store row in registers (leaf.HeldRow) and Axpy runs the
+// row loop that reloads it (leaf.Axpy).
+type LoweringCounts struct {
+	Tasks, Fused, Held, Axpy atomic.Int64
+}
+
+// CompileCounting is Compile with every launch's body wrapped: each task
+// first binds its accesses from its own surfaces, as the compiled body binds
+// them (in-place instances, task-local accumulators and batch views alike),
+// and counts itself in n by its lowering; then the body runs.
+func CompileCounting(in Input, n *LoweringCounts) (*legion.Program, error) {
 	c, err := newCompiler(context.Background(), in)
 	if err != nil {
 		return nil, err
@@ -48,9 +55,14 @@ func CompileCountingFusion(in Input, fused, tasks *atomic.Int64) (*legion.Progra
 					loads[i] = kp.accesses[i].bindRead(ctx)
 				}
 				store := kp.store.bindWrite(ctx)
-				tasks.Add(1)
-				if kp.bindBlock(loads, &store).planes4 {
-					fused.Add(1)
+				n.Tasks.Add(1)
+				switch low := kp.bindBlock(loads, &store); {
+				case low.planes4:
+					n.Fused.Add(1)
+				case low.kind == lowerHeldRow:
+					n.Held.Add(1)
+				case low.kind == lowerAxpy:
+					n.Axpy.Add(1)
 				}
 			}
 			run(ctx)

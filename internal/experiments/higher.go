@@ -54,10 +54,11 @@ func scaleHigher(k HigherKernel, nodes int) algorithms.HigherConfig {
 // kernelBytes is the tensor data processed by the kernel, the numerator of
 // the GB/s metric.
 func kernelBytes(k HigherKernel, cfg algorithms.HigherConfig) float64 {
-	bt := float64(cfg.I) * float64(cfg.J) * float64(cfg.K) * 8
+	// Every product is rounded before it is added (docs/ARCHITECTURE.md).
+	bt := float64(float64(cfg.I) * float64(cfg.J) * float64(cfg.K) * 8)
 	switch k {
 	case TTV:
-		return bt + float64(cfg.K)*8 + float64(cfg.I)*float64(cfg.J)*8
+		return bt + float64(float64(cfg.K)*8) + float64(float64(cfg.I)*float64(cfg.J)*8)
 	case Innerprod:
 		return 2 * bt
 	default:

@@ -66,7 +66,9 @@ func Fig9Table(procs, n int) ([]Fig9Row, error) {
 // algorithm family in GB (words * 8 bytes): 2D algorithms move ~2*n^2*
 // sqrt(p) words in total; 3D algorithms ~3*n^2*p^(1/3).
 func predictedCommGB(alg algorithms.Alg, n, p int) float64 {
-	n2 := float64(n) * float64(n)
+	// Rounded, so that 2*n2 (n2+n2) cannot fuse with the product
+	// (docs/ARCHITECTURE.md).
+	n2 := float64(float64(n) * float64(n))
 	switch alg {
 	case algorithms.Cannon, algorithms.PUMMA, algorithms.SUMMA:
 		return 2 * n2 * math.Sqrt(float64(p)) * 8 / 1e9

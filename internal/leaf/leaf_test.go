@@ -171,3 +171,103 @@ func abs(v int) int {
 	}
 	return v
 }
+
+// heldCase is one HeldRow call's shape: nv cells by nu rows, and the per-row
+// strides of p1, b and c in elements (any sign, 0 included).
+type heldCase struct {
+	nv, nu, ps, bs, cs int
+}
+
+// checkHeldRow runs c on seeded operands through HeldRow and through Axpy,
+// and fails unless every cell of s — those outside the row included — holds
+// the same value: the same bits, or NaN on both sides (which NaN payload
+// survives is outside the promise; see HeldRow).
+func checkHeldRow(t *testing.T, c heldCase, seed int64, specialEvery int) {
+	t.Helper()
+	const pad = 3
+	rng := rand.New(rand.NewSource(seed))
+	nv, nu := max(c.nv, 1), max(c.nu, 1) // span wants positive counts
+	so, ns := span(1, nv, 0, 1, pad)
+	po, np := span(c.ps, nu, 0, 1, pad)
+	bo, nb := span(1, nv, c.bs, nu, pad)
+	co, nc := span(1, nv, c.cs, nu, pad)
+	s, p, b, cv := make([]float64, ns), make([]float64, np), make([]float64, nb), make([]float64, nc)
+	for _, a := range [][]float64{s, p, b, cv} {
+		fill(rng, a, specialEvery)
+	}
+	want := append([]float64(nil), s...)
+	pv, bv, cw := leaf.View{Data: p, Off: po, SU: c.ps}, leaf.View{Data: b, Off: bo, SU: c.bs, SV: 1}, leaf.View{Data: cv, Off: co, SU: c.cs, SV: 1}
+	leaf.Axpy(leaf.View{Data: want, Off: so, SV: 1}, pv, leaf.View{}, bv, cw, c.nu, c.nv)
+	leaf.HeldRow(leaf.View{Data: s, Off: so, SV: 1}, pv, bv, cw, c.nu, c.nv)
+	for i := range s {
+		if math.Float64bits(s[i]) != math.Float64bits(want[i]) && !(math.IsNaN(s[i]) && math.IsNaN(want[i])) {
+			t.Fatalf("%+v seed %d: s[%d] = %v (%#x), Axpy gives %v (%#x)",
+				c, seed, i, s[i], math.Float64bits(s[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
+}
+
+// TestHeldRowMatchesAxpy covers rows below one group of eight, whole groups
+// and groups with a remainder, no rows and one, strides that move forward,
+// stand still or run backwards, on finite values and with the special values
+// (infinities, signed zeros, subnormals, NaN) mixed in.
+func TestHeldRowMatchesAxpy(t *testing.T) {
+	for _, nv := range []int{0, 1, 5, 7, 8, 9, 15, 16, 17, 32, 35} {
+		for _, nu := range []int{0, 1, 2, 7, 32} {
+			for _, st := range [][3]int{{1, nv, nv}, {0, 0, 0}, {-1, -nv, -nv}, {3, 0, nv + 5}, {-2, nv + 1, -3 * nv}} {
+				for _, specialEvery := range []int{0, 8} {
+					c := heldCase{nv: nv, nu: nu, ps: st[0], bs: st[1], cs: st[2]}
+					checkHeldRow(t, c, int64(nv*1000+nu*10+st[0]), specialEvery)
+				}
+			}
+		}
+	}
+}
+
+// TestHeldRowChecksBounds: the kernel indexes without checks, so HeldRow
+// must refuse an operand too short at either end, whichever way it is
+// strided, even where Axpy would run no remainder.
+func TestHeldRowChecksBounds(t *testing.T) {
+	c := heldCase{nv: 16, nu: 5, ps: -1, bs: 20, cs: -16}
+	so, ns := span(1, c.nv, 0, 1, 0)
+	po, np := span(c.ps, c.nu, 0, 1, 0)
+	bo, nb := span(1, c.nv, c.bs, c.nu, 0)
+	co, nc := span(1, c.nv, c.cs, c.nu, 0)
+	s, p, b, cv := make([]float64, ns), make([]float64, np), make([]float64, nb), make([]float64, nc)
+	for _, short := range []struct {
+		name           string
+		s, p, b, c     []float64
+		so, po, bo, co int
+	}{
+		{"s high", s[:ns-1], p, b, cv, so, po, bo, co},
+		{"s low", s, p, b, cv, so - 1, po, bo, co},
+		{"p high", s, p[:np-1], b, cv, so, po, bo, co},
+		{"p low", s, p, b, cv, so, po - 1, bo, co},
+		{"b high", s, p, b[:nb-1], cv, so, po, bo, co},
+		{"b low", s, p, b, cv, so, po, bo - 1, co},
+		{"c high", s, p, b, cv[:nc-1], so, po, bo, co},
+		{"c low", s, p, b, cv, so, po, bo, co - 1},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: HeldRow did not panic", short.name)
+				}
+			}()
+			leaf.HeldRow(leaf.View{Data: short.s, Off: short.so, SV: 1}, leaf.View{Data: short.p, Off: short.po, SU: c.ps},
+				leaf.View{Data: short.b, Off: short.bo, SU: c.bs, SV: 1}, leaf.View{Data: short.c, Off: short.co, SU: c.cs, SV: 1}, c.nu, c.nv)
+		}()
+	}
+}
+
+// FuzzHeldRow draws shapes, strides and seeded values (special values
+// included) and compares HeldRow with Axpy.
+func FuzzHeldRow(f *testing.F) {
+	f.Add(int64(1), uint8(32), uint8(32), int8(1), int8(0), int8(32), uint8(8))
+	f.Add(int64(2), uint8(7), uint8(1), int8(-3), int8(-7), int8(0), uint8(3))
+	f.Add(int64(3), uint8(19), uint8(0), int8(0), int8(19), int8(-19), uint8(0))
+	f.Fuzz(func(t *testing.T, seed int64, nv, nu uint8, ps, bs, cs int8, specialEvery uint8) {
+		c := heldCase{nv: int(nv % 80), nu: int(nu % 80), ps: int(ps), bs: int(bs), cs: int(cs)}
+		checkHeldRow(t, c, seed, int(specialEvery%16))
+	})
+}

@@ -11,7 +11,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"distal"
 	"distal/internal/tensor"
@@ -33,21 +32,64 @@ type traceExport struct {
 	OtherData map[string]string `json:"otherData"`
 }
 
-func fetchTraceExport(t *testing.T, baseURL, id string) traceExport {
+// handledIDs closes one channel per request id once the server's handler
+// for that request has returned, which is after the server put the
+// request's trace in its ring (Server.instrument): a trace fetch waits on
+// that event instead of polling for the trace.
+type handledIDs struct {
+	mu   sync.Mutex
+	done map[string]chan struct{}
+}
+
+// ch returns id's channel, made on first use by either side.
+func (h *handledIDs) ch(id string) chan struct{} {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.done == nil {
+		h.done = map[string]chan struct{}{}
+	}
+	c, ok := h.done[id]
+	if !ok {
+		c = make(chan struct{})
+		h.done[id] = c
+	}
+	return c
+}
+
+// handled closes id's channel, once however often the id is served.
+func (h *handledIDs) handled(id string) {
+	c := h.ch(id)
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	select {
+	case <-c:
+	default:
+		close(c)
+	}
+}
+
+// newTraceServer is an httptest server over New(sess, cfg) that records in
+// the returned handledIDs when each request's handler has returned.
+func newTraceServer(t *testing.T, sess *distal.Session, cfg Config) (*httptest.Server, *handledIDs) {
 	t.Helper()
-	// The server publishes a request's trace when its handler returns, which
-	// can be after the client has decoded the last response frame: give the
-	// ring a moment before calling a 404 a failure.
-	var resp *http.Response
-	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
-		var err error
-		if resp, err = http.Get(baseURL + "/v1/trace/" + id); err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusNotFound || time.Now().After(deadline) {
-			break
-		}
-		resp.Body.Close()
+	srv, h := New(sess, cfg), &handledIDs{}
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		srv.ServeHTTP(w, r)
+		h.handled(w.Header().Get(wire.HeaderRequestID))
+	}))
+	t.Cleanup(ts.Close)
+	return ts, h
+}
+
+// fetchTraceExport waits until request id's handler has returned — the
+// server publishes the trace then, which can be after the client has decoded
+// the last response frame — and fetches its trace once.
+func fetchTraceExport(t *testing.T, baseURL string, h *handledIDs, id string) traceExport {
+	t.Helper()
+	<-h.ch(id)
+	resp, err := http.Get(baseURL + "/v1/trace/" + id)
+	if err != nil {
+		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
@@ -73,9 +115,7 @@ func fetchTraceExport(t *testing.T, baseURL, id string) traceExport {
 // counting a plan-cache hit per stage.
 func TestTraceExportChain(t *testing.T) {
 	const n = 32
-	sess := distal.NewSession(distal.NewMachine(distal.CPU, 2, 2))
-	ts := httptest.NewServer(New(sess, Config{}))
-	defer ts.Close()
+	ts, handled := newTraceServer(t, distal.NewSession(distal.NewMachine(distal.CPU, 2, 2)), Config{})
 
 	req := chainRunRequest(n)
 	a := tensor.New("A", n, n)
@@ -102,7 +142,7 @@ func TestTraceExportChain(t *testing.T) {
 				t.Fatalf("stage %s cached=%v on a %s run", st.Output, st.Cached, wantCache)
 			}
 		}
-		tr := fetchTraceExport(t, ts.URL, stats.RequestID)
+		tr := fetchTraceExport(t, ts.URL, handled, stats.RequestID)
 		if tr.DisplayTimeUnit != "ms" {
 			t.Fatalf("displayTimeUnit = %q, want ms", tr.DisplayTimeUnit)
 		}
@@ -400,7 +440,7 @@ func TestAccessLogProgramKey(t *testing.T) {
 // TestRequestIDEcho: a client-supplied Distal-Request-Id is echoed and keys
 // the trace.
 func TestRequestIDEcho(t *testing.T) {
-	ts, _ := newTestServer(t, Config{})
+	ts, handled := newTraceServer(t, distal.NewSession(distal.NewMachine(distal.CPU, 2, 2)), Config{})
 	data, _ := json.Marshal(summaRequest(64))
 	hreq, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/execute", bytes.NewReader(data))
 	hreq.Header.Set("Content-Type", "application/json")
@@ -414,7 +454,7 @@ func TestRequestIDEcho(t *testing.T) {
 	if got := resp.Header.Get(wire.HeaderRequestID); got != "caller-chosen-id" {
 		t.Fatalf("request id = %q, want the caller's", got)
 	}
-	tr := fetchTraceExport(t, ts.URL, "caller-chosen-id")
+	tr := fetchTraceExport(t, ts.URL, handled, "caller-chosen-id")
 	if len(tr.TraceEvents) == 0 || tr.TraceEvents[0].Name != "/v1/execute" {
 		t.Fatalf("trace for echoed id has events %+v, want a /v1/execute root", tr.TraceEvents)
 	}
@@ -425,7 +465,7 @@ func TestRequestIDEcho(t *testing.T) {
 // request gets a generated id, whose trace is reachable. The longest
 // accepted id, every allowed byte class included, is echoed.
 func TestRequestIDBounded(t *testing.T) {
-	ts, _ := newTestServer(t, Config{})
+	ts, handled := newTraceServer(t, distal.NewSession(distal.NewMachine(distal.CPU, 2, 2)), Config{})
 	data, _ := json.Marshal(summaRequest(64))
 	echoed := func(t *testing.T, id string) string {
 		hreq, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/execute", bytes.NewReader(data))
@@ -438,7 +478,7 @@ func TestRequestIDBounded(t *testing.T) {
 		io.Copy(io.Discard, resp.Body) //nolint:errcheck
 		resp.Body.Close()
 		got := resp.Header.Get(wire.HeaderRequestID)
-		if tr := fetchTraceExport(t, ts.URL, got); tr.OtherData["request_id"] != got {
+		if tr := fetchTraceExport(t, ts.URL, handled, got); tr.OtherData["request_id"] != got {
 			t.Fatalf("trace for id %q reports %q", got, tr.OtherData["request_id"])
 		}
 		return got

@@ -260,7 +260,9 @@ func (s *Sim) classCost(inter bool, bytes int64, srcGPUMem bool, replicas int) f
 	if inter {
 		lat = s.Params.InterLatency
 	}
-	return s.occupancy(inter, bytes, srcGPUMem) + lat + s.Params.ReplicaOverhead*float64(replicas)
+	// float64 rounds the product, so no port fuses it into the addition
+	// (docs/ARCHITECTURE.md, "Floats round every product").
+	return s.occupancy(inter, bytes, srcGPUMem) + lat + float64(s.Params.ReplicaOverhead*float64(replicas))
 }
 
 // copyTimes returns when a copy from src to dst ready at ready would start

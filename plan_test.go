@@ -221,8 +221,12 @@ func (c *pollCanceledCtx) Err() error {
 func (c *pollCanceledCtx) Done() <-chan struct{} { return c.done }
 
 // waitGoroutines polls until the goroutine count drops back to within a
-// small slack of the baseline (the runtime needs a moment to retire
-// finished goroutines) and fails the test if it never does.
+// small slack of the baseline and fails the test if it never does. A
+// goroutine counts until its function has returned, and the runtime offers
+// no event for that, so this polls. It cannot flake: the callers have
+// joined every goroutine they started, so only returning is left, the poll
+// ends at the first sample where it has, and the five seconds only bound
+// how long a goroutine that is really stuck keeps the test waiting.
 func waitGoroutines(t *testing.T, baseline int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
