@@ -18,29 +18,30 @@
 // written s += float64(a*b): the explicit conversion rounds the product, so
 // compilers that fuse multiply-add produce the same bits as the generic walk.
 //
-// Two kernels are assembly. Tile4's 4×4 block (tile4_amd64.s), four planes
-// that share the streamed operand, runs ≈2.4× Tile's flops on the GEMM
-// leaf. HeldRow's eight-cell group (rowheld_amd64.s) keeps an output row in
-// registers while every row of the block adds into it, ≈3× Axpy's flops on
-// the MTTKRP leaf. Both are SSE2, the amd64 baseline every GOAMD64 level
-// includes, so they need no CPU detection and have no switch. They hold to
-// the same rule by construction: each product is a MULPD, rounded, and its
-// addition a separate ADDPD, never a fused multiply-add. AVX2 and FMA3
-// would widen them, but they are not baseline — they need CPU detection and
-// a second kernel to test against the first — so they are out of scope.
-// Other ports run the Go loops (tile4_generic.go, rowheld_generic.go).
+// Two kernels are assembly, each an SSE2 body (the amd64 baseline) with an
+// AVX twin (vex_amd64.s) that init picks once, from CPUID and XGETBV; there
+// is no switch. Tile4's 4×4 block (tile4_amd64.s), four planes that share
+// the streamed operand, runs ≈2.4× Tile's flops on the GEMM leaf in SSE2,
+// and ≈2–2.4× that in AVX. HeldRow's eight-cell group (rowheld_amd64.s) keeps
+// an output row in registers while every row of the block adds into it, ≈3×
+// Axpy's flops on the MTTKRP leaf in SSE2, and ≈1.6× that in AVX. All four
+// hold to one rule: each product is a (V)MULPD, rounded, and its addition a
+// separate (V)ADDPD, never a fused multiply-add (so AVX1 is all the twins
+// need), and each twin keeps its SSE2 kernel's operand order, so the two
+// return the same bits, NaN payloads included. Other ports run the Go loops
+// (tile4_generic.go, rowheld_generic.go).
 //
 // The linker keeps the Go functions in source order, and the assembly after
 // them. The order below puts Axpy at 0 mod 64 and Tile at 32 in the
 // benchmark binary, where neither's hot row loop straddles a 64-byte line.
 // With Axpy at 32, its MTTKRP loop spanned two lines and the run-mttkrp
 // workload, which ran Axpy before HeldRow took its leaf, ran ≈10 % slower
-// (2-vCPU x86-64 container, go1.24). HeldRow and Tile4 live in files that
-// sort after this one, so they move none of them, and PCALIGN aligns each
-// assembly kernel's loop. The row operations are small enough that the
-// compiler would inline them into their callers, and so lay their loops out
-// with internal/core; they are marked go:noinline to stay here. Each call
-// does a row's work.
+// (2-vCPU x86-64 container, go1.24). HeldRow, Tile4 and the kernel choice's
+// init (vex_amd64.go) sort after this file and move none of them, and
+// PCALIGN aligns each assembly kernel's loop. The row operations are small
+// enough that the compiler would inline them into their callers, and so lay
+// their loops out with internal/core; they are marked go:noinline to stay
+// here. Each call does a row's work.
 package leaf
 
 // View is a strided view of a float64 surface: element (u, v) of a block

@@ -39,6 +39,22 @@ func fill(rng *rand.Rand, a []float64, specialEvery int) {
 	}
 }
 
+// eachKernel runs f as one subtest per kernel set of this port — amd64's
+// SSE2 kernels and their AVX twins; the Go loops elsewhere — skipping a set
+// the CPU cannot run, then restores the set init selected.
+func eachKernel(t *testing.T, f func(t *testing.T)) {
+	t.Helper()
+	defer leaf.ResetKernels()
+	for _, k := range leaf.KernelSets {
+		t.Run(k, func(t *testing.T) {
+			if !leaf.UseKernels(k) {
+				t.Skipf("this CPU cannot run the %s kernels", k)
+			}
+			f(t)
+		})
+	}
+}
+
 // span returns the origin o that puts the lowest of the indices
 // o+i*si+j*sj (i < ni, j < nj) at pad, and the slice length that leaves pad
 // cells past the highest.
@@ -87,19 +103,20 @@ func checkTile4(t *testing.T, c tile4Case, seed int64, specialEvery int) {
 // rows that overlap (yr 4 under nt 64), run across each other or stand apart,
 // on finite values and with the special values mixed in.
 func TestTile4MatchesTile(t *testing.T) {
-	nts := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 64}
-	for _, nt := range nts {
-		for _, nr := range []int{0, 1, 2, 7, 64} {
-			for _, xr := range []int{1, 3} {
-				for _, yr := range []int{4, 64, 256} {
-					for _, specialEvery := range []int{0, 8} {
-						c := tile4Case{nt: nt, nr: nr, ss: nt + 2, xs: 5 * nr, xr: xr, yr: yr}
-						checkTile4(t, c, int64(nt*1000+nr*10+xr), specialEvery)
+	eachKernel(t, func(t *testing.T) {
+		for _, nt := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 64} {
+			for _, nr := range []int{0, 1, 2, 7, 64} {
+				for _, xr := range []int{1, 3} {
+					for _, yr := range []int{4, 64, 256} {
+						for _, specialEvery := range []int{0, 8} {
+							c := tile4Case{nt: nt, nr: nr, ss: nt + 2, xs: 5 * nr, xr: xr, yr: yr}
+							checkTile4(t, c, int64(nt*1000+nr*10+xr), specialEvery)
+						}
 					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // TestTile4NegativeStrides runs planes, x steps and y rows backwards, and
@@ -112,8 +129,10 @@ func TestTile4NegativeStrides(t *testing.T) {
 		{nt: 4, nr: 64, ss: 4, xs: 0, xr: 0, yr: 4},
 	} {
 		t.Run(fmt.Sprint(i), func(t *testing.T) {
-			checkTile4(t, c, int64(i), 0)
-			checkTile4(t, c, int64(i), 8)
+			eachKernel(t, func(t *testing.T) {
+				checkTile4(t, c, int64(i), 0)
+				checkTile4(t, c, int64(i), 8)
+			})
 		})
 	}
 }
@@ -126,7 +145,7 @@ func TestTile4ChecksBounds(t *testing.T) {
 	xo, nx := span(c.xs, 4, c.xr, c.nr, 0)
 	yo, ny := span(1, c.nt, c.yr, c.nr, 0)
 	s, x, y := make([]float64, ns), make([]float64, nx), make([]float64, ny)
-	for _, short := range []struct {
+	shorts := []struct {
 		name    string
 		s, x, y []float64
 		so, xo  int
@@ -138,16 +157,19 @@ func TestTile4ChecksBounds(t *testing.T) {
 		{"x low", s, x, y, so, xo - 1, yo},
 		{"y high", s, x, y[:ny-1], so, xo, yo},
 		{"y low", s, x, y, so, xo, yo - 1},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: Tile4 did not panic", short.name)
-				}
-			}()
-			leaf.Tile4(short.s, short.so, c.ss, short.x, short.xo, c.xs, c.xr, short.y, short.yo, c.yr, c.nt, c.nr)
-		}()
 	}
+	eachKernel(t, func(t *testing.T) {
+		for _, short := range shorts {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s: Tile4 did not panic", short.name)
+					}
+				}()
+				leaf.Tile4(short.s, short.so, c.ss, short.x, short.xo, c.xs, c.xr, short.y, short.yo, c.yr, c.nt, c.nr)
+			}()
+		}
+	})
 }
 
 // FuzzTile4 draws shapes, strides and seeded values (special values
@@ -161,7 +183,7 @@ func FuzzTile4(f *testing.F) {
 		if abs(c.ss) < c.nt {
 			c.ss = c.nt + abs(c.ss)%4
 		}
-		checkTile4(t, c, seed, int(specialEvery%16))
+		eachKernel(t, func(t *testing.T) { checkTile4(t, c, seed, int(specialEvery%16)) })
 	})
 }
 
@@ -212,16 +234,18 @@ func checkHeldRow(t *testing.T, c heldCase, seed int64, specialEvery int) {
 // stand still or run backwards, on finite values and with the special values
 // (infinities, signed zeros, subnormals, NaN) mixed in.
 func TestHeldRowMatchesAxpy(t *testing.T) {
-	for _, nv := range []int{0, 1, 5, 7, 8, 9, 15, 16, 17, 32, 35} {
-		for _, nu := range []int{0, 1, 2, 7, 32} {
-			for _, st := range [][3]int{{1, nv, nv}, {0, 0, 0}, {-1, -nv, -nv}, {3, 0, nv + 5}, {-2, nv + 1, -3 * nv}} {
-				for _, specialEvery := range []int{0, 8} {
-					c := heldCase{nv: nv, nu: nu, ps: st[0], bs: st[1], cs: st[2]}
-					checkHeldRow(t, c, int64(nv*1000+nu*10+st[0]), specialEvery)
+	eachKernel(t, func(t *testing.T) {
+		for _, nv := range []int{0, 1, 5, 7, 8, 9, 15, 16, 17, 32, 35} {
+			for _, nu := range []int{0, 1, 2, 7, 32} {
+				for _, st := range [][3]int{{1, nv, nv}, {0, 0, 0}, {-1, -nv, -nv}, {3, 0, nv + 5}, {-2, nv + 1, -3 * nv}} {
+					for _, specialEvery := range []int{0, 8} {
+						c := heldCase{nv: nv, nu: nu, ps: st[0], bs: st[1], cs: st[2]}
+						checkHeldRow(t, c, int64(nv*1000+nu*10+st[0]), specialEvery)
+					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // TestHeldRowChecksBounds: the kernel indexes without checks, so HeldRow
@@ -234,7 +258,7 @@ func TestHeldRowChecksBounds(t *testing.T) {
 	bo, nb := span(1, c.nv, c.bs, c.nu, 0)
 	co, nc := span(1, c.nv, c.cs, c.nu, 0)
 	s, p, b, cv := make([]float64, ns), make([]float64, np), make([]float64, nb), make([]float64, nc)
-	for _, short := range []struct {
+	shorts := []struct {
 		name           string
 		s, p, b, c     []float64
 		so, po, bo, co int
@@ -247,17 +271,20 @@ func TestHeldRowChecksBounds(t *testing.T) {
 		{"b low", s, p, b, cv, so, po, bo - 1, co},
 		{"c high", s, p, b, cv[:nc-1], so, po, bo, co},
 		{"c low", s, p, b, cv, so, po, bo, co - 1},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: HeldRow did not panic", short.name)
-				}
-			}()
-			leaf.HeldRow(leaf.View{Data: short.s, Off: short.so, SV: 1}, leaf.View{Data: short.p, Off: short.po, SU: c.ps},
-				leaf.View{Data: short.b, Off: short.bo, SU: c.bs, SV: 1}, leaf.View{Data: short.c, Off: short.co, SU: c.cs, SV: 1}, c.nu, c.nv)
-		}()
 	}
+	eachKernel(t, func(t *testing.T) {
+		for _, short := range shorts {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s: HeldRow did not panic", short.name)
+					}
+				}()
+				leaf.HeldRow(leaf.View{Data: short.s, Off: short.so, SV: 1}, leaf.View{Data: short.p, Off: short.po, SU: c.ps},
+					leaf.View{Data: short.b, Off: short.bo, SU: c.bs, SV: 1}, leaf.View{Data: short.c, Off: short.co, SU: c.cs, SV: 1}, c.nu, c.nv)
+			}()
+		}
+	})
 }
 
 // FuzzHeldRow draws shapes, strides and seeded values (special values
@@ -268,6 +295,72 @@ func FuzzHeldRow(f *testing.F) {
 	f.Add(int64(3), uint8(19), uint8(0), int8(0), int8(19), int8(-19), uint8(0))
 	f.Fuzz(func(t *testing.T, seed int64, nv, nu uint8, ps, bs, cs int8, specialEvery uint8) {
 		c := heldCase{nv: int(nv % 80), nu: int(nu % 80), ps: int(ps), bs: int(bs), cs: int(cs)}
-		checkHeldRow(t, c, seed, int(specialEvery%16))
+		eachKernel(t, func(t *testing.T) { checkHeldRow(t, c, seed, int(specialEvery%16)) })
 	})
+}
+
+// TestAVXMatchesSSE2Bits feeds amd64's two kernel sets the same operands,
+// half of them special values — NaNs of other payloads than the default
+// (quiet and signalling, either sign), infinities whose products with zero
+// make the default NaN, signed zeros, subnormals — and requires identical
+// bits, NaN payloads included: the twins share every instruction's operand
+// order. One cell of each kernel is pinned: an accumulator holding a
+// non-default NaN whose first term is Inf·0 keeps its own payload, the
+// first source of every addition.
+func TestAVXMatchesSSE2Bits(t *testing.T) {
+	if !leaf.UseKernels("avx") {
+		t.Skip("no AVX kernels on this port or CPU")
+	}
+	defer leaf.ResetKernels()
+	const payload = 0x7ff8000000000001 // math.NaN()
+	values := append([]float64{
+		math.Float64frombits(payload), math.Float64frombits(0xfff8000000000abc),
+		math.Float64frombits(0x7ff4000000000000), math.Float64frombits(0xfff0000000000001),
+	}, special...)
+	draw := func(rng *rand.Rand, n int) []float64 {
+		a := make([]float64, n)
+		for i := range a {
+			if rng.Intn(2) == 0 {
+				a[i] = values[rng.Intn(len(values))]
+			} else {
+				a[i] = 4*rng.Float64() - 2
+			}
+		}
+		return a
+	}
+	// both runs f on a copy of s under each set and fails unless the
+	// copies hold the same bits; it returns the AVX copy.
+	both := func(name string, seed int64, s []float64, f func(s []float64)) []float64 {
+		t.Helper()
+		var got [2][]float64
+		for i, set := range []string{"sse2", "avx"} {
+			leaf.UseKernels(set)
+			got[i] = append([]float64(nil), s...)
+			f(got[i])
+		}
+		for i := range s {
+			if a, b := math.Float64bits(got[0][i]), math.Float64bits(got[1][i]); a != b {
+				t.Fatalf("%s seed %d: s[%d] is %#x under SSE2, %#x under AVX", name, seed, i, a, b)
+			}
+		}
+		return got[1]
+	}
+	const nt, nr, nv, nu = 12, 9, 16, 9
+	for seed := range int64(64) {
+		rng := rand.New(rand.NewSource(seed))
+		s, x, y := draw(rng, 4*nt), draw(rng, 4*nr), draw(rng, nr*nt)
+		s[0], x[0], y[0] = math.Float64frombits(payload), math.Inf(1), 0
+		got := both("Tile4", seed, s, func(s []float64) { leaf.Tile4(s, 0, nt, x, 0, nr, 1, y, 0, nt, nt, nr) })
+		if math.Float64bits(got[0]) != payload {
+			t.Fatalf("Tile4 seed %d: s[0] is %#x, want the accumulator's NaN %#x", seed, math.Float64bits(got[0]), uint64(payload))
+		}
+		s, p, b, c := draw(rng, nv), draw(rng, nu), draw(rng, nu*nv), draw(rng, nu*nv)
+		s[0], p[0], b[0] = math.Float64frombits(payload), math.Inf(-1), 0
+		got = both("HeldRow", seed, s, func(s []float64) {
+			leaf.HeldRow(leaf.View{Data: s, SV: 1}, leaf.View{Data: p, SU: 1}, leaf.View{Data: b, SU: nv, SV: 1}, leaf.View{Data: c, SU: nv, SV: 1}, nu, nv)
+		})
+		if math.Float64bits(got[0]) != payload {
+			t.Fatalf("HeldRow seed %d: s[0] is %#x, want the accumulator's NaN %#x", seed, math.Float64bits(got[0]), uint64(payload))
+		}
+	}
 }

@@ -9,8 +9,12 @@
 // ADDPD into the accumulator: two rounded products and the addition, as
 // Axpy's s[v] += float64(float64(p*b[v])*c[v]) does per cell. SSE2 only
 // (the amd64 baseline), and never a fused multiply-add. Legacy SSE memory
-// operands must be 16-byte aligned, so every vector load is a MOVUPD.
+// operands must be 16-byte aligned, so every vector load is a MOVUPD. When
+// useAVX is set, the entry jumps to the AVX twin, heldRow8AVX
+// (vex_amd64.s).
 TEXT ·heldRow8(SB), NOSPLIT, $0-168
+	CMPB ·useAVX(SB), $0
+	JNE  avx
 	MOVQ s_base+0(FP), BX
 	MOVQ so+24(FP), AX
 	LEAQ (BX)(AX*8), BX
@@ -81,3 +85,6 @@ rows:
 	SUBQ $8, R11
 	JNZ groups
 	RET
+
+avx:
+	JMP ·heldRow8AVX(SB)

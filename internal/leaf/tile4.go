@@ -13,7 +13,7 @@ package leaf
 // is outside that promise: which payload survives where two NaNs of
 // different payloads meet — an input NaN and one an invalid operation made,
 // say. Go leaves that to the compiler's operand order, and Tile's own result
-// there changes with how it is compiled.
+// there changes with how it is compiled (amd64's two kernels agree on it).
 //
 // Operand bounds are checked once, at the first and last index each operand
 // reaches, whatever the strides' signs: the kernel indexes without checks.

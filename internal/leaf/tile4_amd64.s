@@ -9,8 +9,11 @@
 // product is a MULPD into a copy of y followed by an ADDPD into the
 // accumulator: the rounded product, then the addition, as Tile's
 // s += float64(x*y) does per cell. SSE2 only (the amd64 baseline), and
-// never a fused multiply-add.
+// never a fused multiply-add. When useAVX is set, the entry jumps to the
+// AVX twin, tile4x4AVX (vex_amd64.s).
 TEXT ·tile4x4(SB), NOSPLIT, $0-144
+	CMPB ·useAVX(SB), $0
+	JNE  avx
 	MOVQ s_base+0(FP), BX
 	MOVQ so+24(FP), AX
 	LEAQ (BX)(AX*8), BX
@@ -103,3 +106,6 @@ loop:
 	SUBQ $4, R11
 	JNZ tiles
 	RET
+
+avx:
+	JMP ·tile4x4AVX(SB)
